@@ -25,28 +25,13 @@ from .ladder import harmonic_gdo
 from .reporting import Tolerances, encode_json, _csv_float
 from .states import ParameterError
 from .verify import (
-    FAMILIES,
-    _FINITE,
+    FAMILY_SPECS,
     _echo_params,
     build_gdo,
     build_state,
     derived_vs_printed_rows,
     run_family_suite,
 )
-
-FAMILY_ALIASES = {
-    "bs": "binomial",
-    "hgs": "hypergeometric",
-    "ps": "polya",
-    "rbs": "reciprocal_binomial",
-    "pbps": "pegg_barnett_phase",
-    "ggs": "generalized_geometric",
-    "cs": "coherent",
-    "gs": "geometric",
-    "nbs": "negative_binomial",
-    "nnbs": "new_negative_binomial",
-    "ks": "kerr",
-}
 
 COMPLEX_HELP = (
     "complex values use the a+bi grammar: '1', '-0.5', '1+0.5i', '2-i', '0.7i'"
@@ -169,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_family(name: str) -> str:
-    return FAMILY_ALIASES.get(name, name)
+    aliased = (spec.name for spec in FAMILY_SPECS.values() if spec.alias == name)
+    return next(aliased, name)
 
 
 def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
@@ -184,7 +170,8 @@ def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
 def _resolve_dim(family: str, params: dict[str, Any], dim: int | None) -> int:
     if dim is not None:
         return dim
-    if family in _FINITE and "M" in params:
+    spec = FAMILY_SPECS.get(family)
+    if spec is not None and spec.kind == "finite" and "M" in params:
         return params["M"] + 8
     raise ParameterError(f"--dim is required for family '{family}'")
 
@@ -206,15 +193,12 @@ def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
     family = _resolve_family(args.family)
     params = _collect_params(args)
-    if family != "harmonic" and family not in FAMILIES:
+    if family != "harmonic" and family not in FAMILY_SPECS:
         raise ParameterError(f"unknown family '{args.family}'")
-    dim = _resolve_dim(family, params, args.dim) if family != "harmonic" else args.dim
-    if family == "harmonic":
-        if dim is None:
-            raise ParameterError("--dim is required for family 'harmonic'")
-        if params:
-            stray = sorted(params)[0]
-            raise ParameterError(f"unknown parameter '{stray}' for family 'harmonic'")
+    dim = _resolve_dim(family, params, args.dim)
+    if family == "harmonic" and params:
+        stray = sorted(params)[0]
+        raise ParameterError(f"unknown parameter '{stray}' for family 'harmonic'")
     return CliConfig(
         subcommand=args.subcommand,
         family=family,
@@ -244,8 +228,6 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def cmd_state(cfg: CliConfig, out: str | None) -> int:
-    if cfg.family == "harmonic":
-        raise ParameterError("unknown family 'harmonic'")
     s = build_state(cfg.family, cfg.params, cfg.dim)
     rows = [
         {
@@ -305,8 +287,6 @@ def cmd_verify(cfg: CliConfig, out: str | None) -> int:
 
 def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
     if cfg.compare_printed:
-        if cfg.family == "harmonic":
-            raise ParameterError("no printed structure function for 'harmonic'")
         rows = derived_vs_printed_rows(cfg.family, cfg.params, cfg.dim)
         columns = "n,derived,printed_re,printed_im,match"
     else:
@@ -342,21 +322,30 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
     return 0
 
 
+def _manifest_int(value: Any, field: str) -> int:
+    # JSON reads 1e999 as an infinite float, which int() cannot take
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ParameterError(f"{field} must be an integer")
+    return int(value)
+
+
 def _decode_manifest_params(raw: Any) -> dict[str, Any]:
     if not isinstance(raw, dict):
         raise ParameterError("'params' must be a mapping")
     params: dict[str, Any] = {}
     for key, value in raw.items():
         if key in _INT_FLAGS:
-            if isinstance(value, str) or int(value) != value:
-                raise ParameterError(f"parameter '{key}' must be an integer")
-            params[key] = int(value)
-        elif key in _COMPLEX_FLAGS:
-            params[key] = (
-                parse_complex(value) if isinstance(value, str) else complex(value)
-            )
+            params[key] = _manifest_int(value, f"parameter '{key}'")
+        elif key in _COMPLEX_FLAGS and isinstance(value, str):
+            params[key] = parse_complex(value)
         else:
-            params[key] = float(value)
+            kind = complex if key in _COMPLEX_FLAGS else float
+            try:
+                params[key] = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ParameterError(f"parameter '{key}' must be a number") from None
     return params
 
 
@@ -368,19 +357,17 @@ def _decode_manifest_entry(entry: Any) -> tuple[str, dict[str, Any], int, Tolera
             raise ParameterError(f"manifest entry is missing '{field}'")
     family = _resolve_family(str(entry["family"]))
     params = _decode_manifest_params(entry["params"])
-    dim = entry["dim"]
-    if isinstance(dim, str) or int(dim) != dim:
-        raise ParameterError("'dim' must be an integer")
+    dim = _manifest_int(entry["dim"], "'dim'")
     overrides = entry.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ParameterError("'tolerances' must be a mapping")
-    defaults = Tolerances()
-    tolerances = Tolerances(
-        residual=overrides.get("residual", defaults.residual),
-        leak=overrides.get("leak", defaults.leak),
-        oracle=overrides.get("oracle", defaults.oracle),
-    )
-    return family, params, int(dim), tolerances
+    values = Tolerances().as_dict()
+    for name in values:
+        if name in overrides:
+            if not isinstance(overrides[name], (int, float)):
+                raise ParameterError(f"tolerance '{name}' must be a number")
+            values[name] = overrides[name]
+    return family, params, dim, Tolerances(**values)
 
 
 def cmd_batch(manifest_path: str, out_dir: str) -> int:

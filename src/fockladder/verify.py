@@ -1,6 +1,8 @@
-"""Family check suites, the derived-vs-printed comparison, and the
-identity catalog.
+"""The family table, family check suites, the derived-vs-printed
+comparison, and the identity catalog.
 
+Each family is one `FamilySpec` entry in `FAMILY_SPECS`; the registry
+names, grids, constructors, closed-form routes and suites all read it.
 Every family in the registry gets a consolidated suite: constructor
 invariants, a distribution cross-check against a closed-form route that
 is independent of the constructor's recurrences, its ladder relations in
@@ -17,12 +19,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import KW_ONLY, dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from .core import (
     FockState,
+    OperatorExpr,
     add,
     annihilation,
     apply,
@@ -205,29 +209,70 @@ EQUATION_CATALOG: dict[str, str] = {
     "E87": "sector structure functions F_e and F_o",
 }
 
-# --- family registry and fixed parameter grids ---
+# --- family table ---
 
-FAMILIES: dict[str, tuple[str, ...]] = {
-    "binomial": ("eta", "M"),
-    "hypergeometric": ("L", "eta", "M"),
-    "polya": ("eta", "gamma", "M"),
-    "reciprocal_binomial": ("theta", "M"),
-    "pegg_barnett_phase": ("theta0", "m", "M"),
-    "generalized_geometric": ("Y", "M"),
-    "coherent": ("alpha",),
-    "geometric": ("eta",),
-    "negative_binomial": ("eta", "M"),
-    "new_negative_binomial": ("eta", "M"),
-    "kerr": ("alpha", "theta"),
-    "svs": ("r", "theta"),
-    "sfes": ("r", "theta"),
-    "ecs": ("alpha",),
-    "ocs": ("alpha",),
-    "pacs": ("alpha", "M"),
-    "intermediate": ("eta", "alpha"),
-}
+Params = dict[str, Any]
 
-CORE_FAMILIES: tuple[str, ...] = tuple(list(FAMILIES)[:15])
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything the registry knows about one family, in one place.
+
+    ``kind`` picks the suite and the deformed-oscillator construction:
+    "finite" (support [0, M]), "shifted" (support from M), "added"
+    (photon-added), "general" (infinite support) or "two-photon" (one
+    parity sector, ``sector`` = j).  Every callable takes the validated
+    parameters and reaches the builders through their module-level names,
+    so a wrapper rebound on such a name sees the call.
+    """
+
+    name: str
+    alias: str | None
+    params: tuple[str, ...]
+    kind: str
+    _: KW_ONLY
+    build: Callable[[Params, int], FockState]
+    # independent of the constructor's recurrences; None when the
+    # coefficients are the recursion output itself
+    closed_form: Callable[[Params, int], CoeffFn] | None
+    norm_eq: str
+    dist_eq: str
+    # the literal lowering operator and its eigenvalue on the state
+    literal: Callable[[Params, int], tuple[OperatorExpr, complex]]
+    literal_eq: str
+    grid: tuple[Params, int]
+    optional: tuple[str, ...] = ()
+    sector: int = 0
+    # (check name, equation, lhs/rhs builder), checked before the literal
+    pair: tuple[str, str, Callable[[Params, int], tuple]] | None = None
+    # coefficients of the state before photon addition
+    base: Callable[[Params], CoeffFn] | None = None
+    # the (M-1)-member's parameters when keeping x fixed takes more than M-1
+    down: Callable[[Params], Params] | None = None
+    # the source's printed structure function at n (E29)
+    printed_F: Callable[[Params, int], complex] | None = None
+    # derived values echoed into report headers
+    echo: Callable[[Params], Params] | None = None
+    # S(xi)|j>: also check the squeezing operator's disentangled form
+    disentangle: bool = False
+
+
+def _theta_m(p: Params) -> float:
+    return PhaseGrid(p["theta0"], p["M"], p["m"]).theta_m
+
+
+def _squeeze_eigenvalue(p: Params) -> complex:
+    return cmath.exp(1j * p["theta"]) * math.tanh(p["r"])
+
+
+def _intermediate_ladder(p: Params, dim: int) -> OperatorExpr:
+    ip = IntermediateParams(p["eta"], p["alpha"], p.get("f"))
+    root = math.sqrt(1 - p["eta"])
+    return add(
+        scale(number_op(dim), math.sqrt(p["eta"])),
+        compose(diag_op(lambda t: root * ip.f_at(t), dim), annihilation(dim)),
+    )
+
 
 _GGS_Y = cmath.rect(0.3, math.pi / 3)
 
@@ -238,52 +283,250 @@ def _grid_nonlinearity(n: int) -> complex:
 
 _grid_nonlinearity.label = "exp(-0.2i*n)"
 
-# Fixed, versioned parameters: the reproducible acceptance run. The first
-# fifteen rows are the canonical families the batch contract counts.
-ACCEPTANCE_GRID: tuple[tuple[str, dict[str, Any], int], ...] = (
-    ("binomial", {"eta": 0.5, "M": 4}, 12),
-    ("hypergeometric", {"L": 40.0, "eta": 0.5, "M": 5}, 13),
-    ("polya", {"eta": 0.4, "gamma": 0.7, "M": 5}, 13),
-    ("reciprocal_binomial", {"theta": 0.7, "M": 4}, 12),
-    ("pegg_barnett_phase", {"theta0": 0.0, "m": 2, "M": 7}, 15),
-    ("generalized_geometric", {"Y": _GGS_Y, "M": 6}, 14),
-    ("coherent", {"alpha": 1.0 + 0.0j}, 64),
-    ("geometric", {"eta": 0.4}, 128),
-    ("negative_binomial", {"eta": 0.3, "M": 3}, 256),
-    ("new_negative_binomial", {"eta": 0.3, "M": 2}, 256),
-    ("kerr", {"alpha": 1.0 + 0.0j, "theta": 0.3}, 64),
-    ("svs", {"r": 0.8, "theta": 0.5}, 128),
-    ("sfes", {"r": 0.8, "theta": 0.5}, 128),
-    ("ecs", {"alpha": 1.1 + 0.0j}, 128),
-    ("ocs", {"alpha": 1.1 + 0.0j}, 128),
+# Ordered: the first fifteen entries are the canonical families the batch
+# contract counts, and their grid rows are the reproducible acceptance
+# run.  The grid parameters are fixed and versioned.
+FAMILY_SPECS: dict[str, FamilySpec] = {
+    spec.name: spec
+    for spec in (
+        FamilySpec(
+            "binomial", "bs", ("eta", "M"), "finite",
+            build=lambda p, dim: binomial(p["eta"], p["M"], dim),
+            closed_form=lambda p, dim: _cf_binomial(p["eta"], p["M"]),
+            norm_eq="E2 E14", dist_eq="E14",
+            literal=lambda p, dim: (bs_ladder(p["eta"], p["M"], dim), p["M"]),
+            literal_eq="E15",
+            printed_F=lambda p, n: (p["M"] - n + 1) ** 3 * (1 - p["eta"]) / p["eta"],
+            grid=({"eta": 0.5, "M": 4}, 12),
+        ),
+        FamilySpec(
+            "hypergeometric", "hgs", ("L", "eta", "M"), "finite",
+            build=lambda p, dim: hypergeometric(p["L"], p["eta"], p["M"], dim),
+            closed_form=lambda p, dim: _cf_hypergeometric(p["L"], p["eta"], p["M"]),
+            norm_eq="E16 E17", dist_eq="E16 E17",
+            literal=lambda p, dim: (hgs_ladder(p["L"], p["eta"], p["M"], dim), p["M"]),
+            literal_eq="E18",
+            printed_F=lambda p, n: (
+                (p["M"] - n + 1) ** 3
+                * (p["L"] * (1 - p["eta"]) - p["M"] + n)
+                / (p["L"] * p["eta"] - n + 1)
+            ),
+            grid=({"L": 40.0, "eta": 0.5, "M": 5}, 13),
+        ),
+        FamilySpec(
+            "polya", "ps", ("eta", "gamma", "M"), "finite",
+            build=lambda p, dim: polya(p["eta"], p["gamma"], p["M"], dim),
+            closed_form=lambda p, dim: _cf_polya(p["eta"], p["gamma"], p["M"]),
+            norm_eq="E19 E20", dist_eq="E19 E20",
+            literal=lambda p, dim: (
+                ps_ladder(p["eta"], p["gamma"], p["M"], dim),
+                p["M"],
+            ),
+            literal_eq="E21",
+            printed_F=lambda p, n: (
+                (p["M"] - n + 1) ** 3
+                * ((1 - p["eta"]) + (p["M"] + n - 2) * p["gamma"])
+                / (p["eta"] + (n - 1) * p["gamma"])
+            ),
+            grid=({"eta": 0.4, "gamma": 0.7, "M": 5}, 13),
+        ),
+        FamilySpec(
+            "reciprocal_binomial", "rbs", ("theta", "M"), "finite",
+            build=lambda p, dim: reciprocal_binomial(p["theta"], p["M"], dim),
+            closed_form=lambda p, dim: _cf_reciprocal_binomial(p["theta"], p["M"]),
+            norm_eq="E22", dist_eq="E22",
+            literal=lambda p, dim: (rbs_ladder(p["theta"], p["M"], dim), p["M"]),
+            literal_eq="E23",
+            printed_F=lambda p, n: (
+                cmath.exp(-2j * p["theta"]) * (p["M"] - n + 1) ** 5 / n**2
+            ),
+            grid=({"theta": 0.7, "M": 4}, 12),
+        ),
+        FamilySpec(
+            "pegg_barnett_phase", "pbps", ("theta0", "m", "M"), "finite",
+            build=lambda p, dim: pegg_barnett_phase(
+                PhaseGrid(p["theta0"], p["M"], p["m"]), p["M"], dim
+            ),
+            closed_form=lambda p, dim: _cf_phase(_theta_m(p), p["M"]),
+            norm_eq="E24 E25", dist_eq="E24",
+            literal=lambda p, dim: (pbps_ladder(_theta_m(p), p["M"], dim), p["M"]),
+            literal_eq="E26",
+            # x is theta_m itself, so the reduced member keeps it
+            down=lambda p: dict(p, M=p["M"] - 1, theta0=_theta_m(p), m=0),
+            printed_F=lambda p, n: (
+                cmath.exp(-2j * _theta_m(p)) * (p["M"] - n + 1) ** 4 / n
+            ),
+            echo=lambda p: {"theta_m": _theta_m(p)},
+            grid=({"theta0": 0.0, "m": 2, "M": 7}, 15),
+        ),
+        FamilySpec(
+            "generalized_geometric", "ggs", ("Y", "M"), "finite",
+            build=lambda p, dim: generalized_geometric(p["Y"], p["M"], dim),
+            closed_form=lambda p, dim: _cf_generalized_geometric(p["Y"], p["M"]),
+            norm_eq="E27", dist_eq="E27",
+            literal=lambda p, dim: (ggs_ladder(p["Y"], p["M"], dim), p["M"]),
+            literal_eq="E28",
+            printed_F=lambda p, n: (p["M"] - n + 1) ** 4 / (p["Y"] * n),
+            grid=({"Y": _GGS_Y, "M": 6}, 14),
+        ),
+        FamilySpec(
+            "coherent", "cs", ("alpha",), "general",
+            build=lambda p, dim: coherent(p["alpha"], dim),
+            closed_form=lambda p, dim: coherent_coeffs(p["alpha"]),
+            norm_eq="E46", dist_eq="E46",
+            literal=lambda p, dim: (annihilation(dim), p["alpha"]),
+            literal_eq="E55",
+            grid=({"alpha": 1.0 + 0.0j}, 64),
+        ),
+        FamilySpec(
+            "geometric", "gs", ("eta",), "general",
+            build=lambda p, dim: geometric(p["eta"], dim),
+            closed_form=lambda p, dim: geometric_coeffs(p["eta"]),
+            norm_eq="E56", dist_eq="E56",
+            pair=(
+                "geometric-pair-relation", "E57", lambda p, dim: gs_pair(p["eta"], dim)
+            ),
+            literal=lambda p, dim: (gs_lowering(dim), math.sqrt(1 - p["eta"])),
+            literal_eq="E58",
+            grid=({"eta": 0.4}, 128),
+        ),
+        FamilySpec(
+            "negative_binomial", "nbs", ("eta", "M"), "general",
+            build=lambda p, dim: negative_binomial(p["eta"], p["M"], dim),
+            closed_form=lambda p, dim: negative_binomial_coeffs(p["eta"], p["M"]),
+            norm_eq="E59", dist_eq="E59",
+            literal=lambda p, dim: (nbs_lowering(p["M"], dim), math.sqrt(p["eta"])),
+            literal_eq="E60",
+            grid=({"eta": 0.3, "M": 3}, 256),
+        ),
+        FamilySpec(
+            "new_negative_binomial", "nnbs", ("eta", "M"), "shifted",
+            build=lambda p, dim: new_negative_binomial(p["eta"], p["M"], dim),
+            closed_form=lambda p, dim: _cf_nnbs(p["eta"], p["M"]),
+            norm_eq="E30 E50", dist_eq="E50",
+            literal=lambda p, dim: (
+                nnbs_lowering(p["M"], dim),
+                math.sqrt(1 - p["eta"]),
+            ),
+            literal_eq="E51",
+            grid=({"eta": 0.3, "M": 2}, 256),
+        ),
+        FamilySpec(
+            "kerr", "ks", ("alpha", "theta"), "general",
+            build=lambda p, dim: kerr(p["alpha"], p["theta"], dim),
+            closed_form=lambda p, dim: kerr_coeffs(p["alpha"], p["theta"]),
+            norm_eq="E61", dist_eq="E61",
+            literal=lambda p, dim: (kerr_lowering(p["theta"], dim), p["alpha"]),
+            literal_eq="E49 E62",
+            grid=({"alpha": 1.0 + 0.0j, "theta": 0.3}, 64),
+        ),
+        FamilySpec(
+            "svs", None, ("r", "theta"), "two-photon", sector=0,
+            build=lambda p, dim: squeezed_vacuum(p["r"], p["theta"], dim),
+            closed_form=lambda p, dim: svs_sector_coeffs(p["r"], p["theta"]),
+            norm_eq="E68", dist_eq="E68",
+            literal=lambda p, dim: (svs_lowering(dim), _squeeze_eigenvalue(p)),
+            literal_eq="E76",
+            disentangle=True,
+            grid=({"r": 0.8, "theta": 0.5}, 128),
+        ),
+        FamilySpec(
+            "sfes", None, ("r", "theta"), "two-photon", sector=1,
+            build=lambda p, dim: squeezed_first_excited(p["r"], p["theta"], dim),
+            closed_form=lambda p, dim: sfes_sector_coeffs(p["r"], p["theta"]),
+            norm_eq="E79 E80", dist_eq="E79 E80",
+            literal=lambda p, dim: (sfes_lowering(dim), _squeeze_eigenvalue(p)),
+            literal_eq="E81",
+            disentangle=True,
+            grid=({"r": 0.8, "theta": 0.5}, 128),
+        ),
+        FamilySpec(
+            "ecs", None, ("alpha",), "two-photon", sector=0,
+            build=lambda p, dim: even_odd_coherent(p["alpha"], "even", dim),
+            closed_form=lambda p, dim: ecs_sector_coeffs(p["alpha"]),
+            norm_eq="E82", dist_eq="E82",
+            literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
+            literal_eq="E84",
+            grid=({"alpha": 1.1 + 0.0j}, 128),
+        ),
+        FamilySpec(
+            "ocs", None, ("alpha",), "two-photon", sector=1,
+            build=lambda p, dim: even_odd_coherent(p["alpha"], "odd", dim),
+            closed_form=lambda p, dim: ocs_sector_coeffs(p["alpha"]),
+            norm_eq="E83", dist_eq="E83",
+            literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
+            literal_eq="E84",
+            grid=({"alpha": 1.1 + 0.0j}, 128),
+        ),
+        FamilySpec(
+            "pacs", None, ("alpha", "M"), "added",
+            build=lambda p, dim: photon_add(coherent(p["alpha"], dim), p["M"]),
+            closed_form=lambda p, dim: _cf_pacs(p["alpha"], p["M"], dim),
+            norm_eq="E31 E32 E39", dist_eq="E39",
+            base=lambda p: coherent_coeffs(complex(p["alpha"])),
+            pair=(
+                "added-coherent-relation",
+                "E47",
+                lambda p, dim: added_coherent_pair(complex(p["alpha"]), p["M"], dim),
+            ),
+            literal=lambda p, dim: (
+                added_coherent_lowering(complex(p["alpha"]), p["M"], dim),
+                complex(p["alpha"]),
+            ),
+            literal_eq="E48",
+            grid=({"alpha": 1.0 + 0.0j, "M": 1}, 64),
+        ),
+        # the grid eigenvalue truncates the recursion, so the state is
+        # exactly supported inside the window
+        FamilySpec(
+            "intermediate", None, ("eta", "alpha"), "general", optional=("f",),
+            build=lambda p, dim: intermediate_nlcs(
+                IntermediateParams(p["eta"], p["alpha"], p.get("f")), dim
+            ),
+            closed_form=None,
+            norm_eq="E63", dist_eq="E63",
+            literal=lambda p, dim: (_intermediate_ladder(p, dim), p["alpha"]),
+            literal_eq="E49 E63",
+            grid=(
+                {"eta": 0.5, "alpha": math.sqrt(0.5) * 4, "f": _grid_nonlinearity},
+                16,
+            ),
+        ),
+    )
+}
+
+FAMILIES: dict[str, tuple[str, ...]] = {
+    name: spec.params for name, spec in FAMILY_SPECS.items()
+}
+CORE_FAMILIES: tuple[str, ...] = tuple(FAMILIES)[:15]
+ACCEPTANCE_GRID: tuple[tuple[str, Params, int], ...] = tuple(
+    (name, *FAMILY_SPECS[name].grid) for name in CORE_FAMILIES
+)
+EXTENDED_GRID: tuple[tuple[str, Params, int], ...] = tuple(
+    (name, *spec.grid) for name, spec in FAMILY_SPECS.items()
 )
 
-# The added and intermediate families run on top of the canonical grid;
-# the intermediate row uses an eigenvalue that truncates the recursion so
-# the state is exactly supported inside the window.
-EXTENDED_GRID: tuple[tuple[str, dict[str, Any], int], ...] = ACCEPTANCE_GRID + (
-    ("pacs", {"alpha": 1.0 + 0.0j, "M": 1}, 64),
-    (
-        "intermediate",
-        {"eta": 0.5, "alpha": math.sqrt(0.5) * 4, "f": _grid_nonlinearity},
-        16,
-    ),
-)
+
+def _spec(family: str) -> FamilySpec:
+    try:
+        return FAMILY_SPECS[family]
+    except KeyError:
+        raise ParameterError(f"unknown family '{family}'") from None
 
 
-def _require(family: str, params: dict[str, Any]) -> dict[str, Any]:
-    known = set(FAMILIES[family]) | ({"f"} if family == "intermediate" else set())
-    for key in params:
-        if key not in known:
-            raise ParameterError(f"unknown parameter '{key}' for family '{family}'")
-    for key in FAMILIES[family]:
-        if key not in params or params[key] is None:
-            raise ParameterError(f"family '{family}' requires parameter '{key}'")
-    return params
+def _require(spec: FamilySpec, params: Params) -> Params:
+    p = dict(params)
+    for key in p:
+        if key not in spec.params and key not in spec.optional:
+            raise ParameterError(f"unknown parameter '{key}' for family '{spec.name}'")
+    for key in spec.params:
+        if p.get(key) is None:
+            raise ParameterError(f"family '{spec.name}' requires parameter '{key}'")
+    return p
 
 
-def _echo_params(family: str, p: dict[str, Any]) -> dict[str, Any]:
-    echo: dict[str, Any] = {}
+def _echo_params(family: str, p: Params) -> Params:
+    echo: Params = {}
     for k, v in p.items():
         if isinstance(v, complex):
             echo[k] = format_complex(v)
@@ -291,54 +534,19 @@ def _echo_params(family: str, p: dict[str, Any]) -> dict[str, Any]:
             echo[k] = getattr(v, "label", getattr(v, "__name__", "callable"))
         else:
             echo[k] = v
-    if family == "pegg_barnett_phase":
-        echo["theta_m"] = PhaseGrid(p["theta0"], p["M"], p["m"]).theta_m
+    spec = FAMILY_SPECS.get(family)
+    if spec is not None and spec.echo is not None:
+        echo.update(spec.echo(p))
     return echo
 
 
 # --- constructors and closed-form coefficient routes ---
 
 
-def build_state(family: str, params: dict[str, Any], dim: int) -> FockState:
+def build_state(family: str, params: Params, dim: int) -> FockState:
     """Construct the named family member; the entry point the CLI uses."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family '{family}'")
-    p = _require(family, dict(params))
-    if family == "binomial":
-        return binomial(p["eta"], p["M"], dim)
-    if family == "hypergeometric":
-        return hypergeometric(p["L"], p["eta"], p["M"], dim)
-    if family == "polya":
-        return polya(p["eta"], p["gamma"], p["M"], dim)
-    if family == "reciprocal_binomial":
-        return reciprocal_binomial(p["theta"], p["M"], dim)
-    if family == "pegg_barnett_phase":
-        grid = PhaseGrid(p["theta0"], p["M"], p["m"])
-        return pegg_barnett_phase(grid, p["M"], dim)
-    if family == "generalized_geometric":
-        return generalized_geometric(p["Y"], p["M"], dim)
-    if family == "coherent":
-        return coherent(p["alpha"], dim)
-    if family == "geometric":
-        return geometric(p["eta"], dim)
-    if family == "negative_binomial":
-        return negative_binomial(p["eta"], p["M"], dim)
-    if family == "new_negative_binomial":
-        return new_negative_binomial(p["eta"], p["M"], dim)
-    if family == "kerr":
-        return kerr(p["alpha"], p["theta"], dim)
-    if family == "svs":
-        return squeezed_vacuum(p["r"], p["theta"], dim)
-    if family == "sfes":
-        return squeezed_first_excited(p["r"], p["theta"], dim)
-    if family == "ecs":
-        return even_odd_coherent(p["alpha"], "even", dim)
-    if family == "ocs":
-        return even_odd_coherent(p["alpha"], "odd", dim)
-    if family == "pacs":
-        return photon_add(coherent(p["alpha"], dim), p["M"])
-    ip = IntermediateParams(p["eta"], p["alpha"], p.get("f"))
-    return intermediate_nlcs(ip, dim)
+    spec = _spec(family)
+    return spec.build(_require(spec, params), dim)
 
 
 def _log_comb(a: float, b: float) -> float:
@@ -469,82 +677,38 @@ def _cf_pacs(alpha: complex, M: int, dim: int) -> CoeffFn:
 
     return c
 
-
-def closed_form_coeffs(
-    family: str, params: dict[str, Any], dim: int
-) -> CoeffFn | None:
+def closed_form_coeffs(family: str, params: Params, dim: int) -> CoeffFn | None:
     """Coefficient route independent of the constructors' recurrences.
 
     Two-photon families index the sector basis.  The intermediate family
     has no closed form (its coefficients are the recursion output), so it
     returns None.
     """
-    p = dict(params)
-    if family == "binomial":
-        return _cf_binomial(p["eta"], p["M"])
-    if family == "hypergeometric":
-        return _cf_hypergeometric(p["L"], p["eta"], p["M"])
-    if family == "polya":
-        return _cf_polya(p["eta"], p["gamma"], p["M"])
-    if family == "reciprocal_binomial":
-        return _cf_reciprocal_binomial(p["theta"], p["M"])
-    if family == "pegg_barnett_phase":
-        grid = PhaseGrid(p["theta0"], p["M"], p["m"])
-        return _cf_phase(grid.theta_m, p["M"])
-    if family == "generalized_geometric":
-        return _cf_generalized_geometric(p["Y"], p["M"])
-    if family == "coherent":
-        return coherent_coeffs(p["alpha"])
-    if family == "geometric":
-        return geometric_coeffs(p["eta"])
-    if family == "negative_binomial":
-        return negative_binomial_coeffs(p["eta"], p["M"])
-    if family == "new_negative_binomial":
-        return _cf_nnbs(p["eta"], p["M"])
-    if family == "kerr":
-        return kerr_coeffs(p["alpha"], p["theta"])
-    if family == "svs":
-        return svs_sector_coeffs(p["r"], p["theta"])
-    if family == "sfes":
-        return sfes_sector_coeffs(p["r"], p["theta"])
-    if family == "ecs":
-        return ecs_sector_coeffs(p["alpha"])
-    if family == "ocs":
-        return ocs_sector_coeffs(p["alpha"])
-    if family == "pacs":
-        return _cf_pacs(p["alpha"], p["M"], dim)
-    return None
+    spec = _spec(family)
+    return None if spec.closed_form is None else spec.closed_form(dict(params), dim)
 
 
-_FINITE = (
-    "binomial",
-    "hypergeometric",
-    "polya",
-    "reciprocal_binomial",
-    "pegg_barnett_phase",
-    "generalized_geometric",
-)
-_GENERAL = ("coherent", "geometric", "negative_binomial", "kerr", "intermediate")
-_TWO_PHOTON = ("svs", "sfes", "ecs", "ocs")
+def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:
+    # dim counts the family's own basis: the sector basis for two-photon
+    if spec.kind == "finite":
+        return finite_gdo(coeffs, p["M"], dim)
+    if spec.kind == "general":
+        return general_gdo(coeffs, dim)
+    if spec.kind == "two-photon":
+        return two_photon_gdo(coeffs, spec.sector, dim)
+    return shifted_gdo(coeffs, p["M"], dim)
 
 
-def build_gdo(family: str, params: dict[str, Any], dim: int) -> GdoTriple:
+def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     """The family's deformed-oscillator triple at the given truncation."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family '{family}'")
-    p = _require(family, dict(params))
-    cf = closed_form_coeffs(family, p, dim)
-    if family in _FINITE:
-        return finite_gdo(cf, p["M"], dim)
-    if family in ("new_negative_binomial", "pacs"):
-        return shifted_gdo(cf, p["M"], dim)
-    if family in _TWO_PHOTON:
-        j = 0 if family in ("svs", "ecs") else 1
-        return two_photon_gdo(cf, j, sector_dim(dim, j))
-    if family == "intermediate":
-        s = build_state(family, p, dim)
-        return general_gdo(s.amplitudes)
-    return general_gdo(cf, dim)
+    spec = _spec(family)
+    p = _require(spec, params)
+    coeffs = closed_form_coeffs(family, p, dim)
+    if coeffs is None:
+        coeffs = build_state(family, p, dim).amplitudes
+    if spec.kind == "two-photon":
+        dim = sector_dim(dim, spec.sector)
+    return _gdo(spec, coeffs, p, dim)
 
 
 # --- check helpers ---
@@ -630,44 +794,73 @@ def _ratio_sq(cf: CoeffFn, num_idx: int, den_idx: int) -> float:
     return abs(num / cf(den_idx)) ** 2
 
 
+def _finite_F(cf: CoeffFn, M: int) -> Callable[[int], float]:
+    """F(n) = (M-n+1)^2 |C(n-1)/C(n)|^2 on [1, M], zero elsewhere."""
+
+    def F(n: int) -> float:
+        if n < 1 or n > M:
+            return 0.0
+        return (M - n + 1) ** 2 * _ratio_sq(cf, n - 1, n)
+
+    return F
+
+
+def _raising_F(cf: CoeffFn, M: int, dim: int) -> Callable[[int], float]:
+    """F(n) = (n-M)^2 |C(n)/C(n-1)|^2 on (M, dim), zero elsewhere; M = 0
+    gives the general and sector forms."""
+
+    def F(n: int) -> float:
+        if n <= M or n >= dim:
+            return 0.0
+        return (n - M) ** 2 * _ratio_sq(cf, n, n - 1)
+
+    return F
+
+
+def _literal_checks(
+    spec: FamilySpec, p: Params, dim: int, s: FockState, name: str, tol: Tolerances
+) -> list[CheckResult]:
+    checks = []
+    if spec.pair is not None:
+        pair_name, equation, pair = spec.pair
+        checks.append(relation_check(pair_name, equation, *pair(p, dim), s, tol))
+    op, eigenvalue = spec.literal(p, dim)
+    checks.append(eigen_check(name, spec.literal_eq, op, s, eigenvalue, tol))
+    return checks
+
+
+def _gdo_checks(
+    spec: FamilySpec,
+    coeffs,
+    p: Params,
+    dim: int,
+    n_min: int,
+    equations: tuple[str, str],
+    expected: Callable[[int], float],
+    tol: Tolerances,
+) -> list[CheckResult]:
+    """The dense axiom battery at a small truncation, then the operational
+    F against its closed form at full width."""
+    axiom_eq, fn_eq = equations
+    checks = gdo_axiom_checks(
+        _gdo(spec, coeffs, p, _axiom_dim(dim, n_min)), tol, equation=axiom_eq
+    )
+    t = _gdo(spec, coeffs, p, dim)
+    checks.append(_structure_closed_form_check(t, expected, fn_eq, tol))
+    return checks
+
+
 # --- family suites ---
 
 
-def _suite_finite(family: str, p: dict[str, Any], dim: int, tol: Tolerances):
-    M = p["M"]
-    s = build_state(family, p, dim)
-    cf = closed_form_coeffs(family, p, dim)
-    literal = {
-        "binomial": (lambda: bs_ladder(p["eta"], M, dim), "E15"),
-        "hypergeometric": (lambda: hgs_ladder(p["L"], p["eta"], M, dim), "E18"),
-        "polya": (lambda: ps_ladder(p["eta"], p["gamma"], M, dim), "E21"),
-        "reciprocal_binomial": (lambda: rbs_ladder(p["theta"], M, dim), "E23"),
-        "pegg_barnett_phase": (
-            lambda: pbps_ladder(PhaseGrid(p["theta0"], M, p["m"]).theta_m, M, dim),
-            "E26",
-        ),
-        "generalized_geometric": (lambda: ggs_ladder(p["Y"], M, dim), "E28"),
-    }[family]
-    expansion_eq = {
-        "binomial": "E2 E14",
-        "hypergeometric": "E16 E17",
-        "polya": "E19 E20",
-        "reciprocal_binomial": "E22",
-        "pegg_barnett_phase": "E24 E25",
-        "generalized_geometric": "E27",
-    }[family]
-    dist_eq = {
-        "binomial": "E14",
-        "hypergeometric": "E16 E17",
-        "polya": "E19 E20",
-        "reciprocal_binomial": "E22",
-        "pegg_barnett_phase": "E24",
-        "generalized_geometric": "E27",
-    }[family]
+# Each suite continues after the normalization check with the family's
+# state s and its closed-form route cf.
 
+
+def _suite_finite(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+    M = p["M"]
     checks = [
-        _norm_check(s, expansion_eq, tol),
-        _distribution_check(s, cf, dist_eq, tol),
+        _distribution_check(s, cf, spec.dist_eq, tol),
         eigen_check(
             "ladder-eigen-generic",
             "E9 E10 E13",
@@ -676,18 +869,13 @@ def _suite_finite(family: str, p: dict[str, Any], dim: int, tol: Tolerances):
             M,
             tol,
         ),
-        eigen_check("ladder-eigen-literal", literal[1], literal[0](), s, M, tol),
     ]
+    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
 
-    # step maps to the (M-1)-member; the reduced member keeps x fixed,
-    # which for the phase family means keeping theta_m itself
-    reduced = dict(p)
-    reduced["M"] = M - 1
-    if family == "pegg_barnett_phase":
-        theta_m = PhaseGrid(p["theta0"], M, p["m"]).theta_m
-        reduced.update({"theta0": theta_m, "m": 0})
-    target = build_state(family, reduced, dim)
-    cf_down = closed_form_coeffs(family, reduced, dim)
+    # step maps to the (M-1)-member, which keeps x fixed
+    reduced = spec.down(p) if spec.down is not None else dict(p, M=M - 1)
+    target = build_state(spec.name, reduced, dim)
+    cf_down = closed_form_coeffs(spec.name, reduced, dim)
     c0 = [cf(n) for n in range(dim)]
     c1 = [cf_down(n) for n in range(dim)]
     f_op = step_down_f(c0, c1, M)
@@ -697,29 +885,14 @@ def _suite_finite(family: str, p: dict[str, Any], dim: int, tol: Tolerances):
         _state_map_check("step-down-g", "E6 E7", g_op, s, target, tol),
         relation_check("step-down-equality", "E8", f_op, g_op, s, tol),
     ]
-
-    checks += gdo_axiom_checks(
-        finite_gdo(cf, M, _axiom_dim(dim, M)), tol, equation="E1 E11"
-    )
-
-    def expected_F(n: int) -> float:
-        if n < 1 or n > M:
-            return 0.0
-        return (M - n + 1) ** 2 * _ratio_sq(cf, n - 1, n)
-
-    t = finite_gdo(cf, M, dim)
-    checks.append(_structure_closed_form_check(t, expected_F, "E12", tol))
-    return checks, _echo_params(family, p)
+    checks += _gdo_checks(spec, cf, p, dim, M, ("E1 E11", "E12"), _finite_F(cf, M), tol)
+    return checks
 
 
-def _suite_new_negative_binomial(p: dict[str, Any], dim: int, tol: Tolerances):
-    eta, M = p["eta"], p["M"]
-    s = build_state("new_negative_binomial", p, dim)
-    cf = closed_form_coeffs("new_negative_binomial", p, dim)
-
+def _suite_shifted(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+    M = p["M"]
     checks = [
-        _norm_check(s, "E30 E50", tol),
-        _distribution_check(s, cf, "E50", tol),
+        _distribution_check(s, cf, spec.dist_eq, tol),
         eigen_check(
             "ladder-eigen-generic",
             "E37 E42 E45",
@@ -735,54 +908,29 @@ def _suite_new_negative_binomial(p: dict[str, Any], dim: int, tol: Tolerances):
             s,
             tol,
         ),
-        eigen_check(
-            "ladder-eigen-literal",
-            "E51",
-            nnbs_lowering(M, dim),
-            s,
-            math.sqrt(1 - eta),
-            tol,
-        ),
     ]
+    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
 
-    raised = dict(p)
-    raised["M"] = M + 1
-    target = build_state("new_negative_binomial", raised, dim)
-    cf_up = closed_form_coeffs("new_negative_binomial", raised, dim)
+    raised = dict(p, M=M + 1)
+    target = build_state(spec.name, raised, dim)
+    cf_up = closed_form_coeffs(spec.name, raised, dim)
     c0 = [cf(n) for n in range(dim)]
     c1 = [cf_up(n) for n in range(dim)]
     checks += [
-        _state_map_check(
-            "step-up-f", "E33 E35", step_up_f(c0, c1, M), s, target, tol
-        ),
-        _state_map_check(
-            "step-up-g", "E34 E36", step_up_g(c0, c1, M), s, target, tol
-        ),
+        _state_map_check("step-up-f", "E33 E35", step_up_f(c0, c1, M), s, target, tol),
+        _state_map_check("step-up-g", "E34 E36", step_up_g(c0, c1, M), s, target, tol),
     ]
-
-    checks += gdo_axiom_checks(
-        shifted_gdo(cf, M, _axiom_dim(dim, M)), tol, equation="E1 E43"
+    checks += _gdo_checks(
+        spec, cf, p, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol
     )
-
-    def expected_G(n: int) -> float:
-        if n <= M or n >= dim:
-            return 0.0
-        return (n - M) ** 2 * _ratio_sq(cf, n, n - 1)
-
-    t = shifted_gdo(cf, M, dim)
-    checks.append(_structure_closed_form_check(t, expected_G, "E44", tol))
-    return checks, _echo_params("new_negative_binomial", p)
+    return checks
 
 
-def _suite_pacs(p: dict[str, Any], dim: int, tol: Tolerances):
-    alpha, M = complex(p["alpha"]), p["M"]
-    s = build_state("pacs", p, dim)
-    cf = closed_form_coeffs("pacs", p, dim)
-    base_cf = coherent_coeffs(alpha)
-
+def _suite_added(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+    M = p["M"]
+    base_cf = spec.base(p)
     checks = [
-        _norm_check(s, "E31 E32 E39", tol),
-        _distribution_check(s, cf, "E39", tol),
+        _distribution_check(s, cf, spec.dist_eq, tol),
         eigen_check(
             "ladder-eigen-raising",
             "E40",
@@ -798,217 +946,97 @@ def _suite_pacs(p: dict[str, Any], dim: int, tol: Tolerances):
             s,
             tol,
         ),
-        relation_check(
-            "added-coherent-relation",
-            "E47",
-            *added_coherent_pair(alpha, M, dim),
-            s,
-            tol,
-        ),
-        eigen_check(
-            "ladder-eigen-lowering",
-            "E48",
-            added_coherent_lowering(alpha, M, dim),
-            s,
-            alpha,
-            tol,
-        ),
     ]
-
-    checks += gdo_axiom_checks(
-        shifted_gdo(cf, M, _axiom_dim(dim, M)), tol, equation="E1 E43"
+    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-lowering", tol)
+    checks += _gdo_checks(
+        spec, cf, p, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol
     )
-
-    def expected_G(n: int) -> float:
-        if n <= M or n >= dim:
-            return 0.0
-        return (n - M) ** 2 * _ratio_sq(cf, n, n - 1)
-
-    t = shifted_gdo(cf, M, dim)
-    checks.append(_structure_closed_form_check(t, expected_G, "E44", tol))
-    return checks, _echo_params("pacs", p)
+    return checks
 
 
-def _suite_general(family: str, p: dict[str, Any], dim: int, tol: Tolerances):
-    s = build_state(family, p, dim)
-    cf = closed_form_coeffs(family, p, dim)
-    coeffs = cf if cf is not None else s.amplitudes
-    norm_eq = {
-        "coherent": "E46",
-        "geometric": "E56",
-        "negative_binomial": "E59",
-        "kerr": "E61",
-        "intermediate": "E63",
-    }[family]
-
-    checks = [_norm_check(s, norm_eq, tol)]
+def _suite_general(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+    checks = []
     if cf is not None:
-        checks.append(_distribution_check(s, cf, norm_eq, tol))
+        checks.append(_distribution_check(s, cf, spec.dist_eq, tol))
+    coeffs = cf if cf is not None else s.amplitudes
+    getter = cf if cf is not None else (
+        lambda n: complex(s.amplitudes[n]) if 0 <= n < dim else 0.0
+    )
 
     raising_form, lowering_form = ladder_general(coeffs, dim)
     checks += [
         eigen_check("ladder-raising-form", "E52", raising_form, s, 0.0, tol),
         eigen_check("ladder-lowering-form", "E53", lowering_form, s, 0.0, tol),
     ]
-
-    if family == "coherent":
-        checks.append(
-            eigen_check(
-                "ladder-eigen-literal", "E55", annihilation(dim), s, p["alpha"], tol
-            )
-        )
-    elif family == "geometric":
-        checks += [
-            relation_check(
-                "geometric-pair-relation", "E57", *gs_pair(p["eta"], dim), s, tol
-            ),
-            eigen_check(
-                "ladder-eigen-literal",
-                "E58",
-                gs_lowering(dim),
-                s,
-                math.sqrt(1 - p["eta"]),
-                tol,
-            ),
-        ]
-    elif family == "negative_binomial":
-        checks.append(
-            eigen_check(
-                "ladder-eigen-literal",
-                "E60",
-                nbs_lowering(p["M"], dim),
-                s,
-                math.sqrt(p["eta"]),
-                tol,
-            )
-        )
-    elif family == "kerr":
-        checks.append(
-            eigen_check(
-                "ladder-eigen-literal",
-                "E49 E62",
-                kerr_lowering(p["theta"], dim),
-                s,
-                p["alpha"],
-                tol,
-            )
-        )
-    else:  # intermediate
-        eta = p["eta"]
-        ip = IntermediateParams(eta, p["alpha"], p.get("f"))
-        root = math.sqrt(1 - eta)
-        op = add(
-            scale(number_op(dim), math.sqrt(eta)),
-            compose(diag_op(lambda t: root * ip.f_at(t), dim), annihilation(dim)),
-        )
-        checks.append(
-            eigen_check("ladder-eigen-literal", "E49 E63", op, s, p["alpha"], tol)
-        )
-
-    checks += gdo_axiom_checks(
-        general_gdo(coeffs, _axiom_dim(dim)), tol, equation="E1 E54"
+    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
+    checks += _gdo_checks(
+        spec, coeffs, p, dim, 0, ("E1 E54", "E54"), _raising_F(getter, 0, dim), tol
     )
-    getter = cf if cf is not None else (
-        lambda n: complex(s.amplitudes[n]) if 0 <= n < dim else 0.0
-    )
-
-    def expected_F(n: int) -> float:
-        if n < 1 or n >= dim:
-            return 0.0
-        return n**2 * _ratio_sq(getter, n, n - 1)
-
-    t = general_gdo(coeffs, dim)
-    checks.append(_structure_closed_form_check(t, expected_F, "E54", tol))
-    return checks, _echo_params(family, p)
+    return checks
 
 
-def _suite_two_photon(family: str, p: dict[str, Any], dim: int, tol: Tolerances):
-    s = build_state(family, p, dim)
+def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+    j = spec.sector
     sec = sector_embed(s)
-    j = 0 if family in ("svs", "ecs") else 1
-    cf = closed_form_coeffs(family, p, dim)
-    norm_eq = {"svs": "E68", "sfes": "E79 E80", "ecs": "E82", "ocs": "E83"}[family]
-
-    checks = [_norm_check(s, norm_eq, tol), _distribution_check(sec, cf, norm_eq, tol)]
+    checks = [_distribution_check(sec, cf, spec.dist_eq, tol)]
 
     rep = su11(j, sec.dim)
     checks += su11_axiom_checks(rep, tol)
     checks += embedding_checks(rep, dim, tol)
 
     up, down = two_photon_ladder(cf, j, sec.dim)
-    up_eq = "E69 E72" if j == 0 else "E69 E73"
-    down_eq = "E74" if j == 0 else "E75"
+    up_eq, down_eq, axiom_eq = (
+        ("E69 E72", "E74", "E1 E85"),
+        ("E69 E73", "E75", "E1 E86"),
+    )[j]
     checks += [
         eigen_check("sector-raising-form", up_eq, up, sec, 0.0, tol),
         # the lowering form references one amplitude beyond the truncation
         # at the top sector index, so that component is excluded
         eigen_check("sector-lowering-form", down_eq, down, sec, 0.0, tol, edge_exclude=1),
     ]
-
-    if family == "svs":
-        lam = cmath.exp(1j * p["theta"]) * math.tanh(p["r"])
-        checks.append(
-            eigen_check("pair-lowering-eigen", "E76", svs_lowering(dim), s, lam, tol)
-        )
-    elif family == "sfes":
-        lam = cmath.exp(1j * p["theta"]) * math.tanh(p["r"])
-        checks.append(
-            eigen_check("pair-lowering-eigen", "E81", sfes_lowering(dim), s, lam, tol)
-        )
-    else:
-        lam = complex(p["alpha"]) ** 2
-        checks.append(
-            eigen_check("pair-lowering-eigen", "E84", pair_lowering(dim), s, lam, tol)
-        )
-
-    sector_eq = "E1 E85" if j == 0 else "E1 E86"
-    checks += gdo_axiom_checks(
-        two_photon_gdo(cf, j, _axiom_dim(sec.dim)), tol, equation=sector_eq
+    checks += _literal_checks(spec, p, dim, s, "pair-lowering-eigen", tol)
+    checks += _gdo_checks(
+        spec, cf, p, sec.dim, 0, (axiom_eq, "E87"), _raising_F(cf, 0, sec.dim), tol
     )
 
-    def expected_F(n: int) -> float:
-        if n < 1 or n >= sec.dim:
-            return 0.0
-        return n**2 * _ratio_sq(cf, n, n - 1)
-
-    t = two_photon_gdo(cf, j, sec.dim)
-    checks.append(_structure_closed_form_check(t, expected_F, "E87", tol))
-
-    if family in ("svs", "sfes"):
+    if spec.disentangle:
         rep_dis = verify_disentangling(
-            p["r"],
-            p["theta"],
-            dim,
-            excitation=0 if family == "svs" else 1,
-            tolerances=tol,
+            p["r"], p["theta"], dim, excitation=j, tolerances=tol
         )
         checks += list(rep_dis.checks)
-    return checks, _echo_params(family, p)
+    return checks
+
+
+_SUITES = {
+    "finite": _suite_finite,
+    "shifted": _suite_shifted,
+    "added": _suite_added,
+    "general": _suite_general,
+    "two-photon": _suite_two_photon,
+}
 
 
 def run_family_suite(
     family: str,
-    params: dict[str, Any],
+    params: Params,
     dim: int,
     tolerances: Tolerances | None = None,
 ) -> VerificationReport:
     """All of the family's checks at one parameter point, consolidated."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family '{family}'")
+    spec = _spec(family)
     tol = tolerances or Tolerances()
-    p = _require(family, dict(params))
-    if family in _FINITE:
-        checks, echo = _suite_finite(family, p, dim, tol)
-    elif family == "new_negative_binomial":
-        checks, echo = _suite_new_negative_binomial(p, dim, tol)
-    elif family == "pacs":
-        checks, echo = _suite_pacs(p, dim, tol)
-    elif family in _TWO_PHOTON:
-        checks, echo = _suite_two_photon(family, p, dim, tol)
-    else:
-        checks, echo = _suite_general(family, p, dim, tol)
+    p = _require(spec, params)
+    s = build_state(family, p, dim)
+    cf = closed_form_coeffs(family, p, dim)
+    checks = [_norm_check(s, spec.norm_eq, tol)]
+    checks += _SUITES[spec.kind](spec, p, dim, s, cf, tol)
     return VerificationReport(
-        family=family, params=echo, dim=dim, tolerances=tol, checks=tuple(checks)
+        family=family,
+        params=_echo_params(family, p),
+        dim=dim,
+        tolerances=tol,
+        checks=tuple(checks),
     )
 
 
@@ -1021,7 +1049,7 @@ def run_grid(
     ]
 
 
-def grid_manifest() -> list[dict[str, Any]]:
+def grid_manifest() -> list[Params]:
     """The canonical grid in the batch manifest schema (JSON-ready).
 
     Unlike report headers, manifest entries hold exactly the parameters a
@@ -1043,48 +1071,21 @@ def grid_manifest() -> list[dict[str, Any]]:
 # --- derived vs printed comparison ---
 
 
-def _printed_structure_fn(family: str, p: dict[str, Any]) -> Callable[[int], complex]:
-    M = p["M"]
-    if family == "binomial":
-        eta = p["eta"]
-        return lambda n: (M - n + 1) ** 3 * (1 - eta) / eta
-    if family == "hypergeometric":
-        L, eta = p["L"], p["eta"]
-        return lambda n: (M - n + 1) ** 3 * (L * (1 - eta) - M + n) / (L * eta - n + 1)
-    if family == "polya":
-        eta, g = p["eta"], p["gamma"]
-        return lambda n: (
-            (M - n + 1) ** 3 * ((1 - eta) + (M + n - 2) * g) / (eta + (n - 1) * g)
-        )
-    if family == "reciprocal_binomial":
-        theta = p["theta"]
-        return lambda n: cmath.exp(-2j * theta) * (M - n + 1) ** 5 / n**2
-    if family == "pegg_barnett_phase":
-        theta_m = PhaseGrid(p["theta0"], M, p["m"]).theta_m
-        return lambda n: cmath.exp(-2j * theta_m) * (M - n + 1) ** 4 / n
-    if family == "generalized_geometric":
-        Y = p["Y"]
-        return lambda n: (M - n + 1) ** 4 / (Y * n)
-    raise ParameterError(f"no printed structure function for '{family}'")
-
-
-def derived_vs_printed_rows(
-    family: str, params: dict[str, Any], dim: int
-) -> list[dict[str, Any]]:
+def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Params]:
     """Tabulate F(n) from coefficient ratios against the printed closed
     form on n in [0, M].  A vanishing printed denominator is recorded as
     an infinite magnitude."""
-    if family not in _FINITE:
+    spec = FAMILY_SPECS.get(family)
+    if spec is None or spec.printed_F is None:
         raise ParameterError(f"no printed structure function for '{family}'")
-    p = _require(family, dict(params))
+    p = _require(spec, params)
     M = p["M"]
-    cf = closed_form_coeffs(family, p, dim)
-    printed_fn = _printed_structure_fn(family, p)
+    derived_F = _finite_F(closed_form_coeffs(family, p, dim), M)
     rows = []
     for n in range(M + 1):
-        derived = 0.0 if n == 0 else (M - n + 1) ** 2 * _ratio_sq(cf, n - 1, n)
+        derived = derived_F(n)
         try:
-            printed = complex(printed_fn(n))
+            printed = complex(spec.printed_F(p, n))
         except ZeroDivisionError:
             printed = complex(math.inf, 0.0)
         finite = math.isfinite(printed.real) and math.isfinite(printed.imag)
@@ -1103,14 +1104,43 @@ def derived_vs_printed_rows(
     return rows
 
 
-def errata_table() -> dict[str, Any]:
+def _printed_ladder_note(
+    family: str,
+    equation: str,
+    printed: Callable[[Params, int], OperatorExpr],
+    text: str,
+    tol: Tolerances,
+) -> Params:
+    """The printed variant of a family's literal ladder against the
+    derived one, on the family's grid state."""
+    spec = FAMILY_SPECS[family]
+    params, dim = spec.grid
+    s = build_state(family, params, dim)
+    derived, eigenvalue = spec.literal(params, dim)
+    return {
+        "equation": equation,
+        "family": family,
+        "text": text,
+        "residual_printed": eigen_check(
+            f"{family}-printed", equation, printed(params, dim), s, eigenvalue, tol
+        ).residual,
+        "residual_derived": eigen_check(
+            f"{family}-derived", equation, derived, s, eigenvalue, tol
+        ).residual,
+    }
+
+
+def errata_table() -> Params:
     """Every place the printed identities disagree with the derived ones,
     tabulated at the registry's grid parameters.  Reported, not corrected:
     the constructors and ladder builders use the derived forms, and this
     table is the record of what the printed source says instead."""
     tol = Tolerances()
     families = []
-    for family, params, dim in ACCEPTANCE_GRID[:6]:
+    for family, spec in FAMILY_SPECS.items():
+        if spec.printed_F is None:
+            continue
+        params, dim = spec.grid
         if family == "pegg_barnett_phase":
             # the registry's theta0 = 0 puts theta_m at pi/2, where the
             # printed phase factor degenerates to -1; a generic offset
@@ -1126,43 +1156,21 @@ def errata_table() -> dict[str, Any]:
             }
         )
 
-    notes = []
-
-    # Polya ladder numerator offset
-    _, ps_params, ps_dim = ACCEPTANCE_GRID[2]
-    ps_state = build_state("polya", ps_params, ps_dim)
-    M = ps_params["M"]
-    printed_res = eigen_check(
-        "polya-printed",
-        "E21",
-        ps_ladder(ps_params["eta"], ps_params["gamma"], M, ps_dim, variant="printed"),
-        ps_state,
-        M,
-        tol,
-    ).residual
-    derived_res = eigen_check(
-        "polya-derived",
-        "E21",
-        ps_ladder(ps_params["eta"], ps_params["gamma"], M, ps_dim),
-        ps_state,
-        M,
-        tol,
-    ).residual
-    notes.append(
-        {
-            "equation": "E21",
-            "family": "polya",
-            "text": (
-                "the printed ladder numerator offset (M+N-1)gamma fails the "
-                "eigenvalue relation; it holds with (M-N-1)gamma"
+    notes = [
+        _printed_ladder_note(
+            "polya",
+            "E21",
+            lambda p, dim: ps_ladder(
+                p["eta"], p["gamma"], p["M"], dim, variant="printed"
             ),
-            "residual_printed": printed_res,
-            "residual_derived": derived_res,
-        }
-    )
+            "the printed ladder numerator offset (M+N-1)gamma fails the "
+            "eigenvalue relation; it holds with (M-N-1)gamma",
+            tol,
+        )
+    ]
 
     # Reciprocal binomial normalization prefactor
-    _, rbs_params, rbs_dim = ACCEPTANCE_GRID[3]
+    rbs_params, rbs_dim = FAMILY_SPECS["reciprocal_binomial"].grid
     rbs_state = build_state("reciprocal_binomial", rbs_params, rbs_dim)
     Mr = rbs_params["M"]
     inv_sum = sum(1.0 / math.comb(Mr, k) for k in range(Mr + 1))
@@ -1183,42 +1191,20 @@ def errata_table() -> dict[str, Any]:
         }
     )
 
-    # Kerr lowering exponent sign
-    _, ks_params, ks_dim = ACCEPTANCE_GRID[10]
-    ks_state = build_state("kerr", ks_params, ks_dim)
-    alpha = ks_params["alpha"]
-    printed_res = eigen_check(
-        "kerr-printed",
-        "E62",
-        kerr_lowering(ks_params["theta"], ks_dim, variant="printed"),
-        ks_state,
-        alpha,
-        tol,
-    ).residual
-    derived_res = eigen_check(
-        "kerr-derived",
-        "E62",
-        kerr_lowering(ks_params["theta"], ks_dim),
-        ks_state,
-        alpha,
-        tol,
-    ).residual
     notes.append(
-        {
-            "equation": "E62",
-            "family": "kerr",
-            "text": (
-                "the printed lowering identity carries exp(-2i N theta); the "
-                "relation holds with exp(+2i theta N)"
-            ),
-            "residual_printed": printed_res,
-            "residual_derived": derived_res,
-        }
+        _printed_ladder_note(
+            "kerr",
+            "E62",
+            lambda p, dim: kerr_lowering(p["theta"], dim, variant="printed"),
+            "the printed lowering identity carries exp(-2i N theta); the "
+            "relation holds with exp(+2i theta N)",
+            tol,
+        )
     )
 
     # First-excited pair relation printed with the squeezed-vacuum label
-    _, sv_params, sv_dim = ACCEPTANCE_GRID[11]
-    lam = cmath.exp(1j * sv_params["theta"]) * math.tanh(sv_params["r"])
+    sv_params, sv_dim = FAMILY_SPECS["svs"].grid
+    lam = _squeeze_eigenvalue(sv_params)
     op = sfes_lowering(sv_dim)
     svs_state = build_state("svs", sv_params, sv_dim)
     sfes_state = build_state("sfes", sv_params, sv_dim)

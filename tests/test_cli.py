@@ -93,14 +93,28 @@ def test_pacs_example_passes(capsys):
     assert eigen[0]["residual"] < 1e-10
 
 
-def test_kerr_example_passes_via_alias(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--family", "ks", "--alpha", "1", "--theta", "0.3", "--dim", "64"
-    )
+ALIASES = [(spec.alias, name) for name, spec in fl.FAMILY_SPECS.items() if spec.alias]
+
+
+@pytest.mark.parametrize("alias,name", ALIASES, ids=[alias for alias, _ in ALIASES])
+def test_alias_matches_full_name(capsys, alias, name):
+    spec = fl.FAMILY_SPECS[name]
+    params, dim = spec.grid
+    flags = ["--dim", str(dim)]
+    for key, value in params.items():
+        text = fl.format_complex(value) if isinstance(value, complex) else str(value)
+        flags += [f"--{key}", text]
+    code, out, _ = run(capsys, "verify", "--family", alias, *flags)
     assert code == 0
     payload = json.loads(out)
-    assert payload["family"] == "kerr"
-    assert any("E62" in c["equation"].split() for c in payload["checks"])
+    assert payload["family"] == name
+    assert any(c["equation"] == spec.literal_eq for c in payload["checks"])
+    states = []
+    for family in (alias, name):
+        code, out, _ = run(capsys, "state", "--family", family, *flags)
+        assert code == 0
+        states.append(out)
+    assert states[0] == states[1]
 
 
 # --- state tables ---
@@ -351,3 +365,31 @@ def test_batch_complex_params_round_trip(tmp_path, capsys):
     assert code == 0
     report = json.loads((out_dir / "000-generalized_geometric.json").read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        ('[{"family":"bs","params":{"eta":0.5,"M":4},"dim":1e999}]', "'dim'"),
+        ('[{"family":"bs","params":{"eta":0.5,"M":1e999},"dim":12}]', "parameter 'M'"),
+        (
+            '[{"family":"bs","params":{"eta":0.5,"M":4},"dim":12,'
+            '"tolerances":{"oracle":"x"}}]',
+            "tolerance 'oracle'",
+        ),
+    ],
+    ids=["dim-overflow", "M-overflow", "tolerance-not-a-number"],
+)
+def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(text)
+    out_dir = tmp_path / "reports"
+    code, _, err = run(capsys, "batch", str(manifest), "--out-dir", str(out_dir))
+    assert code == 2
+    assert err == ""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["n_error"] == 1
+    entry = summary["entries"][0]
+    assert entry["status"] == "input-error"
+    assert entry["error"].startswith(field + " must be")
+    assert sorted(os.listdir(out_dir)) == ["summary.json"]
