@@ -296,13 +296,27 @@ def apply(op: OperatorExpr, s: FockState) -> FockState:
         raise DimensionMismatchError(
             f"operator dim {op.domain_dim} does not match state dim {s.dim}"
         )
-    dim = s.dim
     amps = s.amplitudes
-    occupied = [int(n) for n in np.nonzero(amps)[0]]
+    out, leak = _band_image(op, [(int(n), amps[n]) for n in np.nonzero(amps)[0]])
+    return make_state(
+        out,
+        parity=_image_parity(s.parity, op),
+        norm_constant=1.0,
+        label=s.label,
+        leak=leak,
+    )
+
+
+def _band_image(
+    op: OperatorExpr, occupied: Sequence[tuple[int, complex]]
+) -> tuple[np.ndarray, float]:
+    """Image of the amplitudes (n, amp) under op: the in-range vector and
+    the squared mass that lands at index >= dim, term by term."""
+    dim = op.domain_dim
     out = np.zeros(dim, dtype=np.complex128)
     leak = 0.0
     for k, d in op.terms:
-        for n in occupied:
+        for n, amp in occupied:
             factor = ladder_factor(n, k)
             if factor == 0.0:
                 continue
@@ -311,19 +325,24 @@ def apply(op: OperatorExpr, s: FockState) -> FockState:
                 raise OperatorEvaluationError(
                     f"diagonal evaluated to {value} at occupied index {n}"
                 )
-            contrib = amps[n] * value * factor
+            contrib = amp * value * factor
             target = n + k
             if target >= dim:
                 leak += abs(contrib) ** 2
             else:
                 out[target] += contrib
-    return make_state(
-        out,
-        parity=_image_parity(s.parity, op),
-        norm_constant=1.0,
-        label=s.label,
-        leak=leak,
-    )
+    return out, leak
+
+
+_UNIT = np.complex128(1)
+
+
+def basis_image_norm_sq(op: OperatorExpr, n: int) -> float:
+    """||op|n>||^2 with the leaked mass included, from op's band terms
+    alone: the same arithmetic as apply(op, basis_state(n, dim)), without
+    building either state."""
+    out, leak = _band_image(op, [(n, _UNIT)])
+    return float(np.vdot(out, out).real) + leak
 
 
 def _image_parity(parity: str, op: OperatorExpr) -> str | None:

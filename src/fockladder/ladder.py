@@ -29,7 +29,7 @@ from .core import (
     annihilation,
     adjoint,
     apply,
-    basis_state,
+    basis_image_norm_sq,
     compose,
     creation,
     diag_op,
@@ -163,13 +163,14 @@ class GdoTriple:
 
 
 def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
+    """F(n) = ||lowering|n>||^2 including the mass leaked past the
+    truncation, straight from lowering's band terms; 0 outside [0, dim)."""
     dim = lowering.domain_dim
 
     def F(n: int) -> float:
         if not 0 <= n < dim:
             return 0.0
-        image = apply(lowering, basis_state(n, dim))
-        return float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
+        return basis_image_norm_sq(lowering, n)
 
     return F
 

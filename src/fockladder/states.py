@@ -134,14 +134,15 @@ class StateParams:
 @dataclass(frozen=True)
 class PhaseGrid:
     """Reference phase theta0 with s+1 equally spaced points; point m is
-    theta_m = theta0 + 2 pi m / (s + 1)."""
+    theta_m = theta0 + 2 pi m / (s + 1).  The one-point grid s = 0 is
+    the M = 0 member, whose only phase state is the vacuum."""
 
     theta0: float
     s: int
     m: int
 
     def __post_init__(self) -> None:
-        _check_count(self.s, "s", minimum=1)
+        _check_count(self.s, "s")
         if not 0 <= self.m <= self.s:
             raise ParameterError("m must lie in [0, s]")
 
@@ -315,7 +316,12 @@ def reciprocal_binomial(theta: float, M: int, dim: int) -> FockState:
     dim = _check_dim(dim, M)
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
-        raw[n] = cmath.exp(1j * n * theta) / math.sqrt(math.comb(M, n))
+        phase = cmath.exp(1j * n * theta)
+        comb = math.comb(M, n)
+        try:
+            raw[n] = phase / math.sqrt(comb)
+        except OverflowError:  # C(M, n) past the float range, M >= 1030
+            raw[n] = phase * math.exp(-0.5 * math.log(comb))
     amps, c = _normalized(raw)
     return make_state(
         amps,

@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     FockState,
     OperatorExpr,
     annihilation,
     adjoint,
-    apply,
     basis_state,
     compose,
     creation,
@@ -33,7 +31,13 @@ from .core import (
     sub,
     to_matrix,
 )
-from .ladder import CoeffFn, GdoTriple, _coeff_getter, _guarded_ratio
+from .ladder import (
+    CoeffFn,
+    GdoTriple,
+    _coeff_getter,
+    _guarded_ratio,
+    _operational_structure_fn,
+)
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
@@ -44,6 +48,15 @@ from .states import (
 )
 
 TAIL_TOL = 1e-12
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, imported on the first call: scipy.linalg takes
+    longer to import than the rest of the package, and only the
+    disentangling oracle needs it."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 @dataclass(frozen=True)
@@ -335,18 +348,11 @@ def two_photon_gdo(coeffs, parity_j: int, dim_sector: int) -> GdoTriple:
 
     raising = compose(diag_op(d_up, dim_sector), rep.K_plus)
     lowering = adjoint(raising)
-
-    def F(n: int) -> float:
-        if not 0 <= n < dim_sector:
-            return 0.0
-        image = apply(lowering, basis_state(n, dim_sector))
-        return float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
-
     return GdoTriple(
         number_op=rep.sector_number_op,
         lowering=lowering,
         raising=raising,
-        structure_fn=F,
+        structure_fn=_operational_structure_fn(lowering),
         n_min=0,
     )
 

@@ -604,12 +604,21 @@ def _cf_polya(eta: float, gamma: float, M: int) -> CoeffFn:
 
 
 def _cf_reciprocal_binomial(theta: float, M: int) -> CoeffFn:
-    Z = math.sqrt(sum(1.0 / math.comb(M, k) for k in range(M + 1)))
+    def over_comb(x: complex, k: int, root: bool) -> complex:
+        # x / C(M, k) or x / sqrt(C(M, k)); past the float range of
+        # C(M, k) (M >= 1030) through lgamma
+        comb = math.comb(M, k)
+        try:
+            return x / (math.sqrt(comb) if root else comb)
+        except OverflowError:
+            return x * math.exp(-(0.5 if root else 1.0) * _log_comb(M, k))
+
+    Z = math.sqrt(sum(over_comb(1.0, k, False) for k in range(M + 1)))
 
     def c(n: int) -> complex:
         if not 0 <= n <= M:
             return 0.0
-        return cmath.exp(1j * n * theta) / math.sqrt(math.comb(M, n)) / Z
+        return over_comb(cmath.exp(1j * n * theta), n, True) / Z
 
     return c
 

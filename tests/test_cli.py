@@ -162,6 +162,18 @@ def test_state_nnbs_refuses_lossy_truncation(capsys):
     assert "tail mass" in err and "increase dim" in err
 
 
+def test_state_rbs_M_1100_past_float_comb(capsys):
+    # C(1100, 550) ~ 1e329 does not fit a float; the state still exists
+    code, out, err = run(
+        capsys, "state", "--family", "rbs", "--theta", "0.1", "--M", "1100", "--dim", "1101"
+    )
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 1101
+    assert sum(row["prob"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+    assert "nan" not in out.lower()
+
+
 def test_state_csv_header_echoes_config(capsys):
     code, out, _ = run(
         capsys,

@@ -338,3 +338,54 @@ def test_symbolic_and_dense_products_agree():
     diag = np.diag(fl.to_matrix(product)).real
     for n in range(s.dim):
         assert diag[n] == pytest.approx(t.structure_fn(n), abs=1e-12)
+
+
+# --- structure function from the band terms ---
+
+
+def _applied_F(lowering, n):
+    """The reference route: apply lowering to a basis FockState."""
+    if not 0 <= n < lowering.domain_dim:
+        return 0.0
+    image = fl.apply(lowering, fl.basis_state(n, lowering.domain_dim))
+    return float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_structure_fn_equals_applied_route(family, params, dim):
+    t = fl.build_gdo(family, params, dim)
+    for n in range(t.dim + 1):
+        assert t.structure_fn(n) == _applied_F(t.lowering, n)
+
+
+def test_structure_fn_counts_top_edge_leak():
+    dim = 6
+    lowering = fl.add(fl.annihilation(dim), fl.scale(fl.creation(dim), 0.5))
+    F = fl.ladder._operational_structure_fn(lowering)
+    for n in range(dim + 1):
+        assert F(n) == _applied_F(lowering, n)
+    # the a+ term of |dim-1> leaves the truncation: 0.25 * dim of its mass
+    assert F(dim - 1) == pytest.approx((dim - 1) + 0.25 * dim, rel=1e-15)
+
+
+def test_structure_fn_skips_annihilated_index():
+    def d(n):
+        if n == 0:
+            raise AssertionError("diagonal evaluated at an annihilated index")
+        return 1.0
+
+    F = fl.ladder._operational_structure_fn(fl.core.operator([(-1, d)], 4))
+    assert F(0) == 0.0
+    assert F(1) == 1.0
+    assert F(3) == pytest.approx(3.0, rel=1e-15)
+
+
+def test_structure_fn_names_non_finite_index():
+    F = fl.ladder._operational_structure_fn(
+        fl.core.operator([(-1, lambda n: math.nan if n == 2 else 1.0)], 4)
+    )
+    assert F(1) == 1.0
+    with pytest.raises(fl.OperatorEvaluationError, match="index 2"):
+        F(2)

@@ -290,3 +290,10 @@ def test_state_params_validation():
 def test_errors_are_value_errors():
     assert issubclass(ParameterError, ValueError)
     assert issubclass(TailMassError, ParameterError)
+
+
+def test_phase_state_on_one_point_grid_is_vacuum():
+    s = pegg_barnett_phase(PhaseGrid(theta0=0.1, s=0, m=0), 0, 3)
+    assert s.amplitudes.tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ParameterError, match=r"m must lie in \[0, s\]"):
+        PhaseGrid(theta0=0.1, s=0, m=1)

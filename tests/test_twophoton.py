@@ -7,6 +7,9 @@ package builds the same states by amplitude-ratio recurrences.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,3 +263,23 @@ def test_sector_coeff_callables_match_states():
     assert c(-1) == 0.0
     assert fl.ocs_sector_coeffs(0.0)(3) == 0.0
     assert fl.ecs_sector_coeffs(0.0)(0) == 1.0
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    code = (
+        "import sys\n"
+        "import fockladder.cli\n"
+        "from fockladder import verify_disentangling\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "assert verify_disentangling(0.5, 0.3, 64).passed\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -294,3 +294,35 @@ def test_param_echo_formats():
     params, dim = GRID_BY_FAMILY["intermediate"]
     echoed = fl.run_family_suite("intermediate", params, dim).params
     assert echoed["f"] == "exp(-0.2i*n)"
+
+
+FINITE_FAMILIES = [name for name, spec in fl.FAMILY_SPECS.items() if spec.kind == "finite"]
+
+
+@pytest.mark.parametrize("family", FINITE_FAMILIES)
+def test_finite_suite_passes_at_M_one(family):
+    # the step-down checks compare against the M = 0 member, which for
+    # the phase state is the vacuum on a one-point grid
+    assert len(FINITE_FAMILIES) == 6
+    params, dim = GRID_BY_FAMILY[family]
+    params = dict(params, M=1)
+    if family == "pegg_barnett_phase":
+        params.update(theta0=0.1, m=0)
+    report = fl.run_family_suite(family, params, dim)
+    assert report.passed, report.summary_line()
+    assert {"step-down-f", "step-down-g", "step-down-equality"} <= {
+        c.name for c in report.checks
+    }
+
+
+def test_reciprocal_binomial_closed_form_past_float_comb():
+    # C(M, n) overflows a float from M = 1030 on; C(1100, 550) ~ 1e329.
+    # Constructor and closed form still agree.
+    params, dim = {"theta": 0.1, "M": 1100}, 1101
+    s = fl.build_state("reciprocal_binomial", params, dim)
+    cf = fl.closed_form_coeffs("reciprocal_binomial", params, dim)
+    expected = np.array([cf(n) for n in range(dim)])
+    assert np.all(np.isfinite(s.amplitudes))
+    assert s.norm == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(s.amplitudes - expected).max() < 1e-14
+    assert 0 < abs(s.amplitudes[550]) < 1e-150
