@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .ladder import harmonic_gdo
-from .reporting import Tolerances, encode_json, _csv_float
+from .reporting import Tolerances, derived_vs_printed_csv, encode_json, _csv_float
 from .states import ParameterError
 from .verify import (
     FAMILY_SPECS,
@@ -288,7 +288,6 @@ def cmd_verify(cfg: CliConfig, out: str | None) -> int:
 def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
     if cfg.compare_printed:
         rows = derived_vs_printed_rows(cfg.family, cfg.params, cfg.dim)
-        columns = "n,derived,printed_re,printed_im,match"
     else:
         if cfg.family == "harmonic":
             triple = harmonic_gdo(cfg.dim)
@@ -297,28 +296,15 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
         rows = [
             {"n": n, "F": float(triple.structure_fn(n))} for n in range(triple.dim)
         ]
-        columns = "n,F"
     if cfg.fmt == "json":
         payload = {"schema": "structure-fn-1", "config": cfg.header(), "rows": rows}
         _emit(encode_json(payload), out)
     else:
-        lines = [cfg.csv_header(), columns]
-        for r in rows:
-            if cfg.compare_printed:
-                lines.append(
-                    ",".join(
-                        [
-                            str(r["n"]),
-                            _csv_float(r["derived"]),
-                            _csv_float(r["printed_re"]),
-                            _csv_float(r["printed_im"]),
-                            "true" if r["match"] else "false",
-                        ]
-                    )
-                )
-            else:
-                lines.append(f"{r['n']},{_csv_float(r['F'])}")
-        _emit("\n".join(lines) + "\n", out)
+        if cfg.compare_printed:
+            body = derived_vs_printed_csv(rows)
+        else:
+            body = ["n,F"] + [f"{r['n']},{_csv_float(r['F'])}" for r in rows]
+        _emit("\n".join([cfg.csv_header()] + body) + "\n", out)
     return 0
 
 

@@ -17,7 +17,7 @@ the truncation is accumulated into a reported leak, never silently lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,9 +99,6 @@ class FockState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def relabeled(self, label: str) -> "FockState":
-        return replace(self, label=label)
 
 
 def make_state(
@@ -209,10 +206,6 @@ def diag_op(fn: DiagFn, dim: int) -> OperatorExpr:
 
 def number_op(dim: int) -> OperatorExpr:
     return diag_op(lambda n: complex(n), dim)
-
-
-def identity_op(dim: int) -> OperatorExpr:
-    return diag_op(_one, dim)
 
 
 def scale(op: OperatorExpr, c: complex) -> OperatorExpr:

@@ -4,8 +4,9 @@ two-sided operator identities, and algebra axioms.
 
 Convention used throughout: a diagonal factor written to the left of a
 shift, "D(N) a" or "D(N) a+", acts after the shift, so D is evaluated at
-the target index.  compose(diag_op(D, dim), annihilation(dim)) realizes
-exactly that, and every builder here goes through it.
+the target index.  _lowering_form and _raising_form realize exactly that,
+compose(diag_op(D, dim), annihilation(dim)) and its creation twin, and
+every builder here goes through them.
 
 Structure functions are defined operationally: F(n) is the squared norm
 of lowering|n>, never a closed formula.  Closed forms are comparison
@@ -75,24 +76,52 @@ def _guarded_ratio(num: complex, c: CoeffFn, den_index: int) -> complex:
     return num / den
 
 
+def _coeffs_and_dim(
+    coeffs: Sequence[complex] | CoeffFn, dim: int | None
+) -> tuple[CoeffFn, int]:
+    """The coefficient accessor and the truncation, which defaults to the
+    length of a coefficient sequence."""
+    if dim is None:
+        if callable(coeffs):
+            raise ValueError("dim is required when coeffs is a callable")
+        dim = len(coeffs)
+    return _coeff_getter(coeffs), dim
+
+
+def _lowering_form(d: DiagFn, dim: int) -> OperatorExpr:
+    """d(N) a: the diagonal acts after the shift, at the target index."""
+    return compose(diag_op(d, dim), annihilation(dim))
+
+
+def _raising_form(d: DiagFn, dim: int) -> OperatorExpr:
+    """d(N) a+: the diagonal acts after the shift, at the target index."""
+    return compose(diag_op(d, dim), creation(dim))
+
+
+def _ratio_raising_diag(c: CoeffFn) -> DiagFn:
+    """[C(N)/C(N-1)] sqrt(N), zero at N = 0: the diagonal of the raising
+    operator that C generates."""
+
+    def d(t: int) -> complex:
+        return _guarded_ratio(c(t), c, t - 1) * math.sqrt(t) if t >= 1 else 0.0
+
+    return d
+
+
 def ladder_lowering_finite(
     coeffs: Sequence[complex] | CoeffFn, M: int, dim: int | None = None
 ) -> OperatorExpr:
     """Lowering generator of a finite state with coefficients C(0..M):
     the diagonal (M-N)C(N)/(sqrt(N+1) C(N+1)) acting after a, so that
     (number_op + this)|state> = M|state>."""
-    if dim is None:
-        if callable(coeffs):
-            raise ValueError("dim is required when coeffs is a callable")
-        dim = len(coeffs)
-    c = _coeff_getter(coeffs)
+    c, dim = _coeffs_and_dim(coeffs, dim)
 
     def d(t: int) -> complex:
         if t >= M:
             return 0.0
         return _guarded_ratio((M - t) * c(t), c, t + 1) / math.sqrt(t + 1)
 
-    return compose(diag_op(d, dim), annihilation(dim))
+    return _lowering_form(d, dim)
 
 
 def ladder_raising_shifted(
@@ -101,18 +130,14 @@ def ladder_raising_shifted(
     """Raising generator of a state supported on n >= M with coefficients
     D(n): the diagonal (N-M)D(N)/(sqrt(N) D(N-1)) acting after a+, so that
     (number_op - this)|state> = M|state>."""
-    if dim is None:
-        if callable(coeffs):
-            raise ValueError("dim is required when coeffs is a callable")
-        dim = len(coeffs)
-    c = _coeff_getter(coeffs)
+    c, dim = _coeffs_and_dim(coeffs, dim)
 
     def d(t: int) -> complex:
         if t <= M:
             return 0.0
         return _guarded_ratio((t - M) * c(t), c, t - 1) / math.sqrt(t)
 
-    return compose(diag_op(d, dim), creation(dim))
+    return _raising_form(d, dim)
 
 
 def ladder_general(
@@ -125,19 +150,12 @@ def ladder_general(
     a - [C(N+1)/C(N)] sqrt(N+1); each annihilates the exact state
     (eigenvalue 0).
     """
-    if dim is None:
-        if callable(coeffs):
-            raise ValueError("dim is required when coeffs is a callable")
-        dim = len(coeffs)
-    c = _coeff_getter(coeffs)
-
-    def d_raise(t: int) -> complex:
-        return _guarded_ratio(c(t), c, t - 1) * math.sqrt(t) if t >= 1 else 0.0
+    c, dim = _coeffs_and_dim(coeffs, dim)
 
     def d_diag(n: int) -> complex:
         return _guarded_ratio(c(n + 1), c, n) * math.sqrt(n + 1)
 
-    raising_form = sub(number_op(dim), compose(diag_op(d_raise, dim), creation(dim)))
+    raising_form = sub(number_op(dim), _raising_form(_ratio_raising_diag(c), dim))
     lowering_form = sub(annihilation(dim), diag_op(d_diag, dim))
     return raising_form, lowering_form
 
@@ -175,14 +193,26 @@ def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
     return F
 
 
-def _triple(number: OperatorExpr, lowering: OperatorExpr, n_min: int) -> GdoTriple:
+def _triple(
+    number: OperatorExpr,
+    lowering: OperatorExpr,
+    n_min: int,
+    raising: OperatorExpr | None = None,
+) -> GdoTriple:
     return GdoTriple(
         number_op=number,
         lowering=lowering,
-        raising=adjoint(lowering),
+        raising=adjoint(lowering) if raising is None else raising,
         structure_fn=_operational_structure_fn(lowering),
         n_min=n_min,
     )
+
+
+def _raised_triple(
+    number: OperatorExpr, raising: OperatorExpr, n_min: int
+) -> GdoTriple:
+    """The triple of a raising operator built first; lowering is its adjoint."""
+    return _triple(number, adjoint(raising), n_min, raising)
 
 
 def finite_gdo(
@@ -196,38 +226,15 @@ def shifted_gdo(
     coeffs: Sequence[complex] | CoeffFn, M: int, dim: int | None = None
 ) -> GdoTriple:
     raising = ladder_raising_shifted(coeffs, M, dim)
-    lowering = adjoint(raising)
-    return GdoTriple(
-        number_op=number_op(raising.domain_dim),
-        lowering=lowering,
-        raising=raising,
-        structure_fn=_operational_structure_fn(lowering),
-        n_min=M,
-    )
+    return _raised_triple(number_op(raising.domain_dim), raising, n_min=M)
 
 
 def general_gdo(
     coeffs: Sequence[complex] | CoeffFn, dim: int | None = None
 ) -> GdoTriple:
-    if dim is None:
-        if callable(coeffs):
-            raise ValueError("dim is required when coeffs is a callable")
-        dim = len(coeffs)
-    d = dim
-    c = _coeff_getter(coeffs)
-
-    def d_raise(t: int) -> complex:
-        return _guarded_ratio(c(t), c, t - 1) * math.sqrt(t) if t >= 1 else 0.0
-
-    raising = compose(diag_op(d_raise, d), creation(d))
-    lowering = adjoint(raising)
-    return GdoTriple(
-        number_op=number_op(d),
-        lowering=lowering,
-        raising=raising,
-        structure_fn=_operational_structure_fn(lowering),
-        n_min=0,
-    )
+    c, dim = _coeffs_and_dim(coeffs, dim)
+    raising = _raising_form(_ratio_raising_diag(c), dim)
+    return _raised_triple(number_op(dim), raising, n_min=0)
 
 
 def harmonic_gdo(dim: int) -> GdoTriple:
@@ -255,7 +262,7 @@ def step_down_f(
     def d(t: int) -> complex:
         return _guarded_ratio(c1(t), c0, t + 1) / math.sqrt(t + 1)
 
-    return compose(diag_op(d, dim), annihilation(dim))
+    return _lowering_form(d, dim)
 
 
 def step_down_g(
@@ -290,7 +297,7 @@ def step_up_f(
             return 0.0
         return _guarded_ratio(c1(t), c0, t - 1) / math.sqrt(t)
 
-    return compose(diag_op(d, dim), creation(dim))
+    return _raising_form(d, dim)
 
 
 def step_up_g(
@@ -316,34 +323,30 @@ def step_up_g(
 # shift and forced to zero outside the family's natural index range.
 
 
-def _lowering_form(d: DiagFn, dim: int) -> OperatorExpr:
-    return compose(diag_op(d, dim), annihilation(dim))
+def _finite_literal(g: DiagFn, M: int, dim: int) -> OperatorExpr:
+    """N + g(N) a for a state supported on [0, M]: g is forced to zero at
+    t >= M, where the (t+1)-level it would come from is empty."""
 
+    def d(t: int) -> complex:
+        return g(t) if t < M else 0.0
 
-def _raising_form(d: DiagFn, dim: int) -> OperatorExpr:
-    return compose(diag_op(d, dim), creation(dim))
+    return add(number_op(dim), _lowering_form(d, dim))
 
 
 def bs_ladder(eta: float, M: int, dim: int) -> OperatorExpr:
     """N + sqrt((1-eta)/eta) sqrt(M-N) a, eigenvalue M."""
     scale = math.sqrt((1.0 - eta) / eta)
-
-    def d(t: int) -> complex:
-        return scale * math.sqrt(M - t) if t < M else 0.0
-
-    return _add_number(_lowering_form(d, dim))
+    return _finite_literal(lambda t: scale * math.sqrt(M - t), M, dim)
 
 
 def hgs_ladder(L: float, eta: float, M: int, dim: int) -> OperatorExpr:
     """N + sqrt((L(1-eta)-M+N+1)/(L eta-N)) sqrt(M-N) a, eigenvalue M."""
     etabar = 1.0 - eta
 
-    def d(t: int) -> complex:
-        if t >= M:
-            return 0.0
+    def g(t: int) -> complex:
         return math.sqrt((L * etabar - M + t + 1) / (L * eta - t)) * math.sqrt(M - t)
 
-    return _add_number(_lowering_form(d, dim))
+    return _finite_literal(g, M, dim)
 
 
 def ps_ladder(
@@ -360,54 +363,32 @@ def ps_ladder(
     sign = -1.0 if variant == "derived" else 1.0
     etabar = 1.0 - eta
 
-    def d(t: int) -> complex:
-        if t >= M:
-            return 0.0
+    def g(t: int) -> complex:
         return math.sqrt(
             (etabar + (M + sign * t - 1) * gamma) / (eta + t * gamma)
         ) * math.sqrt(M - t)
 
-    return _add_number(_lowering_form(d, dim))
+    return _finite_literal(g, M, dim)
 
 
 def rbs_ladder(theta: float, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/(N+1)) e^{-i theta} sqrt(M-N) a, eigenvalue M."""
     phase = complex(math.cos(theta), -math.sin(theta))
-
-    def d(t: int) -> complex:
-        if t >= M:
-            return 0.0
-        return (M - t) / (t + 1) * phase * math.sqrt(M - t)
-
-    return _add_number(_lowering_form(d, dim))
+    return _finite_literal(
+        lambda t: (M - t) / (t + 1) * phase * math.sqrt(M - t), M, dim
+    )
 
 
 def pbps_ladder(theta_m: float, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/sqrt(N+1)) e^{-i theta_m} a, eigenvalue M."""
     phase = complex(math.cos(theta_m), -math.sin(theta_m))
-
-    def d(t: int) -> complex:
-        if t >= M:
-            return 0.0
-        return (M - t) / math.sqrt(t + 1) * phase
-
-    return _add_number(_lowering_form(d, dim))
+    return _finite_literal(lambda t: (M - t) / math.sqrt(t + 1) * phase, M, dim)
 
 
 def ggs_ladder(Y: complex, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/(sqrt(Y) sqrt(N+1))) a, eigenvalue M."""
     root = cmath.sqrt(Y)
-
-    def d(t: int) -> complex:
-        if t >= M:
-            return 0.0
-        return (M - t) / (root * math.sqrt(t + 1))
-
-    return _add_number(_lowering_form(d, dim))
-
-
-def _add_number(op: OperatorExpr) -> OperatorExpr:
-    return add(number_op(op.domain_dim), op)
+    return _finite_literal(lambda t: (M - t) / (root * math.sqrt(t + 1)), M, dim)
 
 
 def added_raising_ladder(
@@ -547,10 +528,33 @@ def kerr_lowering(theta: float, dim: int, variant: str = "derived") -> OperatorE
 # --- verification primitives ---
 
 
-def _edge_note(edge_exclude: int) -> str:
-    if edge_exclude <= 0:
-        return ""
-    return f"top {edge_exclude} component(s) excluded at the truncation edge"
+def _residual_check(
+    name: str,
+    equation: str,
+    diff: np.ndarray,
+    leak: float,
+    tolerances: Tolerances,
+    edge_exclude: int,
+) -> CheckResult:
+    """||diff|| at the residual tolerance, naming the index where the
+    difference peaks; the top edge_exclude components of diff, a fresh
+    array, are zeroed in place first."""
+    if edge_exclude > 0:
+        diff[len(diff) - edge_exclude :] = 0.0
+    residual = float(np.linalg.norm(diff))
+    worst = int(np.argmax(np.abs(diff))) if len(diff) else 0
+    detail = f"max component {np.abs(diff).max():.3e} at n={worst}"
+    if edge_exclude > 0:
+        detail += f"; top {edge_exclude} component(s) excluded at the truncation edge"
+    return CheckResult.from_residual(
+        name,
+        equation,
+        residual,
+        tolerances.residual,
+        leak=leak,
+        leak_tolerance=tolerances.leak,
+        detail=detail,
+    )
 
 
 def eigen_check(
@@ -564,24 +568,7 @@ def eigen_check(
 ) -> CheckResult:
     image = apply(op, s)
     diff = image.amplitudes - complex(eigenvalue) * s.amplitudes
-    if edge_exclude > 0:
-        diff = diff.copy()
-        diff[len(diff) - edge_exclude :] = 0.0
-    residual = float(np.linalg.norm(diff))
-    worst = int(np.argmax(np.abs(diff))) if len(diff) else 0
-    detail = f"max component {np.abs(diff).max():.3e} at n={worst}"
-    note = _edge_note(edge_exclude)
-    if note:
-        detail = f"{detail}; {note}"
-    return CheckResult.from_residual(
-        name,
-        equation,
-        residual,
-        tolerances.residual,
-        leak=image.leak,
-        leak_tolerance=tolerances.leak,
-        detail=detail,
-    )
+    return _residual_check(name, equation, diff, image.leak, tolerances, edge_exclude)
 
 
 def relation_check(
@@ -596,24 +583,8 @@ def relation_check(
     left = apply(lhs, s)
     right = apply(rhs, s)
     diff = left.amplitudes - right.amplitudes
-    if edge_exclude > 0:
-        diff = diff.copy()
-        diff[len(diff) - edge_exclude :] = 0.0
-    residual = float(np.linalg.norm(diff))
-    leak = left.leak + right.leak
-    worst = int(np.argmax(np.abs(diff))) if len(diff) else 0
-    detail = f"max component {np.abs(diff).max():.3e} at n={worst}"
-    note = _edge_note(edge_exclude)
-    if note:
-        detail = f"{detail}; {note}"
-    return CheckResult.from_residual(
-        name,
-        equation,
-        residual,
-        tolerances.residual,
-        leak=leak,
-        leak_tolerance=tolerances.leak,
-        detail=detail,
+    return _residual_check(
+        name, equation, diff, left.leak + right.leak, tolerances, edge_exclude
     )
 
 

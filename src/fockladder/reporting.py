@@ -92,9 +92,6 @@ class VerificationReport:
     def failed_checks(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def extended(self, checks) -> "VerificationReport":
-        return replace(self, checks=self.checks + tuple(checks))
-
     def with_table(self, rows) -> "VerificationReport":
         return replace(self, derived_vs_printed=tuple(rows))
 
@@ -156,20 +153,26 @@ class VerificationReport:
             )
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
-            lines.append("n,derived,printed_re,printed_im,match")
-            for r in self.derived_vs_printed:
-                lines.append(
-                    ",".join(
-                        [
-                            str(r["n"]),
-                            _csv_float(r["derived"]),
-                            _csv_float(r["printed_re"]),
-                            _csv_float(r["printed_im"]),
-                            "true" if r["match"] else "false",
-                        ]
-                    )
-                )
+            lines += derived_vs_printed_csv(self.derived_vs_printed)
         return "\n".join(lines) + "\n"
+
+
+def derived_vs_printed_csv(rows) -> list[str]:
+    """The CSV column line and one line per derived-vs-printed row."""
+    lines = ["n,derived,printed_re,printed_im,match"]
+    for r in rows:
+        lines.append(
+            ",".join(
+                [
+                    str(r["n"]),
+                    _csv_float(r["derived"]),
+                    _csv_float(r["printed_re"]),
+                    _csv_float(r["printed_im"]),
+                    "true" if r["match"] else "false",
+                ]
+            )
+        )
+    return lines
 
 
 def _csv_float(x: float) -> str:

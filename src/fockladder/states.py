@@ -84,54 +84,6 @@ def format_complex(z: complex) -> str:
 
 
 @dataclass(frozen=True)
-class StateParams:
-    """Validated parameter bag mirroring the constructor arguments.
-
-    Only the fields a family uses need to be set; every set field is
-    range-checked at construction.
-    """
-
-    eta: float | None = None
-    M: int | None = None
-    L: float | None = None
-    gamma: float | None = None
-    theta: float | None = None
-    Y: complex | None = None
-    alpha: complex | None = None
-    r: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.eta is not None:
-            _check_eta(self.eta)
-        if self.M is not None:
-            _check_count(self.M, "M")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ParameterError("gamma must be positive")
-        if self.L is not None:
-            if self.eta is None or self.M is None:
-                raise ParameterError("L requires eta and M")
-            bound = max(self.M / self.eta, self.M / (1.0 - self.eta))
-            if self.L < bound:
-                raise ParameterError("L must satisfy L >= max(M/eta, M/(1-eta))")
-        if self.Y is not None and abs(self.Y) == 1.0:
-            raise ParameterError("|Y| must not be 1")
-        if self.r is not None and not self.r >= 0:
-            raise ParameterError("r must be nonnegative")
-
-    def as_dict(self) -> dict[str, float | int | str]:
-        out: dict[str, float | int | str] = {}
-        for name in ("eta", "M", "L", "gamma", "theta", "r"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        for name in ("Y", "alpha"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = format_complex(value)
-        return out
-
-
-@dataclass(frozen=True)
 class PhaseGrid:
     """Reference phase theta0 with s+1 equally spaced points; point m is
     theta_m = theta0 + 2 pi m / (s + 1).  The one-point grid s = 0 is
@@ -259,13 +211,15 @@ def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
     eta = _check_eta(eta)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
-    params = StateParams(eta=eta, M=M, L=float(L))
-    denom = generalized_binomial(params.L, M)
+    L = float(L)
+    if L < max(M / eta, M / (1.0 - eta)):
+        raise ParameterError("L must satisfy L >= max(M/eta, M/(1-eta))")
+    denom = generalized_binomial(L, M)
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         prob = (
-            generalized_binomial(params.L * eta, n)
-            * generalized_binomial(params.L * (1.0 - eta), M - n)
+            generalized_binomial(L * eta, n)
+            * generalized_binomial(L * (1.0 - eta), M - n)
             / denom
         )
         if prob < 0:
@@ -277,7 +231,7 @@ def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
     return make_state(
         amps,
         norm_constant=c,
-        label=f"hypergeometric(L={float(L)!r}, eta={eta!r}, M={M})",
+        label=f"hypergeometric(L={L!r}, eta={eta!r}, M={M})",
     )
 
 

@@ -18,7 +18,6 @@ from .core import (
     FockState,
     OperatorExpr,
     annihilation,
-    adjoint,
     basis_state,
     compose,
     creation,
@@ -36,18 +35,17 @@ from .ladder import (
     GdoTriple,
     _coeff_getter,
     _guarded_ratio,
-    _operational_structure_fn,
+    _raised_triple,
+    _ratio_raising_diag,
 )
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
-    TailMassError,
     _check_dim,
     _normalized,
+    _tail_guard,
     format_complex,
 )
-
-TAIL_TOL = 1e-12
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -145,8 +143,7 @@ def sector_unembed(s: FockState, parity_j: int, dim: int) -> FockState:
 # --- sector coefficient callables (unnormalized beyond overall constants) ---
 
 
-def svs_sector_coeffs(r: float, theta: float) -> CoeffFn:
-    """c(n) = sqrt((2n)!) (e^{i theta} tanh r / 2)^n / n!"""
+def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
     t = math.tanh(r)
 
     def c(n: int) -> complex:
@@ -154,53 +151,47 @@ def svs_sector_coeffs(r: float, theta: float) -> CoeffFn:
             return 0.0
         if t == 0.0:
             return 1.0 if n == 0 else 0.0
-        log_mag = 0.5 * math.lgamma(2 * n + 1) + n * math.log(t / 2) - math.lgamma(n + 1)
+        log_mag = (
+            0.5 * math.lgamma(2 * n + 1 + j) + n * math.log(t / 2) - math.lgamma(n + 1)
+        )
         return math.exp(log_mag) * cmath.exp(1j * theta * n)
 
     return c
 
 
+def svs_sector_coeffs(r: float, theta: float) -> CoeffFn:
+    """c(n) = sqrt((2n)!) (e^{i theta} tanh r / 2)^n / n!"""
+    return _squeezed_sector_coeffs(r, theta, 0)
+
+
 def sfes_sector_coeffs(r: float, theta: float) -> CoeffFn:
     """c(n) = sqrt((2n+1)!) (e^{i theta} tanh r / 2)^n / n!"""
-    t = math.tanh(r)
+    return _squeezed_sector_coeffs(r, theta, 1)
+
+
+def _coherent_sector_coeffs(alpha: complex, j: int) -> CoeffFn:
+    alpha = complex(alpha)
 
     def c(n: int) -> complex:
         if n < 0:
             return 0.0
-        if t == 0.0:
-            return 1.0 if n == 0 else 0.0
-        log_mag = 0.5 * math.lgamma(2 * n + 2) + n * math.log(t / 2) - math.lgamma(n + 1)
-        return math.exp(log_mag) * cmath.exp(1j * theta * n)
+        if alpha == 0:  # alpha^(2n+j) is 1 only at 2n+j = 0
+            return 1.0 if 2 * n + j == 0 else 0.0
+        return cmath.exp(
+            (2 * n + j) * cmath.log(alpha) - 0.5 * math.lgamma(2 * n + 1 + j)
+        )
 
     return c
 
 
 def ecs_sector_coeffs(alpha: complex) -> CoeffFn:
     """c(n) = alpha^{2n} / sqrt((2n)!)"""
-    alpha = complex(alpha)
-
-    def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        if alpha == 0:
-            return 1.0 if n == 0 else 0.0
-        return cmath.exp(2 * n * cmath.log(alpha) - 0.5 * math.lgamma(2 * n + 1))
-
-    return c
+    return _coherent_sector_coeffs(alpha, 0)
 
 
 def ocs_sector_coeffs(alpha: complex) -> CoeffFn:
     """c(n) = alpha^{2n+1} / sqrt((2n+1)!)"""
-    alpha = complex(alpha)
-
-    def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        if alpha == 0:
-            return 0.0
-        return cmath.exp((2 * n + 1) * cmath.log(alpha) - 0.5 * math.lgamma(2 * n + 2))
-
-    return c
+    return _coherent_sector_coeffs(alpha, 1)
 
 
 # --- constructors (full-space states) ---
@@ -208,11 +199,7 @@ def ocs_sector_coeffs(alpha: complex) -> CoeffFn:
 
 def _scatter(sector_raw: np.ndarray, parity_j: int, dim: int, what: str,
              prefactor: float, label: str) -> FockState:
-    tail = max(0.0, 1.0 - float(np.vdot(sector_raw, sector_raw).real))
-    if tail > TAIL_TOL:
-        raise TailMassError(
-            f"{what} drops tail mass {tail:.3e} > {TAIL_TOL:.0e}; increase dim"
-        )
+    tail = _tail_guard(sector_raw, what)
     full = np.zeros(dim, dtype=complex)
     full[parity_j::2] = sector_raw
     amps, c = _normalized(full)
@@ -225,46 +212,48 @@ def _scatter(sector_raw: np.ndarray, parity_j: int, dim: int, what: str,
     )
 
 
+def _sector_size(dim: int, j: int) -> tuple[int, int]:
+    """The checked truncation and the size of sector j inside it."""
+    dim = _check_dim(dim)
+    if j == 1 and dim < 2:
+        raise ParameterError("dim must be at least 2 for an odd state")
+    return dim, sector_dim(dim, j)
+
+
+def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
+    """S(xi)|j> by the amplitude-ratio recurrence on sector j."""
+    if not r >= 0:
+        raise ParameterError("r must be nonnegative")
+    dim, n_sector = _sector_size(dim, j)
+    tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
+    # (cosh r)^(-1/2-j), one float expression per sector: the two
+    # spellings round differently from a shared cosh(r) ** -(0.5 + j)
+    seed = 1.0 / math.sqrt(math.cosh(r)) if j == 0 else math.cosh(r) ** -1.5
+    raw = np.zeros(n_sector, dtype=complex)
+    raw[0] = seed
+    for n in range(n_sector - 1):
+        raw[n + 1] = (
+            raw[n] * math.sqrt((2 * n + 2 + j) * (2 * n + 1 + j)) * tau / (n + 1)
+        )
+    name = ("squeezed_vacuum", "squeezed_first_excited")[j]
+    return _scatter(
+        raw, j, dim,
+        f"{name}(r={r!r})",
+        seed,
+        f"{name}(r={float(r)!r}, theta={float(theta)!r})",
+    )
+
+
 def squeezed_vacuum(r: float, theta: float, dim: int) -> FockState:
     """(cosh r)^{-1/2} sum sqrt((2n)!) (e^{i theta} tanh r / 2)^n / n! on
     even levels; built by the amplitude-ratio recurrence."""
-    if not r >= 0:
-        raise ParameterError("r must be nonnegative")
-    dim = _check_dim(dim)
-    n_sector = sector_dim(dim, 0)
-    tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
-    raw = np.zeros(n_sector, dtype=complex)
-    raw[0] = 1.0 / math.sqrt(math.cosh(r))
-    for n in range(n_sector - 1):
-        raw[n + 1] = raw[n] * math.sqrt((2 * n + 2) * (2 * n + 1)) * tau / (n + 1)
-    return _scatter(
-        raw, 0, dim,
-        f"squeezed_vacuum(r={r!r})",
-        1.0 / math.sqrt(math.cosh(r)),
-        f"squeezed_vacuum(r={float(r)!r}, theta={float(theta)!r})",
-    )
+    return _squeezed(r, theta, dim, 0)
 
 
 def squeezed_first_excited(r: float, theta: float, dim: int) -> FockState:
     """(cosh r)^{-3/2} sum sqrt((2n+1)!) (e^{i theta} tanh r / 2)^n / n!
     on odd levels."""
-    if not r >= 0:
-        raise ParameterError("r must be nonnegative")
-    dim = _check_dim(dim)
-    if dim < 2:
-        raise ParameterError("dim must be at least 2 for an odd state")
-    n_sector = sector_dim(dim, 1)
-    tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
-    raw = np.zeros(n_sector, dtype=complex)
-    raw[0] = math.cosh(r) ** -1.5
-    for n in range(n_sector - 1):
-        raw[n + 1] = raw[n] * math.sqrt((2 * n + 3) * (2 * n + 2)) * tau / (n + 1)
-    return _scatter(
-        raw, 1, dim,
-        f"squeezed_first_excited(r={r!r})",
-        math.cosh(r) ** -1.5,
-        f"squeezed_first_excited(r={float(r)!r}, theta={float(theta)!r})",
-    )
+    return _squeezed(r, theta, dim, 1)
 
 
 def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
@@ -273,14 +262,13 @@ def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
     alpha = complex(alpha)
     if parity not in ("even", "odd"):
         raise ParameterError("parity must be 'even' or 'odd'")
-    dim = _check_dim(dim)
     j = 0 if parity == "even" else 1
+    dim, n_sector = _sector_size(dim, j)
     if j == 1 and alpha == 0:
         raise ParameterError("alpha must be nonzero for the odd superposition")
     mod2 = abs(alpha) ** 2
     norm = math.cosh(mod2) if j == 0 else math.sinh(mod2)
     prefactor = 1.0 / math.sqrt(norm) if norm > 0 else 1.0
-    n_sector = sector_dim(dim, j)
     raw = np.zeros(n_sector, dtype=complex)
     raw[0] = prefactor * (1.0 if j == 0 else alpha)
     for n in range(n_sector - 1):
@@ -298,6 +286,20 @@ def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
 # --- two-photon ladder forms on the sector ---
 
 
+def _sector_raising(
+    c: CoeffFn, parity_j: int, dim_sector: int
+) -> tuple[Su11Rep, OperatorExpr]:
+    """The sector representation and the raising operator that c(n)
+    generates on it, [sqrt(N) c(N) / (c(N-1) sqrt(N - 1/2 + j))] K+."""
+    rep = su11(parity_j, dim_sector)
+    ratio = _ratio_raising_diag(c)
+
+    def d_up(t: int) -> complex:
+        return ratio(t) / math.sqrt(t - 0.5 + parity_j) if t >= 1 else 0.0
+
+    return rep, compose(diag_op(d_up, dim_sector), rep.K_plus)
+
+
 def two_photon_ladder(
     coeffs, parity_j: int, dim_sector: int
 ) -> tuple[OperatorExpr, OperatorExpr]:
@@ -309,14 +311,9 @@ def two_photon_ladder(
     c(N_j+1) sqrt(N_j + 1/2 + j) (N_j+1) / c(N_j) and sqrt(N_j+1) K-;
     each annihilates the exact state.
     """
-    rep = su11(parity_j, dim_sector)
     c = _coeff_getter(coeffs)
+    rep, raising = _sector_raising(c, parity_j, dim_sector)
     j = parity_j
-
-    def d_up(t: int) -> complex:
-        if t < 1:
-            return 0.0
-        return _guarded_ratio(c(t), c, t - 1) * math.sqrt(t) / math.sqrt(t - 0.5 + j)
 
     def d_down_diag(n: int) -> complex:
         return _guarded_ratio(c(n + 1), c, n) * math.sqrt(n + 0.5 + j) * (n + 1)
@@ -324,9 +321,7 @@ def two_photon_ladder(
     def d_after_km(t: int) -> complex:
         return math.sqrt(t + 1)
 
-    up_form = sub(
-        rep.sector_number_op, compose(diag_op(d_up, dim_sector), rep.K_plus)
-    )
+    up_form = sub(rep.sector_number_op, raising)
     down_form = sub(
         diag_op(d_down_diag, dim_sector),
         compose(diag_op(d_after_km, dim_sector), rep.K_minus),
@@ -337,24 +332,8 @@ def two_photon_ladder(
 def two_photon_gdo(coeffs, parity_j: int, dim_sector: int) -> GdoTriple:
     """Sector triple with raising [sqrt(N) c(N)/(c(N-1) sqrt(N-1/2+j))] K+
     and F(n) = ||lowering||n>||^2 = n^2 |c(n)/c(n-1)|^2."""
-    rep = su11(parity_j, dim_sector)
-    c = _coeff_getter(coeffs)
-    j = parity_j
-
-    def d_up(t: int) -> complex:
-        if t < 1:
-            return 0.0
-        return _guarded_ratio(c(t), c, t - 1) * math.sqrt(t) / math.sqrt(t - 0.5 + j)
-
-    raising = compose(diag_op(d_up, dim_sector), rep.K_plus)
-    lowering = adjoint(raising)
-    return GdoTriple(
-        number_op=rep.sector_number_op,
-        lowering=lowering,
-        raising=raising,
-        structure_fn=_operational_structure_fn(lowering),
-        n_min=0,
-    )
+    rep, raising = _sector_raising(_coeff_getter(coeffs), parity_j, dim_sector)
+    return _raised_triple(rep.sector_number_op, raising, n_min=0)
 
 
 # --- full-space literal relations ---
@@ -366,23 +345,25 @@ def pair_lowering(dim: int) -> OperatorExpr:
     return compose(a, a)
 
 
-def svs_lowering(dim: int) -> OperatorExpr:
-    """[1/(N+1)] a^2, eigenvalue e^{i theta} tanh r on the squeezed vacuum."""
+def _pair_lowering_over(j: int, dim: int) -> OperatorExpr:
+    """[1/(N+1+j)] a^2, the pair lowering that the squeezed state S(xi)|j>
+    diagonalizes."""
 
     def d(t: int) -> complex:
-        return 1.0 / (t + 1)
+        return 1.0 / (t + 1 + j)
 
     return compose(diag_op(d, dim), pair_lowering(dim))
+
+
+def svs_lowering(dim: int) -> OperatorExpr:
+    """[1/(N+1)] a^2, eigenvalue e^{i theta} tanh r on the squeezed vacuum."""
+    return _pair_lowering_over(0, dim)
 
 
 def sfes_lowering(dim: int) -> OperatorExpr:
     """[1/(N+2)] a^2, eigenvalue e^{i theta} tanh r on the squeezed first
     excited state."""
-
-    def d(t: int) -> complex:
-        return 1.0 / (t + 2)
-
-    return compose(diag_op(d, dim), pair_lowering(dim))
+    return _pair_lowering_over(1, dim)
 
 
 # --- representation and disentangling verification ---
@@ -469,10 +450,7 @@ def embedding_checks(
     j = rep.parity_j
     n_sector = sector_dim(dim_full, j)
     idx = np.arange(n_sector) * 2 + j
-    Kp_full = to_matrix(scale(compose(creation(dim_full), creation(dim_full)), 0.5))
-    Km_full = to_matrix(
-        scale(compose(annihilation(dim_full), annihilation(dim_full)), 0.5)
-    )
+    Kp_full, Km_full = _full_k_pair(dim_full)
 
     def d0(n: int) -> complex:
         return n / 2.0 + 0.25
@@ -519,19 +497,27 @@ def verify_su11(
     )
 
 
-def _three_factor_matrix(r: float, theta: float, dim: int) -> np.ndarray:
-    Kp = to_matrix(scale(compose(creation(dim), creation(dim)), 0.5))
-    Km = to_matrix(scale(compose(annihilation(dim), annihilation(dim)), 0.5))
+def _full_k_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-space K+ = a+^2/2 and K- = a^2/2 as dense matrices."""
+    return (
+        to_matrix(scale(compose(creation(dim), creation(dim)), 0.5)),
+        to_matrix(scale(compose(annihilation(dim), annihilation(dim)), 0.5)),
+    )
+
+
+def _three_factor_matrix(
+    r: float, theta: float, Kp: np.ndarray, Km: np.ndarray
+) -> np.ndarray:
     t = math.tanh(r)
     left = expm(cmath.exp(1j * theta) * t * Kp)
-    middle = np.diag(math.cosh(r) ** -(np.arange(dim) + 0.5))
+    middle = np.diag(math.cosh(r) ** -(np.arange(len(Kp)) + 0.5))
     right = expm(-cmath.exp(-1j * theta) * t * Km)
     return left @ middle @ right
 
 
-def _exponential_matrix(r: float, theta: float, dim: int) -> np.ndarray:
-    Kp = to_matrix(scale(compose(creation(dim), creation(dim)), 0.5))
-    Km = to_matrix(scale(compose(annihilation(dim), annihilation(dim)), 0.5))
+def _exponential_matrix(
+    r: float, theta: float, Kp: np.ndarray, Km: np.ndarray
+) -> np.ndarray:
     xi = r * cmath.exp(1j * theta)
     return expm(xi * Kp - xi.conjugate() * Km)
 
@@ -557,8 +543,9 @@ def verify_disentangling(
         raise ParameterError("excitation must be 0 or 1")
     tol = tolerances or Tolerances()
     base = basis_state(excitation, dim)
-    via_exponential = _exponential_matrix(r, theta, dim) @ base.amplitudes
-    via_product = _three_factor_matrix(r, theta, dim) @ base.amplitudes
+    Kp, Km = _full_k_pair(dim)
+    via_exponential = _exponential_matrix(r, theta, Kp, Km) @ base.amplitudes
+    via_product = _three_factor_matrix(r, theta, Kp, Km) @ base.amplitudes
     closed = (
         squeezed_vacuum(r, theta, dim)
         if excitation == 0

@@ -117,6 +117,62 @@ def test_alias_matches_full_name(capsys, alias, name):
     assert states[0] == states[1]
 
 
+FINITE = [
+    (spec.alias, name) for name, spec in fl.FAMILY_SPECS.items() if spec.kind == "finite"
+]
+
+
+@pytest.mark.parametrize("alias,name", FINITE, ids=[alias for alias, _ in FINITE])
+def test_finite_families_at_M_zero(capsys, alias, name):
+    # the M = 0 member is the vacuum; it has no (M-1)-member, so the suite
+    # leaves out the three step-down checks and runs every other one
+    assert len(FINITE) == 6
+    params = dict(fl.FAMILY_SPECS[name].grid[0], M=0)
+    if name == "pegg_barnett_phase":
+        params["m"] = 0
+    report = fl.run_family_suite(name, params, 8)
+    assert report.passed, report.summary_line()
+    names = {c.name for c in report.checks}
+    assert not names & {"step-down-f", "step-down-g", "step-down-equality"}
+    assert {"ladder-eigen-literal", "gdo-fock-condition"} <= names
+    flags = []
+    for key, value in params.items():
+        text = fl.format_complex(value) if isinstance(value, complex) else str(value)
+        flags += [f"--{key}", text]
+    code, out, err = run(capsys, "verify", "--family", alias, *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dim"] == 8
+
+
+@pytest.mark.parametrize(
+    "flags,name",
+    [
+        (["--family", "cs", "--alpha", "nan", "--dim", "8"], "alpha"),
+        (["--family", "rbs", "--theta", "nan", "--M", "3"], "theta"),
+        (["--family", "pbps", "--theta0", "nan", "--m", "0", "--M", "3"], "theta0"),
+        (["--family", "ggs", "--Y", "nan", "--M", "3"], "Y"),
+        (["--family", "ps", "--eta", "0.5", "--gamma", "inf", "--M", "3"], "gamma"),
+        (["--family", "hgs", "--L", "nan", "--eta", "0.5", "--M", "3"], "L"),
+        (["--family", "ks", "--alpha", "1", "--theta", "nan", "--dim", "8"], "theta"),
+    ],
+    ids=lambda v: v[1] if isinstance(v, list) else v,
+)
+@pytest.mark.parametrize("subcommand", ["state", "verify", "structure-fn"])
+def test_non_finite_parameter_exits_two(capsys, subcommand, flags, name):
+    code, out, err = run(capsys, subcommand, *flags)
+    assert code == 2
+    assert err == f"error: parameter '{name}' must be finite\n"
+    assert out == ""
+
+
+def test_odd_state_needs_two_levels(capsys):
+    code, out, err = run(
+        capsys, "state", "--family", "ocs", "--alpha", "0.5", "--dim", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: dim must be at least 2 for an odd state\n"
+
+
 # --- state tables ---
 
 
@@ -389,8 +445,9 @@ def test_batch_complex_params_round_trip(tmp_path, capsys):
             '"tolerances":{"oracle":"x"}}]',
             "tolerance 'oracle'",
         ),
+        ('[{"family":"cs","params":{"alpha":"nan"},"dim":8}]', "parameter 'alpha'"),
     ],
-    ids=["dim-overflow", "M-overflow", "tolerance-not-a-number"],
+    ids=["dim-overflow", "M-overflow", "tolerance-not-a-number", "alpha-nan"],
 )
 def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):
     manifest = tmp_path / "bad.json"

@@ -8,7 +8,6 @@ from fockladder import (
     IntermediateParams,
     ParameterError,
     PhaseGrid,
-    StateParams,
     TailMassError,
     basis_state,
     binomial,
@@ -274,17 +273,6 @@ def test_intermediate_nonlinearity_changes_state():
     )
     assert flat.support == bent.support == (0, 4)
     assert fidelity(flat, bent) < 0.999999
-
-
-def test_state_params_validation():
-    with pytest.raises(ParameterError, match=r"eta must lie in \(0,1\)"):
-        StateParams(eta=1.5)
-    with pytest.raises(ParameterError, match="r must be nonnegative"):
-        StateParams(r=-0.1)
-    with pytest.raises(ParameterError, match="L requires eta and M"):
-        StateParams(L=40.0)
-    p = StateParams(eta=0.5, M=4, alpha=1 + 2j)
-    assert p.as_dict() == {"eta": 0.5, "M": 4, "alpha": "1.0+2.0i"}
 
 
 def test_errors_are_value_errors():

@@ -54,6 +54,23 @@ def test_suite_rejects_missing_and_stray_parameters():
         fl.run_family_suite("binomial", {"eta": 0.5, "M": 4, "gamma": 0.1}, 12)
 
 
+def test_non_finite_parameters_rejected_at_every_entry_point():
+    cases = (
+        ("binomial", {"eta": math.nan, "M": 4}, "eta"),
+        ("polya", {"eta": 0.5, "gamma": math.inf, "M": 4}, "gamma"),
+    )
+    for family, params, name in cases:
+        for call in (fl.build_state, fl.run_family_suite, fl.build_gdo):
+            message = f"parameter '{name}' must be finite"
+            with pytest.raises(fl.ParameterError, match=message):
+                call(family, params, 12)
+    with pytest.raises(fl.ParameterError, match="parameter 'Y' must be finite"):
+        fl.build_gdo("generalized_geometric", {"Y": complex(0.3, math.nan), "M": 3}, 8)
+    # the callable nonlinearity is not a number and is not checked
+    params, dim = GRID_BY_FAMILY["intermediate"]
+    assert fl.build_state("intermediate", params, dim).norm == pytest.approx(1.0)
+
+
 def test_suite_propagates_constructor_validation():
     with pytest.raises(fl.ParameterError, match=r"eta must lie in \(0,1\)"):
         fl.run_family_suite("binomial", {"eta": 1.5, "M": 4}, 12)
