@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FockState, ladder_factor, make_state
+from .core import FockState, _one, apply, make_state, operator
 
 TAIL_TOL = 1e-12
 
@@ -54,11 +54,27 @@ def _check_dim(dim: int, M: int | None = None) -> int:
     return dim
 
 
-def _normalized(raw: np.ndarray) -> tuple[np.ndarray, float]:
+def _finish(
+    raw: np.ndarray,
+    label: str,
+    *,
+    prefactor: float = 1.0,
+    leak: float = 0.0,
+    parity: str | None = None,
+) -> FockState:
+    """The last step of every constructor: normalize raw and record
+    norm_constant = prefactor / ||raw||, where prefactor is the
+    closed-form constant that raw carries beyond the in-sum coefficients."""
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise ParameterError("state has no amplitude inside the truncation")
-    return raw / norm, 1.0 / norm
+    return make_state(
+        raw / norm,
+        parity=parity,
+        norm_constant=1.0 / norm * prefactor,
+        label=label,
+        leak=leak,
+    )
 
 
 def _tail_guard(raw: np.ndarray, what: str, tol: float = TAIL_TOL) -> float:
@@ -196,13 +212,7 @@ def binomial(eta: float, M: int, dim: int) -> FockState:
     probs[0] = (1.0 - eta) ** M
     for n in range(M):
         probs[n + 1] = probs[n] * (M - n) / (n + 1) * eta / (1.0 - eta)
-    amps, c = _normalized(np.sqrt(probs).astype(complex))
-    return make_state(
-        amps,
-        parity=None,
-        norm_constant=c,
-        label=f"binomial(eta={eta!r}, M={M})",
-    )
+    return _finish(np.sqrt(probs).astype(complex), f"binomial(eta={eta!r}, M={M})")
 
 
 def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
@@ -227,12 +237,7 @@ def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
                 f"internal consistency failure: negative weight at n={n}"
             )
         raw[n] = math.sqrt(prob)
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=f"hypergeometric(L={L!r}, eta={eta!r}, M={M})",
-    )
+    return _finish(raw, f"hypergeometric(L={L!r}, eta={eta!r}, M={M})")
 
 
 def polya(eta: float, gamma: float, M: int, dim: int) -> FockState:
@@ -254,12 +259,7 @@ def polya(eta: float, gamma: float, M: int, dim: int) -> FockState:
         for k in range(1, M - n + 1):
             num *= (1.0 - eta) + (k - 1) * gamma
         raw[n] = math.sqrt(num / denom)
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=f"polya(eta={eta!r}, gamma={gamma!r}, M={M})",
-    )
+    return _finish(raw, f"polya(eta={eta!r}, gamma={gamma!r}, M={M})")
 
 
 def reciprocal_binomial(theta: float, M: int, dim: int) -> FockState:
@@ -276,12 +276,7 @@ def reciprocal_binomial(theta: float, M: int, dim: int) -> FockState:
             raw[n] = phase / math.sqrt(comb)
         except OverflowError:  # C(M, n) past the float range, M >= 1030
             raw[n] = phase * math.exp(-0.5 * math.log(comb))
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=f"reciprocal_binomial(theta={theta!r}, M={M})",
-    )
+    return _finish(raw, f"reciprocal_binomial(theta={theta!r}, M={M})")
 
 
 def pegg_barnett_phase(grid: PhaseGrid, M: int, dim: int) -> FockState:
@@ -297,11 +292,9 @@ def pegg_barnett_phase(grid: PhaseGrid, M: int, dim: int) -> FockState:
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         raw[n] = cmath.exp(1j * n * grid.theta_m)
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=f"pegg_barnett_phase(theta0={grid.theta0!r}, s={grid.s}, m={grid.m}, M={M})",
+    return _finish(
+        raw,
+        f"pegg_barnett_phase(theta0={grid.theta0!r}, s={grid.s}, m={grid.m}, M={M})",
     )
 
 
@@ -317,12 +310,7 @@ def generalized_geometric(Y: complex, M: int, dim: int) -> FockState:
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         raw[n] = root**n
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=f"generalized_geometric(Y={format_complex(Y)}, M={M})",
-    )
+    return _finish(raw, f"generalized_geometric(Y={format_complex(Y)}, M={M})")
 
 
 # --- infinite-support families ---
@@ -332,18 +320,13 @@ def coherent(alpha: complex, dim: int) -> FockState:
     """Amplitudes e^(-|alpha|^2/2) alpha^n / sqrt(n!)."""
     alpha = complex(alpha)
     dim = _check_dim(dim)
+    label = f"coherent(alpha={format_complex(alpha)})"
+    pref = math.exp(-abs(alpha) ** 2 / 2.0)
     raw = np.zeros(dim, dtype=complex)
-    raw[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    raw[0] = pref
     for n in range(dim - 1):
         raw[n + 1] = raw[n] * alpha / math.sqrt(n + 1)
-    tail = _tail_guard(raw, f"coherent(alpha={format_complex(alpha)})")
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c * math.exp(-abs(alpha) ** 2 / 2.0),
-        label=f"coherent(alpha={format_complex(alpha)})",
-        leak=tail,
-    )
+    return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
 
 
 def kerr(alpha: complex, theta: float, dim: int) -> FockState:
@@ -366,15 +349,10 @@ def geometric(eta: float, dim: int) -> FockState:
     """Amplitudes eta^(1/2) (1-eta)^(n/2); dropped tail is (1-eta)^dim."""
     eta = _check_eta(eta)
     dim = _check_dim(dim)
-    raw = math.sqrt(eta) * np.sqrt((1.0 - eta) ** np.arange(dim)).astype(complex)
-    tail = _tail_guard(raw, f"geometric(eta={eta!r})")
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c * math.sqrt(eta),
-        label=f"geometric(eta={eta!r})",
-        leak=tail,
-    )
+    label = f"geometric(eta={eta!r})"
+    pref = math.sqrt(eta)
+    raw = pref * np.sqrt((1.0 - eta) ** np.arange(dim)).astype(complex)
+    return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
 
 
 def negative_binomial(eta: float, M: int, dim: int) -> FockState:
@@ -382,18 +360,11 @@ def negative_binomial(eta: float, M: int, dim: int) -> FockState:
     eta = _check_eta(eta)
     M = _check_count(M, "M", minimum=1)
     dim = _check_dim(dim)
+    label = f"negative_binomial(eta={eta!r}, M={M})"
+    pref = (1.0 - eta) ** (M / 2.0)
     coeff = negative_binomial_coeffs(eta, M)
-    raw = (1.0 - eta) ** (M / 2.0) * np.array(
-        [coeff(n) for n in range(dim)], dtype=complex
-    )
-    tail = _tail_guard(raw, f"negative_binomial(eta={eta!r}, M={M})")
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c * (1.0 - eta) ** (M / 2.0),
-        label=f"negative_binomial(eta={eta!r}, M={M})",
-        leak=tail,
-    )
+    raw = pref * np.array([coeff(n) for n in range(dim)], dtype=complex)
+    return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
 
 
 def new_negative_binomial(eta: float, M: int, dim: int) -> FockState:
@@ -402,18 +373,11 @@ def new_negative_binomial(eta: float, M: int, dim: int) -> FockState:
     eta = _check_eta(eta)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
+    label = f"new_negative_binomial(eta={eta!r}, M={M})"
+    pref = eta ** ((M + 1) / 2.0)
     coeff = new_negative_binomial_coeffs(eta, M)
-    raw = eta ** ((M + 1) / 2.0) * np.array(
-        [coeff(n) for n in range(dim)], dtype=complex
-    )
-    tail = _tail_guard(raw, f"new_negative_binomial(eta={eta!r}, M={M})")
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c * eta ** ((M + 1) / 2.0),
-        label=f"new_negative_binomial(eta={eta!r}, M={M})",
-        leak=tail,
-    )
+    raw = pref * np.array([coeff(n) for n in range(dim)], dtype=complex)
+    return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
 
 
 # --- derived constructions ---
@@ -424,31 +388,15 @@ def photon_add(base: FockState, M: int) -> FockState:
     base[n-M] sqrt(n!/(n-M)!).  norm_constant records the renormalization.
     """
     M = _check_count(M, "M")
-    dim = base.dim
-    raw = np.zeros(dim, dtype=complex)
-    spill = 0.0
-    for m in range(dim):
-        if base.amplitudes[m] == 0:
-            continue
-        weight = base.amplitudes[m] * ladder_factor(m, M)
-        if m + M >= dim:
-            spill += abs(weight) ** 2
-        else:
-            raw[m + M] = weight
-    total = float(np.vdot(raw, raw).real) + spill
-    frac = spill / total if total else 1.0
+    image = apply(operator([(M, _one)], base.dim), base)
+    total = float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
+    frac = image.leak / total if total else 1.0
     if frac > TAIL_TOL:
         raise TailMassError(
             f"photon addition pushes mass fraction {frac:.3e} > {TAIL_TOL:.0e} "
             "beyond the truncation; increase dim"
         )
-    amps, c = _normalized(raw)
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=f"photon_add({base.label}, M={M})",
-        leak=frac,
-    )
+    return _finish(image.amplitudes, f"photon_add({base.label}, M={M})", leak=frac)
 
 
 def intermediate_nlcs(
@@ -485,13 +433,8 @@ def intermediate_nlcs(
             f"recursion mass fraction {frac:.3e} beyond dim exceeds 1e-10; "
             "the eigenvalue does not give a normalizable state at this truncation"
         )
-    amps, c = _normalized(seq[:dim])
-    return make_state(
-        amps,
-        norm_constant=c,
-        label=(
-            f"intermediate_nlcs(eta={p.eta!r}, "
-            f"alpha={format_complex(p.alpha_eig)})"
-        ),
+    return _finish(
+        seq[:dim],
+        f"intermediate_nlcs(eta={p.eta!r}, alpha={format_complex(p.alpha_eig)})",
         leak=frac,
     )

@@ -42,7 +42,7 @@ from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
     _check_dim,
-    _normalized,
+    _finish,
     _tail_guard,
     format_complex,
 )
@@ -202,14 +202,8 @@ def _scatter(sector_raw: np.ndarray, parity_j: int, dim: int, what: str,
     tail = _tail_guard(sector_raw, what)
     full = np.zeros(dim, dtype=complex)
     full[parity_j::2] = sector_raw
-    amps, c = _normalized(full)
-    return make_state(
-        amps,
-        parity="even" if parity_j == 0 else "odd",
-        norm_constant=c * prefactor,
-        label=label,
-        leak=tail,
-    )
+    parity = "even" if parity_j == 0 else "odd"
+    return _finish(full, label, prefactor=prefactor, leak=tail, parity=parity)
 
 
 def _sector_size(dim: int, j: int) -> tuple[int, int]:
