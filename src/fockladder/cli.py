@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -296,6 +297,12 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
         rows = [
             {"n": n, "F": float(triple.structure_fn(n))} for n in range(triple.dim)
         ]
+    key = "derived" if cfg.compare_printed else "F"
+    for row in rows:
+        if not math.isfinite(row[key]):
+            raise ParameterError(
+                f"F({row['n']}) is not finite at these parameters; reduce their magnitude"
+            )
     if cfg.fmt == "json":
         payload = {"schema": "structure-fn-1", "config": cfg.header(), "rows": rows}
         _emit(encode_json(payload), out)
@@ -369,7 +376,7 @@ def cmd_batch(manifest_path: str, out_dir: str) -> int:
         try:
             family, params, dim, tolerances = _decode_manifest_entry(raw)
             report = run_family_suite(family, params, dim, tolerances)
-        except (ParameterError, ValueError, TypeError) as exc:
+        except (ParameterError, ValueError, TypeError, ArithmeticError) as exc:
             n_error += 1
             entries.append(
                 {
@@ -423,7 +430,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "verify":
             return cmd_verify(cfg, args.out)
         return cmd_structure_fn(cfg, args.out)
-    except (ParameterError, ValueError, OSError) as exc:
+    # ArithmeticError: a parameter past what a closed form's floats can take
+    except (ParameterError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

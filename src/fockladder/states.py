@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -64,17 +65,40 @@ def _finish(
 ) -> FockState:
     """The last step of every constructor: normalize raw and record
     norm_constant = prefactor / ||raw||, where prefactor is the
-    closed-form constant that raw carries beyond the in-sum coefficients."""
-    norm = float(np.linalg.norm(raw))
+    closed-form constant that raw carries beyond the in-sum coefficients.
+    A non-finite entry in raw is refused here, for every family."""
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise ParameterError(
+            f"{label} has a non-finite amplitude at n={bad[0]}; use finite "
+            "parameters of smaller magnitude"
+        )
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(raw))
+    if math.isinf(norm):  # the squares pass the float range, the norm need not
+        scale = float(np.max(np.abs(raw)))
+        raw = raw / scale
+        norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         raise ParameterError("state has no amplitude inside the truncation")
     return make_state(
         raw / norm,
         parity=parity,
-        norm_constant=1.0 / norm * prefactor,
+        norm_constant=1.0 / norm / scale * prefactor,
         label=label,
         leak=leak,
     )
+
+
+def _check_angle(theta: float, top: int, name: str = "theta") -> float:
+    # the phases e^(i k theta) for k <= top need k theta inside the float range
+    theta = float(theta)
+    if not math.isfinite(theta * top):
+        raise ParameterError(
+            f"{name} must be finite, with {name} * {top} inside the float range"
+        )
+    return theta
 
 
 def _tail_guard(raw: np.ndarray, what: str, tol: float = TAIL_TOL) -> float:
@@ -169,11 +193,24 @@ def geometric_coeffs(eta: float) -> Callable[[int], complex]:
     return c
 
 
+def _root_comb_term(
+    comb: int, base: float, k: int, pref: float = 1.0, log_pref: float = 0.0
+) -> float:
+    """pref sqrt(comb) base^(k/2), where log_pref = log(pref).  Only where
+    comb is past the float range is it taken through logarithms, so the
+    arithmetic below that range is unchanged; there the term stays finite
+    whenever it is at most 1, even if pref alone underflows."""
+    try:
+        return pref * (math.sqrt(comb) * base ** (k / 2.0))
+    except OverflowError:
+        return math.exp(log_pref + 0.5 * (math.log(comb) + k * math.log(base)))
+
+
 def negative_binomial_coeffs(eta: float, M: int) -> Callable[[int], complex]:
     def c(n: int) -> complex:
         if n < 0:
             return 0.0
-        return math.sqrt(math.comb(M + n - 1, n)) * eta ** (n / 2.0)
+        return _root_comb_term(math.comb(M + n - 1, n), eta, n)
 
     return c
 
@@ -182,7 +219,7 @@ def new_negative_binomial_coeffs(eta: float, M: int) -> Callable[[int], complex]
     def c(n: int) -> complex:
         if n < M:
             return 0.0
-        return math.sqrt(math.comb(n, M)) * (1.0 - eta) ** ((n - M) / 2.0)
+        return _root_comb_term(math.comb(n, M), 1.0 - eta, n - M)
 
     return c
 
@@ -199,20 +236,36 @@ def generalized_binomial(x: float, n: int) -> float:
 # --- finite families ---
 
 
-def binomial(eta: float, M: int, dim: int) -> FockState:
-    """Amplitudes [C(M,n) eta^n (1-eta)^(M-n)]^(1/2) on n in [0, M].
+def _log_cumprod(factors: np.ndarray) -> np.ndarray:
+    """Logs of the running products 1, f0, f0 f1, ... as running sums."""
+    return np.concatenate(([0.0], np.cumsum(np.log(factors))))
 
-    Probabilities are built by the pmf recurrence so large M stays in
-    range where direct powers would underflow.
-    """
+
+def _from_log_weights(log_p: np.ndarray, dim: int, label: str) -> FockState:
+    """Amplitudes exp(log_p / 2) on n in [0, M].  The weights are scaled by
+    the largest one before exponentiating, so none under- or overflows
+    ahead of the normalization (Loader 2000); the scale goes into
+    norm_constant."""
+    top = float(log_p.max())
+    raw = np.zeros(dim, dtype=complex)
+    raw[: log_p.size] = np.exp(0.5 * (log_p - top))
+    return _finish(raw, label, prefactor=math.exp(-0.5 * top))
+
+
+def binomial(eta: float, M: int, dim: int) -> FockState:
+    """Amplitudes [C(M,n) eta^n (1-eta)^(M-n)]^(1/2) on n in [0, M],
+    from log weights, so large M or eta near 0 or 1 stays in range."""
     eta = _check_eta(eta)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
-    probs = np.zeros(dim)
-    probs[0] = (1.0 - eta) ** M
-    for n in range(M):
-        probs[n + 1] = probs[n] * (M - n) / (n + 1) * eta / (1.0 - eta)
-    return _finish(np.sqrt(probs).astype(complex), f"binomial(eta={eta!r}, M={M})")
+    k = np.arange(M)
+    n = np.arange(M + 1)
+    log_p = (
+        _log_cumprod((M - k) / (k + 1))
+        + n * math.log(eta)
+        + (M - n) * math.log1p(-eta)
+    )
+    return _from_log_weights(log_p, dim, f"binomial(eta={eta!r}, M={M})")
 
 
 def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
@@ -242,32 +295,32 @@ def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
 
 def polya(eta: float, gamma: float, M: int, dim: int) -> FockState:
     """Amplitudes C(M,n)^(1/2) [prod (eta+(k-1)gamma) prod ((1-eta)+(k-1)gamma)
-    / prod (1+(k-1)gamma)]^(1/2), running products of nonnegative factors."""
+    / prod (1+(k-1)gamma)]^(1/2), from running sums of the factors' logs."""
     eta = _check_eta(eta)
     if not gamma > 0:
         raise ParameterError("gamma must be positive")
     M = _check_count(M, "M")
+    if math.isinf(gamma * M):
+        raise ParameterError("gamma * M must lie inside the float range")
     dim = _check_dim(dim, M)
-    denom = 1.0
-    for k in range(1, M + 1):
-        denom *= 1.0 + (k - 1) * gamma
-    raw = np.zeros(dim, dtype=complex)
-    for n in range(M + 1):
-        num = float(math.comb(M, n))
-        for k in range(1, n + 1):
-            num *= eta + (k - 1) * gamma
-        for k in range(1, M - n + 1):
-            num *= (1.0 - eta) + (k - 1) * gamma
-        raw[n] = math.sqrt(num / denom)
-    return _finish(raw, f"polya(eta={eta!r}, gamma={gamma!r}, M={M})")
+    k = np.arange(M)
+    log_p = (
+        _log_cumprod((M - k) / (k + 1))
+        + _log_cumprod(eta + k * gamma)
+        + _log_cumprod(1.0 - eta + k * gamma)[::-1]
+        - np.sum(np.log(1.0 + k * gamma))
+    )
+    return _from_log_weights(
+        log_p, dim, f"polya(eta={eta!r}, gamma={gamma!r}, M={M})"
+    )
 
 
 def reciprocal_binomial(theta: float, M: int, dim: int) -> FockState:
     """Amplitudes proportional to C(M,n)^(-1/2) e^(i n theta); the
     normalization is always computed numerically and recorded."""
-    theta = float(theta)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
+    theta = _check_angle(theta, M)
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         phase = cmath.exp(1j * n * theta)
@@ -289,9 +342,10 @@ def pegg_barnett_phase(grid: PhaseGrid, M: int, dim: int) -> FockState:
     dim = _check_dim(dim, M)
     if grid.s != M:
         raise ParameterError("grid.s must equal M")
+    theta_m = _check_angle(grid.theta_m, M, "theta_m")
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
-        raw[n] = cmath.exp(1j * n * grid.theta_m)
+        raw[n] = cmath.exp(1j * n * theta_m)
     return _finish(
         raw,
         f"pegg_barnett_phase(theta0={grid.theta0!r}, s={grid.s}, m={grid.m}, M={M})",
@@ -308,9 +362,19 @@ def generalized_geometric(Y: complex, M: int, dim: int) -> FockState:
     dim = _check_dim(dim, M)
     root = cmath.sqrt(Y)
     raw = np.zeros(dim, dtype=complex)
-    for n in range(M + 1):
-        raw[n] = root**n
-    return _finish(raw, f"generalized_geometric(Y={format_complex(Y)}, M={M})")
+    scale = 1.0
+    try:
+        for n in range(M + 1):
+            raw[n] = root**n
+    except OverflowError:  # |Y|^(M/2) past the float range: divide it out
+        scale = abs(root)
+        for n in range(M + 1):
+            raw[n] = (root / scale) ** n * scale ** (n - M)
+    return _finish(
+        raw,
+        f"generalized_geometric(Y={format_complex(Y)}, M={M})",
+        prefactor=scale**-M,
+    )
 
 
 # --- infinite-support families ---
@@ -321,7 +385,7 @@ def coherent(alpha: complex, dim: int) -> FockState:
     alpha = complex(alpha)
     dim = _check_dim(dim)
     label = f"coherent(alpha={format_complex(alpha)})"
-    pref = math.exp(-abs(alpha) ** 2 / 2.0)
+    pref = math.exp(-abs(alpha) * abs(alpha) / 2.0)  # x * x: inf, not OverflowError
     raw = np.zeros(dim, dtype=complex)
     raw[0] = pref
     for n in range(dim - 1):
@@ -333,8 +397,8 @@ def kerr(alpha: complex, theta: float, dim: int) -> FockState:
     """Coherent amplitudes with the number-dependent phase
     e^(-i theta n (n-1)); the photon statistics stay Poissonian."""
     alpha = complex(alpha)
-    theta = float(theta)
     dim = _check_dim(dim)
+    theta = _check_angle(theta, dim * dim)
     base = coherent(alpha, dim)
     phases = np.exp(-1j * theta * np.arange(dim) * (np.arange(dim) - 1.0))
     return make_state(
@@ -361,9 +425,13 @@ def negative_binomial(eta: float, M: int, dim: int) -> FockState:
     M = _check_count(M, "M", minimum=1)
     dim = _check_dim(dim)
     label = f"negative_binomial(eta={eta!r}, M={M})"
-    pref = (1.0 - eta) ** (M / 2.0)
-    coeff = negative_binomial_coeffs(eta, M)
-    raw = pref * np.array([coeff(n) for n in range(dim)], dtype=complex)
+    pref, log_pref = (1.0 - eta) ** (M / 2.0), 0.5 * M * math.log1p(-eta)
+    # exact running C(M+n-1, n); math.comb per index is O(n) big-int work
+    combs = accumulate(range(1, dim), lambda c, n: c * (M + n - 1) // n, initial=1)
+    raw = np.array(
+        [_root_comb_term(c, eta, n, pref, log_pref) for n, c in enumerate(combs)],
+        dtype=complex,
+    )
     return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
 
 
@@ -374,9 +442,12 @@ def new_negative_binomial(eta: float, M: int, dim: int) -> FockState:
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
     label = f"new_negative_binomial(eta={eta!r}, M={M})"
-    pref = eta ** ((M + 1) / 2.0)
-    coeff = new_negative_binomial_coeffs(eta, M)
-    raw = pref * np.array([coeff(n) for n in range(dim)], dtype=complex)
+    pref, log_pref = eta ** ((M + 1) / 2.0), 0.5 * (M + 1) * math.log(eta)
+    combs = accumulate(range(M + 1, dim), lambda c, n: c * n // (n - M), initial=1)
+    raw = np.zeros(dim, dtype=complex)
+    raw[M:] = [
+        _root_comb_term(c, 1.0 - eta, k, pref, log_pref) for k, c in enumerate(combs)
+    ]
     return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
 
 
@@ -388,7 +459,13 @@ def photon_add(base: FockState, M: int) -> FockState:
     base[n-M] sqrt(n!/(n-M)!).  norm_constant records the renormalization.
     """
     M = _check_count(M, "M")
-    image = apply(operator([(M, _one)], base.dim), base)
+    label = f"photon_add({base.label}, M={M})"
+    try:
+        image = apply(operator([(M, _one)], base.dim), base)
+    except OverflowError:  # sqrt(n!/(n-M)!) past the float range
+        raise ParameterError(
+            f"{label}: the factor sqrt(n!/(n-M)!) passes the float range; reduce M"
+        ) from None
     total = float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
     frac = image.leak / total if total else 1.0
     if frac > TAIL_TOL:
@@ -396,7 +473,7 @@ def photon_add(base: FockState, M: int) -> FockState:
             f"photon addition pushes mass fraction {frac:.3e} > {TAIL_TOL:.0e} "
             "beyond the truncation; increase dim"
         )
-    return _finish(image.amplitudes, f"photon_add({base.label}, M={M})", leak=frac)
+    return _finish(image.amplitudes, label, leak=frac)
 
 
 def intermediate_nlcs(
@@ -416,16 +493,18 @@ def intermediate_nlcs(
     seq[0] = 1.0
     sqrt_eta = math.sqrt(p.eta)
     sqrt_etabar = math.sqrt(1.0 - p.eta)
-    for n in range(dim + window - 1):
-        fn = p.f_at(n)
-        if fn == 0:
-            raise ParameterError(f"f must be nonzero on [0, dim-2]; f({n}) = 0")
-        seq[n + 1] = (p.alpha_eig - sqrt_eta * n) * seq[n] / (
-            sqrt_etabar * fn * math.sqrt(n + 1)
-        )
-        peak = np.abs(seq[: n + 2]).max()
-        if peak > 1e120:  # rescale divergent recursions before they overflow
-            seq[: n + 2] /= peak
+    # an alpha past the float range overflows one step; _finish refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(dim + window - 1):
+            fn = p.f_at(n)
+            if fn == 0:
+                raise ParameterError(f"f must be nonzero on [0, dim-2]; f({n}) = 0")
+            seq[n + 1] = (p.alpha_eig - sqrt_eta * n) * seq[n] / (
+                sqrt_etabar * fn * math.sqrt(n + 1)
+            )
+            peak = np.abs(seq[: n + 2]).max()
+            if peak > 1e120:  # rescale divergent recursions before they overflow
+                seq[: n + 2] /= peak
     total = float(np.vdot(seq, seq).real)
     frac = float(np.vdot(seq[dim:], seq[dim:]).real) / total
     if tail_check and frac > 1e-10:

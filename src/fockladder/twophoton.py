@@ -222,7 +222,10 @@ def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
     tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
     # (cosh r)^(-1/2-j), one float expression per sector: the two
     # spellings round differently from a shared cosh(r) ** -(0.5 + j)
-    seed = 1.0 / math.sqrt(math.cosh(r)) if j == 0 else math.cosh(r) ** -1.5
+    try:
+        seed = 1.0 / math.sqrt(math.cosh(r)) if j == 0 else math.cosh(r) ** -1.5
+    except OverflowError:  # cosh r past the float range: no dim holds the state
+        seed = 0.0
     raw = np.zeros(n_sector, dtype=complex)
     raw[0] = seed
     for n in range(n_sector - 1):
@@ -260,9 +263,14 @@ def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
     dim, n_sector = _sector_size(dim, j)
     if j == 1 and alpha == 0:
         raise ParameterError("alpha must be nonzero for the odd superposition")
-    mod2 = abs(alpha) ** 2
-    norm = math.cosh(mod2) if j == 0 else math.sinh(mod2)
-    prefactor = 1.0 / math.sqrt(norm) if norm > 0 else 1.0
+    mod2 = abs(alpha) * abs(alpha)  # x * x: inf, not OverflowError
+    if math.isinf(mod2):
+        raise ParameterError("|alpha|^2 must lie inside the float range")
+    try:
+        norm = math.cosh(mod2) if j == 0 else math.sinh(mod2)
+        prefactor = 1.0 / math.sqrt(norm) if norm > 0 else 1.0
+    except OverflowError:  # there cosh and sinh round to e^x / 2
+        prefactor = math.sqrt(2.0) * math.exp(-0.5 * mod2)
     raw = np.zeros(n_sector, dtype=complex)
     raw[0] = prefactor * (1.0 if j == 0 else alpha)
     for n in range(n_sector - 1):

@@ -83,7 +83,6 @@ from .states import (
     kerr,
     kerr_coeffs,
     negative_binomial,
-    negative_binomial_coeffs,
     new_negative_binomial,
     pegg_barnett_phase,
     photon_add,
@@ -393,7 +392,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "negative_binomial", "nbs", ("eta", "M"), "general",
             build=lambda p, dim: negative_binomial(p["eta"], p["M"], dim),
-            closed_form=lambda p, dim: negative_binomial_coeffs(p["eta"], p["M"]),
+            closed_form=lambda p, dim: _cf_negative_binomial(p["eta"], p["M"]),
             norm_eq="E59", dist_eq="E59",
             literal=lambda p, dim: (nbs_lowering(p["M"], dim), math.sqrt(p["eta"])),
             literal_eq="E60",
@@ -647,6 +646,20 @@ def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
         if not 0 <= n <= M:
             return 0.0
         return pref * root**n
+
+    return c
+
+
+def _cf_negative_binomial(eta: float, M: int) -> CoeffFn:
+    # (1-eta)^(M/2) C(M+n-1, n)^(1/2) eta^(n/2), normalized exactly
+    log_pref = 0.5 * M * math.log(1 - eta)
+
+    def c(n: int) -> complex:
+        if n < 0:
+            return 0.0
+        return math.exp(
+            log_pref + 0.5 * (_log_comb(M + n - 1, n) + n * math.log(eta))
+        )
 
     return c
 

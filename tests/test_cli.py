@@ -230,6 +230,50 @@ def test_state_rbs_M_1100_past_float_comb(capsys):
     assert "nan" not in out.lower()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "ggs", "--Y", "1e300", "--M", "3", "--dim", "8"],
+        ["--family", "ggs", "--Y", "2", "--M", "1100", "--dim", "1101"],
+        ["--family", "ps", "--eta", "0.4", "--gamma", "0.7", "--M", "192", "--dim", "200"],
+        ["--family", "bs", "--eta", "0.999999", "--M", "60", "--dim", "64"],
+        ["--family", "bs", "--eta", "0.5", "--M", "1100", "--dim", "1200"],
+        ["--family", "nbs", "--eta", "0.5", "--M", "1200", "--dim", "4000"],
+        ["--family", "nnbs", "--eta", "0.5", "--M", "1100", "--dim", "4000"],
+    ],
+    ids=lambda flags: "-".join(flags[1::2][:3]),
+)
+def test_state_past_the_float_range_exits_zero(capsys, flags):
+    # each state exists; the parent wrote NaN or zero rows, raised, or
+    # reported "no amplitude"
+    code, out, err = run(capsys, "state", *flags)
+    assert (code, err) == (0, "")
+    assert "nan" not in out.lower()
+    rows = json.loads(out)["rows"]
+    assert sum(row["prob"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["state", "--family", "hgs", "--L", "1e300", "--eta", "0.5", "--M", "3", "--dim", "8"],
+            "error: hypergeometric(L=1e+300, eta=0.5, M=3) has a non-finite amplitude",
+        ),
+        (
+            ["structure-fn", "--family", "ks", "--alpha=-1e300", "--theta", "0", "--dim", "2"],
+            "error: F(1) is not finite at these parameters",
+        ),
+        (["structure-fn", "--family", "gs", "--eta", "1e300", "--dim", "8"], "error: "),
+    ],
+    ids=["state-hgs", "structure-fn-ks", "structure-fn-gs"],
+)
+def test_past_the_float_range_exits_two_without_output(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
 def test_state_csv_header_echoes_config(capsys):
     code, out, _ = run(
         capsys,

@@ -25,6 +25,7 @@ from fockladder import (
     photon_add,
     polya,
     reciprocal_binomial,
+    squeezed_vacuum,
 )
 
 from _oracles import (
@@ -285,3 +286,87 @@ def test_phase_state_on_one_point_grid_is_vacuum():
     assert s.amplitudes.tolist() == [1.0, 0.0, 0.0]
     with pytest.raises(ParameterError, match=r"m must lie in \[0, s\]"):
         PhaseGrid(theta0=0.1, s=0, m=1)
+
+
+# --- the finite-or-ParameterError contract at the parameter edges ---
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hypergeometric(NAN, 0.5, 3, 8),
+        lambda: hypergeometric(1e300, 0.5, 3, 8),
+        lambda: coherent(complex(NAN), 8),
+        lambda: squeezed_vacuum(0.5, NAN, 16),
+    ],
+    ids=["hgs-L-nan", "hgs-L-1e300", "cs-alpha-nan", "svs-theta-nan"],
+)
+def test_non_finite_amplitude_is_a_parameter_error(build):
+    with pytest.raises(ParameterError, match="non-finite amplitude at n="):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: kerr(1.0, NAN, 16), "theta must be finite"),
+        (lambda: kerr(1.0, 1e306, 16), "theta must be finite"),
+        (lambda: reciprocal_binomial(NAN, 3, 8), "theta must be finite"),
+        (lambda: reciprocal_binomial(1e308, 3, 8), "theta must be finite"),
+        (lambda: polya(0.4, 1e308, 3, 8), "gamma . M must lie inside"),
+        (lambda: photon_add(coherent(1.0, 400), 300), "reduce M"),
+        (lambda: squeezed_vacuum(800.0, 0.0, 64), "tail mass 1.000e\\+00"),
+    ],
+    ids=["ks-theta-nan", "ks-theta-huge", "rbs-theta-nan", "rbs-theta-huge", "ps-gamma-huge",
+         "pacs-M-300", "svs-r-800"],
+)
+def test_parameters_past_the_float_range_are_parameter_errors(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("eta,M,dim", [(0.999999, 60, 64), (0.5, 1100, 1200)])
+def test_binomial_log_route_where_the_seed_underflows(eta, M, dim):
+    # (1-eta)^M underflows to 0 here, which the old recurrence started from
+    s = binomial(eta, M, dim)
+    assert s.support == (0, M)
+    for n in (0, M // 2, M - 1, M):
+        assert probs(s)[n] == pytest.approx(binomial_pmf(M, eta, n), rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("eta,gamma,M,dim", [(0.4, 0.7, 192, 200), (0.999, 0.7, 400, 410)])
+def test_polya_log_route_where_the_products_overflow(eta, gamma, M, dim):
+    s = polya(eta, gamma, M, dim)
+    assert np.all(np.isfinite(s.amplitudes))
+    for n in (0, 1, M // 2, M):
+        assert probs(s)[n] == pytest.approx(polya_pmf(M, eta, gamma, n), rel=1e-9)
+
+
+def test_generalized_geometric_past_the_float_range():
+    # Y^(M/2) overflows; the weights 2^n / (2^(M+1) - 1) and 1e300^n do not
+    s = generalized_geometric(2.0, 1100, 1101)
+    assert probs(s)[1100] == pytest.approx(0.5, rel=1e-12)
+    assert probs(s)[1099] == pytest.approx(0.25, rel=1e-12)
+    big = generalized_geometric(1e300, 3, 8)
+    assert probs(big)[3] == pytest.approx(1.0, rel=1e-15)
+    assert np.all(np.isfinite(big.amplitudes))
+
+
+@pytest.mark.parametrize(
+    "build,pmf",
+    [
+        (lambda: negative_binomial(0.5, 1200, 4000), lambda n: negative_binomial_pmf(1200, 0.5, n)),
+        (
+            lambda: new_negative_binomial(0.5, 1100, 4000),
+            lambda n: shifted_negative_binomial_pmf(1100, 0.5, n),
+        ),
+    ],
+    ids=["nbs", "nnbs"],
+)
+def test_negative_binomials_past_the_float_range_of_C(build, pmf):
+    s = build()
+    assert abs(s.norm - 1.0) <= 1e-12
+    for n in (1100, 1200, 2300, 2400):
+        assert probs(s)[n] == pytest.approx(pmf(n), rel=1e-9)

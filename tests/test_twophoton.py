@@ -283,3 +283,15 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_even_odd_coherent_past_the_float_range_of_cosh(parity):
+    # cosh |alpha|^2 overflows at |alpha| = 27; the state fits dim 1024
+    alpha, j = 27.0, 0 if parity == "even" else 1
+    s = fl.even_odd_coherent(alpha, parity, 1024)
+    x = alpha**2
+    log_norm = x - math.log(2.0)  # log cosh x = log sinh x here
+    for k in (700 + j, 728 + j, 760 + j):
+        expected = math.exp(k * math.log(x) - math.lgamma(k + 1) - log_norm)
+        assert abs(s.amplitudes[k]) ** 2 == pytest.approx(expected, rel=1e-9)
