@@ -19,12 +19,13 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
 from .ladder import harmonic_gdo
 from .reporting import Tolerances, derived_vs_printed_csv, encode_json, _csv_float
-from .states import ParameterError
+from .states import ParameterError, format_complex
 from .verify import (
     FAMILY_SPECS,
     _echo_params,
@@ -276,6 +277,25 @@ def cmd_state(cfg: CliConfig, out: str | None) -> int:
     return 0
 
 
+@contextmanager
+def _closed_form_range(family: str, params: dict[str, Any]):
+    """Around the suites and structure-function tables, which evaluate a
+    family's closed forms in floats: past their range one overflows, or a
+    coefficient underflows into a zero divisor.  That is an input error,
+    named with the parameters; state construction needs no such guard."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        given = ", ".join(
+            f"{k}={format_complex(v) if isinstance(v, complex) else repr(v)}"
+            for k, v in params.items()
+        )
+        raise ParameterError(
+            f"a closed form of {family} leaves the float range at {given}; "
+            "use parameters of moderate magnitude"
+        ) from None
+
+
 def cmd_verify(cfg: CliConfig, out: str | None) -> int:
     report = run_family_suite(cfg.family, cfg.params, cfg.dim, cfg.tolerances)
     if cfg.compare_printed:
@@ -375,8 +395,9 @@ def cmd_batch(manifest_path: str, out_dir: str) -> int:
         label = raw.get("family", "entry") if isinstance(raw, dict) else "entry"
         try:
             family, params, dim, tolerances = _decode_manifest_entry(raw)
-            report = run_family_suite(family, params, dim, tolerances)
-        except (ParameterError, ValueError, TypeError, ArithmeticError) as exc:
+            with _closed_form_range(family, params):
+                report = run_family_suite(family, params, dim, tolerances)
+        except (ParameterError, ValueError, TypeError) as exc:
             n_error += 1
             entries.append(
                 {
@@ -427,11 +448,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         if args.subcommand == "state":
             return cmd_state(cfg, args.out)
-        if args.subcommand == "verify":
-            return cmd_verify(cfg, args.out)
-        return cmd_structure_fn(cfg, args.out)
-    # ArithmeticError: a parameter past what a closed form's floats can take
-    except (ParameterError, ValueError, ArithmeticError, OSError) as exc:
+        with _closed_form_range(cfg.family, cfg.params):
+            if args.subcommand == "verify":
+                return cmd_verify(cfg, args.out)
+            return cmd_structure_fn(cfg, args.out)
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -193,24 +193,11 @@ def geometric_coeffs(eta: float) -> Callable[[int], complex]:
     return c
 
 
-def _root_comb_term(
-    comb: int, base: float, k: int, pref: float = 1.0, log_pref: float = 0.0
-) -> float:
-    """pref sqrt(comb) base^(k/2), where log_pref = log(pref).  Only where
-    comb is past the float range is it taken through logarithms, so the
-    arithmetic below that range is unchanged; there the term stays finite
-    whenever it is at most 1, even if pref alone underflows."""
-    try:
-        return pref * (math.sqrt(comb) * base ** (k / 2.0))
-    except OverflowError:
-        return math.exp(log_pref + 0.5 * (math.log(comb) + k * math.log(base)))
-
-
 def negative_binomial_coeffs(eta: float, M: int) -> Callable[[int], complex]:
     def c(n: int) -> complex:
         if n < 0:
             return 0.0
-        return _root_comb_term(math.comb(M + n - 1, n), eta, n)
+        return math.sqrt(math.comb(M + n - 1, n)) * eta ** (n / 2.0)
 
     return c
 
@@ -219,7 +206,7 @@ def new_negative_binomial_coeffs(eta: float, M: int) -> Callable[[int], complex]
     def c(n: int) -> complex:
         if n < M:
             return 0.0
-        return _root_comb_term(math.comb(n, M), 1.0 - eta, n - M)
+        return math.sqrt(math.comb(n, M)) * (1.0 - eta) ** ((n - M) / 2.0)
 
     return c
 
@@ -342,7 +329,11 @@ def pegg_barnett_phase(grid: PhaseGrid, M: int, dim: int) -> FockState:
     dim = _check_dim(dim, M)
     if grid.s != M:
         raise ParameterError("grid.s must equal M")
-    theta_m = _check_angle(grid.theta_m, M, "theta_m")
+    # theta_m is theta0 shifted by less than 2 pi, which rounds away where
+    # theta0 * M nears the float range; so the check names theta0, the
+    # parameter a caller sets
+    _check_angle(grid.theta0, M, "theta0")
+    theta_m = grid.theta_m
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         raw[n] = cmath.exp(1j * n * theta_m)
@@ -361,15 +352,13 @@ def generalized_geometric(Y: complex, M: int, dim: int) -> FockState:
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
     root = cmath.sqrt(Y)
+    # for |Y| > 1 divide |Y|^(M/2) out, so no power passes the float range
+    scale = max(1.0, abs(root))
     raw = np.zeros(dim, dtype=complex)
-    scale = 1.0
-    try:
-        for n in range(M + 1):
-            raw[n] = root**n
-    except OverflowError:  # |Y|^(M/2) past the float range: divide it out
-        scale = abs(root)
-        for n in range(M + 1):
-            raw[n] = (root / scale) ** n * scale ** (n - M)
+    for n in range(M + 1):
+        unit, weight = (root / scale) ** n, scale ** (n - M)
+        # part by part: a complex product would flip the sign of a zero part
+        raw[n] = complex(unit.real * weight, unit.imag * weight)
     return _finish(
         raw,
         f"generalized_geometric(Y={format_complex(Y)}, M={M})",
@@ -417,6 +406,19 @@ def geometric(eta: float, dim: int) -> FockState:
     pref = math.sqrt(eta)
     raw = pref * np.sqrt((1.0 - eta) ** np.arange(dim)).astype(complex)
     return _finish(raw, label, prefactor=pref, leak=_tail_guard(raw, label))
+
+
+def _root_comb_term(
+    comb: int, base: float, k: int, pref: float, log_pref: float
+) -> float:
+    """pref sqrt(comb) base^(k/2), where log_pref = log(pref), in the float
+    arithmetic of the coefficient callables above.  Only past the float
+    range of comb is it taken through logarithms; there the term stays
+    finite whenever it is at most 1, even if pref alone underflows."""
+    try:
+        return pref * (math.sqrt(comb) * base ** (k / 2.0))
+    except OverflowError:
+        return math.exp(log_pref + 0.5 * (math.log(comb) + k * math.log(base)))
 
 
 def negative_binomial(eta: float, M: int, dim: int) -> FockState:

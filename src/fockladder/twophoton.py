@@ -219,13 +219,18 @@ def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
     if not r >= 0:
         raise ParameterError("r must be nonnegative")
     dim, n_sector = _sector_size(dim, j)
+    try:
+        cosh_r = math.cosh(r)
+    except OverflowError:
+        cosh_r = math.inf
+    if math.isinf(cosh_r):  # the seed underflows, so no dim holds the state
+        raise ParameterError(
+            f"r={float(r)!r} puts cosh r past the float range; use a smaller r"
+        )
     tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
     # (cosh r)^(-1/2-j), one float expression per sector: the two
     # spellings round differently from a shared cosh(r) ** -(0.5 + j)
-    try:
-        seed = 1.0 / math.sqrt(math.cosh(r)) if j == 0 else math.cosh(r) ** -1.5
-    except OverflowError:  # cosh r past the float range: no dim holds the state
-        seed = 0.0
+    seed = 1.0 / math.sqrt(cosh_r) if j == 0 else cosh_r ** -1.5
     raw = np.zeros(n_sector, dtype=complex)
     raw[0] = seed
     for n in range(n_sector - 1):

@@ -74,6 +74,8 @@ from .states import (
     IntermediateParams,
     ParameterError,
     PhaseGrid,
+    _check_dim,
+    _check_eta,
     coherent,
     coherent_coeffs,
     format_complex,
@@ -525,6 +527,10 @@ def _require(spec: FamilySpec, params: Params) -> Params:
     for key in spec.params:
         if p.get(key) is None:
             raise ParameterError(f"family '{spec.name}' requires parameter '{key}'")
+    # every family that takes eta takes it in (0,1); the closed forms take
+    # logs and powers of eta and 1 - eta without a check of their own
+    if "eta" in p:
+        _check_eta(p["eta"])
     return p
 
 
@@ -640,6 +646,8 @@ def _cf_phase(theta_m: float, M: int) -> CoeffFn:
 def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
     root = cmath.sqrt(Y)
     mod = abs(Y)
+    if mod == 1.0:  # the constructor's rule; here the sum would be 0 / 0
+        raise ParameterError("|Y| must not be 1")
     pref = math.sqrt((1 - mod) / (1 - mod ** (M + 1)))
 
     def c(n: int) -> complex:
@@ -682,6 +690,7 @@ def _cf_nnbs(eta: float, M: int) -> CoeffFn:
 
 def _cf_pacs(alpha: complex, M: int, dim: int) -> CoeffFn:
     alpha = complex(alpha)
+    dim = _check_dim(dim, M)  # the window below holds no amplitude otherwise
 
     def raw(n: int) -> complex:
         if n < M:

@@ -264,9 +264,36 @@ def test_state_past_the_float_range_exits_zero(capsys, flags):
             ["structure-fn", "--family", "ks", "--alpha=-1e300", "--theta", "0", "--dim", "2"],
             "error: F(1) is not finite at these parameters",
         ),
-        (["structure-fn", "--family", "gs", "--eta", "1e300", "--dim", "8"], "error: "),
+        (
+            ["structure-fn", "--family", "gs", "--eta", "1e300", "--dim", "8"],
+            "error: eta must lie in (0,1)\n",
+        ),
+        (
+            ["structure-fn", "--family", "cs", "--alpha=-1e300", "--dim", "37"],
+            "error: a closed form of coherent leaves the float range at alpha=-1e+300;",
+        ),
+        (
+            ["structure-fn", "--family", "ggs", "--Y", "1e-300", "--M", "58", "--dim", "13",
+             "--compare-printed"],
+            "error: a closed form of generalized_geometric leaves the float range at "
+            "M=58, Y=1e-300;",
+        ),
+        (
+            ["verify", "--family", "ggs", "--Y", "2", "--M", "1100", "--dim", "1101"],
+            "error: a closed form of generalized_geometric leaves the float range at "
+            "M=1100, Y=2.0;",
+        ),
+        (
+            ["structure-fn", "--family", "pacs", "--alpha", "0", "--M", "31", "--dim", "29"],
+            "error: dim must exceed M\n",
+        ),
+        (
+            ["structure-fn", "--family", "ggs", "--Y", "-1", "--M", "3", "--dim", "8"],
+            "error: |Y| must not be 1\n",
+        ),
     ],
-    ids=["state-hgs", "structure-fn-ks", "structure-fn-gs"],
+    ids=["state-hgs", "structure-fn-ks", "structure-fn-gs", "structure-fn-cs",
+         "structure-fn-ggs-printed", "verify-ggs", "structure-fn-pacs", "structure-fn-ggs"],
 )
 def test_past_the_float_range_exits_two_without_output(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -506,3 +533,16 @@ def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):
     assert entry["status"] == "input-error"
     assert entry["error"].startswith(field + " must be")
     assert sorted(os.listdir(out_dir)) == ["summary.json"]
+
+
+def test_batch_entry_past_a_closed_form_float_range_is_an_input_error(tmp_path, capsys):
+    manifest = tmp_path / "big.json"
+    manifest.write_text('[{"family":"ggs","params":{"Y":"2","M":1100},"dim":1101}]')
+    out_dir = tmp_path / "reports"
+    code, _, err = run(capsys, "batch", str(manifest), "--out-dir", str(out_dir))
+    assert (code, err) == (2, "")
+    entry = json.loads((out_dir / "summary.json").read_text())["entries"][0]
+    assert entry["status"] == "input-error"
+    assert entry["error"].startswith(
+        "a closed form of generalized_geometric leaves the float range at Y=2.0, M=1100;"
+    )

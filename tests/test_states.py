@@ -25,6 +25,7 @@ from fockladder import (
     photon_add,
     polya,
     reciprocal_binomial,
+    squeezed_first_excited,
     squeezed_vacuum,
 )
 
@@ -317,10 +318,15 @@ def test_non_finite_amplitude_is_a_parameter_error(build):
         (lambda: reciprocal_binomial(1e308, 3, 8), "theta must be finite"),
         (lambda: polya(0.4, 1e308, 3, 8), "gamma . M must lie inside"),
         (lambda: photon_add(coherent(1.0, 400), 300), "reduce M"),
-        (lambda: squeezed_vacuum(800.0, 0.0, 64), "tail mass 1.000e\\+00"),
+        (lambda: squeezed_vacuum(800.0, 0.0, 64), "r=800.0 puts cosh r past"),
+        (lambda: squeezed_first_excited(math.inf, 0.0, 64), "r=inf puts cosh r past"),
+        (
+            lambda: pegg_barnett_phase(PhaseGrid(1e308, 3, 1), 3, 8),
+            "theta0 must be finite, with theta0 . 3 inside",
+        ),
     ],
     ids=["ks-theta-nan", "ks-theta-huge", "rbs-theta-nan", "rbs-theta-huge", "ps-gamma-huge",
-         "pacs-M-300", "svs-r-800"],
+         "pacs-M-300", "svs-r-800", "sfes-r-inf", "pbps-theta0-huge"],
 )
 def test_parameters_past_the_float_range_are_parameter_errors(build, message):
     with pytest.raises(ParameterError, match=message):
