@@ -18,7 +18,6 @@ from .core import (
     FockState,
     OperatorExpr,
     annihilation,
-    basis_state,
     compose,
     creation,
     diag_op,
@@ -143,7 +142,13 @@ def sector_unembed(s: FockState, parity_j: int, dim: int) -> FockState:
 # --- sector coefficient callables (unnormalized beyond overall constants) ---
 
 
+def _check_r(r: float) -> None:
+    if not r >= 0:
+        raise ParameterError("r must be nonnegative")
+
+
 def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
+    _check_r(r)
     t = math.tanh(r)
 
     def c(n: int) -> complex:
@@ -216,8 +221,7 @@ def _sector_size(dim: int, j: int) -> tuple[int, int]:
 
 def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
     """S(xi)|j> by the amplitude-ratio recurrence on sector j."""
-    if not r >= 0:
-        raise ParameterError("r must be nonnegative")
+    _check_r(r)
     dim, n_sector = _sector_size(dim, j)
     try:
         cosh_r = math.cosh(r)
@@ -455,22 +459,20 @@ def embedding_checks(
     """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector reproduce
     the sector actions entry for entry."""
     j = rep.parity_j
-    n_sector = sector_dim(dim_full, j)
-    idx = np.arange(n_sector) * 2 + j
     Kp_full, Km_full = _full_k_pair(dim_full)
 
     def d0(n: int) -> complex:
         return n / 2.0 + 0.25
 
     K0_full = to_matrix(diag_op(d0, dim_full))
-    sub_dim = min(n_sector, rep.dim)
+    sub_dim = min(sector_dim(dim_full, j), rep.dim)
     residual = 0.0
     for full_mat, sector_op in (
         (Kp_full, rep.K_plus),
         (Km_full, rep.K_minus),
         (K0_full, rep.K_zero),
     ):
-        restricted = full_mat[np.ix_(idx[:sub_dim], idx[:sub_dim])]
+        restricted = full_mat[j::2, j::2][:sub_dim, :sub_dim]
         sector_mat = to_matrix(sector_op)[:sub_dim, :sub_dim]
         residual = max(residual, float(np.abs(restricted - sector_mat).max()))
     return [
@@ -512,21 +514,27 @@ def _full_k_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _three_factor_matrix(
-    r: float, theta: float, Kp: np.ndarray, Km: np.ndarray
-) -> np.ndarray:
-    t = math.tanh(r)
-    left = expm(cmath.exp(1j * theta) * t * Kp)
-    middle = np.diag(math.cosh(r) ** -(np.arange(len(Kp)) + 0.5))
-    right = expm(-cmath.exp(-1j * theta) * t * Km)
-    return left @ middle @ right
-
-
-def _exponential_matrix(
-    r: float, theta: float, Kp: np.ndarray, Km: np.ndarray
-) -> np.ndarray:
+def _squeezing_routes(
+    r: float, theta: float, dim: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2,
+    which K+ and K- preserve: exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh
+    of the Hermitian -i(xi K+ - xi* K-), independent of scipy's Pade
+    approximant, and exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0,
+    tau = e^{i theta} tanh r, by two sector-block expm calls and
+    matrix-vector products."""
+    Kp, Km = (k[j::2, j::2] for k in _full_k_pair(dim))
     xi = r * cmath.exp(1j * theta)
-    return expm(xi * Kp - xi.conjugate() * Km)
+    h = -1j * (xi * Kp - xi.conjugate() * Km)
+    # eigh reads one triangle, and K+ and K- fill opposite ones: its
+    # Hermitian part makes both operators enter
+    lam, V = np.linalg.eigh((h + h.conj().T) / 2)
+    tau = cmath.exp(1j * theta) * math.tanh(r)
+    middle = math.cosh(r) ** -(np.arange(j, dim, 2) + 0.5)
+    return (
+        V @ (np.exp(1j * lam) * V[0].conj()),
+        expm(tau * Kp) @ (middle * expm(-tau.conjugate() * Km)[:, 0]),
+    )
 
 
 def verify_disentangling(
@@ -538,33 +546,30 @@ def verify_disentangling(
     tolerances: Tolerances | None = None,
     infidelity_tol: float = 1e-8,
 ) -> VerificationReport:
-    """Build the squeezed state three ways (matrix exponential of the
+    """Build S(xi)|j>, j = excitation, three ways (the exponential of the
     generator, the three-factor product, the closed-form expansion) and
     report pairwise infidelities with the truncation deficits as leak.
+    The closed form is built first, so a rejected input raises before any
+    dense work.
 
     Needs dim >= 64 for r <= 1 so both operator routes converge.
     """
-    if not r >= 0:
-        raise ParameterError("r must be nonnegative")
     if excitation not in (0, 1):
         raise ParameterError("excitation must be 0 or 1")
+    j = excitation
+    closed = _squeezed(r, theta, dim, j)
     tol = tolerances or Tolerances()
-    base = basis_state(excitation, dim)
-    Kp, Km = _full_k_pair(dim)
-    via_exponential = _exponential_matrix(r, theta, Kp, Km) @ base.amplitudes
-    via_product = _three_factor_matrix(r, theta, Kp, Km) @ base.amplitudes
-    closed = (
-        squeezed_vacuum(r, theta, dim)
-        if excitation == 0
-        else squeezed_first_excited(r, theta, dim)
-    )
-    leak_exponential = max(0.0, 1.0 - float(np.linalg.norm(via_exponential) ** 2))
-    leak_product = max(0.0, 1.0 - float(np.linalg.norm(via_product) ** 2))
-    parity = "even" if excitation == 0 else "odd"
-    s_exponential = make_state(
-        via_exponential / np.linalg.norm(via_exponential), parity=parity
-    )
-    s_product = make_state(via_product / np.linalg.norm(via_product), parity=parity)
+    via_exponential, via_product = _squeezing_routes(r, theta, dim, j)
+
+    def normalized(v: np.ndarray) -> tuple[FockState, float]:
+        # v on the full space at unit norm, and its norm deficit as leak
+        norm = float(np.linalg.norm(v))
+        amps = np.zeros(dim, dtype=complex)
+        amps[j::2] = v / norm
+        return make_state(amps, parity=closed.parity), max(0.0, 1.0 - norm**2)
+
+    s_exponential, leak_exponential = normalized(via_exponential)
+    s_product, leak_product = normalized(via_product)
     equation = "E64 E67 E68" if excitation == 0 else "E67 E79 E80"
 
     def infidelity_check(name: str, x, y, leak: float) -> CheckResult:

@@ -648,12 +648,24 @@ def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
     mod = abs(Y)
     if mod == 1.0:  # the constructor's rule; here the sum would be 0 / 0
         raise ParameterError("|Y| must not be 1")
-    pref = math.sqrt((1 - mod) / (1 - mod ** (M + 1)))
+    if mod < 1.0:
+        pref = math.sqrt((1 - mod) / (1 - mod ** (M + 1)))
+    else:  # divide |Y|^((M+1)/2) out, as the constructor does
+        pref = math.sqrt((mod - 1) / (1 - mod ** -(M + 1)))
+        scale = abs(root)
+        unit = root / scale
+        if pref * scale ** -(M + 1) < np.finfo(float).tiny:  # C(0), the least
+            raise ParameterError(
+                f"C(0) of generalized_geometric underflows at Y={format_complex(Y)}, "
+                f"M={M}; use a smaller |Y| or M"
+            )
 
     def c(n: int) -> complex:
         if not 0 <= n <= M:
             return 0.0
-        return pref * root**n
+        if mod < 1.0:
+            return pref * root**n
+        return pref * unit**n * scale ** (n - M - 1)
 
     return c
 

@@ -3,9 +3,14 @@
 Everything here goes through lgamma/log-space routes, deliberately
 different from the running-product and recurrence routes the package
 uses, so agreement is a genuine cross-check rather than a tautology.
+The squeezing reference at the end exponentiates full-space matrices,
+where the package works on one parity sector.
 """
 
+import cmath
 import math
+
+import numpy as np
 
 
 def poisson_pmf(mean: float, n: int) -> float:
@@ -73,3 +78,19 @@ def polya_pmf(M: int, eta: float, gamma: float, n: int) -> float:
         + log_rising(1.0 - eta, M - n)
         - log_rising(1.0, M)
     )
+
+
+def squeezing_reference(r: float, theta: float, dim: int, j: int):
+    """exp(xi K+ - xi* K-)|j> and exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-)|j>,
+    xi = r e^{i theta}, tau = e^{i theta} tanh r, by scipy's expm of full
+    dim x dim matrices, with K+ = a+^2/2 and K- = a^2/2 built in numpy."""
+    from scipy.linalg import expm
+
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    k_plus, k_minus = a.T @ a.T / 2, a @ a / 2
+    xi = r * cmath.exp(1j * theta)
+    tau = cmath.exp(1j * theta) * math.tanh(r)
+    generator = xi * k_plus - xi.conjugate() * k_minus
+    middle = np.diag(math.cosh(r) ** -(np.arange(dim) + 0.5))
+    product = expm(tau * k_plus) @ middle @ expm(-tau.conjugate() * k_minus)
+    return expm(generator)[:, j], product[:, j]

@@ -279,9 +279,8 @@ def test_state_past_the_float_range_exits_zero(capsys, flags):
             "M=58, Y=1e-300;",
         ),
         (
-            ["verify", "--family", "ggs", "--Y", "2", "--M", "1100", "--dim", "1101"],
-            "error: a closed form of generalized_geometric leaves the float range at "
-            "M=1100, Y=2.0;",
+            ["verify", "--family", "ggs", "--Y", "1e300", "--M", "3", "--dim", "8"],
+            "error: C(0) of generalized_geometric underflows at Y=1e+300, M=3;",
         ),
         (
             ["structure-fn", "--family", "pacs", "--alpha", "0", "--M", "31", "--dim", "29"],
@@ -537,12 +536,30 @@ def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):
 
 def test_batch_entry_past_a_closed_form_float_range_is_an_input_error(tmp_path, capsys):
     manifest = tmp_path / "big.json"
-    manifest.write_text('[{"family":"ggs","params":{"Y":"2","M":1100},"dim":1101}]')
+    manifest.write_text('[{"family":"ggs","params":{"Y":"1e300","M":3},"dim":8}]')
     out_dir = tmp_path / "reports"
     code, _, err = run(capsys, "batch", str(manifest), "--out-dir", str(out_dir))
     assert (code, err) == (2, "")
     entry = json.loads((out_dir / "summary.json").read_text())["entries"][0]
     assert entry["status"] == "input-error"
     assert entry["error"].startswith(
-        "a closed form of generalized_geometric leaves the float range at Y=2.0, M=1100;"
+        "C(0) of generalized_geometric underflows at Y=1e+300, M=3;"
     )
+
+
+def test_structure_fn_ggs_past_the_float_range_of_Y_to_the_M(capsys):
+    # |Y|^(M+1) overflows; the closed form divides it out, as `state` does
+    code, out, err = run(
+        capsys, "structure-fn", "--family", "ggs", "--Y", "2", "--M", "1100", "--dim", "1101"
+    )
+    assert (code, err) == (0, "")
+    assert "nan" not in out.lower()
+
+
+@pytest.mark.parametrize("family", ["svs", "sfes"])
+def test_structure_fn_rejects_negative_r(capsys, family):
+    code, out, err = run(
+        capsys, "structure-fn", "--family", family, "--r=-1", "--theta", "0", "--dim", "8"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: r must be nonnegative\n"

@@ -15,6 +15,9 @@ import numpy as np
 import pytest
 
 import fockladder as fl
+import fockladder.twophoton as twophoton
+
+from _oracles import squeezing_reference
 
 
 def svs_amp(n, r, theta):
@@ -252,6 +255,74 @@ def test_disentangling_strong_squeezing():
         fl.verify_disentangling(1.0, 0.2, 64)
 
 
+@pytest.mark.parametrize("dim", [64, 128])
+@pytest.mark.parametrize("j", [0, 1])
+def test_sector_routes_match_the_full_space_expm(dim, j):
+    routes = twophoton._squeezing_routes(0.8, 0.5, dim, j)
+    for sector, full in zip(routes, squeezing_reference(0.8, 0.5, dim, j)):
+        assert np.abs(sector - full[j::2]).max() <= 1e-13
+        assert np.abs(full[1 - j :: 2]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize(
+    "flip,still_passing",
+    [
+        ("K+", set()),
+        # K- annihilates |0> and |1>, so the product route never sees it
+        ("K-", {"disentangle-product-vs-closed"}),
+    ],
+    ids=["K+", "K-"],
+)
+def test_disentangling_catches_a_flipped_k_sign(monkeypatch, j, flip, still_passing):
+    k_pair = twophoton._full_k_pair
+
+    def mutant(dim):
+        k_plus, k_minus = k_pair(dim)
+        return (-k_plus, k_minus) if flip == "K+" else (k_plus, -k_minus)
+
+    monkeypatch.setattr(twophoton, "_full_k_pair", mutant)
+    report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
+    assert len(report.checks) == 3
+    assert {c.name for c in report.checks if c.passed} == still_passing
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_disentangling_exponentiates_two_sector_blocks(monkeypatch, j):
+    shapes = []
+    expm = twophoton.expm
+
+    def recording(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(twophoton, "expm", recording)
+    assert fl.verify_disentangling(0.8, 0.5, 512, excitation=j).passed
+    assert len(shapes) == 2
+    assert all(rows <= 256 and cols <= 256 for rows, cols in shapes)
+
+
+@pytest.mark.parametrize(
+    "args,excitation,error,message",
+    [
+        ((3.0, 0.0, 64), 0, fl.TailMassError, "increase dim"),
+        ((-0.1, 0.0, 64), 0, fl.ParameterError, "r must be nonnegative"),
+        ((0.0, 0.0, 1), 1, fl.ParameterError, "dim must be at least 2"),
+        ((0.5, 0.0, 64), 2, fl.ParameterError, "excitation must be 0 or 1"),
+    ],
+    ids=["tail-mass", "negative-r", "odd-at-dim-1", "excitation-2"],
+)
+def test_disentangling_rejects_before_dense_work(
+    monkeypatch, args, excitation, error, message
+):
+    def no_dense_work(dim):
+        raise AssertionError("dense work before the input was checked")
+
+    monkeypatch.setattr(twophoton, "_full_k_pair", no_dense_work)
+    with pytest.raises(error, match=message):
+        fl.verify_disentangling(*args, excitation=excitation)
+
+
 def test_sector_coeff_callables_match_states():
     c = fl.svs_sector_coeffs(0.8, 0.5)
     s = fl.sector_embed(fl.squeezed_vacuum(0.8, 0.5, 64))
@@ -262,6 +333,9 @@ def test_sector_coeff_callables_match_states():
         )
     assert c(-1) == 0.0
     assert fl.ocs_sector_coeffs(0.0)(3) == 0.0
+    for coeffs in (fl.svs_sector_coeffs, fl.sfes_sector_coeffs):
+        with pytest.raises(fl.ParameterError, match="r must be nonnegative"):
+            coeffs(-1.0, 0.0)
     assert fl.ecs_sector_coeffs(0.0)(0) == 1.0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fockladder as fl
-from fockladder.verify import _cf_nnbs
+from fockladder.verify import _cf_generalized_geometric, _cf_nnbs
 
 
 GRID_BY_FAMILY = {family: (params, dim) for family, params, dim in fl.EXTENDED_GRID}
@@ -343,3 +343,13 @@ def test_reciprocal_binomial_closed_form_past_float_comb():
     assert s.norm == pytest.approx(1.0, abs=1e-12)
     assert np.abs(s.amplitudes - expected).max() < 1e-14
     assert 0 < abs(s.amplitudes[550]) < 1e-150
+
+
+@pytest.mark.parametrize("Y,M", [(2.0, 1100), (-3 + 1j, 40), (1e10, 3)])
+def test_ggs_closed_form_ratios_match_the_state_past_unit_Y(Y, M):
+    # for |Y| > 1 the closed form divides |Y|^((M+1)/2) out, as the
+    # constructor does, so no power leaves the float range
+    c = _cf_generalized_geometric(Y, M)
+    amps = fl.generalized_geometric(Y, M, M + 1).amplitudes
+    for n in range(M):
+        assert c(n + 1) / c(n) == pytest.approx(amps[n + 1] / amps[n], rel=1e-12)
