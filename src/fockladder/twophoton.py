@@ -460,11 +460,7 @@ def embedding_checks(
     the sector actions entry for entry."""
     j = rep.parity_j
     Kp_full, Km_full = _full_k_pair(dim_full)
-
-    def d0(n: int) -> complex:
-        return n / 2.0 + 0.25
-
-    K0_full = to_matrix(diag_op(d0, dim_full))
+    K0_full = to_matrix(diag_op(lambda n: n / 2.0 + 0.25, dim_full))
     sub_dim = min(sector_dim(dim_full, j), rep.dim)
     residual = 0.0
     for full_mat, sector_op in (
@@ -517,12 +513,10 @@ def _full_k_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _squeezing_routes(
     r: float, theta: float, dim: int, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2,
-    which K+ and K- preserve: exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh
-    of the Hermitian -i(xi K+ - xi* K-), independent of scipy's Pade
-    approximant, and exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0,
-    tau = e^{i theta} tanh r, by two sector-block expm calls and
-    matrix-vector products."""
+    """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2:
+    exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh, independent of scipy's
+    Pade approximant, and exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0,
+    tau = e^{i theta} tanh r, where K- e_0 = 0 leaves one expm call."""
     Kp, Km = (k[j::2, j::2] for k in _full_k_pair(dim))
     xi = r * cmath.exp(1j * theta)
     h = -1j * (xi * Kp - xi.conjugate() * Km)
@@ -530,10 +524,9 @@ def _squeezing_routes(
     # Hermitian part makes both operators enter
     lam, V = np.linalg.eigh((h + h.conj().T) / 2)
     tau = cmath.exp(1j * theta) * math.tanh(r)
-    middle = math.cosh(r) ** -(np.arange(j, dim, 2) + 0.5)
     return (
         V @ (np.exp(1j * lam) * V[0].conj()),
-        expm(tau * Kp) @ (middle * expm(-tau.conjugate() * Km)[:, 0]),
+        math.cosh(r) ** -(j + 0.5) * expm(tau * Kp)[:, 0],
     )
 
 

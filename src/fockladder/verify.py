@@ -648,13 +648,14 @@ def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
     mod = abs(Y)
     if mod == 1.0:  # the constructor's rule; here the sum would be 0 / 0
         raise ParameterError("|Y| must not be 1")
+    # for |Y| > 1 divide |Y|^(M/2) out, as the constructor does
+    scale = max(1.0, abs(root))
+    unit = root / scale
     if mod < 1.0:
         pref = math.sqrt((1 - mod) / (1 - mod ** (M + 1)))
-    else:  # divide |Y|^((M+1)/2) out, as the constructor does
-        pref = math.sqrt((mod - 1) / (1 - mod ** -(M + 1)))
-        scale = abs(root)
-        unit = root / scale
-        if pref * scale ** -(M + 1) < np.finfo(float).tiny:  # C(0), the least
+    else:
+        pref = math.sqrt((1 - 1 / mod) / (1 - mod ** -(M + 1)))
+        if pref * scale**-M < np.finfo(float).tiny:  # C(0), the least; pref <= 1
             raise ParameterError(
                 f"C(0) of generalized_geometric underflows at Y={format_complex(Y)}, "
                 f"M={M}; use a smaller |Y| or M"
@@ -663,9 +664,9 @@ def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
     def c(n: int) -> complex:
         if not 0 <= n <= M:
             return 0.0
-        if mod < 1.0:
-            return pref * root**n
-        return pref * unit**n * scale ** (n - M - 1)
+        # a real weight times a complex power: at scale 1 these are the
+        # bytes of pref * root**n, signed zeros included
+        return pref * scale ** (n - M) * unit**n
 
     return c
 

@@ -279,6 +279,12 @@ def test_state_past_the_float_range_exits_zero(capsys, flags):
             "M=58, Y=1e-300;",
         ),
         (
+            # the state exists, but the closed form's unnormalized peak,
+            # near e^(|alpha|^2/2), squares past the float range
+            ["verify", "--family", "pacs", "--alpha", "27", "--M", "1", "--dim", "950"],
+            "error: a closed form of pacs leaves the float range at M=1, alpha=27.0;",
+        ),
+        (
             ["verify", "--family", "ggs", "--Y", "1e300", "--M", "3", "--dim", "8"],
             "error: C(0) of generalized_geometric underflows at Y=1e+300, M=3;",
         ),
@@ -292,7 +298,8 @@ def test_state_past_the_float_range_exits_zero(capsys, flags):
         ),
     ],
     ids=["state-hgs", "structure-fn-ks", "structure-fn-gs", "structure-fn-cs",
-         "structure-fn-ggs-printed", "verify-ggs", "structure-fn-pacs", "structure-fn-ggs"],
+         "structure-fn-ggs-printed", "verify-pacs", "verify-ggs", "structure-fn-pacs",
+         "structure-fn-ggs"],
 )
 def test_past_the_float_range_exits_two_without_output(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -534,15 +541,33 @@ def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):
     assert sorted(os.listdir(out_dir)) == ["summary.json"]
 
 
-def test_batch_entry_past_a_closed_form_float_range_is_an_input_error(tmp_path, capsys):
+def _batch_error(tmp_path, capsys, entry: str) -> str:
     manifest = tmp_path / "big.json"
-    manifest.write_text('[{"family":"ggs","params":{"Y":"1e300","M":3},"dim":8}]')
+    manifest.write_text(f"[{entry}]")
     out_dir = tmp_path / "reports"
     code, _, err = run(capsys, "batch", str(manifest), "--out-dir", str(out_dir))
     assert (code, err) == (2, "")
-    entry = json.loads((out_dir / "summary.json").read_text())["entries"][0]
-    assert entry["status"] == "input-error"
-    assert entry["error"].startswith(
+    row = json.loads((out_dir / "summary.json").read_text())["entries"][0]
+    assert row["status"] == "input-error"
+    return row["error"]
+
+
+def test_batch_entry_past_a_closed_form_float_range_is_an_input_error(tmp_path, capsys):
+    # the state exists, but the closed form's unnormalized peak, near
+    # e^(|alpha|^2/2), squares past the float range
+    error = _batch_error(
+        tmp_path, capsys, '{"family":"pacs","params":{"alpha":27,"M":1},"dim":950}'
+    )
+    assert error.startswith(
+        "a closed form of pacs leaves the float range at alpha=27.0, M=1;"
+    )
+
+
+def test_batch_entry_with_a_subnormal_closed_form_C0_is_an_input_error(tmp_path, capsys):
+    error = _batch_error(
+        tmp_path, capsys, '{"family":"ggs","params":{"Y":"1e300","M":3},"dim":8}'
+    )
+    assert error.startswith(
         "C(0) of generalized_geometric underflows at Y=1e+300, M=3;"
     )
 

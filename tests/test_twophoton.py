@@ -288,7 +288,7 @@ def test_disentangling_catches_a_flipped_k_sign(monkeypatch, j, flip, still_pass
 
 
 @pytest.mark.parametrize("j", [0, 1])
-def test_disentangling_exponentiates_two_sector_blocks(monkeypatch, j):
+def test_disentangling_exponentiates_one_sector_block(monkeypatch, j):
     shapes = []
     expm = twophoton.expm
 
@@ -298,7 +298,7 @@ def test_disentangling_exponentiates_two_sector_blocks(monkeypatch, j):
 
     monkeypatch.setattr(twophoton, "expm", recording)
     assert fl.verify_disentangling(0.8, 0.5, 512, excitation=j).passed
-    assert len(shapes) == 2
+    assert len(shapes) == 1
     assert all(rows <= 256 and cols <= 256 for rows, cols in shapes)
 
 

@@ -345,11 +345,20 @@ def test_reciprocal_binomial_closed_form_past_float_comb():
     assert 0 < abs(s.amplitudes[550]) < 1e-150
 
 
-@pytest.mark.parametrize("Y,M", [(2.0, 1100), (-3 + 1j, 40), (1e10, 3)])
-def test_ggs_closed_form_ratios_match_the_state_past_unit_Y(Y, M):
-    # for |Y| > 1 the closed form divides |Y|^((M+1)/2) out, as the
-    # constructor does, so no power leaves the float range
+@pytest.mark.parametrize(
+    "Y,M,rel",
+    [(2.0, 1100, 1e-12), (-3 + 1j, 40, 1e-12), (1e10, 3, 1e-12), (1e10, 61, 1e-14)],
+)
+def test_ggs_closed_form_ratios_match_the_state_past_unit_Y(Y, M, rel):
+    # for |Y| > 1 the closed form divides |Y|^(M/2) out, as the constructor
+    # does, so no power leaves the float range; at Y = 1e10, M = 61 C(0)
+    # is 1e-305, just above the subnormal range
     c = _cf_generalized_geometric(Y, M)
     amps = fl.generalized_geometric(Y, M, M + 1).amplitudes
     for n in range(M):
-        assert c(n + 1) / c(n) == pytest.approx(amps[n + 1] / amps[n], rel=1e-12)
+        assert c(n + 1) / c(n) == pytest.approx(amps[n + 1] / amps[n], rel=rel)
+
+
+def test_ggs_closed_form_refuses_a_subnormal_C0():
+    with pytest.raises(fl.ParameterError, match="C\\(0\\) of generalized_geometric"):
+        _cf_generalized_geometric(1e10, 62)
