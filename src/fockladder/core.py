@@ -371,3 +371,40 @@ def to_matrix(op: OperatorExpr) -> np.ndarray:
                 )
             mat[target, n] += value * factor
     return mat
+
+
+def nonzero_diagonals(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A square matrix with the offsets (column - row) of its diagonals
+    that hold a nonzero entry, read from the entries themselves: a stray
+    entry anywhere adds its own offset."""
+    rows, cols = np.nonzero(a)
+    return a, np.unique(cols - rows).tolist()
+
+
+def diagonal_matmul(
+    x: tuple[np.ndarray, list[int]], y: tuple[np.ndarray, list[int]]
+) -> np.ndarray:
+    """a @ b for (a, offsets) and (b, offsets) from nonzero_diagonals,
+    summed diagonal by diagonal: the product of offsets p and q places
+    a[i, i+p] * b[i+p, i+p+q] on offset p + q, so each entry gets exactly
+    the nonzero products the dense matmul sums, in O(dim) per offset pair.
+    """
+    (a, a_offsets), (b, b_offsets) = x, y
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
+    out = np.zeros((n, n), dtype=np.result_type(a, b))
+    # offset d holds the flat entries r * (n + 1) + d, one per row r
+    flat_a, flat_b, flat_out, step = a.reshape(-1), b.reshape(-1), out.reshape(-1), n + 1
+    for p in a_offsets:
+        for q in b_offsets:
+            s = p + q
+            lo, hi = max(0, -p, -s), min(n, n - p, n - s)
+            if lo >= hi:
+                continue
+            span = (hi - lo - 1) * step + 1
+            at_out, at_a, at_b = lo * step + s, lo * step + p, (lo + p) * step + q
+            flat_out[at_out : at_out + span : step] += (
+                flat_a[at_a : at_a + span : step] * flat_b[at_b : at_b + span : step]
+            )
+    return out

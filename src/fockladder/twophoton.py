@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .core import (
     compose,
     creation,
     diag_op,
+    diagonal_matmul,
     fidelity,
     make_state,
+    nonzero_diagonals,
     number_op,
     operator,
     scale,
@@ -71,6 +74,11 @@ class Su11Rep:
     @property
     def dim(self) -> int:
         return self.K_plus.domain_dim
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K+, K-, K0 materialized by to_matrix, once per representation."""
+        return tuple(to_matrix(k) for k in (self.K_plus, self.K_minus, self.K_zero))
 
 
 def su11(parity_j: int, dim_sector: int) -> Su11Rep:
@@ -381,11 +389,17 @@ def sfes_lowering(dim: int) -> OperatorExpr:
 
 
 def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
+    """The su(1,1) relations among the to_matrix forms of K+, K-, K0.
+
+    Each product is summed from the operands' nonzero diagonals, read from
+    their entries (core.diagonal_matmul): a stray entry anywhere still
+    enters, and every entry is the one product the dense matmul forms.
+    """
     dim = rep.dim
     j = rep.parity_j
-    Kp = to_matrix(rep.K_plus)
-    Km = to_matrix(rep.K_minus)
-    K0 = to_matrix(rep.K_zero)
+    Kp, Km, K0 = rep.matrices
+    p, m, z = (nonzero_diagonals(k) for k in rep.matrices)
+    KpKm, KmKp = diagonal_matmul(p, m), diagonal_matmul(m, p)
     tol = tolerances.oracle
 
     def c(name: str, equation: str, residual: float, detail: str) -> CheckResult:
@@ -408,17 +422,17 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         c(
             "su11-commutator-plus",
             "E66",
-            float(np.abs(K0 @ Kp - Kp @ K0 - Kp).max()),
+            float(np.abs(diagonal_matmul(z, p) - diagonal_matmul(p, z) - Kp).max()),
             "[K0, K+] - K+",
         ),
         c(
             "su11-commutator-minus",
             "E66",
-            float(np.abs(K0 @ Km - Km @ K0 + Km).max()),
+            float(np.abs(diagonal_matmul(z, m) - diagonal_matmul(m, z) + Km).max()),
             "[K0, K-] + K-",
         ),
     ]
-    comm = Kp @ Km - Km @ Kp + 2 * K0
+    comm = KpKm - KmKp + 2 * K0
     comm[:, dim - 1] = 0.0  # K+ leaks from the top basis vector
     checks.append(
         c(
@@ -429,7 +443,7 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         )
     )
     k = rep.bargmann_k
-    casimir = K0 @ K0 - (Kp @ Km + Km @ Kp) / 2 - k * (k - 1) * np.eye(dim)
+    casimir = diagonal_matmul(z, z) - (KpKm + KmKp) / 2 - k * (k - 1) * np.eye(dim)
     casimir[:, dim - 1] = 0.0
     checks.append(
         c(
@@ -457,20 +471,18 @@ def embedding_checks(
     rep: Su11Rep, dim_full: int, tolerances: Tolerances
 ) -> list[CheckResult]:
     """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector reproduce
-    the sector actions entry for entry."""
+    the sector actions entry for entry.  The full-space matrices are built
+    one at a time, each dropped once its sector block is compared."""
     j = rep.parity_j
-    Kp_full, Km_full = _full_k_pair(dim_full)
-    K0_full = to_matrix(diag_op(lambda n: n / 2.0 + 0.25, dim_full))
     sub_dim = min(sector_dim(dim_full, j), rep.dim)
     residual = 0.0
-    for full_mat, sector_op in (
-        (Kp_full, rep.K_plus),
-        (Km_full, rep.K_minus),
-        (K0_full, rep.K_zero),
-    ):
-        restricted = full_mat[j::2, j::2][:sub_dim, :sub_dim]
-        sector_mat = to_matrix(sector_op)[:sub_dim, :sub_dim]
-        residual = max(residual, float(np.abs(restricted - sector_mat).max()))
+    for full_op, sector_mat in zip(_full_k_ops(dim_full), rep.matrices):
+        # the full-space matrix lives only inside this statement
+        diff = (
+            to_matrix(full_op)[j::2, j::2][:sub_dim, :sub_dim]
+            - sector_mat[:sub_dim, :sub_dim]
+        )
+        residual = max(residual, float(np.abs(diff).max()))
     return [
         CheckResult.from_residual(
             "sector-embedding",
@@ -502,12 +514,19 @@ def verify_su11(
     )
 
 
-def _full_k_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space K+ = a+^2/2 and K- = a^2/2 as dense matrices."""
+def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
+    """Full-space K+ = a+^2/2, K- = a^2/2 and K0 = N/2 + 1/4."""
     return (
-        to_matrix(scale(compose(creation(dim), creation(dim)), 0.5)),
-        to_matrix(scale(compose(annihilation(dim), annihilation(dim)), 0.5)),
+        scale(compose(creation(dim), creation(dim)), 0.5),
+        scale(compose(annihilation(dim), annihilation(dim)), 0.5),
+        diag_op(lambda n: n / 2.0 + 0.25, dim),
     )
+
+
+def _full_k_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-space K+ and K- as dense matrices."""
+    k_plus, k_minus, _ = _full_k_ops(dim)
+    return to_matrix(k_plus), to_matrix(k_minus)
 
 
 def _squeezing_routes(

@@ -777,8 +777,10 @@ def _norm_check(s: FockState, equation: str, tol: Tolerances) -> CheckResult:
 def _distribution_check(
     s: FockState, cf: CoeffFn, equation: str, tol: Tolerances
 ) -> CheckResult:
-    window = np.array([cf(n) for n in range(s.dim)], dtype=complex)
-    expected = np.abs(window) ** 2
+    moduli = np.abs(np.array([cf(n) for n in range(s.dim)], dtype=complex))
+    # scaled by the power of two of the largest modulus, which is exact,
+    # so that no square leaves the float range
+    expected = np.ldexp(moduli, -np.frexp(moduli.max())[1]) ** 2
     expected /= expected.sum()
     residual = float(np.max(np.abs(expected - np.abs(s.amplitudes) ** 2)))
     return CheckResult.from_residual(
@@ -890,12 +892,15 @@ def _gdo_checks(
     """The dense axiom battery at a small truncation, then the operational
     F against its closed form at full width."""
     axiom_eq, fn_eq = equations
+    # the full-width check comes first, so that a closed form past the
+    # float range raises before the battery multiplies its values
+    closed_form = _structure_closed_form_check(
+        _gdo(spec, coeffs, p, dim), expected, fn_eq, tol
+    )
     checks = gdo_axiom_checks(
         _gdo(spec, coeffs, p, _axiom_dim(dim, n_min)), tol, equation=axiom_eq
     )
-    t = _gdo(spec, coeffs, p, dim)
-    checks.append(_structure_closed_form_check(t, expected, fn_eq, tol))
-    return checks
+    return checks + [closed_form]
 
 
 # --- family suites ---

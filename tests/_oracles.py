@@ -94,3 +94,34 @@ def squeezing_reference(r: float, theta: float, dim: int, j: int):
     middle = np.diag(math.cosh(r) ** -(np.arange(dim) + 0.5))
     product = expm(tau * k_plus) @ middle @ expm(-tau.conjugate() * k_minus)
     return expm(generator)[:, j], product[:, j]
+
+
+def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
+    """Every su11-* residual of the sector battery, by plain dense matmul
+    of the given matrices, top column excluded as the battery does."""
+    dim = k_plus.shape[0]
+    k = 0.25 + parity_j / 2.0
+    band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + parity_j + 0.5))
+    pm = k_plus @ k_minus - k_minus @ k_plus + 2 * k_zero
+    casimir = (
+        k_zero @ k_zero
+        - (k_plus @ k_minus + k_minus @ k_plus) / 2
+        - k * (k - 1) * np.eye(dim)
+    )
+    pm[:, -1] = casimir[:, -1] = 0.0
+    return {
+        "su11-action": max(
+            float(np.max(np.abs(np.diag(k_plus, -1) - band), initial=0.0)),
+            float(np.max(np.abs(np.diag(k_minus, 1) - band), initial=0.0)),
+            float(np.max(np.abs(np.diag(k_zero) - (np.arange(dim) + k)))),
+        ),
+        "su11-commutator-plus": float(
+            np.abs(k_zero @ k_plus - k_plus @ k_zero - k_plus).max()
+        ),
+        "su11-commutator-minus": float(
+            np.abs(k_zero @ k_minus - k_minus @ k_zero + k_minus).max()
+        ),
+        "su11-commutator-pm": float(np.abs(pm).max()),
+        "su11-casimir": float(np.abs(casimir).max()),
+        "su11-sector-number": float(np.abs(k_zero - k * np.eye(dim) - number).max()),
+    }

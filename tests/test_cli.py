@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -305,6 +307,28 @@ def test_past_the_float_range_exits_two_without_output(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(message)
+
+
+def test_ggs_past_the_float_range_refuses_without_numpy_warnings():
+    # |C(0)/C(1)|^2 leaves the float range; the refusal must come before
+    # the dense battery multiplies the infinite F values.  A subprocess
+    # keeps numpy's warnings on stderr instead of the suite's error filter.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["verify", "--family", "ggs", "--Y", "1e-310", "--M", "1", "--dim", "4"]
+    result = subprocess.run(
+        [sys.executable, "-m", "fockladder.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    # the refusal is all of stderr: no RuntimeWarning precedes it
+    assert result.stderr == (
+        "error: a closed form of generalized_geometric leaves the float range at "
+        "M=1, Y=1e-310; use parameters of moderate magnitude\n"
+    )
 
 
 def test_state_csv_header_echoes_config(capsys):

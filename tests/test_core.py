@@ -241,3 +241,28 @@ def test_overlap_and_fidelity():
     assert core.fidelity(x, y) == pytest.approx(0.5)
     with pytest.raises(core.DimensionMismatchError):
         core.overlap(x, core.basis_state(0, 5))
+
+
+@pytest.mark.parametrize("n", [5, 17, 64])
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+def test_diagonal_matmul_equals_the_dense_product(n, density):
+    rng = np.random.default_rng(n)
+
+    def draw():
+        values = rng.integers(-9, 10, (n, n)) + 1j * rng.integers(-9, 10, (n, n))
+        return np.where(rng.random((n, n)) < density, values, 0).astype(complex)
+
+    a, b = draw(), draw()
+    got = core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(b))
+    # integer sums are exact in any order, so every value must match the
+    # BLAS product bit for bit; only the sign of an exact zero may differ
+    assert np.array_equal(got.view(float), (a @ b).view(float))
+
+
+def test_nonzero_diagonals_reads_the_entries():
+    a = core.to_matrix(core.creation(6))
+    a[0, 4] = 1e-300  # a stray entry off the operator's band
+    assert core.nonzero_diagonals(a)[1] == [-1, 4]
+    assert core.nonzero_diagonals(np.zeros((3, 3)))[1] == []
+    with pytest.raises(core.DimensionMismatchError):
+        core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(a[:5, :5]))

@@ -6,6 +6,7 @@ package builds the same states by amplitude-ratio recurrences.
 """
 
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 import fockladder as fl
 import fockladder.twophoton as twophoton
 
-from _oracles import squeezing_reference
+from _oracles import squeezing_reference, su11_residuals
 
 
 def svs_amp(n, r, theta):
@@ -63,6 +64,74 @@ def test_su11_axioms_and_embedding(parity_j):
     } <= names
     pm = next(c for c in report.checks if c.name == "su11-commutator-pm")
     assert "top column excluded" in pm.detail
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+@pytest.mark.parametrize("dim", [32, 128, 512])
+def test_su11_residuals_equal_the_dense_matmul(parity_j, dim):
+    rep = fl.su11(parity_j, dim)
+    wanted = su11_residuals(
+        *rep.matrices, fl.to_matrix(rep.sector_number_op), parity_j
+    )
+    got = {
+        c.name: c.residual
+        for c in twophoton.su11_axiom_checks(rep, fl.Tolerances())
+    }
+    assert got == wanted
+
+
+def _su11_failures(rep):
+    return {
+        c.name
+        for c in twophoton.su11_axiom_checks(rep, fl.Tolerances())
+        if not c.passed
+    }
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+def test_su11_battery_catches_a_mutated_k_plus(parity_j):
+    dim, n0 = 64, 32
+    rep = fl.su11(parity_j, dim)
+    assert _su11_failures(rep) == set()
+    ((shift, d_plus),) = rep.K_plus.terms
+
+    def stray(n):  # one entry of 1e-6 at offset (column - row) +3
+        return 1e-6 / fl.ladder_factor(n, -3) if n == n0 else 0.0
+
+    stray_rep = dataclasses.replace(
+        rep, K_plus=fl.operator([(shift, d_plus), (-3, stray)], dim)
+    )
+    assert _su11_failures(stray_rep) == {
+        "su11-commutator-plus",
+        "su11-commutator-pm",
+        "su11-casimir",
+    }
+
+    def off(n):  # one band entry off by 1e-9 relative
+        return d_plus(n) * (1 + 1e-9) if n == n0 else d_plus(n)
+
+    band_rep = dataclasses.replace(rep, K_plus=fl.operator([(shift, off)], dim))
+    assert _su11_failures(band_rep) == {
+        "su11-action",
+        "su11-commutator-pm",
+        "su11-casimir",
+    }
+
+
+def test_two_photon_suite_materializes_each_sector_operator_once(monkeypatch):
+    ops = []
+    to_matrix = twophoton.to_matrix
+
+    def recording(op):
+        ops.append(op)
+        return to_matrix(op)
+
+    monkeypatch.setattr(twophoton, "to_matrix", recording)
+    assert fl.run_family_suite("ecs", {"alpha": 1.1}, 128).passed
+    # K+, K-, K0 and the sector number operator on sector 64, then the
+    # three full-space operators of the embedding check
+    assert [op.domain_dim for op in ops] == [64] * 4 + [128] * 3
+    assert len({id(op) for op in ops}) == len(ops)
 
 
 def test_bargmann_index():

@@ -362,3 +362,17 @@ def test_ggs_closed_form_ratios_match_the_state_past_unit_Y(Y, M, rel):
 def test_ggs_closed_form_refuses_a_subnormal_C0():
     with pytest.raises(fl.ParameterError, match="C\\(0\\) of generalized_geometric"):
         _cf_generalized_geometric(1e10, 62)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("coherent", {"alpha": 30.0}), ("kerr", {"alpha": 30.0, "theta": 0.3})],
+)
+def test_distribution_check_past_the_float_range_of_the_squares(family, params):
+    # the closed-form coefficients peak near 3e194, whose square overflows;
+    # the suite's error::RuntimeWarning filter (pyproject.toml) turns any
+    # warning on the way into an error
+    report = fl.run_family_suite(family, params, 1200)
+    check = next(c for c in report.checks if c.name == "distribution-crosscheck")
+    assert math.isfinite(check.residual)
+    assert check.passed
