@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .ladder import harmonic_gdo
-from .reporting import Tolerances, derived_vs_printed_csv, encode_json, _csv_float
+from .reporting import PRINTED_COLUMNS, Tolerances, csv_table, encode_json
 from .states import ParameterError, format_complex
 from .verify import (
     FAMILY_SPECS,
@@ -260,19 +260,8 @@ def cmd_state(cfg: CliConfig, out: str | None) -> int:
             f"# label={s.label} parity={s.parity} "
             f"norm_constant={s.norm_constant!r} "
             f"support={s.support[0]}:{s.support[1]} leak={s.leak!r}",
-            "n,re,im,prob",
         ]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r["n"]),
-                        _csv_float(r["re"]),
-                        _csv_float(r["im"]),
-                        _csv_float(r["prob"]),
-                    ]
-                )
-            )
+        lines += csv_table(("n", "re", "im", "prob"), rows)
         _emit("\n".join(lines) + "\n", out)
     return 0
 
@@ -327,11 +316,8 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
         payload = {"schema": "structure-fn-1", "config": cfg.header(), "rows": rows}
         _emit(encode_json(payload), out)
     else:
-        if cfg.compare_printed:
-            body = derived_vs_printed_csv(rows)
-        else:
-            body = ["n,F"] + [f"{r['n']},{_csv_float(r['F'])}" for r in rows]
-        _emit("\n".join([cfg.csv_header()] + body) + "\n", out)
+        columns = PRINTED_COLUMNS if cfg.compare_printed else ("n", "F")
+        _emit("\n".join([cfg.csv_header()] + csv_table(columns, rows)) + "\n", out)
     return 0
 
 

@@ -128,60 +128,38 @@ class VerificationReport:
         }
 
     def to_csv(self) -> str:
-        lines = [
-            "# "
-            + " ".join(
-                [f"family={self.family}", f"dim={self.dim}"]
-                + [f"{k}={v}" for k, v in sorted(self.params.items())]
-                + [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
-            ),
-            "name,equation,residual,tolerance,leak,passed,detail",
-        ]
-        for c in self.checks:
-            lines.append(
-                ",".join(
-                    [
-                        _csv_field(c.name),
-                        _csv_field(c.equation),
-                        _csv_float(c.residual),
-                        _csv_float(c.tolerance),
-                        _csv_float(c.leak),
-                        "true" if c.passed else "false",
-                        _csv_field(c.detail),
-                    ]
-                )
-            )
+        header = " ".join(
+            [f"family={self.family}", f"dim={self.dim}"]
+            + [f"{k}={v}" for k, v in sorted(self.params.items())]
+            + [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
+        )
+        lines = ["# " + header] + csv_table(CHECK_COLUMNS, self.as_dict()["checks"])
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
-            lines += derived_vs_printed_csv(self.derived_vs_printed)
+            lines += csv_table(PRINTED_COLUMNS, self.derived_vs_printed)
         return "\n".join(lines) + "\n"
 
 
-def derived_vs_printed_csv(rows) -> list[str]:
-    """The CSV column line and one line per derived-vs-printed row."""
-    lines = ["n,derived,printed_re,printed_im,match"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["n"]),
-                    _csv_float(r["derived"]),
-                    _csv_float(r["printed_re"]),
-                    _csv_float(r["printed_im"]),
-                    "true" if r["match"] else "false",
-                ]
-            )
-        )
-    return lines
+CHECK_COLUMNS = (
+    "name", "equation", "residual", "tolerance", "leak", "passed", "detail"
+)
+PRINTED_COLUMNS = ("n", "derived", "printed_re", "printed_im", "match")
 
 
-def _csv_float(x: float) -> str:
-    return repr(float(x))
+def csv_table(columns: tuple[str, ...], rows) -> list[str]:
+    """The CSV column line, then one line per row mapping."""
+    return [",".join(columns)] + [
+        ",".join(_csv_cell(row[c]) for c in columns) for row in rows
+    ]
 
 
-def _csv_field(text: str) -> str:
-    # comma-separated output quotes nothing, so fields must not carry commas
-    return str(text).replace(",", ";")
+def _csv_cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # np.float64 too, whose repr names its type
+        return repr(float(value))
+    # comma-separated output quotes nothing, so cells must not carry commas
+    return str(value).replace(",", ";")
 
 
 def _encode_value(value: Any) -> Any:

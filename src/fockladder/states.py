@@ -101,6 +101,32 @@ def _check_angle(theta: float, top: int, name: str = "theta") -> float:
     return theta
 
 
+def _check_gamma(gamma: float, M: int) -> tuple[float, int]:
+    """Polya's gamma > 0 and count M, then gamma * M inside the float range."""
+    if not gamma > 0:
+        raise ParameterError("gamma must be positive")
+    M = _check_count(M, "M")
+    if math.isinf(gamma * M):
+        raise ParameterError("gamma * M must lie inside the float range")
+    return gamma, M
+
+
+def _check_L(L: float, eta: float, M: int) -> float:
+    # also keeps L eta >= M and L (1-eta) >= M, where the lgamma route holds
+    L = float(L)
+    if L < max(M / eta, M / (1.0 - eta)):
+        raise ParameterError("L must satisfy L >= max(M/eta, M/(1-eta))")
+    return L
+
+
+def _check_Y(Y: complex) -> complex:
+    # at |Y| = 1 the normalizing sum (1-|Y|)/(1-|Y|^(M+1)) is 0 / 0
+    Y = complex(Y)
+    if abs(Y) == 1.0:
+        raise ParameterError("|Y| must not be 1")
+    return Y
+
+
 def _tail_guard(raw: np.ndarray, what: str, tol: float = TAIL_TOL) -> float:
     # raw carries the family's closed-form normalization, so the dropped
     # tail is the deficit of the retained mass from 1
@@ -193,24 +219,6 @@ def geometric_coeffs(eta: float) -> Callable[[int], complex]:
     return c
 
 
-def negative_binomial_coeffs(eta: float, M: int) -> Callable[[int], complex]:
-    def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        return math.sqrt(math.comb(M + n - 1, n)) * eta ** (n / 2.0)
-
-    return c
-
-
-def new_negative_binomial_coeffs(eta: float, M: int) -> Callable[[int], complex]:
-    def c(n: int) -> complex:
-        if n < M:
-            return 0.0
-        return math.sqrt(math.comb(n, M)) * (1.0 - eta) ** ((n - M) / 2.0)
-
-    return c
-
-
 def generalized_binomial(x: float, n: int) -> float:
     """x(x-1)...(x-n+1)/n! as a literal running product (exact sign
     information at small n, no gamma functions)."""
@@ -261,9 +269,7 @@ def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
     eta = _check_eta(eta)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
-    L = float(L)
-    if L < max(M / eta, M / (1.0 - eta)):
-        raise ParameterError("L must satisfy L >= max(M/eta, M/(1-eta))")
+    L = _check_L(L, eta, M)
     denom = generalized_binomial(L, M)
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
@@ -284,11 +290,7 @@ def polya(eta: float, gamma: float, M: int, dim: int) -> FockState:
     """Amplitudes C(M,n)^(1/2) [prod (eta+(k-1)gamma) prod ((1-eta)+(k-1)gamma)
     / prod (1+(k-1)gamma)]^(1/2), from running sums of the factors' logs."""
     eta = _check_eta(eta)
-    if not gamma > 0:
-        raise ParameterError("gamma must be positive")
-    M = _check_count(M, "M")
-    if math.isinf(gamma * M):
-        raise ParameterError("gamma * M must lie inside the float range")
+    gamma, M = _check_gamma(gamma, M)
     dim = _check_dim(dim, M)
     k = np.arange(M)
     log_p = (
@@ -346,9 +348,7 @@ def pegg_barnett_phase(grid: PhaseGrid, M: int, dim: int) -> FockState:
 def generalized_geometric(Y: complex, M: int, dim: int) -> FockState:
     """Amplitudes [(1-|Y|)/(1-|Y|^(M+1))]^(1/2) Y^(n/2), with Y^(1/2) on
     the principal branch (a documented convention for complex Y)."""
-    Y = complex(Y)
-    if abs(Y) == 1.0:
-        raise ParameterError("|Y| must not be 1")
+    Y = _check_Y(Y)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
     root = cmath.sqrt(Y)

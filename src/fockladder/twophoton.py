@@ -150,9 +150,28 @@ def sector_unembed(s: FockState, parity_j: int, dim: int) -> FockState:
 # --- sector coefficient callables (unnormalized beyond overall constants) ---
 
 
-def _check_r(r: float) -> None:
+def _check_r(r: float) -> float:
+    """r >= 0 with cosh r inside the float range; returns cosh r."""
     if not r >= 0:
         raise ParameterError("r must be nonnegative")
+    try:
+        cosh_r = math.cosh(r)
+    except OverflowError:
+        cosh_r = math.inf
+    if math.isinf(cosh_r):  # the seed underflows, so no dim holds the state
+        raise ParameterError(
+            f"r={float(r)!r} puts cosh r past the float range; use a smaller r"
+        )
+    return cosh_r
+
+
+def _check_pair_alpha(alpha: complex, j: int) -> complex:
+    alpha = complex(alpha)
+    if j == 1 and alpha == 0:
+        raise ParameterError("alpha must be nonzero for the odd superposition")
+    if math.isinf(abs(alpha) * abs(alpha)):  # x * x: inf, not OverflowError
+        raise ParameterError("|alpha|^2 must lie inside the float range")
+    return alpha
 
 
 def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
@@ -229,16 +248,8 @@ def _sector_size(dim: int, j: int) -> tuple[int, int]:
 
 def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
     """S(xi)|j> by the amplitude-ratio recurrence on sector j."""
-    _check_r(r)
+    cosh_r = _check_r(r)
     dim, n_sector = _sector_size(dim, j)
-    try:
-        cosh_r = math.cosh(r)
-    except OverflowError:
-        cosh_r = math.inf
-    if math.isinf(cosh_r):  # the seed underflows, so no dim holds the state
-        raise ParameterError(
-            f"r={float(r)!r} puts cosh r past the float range; use a smaller r"
-        )
     tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
     # (cosh r)^(-1/2-j), one float expression per sector: the two
     # spellings round differently from a shared cosh(r) ** -(0.5 + j)
@@ -273,16 +284,12 @@ def squeezed_first_excited(r: float, theta: float, dim: int) -> FockState:
 def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
     """Even: alpha^{2n}/sqrt((2n)!) / sqrt(cosh|alpha|^2) on even levels.
     Odd: alpha^{2n+1}/sqrt((2n+1)!) / sqrt(sinh|alpha|^2) on odd levels."""
-    alpha = complex(alpha)
     if parity not in ("even", "odd"):
         raise ParameterError("parity must be 'even' or 'odd'")
     j = 0 if parity == "even" else 1
     dim, n_sector = _sector_size(dim, j)
-    if j == 1 and alpha == 0:
-        raise ParameterError("alpha must be nonzero for the odd superposition")
-    mod2 = abs(alpha) * abs(alpha)  # x * x: inf, not OverflowError
-    if math.isinf(mod2):
-        raise ParameterError("|alpha|^2 must lie inside the float range")
+    alpha = _check_pair_alpha(alpha, j)
+    mod2 = abs(alpha) * abs(alpha)
     try:
         norm = math.cosh(mod2) if j == 0 else math.sinh(mod2)
         prefactor = 1.0 / math.sqrt(norm) if norm > 0 else 1.0

@@ -74,8 +74,13 @@ from .states import (
     IntermediateParams,
     ParameterError,
     PhaseGrid,
+    _check_L,
+    _check_Y,
+    _check_angle,
+    _check_count,
     _check_dim,
     _check_eta,
+    _check_gamma,
     coherent,
     coherent_coeffs,
     format_complex,
@@ -95,6 +100,7 @@ from .states import (
     reciprocal_binomial,
 )
 from .twophoton import (
+    _check_pair_alpha,
     ecs_sector_coeffs,
     even_odd_coherent,
     embedding_checks,
@@ -259,7 +265,10 @@ class FamilySpec:
 
 
 def _theta_m(p: Params) -> float:
-    return PhaseGrid(p["theta0"], p["M"], p["m"]).theta_m
+    grid = PhaseGrid(p["theta0"], p["M"], p["m"])
+    # the constructor's bound: it names theta0, which a caller sets
+    _check_angle(grid.theta0, grid.s, "theta0")
+    return grid.theta_m
 
 
 def _squeeze_eigenvalue(p: Params) -> complex:
@@ -382,7 +391,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "geometric", "gs", ("eta",), "general",
             build=lambda p, dim: geometric(p["eta"], dim),
-            closed_form=lambda p, dim: geometric_coeffs(p["eta"]),
+            closed_form=lambda p, dim: geometric_coeffs(_check_eta(p["eta"])),
             norm_eq="E56", dist_eq="E56",
             pair=(
                 "geometric-pair-relation", "E57", lambda p, dim: gs_pair(p["eta"], dim)
@@ -415,7 +424,9 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "kerr", "ks", ("alpha", "theta"), "general",
             build=lambda p, dim: kerr(p["alpha"], p["theta"], dim),
-            closed_form=lambda p, dim: kerr_coeffs(p["alpha"], p["theta"]),
+            closed_form=lambda p, dim: kerr_coeffs(
+                p["alpha"], _check_angle(p["theta"], dim * dim)
+            ),
             norm_eq="E61", dist_eq="E61",
             literal=lambda p, dim: (kerr_lowering(p["theta"], dim), p["alpha"]),
             literal_eq="E49 E62",
@@ -444,7 +455,9 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "ecs", None, ("alpha",), "two-photon", sector=0,
             build=lambda p, dim: even_odd_coherent(p["alpha"], "even", dim),
-            closed_form=lambda p, dim: ecs_sector_coeffs(p["alpha"]),
+            closed_form=lambda p, dim: ecs_sector_coeffs(
+                _check_pair_alpha(p["alpha"], 0)
+            ),
             norm_eq="E82", dist_eq="E82",
             literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
             literal_eq="E84",
@@ -453,7 +466,9 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "ocs", None, ("alpha",), "two-photon", sector=1,
             build=lambda p, dim: even_odd_coherent(p["alpha"], "odd", dim),
-            closed_form=lambda p, dim: ocs_sector_coeffs(p["alpha"]),
+            closed_form=lambda p, dim: ocs_sector_coeffs(
+                _check_pair_alpha(p["alpha"], 1)
+            ),
             norm_eq="E83", dist_eq="E83",
             literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
             literal_eq="E84",
@@ -527,10 +542,6 @@ def _require(spec: FamilySpec, params: Params) -> Params:
     for key in spec.params:
         if p.get(key) is None:
             raise ParameterError(f"family '{spec.name}' requires parameter '{key}'")
-    # every family that takes eta takes it in (0,1); the closed forms take
-    # logs and powers of eta and 1 - eta without a check of their own
-    if "eta" in p:
-        _check_eta(p["eta"])
     return p
 
 
@@ -550,6 +561,8 @@ def _echo_params(family: str, p: Params) -> Params:
 
 
 # --- constructors and closed-form coefficient routes ---
+# Each closed form opens with its constructor's range checks, so that
+# every entry point refuses an input with the constructor's message.
 
 
 def build_state(family: str, params: Params, dim: int) -> FockState:
@@ -563,6 +576,8 @@ def _log_comb(a: float, b: float) -> float:
 
 
 def _cf_binomial(eta: float, M: int) -> CoeffFn:
+    eta, M = _check_eta(eta), _check_count(M, "M")
+
     def c(n: int) -> complex:
         if not 0 <= n <= M:
             return 0.0
@@ -575,8 +590,8 @@ def _cf_binomial(eta: float, M: int) -> CoeffFn:
 
 
 def _cf_hypergeometric(L: float, eta: float, M: int) -> CoeffFn:
-    # lgamma route; valid while L eta >= M and L(1-eta) >= M, which the
-    # parameter validation guarantees
+    eta, M = _check_eta(eta), _check_count(M, "M")
+    L = _check_L(L, eta, M)
     Le, Lb = L * eta, L * (1 - eta)
     logZ = _log_comb(L, M)
 
@@ -589,6 +604,9 @@ def _cf_hypergeometric(L: float, eta: float, M: int) -> CoeffFn:
 
 
 def _cf_polya(eta: float, gamma: float, M: int) -> CoeffFn:
+    eta = _check_eta(eta)
+    gamma, M = _check_gamma(gamma, M)
+
     def log_rising(x: float, m: int) -> float:
         if m == 0:
             return 0.0
@@ -613,6 +631,9 @@ def _cf_polya(eta: float, gamma: float, M: int) -> CoeffFn:
 
 
 def _cf_reciprocal_binomial(theta: float, M: int) -> CoeffFn:
+    M = _check_count(M, "M")
+    theta = _check_angle(theta, M)
+
     def over_comb(x: complex, k: int, root: bool) -> complex:
         # x / C(M, k) or x / sqrt(C(M, k)); past the float range of
         # C(M, k) (M >= 1030) through lgamma
@@ -644,10 +665,9 @@ def _cf_phase(theta_m: float, M: int) -> CoeffFn:
 
 
 def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
+    Y, M = _check_Y(Y), _check_count(M, "M")
     root = cmath.sqrt(Y)
     mod = abs(Y)
-    if mod == 1.0:  # the constructor's rule; here the sum would be 0 / 0
-        raise ParameterError("|Y| must not be 1")
     # for |Y| > 1 divide |Y|^(M/2) out, as the constructor does
     scale = max(1.0, abs(root))
     unit = root / scale
@@ -673,6 +693,7 @@ def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
 
 def _cf_negative_binomial(eta: float, M: int) -> CoeffFn:
     # (1-eta)^(M/2) C(M+n-1, n)^(1/2) eta^(n/2), normalized exactly
+    eta, M = _check_eta(eta), _check_count(M, "M", minimum=1)
     log_pref = 0.5 * M * math.log(1 - eta)
 
     def c(n: int) -> complex:
@@ -688,6 +709,7 @@ def _cf_negative_binomial(eta: float, M: int) -> CoeffFn:
 def _cf_nnbs(eta: float, M: int) -> CoeffFn:
     # exact closed-form normalization: sum comb(n,M) (1-eta)^(n-M) over
     # n >= M is eta^-(M+1)
+    eta, M = _check_eta(eta), _check_count(M, "M")
     log_pref = 0.5 * (M + 1) * math.log(eta)
 
     def c(n: int) -> complex:
@@ -702,7 +724,7 @@ def _cf_nnbs(eta: float, M: int) -> CoeffFn:
 
 
 def _cf_pacs(alpha: complex, M: int, dim: int) -> CoeffFn:
-    alpha = complex(alpha)
+    alpha, M = complex(alpha), _check_count(M, "M")
     dim = _check_dim(dim, M)  # the window below holds no amplitude otherwise
 
     def raw(n: int) -> complex:
@@ -733,7 +755,8 @@ def closed_form_coeffs(family: str, params: Params, dim: int) -> CoeffFn | None:
     returns None.
     """
     spec = _spec(family)
-    return None if spec.closed_form is None else spec.closed_form(dict(params), dim)
+    p = _require(spec, params)
+    return None if spec.closed_form is None else spec.closed_form(p, dim)
 
 
 def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:

@@ -605,6 +605,37 @@ def test_structure_fn_ggs_past_the_float_range_of_Y_to_the_M(capsys):
     assert "nan" not in out.lower()
 
 
+M_RULE = "M must be a nonnegative integer"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        ("ps --eta 0.4 --gamma=-1 --M 3 --dim 8", "gamma must be positive"),
+        ("ps --eta 0.4 --gamma=-1 --M 3 --dim 8 --compare-printed",
+         "gamma must be positive"),
+        ("hgs --L 1 --eta 0.5 --M 3 --dim 8", "L must satisfy L >= max(M/eta, M/(1-eta))"),
+        ("nbs --eta 0.3 --M 0 --dim 8", "M must be an integer >= 1"),
+        ("bs --eta 0.5 --M=-1 --dim 8", M_RULE),
+        ("nnbs --eta 0.3 --M=-1 --dim 8", M_RULE),
+        ("rbs --theta 0.7 --M=-1 --dim 8", M_RULE),
+        ("pacs --alpha 1 --M=-1 --dim 64", M_RULE),
+        ("rbs --theta 1e308 --M 3 --dim 8",
+         "theta must be finite, with theta * 3 inside the float range"),
+        ("pbps --theta0 1e308 --m 0 --M 3 --dim 8",
+         "theta0 must be finite, with theta0 * 3 inside the float range"),
+        ("ks --alpha 1 --theta 1e308 --dim 8",
+         "theta must be finite, with theta * 64 inside the float range"),
+        ("ocs --alpha 0 --dim 8", "alpha must be nonzero for the odd superposition"),
+        ("svs --r 1000 --theta 0 --dim 8",
+         "r=1000.0 puts cosh r past the float range; use a smaller r"),
+    ],
+)
+def test_structure_fn_refuses_with_the_constructor_message(capsys, flags, message):
+    code, out, err = run(capsys, "structure-fn", "--family", *flags.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("family", ["svs", "sfes"])
 def test_structure_fn_rejects_negative_r(capsys, family):
     code, out, err = run(

@@ -155,7 +155,8 @@ def test_shifted_ladder_and_gdo():
     assert report.passed
     assert report.checks[0].residual < 1e-10
 
-    t = fl.shifted_gdo(fl.new_negative_binomial_coeffs(eta, M), M, dim=64)
+    cf = fl.closed_form_coeffs("new_negative_binomial", {"eta": eta, "M": M}, 64)
+    t = fl.shifted_gdo(cf, M, dim=64)
     assert t.n_min == M
     axioms = fl.verify_gdo_axioms(t)
     assert axioms.passed, axioms.failed_checks()

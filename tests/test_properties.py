@@ -3,7 +3,8 @@
 Every constructor, over a box of its parameters, returns a finite state
 of norm 1 or raises ParameterError, and nothing else.  The CLI, on any
 flag values, exits 0, 1 or 2 without letting an exception escape, and
-writes no NaN with exit 0.  The named probes are seeded as examples.
+writes no NaN with exit 0 and no bare arithmetic message with exit 2.
+The named probes are seeded as examples.
 """
 
 import contextlib
@@ -168,8 +169,26 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# what a float operation says when it meets an input no range rule caught
+_BARE_ARITHMETIC = ("math domain error", "math range error", "division by zero")
+
+
 @settings(max_examples=150)
 @given(argv=_argv())
+@example(argv="structure-fn --family ps --eta 0.4 --gamma=-1 --M 3 --dim 8".split())
+@example(argv="structure-fn --family hgs --L 1 --eta 0.5 --M 3 --dim 8".split())
+@example(argv="structure-fn --family ps --eta 0.4 --gamma=-1 --M 3 --dim 8 "
+         "--compare-printed".split())
+@example(argv="structure-fn --family nbs --eta 0.3 --M 0 --dim 8".split())
+@example(argv="structure-fn --family bs --eta 0.5 --M=-1 --dim 8".split())
+@example(argv="structure-fn --family nnbs --eta 0.3 --M=-1 --dim 8".split())
+@example(argv="structure-fn --family rbs --theta 0.7 --M=-1 --dim 8".split())
+@example(argv="structure-fn --family pacs --alpha 1 --M=-1 --dim 64".split())
+@example(argv="structure-fn --family rbs --theta 1e308 --M 3 --dim 8".split())
+@example(argv="structure-fn --family pbps --theta0 1e308 --m 0 --M 3 --dim 8".split())
+@example(argv="structure-fn --family ks --alpha 1 --theta 1e308 --dim 8".split())
+@example(argv="structure-fn --family ocs --alpha 0 --dim 8".split())
+@example(argv="structure-fn --family svs --r 1000 --theta 0 --dim 8".split())
 @example(argv="state --family hgs --L 1e300 --eta 0.5 --M 3 --dim 8".split())
 @example(argv="state --family ggs --Y 1e300 --M 3 --dim 8".split())
 @example(argv="state --family ps --eta 0.4 --gamma 0.7 --M 192 --dim 200".split())
@@ -182,3 +201,5 @@ def test_cli_keeps_its_exit_contract(argv):
     assert "Traceback" not in err
     if code == 0:
         assert "nan" not in out.lower()
+    if code == 2:
+        assert not any(text in err for text in _BARE_ARITHMETIC), err

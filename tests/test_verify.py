@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fockladder as fl
+from fockladder.reporting import csv_table
 from fockladder.verify import _cf_generalized_geometric, _cf_nnbs
 
 
@@ -74,6 +75,62 @@ def test_non_finite_parameters_rejected_at_every_entry_point():
 def test_suite_propagates_constructor_validation():
     with pytest.raises(fl.ParameterError, match=r"eta must lie in \(0,1\)"):
         fl.run_family_suite("binomial", {"eta": 1.5, "M": 4}, 12)
+
+
+# out-of-range points, one or two per family; each entry point must refuse
+# them with the constructor's own message
+RANGE_PROBES = (
+    ("binomial", {"eta": 0.0, "M": 3}, 8),
+    ("binomial", {"eta": 0.5, "M": -1}, 8),
+    ("hypergeometric", {"L": 1.0, "eta": 0.5, "M": 3}, 8),
+    ("polya", {"eta": 0.4, "gamma": -1.0, "M": 3}, 8),
+    ("polya", {"eta": 0.4, "gamma": 1e308, "M": 3}, 8),
+    ("reciprocal_binomial", {"theta": 1e308, "M": 3}, 8),
+    ("reciprocal_binomial", {"theta": 0.7, "M": -1}, 8),
+    ("pegg_barnett_phase", {"theta0": 1e308, "m": 0, "M": 3}, 8),
+    ("pegg_barnett_phase", {"theta0": 0.1, "m": 9, "M": 3}, 8),
+    ("generalized_geometric", {"Y": -1.0 + 0.0j, "M": 3}, 8),
+    ("generalized_geometric", {"Y": 0.3 + 0.0j, "M": -1}, 8),
+    ("geometric", {"eta": 1.0}, 8),
+    ("negative_binomial", {"eta": 0.3, "M": 0}, 8),
+    ("new_negative_binomial", {"eta": 0.3, "M": -1}, 8),
+    ("kerr", {"alpha": 1.0 + 0.0j, "theta": 1e308}, 8),
+    ("svs", {"r": -1.0, "theta": 0.0}, 8),
+    ("sfes", {"r": 1000.0, "theta": 0.0}, 8),
+    ("ecs", {"alpha": 1e200 + 0.0j}, 8),
+    ("ocs", {"alpha": 0.0j}, 8),
+    # at dim 8 the coherent tail bound fires before the M rule
+    ("pacs", {"alpha": 1.0 + 0.0j, "M": -1}, 64),
+)
+
+
+def _structure_fn_table(family, params, dim):
+    t = fl.build_gdo(family, params, dim)
+    return [t.structure_fn(n) for n in range(t.dim)]
+
+
+@pytest.mark.parametrize("family,params,dim", RANGE_PROBES)
+def test_every_entry_point_refuses_with_the_constructor_message(family, params, dim):
+    spec = fl.FAMILY_SPECS[family]
+    with pytest.raises(fl.ParameterError) as refused:
+        spec.build(params, dim)
+    entry_points = [
+        fl.build_state,
+        _structure_fn_table,
+        fl.closed_form_coeffs,
+        fl.run_family_suite,
+    ]
+    if spec.printed_F is not None:
+        entry_points.append(fl.derived_vs_printed_rows)
+    for call in entry_points:
+        with pytest.raises(fl.ParameterError) as other:
+            call(family, params, dim)
+        assert str(other.value) == str(refused.value), call.__name__
+
+
+def test_closed_form_coeffs_names_a_missing_parameter():
+    with pytest.raises(fl.ParameterError, match="requires parameter 'eta'"):
+        fl.closed_form_coeffs("binomial", {}, 12)
 
 
 def test_svs_suite_covers_relation_and_disentangling():
@@ -270,6 +327,18 @@ def test_reports_are_byte_identical_across_runs():
     second = fl.run_family_suite("binomial", {"eta": 0.5, "M": 4}, 12)
     assert first.to_json() == second.to_json()
     assert first.to_csv() == second.to_csv()
+
+
+def test_csv_cells():
+    rows = [
+        {"x": np.float64(0.1), "ok": True, "n": 3, "detail": "a, b"},
+        {"x": math.inf, "ok": False, "n": -1, "detail": "plain"},
+    ]
+    assert csv_table(("n", "x", "ok", "detail"), rows) == [
+        "n,x,ok,detail",
+        "3,0.1,true,a; b",
+        "-1,inf,false,plain",
+    ]
 
 
 def test_errata_rows_survive_json_round_trip():
