@@ -7,11 +7,27 @@ function of the number operator composed with a pure ladder shift:
     k >= 0:  |n> -> d(n) * sqrt((n+1)(n+2)...(n+k)) |n+k>
     k <  0:  |n> -> d(n) * sqrt(n(n-1)...(n+k+1))   |n+k>   (zero for n < -k)
 
-The diagonal is evaluated lazily, per integer index, and only where both
-the ladder factor and the incoming amplitude are nonzero; expressions
-like (M - N) or 1/sqrt(N + 1) are therefore exact at integer arguments
-and never see an index outside their domain.  Amplitude mass pushed past
-the truncation is accumulated into a reported leak, never silently lost.
+Amplitude mass pushed past the truncation is accumulated into a
+reported leak, never silently lost.
+
+Band arithmetic follows one rule, in three parts, on every route that
+reads the terms (apply, the structure-function table, to_matrix):
+
+- Lazy, numerator-first reads.  A diagonal is a Python callable, called
+  once per contributing integer index, and only where the ladder factor
+  (and, for apply, the incoming amplitude) is nonzero; expressions like
+  (M - N) or 1/sqrt(N + 1) are therefore exact at integer arguments and
+  never see an index outside their domain.
+- Exact ladder factors.  Each is math.sqrt of the exact integer
+  product, formed in float64 while it stays below 2**53 and in Python
+  ints past that, so perfect squares come out exact and a product past
+  the float range raises OverflowError.
+- Complex products from real parts.  Everything around the diagonal
+  reads is numpy array work, but a complex x complex product is formed
+  as ar*vr - ai*vi and ar*vi + ai*vr, each part rounded on its own as in
+  Python's and numpy's scalar products; numpy's complex ufunc may fuse
+  them (FMA) and round differently.  complex x float products are exact
+  per part either way.
 """
 
 from __future__ import annotations
@@ -57,6 +73,62 @@ def ladder_factor(n: int, k: int) -> float:
     (and in particular 0 and 1) come out exact.
     """
     return math.sqrt(_ladder_prod(n, k))
+
+
+_EXACT_FLOAT_INT = 2**53
+
+
+def _ladder_factors(ns: np.ndarray, k: int) -> np.ndarray:
+    """ladder_factor(n, k) at each n of the ascending nonnegative ns.
+
+    Below 2**53 every partial product is an exact float64 integer, and
+    np.sqrt rounds as math.sqrt does; past that the factors come from
+    ladder_factor itself, which raises OverflowError past the float range.
+    """
+    m = abs(k)
+    if len(ns) == 0 or (int(ns[-1]) + m) ** m >= _EXACT_FLOAT_INT:
+        return np.array([ladder_factor(n, k) for n in ns.tolist()], dtype=float)
+    x = ns.astype(float)
+    prod = np.ones(len(ns))
+    for i in range(m):
+        prod *= (x + (i + 1)) if k > 0 else (x - i)
+    if k < 0:
+        prod[ns < m] = 0.0  # the shift annihilates these indices
+    return np.sqrt(prod)
+
+
+def _read_diag(d: DiagFn, ns: list[int]) -> tuple[list[complex], Exception | None]:
+    """complex(d(n)) for each n of ns in order, up to the first n where d
+    raises: the values read, and that exception or None."""
+    values: list[complex] = []
+    try:
+        for n in ns:
+            values.append(complex(d(n)))
+    except Exception as exc:  # the caller's diagonal: raised where the
+        return values, exc  # per-index loop would raise it
+    return values, None
+
+
+def _diag_values(d: DiagFn, ns: list[int], where: str) -> np.ndarray:
+    """The diagonal's values at ns as an array; raises where the per-index
+    loop would: at the first non-finite value, else with d's own error."""
+    values, exc = _read_diag(d, ns)
+    arr = np.array(values, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        i = int(bad[0])
+        raise OperatorEvaluationError(
+            f"diagonal evaluated to {values[i]} at {where} {ns[i]}"
+        )
+    if exc is not None:
+        raise exc
+    return arr
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(len(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +312,16 @@ def _composed_diag(k1: int, d1: DiagFn, k2: int, d2: DiagFn) -> DiagFn:
     # arithmetic and rooted once.
     k = k1 + k2
 
+    if k1 == 0 or k2 == 0:
+        # one side is diagonal: the numerator is the ladder product of the
+        # whole shift, so the ratio is exactly 1 and is not formed
+        def d_diagonal_side(n: int) -> complex:
+            if _ladder_prod(n, k) == 0:
+                return 0.0
+            return d1(n + k2) * d2(n)
+
+        return d_diagonal_side
+
     def d(n: int) -> complex:
         num = _ladder_prod(n, k2) * _ladder_prod(n + k2, k1)
         if num == 0:
@@ -289,8 +371,8 @@ def apply(op: OperatorExpr, s: FockState) -> FockState:
         raise DimensionMismatchError(
             f"operator dim {op.domain_dim} does not match state dim {s.dim}"
         )
-    amps = s.amplitudes
-    out, leak = _band_image(op, [(int(n), amps[n]) for n in np.nonzero(amps)[0]])
+    ns = np.flatnonzero(s.amplitudes)
+    out, leak = _band_image(op, ns, s.amplitudes[ns])
     return make_state(
         out,
         parity=_image_parity(s.parity, op),
@@ -301,41 +383,76 @@ def apply(op: OperatorExpr, s: FockState) -> FockState:
 
 
 def _band_image(
-    op: OperatorExpr, occupied: Sequence[tuple[int, complex]]
+    op: OperatorExpr, ns: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Image of the amplitudes (n, amp) under op: the in-range vector and
-    the squared mass that lands at index >= dim, term by term."""
+    """Image of the amplitudes amps at the ascending indices ns under op:
+    the in-range vector and the squared mass that lands at index >= dim,
+    term by term, each contribution amp * d(n) * ladder_factor(n, k)."""
     dim = op.domain_dim
     out = np.zeros(dim, dtype=np.complex128)
     leak = 0.0
     for k, d in op.terms:
-        for n, amp in occupied:
-            factor = ladder_factor(n, k)
-            if factor == 0.0:
-                continue
-            value = complex(d(n))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise OperatorEvaluationError(
-                    f"diagonal evaluated to {value} at occupied index {n}"
-                )
-            contrib = amp * value * factor
-            target = n + k
-            if target >= dim:
-                leak += abs(contrib) ** 2
-            else:
-                out[target] += contrib
+        factors = _ladder_factors(ns, k)
+        live = np.flatnonzero(factors)
+        at = ns[live]
+        v = _diag_values(d, at.tolist(), "occupied index")
+        a, f = amps[live], factors[live]
+        # amp * d(n) from real parts (see the module docstring), then * factor
+        contrib = _complex(
+            (a.real * v.real - a.imag * v.imag) * f,
+            (a.real * v.imag + a.imag * v.real) * f,
+        )
+        inside = int(np.searchsorted(at, dim - k))
+        out[at[:inside] + k] += contrib[:inside]
+        for c in contrib[inside:]:  # the few entries past the truncation
+            leak += abs(c) ** 2
     return out, leak
 
 
-_UNIT = np.complex128(1)
+_UNIT = np.ones(1, dtype=np.complex128)
 
 
 def basis_image_norm_sq(op: OperatorExpr, n: int) -> float:
     """||op|n>||^2 with the leaked mass included, from op's band terms
     alone: the same arithmetic as apply(op, basis_state(n, dim)), without
     building either state."""
-    out, leak = _band_image(op, [(n, _UNIT)])
+    out, leak = _band_image(op, np.array([n]), _UNIT)
     return float(np.vdot(out, out).real) + leak
+
+
+def basis_norms_sq(op: OperatorExpr) -> np.ndarray:
+    """basis_image_norm_sq(op, n) for n = 0, 1, ... in one band pass.
+
+    The table covers a prefix of [0, dim): it ends before the first index
+    whose image leaks past the truncation, whose diagonal raises, or whose
+    squared norm is not finite, and it is empty for an operator of several
+    terms, whose images sum several entries, or with a ladder factor past
+    the float range.  Past the prefix, basis_image_norm_sq gives the value
+    (np.vdot's, where a square overflows) or raises.  An image with one
+    entry c has the squared norm c.real**2 + c.imag**2, which is what
+    np.vdot gives on it.
+    """
+    if len(op.terms) != 1:
+        return np.zeros(0)
+    ((k, d),) = op.terms
+    ns = np.arange(min(op.domain_dim, op.domain_dim - k))
+    try:
+        factors = _ladder_factors(ns, k)
+    except OverflowError:  # raised per index, where a factor leaves the range
+        return np.zeros(0)
+    live = np.flatnonzero(factors)
+    values, _ = _read_diag(d, ns[live].tolist())
+    v = np.array(values, dtype=np.complex128)
+    f = factors[live[: len(v)]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = v.real * f, v.imag * f
+        square = re * re + im * im
+    bad = np.flatnonzero(~np.isfinite(square))
+    read = int(bad[0]) if bad.size else len(v)
+    stop = int(live[read]) if read < len(live) else len(ns)
+    table = np.zeros(stop)
+    table[live[:read]] = square[:read]
+    return table
 
 
 def _image_parity(parity: str, op: OperatorExpr) -> str | None:
@@ -356,20 +473,14 @@ def to_matrix(op: OperatorExpr) -> np.ndarray:
     """
     dim = op.domain_dim
     mat = np.zeros((dim, dim), dtype=np.complex128)
+    ns = np.arange(dim)
     for k, d in op.terms:
-        for n in range(dim):
-            factor = ladder_factor(n, k)
-            if factor == 0.0:
-                continue
-            target = n + k
-            if not 0 <= target < dim:
-                continue
-            value = complex(d(n))
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise OperatorEvaluationError(
-                    f"diagonal evaluated to {value} at index {n}"
-                )
-            mat[target, n] += value * factor
+        factors = _ladder_factors(ns, k)
+        at = np.flatnonzero((factors != 0) & (ns + k >= 0) & (ns + k < dim))
+        values = _diag_values(d, at.tolist(), "index")
+        f = factors[at]
+        with np.errstate(over="ignore"):  # as Python's float products
+            mat[at + k, at] += _complex(values.real * f, values.imag * f)
     return mat
 
 

@@ -31,6 +31,7 @@ from .core import (
     adjoint,
     apply,
     basis_image_norm_sq,
+    basis_norms_sq,
     compose,
     creation,
     diag_op,
@@ -182,12 +183,20 @@ class GdoTriple:
 
 def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
     """F(n) = ||lowering|n>||^2 including the mass leaked past the
-    truncation, straight from lowering's band terms; 0 outside [0, dim)."""
+    truncation, straight from lowering's band terms; 0 outside [0, dim).
+    The first call reads the whole table in one band pass; indices past
+    the table's prefix take the per-index route, which names a failure."""
     dim = lowering.domain_dim
+    table = None
 
     def F(n: int) -> float:
+        nonlocal table
         if not 0 <= n < dim:
             return 0.0
+        if table is None:
+            table = basis_norms_sq(lowering)
+        if n < len(table):
+            return float(table[n])
         return basis_image_norm_sq(lowering, n)
 
     return F

@@ -18,6 +18,7 @@ derived values rather than silently correcting them.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import KW_ONLY, dataclass
 from typing import Any, Callable
@@ -666,6 +667,12 @@ def _cf_phase(theta_m: float, M: int) -> CoeffFn:
 
 def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
     Y, M = _check_Y(Y), _check_count(M, "M")
+    if Y == 0 and M > 0:
+        # the state is the vacuum, but every ladder diagonal divides by C(n)
+        raise ParameterError(
+            "Y must be nonzero for M >= 1: the ladder operators divide by "
+            "C(n) = 0 at n >= 1"
+        )
     root = cmath.sqrt(Y)
     mod = abs(Y)
     # for |Y| > 1 divide |Y|^(M/2) out, as the constructor does
@@ -739,8 +746,12 @@ def _cf_pacs(alpha: complex, M: int, dim: int) -> CoeffFn:
         )
 
     # the tail above the window is far below the comparison tolerance at
-    # any dim the registry uses, so a window normalization is exact enough
-    K = 1.0 / math.sqrt(sum(abs(raw(n)) ** 2 for n in range(dim)))
+    # any dim the registry uses, so a window normalization is exact enough.
+    # The moduli are scaled by the power of two of the largest, which is
+    # exact, so that no square leaves the float range
+    moduli = [abs(raw(n)) for n in range(dim)]
+    e = math.frexp(max(moduli))[1]
+    K = math.ldexp(1.0 / math.sqrt(sum(math.ldexp(m, -e) ** 2 for m in moduli)), -e)
 
     def c(n: int) -> complex:
         return K * raw(n)
@@ -756,7 +767,11 @@ def closed_form_coeffs(family: str, params: Params, dim: int) -> CoeffFn | None:
     """
     spec = _spec(family)
     p = _require(spec, params)
-    return None if spec.closed_form is None else spec.closed_form(p, dim)
+    # the builders read C(n) at neighbouring indices, once per operator
+    # and past dim at the top edge, so each index is computed once
+    if spec.closed_form is None:
+        return None
+    return functools.cache(spec.closed_form(p, dim))
 
 
 def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:

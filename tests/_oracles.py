@@ -3,8 +3,10 @@
 Everything here goes through lgamma/log-space routes, deliberately
 different from the running-product and recurrence routes the package
 uses, so agreement is a genuine cross-check rather than a tautology.
-The squeezing reference at the end exponentiates full-space matrices,
-where the package works on one parity sector.
+The squeezing reference exponentiates full-space matrices, where the
+package works on one parity sector.  The band references at the end walk
+an operator's terms one index at a time in Python scalars, where the
+package does the arithmetic around each diagonal read as array work.
 """
 
 import cmath
@@ -125,3 +127,49 @@ def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
         "su11-casimir": float(np.abs(casimir).max()),
         "su11-sector-number": float(np.abs(k_zero - k * np.eye(dim) - number).max()),
     }
+
+
+def _ladder_root(n: int, k: int) -> float:
+    # sqrt of (n+1)...(n+k) for k >= 0, of n(n-1)...(n+k+1) for k < 0
+    return math.sqrt(math.perm(n + k, k) if k >= 0 else math.perm(n, -k))
+
+
+def band_image_reference(op, amplitudes) -> tuple[np.ndarray, float]:
+    """The image of the amplitude vector under op's band terms and the
+    squared mass past the truncation: term by term, index by index, each
+    contribution amp * d(n) * ladder factor a Python complex product."""
+    dim = op.domain_dim
+    out = np.zeros(dim, dtype=complex)
+    leak = 0.0
+    for k, d in op.terms:
+        for n in range(dim):
+            amp = complex(amplitudes[n])
+            factor = _ladder_root(n, k)
+            if amp == 0 or factor == 0:
+                continue
+            contrib = amp * complex(d(n)) * factor
+            if n + k >= dim:
+                leak += abs(contrib) ** 2
+            else:
+                out[n + k] += contrib
+    return out, leak
+
+
+def structure_fn_reference(op, n: int) -> float:
+    """||op|n>||^2, leak included, from the scalar image of |n>."""
+    if not 0 <= n < op.domain_dim:
+        return 0.0
+    basis = np.zeros(op.domain_dim, dtype=complex)
+    basis[n] = 1.0
+    out, leak = band_image_reference(op, basis)
+    return float(np.vdot(out, out).real) + leak
+
+
+def matrix_reference(op) -> np.ndarray:
+    """op entrywise on its truncation, one Python product per entry."""
+    dim = op.domain_dim
+    mat = np.zeros((dim, dim), dtype=complex)
+    for k, d in op.terms:
+        for n in range(max(0, -k), min(dim, dim - k)):
+            mat[n + k, n] += complex(d(n)) * _ladder_root(n, k)
+    return mat

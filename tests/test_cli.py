@@ -282,9 +282,9 @@ def test_state_past_the_float_range_exits_zero(capsys, flags):
         ),
         (
             # the state exists, but the closed form's unnormalized peak,
-            # near e^(|alpha|^2/2), squares past the float range
-            ["verify", "--family", "pacs", "--alpha", "27", "--M", "1", "--dim", "950"],
-            "error: a closed form of pacs leaves the float range at M=1, alpha=27.0;",
+            # near e^(|alpha|^2/2), leaves the float range
+            ["verify", "--family", "pacs", "--alpha", "38", "--M", "1", "--dim", "1800"],
+            "error: a closed form of pacs leaves the float range at M=1, alpha=38.0;",
         ),
         (
             ["verify", "--family", "ggs", "--Y", "1e300", "--M", "3", "--dim", "8"],
@@ -578,13 +578,40 @@ def _batch_error(tmp_path, capsys, entry: str) -> str:
 
 def test_batch_entry_past_a_closed_form_float_range_is_an_input_error(tmp_path, capsys):
     # the state exists, but the closed form's unnormalized peak, near
-    # e^(|alpha|^2/2), squares past the float range
+    # e^(|alpha|^2/2), leaves the float range
     error = _batch_error(
-        tmp_path, capsys, '{"family":"pacs","params":{"alpha":27,"M":1},"dim":950}'
+        tmp_path, capsys, '{"family":"pacs","params":{"alpha":38,"M":1},"dim":1800}'
     )
     assert error.startswith(
-        "a closed form of pacs leaves the float range at alpha=27.0, M=1;"
+        "a closed form of pacs leaves the float range at alpha=38.0, M=1;"
     )
+
+
+def test_pacs_whose_peak_squares_past_the_float_range_is_verified(capsys):
+    # the closed form's peak, near e^(|alpha|^2/2) ~ 1e158, is scaled by a
+    # power of two before it is squared into the normalization
+    argv = ["--family", "pacs", "--alpha", "27", "--M", "1", "--dim", "950"]
+    assert run(capsys, "state", *argv)[0] == 0
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["distribution-crosscheck"]["passed"]
+    assert checks["structure-fn-closed-form"]["passed"]
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "structure-fn"])
+def test_ggs_at_Y_zero_refuses_the_ladder_and_names_Y(capsys, subcommand):
+    # the state is the vacuum, but the ladder diagonals divide by C(n) = 0
+    argv = ["--family", "ggs", "--Y", "0", "--M", "3", "--dim", "8"]
+    assert run(capsys, "state", *argv)[0] == 0
+    code, out, err = run(capsys, subcommand, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: Y must be nonzero for M >= 1: the ladder operators divide by "
+        "C(n) = 0 at n >= 1\n"
+    )
+    # at M = 0 no diagonal divides, and the suite runs
+    assert run(capsys, subcommand, *argv[:4], "--M", "0", "--dim", "8")[0] == 0
 
 
 def test_batch_entry_with_a_subnormal_closed_form_C0_is_an_input_error(tmp_path, capsys):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fockladder import core
+from fockladder.ladder import _operational_structure_fn
+
+from _oracles import band_image_reference, matrix_reference, structure_fn_reference
 
 
 def dense_apply(op, s):
@@ -266,3 +270,64 @@ def test_nonzero_diagonals_reads_the_entries():
     assert core.nonzero_diagonals(np.zeros((3, 3)))[1] == []
     with pytest.raises(core.DimensionMismatchError):
         core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(a[:5, :5]))
+
+
+# --- band arithmetic against the per-index scalar reference ---
+
+
+def test_band_arithmetic_matches_the_scalar_reference_bit_for_bit():
+    # complex amplitudes times complex diagonals: a fused (FMA) complex
+    # product rounds about 4 in 10 of these differently
+    rng = np.random.default_rng(2024)
+    dim = 96
+    op = random_operator(rng, dim)  # its +1 and +2 terms leak at the top
+    s = core.make_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    image = core.apply(op, s)
+    want, leak = band_image_reference(op, s.amplitudes)
+    assert np.array_equal(image.amplitudes, want)
+    assert image.leak == leak > 0
+    assert np.array_equal(core.to_matrix(op), matrix_reference(op))
+    for single in [core.operator([term], dim) for term in op.terms] + [op]:
+        F = _operational_structure_fn(single)
+        assert [F(n) for n in range(-1, dim + 1)] == [
+            structure_fn_reference(single, n) for n in range(-1, dim + 1)
+        ]
+
+
+@pytest.mark.parametrize("k", [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5])
+def test_ladder_factor_arrays_are_exact(k):
+    # both sides of the 2**53 switch to integer products
+    for ns in (np.arange(64), np.arange(6000, 6100), np.arange(90000, 90050)):
+        want = [core.ladder_factor(n, k) for n in ns.tolist()]
+        assert core._ladder_factors(ns, k).tolist() == want
+
+
+def test_ladder_factor_arrays_past_the_float_range_raise():
+    with pytest.raises(OverflowError):
+        core._ladder_factors(np.arange(4), 300)
+
+
+def test_structure_fn_table_stops_where_a_product_overflows():
+    # d(n) * sqrt(n) overflows at n = 2 only: the table ends there, and
+    # the per-index route gives the scalar path's answer at n >= 2
+    op = core.operator([(-1, lambda n: 1.5e308 if n == 2 else 1.0)], 4)
+    assert len(core.basis_norms_sq(op)) == 2
+    F = _operational_structure_fn(op)
+    assert (F(1), F(3)) == (1.0, pytest.approx(3.0, rel=1e-15))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert math.isnan(F(2))
+
+
+def test_structure_fn_table_matches_the_scalar_route_past_the_float_range():
+    # squares past the float range end the table; np.vdot's value there
+    # (inf, or nan for some overflowing entries) comes from the per-index
+    # route, and squares that underflow stay in the table
+    values = [1e200, 1e200 + 1e200j, -1e155j, 1e300 + 1e300j, 5e-170, 1e-160 + 3e-155j]
+    op = core.operator([(-1, lambda n: values[n - 1])], len(values) + 1)
+    F = _operational_structure_fn(op)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = [F(n) for n in range(len(values) + 1)]
+        want = [structure_fn_reference(op, n) for n in range(len(values) + 1)]
+    np.testing.assert_array_equal(got, want)
+    assert math.isnan(got[2]) and got[5] == 0.0 < got[6] < 1e-307
