@@ -309,7 +309,9 @@ def _composed_diag(k1: int, d1: DiagFn, k2: int, d2: DiagFn) -> DiagFn:
     # expressions never divide by a vanished ladder factor.  The ratio of
     # squared ladder products is an integer-valued polynomial of n (the
     # normal-ordering factor), so it is computed in exact integer
-    # arithmetic and rooted once.
+    # arithmetic and rooted once.  It is always an exact integer square:
+    # 1 when k1 and k2 share a sign, else the square of the ladder factors
+    # the two shifts have in common.
     k = k1 + k2
 
     if k1 == 0 or k2 == 0:
@@ -326,9 +328,7 @@ def _composed_diag(k1: int, d1: DiagFn, k2: int, d2: DiagFn) -> DiagFn:
         num = _ladder_prod(n, k2) * _ladder_prod(n + k2, k1)
         if num == 0:
             return 0.0
-        quot, rem = divmod(num, _ladder_prod(n, k))
-        ratio = math.sqrt(quot) if rem == 0 else math.sqrt(num / _ladder_prod(n, k))
-        return d1(n + k2) * d2(n) * ratio
+        return d1(n + k2) * d2(n) * math.sqrt(num // _ladder_prod(n, k))
 
     return d
 
@@ -409,26 +409,16 @@ def _band_image(
     return out, leak
 
 
-_UNIT = np.ones(1, dtype=np.complex128)
-
-
-def basis_image_norm_sq(op: OperatorExpr, n: int) -> float:
-    """||op|n>||^2 with the leaked mass included, from op's band terms
-    alone: the same arithmetic as apply(op, basis_state(n, dim)), without
-    building either state."""
-    out, leak = _band_image(op, np.array([n]), _UNIT)
-    return float(np.vdot(out, out).real) + leak
-
-
 def basis_norms_sq(op: OperatorExpr) -> np.ndarray:
-    """basis_image_norm_sq(op, n) for n = 0, 1, ... in one band pass.
+    """||op|n>||^2, the leaked mass included, for n = 0, 1, ... in one
+    band pass: the squared norm of apply(op, basis_state(n, dim)).
 
     The table covers a prefix of [0, dim): it ends before the first index
     whose image leaks past the truncation, whose diagonal raises, or whose
     squared norm is not finite, and it is empty for an operator of several
     terms, whose images sum several entries, or with a ladder factor past
-    the float range.  Past the prefix, basis_image_norm_sq gives the value
-    (np.vdot's, where a square overflows) or raises.  An image with one
+    the float range.  Past the prefix, apply on the basis state gives the
+    value (np.vdot's, where a square overflows) or raises.  An image with one
     entry c has the squared norm c.real**2 + c.imag**2, which is what
     np.vdot gives on it.
     """

@@ -30,8 +30,8 @@ from .core import (
     annihilation,
     adjoint,
     apply,
-    basis_image_norm_sq,
     basis_norms_sq,
+    basis_state,
     compose,
     creation,
     diag_op,
@@ -152,12 +152,9 @@ def ladder_general(
     (eigenvalue 0).
     """
     c, dim = _coeffs_and_dim(coeffs, dim)
-
-    def d_diag(n: int) -> complex:
-        return _guarded_ratio(c(n + 1), c, n) * math.sqrt(n + 1)
-
-    raising_form = sub(number_op(dim), _raising_form(_ratio_raising_diag(c), dim))
-    lowering_form = sub(annihilation(dim), diag_op(d_diag, dim))
+    ratio = _ratio_raising_diag(c)
+    raising_form = sub(number_op(dim), _raising_form(ratio, dim))
+    lowering_form = sub(annihilation(dim), diag_op(lambda n: ratio(n + 1), dim))
     return raising_form, lowering_form
 
 
@@ -185,7 +182,7 @@ def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
     """F(n) = ||lowering|n>||^2 including the mass leaked past the
     truncation, straight from lowering's band terms; 0 outside [0, dim).
     The first call reads the whole table in one band pass; indices past
-    the table's prefix take the per-index route, which names a failure."""
+    the table's prefix apply lowering to |n>, which names a failure."""
     dim = lowering.domain_dim
     table = None
 
@@ -197,7 +194,8 @@ def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
             table = basis_norms_sq(lowering)
         if n < len(table):
             return float(table[n])
-        return basis_image_norm_sq(lowering, n)
+        image = apply(lowering, basis_state(n, dim))
+        return float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
 
     return F
 
@@ -259,19 +257,47 @@ def structure_function(t: GdoTriple, n_range: Sequence[int]) -> np.ndarray:
 # --- step maps between neighboring family members ---
 
 
+def _step_f(
+    coeffs_from: Sequence[complex], coeffs_to: Sequence[complex], k: int
+) -> OperatorExpr:
+    """f(N) a (k = -1) or f(N) a+ (k = +1) between neighboring members,
+    f(N) = C_to(N) / (C_from(N-k) r(N)) with r the ladder factor on
+    |N-k>: sqrt(N+1) going down, sqrt(N) going up."""
+    c0 = _coeff_getter(coeffs_from)
+    c1 = _coeff_getter(coeffs_to)
+
+    def d(t: int) -> complex:
+        if t - k < 0:
+            return 0.0
+        return _guarded_ratio(c1(t), c0, t - k) / math.sqrt(max(t, t - k))
+
+    form = _lowering_form if k < 0 else _raising_form
+    return form(d, len(coeffs_from))
+
+
+def _step_g(
+    coeffs_from: Sequence[complex], coeffs_to: Sequence[complex], M: int, k: int
+) -> OperatorExpr:
+    """The diagonal C_to(N)/C_from(N), restricted to the side of M that
+    the step by k reaches, n <= M-1 or n >= M+1, where the 1/sqrt(|N-M|)
+    inside g exists."""
+    c0 = _coeff_getter(coeffs_from)
+    c1 = _coeff_getter(coeffs_to)
+
+    def d(n: int) -> complex:
+        if (n - M) * k < 1:
+            return 0.0
+        return _guarded_ratio(c1(n), c0, n)
+
+    return diag_op(d, len(coeffs_from))
+
+
 def step_down_f(
     coeffs_M: Sequence[complex], coeffs_Mm1: Sequence[complex], M: int
 ) -> OperatorExpr:
     """f(N) a mapping the M-member to the (M-1)-member, with
     f(N) = C(N, M-1)/(sqrt(N+1) C(N+1, M))."""
-    dim = len(coeffs_M)
-    c0 = _coeff_getter(coeffs_M)
-    c1 = _coeff_getter(coeffs_Mm1)
-
-    def d(t: int) -> complex:
-        return _guarded_ratio(c1(t), c0, t + 1) / math.sqrt(t + 1)
-
-    return _lowering_form(d, dim)
+    return _step_f(coeffs_M, coeffs_Mm1, -1)
 
 
 def step_down_g(
@@ -280,16 +306,7 @@ def step_down_g(
     """The diagonal route g(N) sqrt(M-N) to the (M-1)-member; combined it
     is C(N, M-1)/C(N, M), but only on n <= M-1; the 1/sqrt(M-N) inside g
     does not exist at n = M, so the diagonal is restricted there."""
-    dim = len(coeffs_M)
-    c0 = _coeff_getter(coeffs_M)
-    c1 = _coeff_getter(coeffs_Mm1)
-
-    def d(n: int) -> complex:
-        if n > M - 1:
-            return 0.0
-        return _guarded_ratio(c1(n), c0, n)
-
-    return diag_op(d, dim)
+    return _step_g(coeffs_M, coeffs_Mm1, M, -1)
 
 
 def step_up_f(
@@ -297,16 +314,7 @@ def step_up_f(
 ) -> OperatorExpr:
     """f(N) a+ mapping the shifted M-member to the (M+1)-member, with
     f(N) = D(N, M+1)/(sqrt(N) D(N-1, M))."""
-    dim = len(coeffs_M)
-    c0 = _coeff_getter(coeffs_M)
-    c1 = _coeff_getter(coeffs_Mp1)
-
-    def d(t: int) -> complex:
-        if t < 1:
-            return 0.0
-        return _guarded_ratio(c1(t), c0, t - 1) / math.sqrt(t)
-
-    return _raising_form(d, dim)
+    return _step_f(coeffs_M, coeffs_Mp1, +1)
 
 
 def step_up_g(
@@ -314,16 +322,7 @@ def step_up_g(
 ) -> OperatorExpr:
     """The diagonal route g(N) sqrt(N-M) to the (M+1)-member: combined
     D(N, M+1)/D(N, M), restricted to n >= M+1 where 1/sqrt(N-M) exists."""
-    dim = len(coeffs_M)
-    c0 = _coeff_getter(coeffs_M)
-    c1 = _coeff_getter(coeffs_Mp1)
-
-    def d(n: int) -> complex:
-        if n < M + 1:
-            return 0.0
-        return _guarded_ratio(c1(n), c0, n)
-
-    return diag_op(d, dim)
+    return _step_g(coeffs_M, coeffs_Mp1, M, +1)
 
 
 # --- named-family literal operator forms ---
@@ -405,14 +404,13 @@ def added_raising_ladder(
 ) -> OperatorExpr:
     """N - [C(N-M)/C(N-M-1)] sqrt(N-M) a+ for a state built by adding M
     quanta to a base with coefficients C; eigenvalue M."""
-    c = _coeff_getter(base_coeffs)
+    ratio = _ratio_raising_diag(_coeff_getter(base_coeffs))
+    return sub(number_op(dim), _raising_form(lambda t: ratio(t - M), dim))
 
-    def d(t: int) -> complex:
-        if t <= M:
-            return 0.0
-        return _guarded_ratio(c(t - M), c, t - M - 1) * math.sqrt(t - M)
 
-    return sub(number_op(dim), _raising_form(d, dim))
+def _pair_left(M: int, dim: int) -> OperatorExpr:
+    """(N+1-M) a, the left side of the lowered pairs."""
+    return _lowering_form(lambda t: complex(t + 1 - M), dim)
 
 
 def added_lowered_pair(
@@ -420,21 +418,8 @@ def added_lowered_pair(
 ) -> tuple[OperatorExpr, OperatorExpr]:
     """(N+1-M) a on the left against the diagonal
     [C(N+1-M)/C(N-M)] sqrt(N+1-M) (N+1) on the right."""
-    c = _coeff_getter(base_coeffs)
-
-    def d_left(t: int) -> complex:
-        return complex(t + 1 - M)
-
-    def d_right(n: int) -> complex:
-        if n + 1 - M <= 0:
-            return 0.0
-        return (
-            _guarded_ratio(c(n + 1 - M), c, n - M)
-            * math.sqrt(n + 1 - M)
-            * (n + 1)
-        )
-
-    return _lowering_form(d_left, dim), diag_op(d_right, dim)
+    ratio = _ratio_raising_diag(_coeff_getter(base_coeffs))
+    return _pair_left(M, dim), diag_op(lambda n: ratio(n + 1 - M) * (n + 1), dim)
 
 
 def shifted_lowered_pair(
@@ -444,28 +429,18 @@ def shifted_lowered_pair(
     state supported on n >= M with coefficients D."""
     c = _coeff_getter(coeffs)
 
-    def d_left(t: int) -> complex:
-        return complex(t + 1 - M)
-
     def d_right(n: int) -> complex:
         num = (n + 1 - M) * c(n + 1)
         return _guarded_ratio(num, c, n) * math.sqrt(n + 1)
 
-    return _lowering_form(d_left, dim), diag_op(d_right, dim)
+    return _pair_left(M, dim), diag_op(d_right, dim)
 
 
 def added_coherent_pair(
     alpha: complex, M: int, dim: int
 ) -> tuple[OperatorExpr, OperatorExpr]:
     """(N+1-M) a against alpha (N+1), the coherent-base specialization."""
-
-    def d_left(t: int) -> complex:
-        return complex(t + 1 - M)
-
-    def d_right(n: int) -> complex:
-        return alpha * (n + 1)
-
-    return _lowering_form(d_left, dim), diag_op(d_right, dim)
+    return _pair_left(M, dim), diag_op(lambda n: alpha * (n + 1), dim)
 
 
 def added_coherent_lowering(alpha: complex, M: int, dim: int) -> OperatorExpr:
@@ -500,12 +475,10 @@ def gs_pair(eta: float, dim: int) -> tuple[OperatorExpr, OperatorExpr]:
 
 
 def gs_lowering(dim: int) -> OperatorExpr:
-    """[1/sqrt(N+1)] a, eigenvalue sqrt(1-eta)."""
-
-    def d(t: int) -> complex:
-        return 1.0 / math.sqrt(t + 1)
-
-    return _lowering_form(d, dim)
+    """[1/sqrt(N+1)] a, eigenvalue sqrt(1-eta): the geometric state is the
+    M = 1 negative binomial with eta and 1-eta exchanged, so this is
+    nbs_lowering(1, dim)."""
+    return nbs_lowering(1, dim)
 
 
 def nbs_lowering(M: int, dim: int) -> OperatorExpr:

@@ -219,15 +219,6 @@ def geometric_coeffs(eta: float) -> Callable[[int], complex]:
     return c
 
 
-def generalized_binomial(x: float, n: int) -> float:
-    """x(x-1)...(x-n+1)/n! as a literal running product (exact sign
-    information at small n, no gamma functions)."""
-    value = 1.0
-    for k in range(n):
-        value *= (x - k) / (k + 1)
-    return value
-
-
 # --- finite families ---
 
 
@@ -264,26 +255,23 @@ def binomial(eta: float, M: int, dim: int) -> FockState:
 
 
 def hypergeometric(L: float, eta: float, M: int, dim: int) -> FockState:
-    """Amplitudes [C(L eta, n) C(L (1-eta), M-n) / C(L, M)]^(1/2) with
-    generalized binomials evaluated as literal products."""
+    """Amplitudes [C(L eta, n) C(L (1-eta), M-n) / C(L, M)]^(1/2), the
+    generalized binomials from running sums of their factors' logs, so
+    an L past the float range of the products stays in range."""
     eta = _check_eta(eta)
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
     L = _check_L(L, eta, M)
-    denom = generalized_binomial(L, M)
-    raw = np.zeros(dim, dtype=complex)
-    for n in range(M + 1):
-        prob = (
-            generalized_binomial(L * eta, n)
-            * generalized_binomial(L * (1.0 - eta), M - n)
-            / denom
+    k = np.arange(M)
+    with np.errstate(invalid="ignore"):  # L = inf: _finish refuses the NaN
+        log_p = (
+            _log_cumprod((L * eta - k) / (k + 1))
+            + _log_cumprod((L * (1.0 - eta) - k) / (k + 1))[::-1]
+            - np.sum(np.log((L - k) / (k + 1)))
         )
-        if prob < 0:
-            raise ParameterError(
-                f"internal consistency failure: negative weight at n={n}"
-            )
-        raw[n] = math.sqrt(prob)
-    return _finish(raw, f"hypergeometric(L={L!r}, eta={eta!r}, M={M})")
+    return _from_log_weights(
+        log_p, dim, f"hypergeometric(L={L!r}, eta={eta!r}, M={M})"
+    )
 
 
 def polya(eta: float, gamma: float, M: int, dim: int) -> FockState:

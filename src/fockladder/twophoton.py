@@ -46,8 +46,12 @@ from .states import (
     _check_dim,
     _finish,
     _tail_guard,
+    coherent_coeffs,
     format_complex,
 )
+
+# The largest pairwise infidelity the disentangling checks accept.
+INFIDELITY_TOL = 1e-8
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -202,16 +206,11 @@ def sfes_sector_coeffs(r: float, theta: float) -> CoeffFn:
 
 
 def _coherent_sector_coeffs(alpha: complex, j: int) -> CoeffFn:
-    alpha = complex(alpha)
+    """The coherent coefficients at level 2n+j."""
+    base = coherent_coeffs(alpha)
 
     def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        if alpha == 0:  # alpha^(2n+j) is 1 only at 2n+j = 0
-            return 1.0 if 2 * n + j == 0 else 0.0
-        return cmath.exp(
-            (2 * n + j) * cmath.log(alpha) - 0.5 * math.lgamma(2 * n + 1 + j)
-        )
+        return base(2 * n + j)
 
     return c
 
@@ -525,7 +524,7 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
     """Full-space K+ = a+^2/2, K- = a^2/2 and K0 = N/2 + 1/4."""
     return (
         scale(compose(creation(dim), creation(dim)), 0.5),
-        scale(compose(annihilation(dim), annihilation(dim)), 0.5),
+        scale(pair_lowering(dim), 0.5),
         diag_op(lambda n: n / 2.0 + 0.25, dim),
     )
 
@@ -563,7 +562,6 @@ def verify_disentangling(
     *,
     excitation: int = 0,
     tolerances: Tolerances | None = None,
-    infidelity_tol: float = 1e-8,
 ) -> VerificationReport:
     """Build S(xi)|j>, j = excitation, three ways (the exponential of the
     generator, the three-factor product, the closed-form expansion) and
@@ -583,9 +581,8 @@ def verify_disentangling(
     def normalized(v: np.ndarray) -> tuple[FockState, float]:
         # v on the full space at unit norm, and its norm deficit as leak
         norm = float(np.linalg.norm(v))
-        amps = np.zeros(dim, dtype=complex)
-        amps[j::2] = v / norm
-        return make_state(amps, parity=closed.parity), max(0.0, 1.0 - norm**2)
+        unit = make_state(v / norm, parity="full")
+        return sector_unembed(unit, j, dim), max(0.0, 1.0 - norm**2)
 
     s_exponential, leak_exponential = normalized(via_exponential)
     s_product, leak_product = normalized(via_product)
@@ -596,7 +593,7 @@ def verify_disentangling(
             name,
             equation,
             1.0 - fidelity(x, y),
-            infidelity_tol,
+            INFIDELITY_TOL,
             leak=leak,
             leak_tolerance=tol.leak,
             detail="pairwise infidelity of independent constructions",

@@ -7,6 +7,8 @@ The squeezing reference exponentiates full-space matrices, where the
 package works on one parity sector.  The band references at the end walk
 an operator's terms one index at a time in Python scalars, where the
 package does the arithmetic around each diagonal read as array work.
+The builder references after them write each ladder formula of the paper
+entry by entry, where the package composes shared band shapes.
 """
 
 import cmath
@@ -173,3 +175,124 @@ def matrix_reference(op) -> np.ndarray:
         for n in range(max(0, -k), min(dim, dim - k)):
             mat[n + k, n] += complex(d(n)) * _ladder_root(n, k)
     return mat
+
+
+# --- per-index references for the ladder builders ---
+# Each writes the paper's formula entry by entry in Python scalars: f(N) a
+# puts f(n-1) sqrt(n) at (n-1, n), f(N) a+ puts f(n+1) sqrt(n+1) at
+# (n+1, n), and a diagonal f puts f(n) at (n, n).  A coefficient ratio
+# whose numerator vanishes is 0 without reading the denominator.
+
+
+def _coeff(coeffs, n: int) -> complex:
+    return complex(coeffs[n]) if 0 <= n < len(coeffs) else 0.0
+
+
+def _ratio(num: complex, den: complex) -> complex:
+    return 0.0 if num == 0 else num / den
+
+
+def _entries(dim: int, lowering=None, diagonal=None, raising=None) -> np.ndarray:
+    mat = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim):
+        if diagonal is not None:
+            mat[n, n] = diagonal(n)
+        if lowering is not None and n >= 1:
+            mat[n - 1, n] = lowering(n - 1) * math.sqrt(n)
+        if raising is not None and n + 1 < dim:
+            mat[n + 1, n] = raising(n + 1) * math.sqrt(n + 1)
+    return mat
+
+
+def general_lowering_reference(coeffs, dim: int) -> np.ndarray:
+    """a - [C(N+1)/C(N)] sqrt(N+1)."""
+    return _entries(
+        dim,
+        lowering=lambda t: 1.0,
+        diagonal=lambda n: -(
+            _ratio(_coeff(coeffs, n + 1), _coeff(coeffs, n)) * math.sqrt(n + 1)
+        ),
+    )
+
+
+def added_raising_reference(coeffs, M: int, dim: int) -> np.ndarray:
+    """N - [C(N-M)/C(N-M-1)] sqrt(N-M) a+, the raising part zero at N <= M."""
+
+    def f(t: int) -> complex:
+        if t <= M:
+            return 0.0
+        return -(
+            _ratio(_coeff(coeffs, t - M), _coeff(coeffs, t - M - 1)) * math.sqrt(t - M)
+        )
+
+    return _entries(dim, diagonal=lambda n: n, raising=f)
+
+
+def pair_left_reference(M: int, dim: int) -> np.ndarray:
+    """(N+1-M) a, the left side of the lowered pairs."""
+    return _entries(dim, lowering=lambda t: t + 1 - M)
+
+
+def added_lowered_right_reference(coeffs, M: int, dim: int) -> np.ndarray:
+    """[C(N+1-M)/C(N-M)] sqrt(N+1-M) (N+1), zero at N+1 <= M."""
+
+    def right(n: int) -> complex:
+        if n + 1 - M <= 0:
+            return 0.0
+        ratio = _ratio(_coeff(coeffs, n + 1 - M), _coeff(coeffs, n - M))
+        return ratio * math.sqrt(n + 1 - M) * (n + 1)
+
+    return _entries(dim, diagonal=right)
+
+
+def shifted_lowered_right_reference(coeffs, M: int, dim: int) -> np.ndarray:
+    """(N+1-M) sqrt(N+1) D(N+1)/D(N)."""
+
+    def right(n: int) -> complex:
+        num = (n + 1 - M) * _coeff(coeffs, n + 1)
+        return _ratio(num, _coeff(coeffs, n)) * math.sqrt(n + 1)
+
+    return _entries(dim, diagonal=right)
+
+
+def step_down_f_reference(coeffs_M, coeffs_Mm1) -> np.ndarray:
+    """f(N) a, f(N) = C(N, M-1) / (sqrt(N+1) C(N+1, M))."""
+    return _entries(
+        len(coeffs_M),
+        lowering=lambda t: _ratio(_coeff(coeffs_Mm1, t), _coeff(coeffs_M, t + 1))
+        / math.sqrt(t + 1),
+    )
+
+
+def step_up_f_reference(coeffs_M, coeffs_Mp1) -> np.ndarray:
+    """f(N) a+, f(N) = D(N, M+1) / (sqrt(N) D(N-1, M))."""
+    return _entries(
+        len(coeffs_M),
+        raising=lambda t: _ratio(_coeff(coeffs_Mp1, t), _coeff(coeffs_M, t - 1))
+        / math.sqrt(t),
+    )
+
+
+def step_down_g_reference(coeffs_M, coeffs_Mm1, M: int) -> np.ndarray:
+    """C(N, M-1)/C(N, M) on n <= M-1, zero above."""
+    return _entries(
+        len(coeffs_M),
+        diagonal=lambda n: _ratio(_coeff(coeffs_Mm1, n), _coeff(coeffs_M, n))
+        if n <= M - 1
+        else 0.0,
+    )
+
+
+def step_up_g_reference(coeffs_M, coeffs_Mp1, M: int) -> np.ndarray:
+    """D(N, M+1)/D(N, M) on n >= M+1, zero below."""
+    return _entries(
+        len(coeffs_M),
+        diagonal=lambda n: _ratio(_coeff(coeffs_Mp1, n), _coeff(coeffs_M, n))
+        if n >= M + 1
+        else 0.0,
+    )
+
+
+def gs_lowering_reference(dim: int) -> np.ndarray:
+    """[1/sqrt(N+1)] a."""
+    return _entries(dim, lowering=lambda t: 1.0 / math.sqrt(t + 1))

@@ -125,6 +125,35 @@ def test_compose_zero_ladder_numerator_guard():
     assert np.array_equal(out.amplitudes, np.zeros(dim))
 
 
+@pytest.mark.parametrize("k1", range(-4, 5))
+@pytest.mark.parametrize("k2", range(-4, 5))
+def test_composed_diagonal_roots_an_exact_integer_square(k1, k2):
+    # the normal-ordering quotient L(n, k2) L(n+k2, k1) / L(n, k1+k2) of
+    # squared ladder products is an exact integer square wherever the
+    # inner shifts leave |n> alive, so its root is exact
+    def perm(n, k):
+        return math.perm(n + k, k) if k >= 0 else math.perm(n, -k)
+
+    def d1(n):
+        return complex(0.5 + n, 1.0 - 0.3 * n)
+
+    def d2(n):
+        return complex(-0.25 * n, 2.0 + n)
+
+    dim = 40
+    x, y = core.operator([(k1, d1)], dim), core.operator([(k2, d2)], dim)
+    ((k, d),) = core.compose(x, y).terms
+    assert k == k1 + k2
+    for n in range(dim):
+        num = perm(n, k2) * perm(n + k2, k1) if n + k2 >= 0 else 0
+        if num == 0:
+            assert d(n) == 0
+            continue
+        quot, rem = divmod(num, perm(n, k))
+        assert rem == 0 and math.isqrt(quot) ** 2 == quot
+        assert d(n) == d1(n + k2) * d2(n) * math.sqrt(quot)
+
+
 def test_adjoint_of_ladders_and_diag():
     dim = 8
     np.testing.assert_allclose(

@@ -6,6 +6,18 @@ import pytest
 
 import fockladder as fl
 
+from _oracles import (
+    added_lowered_right_reference,
+    added_raising_reference,
+    general_lowering_reference,
+    gs_lowering_reference,
+    pair_left_reference,
+    shifted_lowered_right_reference,
+    step_down_f_reference,
+    step_down_g_reference,
+    step_up_f_reference,
+    step_up_g_reference,
+)
 
 ETA, M_BS = 0.5, 4
 
@@ -390,3 +402,113 @@ def test_structure_fn_names_non_finite_index():
     assert F(1) == 1.0
     with pytest.raises(fl.OperatorEvaluationError, match="index 2"):
         F(2)
+
+
+# --- builders against their per-index references, bit for bit ---
+
+# complex, with a zero inside the support at n = 5: a ratio that reads it
+# as a numerator is 0, one that divides by it raises
+COEFFS = [0.8, 0.5 - 0.3j, -0.4 + 0.2j, 0.3j, 0.25, 0.0, 0.1 - 0.1j, 0.05 + 0.02j,
+          0.03, -0.01j]
+NEIGHBOR = [0.7 + 0.1j, 0.6, -0.5j, 0.4 - 0.2j, 0.3, 0.2 + 0.2j, -0.1, 0.08j, 0.06,
+            0.02 - 0.01j]
+
+
+def _matrix_or_raised(build):
+    try:
+        return build()
+    except (fl.ZeroCoefficientError, ZeroDivisionError):
+        return "raised"
+
+
+def _assert_same(builds, references):
+    """Each builder's to_matrix equals its reference by ==, or both raise;
+    returns the outcomes' kinds."""
+    kinds = set()
+    for build, reference in zip(builds, references):
+        got = _matrix_or_raised(lambda: fl.to_matrix(build()))
+        want = _matrix_or_raised(reference)
+        if isinstance(want, str) or isinstance(got, str):
+            assert (type(got), type(want)) == (str, str)
+        else:
+            assert np.array_equal(got, want)
+        kinds.add(type(want))
+    return kinds
+
+
+def test_general_lowering_form_matches_reference():
+    kinds = set()
+    for dim in range(1, len(COEFFS) + 2):
+        kinds |= _assert_same(
+            [lambda: fl.ladder_general(COEFFS, dim)[1]],
+            [lambda: general_lowering_reference(COEFFS, dim)],
+        )
+    assert kinds == {np.ndarray, str}
+
+
+def test_added_ladders_match_reference():
+    kinds = set()
+    for M in range(4):
+        for dim in range(M + 1, len(COEFFS) + M + 2):
+            kinds |= _assert_same(
+                [
+                    lambda: fl.added_raising_ladder(COEFFS, M, dim),
+                    lambda: fl.added_lowered_pair(COEFFS, M, dim)[0],
+                    lambda: fl.added_lowered_pair(COEFFS, M, dim)[1],
+                    lambda: fl.added_coherent_pair(0.5 - 1j, M, dim)[0],
+                ],
+                [
+                    lambda: added_raising_reference(COEFFS, M, dim),
+                    lambda: pair_left_reference(M, dim),
+                    lambda: added_lowered_right_reference(COEFFS, M, dim),
+                    lambda: pair_left_reference(M, dim),
+                ],
+            )
+    assert kinds == {np.ndarray, str}
+
+
+def test_shifted_lowered_pair_matches_reference():
+    kinds = set()
+    for M in range(4):
+        shifted = [0.0] * M + COEFFS
+        for dim in range(M + 1, len(shifted) + 2):
+            kinds |= _assert_same(
+                [
+                    lambda: fl.shifted_lowered_pair(shifted, M, dim)[0],
+                    lambda: fl.shifted_lowered_pair(shifted, M, dim)[1],
+                ],
+                [
+                    lambda: pair_left_reference(M, dim),
+                    lambda: shifted_lowered_right_reference(shifted, M, dim),
+                ],
+            )
+    assert kinds == {np.ndarray, str}
+
+
+def test_step_maps_match_reference():
+    # the zero sits in the target member, where it is only ever a numerator
+    for M in range(len(COEFFS) + 1):
+        assert _assert_same(
+            [
+                lambda: fl.step_down_f(NEIGHBOR, COEFFS, M),
+                lambda: fl.step_up_f(NEIGHBOR, COEFFS, M),
+                lambda: fl.step_down_g(NEIGHBOR, COEFFS, M),
+                lambda: fl.step_up_g(NEIGHBOR, COEFFS, M),
+            ],
+            [
+                lambda: step_down_f_reference(NEIGHBOR, COEFFS),
+                lambda: step_up_f_reference(NEIGHBOR, COEFFS),
+                lambda: step_down_g_reference(NEIGHBOR, COEFFS, M),
+                lambda: step_up_g_reference(NEIGHBOR, COEFFS, M),
+            ],
+        ) == {np.ndarray}
+    # divided by, the zero raises on both routes
+    assert _assert_same(
+        [lambda: fl.step_down_f(COEFFS, NEIGHBOR, 3)],
+        [lambda: step_down_f_reference(COEFFS, NEIGHBOR)],
+    ) == {str}
+
+
+def test_gs_lowering_matches_reference():
+    for dim in (1, 2, 17, 64):
+        _assert_same([lambda: fl.gs_lowering(dim)], [lambda: gs_lowering_reference(dim)])

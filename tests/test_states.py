@@ -298,11 +298,10 @@ NAN = float("nan")
     "build",
     [
         lambda: hypergeometric(NAN, 0.5, 3, 8),
-        lambda: hypergeometric(1e300, 0.5, 3, 8),
         lambda: coherent(complex(NAN), 8),
         lambda: squeezed_vacuum(0.5, NAN, 16),
     ],
-    ids=["hgs-L-nan", "hgs-L-1e300", "cs-alpha-nan", "svs-theta-nan"],
+    ids=["hgs-L-nan", "cs-alpha-nan", "svs-theta-nan"],
 )
 def test_non_finite_amplitude_is_a_parameter_error(build):
     with pytest.raises(ParameterError, match="non-finite amplitude at n="):
@@ -348,6 +347,14 @@ def test_polya_log_route_where_the_products_overflow(eta, gamma, M, dim):
     assert np.all(np.isfinite(s.amplitudes))
     for n in (0, 1, M // 2, M):
         assert probs(s)[n] == pytest.approx(polya_pmf(M, eta, gamma, n), rel=1e-9)
+
+
+def test_hypergeometric_past_the_float_range_is_binomial():
+    # C(L eta, n) passes the float range at L = 1e300, the log weights do
+    # not; drawing 3 of 1e300 is drawing with replacement
+    s = hypergeometric(1e300, 0.5, 3, 8)
+    np.testing.assert_allclose(probs(s), probs(binomial(0.5, 3, 8)), rtol=0, atol=1e-12)
+    assert s.norm_constant == pytest.approx(1.0, rel=1e-12)
 
 
 def test_generalized_geometric_past_the_float_range():
