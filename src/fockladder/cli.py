@@ -25,7 +25,7 @@ from typing import Any
 
 from .ladder import harmonic_gdo
 from .reporting import PRINTED_COLUMNS, Tolerances, csv_table, encode_json
-from .states import ParameterError, format_complex
+from .states import ParameterError, _check_dim, format_complex
 from .verify import (
     FAMILY_SPECS,
     _echo_params,
@@ -300,7 +300,7 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
         rows = derived_vs_printed_rows(cfg.family, cfg.params, cfg.dim)
     else:
         if cfg.family == "harmonic":
-            triple = harmonic_gdo(cfg.dim)
+            triple = harmonic_gdo(_check_dim(cfg.dim))
         else:
             triple = build_gdo(cfg.family, cfg.params, cfg.dim)
         rows = [

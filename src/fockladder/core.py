@@ -459,7 +459,9 @@ def _image_parity(parity: str, op: OperatorExpr) -> str | None:
 def to_matrix(op: OperatorExpr) -> np.ndarray:
     """Dense oracle: materialize op entrywise on its truncation.
 
-    Test-only path by design; apply() is the production route.
+    The dense axiom batteries, the sector embedding checks and the
+    disentangling oracle judge these matrices; apply() is the band route
+    that the eigen and relation checks use.
     """
     dim = op.domain_dim
     mat = np.zeros((dim, dim), dtype=np.complex128)

@@ -293,7 +293,7 @@ def _step_g(
 
 
 def step_down_f(
-    coeffs_M: Sequence[complex], coeffs_Mm1: Sequence[complex], M: int
+    coeffs_M: Sequence[complex], coeffs_Mm1: Sequence[complex]
 ) -> OperatorExpr:
     """f(N) a mapping the M-member to the (M-1)-member, with
     f(N) = C(N, M-1)/(sqrt(N+1) C(N+1, M))."""
@@ -310,7 +310,7 @@ def step_down_g(
 
 
 def step_up_f(
-    coeffs_M: Sequence[complex], coeffs_Mp1: Sequence[complex], M: int
+    coeffs_M: Sequence[complex], coeffs_Mp1: Sequence[complex]
 ) -> OperatorExpr:
     """f(N) a+ mapping the shifted M-member to the (M+1)-member, with
     f(N) = D(N, M+1)/(sqrt(N) D(N-1, M))."""

@@ -54,13 +54,17 @@ from .states import (
 INFIDELITY_TOL = 1e-8
 
 
-def expm(a: np.ndarray) -> np.ndarray:
-    """scipy.linalg.expm, imported on the first call: scipy.linalg takes
-    longer to import than the rest of the package, and only the
-    disentangling oracle needs it."""
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(a)
+def expm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(a) v for a strictly lower-triangular n x n matrix a: the sum
+    over k < n of a^k v / k!, by dense matvecs. a^n = 0, so the sum is
+    exact, and every entry of a enters each product. For any other a the
+    result is the degree n-1 Taylor polynomial, which the oracle's
+    comparisons then reject."""
+    term = total = v
+    for k in range(1, a.shape[0]):
+        term = a @ term / k
+        total = total + term
+    return total
 
 
 @dataclass(frozen=True)
@@ -539,9 +543,10 @@ def _squeezing_routes(
     r: float, theta: float, dim: int, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2:
-    exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh, independent of scipy's
-    Pade approximant, and exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0,
-    tau = e^{i theta} tanh r, where K- e_0 = 0 leaves one expm call."""
+    exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh, and
+    exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0, tau = e^{i theta} tanh r,
+    where K- e_0 = 0 leaves exp(tau K+) e_0, a finite sum since K+ is
+    strictly subdiagonal on the sector."""
     Kp, Km = (k[j::2, j::2] for k in _full_k_pair(dim))
     xi = r * cmath.exp(1j * theta)
     h = -1j * (xi * Kp - xi.conjugate() * Km)
@@ -549,9 +554,11 @@ def _squeezing_routes(
     # Hermitian part makes both operators enter
     lam, V = np.linalg.eigh((h + h.conj().T) / 2)
     tau = cmath.exp(1j * theta) * math.tanh(r)
+    e0 = np.zeros(len(Kp))
+    e0[0] = 1.0
     return (
         V @ (np.exp(1j * lam) * V[0].conj()),
-        math.cosh(r) ** -(j + 0.5) * expm(tau * Kp)[:, 0],
+        math.cosh(r) ** -(j + 0.5) * expm(tau * Kp, e0),
     )
 
 

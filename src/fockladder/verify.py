@@ -265,8 +265,16 @@ class FamilySpec:
     disentangle: bool = False
 
 
+def _phase_grid(p: Params) -> PhaseGrid:
+    # the registry pins the grid size s to M, which is what a caller sets
+    M = _check_count(p["M"], "M")
+    if not 0 <= p["m"] <= M:
+        raise ParameterError("m must lie in [0, M]")
+    return PhaseGrid(p["theta0"], M, p["m"])
+
+
 def _theta_m(p: Params) -> float:
-    grid = PhaseGrid(p["theta0"], p["M"], p["m"])
+    grid = _phase_grid(p)
     # the constructor's bound: it names theta0, which a caller sets
     _check_angle(grid.theta0, grid.s, "theta0")
     return grid.theta_m
@@ -355,9 +363,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         ),
         FamilySpec(
             "pegg_barnett_phase", "pbps", ("theta0", "m", "M"), "finite",
-            build=lambda p, dim: pegg_barnett_phase(
-                PhaseGrid(p["theta0"], p["M"], p["m"]), p["M"], dim
-            ),
+            build=lambda p, dim: pegg_barnett_phase(_phase_grid(p), p["M"], dim),
             closed_form=lambda p, dim: _cf_phase(_theta_m(p), p["M"]),
             norm_eq="E24 E25", dist_eq="E24",
             literal=lambda p, dim: (pbps_ladder(_theta_m(p), p["M"], dim), p["M"]),
@@ -792,6 +798,7 @@ def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     coeffs = closed_form_coeffs(family, p, dim)
     if coeffs is None:
         coeffs = build_state(family, p, dim).amplitudes
+    dim = _check_dim(dim)
     if spec.kind == "two-photon":
         dim = sector_dim(dim, spec.sector)
     return _gdo(spec, coeffs, p, dim)
@@ -971,7 +978,7 @@ def _suite_finite(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
         cf_down = closed_form_coeffs(spec.name, reduced, dim)
         c0 = [cf(n) for n in range(dim)]
         c1 = [cf_down(n) for n in range(dim)]
-        f_op = step_down_f(c0, c1, M)
+        f_op = step_down_f(c0, c1)
         g_op = step_down_g(c0, c1, M)
         checks += [
             _state_map_check("step-down-f", "E3 E4 E5", f_op, s, target, tol),
@@ -1010,7 +1017,7 @@ def _suite_shifted(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol)
     c0 = [cf(n) for n in range(dim)]
     c1 = [cf_up(n) for n in range(dim)]
     checks += [
-        _state_map_check("step-up-f", "E33 E35", step_up_f(c0, c1, M), s, target, tol),
+        _state_map_check("step-up-f", "E33 E35", step_up_f(c0, c1), s, target, tol),
         _state_map_check("step-up-g", "E34 E36", step_up_g(c0, c1, M), s, target, tol),
     ]
     checks += _gdo_checks(

@@ -667,3 +667,26 @@ def test_structure_fn_rejects_negative_r(capsys, family):
     )
     assert (code, out) == (2, "")
     assert err == "error: r must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "bs --eta 0.5 --M 4 --dim -1",
+        "cs --alpha 1 --dim 0",
+        "harmonic --dim -3",
+    ],
+)
+def test_structure_fn_refuses_a_dim_below_one(capsys, flags):
+    code, out, err = run(capsys, "structure-fn", "--family", *flags.split())
+    assert (code, out, err) == (2, "", "error: dim must be an integer >= 1\n")
+
+
+@pytest.mark.parametrize("subcommand", ["state", "verify"])
+@pytest.mark.parametrize("m", ["5", "-1"])
+def test_pbps_refusal_names_M(capsys, subcommand, m):
+    # the registry pins the grid size s to M, so the message names M
+    code, out, err = run(
+        capsys, subcommand, "--family", "pbps", "--theta0", "0", f"--m={m}", "--M", "3"
+    )
+    assert (code, out, err) == (2, "", "error: m must lie in [0, M]\n")

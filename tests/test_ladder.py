@@ -287,7 +287,7 @@ def test_step_down_both_routes():
         dim = M + 8
         upper = maker(*args, M, dim)
         lower = maker(*args, M - 1, dim)
-        f_op = fl.step_down_f(upper.amplitudes, lower.amplitudes, M)
+        f_op = fl.step_down_f(upper.amplitudes, lower.amplitudes)
         g_op = fl.step_down_g(upper.amplitudes, lower.amplitudes, M)
         f_image = fl.apply(f_op, upper)
         g_image = fl.apply(g_op, upper)
@@ -302,7 +302,7 @@ def test_step_up_both_routes():
     dim = 256
     here = fl.new_negative_binomial(eta, M, dim)
     above = fl.new_negative_binomial(eta, M + 1, dim)
-    f_op = fl.step_up_f(here.amplitudes, above.amplitudes, M)
+    f_op = fl.step_up_f(here.amplitudes, above.amplitudes)
     g_op = fl.step_up_g(here.amplitudes, above.amplitudes, M)
     f_image = fl.apply(f_op, here)
     g_image = fl.apply(g_op, here)
@@ -490,8 +490,8 @@ def test_step_maps_match_reference():
     for M in range(len(COEFFS) + 1):
         assert _assert_same(
             [
-                lambda: fl.step_down_f(NEIGHBOR, COEFFS, M),
-                lambda: fl.step_up_f(NEIGHBOR, COEFFS, M),
+                lambda: fl.step_down_f(NEIGHBOR, COEFFS),
+                lambda: fl.step_up_f(NEIGHBOR, COEFFS),
                 lambda: fl.step_down_g(NEIGHBOR, COEFFS, M),
                 lambda: fl.step_up_g(NEIGHBOR, COEFFS, M),
             ],
@@ -504,7 +504,7 @@ def test_step_maps_match_reference():
         ) == {np.ndarray}
     # divided by, the zero raises on both routes
     assert _assert_same(
-        [lambda: fl.step_down_f(COEFFS, NEIGHBOR, 3)],
+        [lambda: fl.step_down_f(COEFFS, NEIGHBOR)],
         [lambda: step_down_f_reference(COEFFS, NEIGHBOR)],
     ) == {str}
 

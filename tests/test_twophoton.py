@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 import fockladder as fl
 import fockladder.twophoton as twophoton
@@ -358,17 +359,59 @@ def test_disentangling_catches_a_flipped_k_sign(monkeypatch, j, flip, still_pass
 
 @pytest.mark.parametrize("j", [0, 1])
 def test_disentangling_exponentiates_one_sector_block(monkeypatch, j):
-    shapes = []
+    calls = []
     expm = twophoton.expm
 
-    def recording(a):
-        shapes.append(a.shape)
-        return expm(a)
+    def recording(a, v):
+        calls.append((a.shape, v))
+        return expm(a, v)
 
     monkeypatch.setattr(twophoton, "expm", recording)
     assert fl.verify_disentangling(0.8, 0.5, 512, excitation=j).passed
-    assert len(shapes) == 1
-    assert all(rows <= 256 and cols <= 256 for rows, cols in shapes)
+    assert len(calls) == 1
+    (rows, cols), v = calls[0]
+    assert rows <= 256 and cols <= 256
+    assert np.array_equal(v, np.eye(rows)[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 128])
+def test_expm_of_a_strictly_lower_triangular_matrix(n):
+    rng = np.random.default_rng(n)
+    a = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    expected = scipy_expm(a) @ v
+    error = np.linalg.norm(twophoton.expm(a, v) - expected)
+    assert error <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("sector_dim", [128, 256])
+@pytest.mark.parametrize("j", [0, 1])
+def test_expm_of_the_k_plus_sector_block(sector_dim, j):
+    k_plus = twophoton._full_k_pair(2 * sector_dim)[0][j::2, j::2]
+    a = cmath.exp(0.5j) * math.tanh(0.8) * k_plus
+    e0 = np.eye(sector_dim)[0]
+    expected = scipy_expm(a)[:, 0]
+    error = np.linalg.norm(twophoton.expm(a, e0) - expected)
+    assert error <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
+    # a stray entry far below K+'s band, at sector (40, 3): the product
+    # route must read it, not only the band
+    k_pair = twophoton._full_k_pair
+
+    def mutant(dim):
+        k_plus, k_minus = k_pair(dim)
+        k_plus[2 * 40 + j, 2 * 3 + j] = 1e-3
+        return k_plus, k_minus
+
+    monkeypatch.setattr(twophoton, "_full_k_pair", mutant)
+    report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
+    assert len(report.checks) == 3
+    assert {c.name for c in report.checks if c.passed} == {
+        "disentangle-exponential-vs-closed"
+    }
 
 
 @pytest.mark.parametrize(
@@ -409,13 +452,18 @@ def test_sector_coeff_callables_match_states():
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy as None in sys.modules makes every scipy import raise
     code = (
         "import sys\n"
-        "import fockladder.cli\n"
+        "sys.modules['scipy'] = None\n"
+        "from fockladder.cli import main\n"
         "from fockladder import verify_disentangling\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
+        "for family in ('svs', 'sfes'):\n"
+        "    argv = ['verify', '--family', family, '--r', '0.8', '--theta', '0.5']\n"
+        "    assert main(argv + ['--dim', '128']) == 0\n"
         "assert verify_disentangling(0.5, 0.3, 64).passed\n"
-        "assert 'scipy.linalg' in sys.modules\n"
+        "assert sys.modules['scipy'] is None\n"
+        "assert not [name for name in sys.modules if name.startswith('scipy.')]\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)

@@ -211,6 +211,13 @@ def test_build_gdo_dispatch():
         fl.build_gdo("phase", {"theta": 0.1}, 8)
 
 
+@pytest.mark.parametrize("family", list(GRID_BY_FAMILY))
+def test_build_gdo_refuses_dim_zero(family):
+    params, _ = GRID_BY_FAMILY[family]
+    with pytest.raises(fl.ParameterError, match=r"^dim must be an integer >= 1$"):
+        fl.build_gdo(family, params, 0)
+
+
 # --- derived vs printed ---
 
 
