@@ -325,7 +325,7 @@ def _manifest_int(value: Any, field: str) -> int:
     # JSON reads 1e999 as an infinite float, which int() cannot take
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ParameterError(f"{field} must be an integer")
     return int(value)
 
@@ -342,6 +342,8 @@ def _decode_manifest_params(raw: Any) -> dict[str, Any]:
         else:
             kind = complex if key in _COMPLEX_FLAGS else float
             try:
+                if isinstance(value, bool):  # float() reads true/false as 1/0
+                    raise TypeError
                 params[key] = kind(value)
             except (TypeError, ValueError, OverflowError):
                 raise ParameterError(f"parameter '{key}' must be a number") from None
@@ -361,11 +363,14 @@ def _decode_manifest_entry(entry: Any) -> tuple[str, dict[str, Any], int, Tolera
     if not isinstance(overrides, dict):
         raise ParameterError("'tolerances' must be a mapping")
     values = Tolerances().as_dict()
-    for name in values:
-        if name in overrides:
-            if not isinstance(overrides[name], (int, float)):
-                raise ParameterError(f"tolerance '{name}' must be a number")
-            values[name] = overrides[name]
+    for name, value in overrides.items():
+        if name not in values:
+            raise ParameterError(
+                f"tolerance '{name}' must be one of {', '.join(sorted(values))}"
+            )
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ParameterError(f"tolerance '{name}' must be a number")
+        values[name] = value
     return family, params, dim, Tolerances(**values)
 
 

@@ -10,8 +10,9 @@ function of the number operator composed with a pure ladder shift:
 Amplitude mass pushed past the truncation is accumulated into a
 reported leak, never silently lost.
 
-Band arithmetic follows one rule, in three parts, on every route that
-reads the terms (apply, the structure-function table, to_matrix):
+Band arithmetic follows one rule, in three parts, on both routes that
+read the terms (apply, whose pass also gives the structure-function
+table, and to_matrix):
 
 - Lazy, numerator-first reads.  A diagonal is a Python callable, called
   once per contributing integer index, and only where the ladder factor
@@ -97,22 +98,16 @@ def _ladder_factors(ns: np.ndarray, k: int) -> np.ndarray:
     return np.sqrt(prod)
 
 
-def _read_diag(d: DiagFn, ns: list[int]) -> tuple[list[complex], Exception | None]:
-    """complex(d(n)) for each n of ns in order, up to the first n where d
-    raises: the values read, and that exception or None."""
-    values: list[complex] = []
-    try:
-        for n in ns:
-            values.append(complex(d(n)))
-    except Exception as exc:  # the caller's diagonal: raised where the
-        return values, exc  # per-index loop would raise it
-    return values, None
-
-
 def _diag_values(d: DiagFn, ns: list[int], where: str) -> np.ndarray:
     """The diagonal's values at ns as an array; raises where the per-index
     loop would: at the first non-finite value, else with d's own error."""
-    values, exc = _read_diag(d, ns)
+    values: list[complex] = []
+    exc: Exception | None = None
+    try:
+        for n in ns:
+            values.append(complex(d(n)))
+    except Exception as caught:  # the caller's diagonal: raised below, unless
+        exc = caught  # a value read before it is not finite
     arr = np.array(values, dtype=np.complex128)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
@@ -407,42 +402,6 @@ def _band_image(
         for c in contrib[inside:]:  # the few entries past the truncation
             leak += abs(c) ** 2
     return out, leak
-
-
-def basis_norms_sq(op: OperatorExpr) -> np.ndarray:
-    """||op|n>||^2, the leaked mass included, for n = 0, 1, ... in one
-    band pass: the squared norm of apply(op, basis_state(n, dim)).
-
-    The table covers a prefix of [0, dim): it ends before the first index
-    whose image leaks past the truncation, whose diagonal raises, or whose
-    squared norm is not finite, and it is empty for an operator of several
-    terms, whose images sum several entries, or with a ladder factor past
-    the float range.  Past the prefix, apply on the basis state gives the
-    value (np.vdot's, where a square overflows) or raises.  An image with one
-    entry c has the squared norm c.real**2 + c.imag**2, which is what
-    np.vdot gives on it.
-    """
-    if len(op.terms) != 1:
-        return np.zeros(0)
-    ((k, d),) = op.terms
-    ns = np.arange(min(op.domain_dim, op.domain_dim - k))
-    try:
-        factors = _ladder_factors(ns, k)
-    except OverflowError:  # raised per index, where a factor leaves the range
-        return np.zeros(0)
-    live = np.flatnonzero(factors)
-    values, _ = _read_diag(d, ns[live].tolist())
-    v = np.array(values, dtype=np.complex128)
-    f = factors[live[: len(v)]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        re, im = v.real * f, v.imag * f
-        square = re * re + im * im
-    bad = np.flatnonzero(~np.isfinite(square))
-    read = int(bad[0]) if bad.size else len(v)
-    stop = int(live[read]) if read < len(live) else len(ns)
-    table = np.zeros(stop)
-    table[live[:read]] = square[:read]
-    return table
 
 
 def _image_parity(parity: str, op: OperatorExpr) -> str | None:

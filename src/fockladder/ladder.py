@@ -26,12 +26,11 @@ from .core import (
     DiagFn,
     FockState,
     OperatorExpr,
+    _band_image,
     add,
     annihilation,
     adjoint,
     apply,
-    basis_norms_sq,
-    basis_state,
     compose,
     creation,
     diag_op,
@@ -179,10 +178,10 @@ class GdoTriple:
 
 
 def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
-    """F(n) = ||lowering|n>||^2 including the mass leaked past the
-    truncation, straight from lowering's band terms; 0 outside [0, dim).
-    The first call reads the whole table in one band pass; indices past
-    the table's prefix apply lowering to |n>, which names a failure."""
+    """F(n) = ||lowering|n>||^2 straight from lowering's band terms; 0
+    outside [0, dim).  A triple's lowering is one term d(N) a^m, which maps
+    |n> to a single entry at n - m, so the first call reads the whole table
+    from one pass of apply's kernel; a square past the float range is inf."""
     dim = lowering.domain_dim
     table = None
 
@@ -191,11 +190,12 @@ def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
         if not 0 <= n < dim:
             return 0.0
         if table is None:
-            table = basis_norms_sq(lowering)
-        if n < len(table):
-            return float(table[n])
-        image = apply(lowering, basis_state(n, dim))
-        return float(np.vdot(image.amplitudes, image.amplitudes).real) + image.leak
+            ((k, _),) = lowering.terms
+            with np.errstate(over="ignore"):
+                image, _ = _band_image(lowering, np.arange(dim), np.ones(dim, complex))
+                squares = image.real**2 + image.imag**2
+            table = np.concatenate((np.zeros(-k), squares))[:dim]
+        return float(table[n])
 
     return F
 

@@ -127,13 +127,13 @@ def _check_Y(Y: complex) -> complex:
     return Y
 
 
-def _tail_guard(raw: np.ndarray, what: str, tol: float = TAIL_TOL) -> float:
+def _tail_guard(raw: np.ndarray, what: str) -> float:
     # raw carries the family's closed-form normalization, so the dropped
     # tail is the deficit of the retained mass from 1
     tail = max(0.0, 1.0 - float(np.vdot(raw, raw).real))
-    if tail > tol:
+    if tail > TAIL_TOL:
         raise TailMassError(
-            f"{what} drops tail mass {tail:.3e} > {tol:.0e}; increase dim"
+            f"{what} drops tail mass {tail:.3e} > {TAIL_TOL:.0e}; increase dim"
         )
     return tail
 

@@ -1175,6 +1175,7 @@ def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Param
     if spec is None or spec.printed_F is None:
         raise ParameterError(f"no printed structure function for '{family}'")
     p = _require(spec, params)
+    dim = _check_dim(dim)
     M = p["M"]
     derived_F = _finite_F(closed_form_coeffs(family, p, dim), M)
     rows = []

@@ -363,6 +363,18 @@ def test_structure_fn_harmonic(capsys):
         assert row["F"] == pytest.approx(row["n"], abs=1e-13)
 
 
+def test_structure_fn_csv_rows_are_the_triples_F(capsys):
+    code, out, err = run(
+        capsys, "structure-fn", "--family", "cs", "--alpha", "1", "--dim", "16",
+        "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "n,F"
+    t = fl.build_gdo("coherent", {"alpha": 1.0}, 16)
+    assert lines[2:] == [f"{n},{t.structure_fn(n)!r}" for n in range(16)]
+
+
 def test_structure_fn_compare_printed_rbs(capsys):
     code, out, _ = run(
         capsys,
@@ -544,8 +556,24 @@ def test_batch_complex_params_round_trip(tmp_path, capsys):
             "tolerance 'oracle'",
         ),
         ('[{"family":"cs","params":{"alpha":"nan"},"dim":8}]', "parameter 'alpha'"),
+        ('[{"family":"bs","params":{"eta":0.5,"M":false},"dim":12}]', "parameter 'M'"),
+        ('[{"family":"cs","params":{"alpha":true},"dim":8}]', "parameter 'alpha'"),
+        ('[{"family":"cs","params":{"alpha":1},"dim":true}]', "'dim'"),
+        (
+            '[{"family":"bs","params":{"eta":0.5,"M":4},"dim":12,'
+            '"tolerances":{"oracle":true}}]',
+            "tolerance 'oracle'",
+        ),
+        (
+            '[{"family":"bs","params":{"eta":0.5,"M":4},"dim":12,'
+            '"tolerances":{"orcale":1e-18}}]',
+            "tolerance 'orcale'",
+        ),
     ],
-    ids=["dim-overflow", "M-overflow", "tolerance-not-a-number", "alpha-nan"],
+    ids=[
+        "dim-overflow", "M-overflow", "tolerance-not-a-number", "alpha-nan",
+        "M-bool", "alpha-bool", "dim-bool", "tolerance-bool", "tolerance-unknown",
+    ],
 )
 def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):
     manifest = tmp_path / "bad.json"
@@ -675,6 +703,8 @@ def test_structure_fn_rejects_negative_r(capsys, family):
         "bs --eta 0.5 --M 4 --dim -1",
         "cs --alpha 1 --dim 0",
         "harmonic --dim -3",
+        "bs --eta 0.5 --M 4 --dim 0 --compare-printed",
+        "bs --eta 0.5 --M 4 --dim -3 --compare-printed",
     ],
 )
 def test_structure_fn_refuses_a_dim_below_one(capsys, flags):
