@@ -435,38 +435,70 @@ def to_matrix(op: OperatorExpr) -> np.ndarray:
     return mat
 
 
-def nonzero_diagonals(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """A square matrix with the offsets (column - row) of its diagonals
-    that hold a nonzero entry, read from the entries themselves: a stray
-    entry anywhere adds its own offset."""
-    rows, cols = np.nonzero(a)
-    return a, np.unique(cols - rows).tolist()
+Bands = dict[int, np.ndarray]
 
 
-def diagonal_matmul(
-    x: tuple[np.ndarray, list[int]], y: tuple[np.ndarray, list[int]]
-) -> np.ndarray:
-    """a @ b for (a, offsets) and (b, offsets) from nonzero_diagonals,
-    summed diagonal by diagonal: the product of offsets p and q places
-    a[i, i+p] * b[i+p, i+p+q] on offset p + q, so each entry gets exactly
-    the nonzero products the dense matmul sums, in O(dim) per offset pair.
-    """
-    (a, a_offsets), (b, b_offsets) = x, y
+def nonzero_diagonals(a: np.ndarray) -> Bands:
+    """The diagonals of a square matrix that hold a nonzero entry, as
+    offset (column - row) -> a.diagonal(offset) in ascending order, read
+    from the entries themselves: a stray entry anywhere adds its own
+    offset, and NaN counts as nonzero, as in np.nonzero."""
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    out = np.zeros((n, n), dtype=np.result_type(a, b))
-    # offset d holds the flat entries r * (n + 1) + d, one per row r
-    flat_a, flat_b, flat_out, step = a.reshape(-1), b.reshape(-1), out.reshape(-1), n + 1
-    for p in a_offsets:
-        for q in b_offsets:
+    at = np.flatnonzero(a != 0)
+    return {int(k): a.diagonal(k) for k in np.unique(at % n - at // n)}
+
+
+def _band_dim(*bands: Bands) -> int | None:
+    # diagonal k of an n x n matrix holds n - |k| entries
+    dims = {len(d) + abs(k) for band in bands for k, d in band.items()}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"bands of dims {sorted(dims)} differ")
+    return dims.pop() if dims else None
+
+
+def diagonal_matmul(x: Bands, y: Bands) -> Bands:
+    """a @ b for a and b in the form of nonzero_diagonals, summed diagonal
+    by diagonal: offsets p and q place a[i, i+p] * b[i+p, i+p+q] on
+    offset p + q, in ascending (p, q) order onto zeros, in O(dim) per
+    offset pair.  Each entry thus sums every product the dense matmul can
+    make nonzero; a zero on a nonzero diagonal still multiplies (inf * 0
+    is NaN, as in BLAS), a zero off them never does.  A diagonal that no
+    pair reaches is left out."""
+    n = _band_dim(x, y)
+    out: Bands = {}
+    for p, da in x.items():
+        for q, db in y.items():
             s = p + q
-            lo, hi = max(0, -p, -s), min(n, n - p, n - s)
+            lo, hi = max(0, -p, -s), min(n, n - p, n - s)  # rows r it fills
             if lo >= hi:
                 continue
-            span = (hi - lo - 1) * step + 1
-            at_out, at_a, at_b = lo * step + s, lo * step + p, (lo + p) * step + q
-            flat_out[at_out : at_out + span : step] += (
-                flat_a[at_a : at_a + span : step] * flat_b[at_b : at_b + span : step]
+            if s not in out:
+                out[s] = np.zeros(n - abs(s), dtype=np.result_type(da, db))
+            # entry t of diagonal k lies in row t + max(0, -k)
+            at_a, at_b, at_out = lo - max(0, -p), lo + p - max(0, -q), lo - max(0, -s)
+            span = hi - lo
+            out[s][at_out : at_out + span] += (
+                da[at_a : at_a + span] * db[at_b : at_b + span]
             )
-    return out
+    return dict(sorted(out.items()))
+
+
+def band_max_abs(
+    combine: Callable[..., np.ndarray], *bands: Bands, exclude_column: int | None = None
+) -> float:
+    """np.abs(combine(A, B, ...)).max() for square matrices given as bands
+    in the form of nonzero_diagonals, without forming them: combine runs
+    entrywise on each offset in the union of the bands, a missing diagonal
+    reads as zeros, and the entries of exclude_column read as 0.  An entry
+    on no band is zero in every operand, and so in every combination
+    these checks form; NaN propagates as in the dense max."""
+    n = _band_dim(*bands)
+    peaks = [0.0]
+    for k in sorted(set().union(*bands)):
+        zeros = np.zeros(n - abs(k))
+        magnitude = np.abs(combine(*(band.get(k, zeros) for band in bands)))
+        t = -1 if exclude_column is None else exclude_column - max(k, 0)
+        if 0 <= t < len(magnitude):
+            magnitude[t] = 0.0
+        peaks.append(magnitude.max())
+    return float(np.max(peaks))

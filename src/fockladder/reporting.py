@@ -27,8 +27,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("residual", "leak", "oracle"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} tolerance must be positive")
+            # a chained comparison, so an int past the float range still compares
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} tolerance must be a finite positive number")
 
     def as_dict(self) -> dict[str, float]:
         return {"residual": self.residual, "leak": self.leak, "oracle": self.oracle}

@@ -19,6 +19,7 @@ from .core import (
     FockState,
     OperatorExpr,
     annihilation,
+    band_max_abs,
     compose,
     creation,
     diag_op,
@@ -401,15 +402,19 @@ def sfes_lowering(dim: int) -> OperatorExpr:
 def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
     """The su(1,1) relations among the to_matrix forms of K+, K-, K0.
 
-    Each product is summed from the operands' nonzero diagonals, read from
-    their entries (core.diagonal_matmul): a stray entry anywhere still
-    enters, and every entry is the one product the dense matmul forms.
+    Every check runs on the nonzero diagonals read from those entries
+    (core.nonzero_diagonals): a stray entry anywhere still enters, each
+    product entry is the one product the dense matmul forms
+    (core.diagonal_matmul), and each residual entry goes through the same
+    float operations as on the dense matrices (core.band_max_abs).
     """
     dim = rep.dim
     j = rep.parity_j
     Kp, Km, K0 = rep.matrices
     p, m, z = (nonzero_diagonals(k) for k in rep.matrices)
     KpKm, KmKp = diagonal_matmul(p, m), diagonal_matmul(m, p)
+    eye = {0: np.ones(dim)}
+    top = dim - 1  # K+ leaks from the top basis vector
     tol = tolerances.oracle
 
     def c(name: str, equation: str, residual: float, detail: str) -> CheckResult:
@@ -422,7 +427,10 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         float(np.max(np.abs(np.diag(Km, 1) - band), initial=0.0)),
         float(np.max(np.abs(np.diag(K0) - (np.arange(dim) + j / 2 + 0.25)))),
     )
-    checks = [
+    k = rep.bargmann_k
+    shift = 0.25 + j / 2.0
+    number = nonzero_diagonals(to_matrix(rep.sector_number_op))
+    return [
         c(
             "su11-action",
             "E66",
@@ -432,49 +440,46 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         c(
             "su11-commutator-plus",
             "E66",
-            float(np.abs(diagonal_matmul(z, p) - diagonal_matmul(p, z) - Kp).max()),
+            band_max_abs(
+                lambda zp, pz, kp: zp - pz - kp,
+                diagonal_matmul(z, p), diagonal_matmul(p, z), p,
+            ),
             "[K0, K+] - K+",
         ),
         c(
             "su11-commutator-minus",
             "E66",
-            float(np.abs(diagonal_matmul(z, m) - diagonal_matmul(m, z) + Km).max()),
+            band_max_abs(
+                lambda zm, mz, km: zm - mz + km,
+                diagonal_matmul(z, m), diagonal_matmul(m, z), m,
+            ),
             "[K0, K-] + K-",
         ),
-    ]
-    comm = KpKm - KmKp + 2 * K0
-    comm[:, dim - 1] = 0.0  # K+ leaks from the top basis vector
-    checks.append(
         c(
             "su11-commutator-pm",
             "E66",
-            float(np.abs(comm).max()),
+            band_max_abs(
+                lambda pm, mp, k0: pm - mp + 2 * k0, KpKm, KmKp, z, exclude_column=top
+            ),
             "[K+, K-] + 2 K0, top column excluded",
-        )
-    )
-    k = rep.bargmann_k
-    casimir = diagonal_matmul(z, z) - (KpKm + KmKp) / 2 - k * (k - 1) * np.eye(dim)
-    casimir[:, dim - 1] = 0.0
-    checks.append(
+        ),
         c(
             "su11-casimir",
             "E66",
-            float(np.abs(casimir).max()),
+            band_max_abs(
+                lambda zz, pm, mp, e: zz - (pm + mp) / 2 - k * (k - 1) * e,
+                diagonal_matmul(z, z), KpKm, KmKp, eye, exclude_column=top,
+            ),
             f"K0^2 - (K+K- + K-K+)/2 vs k(k-1) = {k * (k - 1)!r}, "
             "top column excluded",
-        )
-    )
-    shift = 0.25 + j / 2.0
-    number = to_matrix(rep.sector_number_op)
-    checks.append(
+        ),
         c(
             "su11-sector-number",
             "E70 E71",
-            float(np.abs(K0 - shift * np.eye(dim) - number).max()),
+            band_max_abs(lambda k0, e, num: k0 - shift * e - num, z, eye, number),
             f"K0 - {shift!r} counts sector quanta",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def embedding_checks(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -165,6 +166,32 @@ def test_non_finite_parameter_exits_two(capsys, subcommand, flags, name):
     assert code == 2
     assert err == f"error: parameter '{name}' must be finite\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--tol-oracle", "inf"),
+        ("--tol-oracle", "nan"),
+        ("--tol-residual", "-1"),
+        ("--tol-leak", "1e999"),
+    ],
+)
+def test_non_finite_or_non_positive_tolerance_exits_two(capsys, flag, value):
+    # an infinite tolerance would pass every check whatever its residual
+    argv = ["--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12"]
+    code, out, err = run(capsys, "verify", *argv, flag, value)
+    assert (code, out) == (2, "")
+    name = flag.removeprefix("--tol-")
+    assert err == f"error: {name} tolerance must be a finite positive number\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-12])
+@pytest.mark.parametrize("name", ["residual", "leak", "oracle"])
+def test_tolerances_refuse_non_finite_and_non_positive(name, value):
+    with pytest.raises(ValueError, match=f"^{name} tolerance must be a finite positive"):
+        fl.Tolerances(**{name: value})
+    assert getattr(fl.Tolerances(**{name: 10**400}), name) == 10**400
 
 
 def test_odd_state_needs_two_levels(capsys):
@@ -569,10 +596,21 @@ def test_batch_complex_params_round_trip(tmp_path, capsys):
             '"tolerances":{"orcale":1e-18}}]',
             "tolerance 'orcale'",
         ),
+        (
+            '[{"family":"bs","params":{"eta":0.5,"M":4},"dim":12,'
+            '"tolerances":{"oracle":Infinity}}]',
+            "oracle tolerance",
+        ),
+        (
+            '[{"family":"bs","params":{"eta":0.5,"M":4},"dim":12,'
+            '"tolerances":{"residual":NaN}}]',
+            "residual tolerance",
+        ),
     ],
     ids=[
         "dim-overflow", "M-overflow", "tolerance-not-a-number", "alpha-nan",
         "M-bool", "alpha-bool", "dim-bool", "tolerance-bool", "tolerance-unknown",
+        "tolerance-infinite", "tolerance-nan",
     ],
 )
 def test_batch_bad_numbers_are_input_errors(tmp_path, capsys, text, field):

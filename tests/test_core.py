@@ -276,29 +276,119 @@ def test_overlap_and_fidelity():
         core.overlap(x, core.basis_state(0, 5))
 
 
-@pytest.mark.parametrize("n", [5, 17, 64])
+def _dense(bands, n):
+    out = np.zeros((n, n), dtype=complex)
+    for k, d in bands.items():
+        rows = np.arange(len(d)) + max(0, -k)
+        out[rows, rows + k] = d
+    return out
+
+
+def _banded_products(a, b):
+    # entry (i, j) sums a[i, k] * b[k, j] over ascending k, onto zero, for
+    # the k whose diagonals (k - i of a, j - k of b) hold a nonzero entry:
+    # a zero on such a diagonal still multiplies (inf * 0 is NaN, as in
+    # BLAS), a zero off every nonzero diagonal never does
+    def offsets(m):
+        rows, cols = np.nonzero(m)
+        return set((cols - rows).tolist())
+
+    p_set, q_set = offsets(a), offsets(b)
+    n = len(a)
+    out = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if k - i in p_set and j - k in q_set:
+                    out[i, j] += a[i, k] * b[k, j]
+    return out
+
+
+def _draw(rng, n, density):
+    values = rng.integers(-9, 10, (n, n)) + 1j * rng.integers(-9, 10, (n, n))
+    return np.where(rng.random((n, n)) < density, values, 0).astype(complex)
+
+
+@pytest.mark.parametrize("n", [1, 5, 17, 64])
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
 def test_diagonal_matmul_equals_the_dense_product(n, density):
     rng = np.random.default_rng(n)
-
-    def draw():
-        values = rng.integers(-9, 10, (n, n)) + 1j * rng.integers(-9, 10, (n, n))
-        return np.where(rng.random((n, n)) < density, values, 0).astype(complex)
-
-    a, b = draw(), draw()
-    got = core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(b))
+    a, b = _draw(rng, n, density), _draw(rng, n, density)
+    bands = core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(b))
     # integer sums are exact in any order, so every value must match the
     # BLAS product bit for bit; only the sign of an exact zero may differ
-    assert np.array_equal(got.view(float), (a @ b).view(float))
+    assert np.array_equal(_dense(bands, n).view(float), (a @ b).view(float))
+
+
+def test_diagonal_matmul_carries_nan_and_inf():
+    rng = np.random.default_rng(3)
+    a, b = _draw(rng, 9, 0.3), _draw(rng, 9, 0.3)
+    a[2, 7], a[5, 1], b[7, 4], b[0, 0] = np.nan, np.inf, -np.inf, complex(0, np.nan)
+    with np.errstate(invalid="ignore"):  # inf * 0 on a band is NaN
+        bands = core.diagonal_matmul(
+            core.nonzero_diagonals(a), core.nonzero_diagonals(b)
+        )
+        want = _banded_products(a, b)
+    assert np.isnan(want).any() and np.isinf(want).any()
+    assert np.array_equal(_dense(bands, 9).view(float), want.view(float), equal_nan=True)
 
 
 def test_nonzero_diagonals_reads_the_entries():
     a = core.to_matrix(core.creation(6))
     a[0, 4] = 1e-300  # a stray entry off the operator's band
-    assert core.nonzero_diagonals(a)[1] == [-1, 4]
-    assert core.nonzero_diagonals(np.zeros((3, 3)))[1] == []
+    bands = core.nonzero_diagonals(a)
+    assert list(bands) == [-1, 4]
+    assert bands[4].tolist() == [1e-300, 0]
+    assert bands[-1].tolist() == np.sqrt(np.arange(1, 6)).tolist()
+    assert core.nonzero_diagonals(np.zeros((3, 3))) == {}
+    # NaN is nonzero, as in np.nonzero
+    assert list(core.nonzero_diagonals(np.diag([np.nan, 0.0], 1))) == [1]
     with pytest.raises(core.DimensionMismatchError):
         core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(a[:5, :5]))
+
+
+@pytest.mark.parametrize("exclude", [None, 0, 4, 8])
+@pytest.mark.parametrize("poison", ["none", "nan", "inf", "nan-and-inf"])
+def test_band_max_abs_equals_the_dense_max(exclude, poison):
+    rng = np.random.default_rng(11)
+    a, b = _draw(rng, 9, 0.2), _draw(rng, 9, 0.2)
+    if "nan" in poison:
+        a[3, 4] = np.nan
+    if "inf" in poison:
+        b[6, 4] = -np.inf
+    with np.errstate(invalid="ignore"):  # 2 * (inf + 0j) has a NaN part
+        dense = a - 2 * b
+        if exclude is not None:
+            dense[:, exclude] = 0.0
+        want = np.abs(dense).max()
+        got = core.band_max_abs(
+            lambda x, y: x - 2 * y,
+            core.nonzero_diagonals(a),
+            core.nonzero_diagonals(b),
+            exclude_column=exclude,
+        )
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    # the poisoned entries sit in column 4, so excluding it hides them
+    if poison != "none":
+        assert math.isfinite(got) == (exclude == 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_band_max_abs_reads_every_entry(n):
+    # one entry anywhere, on the lowest or highest offset too, is the peak,
+    # unless its column is the excluded one
+    zero = core.nonzero_diagonals(np.zeros((n, n)))
+    for r in range(n):
+        for c in range(n):
+            a = np.zeros((n, n), dtype=complex)
+            a[r, c] = -5.0
+            bands = core.nonzero_diagonals(a)
+            assert core.band_max_abs(lambda x, y: x - 2 * y, bands, zero) == 5.0
+            for col in range(n):
+                got = core.band_max_abs(
+                    lambda x, y: x - 2 * y, bands, zero, exclude_column=col
+                )
+                assert got == (0.0 if col == c else 5.0)
 
 
 # --- band arithmetic against the per-index scalar reference ---

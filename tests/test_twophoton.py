@@ -81,6 +81,60 @@ def test_su11_residuals_equal_the_dense_matmul(parity_j, dim):
     assert got == wanted
 
 
+def _su11_got_and_wanted(rep):
+    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 give NaN
+        wanted = su11_residuals(
+            *rep.matrices, fl.to_matrix(rep.sector_number_op), rep.parity_j
+        )
+        got = {
+            c.name: c.residual
+            for c in twophoton.su11_axiom_checks(rep, fl.Tolerances())
+        }
+    return got, wanted
+
+
+def _same_residual(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_su11_residuals_equal_the_dense_matmul_at_the_smallest_sectors(parity_j, dim):
+    # the excluded top column is column 0 or 1, and at dim 1 K+ and K- are 0
+    got, wanted = _su11_got_and_wanted(fl.su11(parity_j, dim))
+    assert got == wanted
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+@pytest.mark.parametrize("target", ["K+", "K-", "K0"])
+@pytest.mark.parametrize(
+    "poison",
+    [
+        {(3, 4): np.nan},
+        {(5, 4): np.inf},
+        {(2, 6): np.inf},
+        {(4, 4): np.nan, (1, 7): -np.inf},
+        {(7, 6): np.inf, (0, 7): np.nan},
+    ],
+    ids=["nan-above", "inf-below", "inf-stray", "nan-and-inf", "top-column"],
+)
+def test_su11_residuals_carry_nan_and_inf_as_the_dense_matmul(parity_j, target, poison):
+    rep = fl.su11(parity_j, 8)
+    matrix = rep.matrices[["K+", "K-", "K0"].index(target)]
+    for at, value in poison.items():
+        matrix[at] = value
+    got, wanted = _su11_got_and_wanted(rep)
+    assert got.keys() == wanted.keys()
+    nan_only = all(math.isnan(v) for v in poison.values())
+    for name in got:
+        # BLAS also multiplies an inf by the zeros off every nonzero
+        # diagonal, which makes NaN; the band sums never form those products
+        assert _same_residual(got[name], wanted[name]) or (
+            not nan_only and math.isinf(got[name]) and math.isnan(wanted[name])
+        ), (name, got[name], wanted[name])
+    assert not all(math.isfinite(r) for r in got.values())
+
+
 def _su11_failures(rep):
     return {
         c.name
