@@ -11,8 +11,9 @@ Amplitude mass pushed past the truncation is accumulated into a
 reported leak, never silently lost.
 
 Band arithmetic follows one rule, in three parts, on both routes that
-read the terms (apply, whose pass also gives the structure-function
-table, and to_matrix):
+read the terms: apply, whose pass also gives the structure-function
+table, and to_bands, the dense oracle in band form that to_matrix places
+into a matrix:
 
 - Lazy, numerator-first reads.  A diagonal is a Python callable, called
   once per contributing integer index, and only where the ladder factor
@@ -415,37 +416,54 @@ def _image_parity(parity: str, op: OperatorExpr) -> str | None:
     return None  # mixed parity shifts: derive from the image
 
 
-def to_matrix(op: OperatorExpr) -> np.ndarray:
-    """Dense oracle: materialize op entrywise on its truncation.
-
-    The dense axiom batteries, the sector embedding checks and the
-    disentangling oracle judge these matrices; apply() is the band route
-    that the eigen and relation checks use.
-    """
-    dim = op.domain_dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    ns = np.arange(dim)
-    for k, d in op.terms:
-        factors = _ladder_factors(ns, k)
-        at = np.flatnonzero((factors != 0) & (ns + k >= 0) & (ns + k < dim))
-        values = _diag_values(d, at.tolist(), "index")
-        f = factors[at]
-        with np.errstate(over="ignore"):  # as Python's float products
-            mat[at + k, at] += _complex(values.real * f, values.imag * f)
-    return mat
-
-
 Bands = dict[int, np.ndarray]
 
 
-def nonzero_diagonals(a: np.ndarray) -> Bands:
-    """The diagonals of a square matrix that hold a nonzero entry, as
-    offset (column - row) -> a.diagonal(offset) in ascending order, read
-    from the entries themselves: a stray entry anywhere adds its own
-    offset, and NaN counts as nonzero, as in np.nonzero."""
-    n = a.shape[0]
-    at = np.flatnonzero(a != 0)
-    return {int(k): a.diagonal(k) for k in np.unique(at % n - at // n)}
+def to_bands(op: OperatorExpr) -> Bands:
+    """Dense oracle in band form: op entrywise on its truncation, as offset
+    (column - row) -> diagonal, for exactly the diagonals that hold a
+    nonzero entry (NaN and inf count), in ascending offset order.
+
+    Entry t of diagonal k lies in row t + max(0, -k); term (shift, d) puts
+    d(n) * ladder_factor(n, shift) in column n of offset -shift.  The terms
+    are read here, not through apply, which these bands check.
+    """
+    dim = op.domain_dim
+    ns = np.arange(dim)
+    bands: Bands = {}
+    for k, d in op.terms:
+        factors = _ladder_factors(ns, k)
+        if abs(k) >= dim:
+            continue  # the shift leaves the truncation from every index
+        at = np.flatnonzero((factors != 0) & (ns + k >= 0) & (ns + k < dim))
+        values = _diag_values(d, at.tolist(), "index")
+        f = factors[at]
+        band = bands.setdefault(-k, np.zeros(dim - abs(k), dtype=np.complex128))
+        with np.errstate(over="ignore"):  # as Python's float products
+            band[at + min(k, 0)] += _complex(values.real * f, values.imag * f)
+    return {k: bands[k] for k in sorted(bands) if (bands[k] != 0).any()}
+
+
+def band_matrix(bands: Bands, dim: int) -> np.ndarray:
+    """The dim x dim matrix that holds the given diagonals, zero elsewhere."""
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    flat = mat.reshape(-1)
+    for k, d in bands.items():
+        start = max(0, -k) * dim + max(0, k)  # entry 0 of diagonal k
+        flat[start : start + len(d) * (dim + 1) : dim + 1] = d
+    return mat
+
+
+def to_matrix(op: OperatorExpr) -> np.ndarray:
+    """Dense oracle: op entrywise on its truncation, the placement of
+    to_bands(op).
+
+    The GDO axiom battery judges these matrices; the su(1,1) battery, the
+    sector embedding check and the disentangling oracle read to_bands
+    directly.  apply() is the band route that the eigen and relation
+    checks use.
+    """
+    return band_matrix(to_bands(op), op.domain_dim)
 
 
 def _band_dim(*bands: Bands) -> int | None:
@@ -457,7 +475,7 @@ def _band_dim(*bands: Bands) -> int | None:
 
 
 def diagonal_matmul(x: Bands, y: Bands) -> Bands:
-    """a @ b for a and b in the form of nonzero_diagonals, summed diagonal
+    """a @ b for a and b in the form of to_bands, summed diagonal
     by diagonal: offsets p and q place a[i, i+p] * b[i+p, i+p+q] on
     offset p + q, in ascending (p, q) order onto zeros, in O(dim) per
     offset pair.  Each entry thus sums every product the dense matmul can
@@ -487,7 +505,7 @@ def band_max_abs(
     combine: Callable[..., np.ndarray], *bands: Bands, exclude_column: int | None = None
 ) -> float:
     """np.abs(combine(A, B, ...)).max() for square matrices given as bands
-    in the form of nonzero_diagonals, without forming them: combine runs
+    in the form of to_bands, without forming them: combine runs
     entrywise on each offset in the union of the bands, a missing diagonal
     reads as zeros, and the entries of exclude_column read as 0.  An entry
     on no band is zero in every operand, and so in every combination

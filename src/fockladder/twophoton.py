@@ -16,9 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    Bands,
     FockState,
     OperatorExpr,
     annihilation,
+    band_matrix,
     band_max_abs,
     compose,
     creation,
@@ -26,12 +28,11 @@ from .core import (
     diagonal_matmul,
     fidelity,
     make_state,
-    nonzero_diagonals,
     number_op,
     operator,
     scale,
     sub,
-    to_matrix,
+    to_bands,
 )
 from .ladder import (
     CoeffFn,
@@ -44,6 +45,7 @@ from .ladder import (
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
+    _check_count,
     _check_dim,
     _finish,
     _tail_guard,
@@ -85,9 +87,9 @@ class Su11Rep:
         return self.K_plus.domain_dim
 
     @cached_property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """K+, K-, K0 materialized by to_matrix, once per representation."""
-        return tuple(to_matrix(k) for k in (self.K_plus, self.K_minus, self.K_zero))
+    def bands(self) -> tuple[Bands, Bands, Bands]:
+        """K+, K-, K0 read by to_bands, once per representation."""
+        return tuple(to_bands(k) for k in (self.K_plus, self.K_minus, self.K_zero))
 
 
 def su11(parity_j: int, dim_sector: int) -> Su11Rep:
@@ -242,11 +244,11 @@ def _scatter(sector_raw: np.ndarray, parity_j: int, dim: int, what: str,
     return _finish(full, label, prefactor=prefactor, leak=tail, parity=parity)
 
 
-def _sector_size(dim: int, j: int) -> tuple[int, int]:
+def _sector_size(dim: int, j: int, name: str = "dim") -> tuple[int, int]:
     """The checked truncation and the size of sector j inside it."""
-    dim = _check_dim(dim)
+    dim = _check_count(dim, name, minimum=1)
     if j == 1 and dim < 2:
-        raise ParameterError("dim must be at least 2 for an odd state")
+        raise ParameterError(f"{name} must be at least 2 for an odd state")
     return dim, sector_dim(dim, j)
 
 
@@ -400,18 +402,17 @@ def sfes_lowering(dim: int) -> OperatorExpr:
 
 
 def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
-    """The su(1,1) relations among the to_matrix forms of K+, K-, K0.
+    """The su(1,1) relations among K+, K-, K0, entry for entry.
 
-    Every check runs on the nonzero diagonals read from those entries
-    (core.nonzero_diagonals): a stray entry anywhere still enters, each
-    product entry is the one product the dense matmul forms
+    Every check runs on the diagonals that hold a nonzero entry, read from
+    the operator terms (core.to_bands): a stray term anywhere still enters,
+    each product entry is the one product the dense matmul forms
     (core.diagonal_matmul), and each residual entry goes through the same
     float operations as on the dense matrices (core.band_max_abs).
     """
     dim = rep.dim
     j = rep.parity_j
-    Kp, Km, K0 = rep.matrices
-    p, m, z = (nonzero_diagonals(k) for k in rep.matrices)
+    p, m, z = rep.bands
     KpKm, KmKp = diagonal_matmul(p, m), diagonal_matmul(m, p)
     eye = {0: np.ones(dim)}
     top = dim - 1  # K+ leaks from the top basis vector
@@ -422,14 +423,15 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
 
     # K+ and K- carry the same band values on opposite sides of the diagonal
     band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + j + 0.5))
+    off = np.zeros(dim - 1)  # an absent diagonal holds zeros
     action_residual = max(
-        float(np.max(np.abs(np.diag(Kp, -1) - band), initial=0.0)),
-        float(np.max(np.abs(np.diag(Km, 1) - band), initial=0.0)),
-        float(np.max(np.abs(np.diag(K0) - (np.arange(dim) + j / 2 + 0.25)))),
+        float(np.max(np.abs(p.get(-1, off) - band), initial=0.0)),
+        float(np.max(np.abs(m.get(1, off) - band), initial=0.0)),
+        float(np.max(np.abs(z.get(0, np.zeros(dim)) - (np.arange(dim) + j / 2 + 0.25)))),
     )
     k = rep.bargmann_k
     shift = 0.25 + j / 2.0
-    number = nonzero_diagonals(to_matrix(rep.sector_number_op))
+    number = to_bands(rep.sector_number_op)
     return [
         c(
             "su11-action",
@@ -482,22 +484,23 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
     ]
 
 
+def _leading(bands: Bands, n: int) -> Bands:
+    """The leading n x n block of a matrix in band form."""
+    return {k: d[: n - abs(k)] for k, d in bands.items() if abs(k) < n}
+
+
 def embedding_checks(
     rep: Su11Rep, dim_full: int, tolerances: Tolerances
 ) -> list[CheckResult]:
     """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector reproduce
-    the sector actions entry for entry.  The full-space matrices are built
-    one at a time, each dropped once its sector block is compared."""
+    the sector actions entry for entry, compared on their bands."""
     j = rep.parity_j
-    sub_dim = min(sector_dim(dim_full, j), rep.dim)
-    residual = 0.0
-    for full_op, sector_mat in zip(_full_k_ops(dim_full), rep.matrices):
-        # the full-space matrix lives only inside this statement
-        diff = (
-            to_matrix(full_op)[j::2, j::2][:sub_dim, :sub_dim]
-            - sector_mat[:sub_dim, :sub_dim]
-        )
-        residual = max(residual, float(np.abs(diff).max()))
+    dim_full, n = _sector_size(dim_full, j, "dim_full")
+    n = min(n, rep.dim)
+    residual = max(
+        band_max_abs(lambda f, s: f - s, _leading(full, n), _leading(sector, n))
+        for full, sector in zip(_sector_k_bands(dim_full, j), rep.bands)
+    )
     return [
         CheckResult.from_residual(
             "sector-embedding",
@@ -517,13 +520,13 @@ def verify_su11(
 ) -> VerificationReport:
     tol = tolerances or Tolerances()
     rep = su11(parity_j, dim_sector)
-    checks = su11_axiom_checks(rep, tol)
-    if dim_full is not None:
-        checks += embedding_checks(rep, dim_full, tol)
+    # the embedding check refuses a bad dim_full before any other work
+    embedding = [] if dim_full is None else embedding_checks(rep, dim_full, tol)
+    checks = su11_axiom_checks(rep, tol) + embedding
     return VerificationReport(
         family=f"su11-sector{parity_j}",
         params={"parity_j": parity_j},
-        dim=dim_sector,
+        dim=rep.dim,
         tolerances=tol,
         checks=tuple(checks),
     )
@@ -538,28 +541,34 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
     )
 
 
-def _full_k_pair(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space K+ and K- as dense matrices."""
-    k_plus, k_minus, _ = _full_k_ops(dim)
-    return to_matrix(k_plus), to_matrix(k_minus)
+def _sector_k_bands(dim: int, j: int) -> tuple[Bands, Bands, Bands]:
+    """Full-space K+, K-, K0 read by to_bands, restricted to the j::2 rows
+    and columns: full offset 2s, entries from parity-j rows, is sector
+    offset s, and odd offsets never meet the sector."""
+    return tuple(
+        {k // 2: d[j::2] for k, d in to_bands(op).items() if k % 2 == 0 and len(d) > j}
+        for op in _full_k_ops(dim)
+    )
 
 
 def _squeezing_routes(
     r: float, theta: float, dim: int, j: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2:
+    """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2,
+    placed from the sector bands:
     exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh, and
     exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0, tau = e^{i theta} tanh r,
     where K- e_0 = 0 leaves exp(tau K+) e_0, a finite sum since K+ is
     strictly subdiagonal on the sector."""
-    Kp, Km = (k[j::2, j::2] for k in _full_k_pair(dim))
+    n = sector_dim(dim, j)
+    Kp, Km = (band_matrix(bands, n) for bands in _sector_k_bands(dim, j)[:2])
     xi = r * cmath.exp(1j * theta)
     h = -1j * (xi * Kp - xi.conjugate() * Km)
     # eigh reads one triangle, and K+ and K- fill opposite ones: its
     # Hermitian part makes both operators enter
     lam, V = np.linalg.eigh((h + h.conj().T) / 2)
     tau = cmath.exp(1j * theta) * math.tanh(r)
-    e0 = np.zeros(len(Kp))
+    e0 = np.zeros(n)
     e0[0] = 1.0
     return (
         V @ (np.exp(1j * lam) * V[0].conj()),
@@ -587,6 +596,7 @@ def verify_disentangling(
         raise ParameterError("excitation must be 0 or 1")
     j = excitation
     closed = _squeezed(r, theta, dim, j)
+    dim = closed.dim  # checked: an integral float reads as its int
     tol = tolerances or Tolerances()
     via_exponential, via_product = _squeezing_routes(r, theta, dim, j)
 

@@ -6,7 +6,9 @@ uses, so agreement is a genuine cross-check rather than a tautology.
 The squeezing reference exponentiates full-space matrices, where the
 package works on one parity sector.  The band references at the end walk
 an operator's terms one index at a time in Python scalars, where the
-package does the arithmetic around each diagonal read as array work.
+package does the arithmetic around each diagonal read as array work, and
+the reference band reader takes diagonals from a dense matrix's entries,
+where the package reads them from the terms.
 The builder references after them write each ladder formula of the paper
 entry by entry, where the package composes shared band shapes.
 """
@@ -129,6 +131,17 @@ def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
         "su11-casimir": float(np.abs(casimir).max()),
         "su11-sector-number": float(np.abs(k_zero - k * np.eye(dim) - number).max()),
     }
+
+
+def nonzero_diagonals(a: np.ndarray) -> dict:
+    """The reference band reader: the diagonals of a square matrix that
+    hold a nonzero entry, as offset (column - row) -> a.diagonal(offset) in
+    ascending order, read from the entries themselves.  A stray entry
+    anywhere adds its own offset, and NaN counts as nonzero, as in
+    np.nonzero."""
+    n = a.shape[0]
+    at = np.flatnonzero(a != 0)
+    return {int(k): a.diagonal(k) for k in np.unique(at % n - at // n)}
 
 
 def _ladder_root(n: int, k: int) -> float:

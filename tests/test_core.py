@@ -9,7 +9,12 @@ import pytest
 from fockladder import core
 from fockladder.ladder import _operational_structure_fn
 
-from _oracles import band_image_reference, matrix_reference, structure_fn_reference
+from _oracles import (
+    band_image_reference,
+    matrix_reference,
+    nonzero_diagonals,
+    structure_fn_reference,
+)
 
 
 def dense_apply(op, s):
@@ -314,7 +319,7 @@ def _draw(rng, n, density):
 def test_diagonal_matmul_equals_the_dense_product(n, density):
     rng = np.random.default_rng(n)
     a, b = _draw(rng, n, density), _draw(rng, n, density)
-    bands = core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(b))
+    bands = core.diagonal_matmul(nonzero_diagonals(a), nonzero_diagonals(b))
     # integer sums are exact in any order, so every value must match the
     # BLAS product bit for bit; only the sign of an exact zero may differ
     assert np.array_equal(_dense(bands, n).view(float), (a @ b).view(float))
@@ -326,7 +331,7 @@ def test_diagonal_matmul_carries_nan_and_inf():
     a[2, 7], a[5, 1], b[7, 4], b[0, 0] = np.nan, np.inf, -np.inf, complex(0, np.nan)
     with np.errstate(invalid="ignore"):  # inf * 0 on a band is NaN
         bands = core.diagonal_matmul(
-            core.nonzero_diagonals(a), core.nonzero_diagonals(b)
+            nonzero_diagonals(a), nonzero_diagonals(b)
         )
         want = _banded_products(a, b)
     assert np.isnan(want).any() and np.isinf(want).any()
@@ -336,15 +341,15 @@ def test_diagonal_matmul_carries_nan_and_inf():
 def test_nonzero_diagonals_reads_the_entries():
     a = core.to_matrix(core.creation(6))
     a[0, 4] = 1e-300  # a stray entry off the operator's band
-    bands = core.nonzero_diagonals(a)
+    bands = nonzero_diagonals(a)
     assert list(bands) == [-1, 4]
     assert bands[4].tolist() == [1e-300, 0]
     assert bands[-1].tolist() == np.sqrt(np.arange(1, 6)).tolist()
-    assert core.nonzero_diagonals(np.zeros((3, 3))) == {}
+    assert nonzero_diagonals(np.zeros((3, 3))) == {}
     # NaN is nonzero, as in np.nonzero
-    assert list(core.nonzero_diagonals(np.diag([np.nan, 0.0], 1))) == [1]
+    assert list(nonzero_diagonals(np.diag([np.nan, 0.0], 1))) == [1]
     with pytest.raises(core.DimensionMismatchError):
-        core.diagonal_matmul(core.nonzero_diagonals(a), core.nonzero_diagonals(a[:5, :5]))
+        core.diagonal_matmul(nonzero_diagonals(a), nonzero_diagonals(a[:5, :5]))
 
 
 @pytest.mark.parametrize("exclude", [None, 0, 4, 8])
@@ -363,8 +368,8 @@ def test_band_max_abs_equals_the_dense_max(exclude, poison):
         want = np.abs(dense).max()
         got = core.band_max_abs(
             lambda x, y: x - 2 * y,
-            core.nonzero_diagonals(a),
-            core.nonzero_diagonals(b),
+            nonzero_diagonals(a),
+            nonzero_diagonals(b),
             exclude_column=exclude,
         )
     assert got == want or (math.isnan(got) and math.isnan(want))
@@ -377,12 +382,12 @@ def test_band_max_abs_equals_the_dense_max(exclude, poison):
 def test_band_max_abs_reads_every_entry(n):
     # one entry anywhere, on the lowest or highest offset too, is the peak,
     # unless its column is the excluded one
-    zero = core.nonzero_diagonals(np.zeros((n, n)))
+    zero = nonzero_diagonals(np.zeros((n, n)))
     for r in range(n):
         for c in range(n):
             a = np.zeros((n, n), dtype=complex)
             a[r, c] = -5.0
-            bands = core.nonzero_diagonals(a)
+            bands = nonzero_diagonals(a)
             assert core.band_max_abs(lambda x, y: x - 2 * y, bands, zero) == 5.0
             for col in range(n):
                 got = core.band_max_abs(
@@ -412,6 +417,68 @@ def test_band_arithmetic_matches_the_scalar_reference_bit_for_bit():
         assert [F(n) for n in range(-1, dim + 1)] == [
             structure_fn_reference(single, n) for n in range(-1, dim + 1)
         ]
+
+
+def _same_bands(got, want):
+    # the same offsets, in order, and == on every part, the sign of a zero
+    # and NaN included
+    def parts(d):
+        return np.concatenate([d.real, d.imag])
+
+    return list(got) == list(want) and all(
+        np.array_equal(parts(got[k]), parts(want[k]), equal_nan=True)
+        and np.array_equal(np.signbit(parts(got[k])), np.signbit(parts(want[k])))
+        for k in got
+    )
+
+
+def _overflow(n):
+    return 1e308 if n == 3 else 1.0
+
+
+def _negative_overflow(n):
+    return -1e308 if n == 3 else 1.0
+
+
+@pytest.mark.parametrize(
+    "terms,offsets",
+    [
+        # a zero diagonal, and one whose only nonzero entry leaves the truncation
+        (
+            ((0, lambda n: 0.0), (2, lambda n: 1.0 if n == 6 else 0.0), (-1, lambda n: n)),
+            [1],
+        ),
+        # -0.0 parts: a diagonal of them is absent, and each reads as +0.0
+        (((0, lambda n: complex(-0.0, -0.0)), (1, lambda n: -0.0 if n % 2 else 1j)), [-1]),
+        # past the float range: inf, and inf - inf = NaN from two terms on
+        # one offset, each counting as nonzero
+        (((-2, _overflow), (1, _overflow), (1, _negative_overflow)), [-1, 2]),
+    ],
+    ids=["zero-diagonals", "negative-zero", "inf-and-nan"],
+)
+def test_to_bands_equals_the_reference_reader(terms, offsets):
+    op = core.OperatorExpr(terms=terms, domain_dim=8)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        dense, want = core.to_matrix(op), matrix_reference(op)
+        got = core.to_bands(op)
+    assert list(got) == offsets
+    assert _same_bands(got, nonzero_diagonals(want))
+    assert np.array_equal(dense, want, equal_nan=True)
+    if len(offsets) == 2:
+        assert np.isnan(got[-1][3]) and np.isinf(got[2][1])
+
+
+def test_to_bands_equals_the_reference_reader_on_random_operators():
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3, 17, 96):
+        op = random_operator(rng, dim, shifts=(-4, -2, -1, 0, 1, 3, 9))
+        assert _same_bands(core.to_bands(op), nonzero_diagonals(matrix_reference(op)))
+
+
+def test_to_bands_refuses_a_nan_diagonal_value():
+    op = core.operator([(1, lambda n: math.nan if n == 2 else 1.0)], 6)
+    with pytest.raises(core.OperatorEvaluationError, match="at index 2"):
+        core.to_bands(op)
 
 
 @pytest.mark.parametrize("k", [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5])

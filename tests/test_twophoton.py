@@ -11,15 +11,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
 import fockladder as fl
+import fockladder.core as core
+import fockladder.ladder as ladder
 import fockladder.twophoton as twophoton
 
-from _oracles import squeezing_reference, su11_residuals
+from _oracles import nonzero_diagonals, squeezing_reference, su11_residuals
 
 
 def svs_amp(n, r, theta):
@@ -67,12 +70,16 @@ def test_su11_axioms_and_embedding(parity_j):
     assert "top column excluded" in pm.detail
 
 
+def _dense_k(rep):
+    return [fl.to_matrix(k) for k in (rep.K_plus, rep.K_minus, rep.K_zero)]
+
+
 @pytest.mark.parametrize("parity_j", [0, 1])
 @pytest.mark.parametrize("dim", [32, 128, 512])
 def test_su11_residuals_equal_the_dense_matmul(parity_j, dim):
     rep = fl.su11(parity_j, dim)
     wanted = su11_residuals(
-        *rep.matrices, fl.to_matrix(rep.sector_number_op), parity_j
+        *_dense_k(rep), fl.to_matrix(rep.sector_number_op), parity_j
     )
     got = {
         c.name: c.residual
@@ -81,10 +88,12 @@ def test_su11_residuals_equal_the_dense_matmul(parity_j, dim):
     assert got == wanted
 
 
-def _su11_got_and_wanted(rep):
+def _su11_got_and_wanted(rep, matrices=None):
+    # the battery reads rep.bands; matrices, when given, are what they hold
+    matrices = _dense_k(rep) if matrices is None else matrices
     with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 give NaN
         wanted = su11_residuals(
-            *rep.matrices, fl.to_matrix(rep.sector_number_op), rep.parity_j
+            *matrices, fl.to_matrix(rep.sector_number_op), rep.parity_j
         )
         got = {
             c.name: c.residual
@@ -120,10 +129,13 @@ def test_su11_residuals_equal_the_dense_matmul_at_the_smallest_sectors(parity_j,
 )
 def test_su11_residuals_carry_nan_and_inf_as_the_dense_matmul(parity_j, target, poison):
     rep = fl.su11(parity_j, 8)
-    matrix = rep.matrices[["K+", "K-", "K0"].index(target)]
+    matrices = _dense_k(rep)
+    matrix = matrices[["K+", "K-", "K0"].index(target)]
     for at, value in poison.items():
         matrix[at] = value
-    got, wanted = _su11_got_and_wanted(rep)
+    # poison the cached bands: a cached_property reads the instance dict
+    rep.__dict__["bands"] = tuple(nonzero_diagonals(m) for m in matrices)
+    got, wanted = _su11_got_and_wanted(rep, matrices)
     assert got.keys() == wanted.keys()
     nan_only = all(math.isnan(v) for v in poison.values())
     for name in got:
@@ -173,20 +185,134 @@ def test_su11_battery_catches_a_mutated_k_plus(parity_j):
     }
 
 
-def test_two_photon_suite_materializes_each_sector_operator_once(monkeypatch):
-    ops = []
-    to_matrix = twophoton.to_matrix
+@pytest.mark.parametrize(
+    "family,params,full_reads",
+    [
+        # the three full-space operators of the embedding check
+        ("ecs", {"alpha": 1.1}, 3),
+        # and again for the two routes of the disentangling oracle
+        ("svs", {"r": 0.8, "theta": 0.5}, 6),
+    ],
+    ids=["ecs", "svs"],
+)
+def test_two_photon_suite_reads_each_operators_bands_once(
+    monkeypatch, family, params, full_reads
+):
+    reads, dense_dims = [], []
+    to_bands, to_matrix = twophoton.to_bands, core.to_matrix
 
-    def recording(op):
-        ops.append(op)
+    def reading(op):
+        reads.append(op)
+        return to_bands(op)
+
+    def dense(op):
+        dense_dims.append(op.domain_dim)
         return to_matrix(op)
 
-    monkeypatch.setattr(twophoton, "to_matrix", recording)
-    assert fl.run_family_suite("ecs", {"alpha": 1.1}, 128).passed
+    monkeypatch.setattr(twophoton, "to_bands", reading)
+    for module in (core, ladder, fl):
+        monkeypatch.setattr(module, "to_matrix", dense)
+    assert fl.run_family_suite(family, params, 128).passed
     # K+, K-, K0 and the sector number operator on sector 64, then the
-    # three full-space operators of the embedding check
-    assert [op.domain_dim for op in ops] == [64] * 4 + [128] * 3
-    assert len({id(op) for op in ops}) == len(ops)
+    # full-space operators
+    assert [op.domain_dim for op in reads] == [64] * 4 + [128] * full_reads
+    assert len({id(op) for op in reads}) == len(reads)
+    # only the GDO battery is dense, on a window of the sector; no matrix
+    # is built at the full-space dim
+    assert dense_dims and max(dense_dims) <= 64
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+@pytest.mark.parametrize(
+    "dim_sector,dim_full",
+    [(1, 2), (2, 3), (8, 16), (8, 17), (8, 9), (8, 40), (32, 64), (256, 512)],
+)
+def test_embedding_residual_equals_the_dense_sector_block(parity_j, dim_sector, dim_full):
+    # the residuals here are 0 to 6e-14: the two sides round differently
+    rep = fl.su11(parity_j, dim_sector)
+    n = min(fl.sector_dim(dim_full, parity_j), dim_sector)
+    wanted = max(
+        float(np.abs(
+            fl.to_matrix(full)[parity_j::2, parity_j::2][:n, :n]
+            - fl.to_matrix(sector)[:n, :n]
+        ).max())
+        for full, sector in zip(
+            twophoton._full_k_ops(dim_full), (rep.K_plus, rep.K_minus, rep.K_zero)
+        )
+    )
+    (check,) = twophoton.embedding_checks(rep, dim_full, fl.Tolerances())
+    assert check.residual == wanted
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("shift", [0, 2, -2, -6])
+def test_embedding_catches_a_stray_full_space_term(monkeypatch, j, shift):
+    # one entry of 1e-9 in the parity-j block of the full-space K+, on or
+    # off its band
+    full_k_ops = twophoton._full_k_ops
+    column = 2 * 5 + j
+
+    def stray(n):
+        return 1e-9 / fl.ladder_factor(n, shift) if n == column else 0.0
+
+    def mutant(dim):
+        k_plus, k_minus, k_zero = full_k_ops(dim)
+        return fl.add(k_plus, fl.operator([(shift, stray)], dim)), k_minus, k_zero
+
+    assert fl.verify_su11(j, 32, 64).passed
+    monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
+    report = fl.verify_su11(j, 32, 64)
+    assert {c.name for c in report.checks if not c.passed} == {"sector-embedding"}
+
+
+@pytest.mark.parametrize(
+    "parity_j,dim_full,message",
+    [
+        (0, 0, "dim_full must be an integer >= 1"),
+        (1, 1, "dim_full must be at least 2 for an odd state"),
+        (0, -3, "dim_full must be an integer >= 1"),
+        (1, 2.5, "dim_full must be an integer >= 1"),
+    ],
+    ids=["zero", "odd-at-1", "negative", "fractional"],
+)
+def test_verify_su11_refuses_a_bad_full_dim(monkeypatch, parity_j, dim_full, message):
+    def no_work(*args):
+        raise AssertionError("checks ran before dim_full was checked")
+
+    monkeypatch.setattr(twophoton, "su11_axiom_checks", no_work)
+    with pytest.raises(fl.ParameterError, match=message):
+        fl.verify_su11(parity_j, 8, dim_full)
+
+
+def test_verify_su11_reads_integral_float_dims():
+    assert fl.verify_su11(1, 8.0, 16.0).to_json() == fl.verify_su11(1, 8, 16).to_json()
+
+
+@pytest.mark.parametrize(
+    "family,params,dim,limit_mib",
+    [
+        # one complex dim x dim matrix is 16 MiB at dim 1024, 4 MiB at 512
+        ("ecs", {"alpha": 1.1}, 1024, 2),
+        ("ocs", {"alpha": 1.1}, 1024, 2),
+        # eigh and the finite sum need the two sector blocks dense, 1 MiB each
+        ("svs", {"r": 0.8, "theta": 0.5}, 512, 8),
+        ("sfes", {"r": 0.8, "theta": 0.5}, 512, 8),
+    ],
+    ids=["ecs", "ocs", "svs", "sfes"],
+)
+def test_two_photon_suite_peak_traced_memory(family, params, dim, limit_mib):
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fl.run_family_suite(family, params, dim)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 def test_bargmann_index():
@@ -399,13 +525,18 @@ def test_sector_routes_match_the_full_space_expm(dim, j):
     ids=["K+", "K-"],
 )
 def test_disentangling_catches_a_flipped_k_sign(monkeypatch, j, flip, still_passing):
-    k_pair = twophoton._full_k_pair
+    sector_read = twophoton._sector_k_bands
 
-    def mutant(dim):
-        k_plus, k_minus = k_pair(dim)
-        return (-k_plus, k_minus) if flip == "K+" else (k_plus, -k_minus)
+    def negated(bands):
+        return {k: -d for k, d in bands.items()}
 
-    monkeypatch.setattr(twophoton, "_full_k_pair", mutant)
+    def mutant(dim, j):
+        k_plus, k_minus, k_zero = sector_read(dim, j)
+        if flip == "K+":
+            return negated(k_plus), k_minus, k_zero
+        return k_plus, negated(k_minus), k_zero
+
+    monkeypatch.setattr(twophoton, "_sector_k_bands", mutant)
     report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
     assert len(report.checks) == 3
     assert {c.name for c in report.checks if c.passed} == still_passing
@@ -441,7 +572,7 @@ def test_expm_of_a_strictly_lower_triangular_matrix(n):
 @pytest.mark.parametrize("sector_dim", [128, 256])
 @pytest.mark.parametrize("j", [0, 1])
 def test_expm_of_the_k_plus_sector_block(sector_dim, j):
-    k_plus = twophoton._full_k_pair(2 * sector_dim)[0][j::2, j::2]
+    k_plus = fl.to_matrix(twophoton._full_k_ops(2 * sector_dim)[0])[j::2, j::2]
     a = cmath.exp(0.5j) * math.tanh(0.8) * k_plus
     e0 = np.eye(sector_dim)[0]
     expected = scipy_expm(a)[:, 0]
@@ -451,21 +582,37 @@ def test_expm_of_the_k_plus_sector_block(sector_dim, j):
 
 @pytest.mark.parametrize("j", [0, 1])
 def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
-    # a stray entry far below K+'s band, at sector (40, 3): the product
-    # route must read it, not only the band
-    k_pair = twophoton._full_k_pair
+    # a stray full-space term far below K+'s band, one entry at sector
+    # (40, 3): the sector read and the product route must carry it, not
+    # only the band
+    full_k_ops = twophoton._full_k_ops
+    column = 2 * 3 + j
+
+    def stray(n):
+        return 1e-3 / fl.ladder_factor(n, 74) if n == column else 0.0
 
     def mutant(dim):
-        k_plus, k_minus = k_pair(dim)
-        k_plus[2 * 40 + j, 2 * 3 + j] = 1e-3
-        return k_plus, k_minus
+        k_plus, k_minus, k_zero = full_k_ops(dim)
+        return fl.add(k_plus, fl.operator([(74, stray)], dim)), k_minus, k_zero
 
-    monkeypatch.setattr(twophoton, "_full_k_pair", mutant)
+    monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
+    k_plus = core.band_matrix(twophoton._sector_k_bands(128, j)[0], 64)
+    assert k_plus[40, 3] == pytest.approx(1e-3, rel=1e-15)
     report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
     assert len(report.checks) == 3
     assert {c.name for c in report.checks if c.passed} == {
         "disentangle-exponential-vs-closed"
     }
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_disentangling_reads_an_integral_float_dim(j):
+    report = fl.verify_disentangling(0.5, 0.3, 64.0, excitation=j)
+    at_int = fl.verify_disentangling(0.5, 0.3, 64, excitation=j)
+    assert report.passed
+    assert (report.to_json(), report.to_csv()) == (at_int.to_json(), at_int.to_csv())
+    with pytest.raises(fl.ParameterError, match="dim must be an integer >= 1"):
+        fl.verify_disentangling(0.5, 0.3, 64.5, excitation=j)
 
 
 @pytest.mark.parametrize(
@@ -481,10 +628,10 @@ def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
 def test_disentangling_rejects_before_dense_work(
     monkeypatch, args, excitation, error, message
 ):
-    def no_dense_work(dim):
+    def no_dense_work(dim, j):
         raise AssertionError("dense work before the input was checked")
 
-    monkeypatch.setattr(twophoton, "_full_k_pair", no_dense_work)
+    monkeypatch.setattr(twophoton, "_sector_k_bands", no_dense_work)
     with pytest.raises(error, match=message):
         fl.verify_disentangling(*args, excitation=excitation)
 
