@@ -29,7 +29,8 @@ into a matrix:
   as ar*vr - ai*vi and ar*vi + ai*vr, each part rounded on its own as in
   Python's and numpy's scalar products; numpy's complex ufunc may fuse
   them (FMA) and round differently.  complex x float products are exact
-  per part either way.
+  per part either way.  diagonal_matmul, which multiplies bands, forms
+  its products the same way.
 """
 
 from __future__ import annotations
@@ -458,10 +459,9 @@ def to_matrix(op: OperatorExpr) -> np.ndarray:
     """Dense oracle: op entrywise on its truncation, the placement of
     to_bands(op).
 
-    The GDO axiom battery judges these matrices; the su(1,1) battery, the
-    sector embedding check and the disentangling oracle read to_bands
-    directly.  apply() is the band route that the eigen and relation
-    checks use.
+    The package's own checks read to_bands directly: both axiom batteries,
+    the sector embedding check and the disentangling oracle.  apply() is
+    the band route that the eigen and relation checks use.
     """
     return band_matrix(to_bands(op), op.domain_dim)
 
@@ -477,11 +477,12 @@ def _band_dim(*bands: Bands) -> int | None:
 def diagonal_matmul(x: Bands, y: Bands) -> Bands:
     """a @ b for a and b in the form of to_bands, summed diagonal
     by diagonal: offsets p and q place a[i, i+p] * b[i+p, i+p+q] on
-    offset p + q, in ascending (p, q) order onto zeros, in O(dim) per
-    offset pair.  Each entry thus sums every product the dense matmul can
-    make nonzero; a zero on a nonzero diagonal still multiplies (inf * 0
-    is NaN, as in BLAS), a zero off them never does.  A diagonal that no
-    pair reaches is left out."""
+    offset p + q, in ascending (p, q) order onto complex zeros, in O(dim)
+    per offset pair.  Each product is formed from real parts (see the
+    module docstring), so every entry is the Python-scalar sum of the
+    products the dense matmul can make nonzero; a zero on a nonzero
+    diagonal still multiplies (inf * 0 is NaN, as in BLAS), a zero off
+    them never does.  A diagonal that no pair reaches is left out."""
     n = _band_dim(x, y)
     out: Bands = {}
     for p, da in x.items():
@@ -491,12 +492,13 @@ def diagonal_matmul(x: Bands, y: Bands) -> Bands:
             if lo >= hi:
                 continue
             if s not in out:
-                out[s] = np.zeros(n - abs(s), dtype=np.result_type(da, db))
+                out[s] = np.zeros(n - abs(s), dtype=np.complex128)
             # entry t of diagonal k lies in row t + max(0, -k)
             at_a, at_b, at_out = lo - max(0, -p), lo + p - max(0, -q), lo - max(0, -s)
             span = hi - lo
-            out[s][at_out : at_out + span] += (
-                da[at_a : at_a + span] * db[at_b : at_b + span]
+            a, b = da[at_a : at_a + span], db[at_b : at_b + span]
+            out[s][at_out : at_out + span] += _complex(
+                a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
             )
     return dict(sorted(out.items()))
 

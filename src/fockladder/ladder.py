@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    Bands,
     DiagFn,
     FockState,
     OperatorExpr,
@@ -31,14 +32,17 @@ from .core import (
     annihilation,
     adjoint,
     apply,
+    band_max_abs,
     compose,
     creation,
     diag_op,
+    diagonal_matmul,
     number_op,
     sub,
-    to_matrix,
+    to_bands,
 )
 from .reporting import CheckResult, Tolerances, VerificationReport
+from .states import _check_dim
 
 CoeffFn = Callable[[int], complex]
 
@@ -80,12 +84,12 @@ def _coeffs_and_dim(
     coeffs: Sequence[complex] | CoeffFn, dim: int | None
 ) -> tuple[CoeffFn, int]:
     """The coefficient accessor and the truncation, which defaults to the
-    length of a coefficient sequence."""
+    length of a coefficient sequence; a truncation below 1 is refused."""
     if dim is None:
         if callable(coeffs):
             raise ValueError("dim is required when coeffs is a callable")
         dim = len(coeffs)
-    return _coeff_getter(coeffs), dim
+    return _coeff_getter(coeffs), _check_dim(dim)
 
 
 def _lowering_form(d: DiagFn, dim: int) -> OperatorExpr:
@@ -247,6 +251,7 @@ def general_gdo(
 def harmonic_gdo(dim: int) -> GdoTriple:
     """The undeformed oscillator (N, a, a+) with F(n) = n; the reference
     point every axiom check should accept."""
+    dim = _check_dim(dim)
     return _triple(number_op(dim), annihilation(dim), n_min=0)
 
 
@@ -619,81 +624,49 @@ def gdo_axiom_checks(
 ) -> list[CheckResult]:
     """The full axiom battery for a triple, via two independent routes:
     the structure function comes from term-wise application, while every
-    operator product is materialized densely and multiplied as matrices.
+    operator product is summed from the operators' bands, as in the
+    su(1,1) battery (core.to_bands, diagonal_matmul, band_max_abs).
     """
     dim = t.dim
-    N = to_matrix(t.number_op)
-    L = to_matrix(t.lowering)
-    R = to_matrix(t.raising)
+    N, L, R = (to_bands(op) for op in (t.number_op, t.lowering, t.raising))
+    RL, LR = diagonal_matmul(R, L), diagonal_matmul(L, R)
+    rl_diag, lr_diag = (P.get(0, np.zeros(dim)).real for P in (RL, LR))
     F = np.array([t.structure_fn(n) for n in range(dim + 1)])
-    tol = tolerances.oracle
 
-    def c(name: str, residual: float, detail: str) -> CheckResult:
-        return CheckResult.from_residual(
-            name, equation, residual, tol, leak=0.0, detail=detail
-        )
+    def commutator(X: Bands, sign: float) -> float:
+        # [number, X] + sign X, entrywise
+        NX, XN = diagonal_matmul(N, X), diagonal_matmul(X, N)
+        return band_max_abs(lambda nx, xn, x: nx - xn + sign * x, NX, XN, X)
+
+    def off_diagonal(P: Bands) -> float:
+        # P less its own main diagonal, where an inf or NaN stays NaN
+        return band_max_abs(lambda p, d: p - d, P, {0: P[0]} if 0 in P else {})
 
     checks = [
-        c(
-            "gdo-commutator-lowering",
-            float(np.abs(N @ L - L @ N + L).max()),
-            "[number, lowering] + lowering, dense route",
-        ),
-        c(
-            "gdo-commutator-raising",
-            float(np.abs(N @ R - R @ N - R).max()),
-            "[number, raising] - raising, dense route",
-        ),
+        ("gdo-commutator-lowering", commutator(L, 1.0),
+         "[number, lowering] + lowering, dense route"),
+        ("gdo-commutator-raising", commutator(R, -1.0),
+         "[number, raising] - raising, dense route"),
+        ("gdo-product-diagonal-rl", off_diagonal(RL),
+         "raising@lowering off-diagonal mass"),
+        ("gdo-product-diagonal-lr", off_diagonal(LR),
+         "lowering@raising off-diagonal mass"),
+        ("gdo-structure-fn", float(np.abs(rl_diag - F[:dim]).max()),
+         "diag(raising@lowering) vs applied ||lowering|n>||^2, all n"),
+        ("gdo-shift-consistency",
+         float(np.abs(lr_diag[: dim - 1] - F[1:dim]).max()) if dim > 1 else 0.0,
+         "diag(lowering@raising)[n] vs F(n+1); top index excluded "
+         "(raising leaks at the truncation edge)"),
+        ("gdo-fock-condition", abs(F[t.n_min]), f"F(n_min) with n_min={t.n_min}"),
+        ("gdo-nonnegativity", max(0.0, float(-F.min())),
+         "structure function is a squared norm"),
     ]
-    RL = R @ L
-    LR = L @ R
-    off_rl = RL - np.diag(np.diag(RL))
-    off_lr = LR - np.diag(np.diag(LR))
-    checks.append(
-        c(
-            "gdo-product-diagonal-rl",
-            float(np.abs(off_rl).max()),
-            "raising@lowering off-diagonal mass",
+    return [
+        CheckResult.from_residual(
+            name, equation, residual, tolerances.oracle, leak=0.0, detail=detail
         )
-    )
-    checks.append(
-        c(
-            "gdo-product-diagonal-lr",
-            float(np.abs(off_lr).max()),
-            "lowering@raising off-diagonal mass",
-        )
-    )
-    checks.append(
-        c(
-            "gdo-structure-fn",
-            float(np.abs(np.diag(RL).real - F[:dim]).max()),
-            "diag(raising@lowering) vs applied ||lowering|n>||^2, all n",
-        )
-    )
-    interior = np.abs(np.diag(LR).real[: dim - 1] - F[1:dim]).max() if dim > 1 else 0.0
-    checks.append(
-        c(
-            "gdo-shift-consistency",
-            float(interior),
-            "diag(lowering@raising)[n] vs F(n+1); top index excluded "
-            "(raising leaks at the truncation edge)",
-        )
-    )
-    checks.append(
-        c(
-            "gdo-fock-condition",
-            abs(F[t.n_min]),
-            f"F(n_min) with n_min={t.n_min}",
-        )
-    )
-    checks.append(
-        c(
-            "gdo-nonnegativity",
-            max(0.0, float(-F.min())),
-            "structure function is a squared norm",
-        )
-    )
-    return checks
+        for name, residual, detail in checks
+    ]
 
 
 def verify_gdo_axioms(

@@ -877,7 +877,7 @@ def _structure_closed_form_check(
 
 
 def _axiom_dim(dim: int, n_min: int = 0) -> int:
-    # the dense axiom battery is specified in the small-truncation regime;
+    # the axiom battery is specified in the small-truncation regime;
     # large windows only add rounding on large F values
     return min(dim, max(16, n_min + 9))
 
@@ -934,7 +934,7 @@ def _gdo_checks(
     expected: Callable[[int], float],
     tol: Tolerances,
 ) -> list[CheckResult]:
-    """The dense axiom battery at a small truncation, then the operational
+    """The band axiom battery at a small truncation, then the operational
     F against its closed form at full width."""
     axiom_eq, fn_eq = equations
     # the full-width check comes first, so that a closed form past the

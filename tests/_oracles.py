@@ -9,6 +9,8 @@ an operator's terms one index at a time in Python scalars, where the
 package does the arithmetic around each diagonal read as array work, and
 the reference band reader takes diagonals from a dense matrix's entries,
 where the package reads them from the terms.
+The GDO battery reference multiplies dense matrices, where the package
+sums products diagonal by diagonal.
 The builder references after them write each ladder formula of the paper
 entry by entry, where the package composes shared band shapes.
 """
@@ -131,6 +133,68 @@ def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
         "su11-casimir": float(np.abs(casimir).max()),
         "su11-sector-number": float(np.abs(k_zero - k * np.eye(dim) - number).max()),
     }
+
+
+def _real_part_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # (Ar@Br - Ai@Bi) + i (Ar@Bi + Ai@Br): where each entry has one
+    # nonzero product, every sum is exact and each part rounds as the
+    # Python complex product does, on any BLAS
+    out = np.empty((len(a), len(b[0])), dtype=complex)
+    out.real = a.real @ b.real - a.imag @ b.imag
+    out.imag = a.real @ b.imag + a.imag @ b.real
+    return out
+
+
+def gdo_residuals(N, L, R, F, n_min: int = 0) -> dict:
+    """Every gdo-* residual of the axiom battery from the dense matrices N,
+    L, R and the structure-function values F(0..dim), each matrix product
+    formed from real parts; exact for operands whose products have one
+    nonzero term per entry, such as one-band operators."""
+    dim = len(N)
+    NL, LN, NR, RN, RL, LR = (
+        _real_part_matmul(a, b) for a, b in ((N, L), (L, N), (N, R), (R, N), (R, L), (L, R))
+    )
+
+    def off_diagonal(P):
+        return float(np.abs(P - np.diag(np.diag(P))).max())
+
+    return {
+        "gdo-commutator-lowering": float(np.abs(NL - LN + L).max()),
+        "gdo-commutator-raising": float(np.abs(NR - RN - R).max()),
+        "gdo-product-diagonal-rl": off_diagonal(RL),
+        "gdo-product-diagonal-lr": off_diagonal(LR),
+        "gdo-structure-fn": float(np.abs(np.diag(RL).real - F[:dim]).max()),
+        "gdo-shift-consistency": float(
+            np.abs(np.diag(LR).real[: dim - 1] - F[1:dim]).max()
+        ) if dim > 1 else 0.0,
+        "gdo-fock-condition": abs(F[n_min]),
+        "gdo-nonnegativity": max(0.0, float(-F.min())),
+    }
+
+
+def band_product_reference(x: dict, y: dict, n: int) -> dict:
+    """x @ y for n x n matrices given as offset (column - row) -> diagonal,
+    entry by entry in Python scalars: entry (i, i+s) sums the complex
+    products x[i, i+p] * y[i+p, i+s] over the offsets p of x in ascending
+    order onto 0j.  An offset that no pair of diagonals reaches is left
+    out."""
+
+    def entry(bands, k, row):
+        return complex(bands[k][row - max(0, -k)])  # row t + max(0, -k)
+
+    out = {}
+    for s in sorted({p + q for p in x for q in y}):
+        values, reached = [], False
+        for i in range(max(0, -s), min(n, n - s)):
+            total = 0j
+            for p in sorted(x):
+                if s - p in y and 0 <= i + p < n:
+                    total += entry(x, p, i) * entry(y, s - p, i + p)
+                    reached = True
+            values.append(total)
+        if reached:
+            out[s] = np.array(values, dtype=complex)
+    return out
 
 
 def nonzero_diagonals(a: np.ndarray) -> dict:

@@ -11,6 +11,7 @@ from fockladder.ladder import _operational_structure_fn
 
 from _oracles import (
     band_image_reference,
+    band_product_reference,
     matrix_reference,
     nonzero_diagonals,
     structure_fn_reference,
@@ -323,6 +324,27 @@ def test_diagonal_matmul_equals_the_dense_product(n, density):
     # integer sums are exact in any order, so every value must match the
     # BLAS product bit for bit; only the sign of an exact zero may differ
     assert np.array_equal(_dense(bands, n).view(float), (a @ b).view(float))
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 33])
+def test_diagonal_matmul_equals_the_scalar_product_on_complex_bands(n):
+    # several offsets per operand, so most entries sum several products;
+    # each complex product rounds its parts as Python's does, not fused
+    rng = np.random.default_rng(40 + n)
+
+    def draw(offsets):
+        return {
+            k: rng.normal(size=n - abs(k)) + 1j * rng.normal(size=n - abs(k))
+            for k in offsets
+            if abs(k) < n
+        }
+
+    x, y = draw([-4, -1, 0, 1, 3]), draw([-2, 0, 1, 2, 5])
+    got = core.diagonal_matmul(x, y)
+    want = band_product_reference(x, y, n)
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].tolist() == want[k].tolist()
 
 
 def test_diagonal_matmul_carries_nan_and_inf():

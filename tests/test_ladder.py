@@ -1,16 +1,20 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import fockladder as fl
+import fockladder.verify as verify
 
 from _oracles import (
     added_lowered_right_reference,
     added_raising_reference,
+    gdo_residuals,
     general_lowering_reference,
     gs_lowering_reference,
+    matrix_reference,
     pair_left_reference,
     shifted_lowered_right_reference,
     step_down_f_reference,
@@ -510,3 +514,163 @@ def test_step_maps_match_reference():
 def test_gs_lowering_matches_reference():
     for dim in (1, 2, 17, 64):
         _assert_same([lambda: fl.gs_lowering(dim)], [lambda: gs_lowering_reference(dim)])
+
+
+# --- the GDO axiom battery against its dense reference ---
+
+
+def _residuals(t):
+    return {c.name: c.residual for c in fl.ladder.gdo_axiom_checks(t, fl.Tolerances())}
+
+
+def _dense_residuals(t):
+    F = np.array([t.structure_fn(n) for n in range(t.dim + 1)])
+    matrices = (matrix_reference(op) for op in (t.number_op, t.lowering, t.raising))
+    return gdo_residuals(*matrices, F, t.n_min)
+
+
+def _suite_triples(monkeypatch, family, params, dim):
+    """The triples the family's suite hands to the axiom battery."""
+    triples = []
+    battery = verify.gdo_axiom_checks
+
+    def spy(t, *args, **kwargs):
+        triples.append(t)
+        return battery(t, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "gdo_axiom_checks", spy)
+    fl.run_family_suite(family, params, dim)
+    monkeypatch.undo()
+    return triples
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_gdo_battery_equals_the_dense_reference(monkeypatch, family, params, dim):
+    (t,) = _suite_triples(monkeypatch, family, params, dim)
+    assert _residuals(t) == _dense_residuals(t)
+
+
+FINITE_GRID = {
+    family: params
+    for family, params, _ in fl.EXTENDED_GRID
+    if fl.FAMILY_SPECS[family].kind == "finite"
+}
+
+
+@pytest.mark.parametrize("M", [64, 192])
+@pytest.mark.parametrize("family", list(FINITE_GRID))
+def test_gdo_battery_equals_the_dense_reference_at_large_M(monkeypatch, family, M):
+    assert len(FINITE_GRID) == 6
+    params = dict(FINITE_GRID[family], M=M)
+    if "L" in params:
+        params["L"] = 4.0 * M
+    (t,) = _suite_triples(monkeypatch, family, params, M + 8)
+    assert t.dim == M + 8
+    assert _residuals(t) == _dense_residuals(t)
+
+
+def _stray_lowering(t):
+    # a term at shift -3 in the lowering only; raising and F are kept
+    stray = fl.operator([(-3, lambda n: 1e-6)], t.dim)
+    return dataclasses.replace(t, lowering=fl.add(t.lowering, stray))
+
+
+def _bumped_raising(t):
+    # a 1e-9 relative error in the raising entry at (n+1, n), mid-window
+    ((k, d),) = t.raising.terms
+    n0 = (t.n_min + t.dim) // 2
+
+    def bumped(n):
+        return d(n) * (1 + 1e-9) if n == n0 else d(n)
+
+    return dataclasses.replace(t, raising=fl.operator([(k, bumped)], t.dim))
+
+
+def _flipped_number(t):
+    return dataclasses.replace(t, number_op=fl.scale(t.number_op, -1.0))
+
+
+@pytest.mark.parametrize(
+    "mutate,broken",
+    [
+        (
+            _stray_lowering,
+            {"gdo-commutator-lowering", "gdo-product-diagonal-rl", "gdo-product-diagonal-lr"},
+        ),
+        (_bumped_raising, {"gdo-structure-fn", "gdo-shift-consistency"}),
+        (_flipped_number, {"gdo-commutator-lowering", "gdo-commutator-raising"}),
+    ],
+    ids=["stray-lowering-term", "raising-entry", "number-sign"],
+)
+@pytest.mark.parametrize(
+    "family,params,dim",
+    [("harmonic", None, 16), ("binomial", {"eta": 0.5, "M": 12}, 20),
+     ("negative_binomial", {"eta": 0.3, "M": 3}, 24)],
+    ids=["harmonic", "binomial", "negative_binomial"],
+)
+def test_gdo_battery_fails_exactly_the_broken_checks(mutate, broken, family, params, dim):
+    t = fl.harmonic_gdo(dim) if params is None else fl.build_gdo(family, params, dim)
+    assert fl.verify_gdo_axioms(t).passed
+    mutant = mutate(t)
+    report = fl.verify_gdo_axioms(mutant)
+    assert {c.name for c in report.checks if not c.passed} == broken
+    assert _residuals(mutant) == _dense_residuals(mutant)
+
+
+def test_gdo_battery_carries_an_overflowing_product_diagonal():
+    # raising@lowering overflows to inf on its main diagonal: the dense
+    # P - diag(diag(P)) leaves inf - inf = NaN there, and so does the band route
+    t = fl.harmonic_gdo(6)
+    t = dataclasses.replace(
+        t, lowering=fl.scale(t.lowering, 1e200), raising=fl.scale(t.raising, 1e200)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = _residuals(t)
+    assert math.isnan(residuals["gdo-product-diagonal-rl"])
+    assert math.isnan(residuals["gdo-product-diagonal-lr"])
+
+
+LARGE_FINITE = [
+    ("binomial", {"eta": 0.5, "M": 192}),
+    ("hypergeometric", {"L": 800.0, "eta": 0.5, "M": 192}),
+    ("polya", {"eta": 0.4, "gamma": 0.7, "M": 192}),
+]
+
+
+@pytest.mark.parametrize("family,params", LARGE_FINITE, ids=[f for f, _ in LARGE_FINITE])
+def test_large_finite_suite_builds_no_dense_matrix(to_matrix_dims, family, params):
+    fl.run_family_suite(family, params, 200)
+    assert to_matrix_dims == []
+
+
+@pytest.mark.parametrize("family,params", LARGE_FINITE, ids=[f for f, _ in LARGE_FINITE])
+def test_large_finite_suite_peak_traced_memory(traced_peak, family, params):
+    # one complex 200 x 200 matrix alone is 0.61 MiB
+    assert traced_peak(lambda: fl.run_family_suite(family, params, 200)) <= 2**20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fl.harmonic_gdo(0),
+        lambda: fl.harmonic_gdo(2.5),
+        lambda: fl.finite_gdo(COEFFS, 2, dim=0),
+        lambda: fl.shifted_gdo(COEFFS, 1, dim=-1),
+        lambda: fl.general_gdo([]),
+        lambda: fl.general_gdo(COEFFS, dim=0),
+    ],
+    ids=["harmonic-0", "harmonic-2.5", "finite-0", "shifted-negative", "general-empty",
+         "general-0"],
+)
+def test_gdo_builders_refuse_a_bad_dim(build):
+    with pytest.raises(fl.ParameterError, match="^dim must be an integer >= 1$"):
+        build()
+
+
+def test_gdo_builders_read_integral_float_dims():
+    assert fl.harmonic_gdo(2.0).dim == 2
+    assert fl.verify_gdo_axioms(fl.general_gdo(COEFFS, dim=3.0)).to_json() == (
+        fl.verify_gdo_axioms(fl.general_gdo(COEFFS, dim=3)).to_json()
+    )

@@ -11,7 +11,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from scipy.linalg import expm as scipy_expm
 
 import fockladder as fl
 import fockladder.core as core
-import fockladder.ladder as ladder
 import fockladder.twophoton as twophoton
 
 from _oracles import nonzero_diagonals, squeezing_reference, su11_residuals
@@ -196,30 +194,23 @@ def test_su11_battery_catches_a_mutated_k_plus(parity_j):
     ids=["ecs", "svs"],
 )
 def test_two_photon_suite_reads_each_operators_bands_once(
-    monkeypatch, family, params, full_reads
+    monkeypatch, to_matrix_dims, family, params, full_reads
 ):
-    reads, dense_dims = [], []
-    to_bands, to_matrix = twophoton.to_bands, core.to_matrix
+    reads = []
+    to_bands = twophoton.to_bands
 
     def reading(op):
         reads.append(op)
         return to_bands(op)
 
-    def dense(op):
-        dense_dims.append(op.domain_dim)
-        return to_matrix(op)
-
     monkeypatch.setattr(twophoton, "to_bands", reading)
-    for module in (core, ladder, fl):
-        monkeypatch.setattr(module, "to_matrix", dense)
     assert fl.run_family_suite(family, params, 128).passed
     # K+, K-, K0 and the sector number operator on sector 64, then the
     # full-space operators
     assert [op.domain_dim for op in reads] == [64] * 4 + [128] * full_reads
     assert len({id(op) for op in reads}) == len(reads)
-    # only the GDO battery is dense, on a window of the sector; no matrix
-    # is built at the full-space dim
-    assert dense_dims and max(dense_dims) <= 64
+    # the GDO battery reads bands too: no dense matrix at any dim
+    assert to_matrix_dims == []
 
 
 @pytest.mark.parametrize("parity_j", [0, 1])
@@ -300,18 +291,10 @@ def test_verify_su11_reads_integral_float_dims():
     ],
     ids=["ecs", "ocs", "svs", "sfes"],
 )
-def test_two_photon_suite_peak_traced_memory(family, params, dim, limit_mib):
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fl.run_family_suite(family, params, dim)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
+def test_two_photon_suite_peak_traced_memory(
+    traced_peak, family, params, dim, limit_mib
+):
+    peak = traced_peak(lambda: fl.run_family_suite(family, params, dim))
     assert peak <= limit_mib * 2**20
 
 
