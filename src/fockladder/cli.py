@@ -6,7 +6,10 @@ the printed closed forms), and `batch` runs a manifest of suites into a
 directory of report files plus a summary.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
-input (with a one-line diagnostic on stderr naming the constraint).
+input (with a one-line diagnostic on stderr naming the constraint).  Flag
+values and `batch` manifest values are decoded by one rule (`_decode`) and
+checked by one config step (`_config`), so both front ends accept and
+refuse alike.
 
 Output carries no timestamps; a rerun with the same arguments is byte
 identical.
@@ -60,9 +63,41 @@ def parse_complex(text: str) -> complex:
         ) from None
 
 
-_FLOAT_FLAGS = ("eta", "L", "gamma", "theta", "theta0", "r")
-_INT_FLAGS = ("M", "m")
-_COMPLEX_FLAGS = ("alpha", "Y")
+# the value flags and the kind each decodes to; a manifest's other keys read as floats
+_KINDS = {
+    **dict.fromkeys(("eta", "L", "gamma", "theta", "theta0", "r"), float),
+    **dict.fromkeys(("M", "m"), int),
+    **dict.fromkeys(("alpha", "Y"), complex),
+}
+
+# every refusal of input: exit 2 from `main`, an input-error entry in `batch`;
+# TypeError is a manifest value no flag decodes, such as a number for the
+# library-only callable f of intermediate
+_REFUSED = (ValueError, TypeError, OSError)
+
+
+def _refuse(reason: object) -> int:
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
+
+
+def _decode(value: Any, kind: type, name: str) -> Any:
+    """A flag's text or a manifest's JSON value as a float, int or complex.
+
+    Text reads by the kind's grammar (so '4.0' is not an int, and complex
+    text is a+bi); a JSON number reads as the kind, an integral float as
+    an int; a boolean or anything else is refused, naming `name`."""
+    if isinstance(value, str) and kind is complex:
+        return parse_complex(value)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    numbers = (int,) if kind is int else (int, float)
+    if isinstance(value, (str, *numbers)) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ParameterError(f"{name} must be {'an integer' if kind is int else 'a number'}")
 
 
 @dataclass(frozen=True)
@@ -99,29 +134,24 @@ class CliConfig:
         return "# " + " ".join(parts)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a syntax error refuses in one line too
+        sys.exit(_refuse(message))
+
+
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True, help="family name or alias")
-    for flag in _FLOAT_FLAGS:
-        sub.add_argument(f"--{flag}", type=float, default=None)
-    for flag in _INT_FLAGS:
-        sub.add_argument(f"--{flag}", type=int, default=None)
-    for flag in _COMPLEX_FLAGS:
-        sub.add_argument(f"--{flag}", type=parse_complex, default=None, help=COMPLEX_HELP)
-    sub.add_argument("--dim", type=int, default=None, help="truncation dimension")
+    for flag, kind in _KINDS.items():
+        sub.add_argument(f"--{flag}", help=COMPLEX_HELP if kind is complex else None)
+    sub.add_argument("--dim", help="truncation dimension")
     sub.add_argument(
         "--format", choices=("json", "csv"), default="json", dest="fmt"
     )
     sub.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
-def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-residual", type=float, default=None)
-    sub.add_argument("--tol-leak", type=float, default=None)
-    sub.add_argument("--tol-oracle", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockladder",
         description="construct Fock-space states and verify their ladder "
         "and deformed-oscillator identities",
@@ -134,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a family's check suite")
     _add_param_flags(p_verify)
-    _add_tolerance_flags(p_verify)
+    for name in Tolerances().as_dict():
+        p_verify.add_argument(f"--tol-{name}")
     p_verify.add_argument(
         "--compare-printed",
         action="store_true",
@@ -155,60 +186,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_family(name: str) -> str:
-    aliased = (spec.name for spec in FAMILY_SPECS.values() if spec.alias == name)
-    return next(aliased, name)
-
-
-def _collect_params(args: argparse.Namespace) -> dict[str, Any]:
-    params: dict[str, Any] = {}
-    for flag in _FLOAT_FLAGS + _INT_FLAGS + _COMPLEX_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            params[flag] = value
-    return params
-
-
-def _resolve_dim(family: str, params: dict[str, Any], dim: int | None) -> int:
-    if dim is not None:
-        return dim
-    spec = FAMILY_SPECS.get(family)
-    if spec is not None and spec.kind == "finite" and "M" in params:
-        return params["M"] + 8
-    raise ParameterError(f"--dim is required for family '{family}'")
-
-
-def _resolve_tolerances(args: argparse.Namespace) -> Tolerances:
-    defaults = Tolerances()
-
-    def pick(flag: str, fallback: float) -> float:
-        value = getattr(args, flag, None)
-        return fallback if value is None else value
-
-    return Tolerances(
-        residual=pick("tol_residual", defaults.residual),
-        leak=pick("tol_leak", defaults.leak),
-        oracle=pick("tol_oracle", defaults.oracle),
-    )
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    family = _resolve_family(args.family)
-    params = _collect_params(args)
+def _config(
+    subcommand: str,
+    given_family: str,
+    raw_params: dict[str, Any],
+    raw_dim: Any,
+    raw_tolerances: dict[str, Any],
+    fmt: str = "json",
+    compare_printed: bool = False,
+) -> CliConfig:
+    """One invocation from either front end, flags or a manifest entry:
+    each value decoded by one rule, then the family and dim checked.  A
+    manifest entry names its dim; a flag invocation may leave it out."""
+    if not isinstance(raw_params, dict):
+        raise ParameterError("'params' must be a mapping")
+    params = {
+        key: _decode(value, _KINDS.get(key, float), f"parameter '{key}'")
+        for key, value in raw_params.items()
+    }
+    dim = raw_dim
+    if dim is not None or subcommand == "batch":
+        dim = _decode(dim, int, "'dim'")
+    if not isinstance(raw_tolerances, dict):
+        raise ParameterError("'tolerances' must be a mapping")
+    values = Tolerances().as_dict()
+    for name, value in raw_tolerances.items():
+        if name not in values:
+            raise ParameterError(
+                f"tolerance '{name}' must be one of {', '.join(sorted(values))}"
+            )
+        values[name] = _decode(value, float, f"tolerance '{name}'")
+    tolerances = Tolerances(**values)
+    aliased = (spec.name for spec in FAMILY_SPECS.values() if spec.alias == given_family)
+    family = next(aliased, given_family)
+    if family == "harmonic" and subcommand != "structure-fn":
+        raise ParameterError("family 'harmonic' is tabulated only by structure-fn")
     if family != "harmonic" and family not in FAMILY_SPECS:
-        raise ParameterError(f"unknown family '{args.family}'")
-    dim = _resolve_dim(family, params, args.dim)
+        raise ParameterError(f"unknown family '{given_family}'")
+    if dim is None:
+        spec = FAMILY_SPECS.get(family)
+        if spec is None or spec.kind != "finite" or "M" not in params:
+            raise ParameterError(f"--dim is required for family '{family}'")
+        dim = params["M"] + 8
     if family == "harmonic" and params:
         stray = sorted(params)[0]
         raise ParameterError(f"unknown parameter '{stray}' for family 'harmonic'")
-    return CliConfig(
-        subcommand=args.subcommand,
-        family=family,
-        params=params,
-        dim=dim,
-        fmt=args.fmt,
-        tolerances=_resolve_tolerances(args),
-        compare_printed=getattr(args, "compare_printed", False),
+    return CliConfig(subcommand, family, params, dim, fmt, tolerances, compare_printed)
+
+
+def _config_from_args(args: argparse.Namespace) -> CliConfig:
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    return _config(
+        args.subcommand,
+        args.family,
+        {flag: given[flag] for flag in _KINDS if flag in given},
+        args.dim,
+        {key[4:]: value for key, value in given.items() if key.startswith("tol_")},
+        args.fmt,
+        getattr(args, "compare_printed", False),
     )
 
 
@@ -226,6 +261,19 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _emit_table(
+    cfg: CliConfig, out: str | None, schema: str, columns, rows, notes=(), **extra
+) -> int:
+    """The config header, then one table of rows, as JSON or CSV: `extra`
+    records go into the JSON, and `notes` are their CSV comment lines."""
+    if cfg.fmt == "json":
+        text = encode_json({"schema": schema, "config": cfg.header(), "rows": rows, **extra})
+    else:
+        text = "\n".join([cfg.csv_header(), *notes, *csv_table(columns, rows)]) + "\n"
+    _emit(text, out)
+    return 0
+
+
 # --- subcommands ---
 
 
@@ -240,30 +288,20 @@ def cmd_state(cfg: CliConfig, out: str | None) -> int:
         }
         for n in range(s.dim)
     ]
-    if cfg.fmt == "json":
-        payload = {
-            "schema": "state-1",
-            "config": cfg.header(),
-            "state": {
-                "label": s.label,
-                "parity": s.parity,
-                "norm_constant": s.norm_constant,
-                "support": list(s.support),
-                "leak": s.leak,
-            },
-            "rows": rows,
-        }
-        _emit(encode_json(payload), out)
-    else:
-        lines = [
-            cfg.csv_header(),
-            f"# label={s.label} parity={s.parity} "
-            f"norm_constant={s.norm_constant!r} "
-            f"support={s.support[0]}:{s.support[1]} leak={s.leak!r}",
-        ]
-        lines += csv_table(("n", "re", "im", "prob"), rows)
-        _emit("\n".join(lines) + "\n", out)
-    return 0
+    return _emit_table(
+        cfg, out, "state-1", ("n", "re", "im", "prob"), rows,
+        notes=[
+            f"# label={s.label} parity={s.parity} norm_constant={s.norm_constant!r} "
+            f"support={s.support[0]}:{s.support[1]} leak={s.leak!r}"
+        ],
+        state={
+            "label": s.label,
+            "parity": s.parity,
+            "norm_constant": s.norm_constant,
+            "support": list(s.support),
+            "leak": s.leak,
+        },
+    )
 
 
 @contextmanager
@@ -312,66 +350,23 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
             raise ParameterError(
                 f"F({row['n']}) is not finite at these parameters; reduce their magnitude"
             )
-    if cfg.fmt == "json":
-        payload = {"schema": "structure-fn-1", "config": cfg.header(), "rows": rows}
-        _emit(encode_json(payload), out)
-    else:
-        columns = PRINTED_COLUMNS if cfg.compare_printed else ("n", "F")
-        _emit("\n".join([cfg.csv_header()] + csv_table(columns, rows)) + "\n", out)
-    return 0
+    columns = PRINTED_COLUMNS if cfg.compare_printed else ("n", "F")
+    return _emit_table(cfg, out, "structure-fn-1", columns, rows)
 
 
-def _manifest_int(value: Any, field: str) -> int:
-    # JSON reads 1e999 as an infinite float, which int() cannot take
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParameterError(f"{field} must be an integer")
-    return int(value)
-
-
-def _decode_manifest_params(raw: Any) -> dict[str, Any]:
-    if not isinstance(raw, dict):
-        raise ParameterError("'params' must be a mapping")
-    params: dict[str, Any] = {}
-    for key, value in raw.items():
-        if key in _INT_FLAGS:
-            params[key] = _manifest_int(value, f"parameter '{key}'")
-        elif key in _COMPLEX_FLAGS and isinstance(value, str):
-            params[key] = parse_complex(value)
-        else:
-            kind = complex if key in _COMPLEX_FLAGS else float
-            try:
-                if isinstance(value, bool):  # float() reads true/false as 1/0
-                    raise TypeError
-                params[key] = kind(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ParameterError(f"parameter '{key}' must be a number") from None
-    return params
-
-
-def _decode_manifest_entry(entry: Any) -> tuple[str, dict[str, Any], int, Tolerances]:
+def _manifest_config(entry: Any) -> CliConfig:
     if not isinstance(entry, dict):
         raise ParameterError("manifest entries must be mappings")
     for field in ("family", "params", "dim"):
         if field not in entry:
             raise ParameterError(f"manifest entry is missing '{field}'")
-    family = _resolve_family(str(entry["family"]))
-    params = _decode_manifest_params(entry["params"])
-    dim = _manifest_int(entry["dim"], "'dim'")
-    overrides = entry.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise ParameterError("'tolerances' must be a mapping")
-    values = Tolerances().as_dict()
-    for name, value in overrides.items():
-        if name not in values:
-            raise ParameterError(
-                f"tolerance '{name}' must be one of {', '.join(sorted(values))}"
-            )
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParameterError(f"tolerance '{name}' must be a number")
-        values[name] = value
-    return family, params, dim, Tolerances(**values)
+    return _config(
+        "batch",
+        str(entry["family"]),
+        entry["params"],
+        entry["dim"],
+        entry.get("tolerances", {}),
+    )
 
 
 def cmd_batch(manifest_path: str, out_dir: str) -> int:
@@ -381,15 +376,13 @@ def cmd_batch(manifest_path: str, out_dir: str) -> int:
         raise ParameterError("manifest must be a JSON list")
     os.makedirs(out_dir, exist_ok=True)
     entries = []
-    n_pass = n_fail = n_error = 0
     for index, raw in enumerate(manifest):
-        label = raw.get("family", "entry") if isinstance(raw, dict) else "entry"
         try:
-            family, params, dim, tolerances = _decode_manifest_entry(raw)
-            with _closed_form_range(family, params):
-                report = run_family_suite(family, params, dim, tolerances)
-        except (ParameterError, ValueError, TypeError) as exc:
-            n_error += 1
+            cfg = _manifest_config(raw)
+            with _closed_form_range(cfg.family, cfg.params):
+                report = run_family_suite(cfg.family, cfg.params, cfg.dim, cfg.tolerances)
+        except _REFUSED as exc:
+            label = raw.get("family", "entry") if isinstance(raw, dict) else "entry"
             entries.append(
                 {
                     "index": index,
@@ -399,35 +392,30 @@ def cmd_batch(manifest_path: str, out_dir: str) -> int:
                 }
             )
             continue
-        filename = f"{index:03d}-{family}.json"
+        filename = f"{index:03d}-{cfg.family}.json"
         _atomic_write(os.path.join(out_dir, filename), report.to_json())
-        if report.passed:
-            n_pass += 1
-            status = "pass"
-        else:
-            n_fail += 1
-            status = "fail"
         entries.append(
             {
                 "index": index,
-                "family": family,
-                "status": status,
+                "family": cfg.family,
+                "status": "pass" if report.passed else "fail",
                 "n_failed": report.n_failed,
                 "file": filename,
             }
         )
+    statuses = [entry["status"] for entry in entries]
     summary = {
         "schema": "batch-1",
         "n_entries": len(entries),
-        "n_pass": n_pass,
-        "n_fail": n_fail,
-        "n_error": n_error,
+        "n_pass": statuses.count("pass"),
+        "n_fail": statuses.count("fail"),
+        "n_error": statuses.count("input-error"),
         "entries": entries,
     }
     _atomic_write(os.path.join(out_dir, "summary.json"), encode_json(summary))
-    if n_error:
+    if "input-error" in statuses:
         return 2
-    return 1 if n_fail else 0
+    return 1 if "fail" in statuses else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -443,9 +431,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.subcommand == "verify":
                 return cmd_verify(cfg, args.out)
             return cmd_structure_fn(cfg, args.out)
-    except (ParameterError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _REFUSED as exc:
+        return _refuse(exc)
 
 
 if __name__ == "__main__":

@@ -313,9 +313,11 @@ def _composed_diag(k1: int, d1: DiagFn, k2: int, d2: DiagFn) -> DiagFn:
 
     if k1 == 0 or k2 == 0:
         # one side is diagonal: the numerator is the ladder product of the
-        # whole shift, so the ratio is exactly 1 and is not formed
+        # whole shift, so the ratio is exactly 1 and is not formed.  That
+        # product vanishes only where a lowering shift passes the vacuum:
+        # every caller asks for indices n >= 0, so n < -k is the exact test
         def d_diagonal_side(n: int) -> complex:
-            if _ladder_prod(n, k) == 0:
+            if n < -k:
                 return 0.0
             return d1(n + k2) * d2(n)
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -390,6 +391,19 @@ def test_structure_fn_harmonic(capsys):
         assert row["F"] == pytest.approx(row["n"], abs=1e-13)
 
 
+@pytest.mark.parametrize("subcommand", ["state", "verify"])
+@pytest.mark.parametrize("dim", [[], ["--dim", "4"]], ids=["no-dim", "dim"])
+def test_harmonic_outside_structure_fn_is_refused_up_front(capsys, subcommand, dim):
+    code, out, err = run(capsys, subcommand, "--family", "harmonic", *dim)
+    assert (code, out) == (2, "")
+    assert err == "error: family 'harmonic' is tabulated only by structure-fn\n"
+
+
+def test_batch_refuses_harmonic_with_the_same_message(tmp_path, capsys):
+    error = _batch_error(tmp_path, capsys, '{"family":"harmonic","params":{},"dim":4}')
+    assert error == "family 'harmonic' is tabulated only by structure-fn"
+
+
 def test_structure_fn_csv_rows_are_the_triples_F(capsys):
     code, out, err = run(
         capsys, "structure-fn", "--family", "cs", "--alpha", "1", "--dim", "16",
@@ -549,6 +563,71 @@ def test_batch_missing_manifest_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "absent.json" in err
+
+
+def _both_front_ends(tmp_path, capsys, family, values, as_json):
+    """`verify` with `values` as flags, then as one batch manifest entry;
+    with `as_json`, each value the manifest can carry as a JSON number
+    travels as one instead of as text."""
+    argv = ["verify", "--family", family] + [f"--{k}={v}" for k, v in values.items()]
+    flag_run = run(capsys, *argv)
+    entry = {"family": family, "params": {}, "tolerances": {}}
+    for key, text in values.items():
+        value = text
+        if as_json:
+            with contextlib.suppress(ValueError):
+                value = json.loads(text)
+        if key == "dim":
+            entry["dim"] = value
+        elif key.startswith("tol-"):
+            entry["tolerances"][key.removeprefix("tol-")] = value
+        else:
+            entry["params"][key] = value
+    manifest = tmp_path / "one.json"
+    manifest.write_text(json.dumps([entry]))
+    out_dir = tmp_path / "reports"
+    code, _, err = run(capsys, "batch", str(manifest), "--out-dir", str(out_dir))
+    assert err == ""
+    (row,) = json.loads((out_dir / "summary.json").read_text())["entries"]
+    report = out_dir / row["file"] if "file" in row else None
+    return flag_run, (code, report.read_text() if report else None, row.get("error"))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "family,values",
+    [
+        # a float and an int parameter, dim, and an integral tolerance
+        ("bs", {"eta": "0.5", "M": "4", "dim": "12", "tol-oracle": "1"}),
+        # a complex parameter and a tolerance in exponent form
+        ("cs", {"alpha": "1+0.5i", "dim": "64", "tol-residual": "1e-9"}),
+    ],
+)
+def test_flags_and_manifest_give_byte_identical_reports(tmp_path, capsys, family, values, as_json):
+    (code, out, err), manifest = _both_front_ends(tmp_path, capsys, family, values, as_json)
+    assert (code, err) == (0, "")
+    assert manifest == (0, out, None)
+
+
+@pytest.mark.parametrize(
+    "malformed,as_json",
+    [
+        ({"alpha": "1+", "dim": "12"}, False),
+        ({"alpha": "1", "M": "1.5", "dim": "12"}, False),
+        ({"alpha": "1", "M": "1.5", "dim": "12"}, True),
+        ({"eta": "abc", "M": "4", "dim": "12"}, False),
+        ({"alpha": "1", "dim": "12.0"}, False),
+        ({"alpha": "1", "dim": "12", "tol-oracle": "x"}, False),
+    ],
+    ids=["complex", "int", "int-json", "float", "dim", "tolerance"],
+)
+def test_flags_and_manifest_refuse_a_malformed_value_alike(tmp_path, capsys, malformed, as_json):
+    family = "bs" if "M" in malformed else "cs"
+    (code, out, err), (batch_code, report, error) = _both_front_ends(
+        tmp_path, capsys, family, malformed, as_json
+    )
+    assert (code, out, batch_code, report) == (2, "", 2, None)
+    assert err == f"error: {error}\n"
 
 
 def test_batch_complex_params_round_trip(tmp_path, capsys):

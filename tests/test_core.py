@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fockladder as fl
 from fockladder import core
 from fockladder.ladder import _operational_structure_fn
 
@@ -158,6 +159,28 @@ def test_composed_diagonal_roots_an_exact_integer_square(k1, k2):
         quot, rem = divmod(num, perm(n, k))
         assert rem == 0 and math.isqrt(quot) ** 2 == quot
         assert d(n) == d1(n + k2) * d2(n) * math.sqrt(quot)
+
+
+def test_composed_diagonals_are_only_asked_for_nonnegative_indices(monkeypatch):
+    # the diagonal-side branch of _composed_diag tests n < -k in place of
+    # an exact ladder product, which is the same test only for n >= 0
+    composed = core._composed_diag
+    asked = []
+
+    def checked(k1, d1, k2, d2):
+        d = composed(k1, d1, k2, d2)
+
+        def d_checked(n):
+            assert n >= 0, (k1, k2, n)
+            asked.append(n)
+            return d(n)
+
+        return d_checked
+
+    monkeypatch.setattr(core, "_composed_diag", checked)
+    for family, params, dim in fl.EXTENDED_GRID:
+        fl.run_family_suite(family, params, dim)
+    assert asked
 
 
 def test_adjoint_of_ladders_and_diag():

@@ -3,8 +3,9 @@
 Every constructor, over a box of its parameters, returns a finite state
 of norm 1 or raises ParameterError, and nothing else.  The CLI, on any
 flag values, exits 0, 1 or 2 without letting an exception escape, and
-writes no NaN with exit 0 and no bare arithmetic message with exit 2.
-The named probes are seeded as examples.
+writes no NaN with exit 0; an exit 2 writes nothing to stdout and one
+`error: ` line to stderr, never a bare arithmetic message.  The named
+probes are seeded as examples.
 """
 
 import contextlib
@@ -195,6 +196,12 @@ _BARE_ARITHMETIC = ("math domain error", "math range error", "division by zero")
 @example(argv="state --family bs --eta 0.999999 --M 60 --dim 64".split())
 @example(argv="state --family nbs --eta 0.5 --M 1200 --dim 4000".split())
 @example(argv="state --family nnbs --eta 0.5 --M 1100 --dim 4000".split())
+# one malformed value of each kind: complex, int, float, dim, tolerance
+@example(argv="verify --family cs --alpha 1+ --dim 12".split())
+@example(argv="verify --family bs --eta 0.5 --M 1.5 --dim 12".split())
+@example(argv="state --family bs --eta abc --M 4 --dim 12".split())
+@example(argv="structure-fn --family cs --alpha 1 --dim 12.0".split())
+@example(argv="verify --family cs --alpha 1 --dim 12 --tol-oracle x".split())
 def test_cli_keeps_its_exit_contract(argv):
     code, out, err = _run(argv)
     assert code in (0, 1, 2), (code, err)
@@ -202,4 +209,6 @@ def test_cli_keeps_its_exit_contract(argv):
     if code == 0:
         assert "nan" not in out.lower()
     if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
         assert not any(text in err for text in _BARE_ARITHMETIC), err
