@@ -71,8 +71,7 @@ _KINDS = {
 }
 
 # every refusal of input: exit 2 from `main`, an input-error entry in `batch`;
-# TypeError is a manifest value no flag decodes, such as a number for the
-# library-only callable f of intermediate
+# a manifest value of a type that no check foresaw raises TypeError
 _REFUSED = (ValueError, TypeError, OSError)
 
 
@@ -200,6 +199,8 @@ def _config(
     manifest entry names its dim; a flag invocation may leave it out."""
     if not isinstance(raw_params, dict):
         raise ParameterError("'params' must be a mapping")
+    if "f" in raw_params:  # intermediate's nonlinearity, which no JSON value spells
+        raise ParameterError("parameter 'f' is library-only: it takes a Python callable")
     params = {
         key: _decode(value, _KINDS.get(key, float), f"parameter '{key}'")
         for key, value in raw_params.items()

@@ -23,7 +23,9 @@ into a matrix:
 - Exact ladder factors.  Each is math.sqrt of the exact integer
   product, formed in float64 while it stays below 2**53 and in Python
   ints past that, so perfect squares come out exact and a product past
-  the float range raises OverflowError.
+  the float range raises OverflowError.  compose roots the
+  normal-ordering ratio of such products, an exact integer square, and
+  forms it only for opposing shifts: for shifts of one sign it is 1.
 - Complex products from real parts.  Everything around the diagonal
   reads is numpy array work, but a complex x complex product is formed
   as ar*vr - ai*vi and ar*vi + ai*vr, each part rounded on its own as in
@@ -303,26 +305,27 @@ def _check_dims(x: OperatorExpr, y: OperatorExpr) -> None:
 def _composed_diag(k1: int, d1: DiagFn, k2: int, d2: DiagFn) -> DiagFn:
     # Ladder numerators first: when the inner shifts annihilate the index
     # the term is zero and neither diagonal is evaluated, so composed
-    # expressions never divide by a vanished ladder factor.  The ratio of
-    # squared ladder products is an integer-valued polynomial of n (the
-    # normal-ordering factor), so it is computed in exact integer
-    # arithmetic and rooted once.  It is always an exact integer square:
-    # 1 when k1 and k2 share a sign, else the square of the ladder factors
-    # the two shifts have in common.
+    # expressions never divide by a vanished ladder factor.
     k = k1 + k2
 
-    if k1 == 0 or k2 == 0:
-        # one side is diagonal: the numerator is the ladder product of the
-        # whole shift, so the ratio is exactly 1 and is not formed.  That
-        # product vanishes only where a lowering shift passes the vacuum:
-        # every caller asks for indices n >= 0, so n < -k is the exact test
-        def d_diagonal_side(n: int) -> complex:
+    if k1 * k2 >= 0:
+        # the shifts share a sign (or one is diagonal): the numerator is the
+        # ladder product of the whole shift, so the ratio is exactly 1 and
+        # is not formed.  That product vanishes only where a lowering shift
+        # passes the vacuum: every caller asks for indices n >= 0, so
+        # n < -k is the exact test
+        def d_same_sign(n: int) -> complex:
             if n < -k:
                 return 0.0
             return d1(n + k2) * d2(n)
 
-        return d_diagonal_side
+        return d_same_sign
 
+    # Opposing shifts: the ratio of squared ladder products is an
+    # integer-valued polynomial of n (the normal-ordering factor), so it is
+    # computed in exact integer arithmetic and rooted once.  It is always
+    # an exact integer square, that of the ladder factors the two shifts
+    # have in common.
     def d(n: int) -> complex:
         num = _ladder_prod(n, k2) * _ladder_prod(n + k2, k1)
         if num == 0:

@@ -19,6 +19,7 @@ from .core import (
     Bands,
     FockState,
     OperatorExpr,
+    _band_dim,
     annihilation,
     band_matrix,
     band_max_abs,
@@ -490,16 +491,15 @@ def _leading(bands: Bands, n: int) -> Bands:
 
 
 def embedding_checks(
-    rep: Su11Rep, dim_full: int, tolerances: Tolerances
+    rep: Su11Rep, full_bands: tuple[Bands, Bands, Bands], tolerances: Tolerances
 ) -> list[CheckResult]:
-    """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector reproduce
-    the sector actions entry for entry, compared on their bands."""
-    j = rep.parity_j
-    dim_full, n = _sector_size(dim_full, j, "dim_full")
-    n = min(n, rep.dim)
+    """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
+    _sector_k_bands reads them, reproduce the sector actions entry for
+    entry, compared on their bands."""
+    n = min(_band_dim(*full_bands), rep.dim)
     residual = max(
         band_max_abs(lambda f, s: f - s, _leading(full, n), _leading(sector, n))
-        for full, sector in zip(_sector_k_bands(dim_full, j), rep.bands)
+        for full, sector in zip(full_bands, rep.bands)
     )
     return [
         CheckResult.from_residual(
@@ -507,7 +507,7 @@ def embedding_checks(
             "E65",
             residual,
             tolerances.oracle,
-            detail=f"sector {j} restriction of a+2/2, a2/2, N/2+1/4",
+            detail=f"sector {rep.parity_j} restriction of a+2/2, a2/2, N/2+1/4",
         )
     ]
 
@@ -520,8 +520,10 @@ def verify_su11(
 ) -> VerificationReport:
     tol = tolerances or Tolerances()
     rep = su11(parity_j, dim_sector)
-    # the embedding check refuses a bad dim_full before any other work
-    embedding = [] if dim_full is None else embedding_checks(rep, dim_full, tol)
+    embedding = []
+    if dim_full is not None:  # a bad dim_full is refused before any other work
+        dim_full, _ = _sector_size(dim_full, parity_j, "dim_full")
+        embedding = embedding_checks(rep, _sector_k_bands(dim_full, parity_j), tol)
     checks = su11_axiom_checks(rep, tol) + embedding
     return VerificationReport(
         family=f"su11-sector{parity_j}",
@@ -551,28 +553,55 @@ def _sector_k_bands(dim: int, j: int) -> tuple[Bands, Bands, Bands]:
     )
 
 
+def _squeezing_generator(
+    xi: complex, k_plus: Bands, k_minus: Bands, n: int
+) -> np.ndarray:
+    """(h + h^H) / 2 for h = -1j (xi K+ - xi* K-), K+ and K- the n x n
+    matrices of the given bands, formed on the bands and placed once.
+
+    Each entry goes through the float operations of the dense expression
+    (diagonal k of h^H is the conjugate of diagonal -k of h, entry for
+    entry), so the matrix is the dense one bit for bit, sign bits
+    included."""
+
+    def hermitian(k: int, length: int) -> np.ndarray:
+        # diagonal k of (h + h^H) / 2, an absent band read as zeros
+        zeros = np.zeros(length, dtype=np.complex128)
+        h_k, h_minus_k = (
+            -1j * (xi * k_plus.get(i, zeros) - xi.conjugate() * k_minus.get(i, zeros))
+            for i in (k, -k)
+        )
+        return (h_k + h_minus_k.conj()) / 2
+
+    # offset n lies past every band: its one entry is what two zeros give
+    generator = np.full((n, n), hermitian(n, 1)[0])
+    offsets = set(k_plus) | set(k_minus)
+    for k in offsets | {-k for k in offsets}:
+        np.fill_diagonal(generator[max(0, -k) :, max(0, k) :], hermitian(k, n - abs(k)))
+    return generator
+
+
 def _squeezing_routes(
-    r: float, theta: float, dim: int, j: int
+    r: float, theta: float, dim: int, j: int, k_bands: tuple[Bands, Bands, Bands]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """S(xi)|j> two ways on sector j, the j::2 block of a+^2/2 and a^2/2,
-    placed from the sector bands:
-    exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh, and
+    """S(xi)|j> two ways on sector j, from k_bands, the j::2 block of
+    a+^2/2, a^2/2 and N/2+1/4 (_sector_k_bands):
+    exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh of the generator's
+    Hermitian part (eigh reads one triangle, and K+ and K- fill opposite
+    ones: the Hermitian part makes both enter), and
     exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0, tau = e^{i theta} tanh r,
     where K- e_0 = 0 leaves exp(tau K+) e_0, a finite sum since K+ is
     strictly subdiagonal on the sector."""
     n = sector_dim(dim, j)
-    Kp, Km = (band_matrix(bands, n) for bands in _sector_k_bands(dim, j)[:2])
+    k_plus, k_minus = k_bands[:2]
     xi = r * cmath.exp(1j * theta)
-    h = -1j * (xi * Kp - xi.conjugate() * Km)
-    # eigh reads one triangle, and K+ and K- fill opposite ones: its
-    # Hermitian part makes both operators enter
-    lam, V = np.linalg.eigh((h + h.conj().T) / 2)
+    lam, V = np.linalg.eigh(_squeezing_generator(xi, k_plus, k_minus, n))
     tau = cmath.exp(1j * theta) * math.tanh(r)
     e0 = np.zeros(n)
     e0[0] = 1.0
     return (
         V @ (np.exp(1j * lam) * V[0].conj()),
-        math.cosh(r) ** -(j + 0.5) * expm(tau * Kp, e0),
+        math.cosh(r) ** -(j + 0.5) * expm(tau * band_matrix(k_plus, n), e0),
     )
 
 
@@ -594,11 +623,31 @@ def verify_disentangling(
     """
     if excitation not in (0, 1):
         raise ParameterError("excitation must be 0 or 1")
-    j = excitation
-    closed = _squeezed(r, theta, dim, j)
-    dim = closed.dim  # checked: an integral float reads as its int
+    closed = _squeezed(r, theta, dim, excitation)
     tol = tolerances or Tolerances()
-    via_exponential, via_product = _squeezing_routes(r, theta, dim, j)
+    # closed.dim is checked: an integral float reads as its int
+    k_bands = _sector_k_bands(closed.dim, excitation)
+    return VerificationReport(
+        family=closed.label,
+        params={"r": float(r), "theta": float(theta), "excitation": excitation},
+        dim=closed.dim,
+        tolerances=tol,
+        checks=disentangling_checks(closed, r, theta, excitation, k_bands, tol),
+    )
+
+
+def disentangling_checks(
+    closed: FockState,
+    r: float,
+    theta: float,
+    j: int,
+    k_bands: tuple[Bands, Bands, Bands],
+    tolerances: Tolerances,
+) -> tuple[CheckResult, ...]:
+    """verify_disentangling's checks, given its closed form S(xi)|j> and
+    _sector_k_bands(closed.dim, j)."""
+    dim = closed.dim
+    via_exponential, via_product = _squeezing_routes(r, theta, dim, j, k_bands)
 
     def normalized(v: np.ndarray) -> tuple[FockState, float]:
         # v on the full space at unit norm, and its norm deficit as leak
@@ -608,7 +657,7 @@ def verify_disentangling(
 
     s_exponential, leak_exponential = normalized(via_exponential)
     s_product, leak_product = normalized(via_product)
-    equation = "E64 E67 E68" if excitation == 0 else "E67 E79 E80"
+    equation = "E64 E67 E68" if j == 0 else "E67 E79 E80"
 
     def infidelity_check(name: str, x, y, leak: float) -> CheckResult:
         return CheckResult.from_residual(
@@ -617,11 +666,11 @@ def verify_disentangling(
             1.0 - fidelity(x, y),
             INFIDELITY_TOL,
             leak=leak,
-            leak_tolerance=tol.leak,
+            leak_tolerance=tolerances.leak,
             detail="pairwise infidelity of independent constructions",
         )
 
-    checks = (
+    return (
         infidelity_check(
             "disentangle-product-vs-exponential",
             s_product,
@@ -634,11 +683,4 @@ def verify_disentangling(
         infidelity_check(
             "disentangle-product-vs-closed", s_product, closed, leak_product
         ),
-    )
-    return VerificationReport(
-        family=closed.label,
-        params={"r": float(r), "theta": float(theta), "excitation": excitation},
-        dim=dim,
-        tolerances=tol,
-        checks=checks,
     )

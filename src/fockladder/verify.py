@@ -102,6 +102,9 @@ from .states import (
 )
 from .twophoton import (
     _check_pair_alpha,
+    _sector_k_bands,
+    _squeezed,
+    disentangling_checks,
     ecs_sector_coeffs,
     even_odd_coherent,
     embedding_checks,
@@ -119,7 +122,6 @@ from .twophoton import (
     svs_sector_coeffs,
     two_photon_gdo,
     two_photon_ladder,
-    verify_disentangling,
 )
 
 # --- identity catalog ---
@@ -1078,7 +1080,10 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
 
     rep = su11(j, sec.dim)
     checks += su11_axiom_checks(rep, tol)
-    checks += embedding_checks(rep, dim, tol)
+    # the full-space K+, K-, K0, read once for the embedding check and the
+    # disentangling routes
+    k_bands = _sector_k_bands(dim, j)
+    checks += embedding_checks(rep, k_bands, tol)
 
     up, down = two_photon_ladder(cf, j, sec.dim)
     up_eq, down_eq, axiom_eq = (
@@ -1097,10 +1102,8 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
     )
 
     if spec.disentangle:
-        rep_dis = verify_disentangling(
-            p["r"], p["theta"], dim, excitation=j, tolerances=tol
-        )
-        checks += list(rep_dis.checks)
+        closed = _squeezed(p["r"], p["theta"], dim, j)
+        checks += disentangling_checks(closed, p["r"], p["theta"], j, k_bands, tol)
     return checks
 
 

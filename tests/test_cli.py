@@ -404,6 +404,17 @@ def test_batch_refuses_harmonic_with_the_same_message(tmp_path, capsys):
     assert error == "family 'harmonic' is tabulated only by structure-fn"
 
 
+def test_batch_refuses_the_library_only_f(tmp_path, capsys):
+    # intermediate's f is a Python callable: a number for it is refused by
+    # name, not called
+    error = _batch_error(
+        tmp_path,
+        capsys,
+        '{"family":"intermediate","params":{"eta":0.5,"alpha":0.7,"f":2},"dim":16}',
+    )
+    assert error == "parameter 'f' is library-only: it takes a Python callable"
+
+
 def test_structure_fn_csv_rows_are_the_triples_F(capsys):
     code, out, err = run(
         capsys, "structure-fn", "--family", "cs", "--alpha", "1", "--dim", "16",

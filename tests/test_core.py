@@ -161,9 +161,31 @@ def test_composed_diagonal_roots_an_exact_integer_square(k1, k2):
         assert d(n) == d1(n + k2) * d2(n) * math.sqrt(quot)
 
 
+@pytest.mark.parametrize("k1", range(-4, 5))
+@pytest.mark.parametrize("k2", range(-4, 5))
+def test_composed_diagonal_forms_the_ratio_only_for_opposing_shifts(monkeypatch, k1, k2):
+    # shifts of one sign (or a diagonal side) compose with the ratio 1, so
+    # no ladder product is formed; opposing shifts still form the exact one
+    products = []
+    ladder_prod = core._ladder_prod
+
+    def counted(n, k):
+        products.append((n, k))
+        return ladder_prod(n, k)
+
+    monkeypatch.setattr(core, "_ladder_prod", counted)
+    dim = 12
+    x = core.operator([(k1, lambda n: 1.0 + n)], dim)
+    y = core.operator([(k2, lambda n: 2.0 - n)], dim)
+    ((_, d),) = core.compose(x, y).terms
+    for n in range(dim):
+        d(n)
+    assert bool(products) == (k1 * k2 < 0)
+
+
 def test_composed_diagonals_are_only_asked_for_nonnegative_indices(monkeypatch):
-    # the diagonal-side branch of _composed_diag tests n < -k in place of
-    # an exact ladder product, which is the same test only for n >= 0
+    # the same-sign branch of _composed_diag tests n < -k in place of an
+    # exact ladder product, which is the same test only for n >= 0
     composed = core._composed_diag
     asked = []
 

@@ -188,8 +188,8 @@ def test_su11_battery_catches_a_mutated_k_plus(parity_j):
     [
         # the three full-space operators of the embedding check
         ("ecs", {"alpha": 1.1}, 3),
-        # and again for the two routes of the disentangling oracle
-        ("svs", {"r": 0.8, "theta": 0.5}, 6),
+        # the routes of the disentangling oracle read the same three
+        ("svs", {"r": 0.8, "theta": 0.5}, 3),
     ],
     ids=["ecs", "svs"],
 )
@@ -231,7 +231,8 @@ def test_embedding_residual_equals_the_dense_sector_block(parity_j, dim_sector, 
             twophoton._full_k_ops(dim_full), (rep.K_plus, rep.K_minus, rep.K_zero)
         )
     )
-    (check,) = twophoton.embedding_checks(rep, dim_full, fl.Tolerances())
+    full_bands = twophoton._sector_k_bands(dim_full, parity_j)
+    (check,) = twophoton.embedding_checks(rep, full_bands, fl.Tolerances())
     assert check.residual == wanted
 
 
@@ -491,7 +492,8 @@ def test_disentangling_strong_squeezing():
 @pytest.mark.parametrize("dim", [64, 128])
 @pytest.mark.parametrize("j", [0, 1])
 def test_sector_routes_match_the_full_space_expm(dim, j):
-    routes = twophoton._squeezing_routes(0.8, 0.5, dim, j)
+    k_bands = twophoton._sector_k_bands(dim, j)
+    routes = twophoton._squeezing_routes(0.8, 0.5, dim, j, k_bands)
     for sector, full in zip(routes, squeezing_reference(0.8, 0.5, dim, j)):
         assert np.abs(sector - full[j::2]).max() <= 1e-13
         assert np.abs(full[1 - j :: 2]).max() <= 1e-13
@@ -563,11 +565,9 @@ def test_expm_of_the_k_plus_sector_block(sector_dim, j):
     assert error <= 1e-14 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("j", [0, 1])
-def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
-    # a stray full-space term far below K+'s band, one entry at sector
-    # (40, 3): the sector read and the product route must carry it, not
-    # only the band
+def _add_stray_k_plus_term(monkeypatch, j):
+    """A stray full-space term far below K+'s band, one entry at sector
+    (40, 3) of sector j."""
     full_k_ops = twophoton._full_k_ops
     column = 2 * 3 + j
 
@@ -579,6 +579,13 @@ def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
         return fl.add(k_plus, fl.operator([(74, stray)], dim)), k_minus, k_zero
 
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
+    # the sector read and the product route must carry the stray term, not
+    # only the band
+    _add_stray_k_plus_term(monkeypatch, j)
     k_plus = core.band_matrix(twophoton._sector_k_bands(128, j)[0], 64)
     assert k_plus[40, 3] == pytest.approx(1e-3, rel=1e-15)
     report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
@@ -586,6 +593,50 @@ def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
     assert {c.name for c in report.checks if c.passed} == {
         "disentangle-exponential-vs-closed"
     }
+
+
+@pytest.mark.parametrize(
+    "sector,stray",
+    [(32, False), (64, False), (256, False), (64, True), (256, True)],
+    ids=["32", "64", "256", "64-stray", "256-stray"],
+)
+@pytest.mark.parametrize("j", [0, 1])
+def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, stray):
+    # the generator built on the bands is (h + h^H) / 2 of the dense K+ and
+    # K- blocks bit for bit, sign bits included, with no apply and no
+    # closed form on the way
+    if stray:
+        _add_stray_k_plus_term(monkeypatch, j)
+    k_bands = twophoton._sector_k_bands(2 * sector, j)
+    k_plus, k_minus = (core.band_matrix(bands, sector) for bands in k_bands[:2])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the routes called apply or the closed form")
+
+    for module in (core, twophoton):
+        monkeypatch.setattr(module, "apply", forbidden, raising=False)
+    monkeypatch.setattr(twophoton, "_squeezed", forbidden)
+    generators = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        generators.append(a.copy())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for r, theta in [(0.0, 4.0), (0.8, 0.5), (0.8, 2.0), (0.6, 3.5), (0.7, 5.0)]:
+        generators.clear()
+        twophoton._squeezing_routes(r, theta, 2 * sector, j, k_bands)
+        xi = r * cmath.exp(1j * theta)
+        h = -1j * (xi * k_plus - xi.conjugate() * k_minus)
+        dense = (h + h.conj().T) / 2
+        (generator,) = generators
+        assert np.array_equal(generator, dense)
+        assert np.array_equal(
+            np.signbit(generator.view(float)), np.signbit(dense.view(float))
+        )
+    if stray:
+        assert generator[40, 3] != 0 and generator[3, 40] != 0
 
 
 @pytest.mark.parametrize("j", [0, 1])
