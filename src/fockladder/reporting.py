@@ -1,10 +1,14 @@
 """Report value objects shared by the verification layers and the CLI.
 
 Serialization is deterministic: identical reports produce byte-identical
-output.  JSON uses sorted keys; floats rely on repr round-tripping;
-non-finite values (which occur when tabulating the printed structure
-functions) are carried as the strings "inf", "-inf", "nan" because the
-JSON emitter rejects bare non-finite numbers.
+output.  encode_json writes JSON in one recursive pass, with sorted keys
+and a 2-space indent; strings go through the json module's ASCII
+escaper, and numbers are their float.__repr__ or int.__repr__, which
+round-trip.  Non-finite floats (which occur when tabulating the printed
+structure functions) are carried as the strings "inf", "-inf", "nan",
+because JSON has no bare non-finite numbers.  The output is what
+json.dumps(sort_keys=True, indent=2) gives for the same value with those
+strings in place; the tests keep that stdlib route as their oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_LEAK_TOL = 1e-10
@@ -163,20 +167,57 @@ def _csv_cell(value: Any) -> str:
     return str(value).replace(",", ";")
 
 
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # "inf", "-inf", "nan"
-    if isinstance(value, dict):
-        return {k: _encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    return value
+_quote = json.encoder.encode_basestring_ascii
 
 
 def encode_json(payload: Any) -> str:
-    return json.dumps(
-        _encode_value(payload), sort_keys=True, indent=2, allow_nan=False
-    ) + "\n"
+    """payload as JSON text: str-keyed dicts, lists, tuples, str, int,
+    float, bool and None; anything else raises TypeError."""
+    parts: list[str] = []
+    _write(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
+    # newline is the line break plus the indent of value's own line
+    if isinstance(value, str):
+        out(_quote(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, float):  # np.float64 too, as its float value
+        text = float.__repr__(value)
+        out(text if math.isfinite(value) else _quote(text))
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner, lead = newline + "  ", "{"
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out(f"{lead}{inner}{_quote(key)}: ")
+            _write(value[key], inner, out)
+            lead = ","
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner, lead = newline + "  ", "["
+        for item in value:
+            out(lead + inner)
+            _write(item, inner, out)
+            lead = ","
+        out(newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _decode_float(value: Any) -> Any:

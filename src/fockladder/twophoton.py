@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,6 +58,11 @@ from .states import (
 
 # The largest pairwise infidelity the disentangling checks accept.
 INFIDELITY_TOL = 1e-8
+# Bands as the caches hold them, read-only: every caller shares them
+FrozenBands = Mapping[int, np.ndarray]
+# Entries kept by each per-truncation cache (su11, _sector_k_bands); one
+# dim-sweep pass asks for 8 sector representations and 6 full-space reads.
+SU11_CACHE_SIZE = 64
 
 
 def expm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -88,19 +95,39 @@ class Su11Rep:
         return self.K_plus.domain_dim
 
     @cached_property
-    def bands(self) -> tuple[Bands, Bands, Bands]:
-        """K+, K-, K0 read by to_bands, once per representation."""
-        return tuple(to_bands(k) for k in (self.K_plus, self.K_minus, self.K_zero))
+    def bands(self) -> tuple[FrozenBands, ...]:
+        """K+, K-, K0 and the sector number operator read by to_bands, once
+        per representation, read-only."""
+        ops = (self.K_plus, self.K_minus, self.K_zero, self.sector_number_op)
+        return tuple(_read_only(to_bands(op)) for op in ops)
+
+
+def _read_only(bands: Bands) -> FrozenBands:
+    for d in bands.values():
+        d.flags.writeable = False
+    return MappingProxyType(bands)
+
+
+def _check_parity(parity_j: int) -> int:
+    if parity_j not in (0, 1):
+        raise ParameterError("parity_j must be 0 or 1")
+    return int(parity_j)
 
 
 def su11(parity_j: int, dim_sector: int) -> Su11Rep:
     """Sector action: K+||n> = sqrt((n+1)(n+j+1/2))||n+1>,
-    K-||n> = sqrt(n(n+j-1/2))||n-1>, K0||n> = (n+j/2+1/4)||n>."""
-    if parity_j not in (0, 1):
-        raise ParameterError("parity_j must be 0 or 1")
-    dim_sector = _check_dim(dim_sector)
-    j = parity_j
+    K-||n> = sqrt(n(n+j-1/2))||n-1>, K0||n> = (n+j/2+1/4)||n>.
 
+    Cached per truncation: the arguments are checked first and the
+    representation kept on the checked ints (an integral float or a bool
+    finds the int's entry), up to SU11_CACHE_SIZE of them.  Its bands are
+    read once and read-only.  Only operator data is kept, never a verdict:
+    every battery runs again on each call."""
+    return _su11(_check_parity(parity_j), _check_dim(dim_sector))
+
+
+@lru_cache(maxsize=SU11_CACHE_SIZE)
+def _su11(j: int, dim_sector: int) -> Su11Rep:
     def d_plus(n: int) -> complex:
         return math.sqrt(n + j + 0.5)
 
@@ -142,8 +169,7 @@ def sector_embed(s: FockState) -> FockState:
 
 
 def sector_unembed(s: FockState, parity_j: int, dim: int) -> FockState:
-    if parity_j not in (0, 1):
-        raise ParameterError("parity_j must be 0 or 1")
+    parity_j = _check_parity(parity_j)
     if sector_dim(dim, parity_j) != s.dim:
         raise ParameterError(
             f"sector of dim {s.dim} does not fill a full space of dim {dim}"
@@ -413,7 +439,7 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
     """
     dim = rep.dim
     j = rep.parity_j
-    p, m, z = rep.bands
+    p, m, z, number = rep.bands
     KpKm, KmKp = diagonal_matmul(p, m), diagonal_matmul(m, p)
     eye = {0: np.ones(dim)}
     top = dim - 1  # K+ leaks from the top basis vector
@@ -432,7 +458,6 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
     )
     k = rep.bargmann_k
     shift = 0.25 + j / 2.0
-    number = to_bands(rep.sector_number_op)
     return [
         c(
             "su11-action",
@@ -485,13 +510,13 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
     ]
 
 
-def _leading(bands: Bands, n: int) -> Bands:
+def _leading(bands: FrozenBands, n: int) -> Bands:
     """The leading n x n block of a matrix in band form."""
     return {k: d[: n - abs(k)] for k, d in bands.items() if abs(k) < n}
 
 
 def embedding_checks(
-    rep: Su11Rep, full_bands: tuple[Bands, Bands, Bands], tolerances: Tolerances
+    rep: Su11Rep, full_bands: tuple[FrozenBands, ...], tolerances: Tolerances
 ) -> list[CheckResult]:
     """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
     _sector_k_bands reads them, reproduce the sector actions entry for
@@ -499,7 +524,7 @@ def embedding_checks(
     n = min(_band_dim(*full_bands), rep.dim)
     residual = max(
         band_max_abs(lambda f, s: f - s, _leading(full, n), _leading(sector, n))
-        for full, sector in zip(full_bands, rep.bands)
+        for full, sector in zip(full_bands, rep.bands[:3])
     )
     return [
         CheckResult.from_residual(
@@ -520,14 +545,15 @@ def verify_su11(
 ) -> VerificationReport:
     tol = tolerances or Tolerances()
     rep = su11(parity_j, dim_sector)
+    j = rep.parity_j  # checked: a float or bool parity reads as its int
     embedding = []
     if dim_full is not None:  # a bad dim_full is refused before any other work
-        dim_full, _ = _sector_size(dim_full, parity_j, "dim_full")
-        embedding = embedding_checks(rep, _sector_k_bands(dim_full, parity_j), tol)
+        dim_full, _ = _sector_size(dim_full, j, "dim_full")
+        embedding = embedding_checks(rep, _sector_k_bands(dim_full, j), tol)
     checks = su11_axiom_checks(rep, tol) + embedding
     return VerificationReport(
-        family=f"su11-sector{parity_j}",
-        params={"parity_j": parity_j},
+        family=f"su11-sector{j}",
+        params={"parity_j": j},
         dim=rep.dim,
         tolerances=tol,
         checks=tuple(checks),
@@ -543,18 +569,30 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
     )
 
 
-def _sector_k_bands(dim: int, j: int) -> tuple[Bands, Bands, Bands]:
+def _sector_k_bands(dim: int, j: int) -> tuple[FrozenBands, ...]:
     """Full-space K+, K-, K0 read by to_bands, restricted to the j::2 rows
     and columns: full offset 2s, entries from parity-j rows, is sector
-    offset s, and odd offsets never meet the sector."""
+    offset s, and odd offsets never meet the sector.
+
+    Cached per truncation, as su11 is: checked arguments, read-only
+    arrays, operator data only."""
+    j = _check_parity(j)
+    dim, _ = _sector_size(dim, j)
+    return _sector_k_read(dim, j)
+
+
+@lru_cache(maxsize=SU11_CACHE_SIZE)
+def _sector_k_read(dim: int, j: int) -> tuple[FrozenBands, ...]:
     return tuple(
-        {k // 2: d[j::2] for k, d in to_bands(op).items() if k % 2 == 0 and len(d) > j}
+        _read_only(
+            {k // 2: d[j::2] for k, d in to_bands(op).items() if k % 2 == 0 and len(d) > j}
+        )
         for op in _full_k_ops(dim)
     )
 
 
 def _squeezing_generator(
-    xi: complex, k_plus: Bands, k_minus: Bands, n: int
+    xi: complex, k_plus: FrozenBands, k_minus: FrozenBands, n: int
 ) -> np.ndarray:
     """(h + h^H) / 2 for h = -1j (xi K+ - xi* K-), K+ and K- the n x n
     matrices of the given bands, formed on the bands and placed once.
@@ -582,7 +620,7 @@ def _squeezing_generator(
 
 
 def _squeezing_routes(
-    r: float, theta: float, dim: int, j: int, k_bands: tuple[Bands, Bands, Bands]
+    r: float, theta: float, dim: int, j: int, k_bands: tuple[FrozenBands, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """S(xi)|j> two ways on sector j, from k_bands, the j::2 block of
     a+^2/2, a^2/2 and N/2+1/4 (_sector_k_bands):
@@ -641,7 +679,7 @@ def disentangling_checks(
     r: float,
     theta: float,
     j: int,
-    k_bands: tuple[Bands, Bands, Bands],
+    k_bands: tuple[FrozenBands, ...],
     tolerances: Tolerances,
 ) -> tuple[CheckResult, ...]:
     """verify_disentangling's checks, given its closed form S(xi)|j> and

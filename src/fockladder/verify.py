@@ -103,7 +103,6 @@ from .states import (
 from .twophoton import (
     _check_pair_alpha,
     _sector_k_bands,
-    _squeezed,
     disentangling_checks,
     ecs_sector_coeffs,
     even_odd_coherent,
@@ -1101,9 +1100,8 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
         spec, cf, p, sec.dim, 0, (axiom_eq, "E87"), _raising_F(cf, 0, sec.dim), tol
     )
 
-    if spec.disentangle:
-        closed = _squeezed(p["r"], p["theta"], dim, j)
-        checks += disentangling_checks(closed, p["r"], p["theta"], j, k_bands, tol)
+    if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
+        checks += disentangling_checks(s, p["r"], p["theta"], j, k_bands, tol)
     return checks
 
 

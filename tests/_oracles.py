@@ -13,9 +13,12 @@ The GDO battery reference multiplies dense matrices, where the package
 sums products diagonal by diagonal.
 The builder references after them write each ladder formula of the paper
 entry by entry, where the package composes shared band shapes.
+The JSON reference at the end is the stdlib encoder, where the package
+writes its reports in one pass of its own.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -373,3 +376,23 @@ def step_up_g_reference(coeffs_M, coeffs_Mp1, M: int) -> np.ndarray:
 def gs_lowering_reference(dim: int) -> np.ndarray:
     """[1/sqrt(N+1)] a."""
     return _entries(dim, lowering=lambda t: 1.0 / math.sqrt(t + 1))
+
+
+# --- report serialization ---
+
+
+def _encode_value(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)  # "inf", "-inf", "nan"
+    if isinstance(value, dict):
+        return {k: _encode_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_value(v) for v in value]
+    return value
+
+
+def json_reference(payload) -> str:
+    """A report payload through json.dumps, non-finite floats as strings."""
+    return json.dumps(
+        _encode_value(payload), sort_keys=True, indent=2, allow_nan=False
+    ) + "\n"

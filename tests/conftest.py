@@ -5,12 +5,21 @@ import pytest
 from hypothesis import settings
 
 import fockladder.core as core
+import fockladder.twophoton as twophoton
 
 # Derandomized and without an example database, so every run (CI or
 # local) draws the same examples; no deadline, so a slow machine cannot
 # turn a passing example into a failure.
 settings.register_profile("fockladder", derandomize=True, database=None, deadline=None)
 settings.load_profile("fockladder")
+
+
+@pytest.fixture(autouse=True)
+def empty_su11_caches():
+    """Each test starts with no cached sector representation or full-space
+    read, so none made under another test's patch can reach it."""
+    twophoton._su11.cache_clear()
+    twophoton._sector_k_read.cache_clear()
 
 
 @pytest.fixture

@@ -1,0 +1,119 @@
+"""The report writer against the stdlib JSON encoder.
+
+encode_json writes JSON in one pass of its own; json_reference is the
+json.dumps route it replaced, kept as the oracle.  Both must give the
+same bytes for every value a report can hold, and for every payload the
+package writes.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import fockladder as fl
+import fockladder.cli as cli
+from fockladder.reporting import encode_json
+
+from _oracles import json_reference
+
+SPECIAL_STRINGS = ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é ß",
+                   "  ", "\ud800", "😀 \U0010ffff", "</script>"]
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan, 0.1, 1e16, 1e-7, 123456789.0]
+SPECIAL_INTS = [0, -1, 2**63, 2**64, -(2**64) - 1, 10**40]
+
+leaves = (
+    st.text()
+    | st.sampled_from(SPECIAL_STRINGS)
+    | st.integers()
+    | st.sampled_from(SPECIAL_INTS)
+    | st.floats()
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.booleans()
+    | st.none()
+)
+keys = st.text() | st.sampled_from(SPECIAL_STRINGS)
+payloads = st.recursive(
+    leaves,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(keys, children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@given(payloads)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [], "c": (), "d": [{}, [[]]]})
+@example({"x": [math.inf, -math.inf, math.nan, -0.0, 5e-324]})
+@example({s: s for s in SPECIAL_STRINGS})
+def test_writer_equals_the_stdlib_route(payload):
+    assert encode_json(payload) == json_reference(payload)
+
+
+def _keys_are_str(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and _keys_are_str(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(_keys_are_str(v) for v in value)
+    return True
+
+
+def _package_payloads(tmp_path, monkeypatch):
+    """Every EXTENDED_GRID report, the errata table, and what the CLI
+    serializes for a structure-fn table and a batch summary."""
+    written = [r.as_dict() for r in fl.run_grid(fl.EXTENDED_GRID)]
+    written.append(fl.errata_table())
+
+    def recording(payload):
+        written.append(payload)
+        return encode_json(payload)
+
+    monkeypatch.setattr(cli, "encode_json", recording)
+    table = ["structure-fn", "--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12"]
+    assert cli.main(table + ["--compare-printed", "--out", str(tmp_path / "t.json")]) == 0
+    assert cli.main(table + ["--out", str(tmp_path / "f.json")]) == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(fl.grid_manifest()[:3] + [{"family": "bs"}]))
+    assert cli.main(["batch", str(manifest), "--out-dir", str(tmp_path / "out")]) == 2
+    assert [p.get("schema") for p in written[-3:]] == [
+        "structure-fn-1", "structure-fn-1", "batch-1"
+    ]
+    return written
+
+
+def test_every_package_payload_is_written_as_the_stdlib_route(tmp_path, monkeypatch):
+    written = _package_payloads(tmp_path, monkeypatch)
+    # the printed structure functions carry non-finite values
+    texts = [json_reference(p) for p in written]
+    assert any(f'"{x}"' in t for t in texts for x in ("inf", "-inf", "nan"))
+    for payload in written:
+        # the writer refuses a key json.dumps would coerce: none occurs
+        assert _keys_are_str(payload)
+        assert encode_json(payload) == json_reference(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1j, np.int64(3), {1, 2}, {1: "a"}, {"a": [{"b": 2 + 0j}]}, [np.bool_(True)],
+     {(1,): 0}],
+    ids=["complex", "np.int64", "set", "int-key", "nested-complex", "np.bool_",
+         "tuple-key"],
+)
+def test_writer_refuses_what_json_cannot_carry(payload):
+    with pytest.raises(TypeError):
+        encode_json(payload)
+
+
+def test_writer_reads_a_numpy_float_as_its_float():
+    payload = {"x": [np.float64(0.1), np.float64(-0.0), np.float64(1e300)]}
+    assert encode_json(payload) == json_reference(payload)
+    assert json.loads(encode_json({"x": np.float64(math.inf)})) == {"x": "inf"}

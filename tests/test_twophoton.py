@@ -68,6 +68,11 @@ def test_su11_axioms_and_embedding(parity_j):
     assert "top column excluded" in pm.detail
 
 
+def _clear_caches():
+    twophoton._su11.cache_clear()
+    twophoton._sector_k_read.cache_clear()
+
+
 def _dense_k(rep):
     return [fl.to_matrix(k) for k in (rep.K_plus, rep.K_minus, rep.K_zero)]
 
@@ -132,7 +137,8 @@ def test_su11_residuals_carry_nan_and_inf_as_the_dense_matmul(parity_j, target, 
     for at, value in poison.items():
         matrix[at] = value
     # poison the cached bands: a cached_property reads the instance dict
-    rep.__dict__["bands"] = tuple(nonzero_diagonals(m) for m in matrices)
+    poisoned = tuple(nonzero_diagonals(m) for m in matrices)
+    rep.__dict__["bands"] = poisoned + rep.bands[3:]  # the number operator's
     got, wanted = _su11_got_and_wanted(rep, matrices)
     assert got.keys() == wanted.keys()
     nan_only = all(math.isnan(v) for v in poison.values())
@@ -213,6 +219,73 @@ def test_two_photon_suite_reads_each_operators_bands_once(
     assert to_matrix_dims == []
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("svs", {"r": 0.8, "theta": 0.5}),
+        ("sfes", {"r": 0.8, "theta": 0.5}),
+        ("ecs", {"alpha": 1.1}),
+        ("ocs", {"alpha": 1.1}),
+    ],
+    ids=["svs", "sfes", "ecs", "ocs"],
+)
+def test_a_warm_two_photon_suite_reads_no_bands(monkeypatch, family, params):
+    reads = []
+    to_bands = twophoton.to_bands
+
+    def reading(op):
+        reads.append(op.domain_dim)
+        return to_bands(op)
+
+    monkeypatch.setattr(twophoton, "to_bands", reading)
+    first = fl.run_family_suite(family, params, 128)
+    assert first.passed and reads
+    reads.clear()
+    second = fl.run_family_suite(family, params, 128)
+    assert reads == []
+    # the batteries ran again on the cached data, to the same bytes
+    assert (second.to_json(), second.to_csv()) == (first.to_json(), first.to_csv())
+
+
+def test_su11_data_is_cached_per_truncation():
+    rep = fl.su11(0, 64)
+    assert fl.su11(0, 64) is rep
+    # the checked ints are the key: an integral float or a bool finds them
+    assert fl.su11(0, 64.0) is rep and fl.su11(False, 64) is rep
+    assert fl.su11(True, 64.0) is fl.su11(1, 64)
+    assert type(fl.su11(True, 64).parity_j) is int
+    assert fl.su11(1, 64) is not rep and fl.su11(0, 65) is not rep
+    assert twophoton._su11.cache_info()[:2] == (6, 3)  # hits, misses
+
+    full = twophoton._sector_k_bands(128, 0)
+    assert twophoton._sector_k_bands(128.0, False) is full
+    assert twophoton._sector_k_bands(128, 1) is not full
+    assert twophoton._sector_k_bands(130, 0) is not full
+    assert twophoton._sector_k_read.cache_info()[:2] == (1, 3)
+
+
+def test_cached_bands_are_read_only():
+    rep = fl.su11(1, 16)
+    for bands in rep.bands + twophoton._sector_k_bands(32, 1):
+        for d in bands.values():
+            with pytest.raises(ValueError, match="read-only"):
+                d[0] = 0
+    # a representation built from another one reads its own bands
+    other = dataclasses.replace(rep, K_plus=rep.K_minus)
+    assert other.bands[0].keys() == rep.bands[1].keys()
+
+
+def test_the_caches_stay_within_their_bound():
+    size = twophoton.SU11_CACHE_SIZE
+    for dim in range(2, size + 12):
+        fl.su11(dim % 2, dim)
+        twophoton._sector_k_bands(dim, dim % 2)
+        for cache in (twophoton._su11, twophoton._sector_k_read):
+            assert cache.cache_info().currsize <= size
+    for cache in (twophoton._su11, twophoton._sector_k_read):
+        assert cache.cache_info().maxsize == cache.cache_info().currsize == size
+
+
 @pytest.mark.parametrize("parity_j", [0, 1])
 @pytest.mark.parametrize(
     "dim_sector,dim_full",
@@ -253,6 +326,7 @@ def test_embedding_catches_a_stray_full_space_term(monkeypatch, j, shift):
 
     assert fl.verify_su11(j, 32, 64).passed
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
+    _clear_caches()  # the clean read above is cached
     report = fl.verify_su11(j, 32, 64)
     assert {c.name for c in report.checks if not c.passed} == {"sector-embedding"}
 
@@ -277,7 +351,11 @@ def test_verify_su11_refuses_a_bad_full_dim(monkeypatch, parity_j, dim_full, mes
 
 
 def test_verify_su11_reads_integral_float_dims():
-    assert fl.verify_su11(1, 8.0, 16.0).to_json() == fl.verify_su11(1, 8, 16).to_json()
+    at_int = fl.verify_su11(1, 8, 16).to_json()
+    assert fl.verify_su11(1, 8.0, 16.0).to_json() == at_int
+    # a float or bool parity reads as its int, in the report header too
+    assert fl.verify_su11(1.0, 8, 16).to_json() == at_int
+    assert fl.verify_su11(True, 8, 16).to_json() == at_int
 
 
 @pytest.mark.parametrize(
@@ -579,6 +657,7 @@ def _add_stray_k_plus_term(monkeypatch, j):
         return fl.add(k_plus, fl.operator([(74, stray)], dim)), k_minus, k_zero
 
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
+    _clear_caches()  # a clean read made earlier in the test is cached
 
 
 @pytest.mark.parametrize("j", [0, 1])
