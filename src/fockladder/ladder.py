@@ -42,7 +42,7 @@ from .core import (
     to_bands,
 )
 from .reporting import CheckResult, Tolerances, VerificationReport
-from .states import _check_dim
+from .states import ParameterError, _check_dim
 
 CoeffFn = Callable[[int], complex]
 
@@ -87,7 +87,7 @@ def _coeffs_and_dim(
     length of a coefficient sequence; a truncation below 1 is refused."""
     if dim is None:
         if callable(coeffs):
-            raise ValueError("dim is required when coeffs is a callable")
+            raise ParameterError("dim is required when coeffs is a callable")
         dim = len(coeffs)
     return _coeff_getter(coeffs), _check_dim(dim)
 

@@ -42,10 +42,14 @@ def _check_eta(eta: float) -> float:
 
 
 def _check_count(value: int, name: str, minimum: int = 0) -> int:
-    if value != int(value) or int(value) < minimum:
+    try:
+        count = int(value)
+    except (ValueError, OverflowError):  # NaN, or an infinite float
+        count = None
+    if count is None or value != count or count < minimum:
         bound = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
         raise ParameterError(f"{name} must be {bound}")
-    return int(value)
+    return count
 
 
 def _check_dim(dim: int, M: int | None = None) -> int:

@@ -58,10 +58,10 @@ from .states import (
 
 # The largest pairwise infidelity the disentangling checks accept.
 INFIDELITY_TOL = 1e-8
-# Bands as the caches hold them, read-only: every caller shares them
+# Bands as the cache holds them, read-only: every caller shares them
 FrozenBands = Mapping[int, np.ndarray]
-# Entries kept by each per-truncation cache (su11, _sector_k_bands); one
-# dim-sweep pass asks for 8 sector representations and 6 full-space reads.
+# Sector representations kept by su11's cache, each with the full-space read
+# it has made; one dim-sweep pass asks for 8 of them.
 SU11_CACHE_SIZE = 64
 
 
@@ -100,6 +100,21 @@ class Su11Rep:
         per representation, read-only."""
         ops = (self.K_plus, self.K_minus, self.K_zero, self.sector_number_op)
         return tuple(_read_only(to_bands(op)) for op in ops)
+
+    @cached_property
+    def full_bands(self) -> tuple[FrozenBands, ...]:
+        """Full-space K+ = a+^2/2, K- = a^2/2 and K0 = N/2 + 1/4 read by
+        to_bands at a truncation whose sector j has dim levels, restricted
+        to the j::2 rows and columns (full offset 2s is sector offset s; odd
+        offsets never meet the sector), once, read-only.  Either such
+        truncation gives these entries, so (j, dim) is all they depend on."""
+        j = self.parity_j
+        return tuple(
+            _read_only(
+                {k // 2: d[j::2] for k, d in to_bands(op).items() if k % 2 == 0 and len(d) > j}
+            )
+            for op in _full_k_ops(2 * self.dim + j)
+        )
 
 
 def _read_only(bands: Bands) -> FrozenBands:
@@ -519,7 +534,7 @@ def embedding_checks(
     rep: Su11Rep, full_bands: tuple[FrozenBands, ...], tolerances: Tolerances
 ) -> list[CheckResult]:
     """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
-    _sector_k_bands reads them, reproduce the sector actions entry for
+    Su11Rep.full_bands reads them, reproduce the sector actions entry for
     entry, compared on their bands."""
     n = min(_band_dim(*full_bands), rep.dim)
     residual = max(
@@ -548,8 +563,8 @@ def verify_su11(
     j = rep.parity_j  # checked: a float or bool parity reads as its int
     embedding = []
     if dim_full is not None:  # a bad dim_full is refused before any other work
-        dim_full, _ = _sector_size(dim_full, j, "dim_full")
-        embedding = embedding_checks(rep, _sector_k_bands(dim_full, j), tol)
+        _, n_full = _sector_size(dim_full, j, "dim_full")
+        embedding = embedding_checks(rep, su11(j, n_full).full_bands, tol)
     checks = su11_axiom_checks(rep, tol) + embedding
     return VerificationReport(
         family=f"su11-sector{j}",
@@ -566,28 +581,6 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
         scale(compose(creation(dim), creation(dim)), 0.5),
         scale(pair_lowering(dim), 0.5),
         diag_op(lambda n: n / 2.0 + 0.25, dim),
-    )
-
-
-def _sector_k_bands(dim: int, j: int) -> tuple[FrozenBands, ...]:
-    """Full-space K+, K-, K0 read by to_bands, restricted to the j::2 rows
-    and columns: full offset 2s, entries from parity-j rows, is sector
-    offset s, and odd offsets never meet the sector.
-
-    Cached per truncation, as su11 is: checked arguments, read-only
-    arrays, operator data only."""
-    j = _check_parity(j)
-    dim, _ = _sector_size(dim, j)
-    return _sector_k_read(dim, j)
-
-
-@lru_cache(maxsize=SU11_CACHE_SIZE)
-def _sector_k_read(dim: int, j: int) -> tuple[FrozenBands, ...]:
-    return tuple(
-        _read_only(
-            {k // 2: d[j::2] for k, d in to_bands(op).items() if k % 2 == 0 and len(d) > j}
-        )
-        for op in _full_k_ops(dim)
     )
 
 
@@ -619,19 +612,17 @@ def _squeezing_generator(
     return generator
 
 
-def _squeezing_routes(
-    r: float, theta: float, dim: int, j: int, k_bands: tuple[FrozenBands, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """S(xi)|j> two ways on sector j, from k_bands, the j::2 block of
-    a+^2/2, a^2/2 and N/2+1/4 (_sector_k_bands):
+def _squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray, np.ndarray]:
+    """S(xi)|j> two ways on the sector of rep, from its full_bands, the
+    j::2 block of a+^2/2, a^2/2 and N/2+1/4:
     exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh of the generator's
     Hermitian part (eigh reads one triangle, and K+ and K- fill opposite
     ones: the Hermitian part makes both enter), and
     exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0, tau = e^{i theta} tanh r,
     where K- e_0 = 0 leaves exp(tau K+) e_0, a finite sum since K+ is
     strictly subdiagonal on the sector."""
-    n = sector_dim(dim, j)
-    k_plus, k_minus = k_bands[:2]
+    n, j = rep.dim, rep.parity_j
+    k_plus, k_minus = rep.full_bands[:2]
     xi = r * cmath.exp(1j * theta)
     lam, V = np.linalg.eigh(_squeezing_generator(xi, k_plus, k_minus, n))
     tau = cmath.exp(1j * theta) * math.tanh(r)
@@ -663,29 +654,23 @@ def verify_disentangling(
         raise ParameterError("excitation must be 0 or 1")
     closed = _squeezed(r, theta, dim, excitation)
     tol = tolerances or Tolerances()
-    # closed.dim is checked: an integral float reads as its int
-    k_bands = _sector_k_bands(closed.dim, excitation)
+    rep = su11(excitation, sector_dim(closed.dim, excitation))
     return VerificationReport(
         family=closed.label,
         params={"r": float(r), "theta": float(theta), "excitation": excitation},
         dim=closed.dim,
         tolerances=tol,
-        checks=disentangling_checks(closed, r, theta, excitation, k_bands, tol),
+        checks=disentangling_checks(closed, r, theta, rep, tol),
     )
 
 
 def disentangling_checks(
-    closed: FockState,
-    r: float,
-    theta: float,
-    j: int,
-    k_bands: tuple[FrozenBands, ...],
-    tolerances: Tolerances,
+    closed: FockState, r: float, theta: float, rep: Su11Rep, tolerances: Tolerances
 ) -> tuple[CheckResult, ...]:
     """verify_disentangling's checks, given its closed form S(xi)|j> and
-    _sector_k_bands(closed.dim, j)."""
-    dim = closed.dim
-    via_exponential, via_product = _squeezing_routes(r, theta, dim, j, k_bands)
+    the representation on its sector, whose full_bands the routes read."""
+    dim, j = closed.dim, rep.parity_j
+    via_exponential, via_product = _squeezing_routes(r, theta, rep)
 
     def normalized(v: np.ndarray) -> tuple[FockState, float]:
         # v on the full space at unit norm, and its norm deficit as leak

@@ -102,7 +102,6 @@ from .states import (
 )
 from .twophoton import (
     _check_pair_alpha,
-    _sector_k_bands,
     disentangling_checks,
     ecs_sector_coeffs,
     even_odd_coherent,
@@ -618,6 +617,11 @@ def _cf_polya(eta: float, gamma: float, M: int) -> CoeffFn:
     def log_rising(x: float, m: int) -> float:
         if m == 0:
             return 0.0
+        if x / gamma == 0:  # lgamma's pole: x / gamma fell below the float range
+            raise ParameterError(
+                f"eta={eta!r} and gamma={gamma!r} round eta/gamma or (1-eta)/gamma to 0 in "
+                "the polya closed form; use a smaller gamma or an eta farther from 0 and 1"
+            )
         return m * math.log(gamma) + math.lgamma(x / gamma + m) - math.lgamma(x / gamma)
 
     logZ = log_rising(1.0, M)
@@ -796,10 +800,10 @@ def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     """The family's deformed-oscillator triple at the given truncation."""
     spec = _spec(family)
     p = _require(spec, params)
+    dim = _check_dim(dim)  # before the closed form, which may scale by dim
     coeffs = closed_form_coeffs(family, p, dim)
     if coeffs is None:
         coeffs = build_state(family, p, dim).amplitudes
-    dim = _check_dim(dim)
     if spec.kind == "two-photon":
         dim = sector_dim(dim, spec.sector)
     return _gdo(spec, coeffs, p, dim)
@@ -1079,10 +1083,7 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
 
     rep = su11(j, sec.dim)
     checks += su11_axiom_checks(rep, tol)
-    # the full-space K+, K-, K0, read once for the embedding check and the
-    # disentangling routes
-    k_bands = _sector_k_bands(dim, j)
-    checks += embedding_checks(rep, k_bands, tol)
+    checks += embedding_checks(rep, rep.full_bands, tol)
 
     up, down = two_photon_ladder(cf, j, sec.dim)
     up_eq, down_eq, axiom_eq = (
@@ -1101,7 +1102,7 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
     )
 
     if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
-        checks += disentangling_checks(s, p["r"], p["theta"], j, k_bands, tol)
+        checks += disentangling_checks(s, p["r"], p["theta"], rep, tol)
     return checks
 
 

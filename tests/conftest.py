@@ -15,11 +15,10 @@ settings.load_profile("fockladder")
 
 
 @pytest.fixture(autouse=True)
-def empty_su11_caches():
-    """Each test starts with no cached sector representation or full-space
-    read, so none made under another test's patch can reach it."""
+def empty_su11_cache():
+    """Each test starts with no cached sector representation, and so with
+    no full-space read made under another test's patch."""
     twophoton._su11.cache_clear()
-    twophoton._sector_k_read.cache_clear()
 
 
 @pytest.fixture

@@ -329,7 +329,7 @@ def test_zero_numerator_short_circuits():
 
 
 def test_callable_coeffs_require_dim():
-    with pytest.raises(ValueError, match="dim is required"):
+    with pytest.raises(fl.ParameterError, match="dim is required"):
         fl.ladder_lowering_finite(fl.coherent_coeffs(1.0), 2)
 
 

@@ -196,6 +196,9 @@ _BARE_ARITHMETIC = ("math domain error", "math range error", "division by zero")
 @example(argv="state --family bs --eta 0.999999 --M 60 --dim 64".split())
 @example(argv="state --family nbs --eta 0.5 --M 1200 --dim 4000".split())
 @example(argv="state --family nnbs --eta 0.5 --M 1100 --dim 4000".split())
+# eta / gamma rounds to 0, the pole of the Polya closed form's lgamma
+@example(argv="verify --family ps --eta 5e-324 --gamma 993471.7366795965 --M 82 "
+         "--dim 89".split())
 # one malformed value of each kind: complex, int, float, dim, tolerance
 @example(argv="verify --family cs --alpha 1+ --dim 12".split())
 @example(argv="verify --family bs --eta 0.5 --M 1.5 --dim 12".split())

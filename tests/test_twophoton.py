@@ -68,11 +68,6 @@ def test_su11_axioms_and_embedding(parity_j):
     assert "top column excluded" in pm.detail
 
 
-def _clear_caches():
-    twophoton._su11.cache_clear()
-    twophoton._sector_k_read.cache_clear()
-
-
 def _dense_k(rep):
     return [fl.to_matrix(k) for k in (rep.K_plus, rep.K_minus, rep.K_zero)]
 
@@ -257,16 +252,38 @@ def test_su11_data_is_cached_per_truncation():
     assert fl.su11(1, 64) is not rep and fl.su11(0, 65) is not rep
     assert twophoton._su11.cache_info()[:2] == (6, 3)  # hits, misses
 
-    full = twophoton._sector_k_bands(128, 0)
-    assert twophoton._sector_k_bands(128.0, False) is full
-    assert twophoton._sector_k_bands(128, 1) is not full
-    assert twophoton._sector_k_bands(130, 0) is not full
-    assert twophoton._sector_k_read.cache_info()[:2] == (1, 3)
+    # the full-space read is the representation's: same key, same arrays
+    full = rep.full_bands
+    assert fl.su11(0.0, 64).full_bands is full
+    assert fl.su11(1, 64).full_bands is not full
+    assert fl.su11(0, 65).full_bands is not full
+    assert twophoton._su11.cache_info()[:2] == (9, 3)
+    # both truncations whose even sector has 64 levels find that entry
+    for dim_full in (127, 128.0):
+        assert fl.verify_su11(False, 8, dim_full).passed
+    assert twophoton._su11.cache_info()[:2] == (12, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+@pytest.mark.parametrize("j", [0, 1])
+def test_full_bands_are_the_restriction_at_either_truncation(j, n):
+    # the j::2 block of the full-space K+, K-, K0 is the same, bit for bit,
+    # at both truncations whose sector j has n levels: (j, n) is all the
+    # cache key needs
+    full = fl.su11(j, n).full_bands
+    for dim in (2 * n + j - 1, 2 * n + j):
+        assert fl.sector_dim(dim, j) == n
+        for op, own in zip(twophoton._full_k_ops(dim), full):
+            block = core.band_matrix(core.to_bands(op), dim)[j::2, j::2]
+            placed = core.band_matrix(own, n)
+            assert np.array_equal(placed, block)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(placed)), np.signbit(part(block)))
 
 
 def test_cached_bands_are_read_only():
     rep = fl.su11(1, 16)
-    for bands in rep.bands + twophoton._sector_k_bands(32, 1):
+    for bands in rep.bands + rep.full_bands:
         for d in bands.values():
             with pytest.raises(ValueError, match="read-only"):
                 d[0] = 0
@@ -277,13 +294,11 @@ def test_cached_bands_are_read_only():
 
 def test_the_caches_stay_within_their_bound():
     size = twophoton.SU11_CACHE_SIZE
+    cache = twophoton._su11
     for dim in range(2, size + 12):
-        fl.su11(dim % 2, dim)
-        twophoton._sector_k_bands(dim, dim % 2)
-        for cache in (twophoton._su11, twophoton._sector_k_read):
-            assert cache.cache_info().currsize <= size
-    for cache in (twophoton._su11, twophoton._sector_k_read):
-        assert cache.cache_info().maxsize == cache.cache_info().currsize == size
+        fl.su11(dim % 2, dim).full_bands
+        assert cache.cache_info().currsize <= size
+    assert cache.cache_info().maxsize == cache.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("parity_j", [0, 1])
@@ -304,9 +319,14 @@ def test_embedding_residual_equals_the_dense_sector_block(parity_j, dim_sector, 
             twophoton._full_k_ops(dim_full), (rep.K_plus, rep.K_minus, rep.K_zero)
         )
     )
-    full_bands = twophoton._sector_k_bands(dim_full, parity_j)
+    full_bands = fl.su11(parity_j, fl.sector_dim(dim_full, parity_j)).full_bands
     (check,) = twophoton.embedding_checks(rep, full_bands, fl.Tolerances())
     assert check.residual == wanted
+    (via_report,) = (
+        c for c in fl.verify_su11(parity_j, dim_sector, dim_full).checks
+        if c.name == "sector-embedding"
+    )
+    assert via_report.residual == wanted
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -326,7 +346,7 @@ def test_embedding_catches_a_stray_full_space_term(monkeypatch, j, shift):
 
     assert fl.verify_su11(j, 32, 64).passed
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
-    _clear_caches()  # the clean read above is cached
+    twophoton._su11.cache_clear()  # the clean read above is cached
     report = fl.verify_su11(j, 32, 64)
     assert {c.name for c in report.checks if not c.passed} == {"sector-embedding"}
 
@@ -570,8 +590,7 @@ def test_disentangling_strong_squeezing():
 @pytest.mark.parametrize("dim", [64, 128])
 @pytest.mark.parametrize("j", [0, 1])
 def test_sector_routes_match_the_full_space_expm(dim, j):
-    k_bands = twophoton._sector_k_bands(dim, j)
-    routes = twophoton._squeezing_routes(0.8, 0.5, dim, j, k_bands)
+    routes = twophoton._squeezing_routes(0.8, 0.5, fl.su11(j, fl.sector_dim(dim, j)))
     for sector, full in zip(routes, squeezing_reference(0.8, 0.5, dim, j)):
         assert np.abs(sector - full[j::2]).max() <= 1e-13
         assert np.abs(full[1 - j :: 2]).max() <= 1e-13
@@ -588,18 +607,15 @@ def test_sector_routes_match_the_full_space_expm(dim, j):
     ids=["K+", "K-"],
 )
 def test_disentangling_catches_a_flipped_k_sign(monkeypatch, j, flip, still_passing):
-    sector_read = twophoton._sector_k_bands
+    full_k_ops = twophoton._full_k_ops
 
-    def negated(bands):
-        return {k: -d for k, d in bands.items()}
-
-    def mutant(dim, j):
-        k_plus, k_minus, k_zero = sector_read(dim, j)
+    def mutant(dim):
+        k_plus, k_minus, k_zero = full_k_ops(dim)
         if flip == "K+":
-            return negated(k_plus), k_minus, k_zero
-        return k_plus, negated(k_minus), k_zero
+            return fl.scale(k_plus, -1.0), k_minus, k_zero
+        return k_plus, fl.scale(k_minus, -1.0), k_zero
 
-    monkeypatch.setattr(twophoton, "_sector_k_bands", mutant)
+    monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
     report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
     assert len(report.checks) == 3
     assert {c.name for c in report.checks if c.passed} == still_passing
@@ -657,7 +673,7 @@ def _add_stray_k_plus_term(monkeypatch, j):
         return fl.add(k_plus, fl.operator([(74, stray)], dim)), k_minus, k_zero
 
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
-    _clear_caches()  # a clean read made earlier in the test is cached
+    twophoton._su11.cache_clear()  # a clean read made earlier in the test is cached
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -665,7 +681,7 @@ def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
     # the sector read and the product route must carry the stray term, not
     # only the band
     _add_stray_k_plus_term(monkeypatch, j)
-    k_plus = core.band_matrix(twophoton._sector_k_bands(128, j)[0], 64)
+    k_plus = core.band_matrix(fl.su11(j, 64).full_bands[0], 64)
     assert k_plus[40, 3] == pytest.approx(1e-3, rel=1e-15)
     report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
     assert len(report.checks) == 3
@@ -686,8 +702,8 @@ def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, s
     # closed form on the way
     if stray:
         _add_stray_k_plus_term(monkeypatch, j)
-    k_bands = twophoton._sector_k_bands(2 * sector, j)
-    k_plus, k_minus = (core.band_matrix(bands, sector) for bands in k_bands[:2])
+    rep = fl.su11(j, sector)
+    k_plus, k_minus = (core.band_matrix(bands, sector) for bands in rep.full_bands[:2])
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the routes called apply or the closed form")
@@ -705,7 +721,7 @@ def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, s
     monkeypatch.setattr(np.linalg, "eigh", recording)
     for r, theta in [(0.0, 4.0), (0.8, 0.5), (0.8, 2.0), (0.6, 3.5), (0.7, 5.0)]:
         generators.clear()
-        twophoton._squeezing_routes(r, theta, 2 * sector, j, k_bands)
+        twophoton._squeezing_routes(r, theta, rep)
         xi = r * cmath.exp(1j * theta)
         h = -1j * (xi * k_plus - xi.conjugate() * k_minus)
         dense = (h + h.conj().T) / 2
@@ -741,10 +757,11 @@ def test_disentangling_reads_an_integral_float_dim(j):
 def test_disentangling_rejects_before_dense_work(
     monkeypatch, args, excitation, error, message
 ):
-    def no_dense_work(dim, j):
+    def no_dense_work(*args):
         raise AssertionError("dense work before the input was checked")
 
-    monkeypatch.setattr(twophoton, "_sector_k_bands", no_dense_work)
+    monkeypatch.setattr(twophoton, "su11", no_dense_work)
+    monkeypatch.setattr(twophoton, "_full_k_ops", no_dense_work)
     with pytest.raises(error, match=message):
         fl.verify_disentangling(*args, excitation=excitation)
 

@@ -452,3 +452,43 @@ def test_distribution_check_past_the_float_range_of_the_squares(family, params):
     check = next(c for c in report.checks if c.name == "distribution-crosscheck")
     assert math.isfinite(check.residual)
     assert check.passed
+
+
+def _count_calls():
+    """(id, call) for every count and dim a direct library call reads; each
+    call takes the value to put there."""
+    calls = []
+    for family, params, dim in fl.EXTENDED_GRID:
+        build = fl.FAMILY_SPECS[family].build
+        calls.append((f"{family}-dim", lambda bad, b=build, p=params: b(p, bad)))
+        if "M" in params:
+            calls.append((
+                f"{family}-M", lambda bad, b=build, p=params, d=dim: b({**p, "M": bad}, d)
+            ))
+        calls.append((
+            f"build_gdo-{family}-dim",
+            lambda bad, f=family, p=params: fl.build_gdo(f, p, bad),
+        ))
+    calls += [
+        ("run_family_suite-dim", lambda bad: fl.run_family_suite("coherent", {"alpha": 1.0}, bad)),
+        ("su11-dim", lambda bad: fl.su11(0, bad)),
+        ("verify_su11-dim_full", lambda bad: fl.verify_su11(1, 8, bad)),
+        ("harmonic_gdo-dim", lambda bad: fl.harmonic_gdo(bad)),
+        ("photon_add-M", lambda bad: fl.photon_add(fl.coherent(1.0, 16), bad)),
+    ]
+    return calls
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("call", [pytest.param(c, id=i) for i, c in _count_calls()])
+def test_a_non_finite_count_or_dim_is_refused(call, bad):
+    with pytest.raises(fl.ParameterError, match="must be (a nonnegative integer|an integer >= 1)"):
+        call(bad)
+
+
+def test_polya_closed_form_refuses_a_vanishing_eta_over_gamma():
+    # eta / gamma rounds to 0, where the closed form's lgamma has its pole
+    params = {"eta": 5e-324, "gamma": 993471.7366795965, "M": 82}
+    assert fl.build_state("polya", params, 89).dim == 89
+    with pytest.raises(fl.ParameterError, match=r"eta=5e-324 and gamma=993471\.7366795965"):
+        fl.run_family_suite("polya", params, 89)
