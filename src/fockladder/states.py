@@ -131,6 +131,30 @@ def _check_Y(Y: complex) -> complex:
     return Y
 
 
+def _check_r(r: float) -> float:
+    """r >= 0 with cosh r inside the float range; returns cosh r."""
+    if not r >= 0:
+        raise ParameterError("r must be nonnegative")
+    try:
+        cosh_r = math.cosh(r)
+    except OverflowError:
+        cosh_r = math.inf
+    if math.isinf(cosh_r):  # the seed underflows, so no dim holds the state
+        raise ParameterError(
+            f"r={float(r)!r} puts cosh r past the float range; use a smaller r"
+        )
+    return cosh_r
+
+
+def _check_pair_alpha(alpha: complex, j: int) -> complex:
+    alpha = complex(alpha)
+    if j == 1 and alpha == 0:
+        raise ParameterError("alpha must be nonzero for the odd superposition")
+    if math.isinf(abs(alpha) * abs(alpha)):  # x * x: inf, not OverflowError
+        raise ParameterError("|alpha|^2 must lie inside the float range")
+    return alpha
+
+
 def _tail_guard(raw: np.ndarray, what: str) -> float:
     # raw carries the family's closed-form normalization, so the dropped
     # tail is the deficit of the retained mass from 1
@@ -165,7 +189,7 @@ class PhaseGrid:
 
     def __post_init__(self) -> None:
         _check_count(self.s, "s")
-        if not 0 <= self.m <= self.s:
+        if _check_count(self.m, "m") > self.s:
             raise ParameterError("m must lie in [0, s]")
 
     @property
@@ -187,40 +211,6 @@ class IntermediateParams:
 
     def f_at(self, n: int) -> complex:
         return 1.0 if self.f is None else complex(self.f(n))
-
-
-# --- coefficient callables (unnormalized, defined for every n >= 0) ---
-# Ladder diagonals use only coefficient ratios, so overall constants are
-# irrelevant; values are computed in log space where factorials appear.
-
-
-def coherent_coeffs(alpha: complex) -> Callable[[int], complex]:
-    alpha = complex(alpha)
-
-    def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        if alpha == 0:
-            return 1.0 if n == 0 else 0.0
-        return cmath.exp(n * cmath.log(alpha) - 0.5 * math.lgamma(n + 1))
-
-    return c
-
-
-def kerr_coeffs(alpha: complex, theta: float) -> Callable[[int], complex]:
-    base = coherent_coeffs(alpha)
-
-    def c(n: int) -> complex:
-        return base(n) * cmath.exp(-1j * theta * n * (n - 1))
-
-    return c
-
-
-def geometric_coeffs(eta: float) -> Callable[[int], complex]:
-    def c(n: int) -> complex:
-        return (1.0 - eta) ** (n / 2.0) if n >= 0 else 0.0
-
-    return c
 
 
 # --- finite families ---

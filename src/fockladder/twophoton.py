@@ -50,9 +50,10 @@ from .states import (
     ParameterError,
     _check_count,
     _check_dim,
+    _check_pair_alpha,
+    _check_r,
     _finish,
     _tail_guard,
-    coherent_coeffs,
     format_complex,
 )
 
@@ -198,80 +199,6 @@ def sector_unembed(s: FockState, parity_j: int, dim: int) -> FockState:
         label=s.label,
         leak=s.leak,
     )
-
-
-# --- sector coefficient callables (unnormalized beyond overall constants) ---
-
-
-def _check_r(r: float) -> float:
-    """r >= 0 with cosh r inside the float range; returns cosh r."""
-    if not r >= 0:
-        raise ParameterError("r must be nonnegative")
-    try:
-        cosh_r = math.cosh(r)
-    except OverflowError:
-        cosh_r = math.inf
-    if math.isinf(cosh_r):  # the seed underflows, so no dim holds the state
-        raise ParameterError(
-            f"r={float(r)!r} puts cosh r past the float range; use a smaller r"
-        )
-    return cosh_r
-
-
-def _check_pair_alpha(alpha: complex, j: int) -> complex:
-    alpha = complex(alpha)
-    if j == 1 and alpha == 0:
-        raise ParameterError("alpha must be nonzero for the odd superposition")
-    if math.isinf(abs(alpha) * abs(alpha)):  # x * x: inf, not OverflowError
-        raise ParameterError("|alpha|^2 must lie inside the float range")
-    return alpha
-
-
-def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
-    _check_r(r)
-    t = math.tanh(r)
-
-    def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        if t == 0.0:
-            return 1.0 if n == 0 else 0.0
-        log_mag = (
-            0.5 * math.lgamma(2 * n + 1 + j) + n * math.log(t / 2) - math.lgamma(n + 1)
-        )
-        return math.exp(log_mag) * cmath.exp(1j * theta * n)
-
-    return c
-
-
-def svs_sector_coeffs(r: float, theta: float) -> CoeffFn:
-    """c(n) = sqrt((2n)!) (e^{i theta} tanh r / 2)^n / n!"""
-    return _squeezed_sector_coeffs(r, theta, 0)
-
-
-def sfes_sector_coeffs(r: float, theta: float) -> CoeffFn:
-    """c(n) = sqrt((2n+1)!) (e^{i theta} tanh r / 2)^n / n!"""
-    return _squeezed_sector_coeffs(r, theta, 1)
-
-
-def _coherent_sector_coeffs(alpha: complex, j: int) -> CoeffFn:
-    """The coherent coefficients at level 2n+j."""
-    base = coherent_coeffs(alpha)
-
-    def c(n: int) -> complex:
-        return base(2 * n + j)
-
-    return c
-
-
-def ecs_sector_coeffs(alpha: complex) -> CoeffFn:
-    """c(n) = alpha^{2n} / sqrt((2n)!)"""
-    return _coherent_sector_coeffs(alpha, 0)
-
-
-def ocs_sector_coeffs(alpha: complex) -> CoeffFn:
-    """c(n) = alpha^{2n+1} / sqrt((2n+1)!)"""
-    return _coherent_sector_coeffs(alpha, 1)
 
 
 # --- constructors (full-space states) ---

@@ -25,6 +25,24 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .closedform import (
+    _cf_binomial,
+    _cf_generalized_geometric,
+    _cf_hypergeometric,
+    _cf_negative_binomial,
+    _cf_nnbs,
+    _cf_pacs,
+    _cf_phase,
+    _cf_polya,
+    _cf_reciprocal_binomial,
+    coherent_coeffs,
+    ecs_sector_coeffs,
+    geometric_coeffs,
+    kerr_coeffs,
+    ocs_sector_coeffs,
+    sfes_sector_coeffs,
+    svs_sector_coeffs,
+)
 from .core import (
     FockState,
     OperatorExpr,
@@ -75,21 +93,15 @@ from .states import (
     IntermediateParams,
     ParameterError,
     PhaseGrid,
-    _check_L,
-    _check_Y,
     _check_angle,
     _check_count,
     _check_dim,
-    _check_eta,
-    _check_gamma,
+    _check_pair_alpha,
     coherent,
-    coherent_coeffs,
     format_complex,
     geometric,
-    geometric_coeffs,
     intermediate_nlcs,
     kerr,
-    kerr_coeffs,
     negative_binomial,
     new_negative_binomial,
     pegg_barnett_phase,
@@ -101,23 +113,18 @@ from .states import (
     reciprocal_binomial,
 )
 from .twophoton import (
-    _check_pair_alpha,
     disentangling_checks,
-    ecs_sector_coeffs,
     even_odd_coherent,
     embedding_checks,
-    ocs_sector_coeffs,
     pair_lowering,
     sector_dim,
     sector_embed,
     sfes_lowering,
-    sfes_sector_coeffs,
     squeezed_first_excited,
     squeezed_vacuum,
     su11,
     su11_axiom_checks,
     svs_lowering,
-    svs_sector_coeffs,
     two_photon_gdo,
     two_photon_ladder,
 )
@@ -240,8 +247,8 @@ class FamilySpec:
     kind: str
     _: KW_ONLY
     build: Callable[[Params, int], FockState]
-    # independent of the constructor's recurrences; None when the
-    # coefficients are the recursion output itself
+    # a route of closedform.py, which reads no constructor or builder;
+    # None when the coefficients are the recursion output itself
     closed_form: Callable[[Params, int], CoeffFn] | None
     norm_eq: str
     dist_eq: str
@@ -398,7 +405,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "geometric", "gs", ("eta",), "general",
             build=lambda p, dim: geometric(p["eta"], dim),
-            closed_form=lambda p, dim: geometric_coeffs(_check_eta(p["eta"])),
+            closed_form=lambda p, dim: geometric_coeffs(p["eta"]),
             norm_eq="E56", dist_eq="E56",
             pair=(
                 "geometric-pair-relation", "E57", lambda p, dim: gs_pair(p["eta"], dim)
@@ -462,9 +469,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "ecs", None, ("alpha",), "two-photon", sector=0,
             build=lambda p, dim: even_odd_coherent(p["alpha"], "even", dim),
-            closed_form=lambda p, dim: ecs_sector_coeffs(
-                _check_pair_alpha(p["alpha"], 0)
-            ),
+            closed_form=lambda p, dim: ecs_sector_coeffs(_check_pair_alpha(p["alpha"], 0)),
             norm_eq="E82", dist_eq="E82",
             literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
             literal_eq="E84",
@@ -473,9 +478,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "ocs", None, ("alpha",), "two-photon", sector=1,
             build=lambda p, dim: even_odd_coherent(p["alpha"], "odd", dim),
-            closed_form=lambda p, dim: ocs_sector_coeffs(
-                _check_pair_alpha(p["alpha"], 1)
-            ),
+            closed_form=lambda p, dim: ocs_sector_coeffs(_check_pair_alpha(p["alpha"], 1)),
             norm_eq="E83", dist_eq="E83",
             literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
             literal_eq="E84",
@@ -567,9 +570,7 @@ def _echo_params(family: str, p: Params) -> Params:
     return echo
 
 
-# --- constructors and closed-form coefficient routes ---
-# Each closed form opens with its constructor's range checks, so that
-# every entry point refuses an input with the constructor's message.
+# --- entry points to a family's constructor and closed form ---
 
 
 def build_state(family: str, params: Params, dim: int) -> FockState:
@@ -577,197 +578,6 @@ def build_state(family: str, params: Params, dim: int) -> FockState:
     spec = _spec(family)
     return spec.build(_require(spec, params), dim)
 
-
-def _log_comb(a: float, b: float) -> float:
-    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-
-def _cf_binomial(eta: float, M: int) -> CoeffFn:
-    eta, M = _check_eta(eta), _check_count(M, "M")
-
-    def c(n: int) -> complex:
-        if not 0 <= n <= M:
-            return 0.0
-        return math.exp(
-            0.5
-            * (_log_comb(M, n) + n * math.log(eta) + (M - n) * math.log(1 - eta))
-        )
-
-    return c
-
-
-def _cf_hypergeometric(L: float, eta: float, M: int) -> CoeffFn:
-    eta, M = _check_eta(eta), _check_count(M, "M")
-    L = _check_L(L, eta, M)
-    Le, Lb = L * eta, L * (1 - eta)
-    logZ = _log_comb(L, M)
-
-    def c(n: int) -> complex:
-        if not 0 <= n <= M:
-            return 0.0
-        return math.exp(0.5 * (_log_comb(Le, n) + _log_comb(Lb, M - n) - logZ))
-
-    return c
-
-
-def _cf_polya(eta: float, gamma: float, M: int) -> CoeffFn:
-    eta = _check_eta(eta)
-    gamma, M = _check_gamma(gamma, M)
-
-    def log_rising(x: float, m: int) -> float:
-        if m == 0:
-            return 0.0
-        if x / gamma == 0:  # lgamma's pole: x / gamma fell below the float range
-            raise ParameterError(
-                f"eta={eta!r} and gamma={gamma!r} round eta/gamma or (1-eta)/gamma to 0 in "
-                "the polya closed form; use a smaller gamma or an eta farther from 0 and 1"
-            )
-        return m * math.log(gamma) + math.lgamma(x / gamma + m) - math.lgamma(x / gamma)
-
-    logZ = log_rising(1.0, M)
-
-    def c(n: int) -> complex:
-        if not 0 <= n <= M:
-            return 0.0
-        return math.exp(
-            0.5
-            * (
-                _log_comb(M, n)
-                + log_rising(eta, n)
-                + log_rising(1 - eta, M - n)
-                - logZ
-            )
-        )
-
-    return c
-
-
-def _cf_reciprocal_binomial(theta: float, M: int) -> CoeffFn:
-    M = _check_count(M, "M")
-    theta = _check_angle(theta, M)
-
-    def over_comb(x: complex, k: int, root: bool) -> complex:
-        # x / C(M, k) or x / sqrt(C(M, k)); past the float range of
-        # C(M, k) (M >= 1030) through lgamma
-        comb = math.comb(M, k)
-        try:
-            return x / (math.sqrt(comb) if root else comb)
-        except OverflowError:
-            return x * math.exp(-(0.5 if root else 1.0) * _log_comb(M, k))
-
-    Z = math.sqrt(sum(over_comb(1.0, k, False) for k in range(M + 1)))
-
-    def c(n: int) -> complex:
-        if not 0 <= n <= M:
-            return 0.0
-        return over_comb(cmath.exp(1j * n * theta), n, True) / Z
-
-    return c
-
-
-def _cf_phase(theta_m: float, M: int) -> CoeffFn:
-    pref = 1.0 / math.sqrt(M + 1)
-
-    def c(n: int) -> complex:
-        if not 0 <= n <= M:
-            return 0.0
-        return pref * cmath.exp(1j * n * theta_m)
-
-    return c
-
-
-def _cf_generalized_geometric(Y: complex, M: int) -> CoeffFn:
-    Y, M = _check_Y(Y), _check_count(M, "M")
-    if Y == 0 and M > 0:
-        # the state is the vacuum, but every ladder diagonal divides by C(n)
-        raise ParameterError(
-            "Y must be nonzero for M >= 1: the ladder operators divide by "
-            "C(n) = 0 at n >= 1"
-        )
-    root = cmath.sqrt(Y)
-    mod = abs(Y)
-    # for |Y| > 1 divide |Y|^(M/2) out, as the constructor does
-    scale = max(1.0, abs(root))
-    unit = root / scale
-    if mod < 1.0:
-        pref = math.sqrt((1 - mod) / (1 - mod ** (M + 1)))
-    else:
-        pref = math.sqrt((1 - 1 / mod) / (1 - mod ** -(M + 1)))
-        if pref * scale**-M < np.finfo(float).tiny:  # C(0), the least; pref <= 1
-            raise ParameterError(
-                f"C(0) of generalized_geometric underflows at Y={format_complex(Y)}, "
-                f"M={M}; use a smaller |Y| or M"
-            )
-
-    def c(n: int) -> complex:
-        if not 0 <= n <= M:
-            return 0.0
-        # a real weight times a complex power: at scale 1 these are the
-        # bytes of pref * root**n, signed zeros included
-        return pref * scale ** (n - M) * unit**n
-
-    return c
-
-
-def _cf_negative_binomial(eta: float, M: int) -> CoeffFn:
-    # (1-eta)^(M/2) C(M+n-1, n)^(1/2) eta^(n/2), normalized exactly
-    eta, M = _check_eta(eta), _check_count(M, "M", minimum=1)
-    log_pref = 0.5 * M * math.log(1 - eta)
-
-    def c(n: int) -> complex:
-        if n < 0:
-            return 0.0
-        return math.exp(
-            log_pref + 0.5 * (_log_comb(M + n - 1, n) + n * math.log(eta))
-        )
-
-    return c
-
-
-def _cf_nnbs(eta: float, M: int) -> CoeffFn:
-    # exact closed-form normalization: sum comb(n,M) (1-eta)^(n-M) over
-    # n >= M is eta^-(M+1)
-    eta, M = _check_eta(eta), _check_count(M, "M")
-    log_pref = 0.5 * (M + 1) * math.log(eta)
-
-    def c(n: int) -> complex:
-        if n < M:
-            return 0.0
-        return math.exp(
-            log_pref
-            + 0.5 * (_log_comb(n, M) + (n - M) * math.log(1 - eta))
-        )
-
-    return c
-
-
-def _cf_pacs(alpha: complex, M: int, dim: int) -> CoeffFn:
-    alpha, M = complex(alpha), _check_count(M, "M")
-    dim = _check_dim(dim, M)  # the window below holds no amplitude otherwise
-
-    def raw(n: int) -> complex:
-        if n < M:
-            return 0.0
-        if alpha == 0:
-            return 1.0 if n == M else 0.0
-        return cmath.exp(
-            (n - M) * cmath.log(alpha)
-            + 0.5 * math.lgamma(n + 1)
-            - math.lgamma(n - M + 1)
-        )
-
-    # the tail above the window is far below the comparison tolerance at
-    # any dim the registry uses, so a window normalization is exact enough.
-    # The moduli are scaled by the power of two of the largest, which is
-    # exact, so that no square leaves the float range
-    moduli = [abs(raw(n)) for n in range(dim)]
-    e = math.frexp(max(moduli))[1]
-    K = math.ldexp(1.0 / math.sqrt(sum(math.ldexp(m, -e) ** 2 for m in moduli)), -e)
-
-    def c(n: int) -> complex:
-        return K * raw(n)
-
-    return c
 
 def closed_form_coeffs(family: str, params: Params, dim: int) -> CoeffFn | None:
     """Coefficient route independent of the constructors' recurrences.

@@ -1,0 +1,47 @@
+"""Byte identity of the registry grid's reports and errata table against
+the record in tests/golden/grid.json (rewritten by its regenerate.py)."""
+
+import json
+import math
+
+import fockladder.verify as verify
+from golden.regenerate import GOLDEN, record
+
+
+def _differences(now: dict, then: dict) -> list[str]:
+    """Where record now departs from record then: the families and each
+    report's check names and verdicts, in order, always; the hashes only
+    where both records were made under one Python minor version and
+    numpy version."""
+    if list(now["reports"]) != list(then["reports"]):
+        return ["families"]
+    same_versions = (now["python"], now["numpy"]) == (then["python"], then["numpy"])
+    hashes = ("json_sha256", "csv_sha256") if same_versions else ()
+    diffs = ["errata"] if same_versions and now["errata_sha256"] != then["errata_sha256"] else []
+    for family, old in then["reports"].items():
+        new = now["reports"][family]
+        if list(new["checks"].items()) != list(old["checks"].items()):
+            diffs.append(f"{family} checks")
+        diffs += [f"{family} {key}" for key in hashes if new[key] != old[key]]
+    return diffs
+
+
+def test_grid_reports_and_errata_match_the_golden_record():
+    assert _differences(record(), json.loads(GOLDEN.read_text())) == []
+
+
+def test_a_one_ulp_change_to_a_closed_form_coefficient_fails(monkeypatch):
+    unchanged = record()
+    route = verify._cf_binomial
+
+    def nudged(eta, M):
+        c = route(eta, M)
+        return lambda n: math.nextafter(c(n), math.inf) if n == 2 else c(n)
+
+    monkeypatch.setattr(verify, "_cf_binomial", nudged)
+    # the errata table reads binomial's structure function from C(n) too
+    assert _differences(record(), unchanged) == [
+        "errata",
+        "binomial json_sha256",
+        "binomial csv_sha256",
+    ]

@@ -11,6 +11,7 @@ from fockladder import (
     TailMassError,
     basis_state,
     binomial,
+    build_state,
     coherent,
     fidelity,
     generalized_geometric,
@@ -152,6 +153,11 @@ def test_phase_grid_validation():
         PhaseGrid(theta0=0.0, s=4, m=5)
     with pytest.raises(ParameterError, match="grid.s must equal M"):
         pegg_barnett_phase(PhaseGrid(theta0=0.0, s=3, m=0), M=4, dim=10)
+    # a fractional m names no point of the grid
+    with pytest.raises(ParameterError, match="m must be a nonnegative integer"):
+        PhaseGrid(theta0=0.0, s=7, m=1.5)
+    with pytest.raises(ParameterError, match="m must be a nonnegative integer"):
+        build_state("pegg_barnett_phase", {"theta0": 0.0, "m": 1.5, "M": 7}, 15)
 
 
 def test_generalized_geometric_complex_Y():

@@ -7,7 +7,7 @@ import pytest
 
 import fockladder as fl
 from fockladder.reporting import csv_table
-from fockladder.verify import _cf_generalized_geometric, _cf_nnbs
+from fockladder.closedform import _cf_generalized_geometric, _cf_nnbs
 
 
 GRID_BY_FAMILY = {family: (params, dim) for family, params, dim in fl.EXTENDED_GRID}
