@@ -31,9 +31,13 @@ from .states import (
 CoeffFn = Callable[[int], complex]
 
 
-def _support(lo: float, hi: float, c: CoeffFn) -> CoeffFn:
-    """c on the support lo <= n <= hi and 0.0 elsewhere."""
-    return lambda n: c(n) if lo <= n <= hi else 0.0
+def _support(lo: float, hi: float, fn: CoeffFn) -> CoeffFn:
+    """fn on the support lo <= n <= hi and 0.0 elsewhere, named c."""
+
+    def c(n: int) -> complex:
+        return fn(n) if lo <= n <= hi else 0.0
+
+    return c
 
 
 def _log_comb(a: float, b: float) -> float:
@@ -96,7 +100,11 @@ def sfes_sector_coeffs(r: float, theta: float) -> CoeffFn:
 def _coherent_sector_coeffs(alpha: complex, j: int) -> CoeffFn:
     """The coherent coefficients at level 2n+j."""
     base = coherent_coeffs(alpha)
-    return lambda n: base(2 * n + j)
+
+    def c(n: int) -> complex:
+        return base(2 * n + j)
+
+    return c
 
 
 def ecs_sector_coeffs(alpha: complex) -> CoeffFn:
