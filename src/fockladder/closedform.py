@@ -4,8 +4,7 @@ From the package this reads only the range rules, error and formatter
 of states.py, and only verify.py reads it (tests/test_closedform.py
 holds both rules).  Each route opens with its constructor's range
 checks, so every entry point refuses an input with the constructor's
-message; kerr's angle bound and the pair-alpha rule, which need dim or
-the parity, run in the family table."""
+message."""
 
 from __future__ import annotations
 
@@ -24,6 +23,7 @@ from .states import (
     _check_dim,
     _check_eta,
     _check_gamma,
+    _check_pair_alpha,
     _check_r,
     format_complex,
 )
@@ -56,8 +56,9 @@ def coherent_coeffs(alpha: complex) -> CoeffFn:
     return _support(0, math.inf, lambda n: cmath.exp(n * log_a - 0.5 * math.lgamma(n + 1)))
 
 
-def kerr_coeffs(alpha: complex, theta: float) -> CoeffFn:
-    """The coherent c(n) times e^(-i theta n (n-1))."""
+def kerr_coeffs(alpha: complex, theta: float, dim: int) -> CoeffFn:
+    """The coherent c(n) times e^(-i theta n (n-1)), theta bounded at dim as in kerr."""
+    theta = _check_angle(theta, _check_dim(dim) ** 2)
     base = coherent_coeffs(alpha)
     return lambda n: base(n) * cmath.exp(-1j * theta * n * (n - 1))
 
@@ -99,7 +100,7 @@ def sfes_sector_coeffs(r: float, theta: float) -> CoeffFn:
 
 def _coherent_sector_coeffs(alpha: complex, j: int) -> CoeffFn:
     """The coherent coefficients at level 2n+j."""
-    base = coherent_coeffs(alpha)
+    base = coherent_coeffs(_check_pair_alpha(alpha, j))
 
     def c(n: int) -> complex:
         return base(2 * n + j)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
@@ -177,42 +176,6 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Reference phase theta0 with s+1 equally spaced points; point m is
-    theta_m = theta0 + 2 pi m / (s + 1).  The one-point grid s = 0 is
-    the M = 0 member, whose only phase state is the vacuum."""
-
-    theta0: float
-    s: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _check_count(self.s, "s")
-        if _check_count(self.m, "m") > self.s:
-            raise ParameterError("m must lie in [0, s]")
-
-    @property
-    def theta_m(self) -> float:
-        return self.theta0 + 2.0 * math.pi * self.m / (self.s + 1)
-
-
-@dataclass(frozen=True)
-class IntermediateParams:
-    """Mixing parameter, target eigenvalue, and nonlinearity of the
-    number-nonlinear eigenvalue problem (sqrt(eta) N + sqrt(1-eta) f(N) a)."""
-
-    eta: float
-    alpha_eig: complex
-    f: Callable[[int], complex] | None = None
-
-    def __post_init__(self) -> None:
-        _check_eta(self.eta)
-
-    def f_at(self, n: int) -> complex:
-        return 1.0 if self.f is None else complex(self.f(n))
-
-
 # --- finite families ---
 
 
@@ -303,28 +266,35 @@ def reciprocal_binomial(theta: float, M: int, dim: int) -> FockState:
     return _finish(raw, f"reciprocal_binomial(theta={theta!r}, M={M})")
 
 
-def pegg_barnett_phase(grid: PhaseGrid, M: int, dim: int) -> FockState:
-    """Flat-modulus phase state (M+1)^(-1/2) e^(i n theta_m) on n in [0, M].
-
-    The grid size is pinned to s = M so the s+1 grid states form an
-    orthonormal set on the (M+1)-dimensional space.
-    """
+def _check_grid_index(m: int, M: int) -> tuple[int, int]:
+    """The counts m and M, with m a point of the (M+1)-point phase grid."""
     M = _check_count(M, "M")
-    dim = _check_dim(dim, M)
-    if grid.s != M:
-        raise ParameterError("grid.s must equal M")
+    if not 0 <= m <= M:
+        raise ParameterError("m must lie in [0, M]")
+    return _check_count(m, "m"), M
+
+
+def phase_point(theta0: float, m: int, M: int) -> float:
+    """Point m of the (M+1)-point phase grid, theta_m = theta0 + 2 pi m / (M + 1):
+    E25 with s pinned to M.  At M = 0 the one point's state is the vacuum."""
+    m, M = _check_grid_index(m, M)
     # theta_m is theta0 shifted by less than 2 pi, which rounds away where
     # theta0 * M nears the float range; so the check names theta0, the
     # parameter a caller sets
-    _check_angle(grid.theta0, M, "theta0")
-    theta_m = grid.theta_m
+    _check_angle(theta0, M, "theta0")
+    return theta0 + 2.0 * math.pi * m / (M + 1)
+
+
+def pegg_barnett_phase(theta0: float, m: int, M: int, dim: int) -> FockState:
+    """Flat-modulus phase state (M+1)^(-1/2) e^(i n theta_m) on n in [0, M] at
+    point m of the phase grid (s = M); the M+1 grid states are orthonormal."""
+    m, M = _check_grid_index(m, M)
+    dim = _check_dim(dim, M)
+    theta_m = phase_point(theta0, m, M)
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         raw[n] = cmath.exp(1j * n * theta_m)
-    return _finish(
-        raw,
-        f"pegg_barnett_phase(theta0={grid.theta0!r}, s={grid.s}, m={grid.m}, M={M})",
-    )
+    return _finish(raw, f"pegg_barnett_phase(theta0={theta0!r}, s={M}, m={m}, M={M})")
 
 
 def generalized_geometric(Y: complex, M: int, dim: int) -> FockState:
@@ -461,29 +431,32 @@ def photon_add(base: FockState, M: int) -> FockState:
 
 
 def intermediate_nlcs(
-    p: IntermediateParams, dim: int, *, tail_check: bool = True
+    eta: float, alpha: complex, dim: int, f: Callable[[int], complex] | None = None,
+    *, tail_check: bool = True,
 ) -> FockState:
     """Solve (sqrt(eta) N + sqrt(1-eta) f(N) a)|s> = alpha|s> by the forward
-    recursion C(n+1) = (alpha - sqrt(eta) n) C(n) / (sqrt(1-eta) f(n) sqrt(n+1)).
+    recursion C(n+1) = (alpha - sqrt(eta) n) C(n) / (sqrt(1-eta) f(n) sqrt(n+1)),
+    with f = 1 when none is given.
 
     The sequence is extended one window past dim to measure the mass
     fraction beyond the truncation; with tail_check the constructor
     refuses fractions above 1e-10 (non-normalizable alpha), without it
     the state is returned with that fraction recorded as leak.
     """
+    eta = _check_eta(eta)
     dim = _check_dim(dim)
     window = 32
     seq = np.zeros(dim + window, dtype=complex)
     seq[0] = 1.0
-    sqrt_eta = math.sqrt(p.eta)
-    sqrt_etabar = math.sqrt(1.0 - p.eta)
+    sqrt_eta = math.sqrt(eta)
+    sqrt_etabar = math.sqrt(1.0 - eta)
     # an alpha past the float range overflows one step; _finish refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(dim + window - 1):
-            fn = p.f_at(n)
+            fn = 1.0 if f is None else complex(f(n))
             if fn == 0:
                 raise ParameterError(f"f must be nonzero on [0, dim-2]; f({n}) = 0")
-            seq[n + 1] = (p.alpha_eig - sqrt_eta * n) * seq[n] / (
+            seq[n + 1] = (alpha - sqrt_eta * n) * seq[n] / (
                 sqrt_etabar * fn * math.sqrt(n + 1)
             )
             peak = np.abs(seq[: n + 2]).max()
@@ -498,6 +471,6 @@ def intermediate_nlcs(
         )
     return _finish(
         seq[:dim],
-        f"intermediate_nlcs(eta={p.eta!r}, alpha={format_complex(p.alpha_eig)})",
+        f"intermediate_nlcs(eta={eta!r}, alpha={format_complex(alpha)})",
         leak=frac,
     )

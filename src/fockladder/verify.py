@@ -90,13 +90,8 @@ from .ladder import (
 )
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
-    IntermediateParams,
     ParameterError,
-    PhaseGrid,
-    _check_angle,
-    _check_count,
     _check_dim,
-    _check_pair_alpha,
     coherent,
     format_complex,
     geometric,
@@ -105,6 +100,7 @@ from .states import (
     negative_binomial,
     new_negative_binomial,
     pegg_barnett_phase,
+    phase_point,
     photon_add,
     binomial,
     generalized_geometric,
@@ -236,9 +232,9 @@ class FamilySpec:
     ``kind`` picks the suite and the deformed-oscillator construction:
     "finite" (support [0, M]), "shifted" (support from M), "added"
     (photon-added), "general" (infinite support) or "two-photon" (one
-    parity sector, ``sector`` = j).  Every callable takes the validated
-    parameters and reaches the builders through their module-level names,
-    so a wrapper rebound on such a name sees the call.
+    parity sector, ``sector`` = j).  Every callable hands the parameters to
+    builders that run their own range rules, and reaches each through its
+    module-level name, so a wrapper rebound on such a name sees the call.
     """
 
     name: str
@@ -272,19 +268,8 @@ class FamilySpec:
     disentangle: bool = False
 
 
-def _phase_grid(p: Params) -> PhaseGrid:
-    # the registry pins the grid size s to M, which is what a caller sets
-    M = _check_count(p["M"], "M")
-    if not 0 <= p["m"] <= M:
-        raise ParameterError("m must lie in [0, M]")
-    return PhaseGrid(p["theta0"], M, p["m"])
-
-
 def _theta_m(p: Params) -> float:
-    grid = _phase_grid(p)
-    # the constructor's bound: it names theta0, which a caller sets
-    _check_angle(grid.theta0, grid.s, "theta0")
-    return grid.theta_m
+    return phase_point(p["theta0"], p["m"], p["M"])
 
 
 def _squeeze_eigenvalue(p: Params) -> complex:
@@ -292,11 +277,10 @@ def _squeeze_eigenvalue(p: Params) -> complex:
 
 
 def _intermediate_ladder(p: Params, dim: int) -> OperatorExpr:
-    ip = IntermediateParams(p["eta"], p["alpha"], p.get("f"))
-    root = math.sqrt(1 - p["eta"])
+    f, root = p.get("f"), math.sqrt(1 - p["eta"])
     return add(
         scale(number_op(dim), math.sqrt(p["eta"])),
-        _lowering_form(lambda t: root * ip.f_at(t), dim),
+        _lowering_form(lambda t: root * (1.0 if f is None else complex(f(t))), dim),
     )
 
 
@@ -370,7 +354,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         ),
         FamilySpec(
             "pegg_barnett_phase", "pbps", ("theta0", "m", "M"), "finite",
-            build=lambda p, dim: pegg_barnett_phase(_phase_grid(p), p["M"], dim),
+            build=lambda p, dim: pegg_barnett_phase(p["theta0"], p["m"], p["M"], dim),
             closed_form=lambda p, dim: _cf_phase(_theta_m(p), p["M"]),
             norm_eq="E24 E25", dist_eq="E24",
             literal=lambda p, dim: (pbps_ladder(_theta_m(p), p["M"], dim), p["M"]),
@@ -438,9 +422,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "kerr", "ks", ("alpha", "theta"), "general",
             build=lambda p, dim: kerr(p["alpha"], p["theta"], dim),
-            closed_form=lambda p, dim: kerr_coeffs(
-                p["alpha"], _check_angle(p["theta"], dim * dim)
-            ),
+            closed_form=lambda p, dim: kerr_coeffs(p["alpha"], p["theta"], dim),
             norm_eq="E61", dist_eq="E61",
             literal=lambda p, dim: (kerr_lowering(p["theta"], dim), p["alpha"]),
             literal_eq="E49 E62",
@@ -469,7 +451,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "ecs", None, ("alpha",), "two-photon", sector=0,
             build=lambda p, dim: even_odd_coherent(p["alpha"], "even", dim),
-            closed_form=lambda p, dim: ecs_sector_coeffs(_check_pair_alpha(p["alpha"], 0)),
+            closed_form=lambda p, dim: ecs_sector_coeffs(p["alpha"]),
             norm_eq="E82", dist_eq="E82",
             literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
             literal_eq="E84",
@@ -478,7 +460,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "ocs", None, ("alpha",), "two-photon", sector=1,
             build=lambda p, dim: even_odd_coherent(p["alpha"], "odd", dim),
-            closed_form=lambda p, dim: ocs_sector_coeffs(_check_pair_alpha(p["alpha"], 1)),
+            closed_form=lambda p, dim: ocs_sector_coeffs(p["alpha"]),
             norm_eq="E83", dist_eq="E83",
             literal=lambda p, dim: (pair_lowering(dim), complex(p["alpha"]) ** 2),
             literal_eq="E84",
@@ -506,9 +488,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         # exactly supported inside the window
         FamilySpec(
             "intermediate", None, ("eta", "alpha"), "general", optional=("f",),
-            build=lambda p, dim: intermediate_nlcs(
-                IntermediateParams(p["eta"], p["alpha"], p.get("f")), dim
-            ),
+            build=lambda p, dim: intermediate_nlcs(p["eta"], p["alpha"], dim, p.get("f")),
             closed_form=None,
             norm_eq="E63", dist_eq="E63",
             literal=lambda p, dim: (_intermediate_ladder(p, dim), p["alpha"]),
@@ -568,6 +548,11 @@ def _echo_params(family: str, p: Params) -> Params:
     if spec is not None and spec.echo is not None:
         echo.update(spec.echo(p))
     return echo
+
+
+def _int_counts(p: Params) -> Params:
+    # p once a route has taken its counts M and m: an integral float reads as its int
+    return {k: int(v) if k in ("M", "m") else v for k, v in p.items()}
 
 
 # --- entry points to a family's constructor and closed form ---
@@ -936,6 +921,7 @@ def run_family_suite(
     tol = tolerances or Tolerances()
     p = _require(spec, params)
     s = build_state(family, p, dim)
+    dim, p = s.dim, _int_counts(p)
     cf = closed_form_coeffs(family, p, dim)
     checks = [_norm_check(s, spec.norm_eq, tol)]
     checks += _SUITES[spec.kind](spec, p, dim, s, cf, tol)
@@ -987,11 +973,11 @@ def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Param
     if spec is None or spec.printed_F is None:
         raise ParameterError(f"no printed structure function for '{family}'")
     p = _require(spec, params)
-    dim = _check_dim(dim)
-    M = p["M"]
-    derived_F = _finite_F(closed_form_coeffs(family, p, dim), M)
+    cf = closed_form_coeffs(family, p, _check_dim(dim))
+    p = _int_counts(p)
+    derived_F = _finite_F(cf, p["M"])
     rows = []
-    for n in range(M + 1):
+    for n in range(p["M"] + 1):
         derived = derived_F(n)
         try:
             printed = complex(spec.printed_F(p, n))

@@ -1,14 +1,19 @@
-"""Rewrite grid.json, the byte-identity record of the registry grid.
+"""Rewrite grid.json and dim_sweep.json, the byte-identity records of the
+registry grid and of a fixed large-truncation set.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-For each EXTENDED_GRID report it records the SHA-256 of the report's
-JSON and CSV and its table of (check name, passed); it also records the
-SHA-256 of errata_table()'s JSON, and the Python minor version and numpy
-version that made the record.  tests/test_golden.py compares the hashes
-only under those versions, where libm and numpy round alike, and the
-names and verdicts everywhere.  Rewrite it only with a change that means
-to alter the reports, and say so with the change.
+For each EXTENDED_GRID report grid.json records the SHA-256 of the
+report's JSON and CSV and its table of (check name, passed); it also
+records the SHA-256 of errata_table()'s JSON.  dim_sweep.json records the
+same for each op of the benchmark's dim-sweep pass 0 at seed 1 (46 suites
+at dims 72-1024), with the inputs written into the file, so that the
+test reads them without the benchmark; a complex parameter is stored as
+[real, imag].  Each file also holds the Python minor version and numpy
+version that made it.  tests/test_golden.py compares the hashes only
+under those versions, where libm and numpy round alike, and the names
+and verdicts everywhere.  Rewrite them only with a change that means to
+alter the reports, and say so with the change.
 """
 
 from __future__ import annotations
@@ -23,29 +28,70 @@ import numpy as np
 from fockladder import reporting, verify
 
 GOLDEN = Path(__file__).with_name("grid.json")
+DIM_SWEEP = Path(__file__).with_name("dim_sweep.json")
+DIM_SWEEP_SEED = 1
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _versions() -> dict:
+    return {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__}
+
+
+def _entry(report) -> dict:
+    return {
+        "json_sha256": _sha256(report.to_json()),
+        "csv_sha256": _sha256(report.to_csv()),
+        "checks": {c.name: c.passed for c in report.checks},
+    }
+
+
 def record() -> dict:
     """The grid's record as this interpreter and numpy give it."""
-    reports = {
-        r.family: {
-            "json_sha256": _sha256(r.to_json()),
-            "csv_sha256": _sha256(r.to_csv()),
-            "checks": {c.name: c.passed for c in r.checks},
-        }
-        for r in verify.run_grid(verify.EXTENDED_GRID)
-    }
+    reports = {r.family: _entry(r) for r in verify.run_grid(verify.EXTENDED_GRID)}
     return {
-        "python": "%d.%d" % sys.version_info[:2],
-        "numpy": np.__version__,
+        **_versions(),
         "errata_sha256": _sha256(reporting.encode_json(verify.errata_table())),
         "reports": reports,
     }
 
 
+def _decode(params: dict) -> dict:
+    return {k: complex(*v) if isinstance(v, list) else v for k, v in params.items()}
+
+
+def record_dim_sweep(inputs: list[dict]) -> dict:
+    """The record of the (family, params, dim) inputs, each in the file's
+    form, as this interpreter and numpy give it."""
+    reports = {}
+    for op in inputs:
+        report = verify.run_family_suite(op["family"], _decode(op["params"]), op["dim"])
+        reports[f"{op['family']}@{op['dim']}"] = {**op, **_entry(report)}
+    return {**_versions(), "seed": DIM_SWEEP_SEED, "reports": reports}
+
+
+def _dim_sweep_inputs() -> list[dict]:
+    """Pass 0 of the benchmark's dim sweep, drawn by perfbench/workloads.py."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
+    from perfbench import workloads
+
+    registry = {family: params for family, params, _ in verify.EXTENDED_GRID}
+    return [
+        {
+            "family": family,
+            "params": {
+                k: [v.real, v.imag] if isinstance(v, complex) else v
+                for k, v in params.items()
+            },
+            "dim": dim,
+        }
+        for family, params, dim in workloads.dim_sweep_pass(DIM_SWEEP_SEED, 0, registry)
+    ]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=2) + "\n")
+    sweep = record_dim_sweep(_dim_sweep_inputs())
+    DIM_SWEEP.write_text(json.dumps(sweep, indent=2) + "\n")

@@ -46,7 +46,6 @@ def test_criterion_1_binomial_ladder(eta, M):
 
 
 def test_criterion_1_other_finite_families():
-    grid = fl.PhaseGrid(0.0, 7, 2)
     Y = cmath.rect(0.3, math.pi / 3)
     cases = [
         (
@@ -57,8 +56,8 @@ def test_criterion_1_other_finite_families():
         (fl.polya(0.4, 0.7, 5, 13), fl.ps_ladder(0.4, 0.7, 5, 13), 5),
         (fl.reciprocal_binomial(0.7, 4, 12), fl.rbs_ladder(0.7, 4, 12), 4),
         (
-            fl.pegg_barnett_phase(grid, 7, 15),
-            fl.pbps_ladder(grid.theta_m, 7, 15),
+            fl.pegg_barnett_phase(0.0, 2, 7, 15),
+            fl.pbps_ladder(fl.phase_point(0.0, 2, 7), 7, 15),
             7,
         ),
         (fl.generalized_geometric(Y, 6, 14), fl.ggs_ladder(Y, 6, 14), 6),
@@ -275,9 +274,7 @@ def test_criterion_8_intermediate_recursion():
     def f(n):
         return cmath.exp(-0.2j * n)
 
-    s = fl.intermediate_nlcs(
-        fl.IntermediateParams(0.5, 1.2, f), 64, tail_check=False
-    )
+    s = fl.intermediate_nlcs(0.5, 1.2, 64, f, tail_check=False)
     # this eigenvalue is not normalizable; the mass fraction beyond the
     # window is recorded, not hidden
     assert s.leak > 1e-10
@@ -294,7 +291,7 @@ def test_criterion_8_intermediate_recursion():
 
 
 def test_criterion_8_coherent_limit():
-    limit = fl.intermediate_nlcs(fl.IntermediateParams(1.0e-8, 1.2), 64)
+    limit = fl.intermediate_nlcs(1.0e-8, 1.2, 64)
     assert fl.fidelity(limit, fl.coherent(1.2, 64)) > 0.999
 
 

@@ -1,11 +1,12 @@
-"""Byte identity of the registry grid's reports and errata table against
-the record in tests/golden/grid.json (rewritten by its regenerate.py)."""
+"""Byte identity of the registry grid's reports and errata table, and of
+the dim-sweep set's reports, against the records in tests/golden/grid.json
+and tests/golden/dim_sweep.json (rewritten by its regenerate.py)."""
 
 import json
 import math
 
 import fockladder.verify as verify
-from golden.regenerate import GOLDEN, record
+from golden.regenerate import DIM_SWEEP, GOLDEN, record, record_dim_sweep
 
 
 def _differences(now: dict, then: dict) -> list[str]:
@@ -17,7 +18,8 @@ def _differences(now: dict, then: dict) -> list[str]:
         return ["families"]
     same_versions = (now["python"], now["numpy"]) == (then["python"], then["numpy"])
     hashes = ("json_sha256", "csv_sha256") if same_versions else ()
-    diffs = ["errata"] if same_versions and now["errata_sha256"] != then["errata_sha256"] else []
+    errata_moved = now.get("errata_sha256") != then.get("errata_sha256")
+    diffs = ["errata"] if same_versions and errata_moved else []
     for family, old in then["reports"].items():
         new = now["reports"][family]
         if list(new["checks"].items()) != list(old["checks"].items()):
@@ -28,6 +30,16 @@ def _differences(now: dict, then: dict) -> list[str]:
 
 def test_grid_reports_and_errata_match_the_golden_record():
     assert _differences(record(), json.loads(GOLDEN.read_text())) == []
+
+
+def test_dim_sweep_reports_match_the_golden_record():
+    then = json.loads(DIM_SWEEP.read_text())
+    inputs = [
+        {key: entry[key] for key in ("family", "params", "dim")}
+        for entry in then["reports"].values()
+    ]
+    assert len(inputs) == 46
+    assert _differences(record_dim_sweep(inputs), then) == []
 
 
 def test_a_one_ulp_change_to_a_closed_form_coefficient_fails(monkeypatch):

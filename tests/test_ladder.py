@@ -103,8 +103,8 @@ def test_rayleigh_quotient_recovers_M():
             fl.rbs_ladder(0.7, 4, 12),
         ),
         (
-            fl.pegg_barnett_phase(fl.PhaseGrid(0.0, 7, 2), 7, 15),
-            fl.pbps_ladder(fl.PhaseGrid(0.0, 7, 2).theta_m, 7, 15),
+            fl.pegg_barnett_phase(0.0, 2, 7, 15),
+            fl.pbps_ladder(fl.phase_point(0.0, 2, 7), 7, 15),
         ),
         (
             fl.generalized_geometric(0.3 * cmath.exp(1j * math.pi / 3), 6, 14),

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from fockladder import (
-    IntermediateParams,
     ParameterError,
-    PhaseGrid,
     TailMassError,
     basis_state,
     binomial,
@@ -23,6 +21,7 @@ from fockladder import (
     new_negative_binomial,
     overlap,
     pegg_barnett_phase,
+    phase_point,
     photon_add,
     polya,
     reciprocal_binomial,
@@ -136,7 +135,7 @@ def test_reciprocal_binomial_amplitudes():
 def test_phase_states_flat_and_orthonormal():
     M = 7
     states = [
-        pegg_barnett_phase(PhaseGrid(theta0=0.3, s=M, m=m), M, M + 3)
+        pegg_barnett_phase(theta0=0.3, m=m, M=M, dim=M + 3)
         for m in range(M + 1)
     ]
     for s in states:
@@ -149,13 +148,13 @@ def test_phase_states_flat_and_orthonormal():
 
 
 def test_phase_grid_validation():
-    with pytest.raises(ParameterError, match=r"m must lie in \[0, s\]"):
-        PhaseGrid(theta0=0.0, s=4, m=5)
-    with pytest.raises(ParameterError, match="grid.s must equal M"):
-        pegg_barnett_phase(PhaseGrid(theta0=0.0, s=3, m=0), M=4, dim=10)
+    with pytest.raises(ParameterError, match=r"m must lie in \[0, M\]"):
+        phase_point(theta0=0.0, m=5, M=4)
+    with pytest.raises(ParameterError, match=r"m must lie in \[0, M\]"):
+        pegg_barnett_phase(theta0=0.0, m=5, M=4, dim=10)
     # a fractional m names no point of the grid
     with pytest.raises(ParameterError, match="m must be a nonnegative integer"):
-        PhaseGrid(theta0=0.0, s=7, m=1.5)
+        phase_point(theta0=0.0, m=1.5, M=7)
     with pytest.raises(ParameterError, match="m must be a nonnegative integer"):
         build_state("pegg_barnett_phase", {"theta0": 0.0, "m": 1.5, "M": 7}, 15)
 
@@ -250,35 +249,36 @@ def test_photon_add_spill_rejected():
 def test_intermediate_truncating_case():
     # alpha = sqrt(eta) q makes the recursion terminate at n = q
     eta, q = 0.5, 3
-    p = IntermediateParams(eta=eta, alpha_eig=math.sqrt(eta) * q)
-    s = intermediate_nlcs(p, 32)
+    s = intermediate_nlcs(eta, math.sqrt(eta) * q, 32)
     assert s.support == (0, q)
     assert s.leak == 0.0
 
 
 def test_intermediate_divergent_case_flagged():
-    p = IntermediateParams(eta=0.5, alpha_eig=1.2)
     with pytest.raises(TailMassError, match="normalizable"):
-        intermediate_nlcs(p, 64)
-    s = intermediate_nlcs(p, 64, tail_check=False)
+        intermediate_nlcs(0.5, 1.2, 64)
+    s = intermediate_nlcs(0.5, 1.2, 64, tail_check=False)
     assert s.leak > 0.5
     assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_intermediate_zero_f_named():
-    p = IntermediateParams(eta=0.5, alpha_eig=0.3, f=lambda n: 0 if n == 5 else 1)
     with pytest.raises(ParameterError, match=r"f\(5\) = 0"):
-        intermediate_nlcs(p, 32)
+        intermediate_nlcs(0.5, 0.3, 32, f=lambda n: 0 if n == 5 else 1)
+
+
+def test_intermediate_runs_the_eta_rule():
+    for eta in (0.0, 1.0, 1.5):
+        with pytest.raises(ParameterError, match=r"eta must lie in \(0,1\)"):
+            intermediate_nlcs(eta, 0.3, 32)
 
 
 def test_intermediate_nonlinearity_changes_state():
     # alpha = sqrt(eta) q truncates the recursion regardless of f, so both
     # states are normalizable but weight the first q levels differently
     alpha = math.sqrt(0.5) * 4
-    flat = intermediate_nlcs(IntermediateParams(eta=0.5, alpha_eig=alpha), 32)
-    bent = intermediate_nlcs(
-        IntermediateParams(eta=0.5, alpha_eig=alpha, f=lambda n: 1.0 + 0.1 * n), 32
-    )
+    flat = intermediate_nlcs(0.5, alpha, 32)
+    bent = intermediate_nlcs(0.5, alpha, 32, f=lambda n: 1.0 + 0.1 * n)
     assert flat.support == bent.support == (0, 4)
     assert fidelity(flat, bent) < 0.999999
 
@@ -289,10 +289,10 @@ def test_errors_are_value_errors():
 
 
 def test_phase_state_on_one_point_grid_is_vacuum():
-    s = pegg_barnett_phase(PhaseGrid(theta0=0.1, s=0, m=0), 0, 3)
+    s = pegg_barnett_phase(theta0=0.1, m=0, M=0, dim=3)
     assert s.amplitudes.tolist() == [1.0, 0.0, 0.0]
-    with pytest.raises(ParameterError, match=r"m must lie in \[0, s\]"):
-        PhaseGrid(theta0=0.1, s=0, m=1)
+    with pytest.raises(ParameterError, match=r"m must lie in \[0, M\]"):
+        phase_point(theta0=0.1, m=1, M=0)
 
 
 # --- the finite-or-ParameterError contract at the parameter edges ---
@@ -326,7 +326,7 @@ def test_non_finite_amplitude_is_a_parameter_error(build):
         (lambda: squeezed_vacuum(800.0, 0.0, 64), "r=800.0 puts cosh r past"),
         (lambda: squeezed_first_excited(math.inf, 0.0, 64), "r=inf puts cosh r past"),
         (
-            lambda: pegg_barnett_phase(PhaseGrid(1e308, 3, 1), 3, 8),
+            lambda: pegg_barnett_phase(1e308, 1, 3, 8),
             "theta0 must be finite, with theta0 . 3 inside",
         ),
     ],

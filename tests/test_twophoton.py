@@ -775,7 +775,10 @@ def test_sector_coeff_callables_match_states():
             complex(s.amplitudes[n] / s.amplitudes[n - 1]), abs=1e-12
         )
     assert c(-1) == 0.0
-    assert fl.ocs_sector_coeffs(0.0)(3) == 0.0
+    # the odd superposition at alpha = 0 is no state: refused as the
+    # constructor refuses it, not read as coefficients that are all 0
+    with pytest.raises(fl.ParameterError, match="alpha must be nonzero"):
+        fl.ocs_sector_coeffs(0.0)
     for coeffs in (fl.svs_sector_coeffs, fl.sfes_sector_coeffs):
         with pytest.raises(fl.ParameterError, match="r must be nonnegative"):
             coeffs(-1.0, 0.0)

@@ -128,6 +128,90 @@ def test_every_entry_point_refuses_with_the_constructor_message(family, params, 
         assert str(other.value) == str(refused.value), call.__name__
 
 
+# one out-of-range point per family with a closed form (two for the phase
+# grid's m), with the family's public closed-form route where it has one;
+# coherent's only rule is that alpha is finite
+RULE_PARITY = (
+    ("binomial", {"eta": 1.5, "M": 4}, 12, None),
+    ("hypergeometric", {"L": 3.0, "eta": 0.5, "M": 5}, 13, None),
+    ("polya", {"eta": 0.4, "gamma": 0.0, "M": 5}, 13, None),
+    ("reciprocal_binomial", {"theta": 1e308, "M": 4}, 12, None),
+    ("pegg_barnett_phase", {"theta0": 0.0, "m": 9, "M": 7}, 15, None),
+    ("pegg_barnett_phase", {"theta0": 0.0, "m": 1.5, "M": 7}, 15, None),
+    ("generalized_geometric", {"Y": 1j, "M": 6}, 14, None),
+    ("coherent", {"alpha": complex(math.inf)}, 64, None),
+    ("geometric", {"eta": 1.5}, 128, lambda p, dim: fl.geometric_coeffs(p["eta"])),
+    ("negative_binomial", {"eta": 0.3, "M": 0}, 256, None),
+    ("new_negative_binomial", {"eta": 0.0, "M": 2}, 256, None),
+    (
+        "kerr", {"alpha": 1.0, "theta": 1e308}, 8,
+        lambda p, dim: fl.kerr_coeffs(p["alpha"], p["theta"], dim),
+    ),
+    (
+        "svs", {"r": -1.0, "theta": 0.5}, 128,
+        lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"]),
+    ),
+    (
+        "sfes", {"r": 1000.0, "theta": 0.5}, 128,
+        lambda p, dim: fl.sfes_sector_coeffs(p["r"], p["theta"]),
+    ),
+    ("ecs", {"alpha": 1e200}, 8, lambda p, dim: fl.ecs_sector_coeffs(p["alpha"])),
+    ("ocs", {"alpha": 0.0}, 8, lambda p, dim: fl.ocs_sector_coeffs(p["alpha"])),
+    ("pacs", {"alpha": 1.0, "M": 1.5}, 64, None),
+)
+
+
+def test_rule_parity_covers_every_family_with_a_closed_form():
+    covered = {family for family, *_ in RULE_PARITY}
+    assert covered == {n for n, s in fl.FAMILY_SPECS.items() if s.closed_form}
+
+
+@pytest.mark.parametrize(
+    "family,params,dim,public", RULE_PARITY, ids=[case[0] for case in RULE_PARITY]
+)
+def test_each_closed_form_route_runs_its_own_range_rule(family, params, dim, public):
+    calls = [fl.build_state, fl.closed_form_coeffs]
+    if public is not None:
+        calls.append(lambda family, p, dim: public(p, dim))
+    messages = set()
+    for call in calls:
+        with pytest.raises(fl.ParameterError) as refused:
+            call(family, params, dim)
+        messages.add(str(refused.value))
+    assert len(messages) == 1, messages
+
+
+# an integral float count reads as its int in every suite: the report is
+# the int count's, byte for byte
+@pytest.mark.parametrize(
+    "family,params,dim,counted",
+    [
+        ("coherent", {"alpha": 1.0}, 64.0, {}),
+        ("svs", {"r": 0.8, "theta": 0.5}, 128.0, {}),
+        ("new_negative_binomial", {"eta": 0.3, "M": 2.0}, 256, {"M": 2}),
+        ("pacs", {"alpha": 1.0, "M": 1.0}, 64, {"M": 1}),
+        ("pegg_barnett_phase", {"theta0": 0.0, "m": 2.0, "M": 7.0}, 15.0, {"m": 2, "M": 7}),
+    ],
+)
+def test_an_integral_float_count_reads_as_its_int_in_the_suite(
+    family, params, dim, counted
+):
+    report = fl.run_family_suite(family, params, dim)
+    reference = fl.run_family_suite(family, dict(params, **counted), int(dim))
+    assert report.passed
+    assert (report.to_json(), report.to_csv()) == (reference.to_json(), reference.to_csv())
+
+
+def test_an_integral_float_count_reads_as_its_int_in_the_printed_rows():
+    rows = fl.derived_vs_printed_rows("binomial", {"eta": 0.5, "M": 4.0}, 12)
+    assert rows == fl.derived_vs_printed_rows("binomial", {"eta": 0.5, "M": 4}, 12)
+    # a fractional count keeps the constructor's message
+    with pytest.raises(fl.ParameterError, match="M must be a nonnegative integer"):
+        fl.derived_vs_printed_rows("binomial", {"eta": 0.5, "M": 4.5}, 12)
+    with pytest.raises(fl.ParameterError, match="M must be a nonnegative integer"):
+        fl.run_family_suite("new_negative_binomial", {"eta": 0.3, "M": 2.5}, 256)
+
+
 def test_closed_form_coeffs_names_a_missing_parameter():
     with pytest.raises(fl.ParameterError, match="requires parameter 'eta'"):
         fl.closed_form_coeffs("binomial", {}, 12)
