@@ -4,7 +4,8 @@ From the package this reads only the range rules, error and formatter
 of states.py, and only verify.py reads it (tests/test_closedform.py
 holds both rules).  Each route opens with its constructor's range
 checks, so every entry point refuses an input with the constructor's
-message."""
+message; a non-finite alpha or theta, which a constructor refuses only
+by its non-finite amplitudes, is refused by name."""
 
 from __future__ import annotations
 
@@ -40,6 +41,12 @@ def _support(lo: float, hi: float, fn: CoeffFn) -> CoeffFn:
     return c
 
 
+def _check_finite(value: complex, name: str) -> complex:
+    if not cmath.isfinite(value):
+        raise ParameterError(f"{name} must be finite")
+    return value
+
+
 def _log_comb(a: float, b: float) -> float:
     return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
 
@@ -49,7 +56,7 @@ def _log_comb(a: float, b: float) -> float:
 
 def coherent_coeffs(alpha: complex) -> CoeffFn:
     """c(n) = alpha^n / sqrt(n!), from logs."""
-    alpha = complex(alpha)
+    alpha = _check_finite(complex(alpha), "alpha")
     if alpha == 0:
         return _support(0, 0, lambda n: 1.0)
     log_a = cmath.log(alpha)
@@ -75,6 +82,7 @@ def geometric_coeffs(eta: float) -> CoeffFn:
 
 def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
     _check_r(r)
+    _check_finite(theta, "theta")
     t = math.tanh(r)
     if t == 0.0:
         return _support(0, 0, lambda n: 1.0)

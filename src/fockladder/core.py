@@ -527,3 +527,9 @@ def band_max_abs(
             magnitude[t] = 0.0
         peaks.append(magnitude.max())
     return float(np.max(peaks))
+
+
+def commutator_max_abs(a: Bands, x: Bands, sign: float) -> float:
+    """band_max_abs of [A, X] + sign X, each product by diagonal_matmul."""
+    ax, xa = diagonal_matmul(a, x), diagonal_matmul(x, a)
+    return band_max_abs(lambda p, q, y: p - q + sign * y, ax, xa, x)

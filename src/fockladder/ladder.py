@@ -33,6 +33,7 @@ from .core import (
     adjoint,
     apply,
     band_max_abs,
+    commutator_max_abs,
     compose,
     creation,
     diag_op,
@@ -52,15 +53,12 @@ class ZeroCoefficientError(ValueError):
 
 
 def _coeff_getter(coeffs: Sequence[complex] | CoeffFn) -> CoeffFn:
-    """Total coefficient accessor: sequences become 0 outside their index
-    range and callables are guarded against negative indices."""
+    """The coefficient accessor.  A callable is read as given and only at
+    n >= 0, where every builder's index rule and _guarded_ratio keep it
+    (the closed-form routes return Python floats or complexes); a sequence
+    reads 0 outside its range, since the builders also read C(dim)."""
     if callable(coeffs):
-        fn = coeffs
-
-        def from_fn(n: int) -> complex:
-            return complex(fn(n)) if n >= 0 else 0.0
-
-        return from_fn
+        return coeffs
     values = [complex(v) for v in coeffs]
 
     def from_seq(n: int) -> complex:
@@ -633,19 +631,14 @@ def gdo_axiom_checks(
     rl_diag, lr_diag = (P.get(0, np.zeros(dim)).real for P in (RL, LR))
     F = np.array([t.structure_fn(n) for n in range(dim + 1)])
 
-    def commutator(X: Bands, sign: float) -> float:
-        # [number, X] + sign X, entrywise
-        NX, XN = diagonal_matmul(N, X), diagonal_matmul(X, N)
-        return band_max_abs(lambda nx, xn, x: nx - xn + sign * x, NX, XN, X)
-
     def off_diagonal(P: Bands) -> float:
         # P less its own main diagonal, where an inf or NaN stays NaN
         return band_max_abs(lambda p, d: p - d, P, {0: P[0]} if 0 in P else {})
 
     checks = [
-        ("gdo-commutator-lowering", commutator(L, 1.0),
+        ("gdo-commutator-lowering", commutator_max_abs(N, L, 1.0),
          "[number, lowering] + lowering, dense route"),
-        ("gdo-commutator-raising", commutator(R, -1.0),
+        ("gdo-commutator-raising", commutator_max_abs(N, R, -1.0),
          "[number, raising] - raising, dense route"),
         ("gdo-product-diagonal-rl", off_diagonal(RL),
          "raising@lowering off-diagonal mass"),

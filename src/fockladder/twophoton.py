@@ -21,10 +21,10 @@ from .core import (
     Bands,
     FockState,
     OperatorExpr,
-    _band_dim,
     annihilation,
     band_matrix,
     band_max_abs,
+    commutator_max_abs,
     compose,
     creation,
     diag_op,
@@ -213,11 +213,11 @@ def _scatter(sector_raw: np.ndarray, parity_j: int, dim: int, what: str,
     return _finish(full, label, prefactor=prefactor, leak=tail, parity=parity)
 
 
-def _sector_size(dim: int, j: int, name: str = "dim") -> tuple[int, int]:
+def _sector_size(dim: int, j: int) -> tuple[int, int]:
     """The checked truncation and the size of sector j inside it."""
-    dim = _check_count(dim, name, minimum=1)
+    dim = _check_count(dim, "dim", minimum=1)
     if j == 1 and dim < 2:
-        raise ParameterError(f"{name} must be at least 2 for an odd state")
+        raise ParameterError("dim must be at least 2 for an odd state")
     return dim, sector_dim(dim, j)
 
 
@@ -398,8 +398,7 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         float(np.max(np.abs(m.get(1, off) - band), initial=0.0)),
         float(np.max(np.abs(z.get(0, np.zeros(dim)) - (np.arange(dim) + j / 2 + 0.25)))),
     )
-    k = rep.bargmann_k
-    shift = 0.25 + j / 2.0
+    k = rep.bargmann_k  # the sector-number shift too
     return [
         c(
             "su11-action",
@@ -410,19 +409,13 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         c(
             "su11-commutator-plus",
             "E66",
-            band_max_abs(
-                lambda zp, pz, kp: zp - pz - kp,
-                diagonal_matmul(z, p), diagonal_matmul(p, z), p,
-            ),
+            commutator_max_abs(z, p, -1.0),
             "[K0, K+] - K+",
         ),
         c(
             "su11-commutator-minus",
             "E66",
-            band_max_abs(
-                lambda zm, mz, km: zm - mz + km,
-                diagonal_matmul(z, m), diagonal_matmul(m, z), m,
-            ),
+            commutator_max_abs(z, m, 1.0),
             "[K0, K-] + K-",
         ),
         c(
@@ -446,27 +439,19 @@ def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]
         c(
             "su11-sector-number",
             "E70 E71",
-            band_max_abs(lambda k0, e, num: k0 - shift * e - num, z, eye, number),
-            f"K0 - {shift!r} counts sector quanta",
+            band_max_abs(lambda k0, e, num: k0 - k * e - num, z, eye, number),
+            f"K0 - {k!r} counts sector quanta",
         ),
     ]
 
 
-def _leading(bands: FrozenBands, n: int) -> Bands:
-    """The leading n x n block of a matrix in band form."""
-    return {k: d[: n - abs(k)] for k, d in bands.items() if abs(k) < n}
-
-
-def embedding_checks(
-    rep: Su11Rep, full_bands: tuple[FrozenBands, ...], tolerances: Tolerances
-) -> list[CheckResult]:
+def embedding_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
     """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
-    Su11Rep.full_bands reads them, reproduce the sector actions entry for
+    rep.full_bands reads them, reproduce the sector actions entry for
     entry, compared on their bands."""
-    n = min(_band_dim(*full_bands), rep.dim)
     residual = max(
-        band_max_abs(lambda f, s: f - s, _leading(full, n), _leading(sector, n))
-        for full, sector in zip(full_bands, rep.bands[:3])
+        band_max_abs(lambda f, s: f - s, full, sector)
+        for full, sector in zip(rep.full_bands, rep.bands[:3])
     )
     return [
         CheckResult.from_residual(
@@ -480,19 +465,14 @@ def embedding_checks(
 
 
 def verify_su11(
-    parity_j: int,
-    dim_sector: int,
-    dim_full: int | None = None,
-    tolerances: Tolerances | None = None,
+    parity_j: int, dim_sector: int, *, tolerances: Tolerances | None = None
 ) -> VerificationReport:
+    """The su(1,1) battery and the embedding check on sector j at dim_sector
+    levels, against the full space whose sector j has that many levels."""
     tol = tolerances or Tolerances()
     rep = su11(parity_j, dim_sector)
     j = rep.parity_j  # checked: a float or bool parity reads as its int
-    embedding = []
-    if dim_full is not None:  # a bad dim_full is refused before any other work
-        _, n_full = _sector_size(dim_full, j, "dim_full")
-        embedding = embedding_checks(rep, su11(j, n_full).full_bands, tol)
-    checks = su11_axiom_checks(rep, tol) + embedding
+    checks = su11_axiom_checks(rep, tol) + embedding_checks(rep, tol)
     return VerificationReport(
         family=f"su11-sector{j}",
         params={"parity_j": j},
@@ -579,6 +559,7 @@ def verify_disentangling(
     """
     if excitation not in (0, 1):
         raise ParameterError("excitation must be 0 or 1")
+    excitation = int(excitation)  # checked: a float or bool reads as its int
     closed = _squeezed(r, theta, dim, excitation)
     tol = tolerances or Tolerances()
     rep = su11(excitation, sector_dim(closed.dim, excitation))

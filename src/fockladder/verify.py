@@ -878,7 +878,7 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
 
     rep = su11(j, sec.dim)
     checks += su11_axiom_checks(rep, tol)
-    checks += embedding_checks(rep, rep.full_bands, tol)
+    checks += embedding_checks(rep, tol)
 
     up, down = two_photon_ladder(cf, j, sec.dim)
     up_eq, down_eq, axiom_eq = (

@@ -1,5 +1,6 @@
-"""Rewrite grid.json and dim_sweep.json, the byte-identity records of the
-registry grid and of a fixed large-truncation set.
+"""Rewrite grid.json, dim_sweep.json and library.json, the byte-identity
+records of the registry grid, of a fixed large-truncation set and of the
+two library report entry points that no registry suite is.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -9,7 +10,10 @@ records the SHA-256 of errata_table()'s JSON.  dim_sweep.json records the
 same for each op of the benchmark's dim-sweep pass 0 at seed 1 (46 suites
 at dims 72-1024), with the inputs written into the file, so that the
 test reads them without the benchmark; a complex parameter is stored as
-[real, imag].  Each file also holds the Python minor version and numpy
+[real, imag].  library.json records the same for verify_su11(j, n) at
+j = 0, 1 and n = 1, 2, 8, 32, 64, 256, and for
+verify_disentangling(0.8, 0.5, 128, excitation=j) at j = 0, 1.  Each file
+also holds the Python minor version and numpy
 version that made it.  tests/test_golden.py compares the hashes only
 under those versions, where libm and numpy round alike, and the names
 and verdicts everywhere.  Rewrite them only with a change that means to
@@ -25,10 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from fockladder import reporting, verify
+from fockladder import reporting, twophoton, verify
 
 GOLDEN = Path(__file__).with_name("grid.json")
 DIM_SWEEP = Path(__file__).with_name("dim_sweep.json")
+LIBRARY = Path(__file__).with_name("library.json")
 DIM_SWEEP_SEED = 1
 
 
@@ -56,6 +61,20 @@ def record() -> dict:
         "errata_sha256": _sha256(reporting.encode_json(verify.errata_table())),
         "reports": reports,
     }
+
+
+def record_library() -> dict:
+    """The record of verify_su11 and verify_disentangling as this
+    interpreter and numpy give it."""
+    reports = {
+        f"verify_su11({j}, {n})": _entry(twophoton.verify_su11(j, n))
+        for j in (0, 1)
+        for n in (1, 2, 8, 32, 64, 256)
+    }
+    for j in (0, 1):
+        report = twophoton.verify_disentangling(0.8, 0.5, 128, excitation=j)
+        reports[f"verify_disentangling(0.8, 0.5, 128, excitation={j})"] = _entry(report)
+    return {**_versions(), "reports": reports}
 
 
 def _decode(params: dict) -> dict:
@@ -95,3 +114,4 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=2) + "\n")
     sweep = record_dim_sweep(_dim_sweep_inputs())
     DIM_SWEEP.write_text(json.dumps(sweep, indent=2) + "\n")
+    LIBRARY.write_text(json.dumps(record_library(), indent=2) + "\n")

@@ -5,6 +5,7 @@ route in the family table is one of its callables.  The first two rules
 are read from the sources' import statements."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -110,3 +111,30 @@ def test_every_table_route_is_a_closedform_callable(spec):
 def test_geometric_coeffs_runs_its_range_rule():
     with pytest.raises(fl.ParameterError, match=r"eta must lie in \(0,1\)"):
         fl.geometric_coeffs(1.5)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "name,route",
+    [
+        ("alpha", lambda: fl.coherent_coeffs(NAN)),
+        ("alpha", lambda: fl.coherent_coeffs(complex(1.0, INF))),
+        ("alpha", lambda: fl.kerr_coeffs(NAN, 0.3, 8)),
+        ("alpha", lambda: fl.ecs_sector_coeffs(NAN)),
+        ("alpha", lambda: fl.ocs_sector_coeffs(NAN)),
+        ("theta", lambda: fl.svs_sector_coeffs(0.5, NAN)),
+        ("theta", lambda: fl.sfes_sector_coeffs(0.5, NAN)),
+        ("theta", lambda: fl.svs_sector_coeffs(0.5, -INF)),
+    ],
+    ids=[
+        "coherent-nan", "coherent-inf", "kerr", "ecs", "ocs",
+        "svs-nan", "sfes-nan", "svs-inf",
+    ],
+)
+def test_a_public_route_refuses_a_non_finite_parameter_by_name(name, route):
+    # the constructors refuse these values too, as a non-finite amplitude;
+    # unrefused, the coefficients are NaN and a builder fails on them later
+    with pytest.raises(fl.ParameterError, match=f"^{name} must be finite$"):
+        route()(1)

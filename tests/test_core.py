@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fockladder as fl
-from fockladder import core
+from fockladder import core, verify
 from fockladder.ladder import _operational_structure_fn
 
 from _oracles import (
@@ -203,6 +203,61 @@ def test_composed_diagonals_are_only_asked_for_nonnegative_indices(monkeypatch):
     for family, params, dim in fl.EXTENDED_GRID:
         fl.run_family_suite(family, params, dim)
     assert asked
+
+
+def test_coefficient_callables_are_only_read_at_nonnegative_indices(monkeypatch):
+    # the builders read a coefficient callable as given: each one's index
+    # rule, with the numerator-first rule, keeps every read at n >= 0
+    reads = []
+
+    def checked(c):
+        def read(n):
+            assert n >= 0, n
+            reads.append(n)
+            return c(n)
+
+        return read
+
+    closed_form, coherent = verify.closed_form_coeffs, verify.coherent_coeffs
+    monkeypatch.setattr(
+        verify, "closed_form_coeffs",
+        lambda *args: None if (c := closed_form(*args)) is None else checked(c),
+    )
+    monkeypatch.setattr(verify, "coherent_coeffs", lambda alpha: checked(coherent(alpha)))
+    one_per_kind = {}
+    for family, params, dim in fl.EXTENDED_GRID:
+        fl.run_family_suite(family, params, dim)
+        fl.verify_gdo_axioms(fl.build_gdo(family, params, dim))
+        one_per_kind.setdefault(fl.FAMILY_SPECS[family].kind, (family, params))
+    assert len(one_per_kind) == 5
+    for family, params in one_per_kind.values():
+        fl.run_family_suite(family, params, 256)
+    assert reads
+
+    # the public builders, handed callables
+    dim, M = 256, 4
+    finite = checked(lambda n: math.sqrt(math.comb(M, n)))
+    shifted = checked(lambda n: math.sqrt(math.comb(n, M)) * 0.5 ** (n / 2))
+    general = checked(fl.coherent_coeffs(1.0))
+    sector = checked(fl.ecs_sector_coeffs(1.1))
+    ops = [
+        fl.ladder_lowering_finite(finite, M, dim),
+        fl.ladder_raising_shifted(shifted, M, dim),
+        *fl.ladder_general(general, dim),
+        fl.added_raising_ladder(general, M, dim),
+        *fl.added_lowered_pair(general, M, dim),
+        *fl.shifted_lowered_pair(shifted, M, dim),
+        *fl.two_photon_ladder(sector, 0, dim),
+    ]
+    for op in ops:
+        core.to_matrix(op)
+    for triple in (
+        fl.finite_gdo(finite, M, dim),
+        fl.shifted_gdo(shifted, M, dim),
+        fl.general_gdo(general, dim),
+        fl.two_photon_gdo(sector, 1, dim),
+    ):
+        fl.verify_gdo_axioms(triple)
 
 
 def test_adjoint_of_ladders_and_diag():

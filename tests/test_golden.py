@@ -1,12 +1,20 @@
-"""Byte identity of the registry grid's reports and errata table, and of
-the dim-sweep set's reports, against the records in tests/golden/grid.json
-and tests/golden/dim_sweep.json (rewritten by its regenerate.py)."""
+"""Byte identity of the registry grid's reports and errata table, of the
+dim-sweep set's reports and of the verify_su11 and verify_disentangling
+reports, against the records in tests/golden/grid.json, dim_sweep.json and
+library.json (rewritten by its regenerate.py)."""
 
 import json
 import math
 
 import fockladder.verify as verify
-from golden.regenerate import DIM_SWEEP, GOLDEN, record, record_dim_sweep
+from golden.regenerate import (
+    DIM_SWEEP,
+    GOLDEN,
+    LIBRARY,
+    record,
+    record_dim_sweep,
+    record_library,
+)
 
 
 def _differences(now: dict, then: dict) -> list[str]:
@@ -40,6 +48,10 @@ def test_dim_sweep_reports_match_the_golden_record():
     ]
     assert len(inputs) == 46
     assert _differences(record_dim_sweep(inputs), then) == []
+
+
+def test_library_reports_match_the_golden_record():
+    assert _differences(record_library(), json.loads(LIBRARY.read_text())) == []
 
 
 def test_a_one_ulp_change_to_a_closed_form_coefficient_fails(monkeypatch):

@@ -52,7 +52,7 @@ def sfes_amp(n, r, theta):
 
 @pytest.mark.parametrize("parity_j", [0, 1])
 def test_su11_axioms_and_embedding(parity_j):
-    report = fl.verify_su11(parity_j, 32, dim_full=64)
+    report = fl.verify_su11(parity_j, 32)
     assert report.passed
     names = {c.name for c in report.checks}
     assert {
@@ -260,8 +260,8 @@ def test_su11_data_is_cached_per_truncation():
     assert twophoton._su11.cache_info()[:2] == (9, 3)
     # both truncations whose even sector has 64 levels find that entry
     for dim_full in (127, 128.0):
-        assert fl.verify_su11(False, 8, dim_full).passed
-    assert twophoton._su11.cache_info()[:2] == (12, 4)
+        assert fl.su11(0, fl.sector_dim(dim_full, 0)).full_bands is full
+    assert twophoton._su11.cache_info()[:2] == (11, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 64])
@@ -301,32 +301,35 @@ def test_the_caches_stay_within_their_bound():
     assert cache.cache_info().maxsize == cache.cache_info().currsize == size
 
 
-@pytest.mark.parametrize("parity_j", [0, 1])
 @pytest.mark.parametrize(
-    "dim_sector,dim_full",
-    [(1, 2), (2, 3), (8, 16), (8, 17), (8, 9), (8, 40), (32, 64), (256, 512)],
+    "dim_sector,dim_full,parity_j",
+    [
+        (1, 2, 0), (1, 2, 1), (2, 3, 0), (8, 16, 0), (8, 16, 1), (8, 17, 1),
+        (32, 64, 0), (32, 64, 1), (256, 512, 0), (256, 512, 1),
+    ],
 )
-def test_embedding_residual_equals_the_dense_sector_block(parity_j, dim_sector, dim_full):
-    # the residuals here are 0 to 6e-14: the two sides round differently
+def test_embedding_residual_equals_the_dense_sector_block(dim_sector, dim_full, parity_j):
+    # the residuals here are 0 to 6e-14: the two sides round differently.
+    # dim_full is one of the two truncations whose sector has dim_sector
+    # levels; both, the natural 2 dim_sector + j among them, give the block
+    assert fl.sector_dim(dim_full, parity_j) == dim_sector
     rep = fl.su11(parity_j, dim_sector)
-    n = min(fl.sector_dim(dim_full, parity_j), dim_sector)
-    wanted = max(
-        float(np.abs(
-            fl.to_matrix(full)[parity_j::2, parity_j::2][:n, :n]
-            - fl.to_matrix(sector)[:n, :n]
-        ).max())
-        for full, sector in zip(
-            twophoton._full_k_ops(dim_full), (rep.K_plus, rep.K_minus, rep.K_zero)
-        )
-    )
-    full_bands = fl.su11(parity_j, fl.sector_dim(dim_full, parity_j)).full_bands
-    (check,) = twophoton.embedding_checks(rep, full_bands, fl.Tolerances())
-    assert check.residual == wanted
+    (check,) = twophoton.embedding_checks(rep, fl.Tolerances())
     (via_report,) = (
-        c for c in fl.verify_su11(parity_j, dim_sector, dim_full).checks
+        c for c in fl.verify_su11(parity_j, dim_sector).checks
         if c.name == "sector-embedding"
     )
-    assert via_report.residual == wanted
+    for dim in {dim_full, 2 * dim_sector + parity_j}:
+        wanted = max(
+            float(np.abs(
+                fl.to_matrix(full)[parity_j::2, parity_j::2] - fl.to_matrix(sector)
+            ).max())
+            for full, sector in zip(
+                twophoton._full_k_ops(dim), (rep.K_plus, rep.K_minus, rep.K_zero)
+            )
+        )
+        assert check.residual == wanted
+        assert via_report.residual == wanted
 
 
 @pytest.mark.parametrize("j", [0, 1])
@@ -344,38 +347,28 @@ def test_embedding_catches_a_stray_full_space_term(monkeypatch, j, shift):
         k_plus, k_minus, k_zero = full_k_ops(dim)
         return fl.add(k_plus, fl.operator([(shift, stray)], dim)), k_minus, k_zero
 
-    assert fl.verify_su11(j, 32, 64).passed
+    assert fl.verify_su11(j, 32).passed
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
     twophoton._su11.cache_clear()  # the clean read above is cached
-    report = fl.verify_su11(j, 32, 64)
+    report = fl.verify_su11(j, 32)
     assert {c.name for c in report.checks if not c.passed} == {"sector-embedding"}
 
 
-@pytest.mark.parametrize(
-    "parity_j,dim_full,message",
-    [
-        (0, 0, "dim_full must be an integer >= 1"),
-        (1, 1, "dim_full must be at least 2 for an odd state"),
-        (0, -3, "dim_full must be an integer >= 1"),
-        (1, 2.5, "dim_full must be an integer >= 1"),
-    ],
-    ids=["zero", "odd-at-1", "negative", "fractional"],
-)
-def test_verify_su11_refuses_a_bad_full_dim(monkeypatch, parity_j, dim_full, message):
-    def no_work(*args):
-        raise AssertionError("checks ran before dim_full was checked")
-
-    monkeypatch.setattr(twophoton, "su11_axiom_checks", no_work)
-    with pytest.raises(fl.ParameterError, match=message):
-        fl.verify_su11(parity_j, 8, dim_full)
+def test_verify_su11_takes_no_second_truncation():
+    # the full truncation is the representation's own; tolerances are
+    # keyword-only, so an old positional dim_full is refused, not misread
+    with pytest.raises(TypeError):
+        fl.verify_su11(0, 8, 16)
+    tight = fl.Tolerances(oracle=1e-300)
+    assert fl.verify_su11(0, 8, tolerances=tight).tolerances is tight
 
 
 def test_verify_su11_reads_integral_float_dims():
-    at_int = fl.verify_su11(1, 8, 16).to_json()
-    assert fl.verify_su11(1, 8.0, 16.0).to_json() == at_int
+    at_int = fl.verify_su11(1, 8).to_json()
+    assert fl.verify_su11(1, 8.0).to_json() == at_int
     # a float or bool parity reads as its int, in the report header too
-    assert fl.verify_su11(1.0, 8, 16).to_json() == at_int
-    assert fl.verify_su11(True, 8, 16).to_json() == at_int
+    assert fl.verify_su11(1.0, 8).to_json() == at_int
+    assert fl.verify_su11(True, 8).to_json() == at_int
 
 
 @pytest.mark.parametrize(
@@ -742,6 +735,14 @@ def test_disentangling_reads_an_integral_float_dim(j):
     assert (report.to_json(), report.to_csv()) == (at_int.to_json(), at_int.to_csv())
     with pytest.raises(fl.ParameterError, match="dim must be an integer >= 1"):
         fl.verify_disentangling(0.5, 0.3, 64.5, excitation=j)
+
+
+@pytest.mark.parametrize("excitation", [1.0, True], ids=["float", "bool"])
+def test_disentangling_reads_an_integral_float_or_bool_excitation(excitation):
+    # read as the checked int, as verify_su11 reads its parity
+    at_int = fl.verify_disentangling(0.8, 0.5, 128, excitation=1)
+    report = fl.verify_disentangling(0.8, 0.5, 128, excitation=excitation)
+    assert (report.to_json(), report.to_csv()) == (at_int.to_json(), at_int.to_csv())
 
 
 @pytest.mark.parametrize(

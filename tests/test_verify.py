@@ -556,7 +556,7 @@ def _count_calls():
     calls += [
         ("run_family_suite-dim", lambda bad: fl.run_family_suite("coherent", {"alpha": 1.0}, bad)),
         ("su11-dim", lambda bad: fl.su11(0, bad)),
-        ("verify_su11-dim_full", lambda bad: fl.verify_su11(1, 8, bad)),
+        ("verify_su11-dim_sector", lambda bad: fl.verify_su11(1, bad)),
         ("harmonic_gdo-dim", lambda bad: fl.harmonic_gdo(bad)),
         ("photon_add-M", lambda bad: fl.photon_add(fl.coherent(1.0, 16), bad)),
     ]
