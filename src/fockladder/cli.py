@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
-from .ladder import harmonic_gdo
+from .ladder import harmonic_gdo, structure_function
 from .reporting import PRINTED_COLUMNS, Tolerances, csv_table, encode_json
 from .states import ParameterError, _check_dim, format_complex
 from .verify import (
@@ -342,9 +342,8 @@ def cmd_structure_fn(cfg: CliConfig, out: str | None) -> int:
             triple = harmonic_gdo(_check_dim(cfg.dim))
         else:
             triple = build_gdo(cfg.family, cfg.params, cfg.dim)
-        rows = [
-            {"n": n, "F": float(triple.structure_fn(n))} for n in range(triple.dim)
-        ]
+        F = structure_function(triple, range(triple.dim))
+        rows = [{"n": n, "F": value} for n, value in enumerate(F.tolist())]
     key = "derived" if cfg.compare_printed else "F"
     for row in rows:
         if not math.isfinite(row[key]):

@@ -26,6 +26,7 @@ from .states import (
     _check_gamma,
     _check_pair_alpha,
     _check_r,
+    _check_sector_dim,
     format_complex,
 )
 
@@ -80,9 +81,13 @@ def geometric_coeffs(eta: float) -> CoeffFn:
 # overall constants); sector index n stands for level 2n+j ---
 
 
-def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
+def _squeezed_sector_coeffs(r: float, theta: float, dim: int, j: int) -> CoeffFn:
+    """Sector j of a squeezed state in a truncation of dim levels; theta is
+    bounded at the sector size, the largest n the builders read c at, as in
+    the constructor."""
     _check_r(r)
-    _check_finite(theta, "theta")
+    _, n_sector = _check_sector_dim(dim, j)
+    theta = _check_angle(_check_finite(theta, "theta"), n_sector)
     t = math.tanh(r)
     if t == 0.0:
         return _support(0, 0, lambda n: 1.0)
@@ -96,14 +101,14 @@ def _squeezed_sector_coeffs(r: float, theta: float, j: int) -> CoeffFn:
     return _support(0, math.inf, c)
 
 
-def svs_sector_coeffs(r: float, theta: float) -> CoeffFn:
+def svs_sector_coeffs(r: float, theta: float, dim: int) -> CoeffFn:
     """c(n) = sqrt((2n)!) (e^{i theta} tanh r / 2)^n / n!"""
-    return _squeezed_sector_coeffs(r, theta, 0)
+    return _squeezed_sector_coeffs(r, theta, dim, 0)
 
 
-def sfes_sector_coeffs(r: float, theta: float) -> CoeffFn:
+def sfes_sector_coeffs(r: float, theta: float, dim: int) -> CoeffFn:
     """c(n) = sqrt((2n+1)!) (e^{i theta} tanh r / 2)^n / n!"""
-    return _squeezed_sector_coeffs(r, theta, 1)
+    return _squeezed_sector_coeffs(r, theta, dim, 1)
 
 
 def _coherent_sector_coeffs(alpha: complex, j: int) -> CoeffFn:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,40 +168,53 @@ def ladder_general(
 class GdoTriple:
     """Number operator with a lowering/raising pair and the structure
     function F(n) = ||lowering|n>||^2; n_min marks the bottom of the
-    representation, where F must vanish."""
+    representation, where F must vanish.  structure_fn reads F one index
+    at a time and structure_table holds F on [0, dim) as one float array;
+    both read the one pass of f_pass, which a triple with its structure_fn
+    replaced keeps."""
 
     number_op: OperatorExpr
     lowering: OperatorExpr
     raising: OperatorExpr
     structure_fn: Callable[[int], float]
     n_min: int = 0
+    f_pass: _OperationalF = field(kw_only=True, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.lowering.domain_dim
 
+    @property
+    def structure_table(self) -> np.ndarray:
+        return self.f_pass.table
 
-def _operational_structure_fn(lowering: OperatorExpr) -> Callable[[int], float]:
+
+class _OperationalF:
     """F(n) = ||lowering|n>||^2 straight from lowering's band terms; 0
     outside [0, dim).  A triple's lowering is one term d(N) a^m, which maps
-    |n> to a single entry at n - m, so the first call reads the whole table
+    |n> to a single entry at n - m, so the first read takes the whole table
     from one pass of apply's kernel; a square past the float range is inf."""
-    dim = lowering.domain_dim
-    table = None
 
-    def F(n: int) -> float:
-        nonlocal table
-        if not 0 <= n < dim:
-            return 0.0
-        if table is None:
-            ((k, _),) = lowering.terms
-            with np.errstate(over="ignore"):
-                image, _ = _band_image(lowering, np.arange(dim), np.ones(dim, complex))
-                squares = image.real**2 + image.imag**2
-            table = np.concatenate((np.zeros(-k), squares))[:dim]
-        return float(table[n])
+    def __init__(self, lowering: OperatorExpr) -> None:
+        self.lowering = lowering
 
-    return F
+    @cached_property
+    def table(self) -> np.ndarray:
+        """F on [0, dim), read-only."""
+        dim = self.lowering.domain_dim
+        ((k, _),) = self.lowering.terms
+        with np.errstate(over="ignore"):
+            image, _ = _band_image(self.lowering, np.arange(dim), np.ones(dim, complex))
+            squares = image.real**2 + image.imag**2
+        table = np.concatenate((np.zeros(-k), squares))[:dim]
+        table.flags.writeable = False
+        return table
+
+    def __call__(self, n: int) -> float:
+        return float(self.table[n]) if 0 <= n < self.lowering.domain_dim else 0.0
+
+
+_operational_structure_fn = _OperationalF
 
 
 def _triple(
@@ -208,12 +223,14 @@ def _triple(
     n_min: int,
     raising: OperatorExpr | None = None,
 ) -> GdoTriple:
+    F = _OperationalF(lowering)
     return GdoTriple(
         number_op=number,
         lowering=lowering,
         raising=adjoint(lowering) if raising is None else raising,
-        structure_fn=_operational_structure_fn(lowering),
+        structure_fn=F,
         n_min=n_min,
+        f_pass=F,
     )
 
 
@@ -254,7 +271,13 @@ def harmonic_gdo(dim: int) -> GdoTriple:
 
 
 def structure_function(t: GdoTriple, n_range: Sequence[int]) -> np.ndarray:
-    return np.array([t.structure_fn(n) for n in n_range], dtype=float)
+    """F(n) for each integer n in n_range, read from t.structure_table; 0
+    outside [0, dim)."""
+    ns = np.fromiter(map(operator.index, n_range), dtype=int)
+    inside = (ns >= 0) & (ns < t.dim)
+    values = np.zeros(len(ns))
+    values[inside] = t.structure_table[ns[inside]]
+    return values
 
 
 # --- step maps between neighboring family members ---
@@ -629,7 +652,7 @@ def gdo_axiom_checks(
     N, L, R = (to_bands(op) for op in (t.number_op, t.lowering, t.raising))
     RL, LR = diagonal_matmul(R, L), diagonal_matmul(L, R)
     rl_diag, lr_diag = (P.get(0, np.zeros(dim)).real for P in (RL, LR))
-    F = np.array([t.structure_fn(n) for n in range(dim + 1)])
+    F = np.append(t.structure_table, 0.0)  # F(dim) = 0 past the truncation
 
     def off_diagonal(P: Bands) -> float:
         # P less its own main diagonal, where an inf or NaN stays NaN

@@ -145,6 +145,18 @@ def _check_r(r: float) -> float:
     return cosh_r
 
 
+def sector_dim(dim: int, parity_j: int) -> int:
+    return (dim - parity_j + 1) // 2
+
+
+def _check_sector_dim(dim: int, j: int) -> tuple[int, int]:
+    """The checked truncation and the size of sector j inside it."""
+    dim = _check_count(dim, "dim", minimum=1)
+    if j == 1 and dim < 2:
+        raise ParameterError("dim must be at least 2 for an odd state")
+    return dim, sector_dim(dim, j)
+
+
 def _check_pair_alpha(alpha: complex, j: int) -> complex:
     alpha = complex(alpha)
     if j == 1 and alpha == 0:

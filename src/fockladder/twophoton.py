@@ -22,7 +22,6 @@ from .core import (
     FockState,
     OperatorExpr,
     annihilation,
-    band_matrix,
     band_max_abs,
     commutator_max_abs,
     compose,
@@ -48,13 +47,15 @@ from .ladder import (
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
-    _check_count,
+    _check_angle,
     _check_dim,
     _check_pair_alpha,
     _check_r,
+    _check_sector_dim,
     _finish,
     _tail_guard,
     format_complex,
+    sector_dim,
 )
 
 # The largest pairwise infidelity the disentangling checks accept.
@@ -66,17 +67,45 @@ FrozenBands = Mapping[int, np.ndarray]
 SU11_CACHE_SIZE = 64
 
 
-def expm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(a) v for a strictly lower-triangular n x n matrix a: the sum
-    over k < n of a^k v / k!, by dense matvecs. a^n = 0, so the sum is
-    exact, and every entry of a enters each product. For any other a the
-    result is the degree n-1 Taylor polynomial, which the oracle's
-    comparisons then reject."""
-    term = total = v
-    for k in range(1, a.shape[0]):
-        term = a @ term / k
-        total = total + term
-    return total
+def expm(v: np.ndarray, a_bands: Mapping[int, np.ndarray]) -> np.ndarray:
+    """exp(A) v for the n x n matrix A, n = len(v), that holds the diagonals
+    a_bands (offset column - row -> diagonal, as core.to_bands gives them):
+    the sum over k < n of A^k v / k!.  For strictly lower A, A^n = 0, so
+    the sum is exact; for any other A it is the degree n-1 Taylor
+    polynomial, which the oracle's comparisons then reject.
+
+    Each product is summed over every band, on the rows the term can reach
+    and only there, with no n x n array: with v = e_0 and K+'s one band a
+    step forms one entry, O(n) per call.  A product is formed from real
+    parts (as core.diagonal_matmul forms it), the bands in ascending offset
+    order, and / k is numpy's complex division, so with one band every entry
+    is the dense matvec sum's bit for bit."""
+    n = len(v)
+    if n < 2:
+        return v
+    bands = [
+        (d, max(0, -d), n - max(0, d), band.real.tolist(), band.imag.tolist())
+        for d, band in sorted(a_bands.items())
+    ]
+    low, high = min(a_bands, default=0), max(a_bands, default=0)
+    live = np.flatnonzero(v)
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
+    term = v[lo:hi].astype(np.complex128).tolist()  # rows lo..hi-1
+    total = v.astype(np.complex128).tolist()
+    for k in range(1, n):
+        at, to = max(0, lo - high), min(n, hi - low)  # the rows it reaches
+        re, im = [0.0] * (to - at), [0.0] * (to - at)
+        for d, first, last, band_re, band_im in bands:
+            # row i reads column i + d and entry i - first of the band
+            for i in range(max(lo - d, first), min(hi - d, last)):
+                a_re, a_im, x = band_re[i - first], band_im[i - first], term[i + d - lo]
+                re[i - at] += a_re * x.real - a_im * x.imag
+                im[i - at] += a_re * x.imag + a_im * x.real
+        term = [complex(np.complex128(complex(x, y)) / k) for x, y in zip(re, im)]
+        for i, x in enumerate(term, at):
+            total[i] += x
+        lo, hi = at, to
+    return np.array(total, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -124,9 +153,10 @@ def _read_only(bands: Bands) -> FrozenBands:
     return MappingProxyType(bands)
 
 
-def _check_parity(parity_j: int) -> int:
-    if parity_j not in (0, 1):
-        raise ParameterError("parity_j must be 0 or 1")
+def _check_parity(parity_j: int, name: str = "parity_j") -> int:
+    # an equal float or bool reads as its int; a complex, even 1+0j, is refused
+    if isinstance(parity_j, (complex, np.complexfloating)) or parity_j not in (0, 1):
+        raise ParameterError(f"{name} must be 0 or 1")
     return int(parity_j)
 
 
@@ -161,10 +191,6 @@ def _su11(j: int, dim_sector: int) -> Su11Rep:
         K_zero=operator([(0, d_zero)], dim_sector),
         sector_number_op=number_op(dim_sector),
     )
-
-
-def sector_dim(dim: int, parity_j: int) -> int:
-    return (dim - parity_j + 1) // 2
 
 
 def sector_embed(s: FockState) -> FockState:
@@ -213,18 +239,10 @@ def _scatter(sector_raw: np.ndarray, parity_j: int, dim: int, what: str,
     return _finish(full, label, prefactor=prefactor, leak=tail, parity=parity)
 
 
-def _sector_size(dim: int, j: int) -> tuple[int, int]:
-    """The checked truncation and the size of sector j inside it."""
-    dim = _check_count(dim, "dim", minimum=1)
-    if j == 1 and dim < 2:
-        raise ParameterError("dim must be at least 2 for an odd state")
-    return dim, sector_dim(dim, j)
-
-
 def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
     """S(xi)|j> by the amplitude-ratio recurrence on sector j."""
     cosh_r = _check_r(r)
-    dim, n_sector = _sector_size(dim, j)
+    dim, n_sector = _check_sector_dim(dim, j)
     tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
     # (cosh r)^(-1/2-j), one float expression per sector: the two
     # spellings round differently from a shared cosh(r) ** -(0.5 + j)
@@ -236,12 +254,16 @@ def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
             raw[n] * math.sqrt((2 * n + 2 + j) * (2 * n + 1 + j)) * tau / (n + 1)
         )
     name = ("squeezed_vacuum", "squeezed_first_excited")[j]
-    return _scatter(
+    state = _scatter(
         raw, j, dim,
         f"{name}(r={r!r})",
         seed,
         f"{name}(r={float(r)!r}, theta={float(theta)!r})",
     )
+    # the closed form's phases e^{i theta n}, n <= n_sector, as its route
+    # bounds them; a NaN or infinite theta was refused above, by its amplitudes
+    _check_angle(theta, n_sector)
+    return state
 
 
 def squeezed_vacuum(r: float, theta: float, dim: int) -> FockState:
@@ -262,7 +284,7 @@ def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
     if parity not in ("even", "odd"):
         raise ParameterError("parity must be 'even' or 'odd'")
     j = 0 if parity == "even" else 1
-    dim, n_sector = _sector_size(dim, j)
+    dim, n_sector = _check_sector_dim(dim, j)
     alpha = _check_pair_alpha(alpha, j)
     mod2 = abs(alpha) * abs(alpha)
     try:
@@ -537,7 +559,7 @@ def _squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray,
     e0[0] = 1.0
     return (
         V @ (np.exp(1j * lam) * V[0].conj()),
-        math.cosh(r) ** -(j + 0.5) * expm(tau * band_matrix(k_plus, n), e0),
+        math.cosh(r) ** -(j + 0.5) * expm(e0, {d: tau * band for d, band in k_plus.items()}),
     )
 
 
@@ -557,9 +579,7 @@ def verify_disentangling(
 
     Needs dim >= 64 for r <= 1 so both operator routes converge.
     """
-    if excitation not in (0, 1):
-        raise ParameterError("excitation must be 0 or 1")
-    excitation = int(excitation)  # checked: a float or bool reads as its int
+    excitation = _check_parity(excitation, "excitation")
     closed = _squeezed(r, theta, dim, excitation)
     tol = tolerances or Tolerances()
     rep = su11(excitation, sector_dim(closed.dim, excitation))

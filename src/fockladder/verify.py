@@ -431,7 +431,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "svs", None, ("r", "theta"), "two-photon", sector=0,
             build=lambda p, dim: squeezed_vacuum(p["r"], p["theta"], dim),
-            closed_form=lambda p, dim: svs_sector_coeffs(p["r"], p["theta"]),
+            closed_form=lambda p, dim: svs_sector_coeffs(p["r"], p["theta"], dim),
             norm_eq="E68", dist_eq="E68",
             literal=lambda p, dim: (svs_lowering(dim), _squeeze_eigenvalue(p)),
             literal_eq="E76",
@@ -441,7 +441,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "sfes", None, ("r", "theta"), "two-photon", sector=1,
             build=lambda p, dim: squeezed_first_excited(p["r"], p["theta"], dim),
-            closed_form=lambda p, dim: sfes_sector_coeffs(p["r"], p["theta"]),
+            closed_form=lambda p, dim: sfes_sector_coeffs(p["r"], p["theta"], dim),
             norm_eq="E79 E80", dist_eq="E79 E80",
             literal=lambda p, dim: (sfes_lowering(dim), _squeeze_eigenvalue(p)),
             literal_eq="E81",
@@ -661,7 +661,7 @@ def _state_map_check(
 def _structure_closed_form_check(
     t: GdoTriple, expected: Callable[[int], float], equation: str, tol: Tolerances
 ) -> CheckResult:
-    values = np.array([t.structure_fn(n) for n in range(t.dim)])
+    values = t.structure_table
     wanted = np.array([expected(n) for n in range(t.dim)])
     # F grows with n for the infinite families, so the comparison is
     # scaled; for F of order one this reduces to the absolute residual

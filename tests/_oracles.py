@@ -91,6 +91,17 @@ def polya_pmf(M: int, eta: float, gamma: float, n: int) -> float:
     )
 
 
+def dense_expm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(a) v for a strictly lower-triangular n x n matrix a: the sum over
+    k < n of a^k v / k!, by dense matvecs, every entry of a in each product;
+    the product route's reference (twophoton.expm sums it on the bands)."""
+    term = total = v
+    for k in range(1, a.shape[0]):
+        term = a @ term / k
+        total = total + term
+    return total
+
+
 def squeezing_reference(r: float, theta: float, dim: int, j: int):
     """exp(xi K+ - xi* K-)|j> and exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-)|j>,
     xi = r e^{i theta}, tau = e^{i theta} tanh r, by scipy's expm of full

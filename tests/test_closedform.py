@@ -124,9 +124,9 @@ NAN, INF = math.nan, math.inf
         ("alpha", lambda: fl.kerr_coeffs(NAN, 0.3, 8)),
         ("alpha", lambda: fl.ecs_sector_coeffs(NAN)),
         ("alpha", lambda: fl.ocs_sector_coeffs(NAN)),
-        ("theta", lambda: fl.svs_sector_coeffs(0.5, NAN)),
-        ("theta", lambda: fl.sfes_sector_coeffs(0.5, NAN)),
-        ("theta", lambda: fl.svs_sector_coeffs(0.5, -INF)),
+        ("theta", lambda: fl.svs_sector_coeffs(0.5, NAN, 8)),
+        ("theta", lambda: fl.sfes_sector_coeffs(0.5, NAN, 8)),
+        ("theta", lambda: fl.svs_sector_coeffs(0.5, -INF, 8)),
     ],
     ids=[
         "coherent-nan", "coherent-inf", "kerr", "ecs", "ocs",

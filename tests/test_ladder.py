@@ -377,6 +377,35 @@ def test_structure_fn_equals_applied_route(family, params, dim):
         assert t.structure_fn(n) == _applied_F(t.lowering, n)
 
 
+# one family of each kind at dim 1024
+KINDS_AT_1024 = (
+    ("binomial", {"eta": 0.5, "M": 1000}, 1024),
+    ("coherent", {"alpha": 1.0}, 1024),
+    ("new_negative_binomial", {"eta": 0.3, "M": 2}, 1024),
+    ("svs", {"r": 0.8, "theta": 0.5}, 1024),
+    ("pacs", {"alpha": 1.0, "M": 1}, 1024),
+)
+
+
+def test_kinds_at_1024_cover_every_kind():
+    kinds = {fl.FAMILY_SPECS[family].kind for family, _, _ in KINDS_AT_1024}
+    assert kinds == {spec.kind for spec in fl.FAMILY_SPECS.values()}
+
+
+@pytest.mark.parametrize(
+    "family,params,dim",
+    fl.EXTENDED_GRID + KINDS_AT_1024,
+    ids=[row[0] for row in fl.EXTENDED_GRID] + [f"{row[0]}-1024" for row in KINDS_AT_1024],
+)
+def test_structure_table_is_the_per_index_read_bit_for_bit(family, params, dim):
+    t = fl.build_gdo(family, params, dim)
+    per_index = np.array([t.structure_fn(n) for n in range(t.dim)])
+    assert t.structure_table.dtype == per_index.dtype
+    assert t.structure_table.tobytes() == per_index.tobytes()
+    padded = np.concatenate(([0.0], per_index, [0.0]))
+    assert fl.structure_function(t, range(-1, t.dim + 1)).tobytes() == padded.tobytes()
+
+
 def test_every_lowering_is_one_lowering_term():
     # the structure-function table reads one term d(N) a^m with m >= 1
     triples = [fl.build_gdo(*row) for row in fl.EXTENDED_GRID] + [fl.harmonic_gdo(8)]

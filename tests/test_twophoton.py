@@ -20,7 +20,7 @@ import fockladder as fl
 import fockladder.core as core
 import fockladder.twophoton as twophoton
 
-from _oracles import nonzero_diagonals, squeezing_reference, su11_residuals
+from _oracles import dense_expm, nonzero_diagonals, squeezing_reference, su11_residuals
 
 
 def svs_amp(n, r, theta):
@@ -479,9 +479,9 @@ def test_even_odd_coherent_errors():
 @pytest.mark.parametrize(
     "coeffs,state,parity_j",
     [
-        (fl.svs_sector_coeffs(0.8, 0.5), fl.squeezed_vacuum(0.8, 0.5, 128), 0),
+        (fl.svs_sector_coeffs(0.8, 0.5, 128), fl.squeezed_vacuum(0.8, 0.5, 128), 0),
         (
-            fl.sfes_sector_coeffs(0.8, 0.5),
+            fl.sfes_sector_coeffs(0.8, 0.5, 128),
             fl.squeezed_first_excited(0.8, 0.5, 128),
             1,
         ),
@@ -504,14 +504,14 @@ def test_two_photon_ladder_forms(coeffs, state, parity_j):
 
 def test_two_photon_ladder_down_form_converges_with_dim():
     sec = fl.sector_embed(fl.squeezed_vacuum(0.8, 0.5, 192))
-    _, down = fl.two_photon_ladder(fl.svs_sector_coeffs(0.8, 0.5), 0, sec.dim)
+    _, down = fl.two_photon_ladder(fl.svs_sector_coeffs(0.8, 0.5, 192), 0, sec.dim)
     report = fl.verify_eigen_relation(down, sec, 0.0)
     assert report.checks[0].residual < 1e-10
 
 
 def test_two_photon_gdo_axioms_and_structure_fn():
     r = 0.8
-    t = fl.two_photon_gdo(fl.svs_sector_coeffs(r, 0.5), 0, 32)
+    t = fl.two_photon_gdo(fl.svs_sector_coeffs(r, 0.5, 64), 0, 32)
     report = fl.verify_gdo_axioms(t, family="squeezed_vacuum")
     assert report.passed, [c.name for c in report.failed_checks()]
     assert t.structure_fn(0) == 0.0
@@ -619,26 +619,53 @@ def test_disentangling_exponentiates_one_sector_block(monkeypatch, j):
     calls = []
     expm = twophoton.expm
 
-    def recording(a, v):
-        calls.append((a.shape, v))
-        return expm(a, v)
+    def recording(v, a_bands):
+        calls.append((v, a_bands))
+        return expm(v, a_bands)
 
     monkeypatch.setattr(twophoton, "expm", recording)
     assert fl.verify_disentangling(0.8, 0.5, 512, excitation=j).passed
     assert len(calls) == 1
-    (rows, cols), v = calls[0]
-    assert rows <= 256 and cols <= 256
+    v, a_bands = calls[0]
+    rows = len(v)
+    assert rows <= 256
     assert np.array_equal(v, np.eye(rows)[0])
+    # the sector block arrives as its bands, never as an n x n array
+    assert list(a_bands) == [-1]
+    assert all(band.shape == (rows - 1,) for band in a_bands.values())
+
+
+def _random_lower_bands(rng, n):
+    """Four random complex bands strictly below the diagonal of an n x n
+    matrix, the outermost one included (none at n = 1)."""
+    if n == 1:
+        return {}
+    offsets = {-1, -(n - 1), *rng.integers(-(n - 1), 0, size=2).tolist()}
+    return {
+        d: rng.standard_normal(n + d) + 1j * rng.standard_normal(n + d)
+        for d in sorted(offsets)
+    }
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 128])
 def test_expm_of_a_strictly_lower_triangular_matrix(n):
     rng = np.random.default_rng(n)
-    a = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), -1)
+    bands = _random_lower_bands(rng, n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    expected = scipy_expm(a) @ v
-    error = np.linalg.norm(twophoton.expm(a, v) - expected)
+    expected = scipy_expm(core.band_matrix(bands, n)) @ v
+    error = np.linalg.norm(twophoton.expm(v, bands) - expected)
     assert error <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_expm_of_any_bands_is_the_taylor_polynomial():
+    # a diagonal and an upper band too: the sum stops at degree n - 1, as
+    # the dense sum does
+    rng = np.random.default_rng(5)
+    n = 17
+    bands = {d: rng.standard_normal(n - abs(d)) + 0j for d in (-2, 0, 3)}
+    v = rng.standard_normal(n) + 0j
+    dense = dense_expm(core.band_matrix(bands, n), v)
+    assert np.allclose(twophoton.expm(v, bands), dense, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("sector_dim", [128, 256])
@@ -646,10 +673,26 @@ def test_expm_of_a_strictly_lower_triangular_matrix(n):
 def test_expm_of_the_k_plus_sector_block(sector_dim, j):
     k_plus = fl.to_matrix(twophoton._full_k_ops(2 * sector_dim)[0])[j::2, j::2]
     a = cmath.exp(0.5j) * math.tanh(0.8) * k_plus
+    bands = {-1: a.diagonal(-1).copy()}
+    assert np.array_equal(core.band_matrix(bands, sector_dim), a)  # the whole block
     e0 = np.eye(sector_dim)[0]
     expected = scipy_expm(a)[:, 0]
-    error = np.linalg.norm(twophoton.expm(a, e0) - expected)
+    error = np.linalg.norm(twophoton.expm(e0, bands) - expected)
     assert error <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("sector", [1, 2, 64, 128, 256])
+@pytest.mark.parametrize("j", [0, 1])
+def test_expm_on_the_band_is_the_dense_sum_bit_for_bit(sector, j):
+    # tau in each quadrant: every entry and sign bit of the band route is
+    # the dense matvec sum's
+    k_plus = fl.su11(j, sector).full_bands[0]
+    e0 = np.eye(sector)[0]
+    for theta in (0.5, 2.0, 3.5, 5.0):
+        tau = cmath.exp(1j * theta) * math.tanh(0.8)
+        dense = dense_expm(tau * core.band_matrix(k_plus, sector), e0)
+        banded = twophoton.expm(e0, {d: tau * band for d, band in k_plus.items()})
+        assert banded.tobytes() == dense.tobytes(), theta
 
 
 def _add_stray_k_plus_term(monkeypatch, j):
@@ -767,8 +810,25 @@ def test_disentangling_rejects_before_dense_work(
         fl.verify_disentangling(*args, excitation=excitation)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: fl.su11(1 + 0j, 8), "parity_j must be 0 or 1"),
+        (
+            lambda: fl.verify_disentangling(0.8, 0.5, 128, excitation=1 + 0j),
+            "excitation must be 0 or 1",
+        ),
+    ],
+    ids=["su11", "disentangling"],
+)
+def test_a_complex_parity_is_refused_by_name(call, message):
+    # 1+0j equals 1, but no int reads it
+    with pytest.raises(fl.ParameterError, match=f"^{message}$"):
+        call()
+
+
 def test_sector_coeff_callables_match_states():
-    c = fl.svs_sector_coeffs(0.8, 0.5)
+    c = fl.svs_sector_coeffs(0.8, 0.5, 64)
     s = fl.sector_embed(fl.squeezed_vacuum(0.8, 0.5, 64))
     # coefficients are unnormalized; ratios must match the state exactly
     for n in range(1, 8):
@@ -782,7 +842,7 @@ def test_sector_coeff_callables_match_states():
         fl.ocs_sector_coeffs(0.0)
     for coeffs in (fl.svs_sector_coeffs, fl.sfes_sector_coeffs):
         with pytest.raises(fl.ParameterError, match="r must be nonnegative"):
-            coeffs(-1.0, 0.0)
+            coeffs(-1.0, 0.0, 64)
     assert fl.ecs_sector_coeffs(0.0)(0) == 1.0
 
 

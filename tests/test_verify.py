@@ -149,15 +149,28 @@ RULE_PARITY = (
     ),
     (
         "svs", {"r": -1.0, "theta": 0.5}, 128,
-        lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"]),
+        lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"], dim),
     ),
     (
         "sfes", {"r": 1000.0, "theta": 0.5}, 128,
-        lambda p, dim: fl.sfes_sector_coeffs(p["r"], p["theta"]),
+        lambda p, dim: fl.sfes_sector_coeffs(p["r"], p["theta"], dim),
     ),
     ("ecs", {"alpha": 1e200}, 8, lambda p, dim: fl.ecs_sector_coeffs(p["alpha"])),
     ("ocs", {"alpha": 0.0}, 8, lambda p, dim: fl.ocs_sector_coeffs(p["alpha"])),
     ("pacs", {"alpha": 1.0, "M": 1.5}, 64, None),
+)
+
+# the squeezed routes form e^{i theta n} up to the sector size, 64 levels
+# at dim 128, where theta * 64 overflows
+ANGLE_PARITY = (
+    (
+        "svs", {"r": 0.5, "theta": 1e308}, 128,
+        lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"], dim),
+    ),
+    (
+        "sfes", {"r": 0.5, "theta": 1e308}, 128,
+        lambda p, dim: fl.sfes_sector_coeffs(p["r"], p["theta"], dim),
+    ),
 )
 
 
@@ -167,7 +180,9 @@ def test_rule_parity_covers_every_family_with_a_closed_form():
 
 
 @pytest.mark.parametrize(
-    "family,params,dim,public", RULE_PARITY, ids=[case[0] for case in RULE_PARITY]
+    "family,params,dim,public",
+    RULE_PARITY + ANGLE_PARITY,
+    ids=[case[0] for case in RULE_PARITY] + [f"{case[0]}-theta" for case in ANGLE_PARITY],
 )
 def test_each_closed_form_route_runs_its_own_range_rule(family, params, dim, public):
     calls = [fl.build_state, fl.closed_form_coeffs]
