@@ -18,8 +18,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +50,14 @@ from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import ParameterError, _check_dim
 
 CoeffFn = Callable[[int], complex]
+# Bands as a cache holds them, read-only: every caller shares them
+FrozenBands = Mapping[int, np.ndarray]
+
+
+def _read_only(bands: Bands) -> FrozenBands:
+    for d in bands.values():
+        d.flags.writeable = False
+    return MappingProxyType(bands)
 
 
 class ZeroCoefficientError(ValueError):
@@ -171,7 +181,7 @@ class GdoTriple:
     representation, where F must vanish.  structure_fn reads F one index
     at a time and structure_table holds F on [0, dim) as one float array;
     both read the one pass of f_pass, which a triple with its structure_fn
-    replaced keeps."""
+    replaced keeps.  bands holds the operators' to_bands, read once."""
 
     number_op: OperatorExpr
     lowering: OperatorExpr
@@ -187,6 +197,13 @@ class GdoTriple:
     @property
     def structure_table(self) -> np.ndarray:
         return self.f_pass.table
+
+    @cached_property
+    def bands(self) -> tuple[FrozenBands, ...]:
+        """N, lowering and raising read by to_bands, once per triple,
+        read-only."""
+        ops = (self.number_op, self.lowering, self.raising)
+        return tuple(_read_only(to_bands(op)) for op in ops)
 
 
 class _OperationalF:
@@ -649,7 +666,7 @@ def gdo_axiom_checks(
     su(1,1) battery (core.to_bands, diagonal_matmul, band_max_abs).
     """
     dim = t.dim
-    N, L, R = (to_bands(op) for op in (t.number_op, t.lowering, t.raising))
+    N, L, R = t.bands
     RL, LR = diagonal_matmul(R, L), diagonal_matmul(L, R)
     rl_diag, lr_diag = (P.get(0, np.zeros(dim)).real for P in (RL, LR))
     F = np.append(t.structure_table, 0.0)  # F(dim) = 0 past the truncation

@@ -42,7 +42,8 @@ def _check_eta(eta: float) -> float:
 
 def _check_count(value: int, name: str, minimum: int = 0) -> int:
     try:
-        count = int(value)
+        # a complex, even 4+0j, is no count
+        count = None if isinstance(value, (complex, np.complexfloating)) else int(value)
     except (ValueError, OverflowError):  # NaN, or an infinite float
         count = None
     if count is None or value != count or count < minimum:

@@ -13,12 +13,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
 from .core import (
-    Bands,
     FockState,
     OperatorExpr,
     annihilation,
@@ -38,11 +36,13 @@ from .core import (
 )
 from .ladder import (
     CoeffFn,
+    FrozenBands,
     GdoTriple,
     _coeff_getter,
     _guarded_ratio,
     _raised_triple,
     _ratio_raising_diag,
+    _read_only,
 )
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
@@ -60,8 +60,6 @@ from .states import (
 
 # The largest pairwise infidelity the disentangling checks accept.
 INFIDELITY_TOL = 1e-8
-# Bands as the cache holds them, read-only: every caller shares them
-FrozenBands = Mapping[int, np.ndarray]
 # Sector representations kept by su11's cache, each with the full-space read
 # it has made; one dim-sweep pass asks for 8 of them.
 SU11_CACHE_SIZE = 64
@@ -145,12 +143,6 @@ class Su11Rep:
             )
             for op in _full_k_ops(2 * self.dim + j)
         )
-
-
-def _read_only(bands: Bands) -> FrozenBands:
-    for d in bands.values():
-        d.flags.writeable = False
-    return MappingProxyType(bands)
 
 
 def _check_parity(parity_j: int, name: str = "parity_j") -> int:

@@ -591,6 +591,79 @@ def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:
     return shifted_gdo(coeffs, p["M"], dim)
 
 
+# --- the suite inputs' cache ---
+
+# Suite inputs whose operator data _suite_input keeps; one pass over
+# EXTENDED_GRID and the errata table reads 23 of them.
+SUITE_CACHE_SIZE = 32
+
+
+class _SuiteInput:
+    """The operator data of one suite input (family, params, dim), each
+    part made on its first read and kept: the state, the closed-form route
+    with its memo, and the deformed-oscillator triple at each truncation.
+    Their arrays are read-only.  A part whose builder refuses is not kept,
+    so the next read runs the builder again.  No verdict is kept."""
+
+    def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
+        self.spec, self._params, self._dim = spec, params, dim
+        self._triples: dict[int, GdoTriple] = {}
+
+    @functools.cached_property
+    def state(self) -> FockState:
+        return build_state(self.spec.name, self._params, self._dim)
+
+    @property
+    def dim(self) -> int:
+        return self.state.dim
+
+    @functools.cached_property
+    def p(self) -> Params:
+        # the state has taken the counts, so they read as ints
+        return _int_counts(self._params)
+
+    @functools.cached_property
+    def closed_form(self) -> CoeffFn | None:
+        return closed_form_coeffs(self.spec.name, self.p, self.dim)
+
+    def triple(self, dim: int) -> GdoTriple:
+        """The triple at truncation dim of the family's own basis."""
+        if dim not in self._triples:
+            cf = self.closed_form
+            coeffs = cf if cf is not None else self.state.amplitudes
+            self._triples[dim] = _gdo(self.spec, coeffs, self.p, dim)
+        return self._triples[dim]
+
+
+def _exact(value) -> tuple | None:
+    """value's type and bits, which tell apart equal values that print or
+    compute differently (0.0 and -0.0, 4 and 4.0); None for any other
+    type, such as intermediate's callable f."""
+    kind = type(value)
+    if kind in (float, np.float64):
+        return kind, float.hex(value)
+    if kind in (complex, np.complex128):
+        return kind, float.hex(value.real), float.hex(value.imag)
+    if kind in (int, bool):
+        return kind, value
+    return None
+
+
+def _suite_input(spec: FamilySpec, params: Params, dim: int) -> _SuiteInput:
+    """The input's cached data, or fresh data when a value has no exact key."""
+    exact = [_exact(v) for v in (dim, *params.values())]
+    if None in exact:
+        return _SuiteInput(spec, params, dim)
+    items = tuple(zip(params, exact[1:], params.values()))
+    return _cached_input(spec.name, exact[0], dim, items)
+
+
+@functools.lru_cache(maxsize=SUITE_CACHE_SIZE)
+def _cached_input(family: str, exact_dim: tuple, dim: int, items: tuple) -> _SuiteInput:
+    # the key compares each exact form before its value, which it carries
+    return _SuiteInput(FAMILY_SPECS[family], {k: v for k, _, v in items}, dim)
+
+
 def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     """The family's deformed-oscillator triple at the given truncation."""
     spec = _spec(family)
@@ -725,9 +798,7 @@ def _literal_checks(
 
 
 def _gdo_checks(
-    spec: FamilySpec,
-    coeffs,
-    p: Params,
+    data: _SuiteInput,
     dim: int,
     n_min: int,
     equations: tuple[str, str],
@@ -739,11 +810,9 @@ def _gdo_checks(
     axiom_eq, fn_eq = equations
     # the full-width check comes first, so that a closed form past the
     # float range raises before the battery multiplies its values
-    closed_form = _structure_closed_form_check(
-        _gdo(spec, coeffs, p, dim), expected, fn_eq, tol
-    )
+    closed_form = _structure_closed_form_check(data.triple(dim), expected, fn_eq, tol)
     checks = gdo_axiom_checks(
-        _gdo(spec, coeffs, p, _axiom_dim(dim, n_min)), tol, equation=axiom_eq
+        data.triple(_axiom_dim(dim, n_min)), tol, equation=axiom_eq
     )
     return checks + [closed_form]
 
@@ -751,11 +820,12 @@ def _gdo_checks(
 # --- family suites ---
 
 
-# Each suite continues after the normalization check with the family's
-# state s and its closed-form route cf.
+# Each suite continues after the normalization check with the input's
+# data: the state s, the closed-form route cf and the triples.
 
 
-def _suite_finite(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+def _suite_finite(data: _SuiteInput, tol: Tolerances):
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
     M = p["M"]
     checks = [
         _distribution_check(s, cf, spec.dist_eq, tol),
@@ -774,8 +844,8 @@ def _suite_finite(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
     # (the vacuum) has no such member, so its suite has no step-down checks
     if M > 0:
         reduced = spec.down(p) if spec.down is not None else dict(p, M=M - 1)
-        target = build_state(spec.name, reduced, dim)
-        cf_down = closed_form_coeffs(spec.name, reduced, dim)
+        down = _suite_input(spec, reduced, dim)
+        target, cf_down = down.state, down.closed_form
         c0 = [cf(n) for n in range(dim)]
         c1 = [cf_down(n) for n in range(dim)]
         f_op = step_down_f(c0, c1)
@@ -785,11 +855,12 @@ def _suite_finite(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
             _state_map_check("step-down-g", "E6 E7", g_op, s, target, tol),
             relation_check("step-down-equality", "E8", f_op, g_op, s, tol),
         ]
-    checks += _gdo_checks(spec, cf, p, dim, M, ("E1 E11", "E12"), _finite_F(cf, M), tol)
+    checks += _gdo_checks(data, dim, M, ("E1 E11", "E12"), _finite_F(cf, M), tol)
     return checks
 
 
-def _suite_shifted(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+def _suite_shifted(data: _SuiteInput, tol: Tolerances):
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
     M = p["M"]
     checks = [
         _distribution_check(s, cf, spec.dist_eq, tol),
@@ -811,22 +882,20 @@ def _suite_shifted(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol)
     ]
     checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
 
-    raised = dict(p, M=M + 1)
-    target = build_state(spec.name, raised, dim)
-    cf_up = closed_form_coeffs(spec.name, raised, dim)
+    up = _suite_input(spec, dict(p, M=M + 1), dim)
+    target, cf_up = up.state, up.closed_form
     c0 = [cf(n) for n in range(dim)]
     c1 = [cf_up(n) for n in range(dim)]
     checks += [
         _state_map_check("step-up-f", "E33 E35", step_up_f(c0, c1), s, target, tol),
         _state_map_check("step-up-g", "E34 E36", step_up_g(c0, c1, M), s, target, tol),
     ]
-    checks += _gdo_checks(
-        spec, cf, p, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol
-    )
+    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol)
     return checks
 
 
-def _suite_added(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+def _suite_added(data: _SuiteInput, tol: Tolerances):
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
     M = p["M"]
     base_cf = spec.base(p)
     checks = [
@@ -848,13 +917,12 @@ def _suite_added(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
         ),
     ]
     checks += _literal_checks(spec, p, dim, s, "ladder-eigen-lowering", tol)
-    checks += _gdo_checks(
-        spec, cf, p, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol
-    )
+    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol)
     return checks
 
 
-def _suite_general(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+def _suite_general(data: _SuiteInput, tol: Tolerances):
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
     checks = []
     if cf is not None:
         checks.append(_distribution_check(s, cf, spec.dist_eq, tol))
@@ -867,11 +935,12 @@ def _suite_general(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol)
     ]
     checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
     expected = _raising_F(_coeff_getter(coeffs), 0, dim)
-    checks += _gdo_checks(spec, coeffs, p, dim, 0, ("E1 E54", "E54"), expected, tol)
+    checks += _gdo_checks(data, dim, 0, ("E1 E54", "E54"), expected, tol)
     return checks
 
 
-def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, tol):
+def _suite_two_photon(data: _SuiteInput, tol: Tolerances):
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
     j = spec.sector
     sec = sector_embed(s)
     checks = [_distribution_check(sec, cf, spec.dist_eq, tol)]
@@ -893,7 +962,7 @@ def _suite_two_photon(spec: FamilySpec, p: Params, dim: int, s: FockState, cf, t
     ]
     checks += _literal_checks(spec, p, dim, s, "pair-lowering-eigen", tol)
     checks += _gdo_checks(
-        spec, cf, p, sec.dim, 0, (axiom_eq, "E87"), _raising_F(cf, 0, sec.dim), tol
+        data, sec.dim, 0, (axiom_eq, "E87"), _raising_F(cf, 0, sec.dim), tol
     )
 
     if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
@@ -919,16 +988,13 @@ def run_family_suite(
     """All of the family's checks at one parameter point, consolidated."""
     spec = _spec(family)
     tol = tolerances or Tolerances()
-    p = _require(spec, params)
-    s = build_state(family, p, dim)
-    dim, p = s.dim, _int_counts(p)
-    cf = closed_form_coeffs(family, p, dim)
-    checks = [_norm_check(s, spec.norm_eq, tol)]
-    checks += _SUITES[spec.kind](spec, p, dim, s, cf, tol)
+    data = _suite_input(spec, _require(spec, params), dim)
+    checks = [_norm_check(data.state, spec.norm_eq, tol)]
+    checks += _SUITES[spec.kind](data, tol)
     return VerificationReport(
         family=family,
-        params=_echo_params(family, p),
-        dim=dim,
+        params=_echo_params(family, data.p),
+        dim=data.dim,
         tolerances=tol,
         checks=tuple(checks),
     )
@@ -999,6 +1065,11 @@ def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Param
     return rows
 
 
+def _cached_state(family: str, params: Params, dim: int) -> FockState:
+    """build_state of a registry input, read from the suite inputs' cache."""
+    return _suite_input(FAMILY_SPECS[family], params, dim).state
+
+
 def _printed_ladder_note(
     family: str,
     equation: str,
@@ -1010,7 +1081,7 @@ def _printed_ladder_note(
     derived one, on the family's grid state."""
     spec = FAMILY_SPECS[family]
     params, dim = spec.grid
-    s = build_state(family, params, dim)
+    s = _cached_state(family, params, dim)
     derived, eigenvalue = spec.literal(params, dim)
     return {
         "equation": equation,
@@ -1066,7 +1137,7 @@ def errata_table() -> Params:
 
     # Reciprocal binomial normalization prefactor
     rbs_params, rbs_dim = FAMILY_SPECS["reciprocal_binomial"].grid
-    rbs_state = build_state("reciprocal_binomial", rbs_params, rbs_dim)
+    rbs_state = _cached_state("reciprocal_binomial", rbs_params, rbs_dim)
     Mr = rbs_params["M"]
     inv_sum = sum(1.0 / math.comb(Mr, k) for k in range(Mr + 1))
     printed_prefactor = 1.0 / inv_sum
@@ -1101,8 +1172,8 @@ def errata_table() -> Params:
     sv_params, sv_dim = FAMILY_SPECS["svs"].grid
     lam = _squeeze_eigenvalue(sv_params)
     op = sfes_lowering(sv_dim)
-    svs_state = build_state("svs", sv_params, sv_dim)
-    sfes_state = build_state("sfes", sv_params, sv_dim)
+    svs_state = _cached_state("svs", sv_params, sv_dim)
+    sfes_state = _cached_state("sfes", sv_params, sv_dim)
     res_labeled = eigen_check("sfes-on-svs", "E81", op, svs_state, lam, tol).residual
     res_intended = eigen_check("sfes-on-sfes", "E81", op, sfes_state, lam, tol).residual
     notes.append(

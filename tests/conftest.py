@@ -6,6 +6,7 @@ from hypothesis import settings
 
 import fockladder.core as core
 import fockladder.twophoton as twophoton
+import fockladder.verify as verify
 
 # Derandomized and without an example database, so every run (CI or
 # local) draws the same examples; no deadline, so a slow machine cannot
@@ -15,10 +16,12 @@ settings.load_profile("fockladder")
 
 
 @pytest.fixture(autouse=True)
-def empty_su11_cache():
-    """Each test starts with no cached sector representation, and so with
-    no full-space read made under another test's patch."""
+def empty_caches():
+    """Each test starts with no cached sector representation and no cached
+    suite input, and so with no operator data made under another test's
+    patch."""
     twophoton._su11.cache_clear()
+    verify._cached_input.cache_clear()
 
 
 @pytest.fixture

@@ -818,8 +818,15 @@ def test_disentangling_rejects_before_dense_work(
             lambda: fl.verify_disentangling(0.8, 0.5, 128, excitation=1 + 0j),
             "excitation must be 0 or 1",
         ),
+        # a count is read the same way
+        (lambda: fl.binomial(0.5, 4 + 0j, 12), "M must be a nonnegative integer"),
+        (lambda: fl.coherent(1.0, 64 + 0j), "dim must be an integer >= 1"),
+        (
+            lambda: fl.run_family_suite("binomial", {"eta": 0.5, "M": 4 + 0j}, 12),
+            "M must be a nonnegative integer",
+        ),
     ],
-    ids=["su11", "disentangling"],
+    ids=["su11", "disentangling", "binomial-M", "coherent-dim", "run_family_suite-M"],
 )
 def test_a_complex_parity_is_refused_by_name(call, message):
     # 1+0j equals 1, but no int reads it

@@ -591,3 +591,108 @@ def test_polya_closed_form_refuses_a_vanishing_eta_over_gamma():
     assert fl.build_state("polya", params, 89).dim == 89
     with pytest.raises(fl.ParameterError, match=r"eta=5e-324 and gamma=993471\.7366795965"):
         fl.run_family_suite("polya", params, 89)
+
+
+# --- the suite inputs' cache ---
+
+
+def _suite_bytes(family, params, dim):
+    report = fl.run_family_suite(family, params, dim)
+    return report.to_json(), report.to_csv()
+
+
+@pytest.mark.parametrize(
+    "family,params,dim,key,first,then",
+    [
+        ("reciprocal_binomial", {"M": 4}, 12, "theta", 0.0, -0.0),
+        ("kerr", {"alpha": 1.0 + 0.0j}, 64, "theta", 0.0, -0.0),
+        ("kerr", {"alpha": 1.0 + 0.0j}, 64, "theta", -0.0, 0.0),
+        ("svs", {"r": 0.8}, 128, "theta", 0.0, -0.0),
+        ("svs", {"r": 0.8}, 128, "theta", -0.0, 0.0),
+        ("binomial", {"M": 4}, 12, "eta", 0.5, np.float64(0.5)),
+        ("binomial", {"eta": 0.5}, 12, "M", 4, 4.0),
+    ],
+    ids=["rbs-theta", "kerr-theta", "kerr-theta-back", "svs-theta", "svs-theta-back",
+         "np-float64", "float-M"],
+)
+def test_an_equal_value_of_other_bits_or_type_gets_its_cold_bytes(
+    family, params, dim, key, first, then
+):
+    cold = _suite_bytes(family, {**params, key: then}, dim)
+    fl.verify._cached_input.cache_clear()
+    _suite_bytes(family, {**params, key: first}, dim)
+    misses = fl.verify._cached_input.cache_info().misses
+    assert _suite_bytes(family, {**params, key: then}, dim) == cold
+    assert fl.verify._cached_input.cache_info().misses > misses
+
+
+def test_a_signed_zero_theta_is_named_in_the_step_down_detail():
+    for theta in (0.0, -0.0, 0.0):
+        report = fl.run_family_suite("reciprocal_binomial", {"theta": theta, "M": 4}, 12)
+        (detail,) = (c.detail for c in report.checks if c.name == "step-down-f")
+        assert f"(theta={theta!r}, M=3)" in detail
+
+
+def test_a_callable_f_bypasses_the_suite_cache():
+    params, dim = GRID_BY_FAMILY["intermediate"]
+    assert callable(params["f"])
+    cold = _suite_bytes("intermediate", params, dim)
+    assert _suite_bytes("intermediate", params, dim) == cold
+    assert fl.verify._cached_input.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "family,params,dim",
+    [
+        ("binomial", {"eta": 0.0, "M": 3}, 8),
+        # the state builds, the closed form refuses
+        ("polya", {"eta": 5e-324, "gamma": 993471.7366795965, "M": 82}, 89),
+    ],
+    ids=["state", "closed-form"],
+)
+def test_a_refused_input_raises_again(monkeypatch, family, params, dim):
+    builds = []
+    build_state = fl.verify.build_state
+
+    def counted(*args):
+        builds.append(args)
+        return build_state(*args)
+
+    monkeypatch.setattr(fl.verify, "build_state", counted)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(fl.ParameterError) as refused:
+            fl.run_family_suite(family, params, dim)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    # a refused state is built again; a built one is kept
+    assert len(builds) == (2 if family == "binomial" else 1)
+
+
+def test_the_suite_cache_stays_within_its_bound():
+    size = fl.verify.SUITE_CACHE_SIZE
+    cache = fl.verify._cached_input
+    for k in range(size + 12):
+        fl.run_family_suite("binomial", {"eta": 0.2 + 0.01 * k, "M": 2}, 6)
+        assert cache.cache_info().currsize <= size
+    assert cache.cache_info().maxsize == cache.cache_info().currsize == size
+
+
+CACHED_ROWS = [row for row in fl.EXTENDED_GRID if row[0] != "intermediate"]
+
+
+@pytest.mark.parametrize("family,params,dim", CACHED_ROWS, ids=[r[0] for r in CACHED_ROWS])
+def test_cached_suite_arrays_are_read_only(family, params, dim):
+    fl.run_family_suite(family, params, dim)
+    data = fl.verify._suite_input(fl.FAMILY_SPECS[family], dict(params), dim)
+    arrays = [data.state.amplitudes]
+    for t in data._triples.values():  # full width and the axiom battery's
+        arrays.append(t.structure_table)
+        if "bands" in t.__dict__:  # read by the battery
+            arrays += [d for bands in t.bands for d in bands.values()]
+    assert fl.verify._cached_input.cache_info().hits == 1
+    assert len(arrays) > 3
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
