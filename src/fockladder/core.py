@@ -105,19 +105,20 @@ def _ladder_factors(ns: np.ndarray, k: int) -> np.ndarray:
 def _diag_values(d: DiagFn, ns: list[int], where: str) -> np.ndarray:
     """The diagonal's values at ns as an array; raises where the per-index
     loop would: at the first non-finite value, else with d's own error."""
-    values: list[complex] = []
+    values = []
     exc: Exception | None = None
     try:
         for n in ns:
-            values.append(complex(d(n)))
+            values.append(d(n))
     except Exception as caught:  # the caller's diagonal: raised below, unless
         exc = caught  # a value read before it is not finite
+    # converts each value as complex() does, bit for bit
     arr = np.array(values, dtype=np.complex128)
-    bad = np.flatnonzero(~np.isfinite(arr))
+    bad = (~np.isfinite(arr)).nonzero()[0]
     if bad.size:
         i = int(bad[0])
         raise OperatorEvaluationError(
-            f"diagonal evaluated to {values[i]} at {where} {ns[i]}"
+            f"diagonal evaluated to {complex(values[i])} at {where} {ns[i]}"
         )
     if exc is not None:
         raise exc
@@ -150,7 +151,7 @@ class FockState:
     leak: float = 0.0
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=np.complex128).copy()
+        arr = np.array(self.amplitudes, dtype=np.complex128)
         if arr.ndim != 1 or arr.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"amplitude vector has length {arr.shape}, expected ({self.dim},)"
@@ -160,11 +161,11 @@ class FockState:
         if self.parity not in ("full", "even", "odd"):
             raise ValueError(f"unknown parity {self.parity!r}")
         n_min, n_max = self.support
-        if np.any(arr[:n_min] != 0) or np.any(arr[n_max + 1 :] != 0):
+        if arr[:n_min].any() or arr[n_max + 1 :].any():
             raise ValueError("amplitudes nonzero outside the declared support")
-        if self.parity == "even" and np.any(arr[1::2] != 0):
+        if self.parity == "even" and arr[1::2].any():
             raise ValueError("even-parity state has odd-index amplitudes")
-        if self.parity == "odd" and np.any(arr[0::2] != 0):
+        if self.parity == "odd" and arr[0::2].any():
             raise ValueError("odd-parity state has even-index amplitudes")
 
     @property
@@ -182,12 +183,13 @@ def make_state(
 ) -> FockState:
     """Build a FockState, deriving support (and parity when not given)."""
     arr = np.asarray(amplitudes, dtype=np.complex128)
-    nz = np.nonzero(arr)[0]
+    nz = arr.nonzero()[0]
     support = (int(nz[0]), int(nz[-1])) if nz.size else (0, -1)
     if parity is None:
-        if nz.size and np.all(nz % 2 == 0):
+        odd = nz & 1
+        if nz.size and not odd.any():
             parity = "even"
-        elif nz.size and np.all(nz % 2 == 1):
+        elif nz.size and odd.all():
             parity = "odd"
         else:
             parity = "full"
@@ -373,7 +375,7 @@ def apply(op: OperatorExpr, s: FockState) -> FockState:
         raise DimensionMismatchError(
             f"operator dim {op.domain_dim} does not match state dim {s.dim}"
         )
-    ns = np.flatnonzero(s.amplitudes)
+    ns = s.amplitudes.nonzero()[0]
     out, leak = _band_image(op, ns, s.amplitudes[ns])
     return make_state(
         out,
@@ -395,7 +397,7 @@ def _band_image(
     leak = 0.0
     for k, d in op.terms:
         factors = _ladder_factors(ns, k)
-        live = np.flatnonzero(factors)
+        live = factors.nonzero()[0]
         at = ns[live]
         v = _diag_values(d, at.tolist(), "occupied index")
         a, f = amps[live], factors[live]
@@ -404,7 +406,7 @@ def _band_image(
             (a.real * v.real - a.imag * v.imag) * f,
             (a.real * v.imag + a.imag * v.real) * f,
         )
-        inside = int(np.searchsorted(at, dim - k))
+        inside = int(at.searchsorted(dim - k))
         out[at[:inside] + k] += contrib[:inside]
         for c in contrib[inside:]:  # the few entries past the truncation
             leak += abs(c) ** 2
@@ -441,7 +443,7 @@ def to_bands(op: OperatorExpr) -> Bands:
         factors = _ladder_factors(ns, k)
         if abs(k) >= dim:
             continue  # the shift leaves the truncation from every index
-        at = np.flatnonzero((factors != 0) & (ns + k >= 0) & (ns + k < dim))
+        at = ((factors != 0) & (ns + k >= 0) & (ns + k < dim)).nonzero()[0]
         values = _diag_values(d, at.tolist(), "index")
         f = factors[at]
         band = bands.setdefault(-k, np.zeros(dim - abs(k), dtype=np.complex128))
@@ -502,9 +504,9 @@ def diagonal_matmul(x: Bands, y: Bands) -> Bands:
             at_a, at_b, at_out = lo - max(0, -p), lo + p - max(0, -q), lo - max(0, -s)
             span = hi - lo
             a, b = da[at_a : at_a + span], db[at_b : at_b + span]
-            out[s][at_out : at_out + span] += _complex(
-                a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
-            )
+            into = out[s][at_out : at_out + span]
+            into.real += a.real * b.real - a.imag * b.imag
+            into.imag += a.real * b.imag + a.imag * b.real
     return dict(sorted(out.items()))
 
 
@@ -520,13 +522,13 @@ def band_max_abs(
     n = _band_dim(*bands)
     peaks = [0.0]
     for k in sorted(set().union(*bands)):
-        zeros = np.zeros(n - abs(k))
-        magnitude = np.abs(combine(*(band.get(k, zeros) for band in bands)))
+        operands = (band[k] if k in band else np.zeros(n - abs(k)) for band in bands)
+        magnitude = np.abs(combine(*operands))
         t = -1 if exclude_column is None else exclude_column - max(k, 0)
         if 0 <= t < len(magnitude):
             magnitude[t] = 0.0
         peaks.append(magnitude.max())
-    return float(np.max(peaks))
+    return float(np.array(peaks).max())
 
 
 def commutator_max_abs(a: Bands, x: Bands, sign: float) -> float:

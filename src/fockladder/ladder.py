@@ -567,8 +567,8 @@ def _residual_check(
     if edge_exclude > 0:
         diff[len(diff) - edge_exclude :] = 0.0
     residual = float(np.linalg.norm(diff))
-    worst = int(np.argmax(np.abs(diff))) if len(diff) else 0
-    detail = f"max component {np.abs(diff).max():.3e} at n={worst}"
+    magnitude = np.abs(diff)
+    detail = f"max component {magnitude.max():.3e} at n={int(magnitude.argmax())}"
     if edge_exclude > 0:
         detail += f"; top {edge_exclude} component(s) excluded at the truncation edge"
     return CheckResult.from_residual(
@@ -605,8 +605,20 @@ def relation_check(
     tolerances: Tolerances,
     edge_exclude: int = 0,
 ) -> CheckResult:
-    left = apply(lhs, s)
-    right = apply(rhs, s)
+    return images_check(
+        name, equation, apply(lhs, s), apply(rhs, s), tolerances, edge_exclude
+    )
+
+
+def images_check(
+    name: str,
+    equation: str,
+    left: FockState,
+    right: FockState,
+    tolerances: Tolerances,
+    edge_exclude: int = 0,
+) -> CheckResult:
+    """relation_check on the images left = lhs|s> and right = rhs|s>."""
     diff = left.amplitudes - right.amplitudes
     return _residual_check(
         name, equation, diff, left.leak + right.leak, tolerances, edge_exclude

@@ -138,7 +138,8 @@ class VerificationReport:
             + [f"{k}={v}" for k, v in sorted(self.params.items())]
             + [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
         )
-        lines = ["# " + header] + csv_table(CHECK_COLUMNS, self.as_dict()["checks"])
+        # a check's fields, in order, are CHECK_COLUMNS
+        lines = ["# " + header] + csv_table(CHECK_COLUMNS, map(vars, self.checks))
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
             lines += csv_table(PRINTED_COLUMNS, self.derived_vs_printed)

@@ -4,7 +4,9 @@ Everything here goes through lgamma/log-space routes, deliberately
 different from the running-product and recurrence routes the package
 uses, so agreement is a genuine cross-check rather than a tautology.
 The squeezing reference exponentiates full-space matrices, where the
-package works on one parity sector.  The band references at the end walk
+package works on one parity sector.  The support reference reads a state's occupied indices one entry at a
+time, where make_state asks numpy for them.
+The band references at the end walk
 an operator's terms one index at a time in Python scalars, where the
 package does the arithmetic around each diagonal read as array work, and
 the reference band reader takes diagonals from a dense matrix's entries,
@@ -220,6 +222,22 @@ def nonzero_diagonals(a: np.ndarray) -> dict:
     n = a.shape[0]
     at = np.flatnonzero(a != 0)
     return {int(k): a.diagonal(k) for k in np.unique(at % n - at // n)}
+
+
+def state_support_reference(amplitudes) -> tuple[tuple[int, int], str]:
+    """The support and parity make_state derives, read one entry at a time
+    in Python scalars: an entry counts when it compares unequal to 0, so
+    -0.0 does not and NaN does."""
+    occupied = [n for n, a in enumerate(amplitudes) if complex(a) != 0]
+    if not occupied:
+        return (0, -1), "full"
+    if all(n % 2 == 0 for n in occupied):
+        parity = "even"
+    elif all(n % 2 == 1 for n in occupied):
+        parity = "odd"
+    else:
+        parity = "full"
+    return (occupied[0], occupied[-1]), parity
 
 
 def _ladder_root(n: int, k: int) -> float:

@@ -15,6 +15,7 @@ from _oracles import (
     band_product_reference,
     matrix_reference,
     nonzero_diagonals,
+    state_support_reference,
     structure_fn_reference,
 )
 
@@ -45,6 +46,37 @@ def test_make_state_support_and_parity():
     assert f.parity == "full"
     z = core.make_state([0, 0, 0])
     assert z.support == (0, -1)
+
+
+def _support_cases():
+    rng = np.random.default_rng(26)
+    cases = [
+        np.zeros(5),
+        np.array([0.0, 0.0, 2.5, 0.0]),
+        np.array([-0.0, 1.0, -0.0, 0.0, -0.0]),
+        np.array([complex(-0.0, -0.0), 0.0, 1j, 0.0]),
+        np.array([0.0, math.nan, 0.0, 0.0]),
+        np.array([math.nan, 0.0, 1.0, 0.0, 0.0, 0.0]),
+        np.array([0.0, 1e-320, 0.0, 3 - 4j, 0.0]),
+    ]
+    for dim in (1, 2, 3, 8, 33):
+        for keep in (0.2, 0.5, 1.0):
+            values = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            mask = rng.random(dim) < keep
+            cases += [
+                np.where(mask, values, 0),
+                np.where(mask, values.real, 0),
+                np.where(mask & (np.arange(dim) % 2 == 0), values, 0),
+                np.where(mask & (np.arange(dim) % 2 == 1), values, -0.0),
+            ]
+    return cases
+
+
+def test_make_state_derives_the_reference_support_and_parity():
+    for amplitudes in _support_cases():
+        s = core.make_state(amplitudes)
+        assert (s.support, s.parity) == state_support_reference(amplitudes), amplitudes
+        assert s.amplitudes.tobytes() == amplitudes.astype(complex).tobytes()
 
 
 def test_state_invariant_violations_rejected():
@@ -351,11 +383,64 @@ def test_zero_amplitude_skips_singular_diagonal():
 
 
 def test_nonfinite_diagonal_at_occupied_index_raises():
-    dim = 4
-    op = core.diag_op(lambda n: math.inf if n == 2 else 1.0, dim)
-    s = core.make_state([0, 0, 1, 0])
-    with pytest.raises(core.OperatorEvaluationError, match="index 2"):
-        core.apply(op, s)
+    # a float inf, named by its complex value and its index on both routes
+    op = core.diag_op(lambda n: math.inf if n == 2 else 1.0, 4)
+    for s in (core.make_state([0, 0, 1, 0]), core.make_state([1, 1, 1, 1])):
+        with pytest.raises(core.OperatorEvaluationError) as caught:
+            core.apply(op, s)
+        assert str(caught.value) == "diagonal evaluated to (inf+0j) at occupied index 2"
+    with pytest.raises(core.OperatorEvaluationError) as caught:
+        core.to_bands(op)
+    assert str(caught.value) == "diagonal evaluated to (inf+0j) at index 2"
+
+
+class _DiagonalFault(Exception):
+    pass
+
+
+def test_a_nan_read_before_a_raising_index_is_refused_first():
+    def d(n):
+        if n == 2:
+            raise _DiagonalFault(n)
+        return math.nan if n == 1 else 1.0
+
+    s = core.make_state([1, 1, 1, 1])
+    with pytest.raises(core.OperatorEvaluationError) as caught:
+        core.apply(core.diag_op(d, 4), s)
+    assert str(caught.value) == "diagonal evaluated to (nan+0j) at occupied index 1"
+
+
+def test_a_raise_before_a_nan_propagates_the_diagonals_own_error():
+    def d(n):
+        if n == 1:
+            raise _DiagonalFault(n)
+        return math.nan if n == 2 else 1.0
+
+    s = core.make_state([1, 1, 1, 1])
+    with pytest.raises(_DiagonalFault):
+        core.apply(core.diag_op(d, 4), s)
+    with pytest.raises(_DiagonalFault):
+        core.to_bands(core.diag_op(d, 4))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        int,
+        float,
+        np.float64,
+        complex,
+        lambda x: complex(x, -x / 3),
+        lambda x: 2**60 + 2**x,  # ints past 2**53 round as float(int) does
+        lambda x: -0.0 * x,
+    ],
+)
+def test_diagonal_values_convert_as_complex_does_per_read(kind):
+    ns = list(range(0, 40, 3))
+    values = core._diag_values(lambda n: kind(n - 7), ns, "index")
+    wanted = np.array([complex(kind(n - 7)) for n in ns], dtype=np.complex128)
+    assert values.dtype == np.complex128
+    assert values.tobytes() == wanted.tobytes()
 
 
 def test_dimension_mismatch_rejected():

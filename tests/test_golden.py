@@ -5,6 +5,8 @@ library.json (rewritten by its regenerate.py)."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import fockladder.verify as verify
 from golden.regenerate import (
@@ -34,6 +36,21 @@ def _differences(now: dict, then: dict) -> list[str]:
             diffs.append(f"{family} checks")
         diffs += [f"{family} {key}" for key in hashes if new[key] != old[key]]
     return diffs
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_ci_pins_the_versions_that_made_the_golden_records():
+    # the one CI job under which the hashes are compared: a regeneration
+    # under other versions must move its pin too
+    job = re.search(r"\n  golden-versions:\n(.*?)(?=\n  \S|\Z)", WORKFLOW.read_text(), re.S)
+    assert job is not None
+    python = re.findall(r'python-version: "([\d.]+)"', job.group(1))
+    numpy = re.findall(r'"numpy==([\d.]+)"', job.group(1))
+    for path in (GOLDEN, DIM_SWEEP, LIBRARY):
+        made = json.loads(path.read_text())
+        assert (python, numpy) == ([made["python"]], [made["numpy"]]), path.name
 
 
 def test_grid_reports_and_errata_match_the_golden_record():

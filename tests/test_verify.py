@@ -696,3 +696,49 @@ def test_cached_suite_arrays_are_read_only(family, params, dim):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
+
+
+def _nudged_step_map(route):
+    # the image entry at n = 2 moves by 1e-6 (c0[2] is the state's own
+    # amplitude there, up to rounding)
+    def nudged(c0, *args):
+        op = route(c0, *args)
+        nudge = fl.core.diag_op(lambda n: 1e-6 / c0[2] if n == 2 else 0.0, op.domain_dim)
+        return fl.core.add(op, nudge)
+
+    return nudged
+
+
+@pytest.mark.parametrize("mutated,kept", [("g", "f"), ("f", "g")])
+def test_a_nudged_step_map_fails_its_check_and_the_equality(monkeypatch, mutated, kept):
+    name = f"step_down_{mutated}"
+    monkeypatch.setattr(fl.verify, name, _nudged_step_map(getattr(fl.verify, name)))
+    fl.verify._cached_input.cache_clear()
+    params, dim = GRID_BY_FAMILY["binomial"]
+    verdicts = {c.name: c.passed for c in fl.run_family_suite("binomial", params, dim).checks}
+    assert verdicts.pop(f"step-down-{mutated}") is False
+    assert verdicts.pop("step-down-equality") is False
+    assert verdicts.pop(f"step-down-{kept}") is True
+    assert all(verdicts.values()), verdicts
+
+
+def test_a_finite_suite_applies_each_step_map_once(monkeypatch):
+    step_maps, applied = [], []
+    for name in ("step_down_f", "step_down_g"):
+
+        def recorded(*args, route=getattr(fl.verify, name)):
+            step_maps.append(route(*args))
+            return step_maps[-1]
+
+        monkeypatch.setattr(fl.verify, name, recorded)
+    for module in (fl.verify, fl.ladder):
+
+        def counted(op, s, route=module.apply):
+            applied.append(op)
+            return route(op, s)
+
+        monkeypatch.setattr(module, "apply", counted)
+    params, dim = GRID_BY_FAMILY["binomial"]
+    assert fl.run_family_suite("binomial", params, dim).passed
+    assert len(step_maps) == 2
+    assert [sum(op is step_map for op in applied) for step_map in step_maps] == [1, 1]
