@@ -15,24 +15,31 @@ read the terms: apply, whose pass also gives the structure-function
 table, and to_bands, the dense oracle in band form that to_matrix places
 into a matrix:
 
-- Lazy, numerator-first reads.  A diagonal is a Python callable, called
-  once per contributing integer index, and only where the ladder factor
-  (and, for apply, the incoming amplitude) is nonzero; expressions like
-  (M - N) or 1/sqrt(N + 1) are therefore exact at integer arguments and
-  never see an index outside their domain.
-- Exact ladder factors.  Each is math.sqrt of the exact integer
+- Array reads on the live indices.  Every diagonal the package builds
+  has an array form (_ArrayDiag), read once per term at exactly the
+  integer indices where the ladder factor (and, for apply, the incoming
+  amplitude) is nonzero.  A composite reads its inner diagonals only
+  there, and a coefficient ratio reads its denominator only where its
+  numerator is nonzero, so expressions like (M - N) or 1/sqrt(N + 1) are
+  exact at integer arguments and never see an index outside their
+  domain.  A callable from outside the package is read one index at a
+  time, inside a composite too; so is a term whose array read meets a
+  fault, so the first fault in ascending index order raises, with the
+  error its formula raises there.
+- Exact ladder factors.  Each is the square root of the exact integer
   product, formed in float64 while it stays below 2**53 and in Python
   ints past that, so perfect squares come out exact and a product past
   the float range raises OverflowError.  compose roots the
   normal-ordering ratio of such products, an exact integer square, and
   forms it only for opposing shifts: for shifts of one sign it is 1.
-- Complex products from real parts.  Everything around the diagonal
-  reads is numpy array work, but a complex x complex product is formed
-  as ar*vr - ai*vi and ar*vi + ai*vr, each part rounded on its own as in
-  Python's and numpy's scalar products; numpy's complex ufunc may fuse
-  them (FMA) and round differently.  complex x float products are exact
-  per part either way.  diagonal_matmul, which multiplies bands, forms
-  its products the same way.
+- Complex arithmetic from real parts, as CPython 3.10-3.13 forms it per
+  index (_mul, _div; tests/test_complex_arithmetic.py pins CPython to
+  these formulas).  A float64 array holds Python floats, a complex128
+  array Python complexes.  A complex product is ar*br - ai*bi and
+  ar*bi + ai*br, each part rounded on its own, where numpy's complex
+  ufunc may fuse them (FMA); a real times or over a complex reads it as
+  x + 0j; a quotient is CPython's _Py_c_quot.  diagonal_matmul, which
+  multiplies bands, forms its products the same way.
 """
 
 from __future__ import annotations
@@ -54,20 +61,17 @@ class OperatorEvaluationError(ValueError):
     """A diagonal evaluated to a non-finite value at an occupied index."""
 
 
-def _ladder_prod(n: int, k: int) -> int:
+def _ladder_prod(n, k: int):
     """Squared ladder factor of a^k (k<0) or a†^k (k>0) on |n>, as an
-    exact integer (0 when the shift annihilates the index)."""
-    if k >= 0:
-        prod = 1
-        for i in range(1, k + 1):
-            prod *= n + i
-    else:
-        m = -k
-        if n < m:
-            return 0
-        prod = 1
-        for i in range(m):
-            prod *= n - i
+    exact integer (0 when the shift annihilates the index); for an array
+    of nonnegative integers, the array of them, exact for Python ints and
+    for floats while the products stay below 2**53."""
+    m = abs(k)
+    if k < 0 and isinstance(n, int) and n < m:
+        return 0
+    prod = np.ones_like(n) if isinstance(n, np.ndarray) else 1
+    for i in range(m):
+        prod = prod * (n + (i + 1) if k > 0 else n - i)
     return prod
 
 
@@ -93,22 +97,79 @@ def _ladder_factors(ns: np.ndarray, k: int) -> np.ndarray:
     m = abs(k)
     if len(ns) == 0 or (int(ns[-1]) + m) ** m >= _EXACT_FLOAT_INT:
         return np.array([ladder_factor(n, k) for n in ns.tolist()], dtype=float)
-    x = ns.astype(float)
-    prod = np.ones(len(ns))
-    for i in range(m):
-        prod *= (x + (i + 1)) if k > 0 else (x - i)
-    if k < 0:
-        prod[ns < m] = 0.0  # the shift annihilates these indices
-    return np.sqrt(prod)
+    return np.sqrt(_ladder_prod(ns.astype(float), k))
 
 
-def _diag_values(d: DiagFn, ns: list[int], where: str) -> np.ndarray:
-    """The diagonal's values at ns as an array; raises where the per-index
-    loop would: at the first non-finite value, else with d's own error."""
+class _ArrayDiag:
+    """A diagonal in array form: values(ns) gives it at the ascending int
+    array ns, typed as the per-index values are (float64 or int for reals,
+    complex128 for complexes).  Called with one index it is the per-index
+    diagonal, a Python scalar, raising what its formula raises there."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Callable[[np.ndarray], np.ndarray]) -> None:
+        self.values = values
+
+    def __call__(self, n: int) -> complex:
+        with np.errstate(all="ignore"):  # as Python's float arithmetic
+            return self.values(np.array([n])).item()
+
+
+def _array_diag(fn, lo: int | None = None, hi: int | None = None) -> _ArrayDiag:
+    """The diagonal that is fn on the indices in [lo, hi) (an end None is
+    open) and 0.0 at the rest: fn reads only those indices."""
+    if lo is None and hi is None:
+        return _ArrayDiag(fn)
+
+    def values(ns: np.ndarray) -> np.ndarray:
+        if len(ns) and (lo is None or ns[0] >= lo) and (hi is None or ns[-1] < hi):
+            return fn(ns)
+        i = 0 if lo is None else int(ns.searchsorted(lo))
+        j = len(ns) if hi is None else int(ns.searchsorted(hi))
+        if i >= j:
+            return np.zeros(len(ns))
+        inside = fn(ns[i:j])
+        out = np.zeros(len(ns), dtype=inside.dtype)
+        out[i:j] = inside
+        return out
+
+    return _ArrayDiag(values)
+
+
+def _read(d: DiagFn, ns: np.ndarray) -> np.ndarray:
+    """d at the ascending indices ns, as its array form gives them; a
+    callable from outside the package is called once per index, and its
+    values kept as a float64 array when none is complex."""
+    if isinstance(d, _ArrayDiag):
+        return d.values(ns)
+    values = [d(n) for n in ns.tolist()]
+    arr = np.array(values)
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float)
+    if arr.dtype.kind != "c":  # such as ints past int64
+        arr = np.array(values, dtype=np.complex128)  # converts as complex() does
+    return arr.astype(np.complex128, copy=False)
+
+
+def _diag_values(d: DiagFn, ns, where: str) -> np.ndarray:
+    """The diagonal's values at the ascending indices ns as a complex128
+    array.  An array form is read once; a callable from outside the
+    package, or an array form that meets a fault, is read one index at a
+    time and raises where that loop raises: at the first non-finite value,
+    else with the diagonal's own error."""
+    if isinstance(d, _ArrayDiag) and len(ns):
+        try:
+            with np.errstate(all="ignore"):  # as Python's float arithmetic
+                arr = np.asarray(d.values(np.asarray(ns)), dtype=np.complex128)
+            if np.isfinite(arr).all():
+                return arr
+        except Exception:  # re-read below, where the first fault raises
+            pass
     values = []
     exc: Exception | None = None
     try:
-        for n in ns:
+        for n in np.asarray(ns).tolist():
             values.append(d(n))
     except Exception as caught:  # the caller's diagonal: raised below, unless
         exc = caught  # a value read before it is not finite
@@ -125,8 +186,63 @@ def _diag_values(d: DiagFn, ns: list[int], where: str) -> np.ndarray:
     return arr
 
 
+def _is_complex(x) -> bool:
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind == "c"
+    return isinstance(x, complex)
+
+
+def _mul(x, y):
+    """x * y entrywise as Python forms it per index (see the module
+    docstring); x and y are arrays or Python scalars, at least one an
+    array."""
+    if not _is_complex(x):
+        if not _is_complex(y):
+            return x * y
+        x, y = y, x  # each part's sum and products commute
+    if _is_complex(y):
+        return _complex(x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real)
+    return _complex(x.real * y - x.imag * 0.0, x.real * 0.0 + x.imag * y)
+
+
+def _div(x, y):
+    """x / y entrywise as Python forms it per index: float division, or
+    CPython's _Py_c_quot once either side is complex (see the module
+    docstring).  A zero divisor raises what Python raises at the first."""
+    if isinstance(y, np.ndarray) and not y.all():
+        at = int((y == 0).argmax())
+        x = x[at].item() if isinstance(x, np.ndarray) else x
+        return x / y[at].item()  # raises ZeroDivisionError
+    if not _is_complex(y):
+        if not _is_complex(x):
+            return x / y
+        # y + 0j: |y| >= 0 picks the first branch below, and its denominator
+        # y + 0 * (0 / y) is y itself (a NaN y gives NaN either way)
+        ar, ai, ratio = x.real, x.imag, 0.0 / y
+        return _complex((ar + ai * ratio) / y, (ai - ar * ratio) / y)
+    ar, ai = np.real(x), np.imag(x)
+    br, bi = y.real, y.imag
+    abs_re, abs_im = abs(br), abs(bi)
+    by_re = abs_re >= abs_im
+    if by_re.all():
+        ratio = bi / br
+        denom = br + bi * ratio
+        return _complex((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    by_im = abs_im >= abs_re
+    if by_im.all():
+        ratio = br / bi
+        denom = br * ratio + bi
+        return _complex((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    lost = ~(by_re | by_im)  # a NaN part: neither branch holds
+    return _complex(np.where(lost, math.nan, re), np.where(lost, math.nan, im))
+
+
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(len(re), dtype=np.complex128)
+    out = np.empty(np.shape(re), dtype=np.complex128)
     out.real, out.imag = re, im
     return out
 
@@ -234,8 +350,7 @@ class OperatorExpr:
         return max((abs(k) for k, _ in self.terms), default=0)
 
 
-def _one(_: int) -> complex:
-    return 1.0
+_one = _array_diag(lambda ns: np.ones(len(ns)))
 
 
 def _merge_terms(
@@ -255,10 +370,13 @@ def _merge_terms(
 
 
 def _sum_diag(fns: tuple[DiagFn, ...]) -> DiagFn:
-    def d(n: int) -> complex:
-        return sum((f(n) for f in fns), 0j)
+    def d(ns: np.ndarray) -> np.ndarray:
+        total = np.zeros(len(ns), dtype=np.complex128)  # 0j + f(n) + ...
+        for f in fns:
+            total = total + _read(f, ns)
+        return total
 
-    return d
+    return _array_diag(d)
 
 
 def operator(terms: Sequence[tuple[int, DiagFn]], dim: int) -> OperatorExpr:
@@ -278,12 +396,12 @@ def diag_op(fn: DiagFn, dim: int) -> OperatorExpr:
 
 
 def number_op(dim: int) -> OperatorExpr:
-    return diag_op(lambda n: complex(n), dim)
+    return diag_op(_array_diag(lambda ns: ns.astype(np.complex128)), dim)
 
 
 def scale(op: OperatorExpr, c: complex) -> OperatorExpr:
     def scaled(d: DiagFn) -> DiagFn:
-        return lambda n: c * d(n)
+        return _array_diag(lambda ns: _mul(c, _read(d, ns)))
 
     return operator([(k, scaled(d)) for k, d in op.terms], op.domain_dim)
 
@@ -305,36 +423,32 @@ def _check_dims(x: OperatorExpr, y: OperatorExpr) -> None:
 
 
 def _composed_diag(k1: int, d1: DiagFn, k2: int, d2: DiagFn) -> DiagFn:
-    # Ladder numerators first: when the inner shifts annihilate the index
-    # the term is zero and neither diagonal is evaluated, so composed
-    # expressions never divide by a vanished ladder factor.
+    # Ladder numerators first: where the inner shifts annihilate the index
+    # the term is zero and neither diagonal is read, so composed
+    # expressions never divide by a vanished ladder factor.  On n >= 0 the
+    # inner ladder product L(n, k2) L(n + k2, k1) vanishes exactly below
+    # max(0, -min(k2, k)), so the live indices are a suffix of ns.
     k = k1 + k2
+    live = max(0, -min(k2, k))
 
     if k1 * k2 >= 0:
         # the shifts share a sign (or one is diagonal): the numerator is the
         # ladder product of the whole shift, so the ratio is exactly 1 and
-        # is not formed.  That product vanishes only where a lowering shift
-        # passes the vacuum: every caller asks for indices n >= 0, so
-        # n < -k is the exact test
-        def d_same_sign(n: int) -> complex:
-            if n < -k:
-                return 0.0
-            return d1(n + k2) * d2(n)
-
-        return d_same_sign
+        # is not formed
+        return _array_diag(lambda ns: _mul(_read(d1, ns + k2), _read(d2, ns)), lo=live)
 
     # Opposing shifts: the ratio of squared ladder products is an
     # integer-valued polynomial of n (the normal-ordering factor), so it is
-    # computed in exact integer arithmetic and rooted once.  It is always
-    # an exact integer square, that of the ladder factors the two shifts
-    # have in common.
-    def d(n: int) -> complex:
-        num = _ladder_prod(n, k2) * _ladder_prod(n + k2, k1)
-        if num == 0:
-            return 0.0
-        return d1(n + k2) * d2(n) * math.sqrt(num // _ladder_prod(n, k))
+    # computed in exact integer arithmetic (Python ints) and rooted once.
+    # It is always an exact integer square, that of the ladder factors the
+    # two shifts have in common.
+    def d(ns: np.ndarray) -> np.ndarray:
+        product = _mul(_read(d1, ns + k2), _read(d2, ns))
+        x = ns.astype(object)
+        ratio = _ladder_prod(x, k2) * _ladder_prod(x + k2, k1) // _ladder_prod(x, k)
+        return _mul(product, np.sqrt(ratio.astype(float)))
 
-    return d
+    return _array_diag(d, lo=live)
 
 
 def compose(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
@@ -354,7 +468,7 @@ def adjoint(x: OperatorExpr) -> OperatorExpr:
     # adjoint carries the conjugate to the reversed shift, and the ladder
     # factors match exactly: L(m, -k) at m = n + k equals L(n, k).
     def flipped(k: int, d: DiagFn) -> DiagFn:
-        return lambda m: complex(d(m - k)).conjugate()
+        return _array_diag(lambda m: np.conj(np.asarray(_read(d, m - k), dtype=np.complex128)))
 
     return operator([(-k, flipped(k, d)) for k, d in x.terms], x.domain_dim)
 
@@ -396,16 +510,17 @@ def _band_image(
     out = np.zeros(dim, dtype=np.complex128)
     leak = 0.0
     for k, d in op.terms:
-        factors = _ladder_factors(ns, k)
-        live = factors.nonzero()[0]
-        at = ns[live]
-        v = _diag_values(d, at.tolist(), "occupied index")
-        a, f = amps[live], factors[live]
+        if k:
+            factors = _ladder_factors(ns, k)
+            live = factors.nonzero()[0]
+            at, a, f = ns[live], amps[live], factors[live]
+        else:  # every factor is 1, and a product by 1.0 is exact
+            at, a, f = ns, amps, None
+        v = _diag_values(d, at, "occupied index")
         # amp * d(n) from real parts (see the module docstring), then * factor
-        contrib = _complex(
-            (a.real * v.real - a.imag * v.imag) * f,
-            (a.real * v.imag + a.imag * v.real) * f,
-        )
+        re = a.real * v.real - a.imag * v.imag
+        im = a.real * v.imag + a.imag * v.real
+        contrib = _complex(re, im) if f is None else _complex(re * f, im * f)
         inside = int(at.searchsorted(dim - k))
         out[at[:inside] + k] += contrib[:inside]
         for c in contrib[inside:]:  # the few entries past the truncation
@@ -440,11 +555,11 @@ def to_bands(op: OperatorExpr) -> Bands:
     ns = np.arange(dim)
     bands: Bands = {}
     for k, d in op.terms:
-        factors = _ladder_factors(ns, k)
         if abs(k) >= dim:
             continue  # the shift leaves the truncation from every index
+        factors = _ladder_factors(ns, k)
         at = ((factors != 0) & (ns + k >= 0) & (ns + k < dim)).nonzero()[0]
-        values = _diag_values(d, at.tolist(), "index")
+        values = _diag_values(d, at, "index")
         f = factors[at]
         band = bands.setdefault(-k, np.zeros(dim - abs(k), dtype=np.complex128))
         with np.errstate(over="ignore"):  # as Python's float products

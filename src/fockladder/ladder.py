@@ -31,7 +31,12 @@ from .core import (
     DiagFn,
     FockState,
     OperatorExpr,
+    _ArrayDiag,
+    _array_diag,
     _band_image,
+    _div,
+    _mul,
+    _read,
     add,
     annihilation,
     adjoint,
@@ -64,30 +69,64 @@ class ZeroCoefficientError(ValueError):
     """A coefficient that a ladder diagonal must divide by is zero."""
 
 
+class _CoeffTable(_ArrayDiag):
+    """A coefficient sequence as a diagonal: 0.0 outside its range, since
+    the builders also read C(dim).  Its array form gathers from the table,
+    and one index reads the table itself."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, coeffs: Sequence[complex]) -> None:
+        self.table = [complex(v) for v in coeffs]
+        values = np.array(self.table, dtype=np.complex128)
+        super().__init__(_array_diag(lambda ns: values[ns], lo=0, hi=len(values)).values)
+
+    def __call__(self, n: int) -> complex:
+        return self.table[n] if 0 <= n < len(self.table) else 0.0
+
+
 def _coeff_getter(coeffs: Sequence[complex] | CoeffFn) -> CoeffFn:
-    """The coefficient accessor.  A callable is read as given and only at
-    n >= 0, where every builder's index rule and _guarded_ratio keep it
-    (the closed-form routes return Python floats or complexes); a sequence
-    reads 0 outside its range, since the builders also read C(dim)."""
-    if callable(coeffs):
-        return coeffs
-    values = [complex(v) for v in coeffs]
-
-    def from_seq(n: int) -> complex:
-        return values[n] if 0 <= n < len(values) else 0.0
-
-    return from_seq
+    """The coefficient accessor.  A callable is read as given, one index
+    at a time and only at n >= 0, where every builder's index rule and
+    _guarded_ratio keep it (the closed-form routes return Python floats or
+    complexes); a sequence becomes a _CoeffTable."""
+    return coeffs if callable(coeffs) else _CoeffTable(coeffs)
 
 
-def _guarded_ratio(num: complex, c: CoeffFn, den_index: int) -> complex:
-    """num / C(den_index) with the numerator-first rule: a vanishing
-    numerator wins before the denominator coefficient is inspected."""
-    if num == 0:
-        return 0.0
-    den = c(den_index)
-    if den == 0:
-        raise ZeroCoefficientError(f"coefficient C({den_index}) = 0")
-    return num / den
+def _guarded_ratio(
+    num: np.ndarray, c: CoeffFn, den_at: np.ndarray, den: np.ndarray | None = None
+) -> np.ndarray:
+    """num / C(den_at) entry by entry with the numerator-first rule: 0.0
+    where num vanishes, and C read only at the other entries (den, when
+    given, holds C at den_at); a zero there raises ZeroCoefficientError
+    naming the first such index."""
+    if not num.all():
+        live = num.nonzero()[0]
+        ratio = _guarded_ratio(num[live], c, den_at[live], None if den is None else den[live])
+        out = np.zeros(len(num), dtype=ratio.dtype)
+        out[live] = ratio
+        return out
+    if den is None:
+        den = _read(c, den_at)
+    if not den.all():
+        raise ZeroCoefficientError(f"coefficient C({den_at[(den == 0).argmax()]}) = 0")
+    return _div(num, den)
+
+
+def _adjacent_ratio(c: CoeffFn, t: np.ndarray, s: int, factor=None) -> np.ndarray:
+    """factor C(t) / C(t + s), s = 1 or -1, at the ascending indices t,
+    numerator first.  Over a contiguous t, C(t + s) is C(t) moved by one
+    place: C is read once, and past the end of t only where the
+    numerator there is nonzero."""
+    ct = _read(c, t)
+    num = ct if factor is None else _mul(factor, ct)
+    if len(t) > 1 and t[-1] - t[0] == len(t) - 1:
+        end = -1 if s > 0 else 0
+        edge = _read(c, t[end:][:1] + s) if num[end] != 0 else np.zeros(1, ct.dtype)
+        if edge.dtype == ct.dtype:  # else each read keeps its own type
+            den = np.concatenate((ct[1:], edge) if s > 0 else (edge, ct[:-1]))
+            return _guarded_ratio(num, c, t + s, den)
+    return _guarded_ratio(num, c, t + s)
 
 
 def _coeffs_and_dim(
@@ -115,11 +154,7 @@ def _raising_form(d: DiagFn, dim: int) -> OperatorExpr:
 def _ratio_raising_diag(c: CoeffFn) -> DiagFn:
     """[C(N)/C(N-1)] sqrt(N), zero at N = 0: the diagonal of the raising
     operator that C generates."""
-
-    def d(t: int) -> complex:
-        return _guarded_ratio(c(t), c, t - 1) * math.sqrt(t) if t >= 1 else 0.0
-
-    return d
+    return _array_diag(lambda t: _mul(_adjacent_ratio(c, t, -1), np.sqrt(t)), lo=1)
 
 
 def ladder_lowering_finite(
@@ -130,12 +165,10 @@ def ladder_lowering_finite(
     (number_op + this)|state> = M|state>."""
     c, dim = _coeffs_and_dim(coeffs, dim)
 
-    def d(t: int) -> complex:
-        if t >= M:
-            return 0.0
-        return _guarded_ratio((M - t) * c(t), c, t + 1) / math.sqrt(t + 1)
+    def d(t: np.ndarray) -> np.ndarray:
+        return _div(_adjacent_ratio(c, t, 1, M - t), np.sqrt(t + 1))
 
-    return _lowering_form(d, dim)
+    return _lowering_form(_array_diag(d, hi=M), dim)
 
 
 def ladder_raising_shifted(
@@ -146,12 +179,10 @@ def ladder_raising_shifted(
     (number_op - this)|state> = M|state>."""
     c, dim = _coeffs_and_dim(coeffs, dim)
 
-    def d(t: int) -> complex:
-        if t <= M:
-            return 0.0
-        return _guarded_ratio((t - M) * c(t), c, t - 1) / math.sqrt(t)
+    def d(t: np.ndarray) -> np.ndarray:
+        return _div(_adjacent_ratio(c, t, -1, t - M), np.sqrt(t))
 
-    return _raising_form(d, dim)
+    return _raising_form(_array_diag(d, lo=M + 1), dim)
 
 
 def ladder_general(
@@ -167,7 +198,8 @@ def ladder_general(
     c, dim = _coeffs_and_dim(coeffs, dim)
     ratio = _ratio_raising_diag(c)
     raising_form = sub(number_op(dim), _raising_form(ratio, dim))
-    lowering_form = sub(annihilation(dim), diag_op(lambda n: ratio(n + 1), dim))
+    ratio_above = _array_diag(lambda n: _read(ratio, n + 1))
+    lowering_form = sub(annihilation(dim), diag_op(ratio_above, dim))
     return raising_form, lowering_form
 
 
@@ -309,13 +341,11 @@ def _step_f(
     c0 = _coeff_getter(coeffs_from)
     c1 = _coeff_getter(coeffs_to)
 
-    def d(t: int) -> complex:
-        if t - k < 0:
-            return 0.0
-        return _guarded_ratio(c1(t), c0, t - k) / math.sqrt(max(t, t - k))
+    def d(t: np.ndarray) -> np.ndarray:
+        return _div(_guarded_ratio(_read(c1, t), c0, t - k), np.sqrt(t + max(0, -k)))
 
     form = _lowering_form if k < 0 else _raising_form
-    return form(d, len(coeffs_from))
+    return form(_array_diag(d, lo=k), len(coeffs_from))
 
 
 def _step_g(
@@ -326,12 +356,11 @@ def _step_g(
     inside g exists."""
     c0 = _coeff_getter(coeffs_from)
     c1 = _coeff_getter(coeffs_to)
-
-    def d(n: int) -> complex:
-        if (n - M) * k < 1:
-            return 0.0
-        return _guarded_ratio(c1(n), c0, n)
-
+    d = _array_diag(
+        lambda n: _guarded_ratio(_read(c1, n), c0, n),
+        lo=M + 1 if k > 0 else None,
+        hi=M if k < 0 else None,
+    )
     return diag_op(d, len(coeffs_from))
 
 
@@ -374,28 +403,35 @@ def step_up_g(
 # shift and forced to zero outside the family's natural index range.
 
 
-def _finite_literal(g: DiagFn, M: int, dim: int) -> OperatorExpr:
-    """N + g(N) a for a state supported on [0, M]: g is forced to zero at
-    t >= M, where the (t+1)-level it would come from is empty."""
+def _finite_literal(
+    g: Callable[[np.ndarray], np.ndarray], M: int, dim: int
+) -> OperatorExpr:
+    """N + g(N) a for a state supported on [0, M]: g, an array form, is
+    forced to zero at t >= M, where the (t+1)-level it would come from is
+    empty."""
+    return add(number_op(dim), _lowering_form(_array_diag(g, hi=M), dim))
 
-    def d(t: int) -> complex:
-        return g(t) if t < M else 0.0
 
-    return add(number_op(dim), _lowering_form(d, dim))
+def _sqrt(x: np.ndarray) -> np.ndarray:
+    """np.sqrt, which raises as math.sqrt does at the first negative x."""
+    negative = (x < 0).nonzero()[0]
+    if len(negative):
+        math.sqrt(x[negative[0]])  # raises ValueError
+    return np.sqrt(x)
 
 
 def bs_ladder(eta: float, M: int, dim: int) -> OperatorExpr:
     """N + sqrt((1-eta)/eta) sqrt(M-N) a, eigenvalue M."""
     scale = math.sqrt((1.0 - eta) / eta)
-    return _finite_literal(lambda t: scale * math.sqrt(M - t), M, dim)
+    return _finite_literal(lambda t: scale * np.sqrt(M - t), M, dim)
 
 
 def hgs_ladder(L: float, eta: float, M: int, dim: int) -> OperatorExpr:
     """N + sqrt((L(1-eta)-M+N+1)/(L eta-N)) sqrt(M-N) a, eigenvalue M."""
     etabar = 1.0 - eta
 
-    def g(t: int) -> complex:
-        return math.sqrt((L * etabar - M + t + 1) / (L * eta - t)) * math.sqrt(M - t)
+    def g(t: np.ndarray) -> np.ndarray:
+        return _sqrt(_div(L * etabar - M + t + 1, L * eta - t)) * np.sqrt(M - t)
 
     return _finite_literal(g, M, dim)
 
@@ -414,10 +450,9 @@ def ps_ladder(
     sign = -1.0 if variant == "derived" else 1.0
     etabar = 1.0 - eta
 
-    def g(t: int) -> complex:
-        return math.sqrt(
-            (etabar + (M + sign * t - 1) * gamma) / (eta + t * gamma)
-        ) * math.sqrt(M - t)
+    def g(t: np.ndarray) -> np.ndarray:
+        ratio = _div(etabar + (M + sign * t - 1) * gamma, eta + t * gamma)
+        return _sqrt(ratio) * np.sqrt(M - t)
 
     return _finite_literal(g, M, dim)
 
@@ -426,20 +461,20 @@ def rbs_ladder(theta: float, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/(N+1)) e^{-i theta} sqrt(M-N) a, eigenvalue M."""
     phase = complex(math.cos(theta), -math.sin(theta))
     return _finite_literal(
-        lambda t: (M - t) / (t + 1) * phase * math.sqrt(M - t), M, dim
+        lambda t: _mul(_mul((M - t) / (t + 1), phase), np.sqrt(M - t)), M, dim
     )
 
 
 def pbps_ladder(theta_m: float, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/sqrt(N+1)) e^{-i theta_m} a, eigenvalue M."""
     phase = complex(math.cos(theta_m), -math.sin(theta_m))
-    return _finite_literal(lambda t: (M - t) / math.sqrt(t + 1) * phase, M, dim)
+    return _finite_literal(lambda t: _mul((M - t) / np.sqrt(t + 1), phase), M, dim)
 
 
 def ggs_ladder(Y: complex, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/(sqrt(Y) sqrt(N+1))) a, eigenvalue M."""
     root = cmath.sqrt(Y)
-    return _finite_literal(lambda t: (M - t) / (root * math.sqrt(t + 1)), M, dim)
+    return _finite_literal(lambda t: _div(M - t, _mul(root, np.sqrt(t + 1))), M, dim)
 
 
 def added_raising_ladder(
@@ -448,12 +483,13 @@ def added_raising_ladder(
     """N - [C(N-M)/C(N-M-1)] sqrt(N-M) a+ for a state built by adding M
     quanta to a base with coefficients C; eigenvalue M."""
     ratio = _ratio_raising_diag(_coeff_getter(base_coeffs))
-    return sub(number_op(dim), _raising_form(lambda t: ratio(t - M), dim))
+    shifted = _array_diag(lambda t: _read(ratio, t - M))
+    return sub(number_op(dim), _raising_form(shifted, dim))
 
 
 def _pair_left(M: int, dim: int) -> OperatorExpr:
     """(N+1-M) a, the left side of the lowered pairs."""
-    return _lowering_form(lambda t: complex(t + 1 - M), dim)
+    return _lowering_form(_array_diag(lambda t: (t + 1 - M).astype(np.complex128)), dim)
 
 
 def added_lowered_pair(
@@ -462,7 +498,8 @@ def added_lowered_pair(
     """(N+1-M) a on the left against the diagonal
     [C(N+1-M)/C(N-M)] sqrt(N+1-M) (N+1) on the right."""
     ratio = _ratio_raising_diag(_coeff_getter(base_coeffs))
-    return _pair_left(M, dim), diag_op(lambda n: ratio(n + 1 - M) * (n + 1), dim)
+    right = _array_diag(lambda n: _mul(_read(ratio, n + 1 - M), n + 1))
+    return _pair_left(M, dim), diag_op(right, dim)
 
 
 def shifted_lowered_pair(
@@ -472,49 +509,34 @@ def shifted_lowered_pair(
     state supported on n >= M with coefficients D."""
     c = _coeff_getter(coeffs)
 
-    def d_right(n: int) -> complex:
-        num = (n + 1 - M) * c(n + 1)
-        return _guarded_ratio(num, c, n) * math.sqrt(n + 1)
+    def d_right(n: np.ndarray) -> np.ndarray:
+        return _mul(_adjacent_ratio(c, n + 1, -1, n + 1 - M), np.sqrt(n + 1))
 
-    return _pair_left(M, dim), diag_op(d_right, dim)
+    return _pair_left(M, dim), diag_op(_array_diag(d_right), dim)
 
 
 def added_coherent_pair(
     alpha: complex, M: int, dim: int
 ) -> tuple[OperatorExpr, OperatorExpr]:
     """(N+1-M) a against alpha (N+1), the coherent-base specialization."""
-    return _pair_left(M, dim), diag_op(lambda n: alpha * (n + 1), dim)
+    return _pair_left(M, dim), diag_op(_array_diag(lambda n: _mul(alpha, n + 1)), dim)
 
 
 def added_coherent_lowering(alpha: complex, M: int, dim: int) -> OperatorExpr:
     """[1 - M/(N+1)] a, eigenvalue alpha on the M-quanta-added coherent
     state; a pure lowering form, so it never leaks at the truncation."""
-
-    def d(t: int) -> complex:
-        return 1.0 - M / (t + 1)
-
-    return _lowering_form(d, dim)
+    return _lowering_form(_array_diag(lambda t: 1.0 - M / (t + 1)), dim)
 
 
 def nnbs_lowering(M: int, dim: int) -> OperatorExpr:
     """[sqrt(N+1-M)/(N+1)] a, eigenvalue sqrt(1-eta)."""
-
-    def d(t: int) -> complex:
-        if t + 1 - M < 0:
-            return 0.0
-        return math.sqrt(t + 1 - M) / (t + 1)
-
-    return _lowering_form(d, dim)
+    return _lowering_form(_array_diag(lambda t: np.sqrt(t + 1 - M) / (t + 1), lo=M - 1), dim)
 
 
 def gs_pair(eta: float, dim: int) -> tuple[OperatorExpr, OperatorExpr]:
     """a against sqrt(1-eta) sqrt(N+1)."""
     root = math.sqrt(1.0 - eta)
-
-    def d_right(n: int) -> complex:
-        return root * math.sqrt(n + 1)
-
-    return annihilation(dim), diag_op(d_right, dim)
+    return annihilation(dim), diag_op(_array_diag(lambda n: root * np.sqrt(n + 1)), dim)
 
 
 def gs_lowering(dim: int) -> OperatorExpr:
@@ -526,11 +548,7 @@ def gs_lowering(dim: int) -> OperatorExpr:
 
 def nbs_lowering(M: int, dim: int) -> OperatorExpr:
     """[1/sqrt(M+N)] a, eigenvalue sqrt(eta)."""
-
-    def d(t: int) -> complex:
-        return 1.0 / math.sqrt(M + t)
-
-    return _lowering_form(d, dim)
+    return _lowering_form(_array_diag(lambda t: _div(1.0, _sqrt(M + t))), dim)
 
 
 def kerr_lowering(theta: float, dim: int, variant: str = "derived") -> OperatorExpr:
@@ -538,16 +556,18 @@ def kerr_lowering(theta: float, dim: int, variant: str = "derived") -> OperatorE
 
     variant="printed" builds exp(-2 i N theta) a, the sign the catalog
     prints; it is inconsistent with the catalog's own amplitude phases and
-    exists for the errata residual.
+    exists for the errata residual.  cmath.exp has no numpy twin that
+    rounds alike, so it is read per index.
     """
     if variant not in ("derived", "printed"):
         raise ValueError("variant must be 'derived' or 'printed'")
     sign = 1.0 if variant == "derived" else -1.0
 
-    def d(t: int) -> complex:
-        return cmath.exp(2j * theta * t * sign)
+    def d(t: np.ndarray) -> np.ndarray:
+        phases = [cmath.exp(2j * theta * n * sign) for n in t.tolist()]
+        return np.array(phases, dtype=np.complex128)
 
-    return _lowering_form(d, dim)
+    return _lowering_form(_array_diag(d), dim)
 
 
 # --- verification primitives ---

@@ -19,6 +19,10 @@ import numpy as np
 from .core import (
     FockState,
     OperatorExpr,
+    _array_diag,
+    _div,
+    _mul,
+    _read,
     annihilation,
     band_max_abs,
     commutator_max_abs,
@@ -38,8 +42,8 @@ from .ladder import (
     CoeffFn,
     FrozenBands,
     GdoTriple,
+    _adjacent_ratio,
     _coeff_getter,
-    _guarded_ratio,
     _raised_triple,
     _ratio_raising_diag,
     _read_only,
@@ -166,15 +170,9 @@ def su11(parity_j: int, dim_sector: int) -> Su11Rep:
 
 @lru_cache(maxsize=SU11_CACHE_SIZE)
 def _su11(j: int, dim_sector: int) -> Su11Rep:
-    def d_plus(n: int) -> complex:
-        return math.sqrt(n + j + 0.5)
-
-    def d_minus(n: int) -> complex:
-        return math.sqrt(n + j - 0.5) if n >= 1 else 0.0
-
-    def d_zero(n: int) -> complex:
-        return n + j / 2.0 + 0.25
-
+    d_plus = _array_diag(lambda n: np.sqrt(n + j + 0.5))
+    d_minus = _array_diag(lambda n: np.sqrt(n + j - 0.5), lo=1)
+    d_zero = _array_diag(lambda n: n + j / 2.0 + 0.25)
     return Su11Rep(
         parity_j=j,
         bargmann_k=0.25 + j / 2.0,
@@ -308,10 +306,7 @@ def _sector_raising(
     generates on it, [sqrt(N) c(N) / (c(N-1) sqrt(N - 1/2 + j))] K+."""
     rep = su11(parity_j, dim_sector)
     ratio = _ratio_raising_diag(c)
-
-    def d_up(t: int) -> complex:
-        return ratio(t) / math.sqrt(t - 0.5 + parity_j) if t >= 1 else 0.0
-
+    d_up = _array_diag(lambda t: _div(_read(ratio, t), np.sqrt(t - 0.5 + parity_j)), lo=1)
     return rep, compose(diag_op(d_up, dim_sector), rep.K_plus)
 
 
@@ -330,16 +325,14 @@ def two_photon_ladder(
     rep, raising = _sector_raising(c, parity_j, dim_sector)
     j = parity_j
 
-    def d_down_diag(n: int) -> complex:
-        return _guarded_ratio(c(n + 1), c, n) * math.sqrt(n + 0.5 + j) * (n + 1)
-
-    def d_after_km(t: int) -> complex:
-        return math.sqrt(t + 1)
+    def d_down_diag(n: np.ndarray) -> np.ndarray:
+        ratio = _adjacent_ratio(c, n + 1, -1)
+        return _mul(_mul(ratio, np.sqrt(n + 0.5 + j)), n + 1)
 
     up_form = sub(rep.sector_number_op, raising)
     down_form = sub(
-        diag_op(d_down_diag, dim_sector),
-        compose(diag_op(d_after_km, dim_sector), rep.K_minus),
+        diag_op(_array_diag(d_down_diag), dim_sector),
+        compose(diag_op(_array_diag(lambda t: np.sqrt(t + 1)), dim_sector), rep.K_minus),
     )
     return up_form, down_form
 
@@ -363,11 +356,7 @@ def pair_lowering(dim: int) -> OperatorExpr:
 def _pair_lowering_over(j: int, dim: int) -> OperatorExpr:
     """[1/(N+1+j)] a^2, the pair lowering that the squeezed state S(xi)|j>
     diagonalizes."""
-
-    def d(t: int) -> complex:
-        return 1.0 / (t + 1 + j)
-
-    return compose(diag_op(d, dim), pair_lowering(dim))
+    return compose(diag_op(_array_diag(lambda t: 1.0 / (t + 1 + j)), dim), pair_lowering(dim))
 
 
 def svs_lowering(dim: int) -> OperatorExpr:
@@ -501,7 +490,7 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
     return (
         scale(compose(creation(dim), creation(dim)), 0.5),
         scale(pair_lowering(dim), 0.5),
-        diag_op(lambda n: n / 2.0 + 0.25, dim),
+        diag_op(_array_diag(lambda n: n / 2.0 + 0.25), dim),
     )
 
 

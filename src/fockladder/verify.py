@@ -46,6 +46,9 @@ from .closedform import (
 from .core import (
     FockState,
     OperatorExpr,
+    _array_diag,
+    _mul,
+    _read,
     add,
     annihilation,
     apply,
@@ -279,10 +282,14 @@ def _squeeze_eigenvalue(p: Params) -> complex:
 
 def _intermediate_ladder(p: Params, dim: int) -> OperatorExpr:
     f, root = p.get("f"), math.sqrt(1 - p["eta"])
-    return add(
-        scale(number_op(dim), math.sqrt(p["eta"])),
-        _lowering_form(lambda t: root * (1.0 if f is None else complex(f(t))), dim),
-    )
+
+    def d(t: np.ndarray) -> np.ndarray:
+        if f is None:
+            return root * np.ones(len(t))
+        # f comes from outside the package: read one index at a time
+        return _mul(root, np.asarray(_read(f, t), dtype=np.complex128))
+
+    return add(scale(number_op(dim), math.sqrt(p["eta"])), _lowering_form(_array_diag(d), dim))
 
 
 _GGS_Y = cmath.rect(0.3, math.pi / 3)

@@ -407,6 +407,158 @@ def gs_lowering_reference(dim: int) -> np.ndarray:
     return _entries(dim, lowering=lambda t: 1.0 / math.sqrt(t + 1))
 
 
+def _finite_literal(g, M: int, dim: int) -> np.ndarray:
+    """N + g(N) a for a state on [0, M]: g is zero at N >= M."""
+    return _entries(dim, diagonal=lambda n: n, lowering=lambda t: g(t) if t < M else 0.0)
+
+
+def bs_ladder_reference(eta: float, M: int, dim: int) -> np.ndarray:
+    """N + sqrt((1-eta)/eta) sqrt(M-N) a."""
+    return _finite_literal(
+        lambda t: math.sqrt((1 - eta) / eta) * math.sqrt(M - t), M, dim
+    )
+
+
+def hgs_ladder_reference(L: float, eta: float, M: int, dim: int) -> np.ndarray:
+    """N + sqrt((L(1-eta)-M+N+1)/(L eta-N)) sqrt(M-N) a."""
+    return _finite_literal(
+        lambda t: math.sqrt((L * (1 - eta) - M + t + 1) / (L * eta - t))
+        * math.sqrt(M - t),
+        M,
+        dim,
+    )
+
+
+def ps_ladder_reference(
+    eta: float, gamma: float, M: int, dim: int, printed: bool = False
+) -> np.ndarray:
+    """N + sqrt(((1-eta)+(M-N-1)gamma)/(eta+N gamma)) sqrt(M-N) a, or with
+    (M+N-1)gamma in the numerator, as printed."""
+
+    def g(t: int) -> float:
+        offset = M + t - 1 if printed else M - t - 1
+        return math.sqrt(((1 - eta) + offset * gamma) / (eta + t * gamma)) * math.sqrt(M - t)
+
+    return _finite_literal(g, M, dim)
+
+
+def rbs_ladder_reference(theta: float, M: int, dim: int) -> np.ndarray:
+    """N + ((M-N)/(N+1)) e^{-i theta} sqrt(M-N) a."""
+    phase = cmath.exp(-1j * theta)
+    return _finite_literal(lambda t: (M - t) / (t + 1) * phase * math.sqrt(M - t), M, dim)
+
+
+def pbps_ladder_reference(theta_m: float, M: int, dim: int) -> np.ndarray:
+    """N + ((M-N)/sqrt(N+1)) e^{-i theta_m} a."""
+    phase = cmath.exp(-1j * theta_m)
+    return _finite_literal(lambda t: (M - t) / math.sqrt(t + 1) * phase, M, dim)
+
+
+def ggs_ladder_reference(Y: complex, M: int, dim: int) -> np.ndarray:
+    """N + ((M-N)/(sqrt(Y) sqrt(N+1))) a."""
+    return _finite_literal(lambda t: (M - t) / (cmath.sqrt(Y) * math.sqrt(t + 1)), M, dim)
+
+
+def kerr_lowering_reference(theta: float, dim: int, printed: bool = False) -> np.ndarray:
+    """exp(2i theta N) a, or exp(-2i N theta) a as printed."""
+    sign = -1 if printed else 1
+    return _entries(dim, lowering=lambda t: cmath.exp(sign * 2j * theta * t))
+
+
+def nbs_lowering_reference(M: int, dim: int) -> np.ndarray:
+    """[1/sqrt(M+N)] a."""
+    return _entries(dim, lowering=lambda t: 1.0 / math.sqrt(M + t))
+
+
+def nnbs_lowering_reference(M: int, dim: int) -> np.ndarray:
+    """[sqrt(N+1-M)/(N+1)] a, zero at N+1 < M."""
+    return _entries(
+        dim, lowering=lambda t: math.sqrt(t + 1 - M) / (t + 1) if t + 1 >= M else 0.0
+    )
+
+
+def added_coherent_lowering_reference(M: int, dim: int) -> np.ndarray:
+    """[1 - M/(N+1)] a."""
+    return _entries(dim, lowering=lambda t: 1.0 - M / (t + 1))
+
+
+def added_coherent_right_reference(alpha: complex, dim: int) -> np.ndarray:
+    """alpha (N+1), the right side of the coherent-base lowered pair."""
+    return _entries(dim, diagonal=lambda n: alpha * (n + 1))
+
+
+def gs_pair_right_reference(eta: float, dim: int) -> np.ndarray:
+    """sqrt(1-eta) sqrt(N+1), the right side of the geometric pair."""
+    return _entries(dim, diagonal=lambda n: math.sqrt(1 - eta) * math.sqrt(n + 1))
+
+
+def intermediate_ladder_reference(eta: float, dim: int, f=None) -> np.ndarray:
+    """sqrt(eta) N + sqrt(1-eta) f(N) a, f = 1 when none is given."""
+    return _entries(
+        dim,
+        diagonal=lambda n: math.sqrt(eta) * n,
+        lowering=lambda t: math.sqrt(1 - eta) * (1.0 if f is None else complex(f(t))),
+    )
+
+
+# The sector operators act on the reindexed basis ||n> of sector j:
+# K+ ||n> = sqrt(n+1) sqrt(n+j+1/2) ||n+1>, K- ||n> = sqrt(n) sqrt(n+j-1/2) ||n-1>.
+
+
+def su11_references(j: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K+, K- and K0 = N + j/2 + 1/4 on sector j."""
+    k_plus, k_minus, k_zero = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    for n in range(dim):
+        k_zero[n, n] = n + j / 2 + 1 / 4
+        if n + 1 < dim:
+            k_plus[n + 1, n] = math.sqrt(n + j + 0.5) * math.sqrt(n + 1)
+        if n >= 1:
+            k_minus[n - 1, n] = math.sqrt(n + j - 0.5) * math.sqrt(n)
+    return k_plus, k_minus, k_zero
+
+
+def _sector_raising_value(coeffs, j: int, t: int) -> complex:
+    # sqrt(t) c(t) / (c(t-1) sqrt(t - 1/2 + j)), the diagonal in front of K+
+    ratio = _ratio(_coeff(coeffs, t), _coeff(coeffs, t - 1))
+    return ratio * math.sqrt(t) / math.sqrt(t - 0.5 + j)
+
+
+def two_photon_raising_reference(coeffs, j: int, dim: int) -> np.ndarray:
+    """[sqrt(N) c(N) / (c(N-1) sqrt(N - 1/2 + j))] K+."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim - 1):
+        value = _sector_raising_value(coeffs, j, n + 1) * math.sqrt(n + j + 0.5)
+        mat[n + 1, n] = value * math.sqrt(n + 1)
+    return mat
+
+
+def two_photon_up_reference(coeffs, j: int, dim: int) -> np.ndarray:
+    """N - [sqrt(N) c(N) / (c(N-1) sqrt(N - 1/2 + j))] K+."""
+    up = -two_photon_raising_reference(coeffs, j, dim)
+    for n in range(dim):
+        up[n, n] = n
+    return up
+
+
+def two_photon_down_reference(coeffs, j: int, dim: int) -> np.ndarray:
+    """c(N+1) sqrt(N + 1/2 + j) (N+1) / c(N) - sqrt(N+1) K-."""
+    down = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim):
+        ratio = _ratio(_coeff(coeffs, n + 1), _coeff(coeffs, n))
+        down[n, n] = ratio * math.sqrt(n + 0.5 + j) * (n + 1)
+        if n >= 1:
+            down[n - 1, n] = -(math.sqrt(n) * math.sqrt(n + j - 0.5)) * math.sqrt(n)
+    return down
+
+
+def pair_lowering_over_reference(j: int, dim: int) -> np.ndarray:
+    """[1/(N+1+j)] a^2: entry (t, t+2) is sqrt((t+1)(t+2)) / (t+1+j)."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    for t in range(dim - 2):
+        mat[t, t + 2] = 1.0 / (t + 1 + j) * math.sqrt((t + 1) * (t + 2))
+    return mat
+
+
 # --- report serialization ---
 
 

@@ -725,3 +725,103 @@ def test_structure_fn_table_matches_the_scalar_route_past_the_float_range():
     assert got == [w if math.isfinite(w) else math.inf for w in want]
     assert got[1:5] == [math.inf] * 4
     assert got[5] == 0.0 < got[6] < 1e-307
+
+
+def test_to_bands_skips_a_shift_past_the_truncation_before_its_factors():
+    # a +400 shift leaves the 16 levels from every index: no entry, and no
+    # ladder factor, whose product lies past the float range
+    op = core.operator([(400, core._one), (0, lambda n: complex(n))], 16)
+    bands = core.to_bands(op)
+    assert list(bands) == [0] and bands[0].tolist() == [complex(n) for n in range(16)]
+    assert np.array_equal(core.to_matrix(op), matrix_reference(op))
+    with pytest.raises(OverflowError):
+        core.apply(op, core.basis_state(3, 16))
+
+
+# --- which fault wins: the first in ascending index order, on every route ---
+
+
+def _raised(route):
+    try:
+        route()
+    except Exception as caught:  # noqa: BLE001  (the fault under test)
+        return type(caught).__name__, str(caught)
+    raise AssertionError("no fault raised")
+
+
+def _routes(op):
+    """What apply on a state with every level occupied, to_bands and the F
+    table raise, in that order."""
+    dim = op.domain_dim
+    return [
+        _raised(lambda: core.apply(op, core.make_state(np.ones(dim)))),
+        _raised(lambda: core.to_bands(op)),
+        _raised(lambda: _operational_structure_fn(op).table),
+    ]
+
+
+def _two_faulting_leaves(zero_at, inf_at):
+    # two lowering forms on one shift: the first divides by a zero
+    # coefficient (a complex sequence), the second reads an inf from a
+    # coefficient callable of floats; dim 10, M 9
+    dim, M = 10, 9
+    a = [1.0 - 0.1j * n for n in range(dim + 1)]
+    a[zero_at] = 0.0
+    b = [0.5 + 0.2 * n for n in range(dim + 1)]
+    b[inf_at] = math.inf
+    return core.add(
+        fl.ladder_lowering_finite(a, M, dim), fl.ladder_lowering_finite(lambda n: b[n], M, dim)
+    )
+
+
+def test_an_inf_below_a_zero_divisor_is_the_fault_named():
+    # the inf at coefficient 2 reaches level 3; C(6) = 0 divides at level 6
+    message = "diagonal evaluated to (inf+0.37077540223187j) at {}index 3"
+    assert _routes(_two_faulting_leaves(zero_at=6, inf_at=2)) == [
+        ("OperatorEvaluationError", message.format("occupied ")),
+        ("OperatorEvaluationError", message.format("")),
+        ("OperatorEvaluationError", message.format("occupied ")),
+    ]
+
+
+def test_a_zero_divisor_below_an_inf_is_the_fault_named():
+    assert _routes(_two_faulting_leaves(zero_at=3, inf_at=7)) == [
+        ("ZeroCoefficientError", "coefficient C(3) = 0")
+    ] * 3
+
+
+def test_a_real_leaf_names_its_inf_as_a_real_value():
+    # one lowering form over a callable of floats: its inf stays real
+    b = [0.5 + 0.2 * n for n in range(11)]
+    b[2], b[6] = math.inf, 0.0
+    message = "diagonal evaluated to (inf+0j) at {}index 3"
+    assert _routes(fl.ladder_lowering_finite(lambda n: b[n], 9, 10)) == [
+        ("OperatorEvaluationError", message.format("occupied ")),
+        ("OperatorEvaluationError", message.format("")),
+        ("OperatorEvaluationError", message.format("occupied ")),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fault_at,raised",
+    [
+        (2, ("_DiagonalFault", "2")),
+        (5, ("ZeroCoefficientError", "coefficient C(3) = 0")),
+    ],
+)
+def test_a_package_diagonal_a_sequence_and_a_user_callable_fault_in_order(fault_at, raised):
+    # the general raising form over a sequence with C(3) = 0, which divides
+    # at level 4, plus a user diagonal on the same shift that raises at
+    # fault_at; its adjoint lowers, so the F table reads it too
+    dim = 10
+    seq = [0.9 + 0.3j * n for n in range(dim + 1)]
+    seq[3] = 0.0
+
+    def user(n):
+        if n == fault_at:
+            raise _DiagonalFault(n)
+        return 0.25 * n
+
+    up = core.add(fl.ladder_general(seq, dim)[0], core.operator([(1, user)], dim))
+    assert [k for k, _ in up.terms] == [0, 1]
+    assert _routes(core.adjoint(core.operator([up.terms[1]], dim))) == [raised] * 3

@@ -9,13 +9,26 @@ import fockladder as fl
 import fockladder.verify as verify
 
 from _oracles import (
+    added_coherent_lowering_reference,
+    added_coherent_right_reference,
     added_lowered_right_reference,
     added_raising_reference,
+    bs_ladder_reference,
     gdo_residuals,
     general_lowering_reference,
+    ggs_ladder_reference,
     gs_lowering_reference,
+    gs_pair_right_reference,
+    hgs_ladder_reference,
+    intermediate_ladder_reference,
+    kerr_lowering_reference,
     matrix_reference,
+    nbs_lowering_reference,
+    nnbs_lowering_reference,
     pair_left_reference,
+    pbps_ladder_reference,
+    ps_ladder_reference,
+    rbs_ladder_reference,
     shifted_lowered_right_reference,
     step_down_f_reference,
     step_down_g_reference,
@@ -543,6 +556,87 @@ def test_step_maps_match_reference():
 def test_gs_lowering_matches_reference():
     for dim in (1, 2, 17, 64):
         _assert_same([lambda: fl.gs_lowering(dim)], [lambda: gs_lowering_reference(dim)])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_finite_literal_ladders_match_reference(dim):
+    for M in (0, 1, 5):
+        assert _assert_same(
+            [
+                lambda: fl.bs_ladder(0.3, M, dim),
+                lambda: fl.hgs_ladder(40.0, 0.35, M, dim),
+                lambda: fl.ps_ladder(0.4, 0.07, M, dim),
+                lambda: fl.ps_ladder(0.4, 0.07, M, dim, variant="printed"),
+                lambda: fl.rbs_ladder(0.7, M, dim),
+                lambda: fl.rbs_ladder(-2.9, M, dim),
+                lambda: fl.pbps_ladder(1.3, M, dim),
+                lambda: fl.ggs_ladder(0.45, M, dim),
+                lambda: fl.ggs_ladder(verify._GGS_Y, M, dim),
+                lambda: fl.ggs_ladder(-2.0 - 0.5j, M, dim),
+            ],
+            [
+                lambda: bs_ladder_reference(0.3, M, dim),
+                lambda: hgs_ladder_reference(40.0, 0.35, M, dim),
+                lambda: ps_ladder_reference(0.4, 0.07, M, dim),
+                lambda: ps_ladder_reference(0.4, 0.07, M, dim, printed=True),
+                lambda: rbs_ladder_reference(0.7, M, dim),
+                lambda: rbs_ladder_reference(-2.9, M, dim),
+                lambda: pbps_ladder_reference(1.3, M, dim),
+                lambda: ggs_ladder_reference(0.45, M, dim),
+                lambda: ggs_ladder_reference(verify._GGS_Y, M, dim),
+                lambda: ggs_ladder_reference(-2.0 - 0.5j, M, dim),
+            ],
+        ) == {np.ndarray}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 64])
+def test_lowering_literals_match_reference(dim):
+    for theta in (0.3, -1.7, 0.0):
+        for variant in ("derived", "printed"):
+            assert _assert_same(
+                [lambda: fl.kerr_lowering(theta, dim, variant)],
+                [lambda: kerr_lowering_reference(theta, dim, variant == "printed")],
+            ) == {np.ndarray}
+    for M in (1, 2, 4):
+        assert _assert_same(
+            [
+                lambda: fl.nbs_lowering(M, dim),
+                lambda: fl.nnbs_lowering(M, dim),
+                lambda: fl.added_coherent_lowering(0.8 - 0.6j, M, dim),
+            ],
+            [
+                lambda: nbs_lowering_reference(M, dim),
+                lambda: nnbs_lowering_reference(M, dim),
+                lambda: added_coherent_lowering_reference(M, dim),
+            ],
+        ) == {np.ndarray}
+    for alpha in (0.8 - 0.6j, 1.25, 0j):
+        assert _assert_same(
+            [lambda: fl.added_coherent_pair(alpha, 2, dim)[1]],
+            [lambda: added_coherent_right_reference(alpha, dim)],
+        ) == {np.ndarray}
+    for eta in (0.2, 0.75):
+        assert _assert_same(
+            [lambda: fl.gs_pair(eta, dim)[0], lambda: fl.gs_pair(eta, dim)[1]],
+            [lambda: _annihilation_reference(dim), lambda: gs_pair_right_reference(eta, dim)],
+        ) == {np.ndarray}
+
+
+def _annihilation_reference(dim):
+    # sqrt(n) at (n-1, n)
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 12, 48])
+def test_intermediate_ladder_matches_reference(dim):
+    fs = [None, verify._grid_nonlinearity, lambda n: 0.5 * n - 1, lambda n: 0]
+    for eta in (0.3, 0.85):
+        for f in fs:
+            params = {"eta": eta, "alpha": 0.4 + 0.2j, "f": f}
+            assert _assert_same(
+                [lambda: verify._intermediate_ladder(params, dim)],
+                [lambda: intermediate_ladder_reference(eta, dim, f)],
+            ) == {np.ndarray}
 
 
 # --- the GDO axiom battery against its dense reference ---

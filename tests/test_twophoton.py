@@ -20,7 +20,17 @@ import fockladder as fl
 import fockladder.core as core
 import fockladder.twophoton as twophoton
 
-from _oracles import dense_expm, nonzero_diagonals, squeezing_reference, su11_residuals
+from _oracles import (
+    dense_expm,
+    nonzero_diagonals,
+    pair_lowering_over_reference,
+    squeezing_reference,
+    su11_references,
+    su11_residuals,
+    two_photon_raising_reference,
+    two_photon_down_reference,
+    two_photon_up_reference,
+)
 
 
 def svs_amp(n, r, theta):
@@ -888,3 +898,72 @@ def test_even_odd_coherent_past_the_float_range_of_cosh(parity):
     for k in (700 + j, 728 + j, 760 + j):
         expected = math.exp(k * math.log(x) - math.lgamma(k + 1) - log_norm)
         assert abs(s.amplitudes[k]) ** 2 == pytest.approx(expected, rel=1e-9)
+
+
+# --- the sector and pair builders against their per-index references ---
+
+# a zero at n = 3, read as a numerator by some ratios and divided by in others
+SECTOR_COEFFS = {
+    "real": [1.0, 0.7, 0.45, 0.2, 0.11, 0.05, 0.02],
+    "complex": [0.9, 0.5 - 0.4j, -0.3 + 0.25j, 0.2j, -0.1, 0.06 - 0.03j, 0.01j],
+    "zero": [0.8, 0.6 + 0.1j, -0.35j, 0.0, 0.12, 0.05 + 0.05j, -0.02],
+}
+
+
+def _matrix_or_raised(build):
+    try:
+        return build()
+    except (fl.ZeroCoefficientError, ZeroDivisionError):
+        return "raised"
+
+
+def _same_or_both_raise(build, reference):
+    """The builder's to_matrix equals its reference by ==, or both raise
+    (the builder naming the zero coefficient, the reference dividing by it)."""
+    got = _matrix_or_raised(lambda: core.to_matrix(build()))
+    want = _matrix_or_raised(reference)
+    if isinstance(got, str) or isinstance(want, str):
+        assert isinstance(got, str) and isinstance(want, str)
+        return "raised"
+    assert np.array_equal(got, want)
+    return "equal"
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("kind", sorted(SECTOR_COEFFS))
+def test_two_photon_builders_match_reference(j, kind):
+    coeffs = SECTOR_COEFFS[kind]
+    outcomes = set()
+    for dim in range(1, len(coeffs) + 2):
+        outcomes.add(_same_or_both_raise(
+            lambda: fl.two_photon_ladder(coeffs, j, dim)[0],
+            lambda: two_photon_up_reference(coeffs, j, dim),
+        ))
+        outcomes.add(_same_or_both_raise(
+            lambda: fl.two_photon_ladder(coeffs, j, dim)[1],
+            lambda: two_photon_down_reference(coeffs, j, dim),
+        ))
+        outcomes.add(_same_or_both_raise(
+            lambda: fl.two_photon_gdo(coeffs, j, dim).raising,
+            lambda: two_photon_raising_reference(coeffs, j, dim),
+        ))
+        # the lowering is the raising's adjoint, entry by entry
+        outcomes.add(_same_or_both_raise(
+            lambda: fl.two_photon_gdo(coeffs, j, dim).lowering,
+            lambda: two_photon_raising_reference(coeffs, j, dim).conj().T,
+        ))
+        outcomes.add(_same_or_both_raise(
+            lambda: fl.two_photon_gdo(coeffs, j, dim).number_op,
+            lambda: np.diag(np.arange(dim)).astype(complex),
+        ))
+    assert outcomes == ({"equal", "raised"} if kind == "zero" else {"equal"})
+
+
+@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 65])
+def test_su11_and_pair_lowering_match_reference(j, dim):
+    rep = fl.su11(j, dim)
+    for op, want in zip((rep.K_plus, rep.K_minus, rep.K_zero), su11_references(j, dim)):
+        assert np.array_equal(core.to_matrix(op), want)
+    pair = (fl.svs_lowering, fl.sfes_lowering)[j]
+    assert np.array_equal(core.to_matrix(pair(dim)), pair_lowering_over_reference(j, dim))
