@@ -77,8 +77,12 @@ class _CoeffTable(_ArrayDiag):
     __slots__ = ("table",)
 
     def __init__(self, coeffs: Sequence[complex]) -> None:
-        self.table = [complex(v) for v in coeffs]
-        values = np.array(self.table, dtype=np.complex128)
+        if isinstance(coeffs, np.ndarray):  # converts as complex() does
+            values = coeffs.astype(np.complex128)
+            self.table = values.tolist()
+        else:
+            self.table = [complex(v) for v in coeffs]
+            values = np.array(self.table, dtype=np.complex128)
         super().__init__(_array_diag(lambda ns: values[ns], lo=0, hi=len(values)).values)
 
     def __call__(self, n: int) -> complex:

@@ -26,6 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .closedform import (
+    Coeffs,
     _cf_binomial,
     _cf_generalized_geometric,
     _cf_hypergeometric,
@@ -37,15 +38,18 @@ from .closedform import (
     _cf_reciprocal_binomial,
     coherent_coeffs,
     ecs_sector_coeffs,
+    finite_F,
     geometric_coeffs,
     kerr_coeffs,
     ocs_sector_coeffs,
+    raising_F,
     sfes_sector_coeffs,
     svs_sector_coeffs,
 )
 from .core import (
     FockState,
     OperatorExpr,
+    _ArrayDiag,
     _array_diag,
     _mul,
     _read,
@@ -59,7 +63,6 @@ from .core import (
 from .ladder import (
     CoeffFn,
     GdoTriple,
-    _coeff_getter,
     _lowering_form,
     added_coherent_lowering,
     added_coherent_pair,
@@ -249,7 +252,7 @@ class FamilySpec:
     build: Callable[[Params, int], FockState]
     # a route of closedform.py, which reads no constructor or builder;
     # None when the coefficients are the recursion output itself
-    closed_form: Callable[[Params, int], CoeffFn] | None
+    closed_form: Callable[[Params, int], Coeffs] | None
     norm_eq: str
     dist_eq: str
     # the literal lowering operator and its eigenvalue on the state
@@ -261,7 +264,7 @@ class FamilySpec:
     # (check name, equation, lhs/rhs builder), checked before the literal
     pair: tuple[str, str, Callable[[Params, int], tuple]] | None = None
     # coefficients of the state before photon addition
-    base: Callable[[Params], CoeffFn] | None = None
+    base: Callable[[Params], Coeffs] | None = None
     # the (M-1)-member's parameters when keeping x fixed takes more than M-1
     down: Callable[[Params], Params] | None = None
     # the source's printed structure function at n (E29)
@@ -572,8 +575,10 @@ def build_state(family: str, params: Params, dim: int) -> FockState:
     return spec.build(_require(spec, params), dim)
 
 
-def closed_form_coeffs(family: str, params: Params, dim: int) -> CoeffFn | None:
-    """Coefficient route independent of the constructors' recurrences.
+def closed_form_coeffs(family: str, params: Params, dim: int) -> Coeffs | None:
+    """Coefficient route independent of the constructors' recurrences: a
+    closedform.Coeffs, C(n) at one index and route.values(ns) over an
+    index array.
 
     Two-photon families index the sector basis.  The intermediate family
     has no closed form (its coefficients are the recursion output), so it
@@ -581,11 +586,9 @@ def closed_form_coeffs(family: str, params: Params, dim: int) -> CoeffFn | None:
     """
     spec = _spec(family)
     p = _require(spec, params)
-    # the builders read C(n) at neighbouring indices, once per operator
-    # and past dim at the top edge, so each index is computed once
     if spec.closed_form is None:
         return None
-    return functools.cache(spec.closed_form(p, dim))
+    return spec.closed_form(p, dim)
 
 
 def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:
@@ -599,6 +602,64 @@ def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:
     return shifted_gdo(coeffs, p["M"], dim)
 
 
+def _table(route: CoeffFn, n: int) -> np.ndarray:
+    """The route on [0, n): its array form, or one index at a time for a
+    callable that has none."""
+    ns = np.arange(n)
+    return route.values(ns) if isinstance(route, Coeffs) else _read(route, ns)
+
+
+class _Coefficients(_ArrayDiag):
+    """A closed-form route as the builders and checks read it: on [0, n)
+    one read-only table, made by the route's array form at the first read,
+    and past n the route itself, one index at a time, each value kept
+    (the builders read C(n) at most).  An array read
+    gathers from the table, typed as the per-index values are: float64
+    only where every value read is a Python float (the route's 0.0 off its
+    support).  A callable without an array form is read as given."""
+
+    # values is the method below, not _ArrayDiag's slot: a bound method
+    # kept on the instance would be a reference cycle, and an evicted
+    # input's arrays would wait for the cycle collector
+    def __init__(self, route: CoeffFn, n: int) -> None:
+        self.route, self.n = route, n
+        self._past: dict[int, complex] = {}
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        table = _table(self.route, self.n)
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def _floats(self) -> np.ndarray | None:
+        # where a complex table holds a Python float; None when none does
+        if self.table.dtype.kind != "c":
+            return None
+        ns = np.arange(self.n)
+        off = (ns < self.route.lo) | (ns > self.route.hi)
+        return off if off.any() else None
+
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        if not isinstance(self.route, Coeffs):
+            return _read(self.route, ns)
+        k = ns.searchsorted(self.n)
+        if k < len(ns):
+            tail = _read(self._past_end, ns[k:])
+            return np.concatenate((self.values(ns[:k]), tail)) if k else tail
+        if not len(ns):
+            return np.zeros(0)
+        values = self.table[ns]
+        if self._floats is not None and self._floats[ns].all():
+            return values.real
+        return values
+
+    def _past_end(self, n: int) -> complex:
+        if n not in self._past:
+            self._past[n] = self.route(n)
+        return self._past[n]
+
+
 # --- the suite inputs' cache ---
 
 # Suite inputs whose operator data _suite_input keeps; one pass over
@@ -608,10 +669,12 @@ SUITE_CACHE_SIZE = 32
 
 class _SuiteInput:
     """The operator data of one suite input (family, params, dim), each
-    part made on its first read and kept: the state, the closed-form route
-    with its memo, and the deformed-oscillator triple at each truncation.
-    Their arrays are read-only.  A part whose builder refuses is not kept,
-    so the next read runs the builder again.  No verdict is kept."""
+    part made on its first read and kept: the state, the coefficients C on
+    the family's basis (the closed form's table, else the state's
+    amplitudes) with the closed-form structure function formed from them,
+    and the deformed-oscillator triple at each truncation.  Their arrays
+    are read-only.  A part whose builder refuses is not kept, so the next
+    read runs the builder again.  No verdict is kept."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
@@ -631,15 +694,45 @@ class _SuiteInput:
         return _int_counts(self._params)
 
     @functools.cached_property
-    def closed_form(self) -> CoeffFn | None:
-        return closed_form_coeffs(self.spec.name, self.p, self.dim)
+    def basis(self) -> int:
+        """The size of the family's own basis: the sector's for two-photon."""
+        spec = self.spec
+        return sector_dim(self.dim, spec.sector) if spec.kind == "two-photon" else self.dim
+
+    @functools.cached_property
+    def coeffs(self) -> _Coefficients | np.ndarray:
+        """C(n) as the builders read it: the closed form through its table,
+        or the state's amplitudes where the family has none."""
+        route = closed_form_coeffs(self.spec.name, self.p, self.dim)
+        return self.state.amplitudes if route is None else _Coefficients(route, self.basis)
+
+    @property
+    def table(self) -> np.ndarray:
+        """C on the basis, read-only."""
+        c = self.coeffs
+        return c.table if isinstance(c, _Coefficients) else c
+
+    @functools.cached_property
+    def base(self) -> _Coefficients:
+        """The coefficients of the state before photon addition."""
+        return _Coefficients(self.spec.base(self.p), self.dim)
+
+    @functools.cached_property
+    def F(self) -> np.ndarray:
+        """The closed-form structure function on the basis, formed from
+        the table: E12 for a finite family, the raising form from M
+        (E44) or 0 (E54, E87) for the others; read-only."""
+        if self.spec.kind == "finite":
+            F = finite_F(self.table, self.p["M"])
+        else:
+            F = raising_F(self.table, self.p["M"] if self.spec.kind in ("shifted", "added") else 0)
+        F.flags.writeable = False
+        return F
 
     def triple(self, dim: int) -> GdoTriple:
         """The triple at truncation dim of the family's own basis."""
         if dim not in self._triples:
-            cf = self.closed_form
-            coeffs = cf if cf is not None else self.state.amplitudes
-            self._triples[dim] = _gdo(self.spec, coeffs, self.p, dim)
+            self._triples[dim] = _gdo(self.spec, self.coeffs, self.p, dim)
         return self._triples[dim]
 
 
@@ -677,12 +770,11 @@ def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     spec = _spec(family)
     p = _require(spec, params)
     dim = _check_dim(dim)  # before the closed form, which may scale by dim
-    coeffs = closed_form_coeffs(family, p, dim)
-    if coeffs is None:
-        coeffs = build_state(family, p, dim).amplitudes
+    route = closed_form_coeffs(family, p, dim)
+    amplitudes = build_state(family, p, dim).amplitudes if route is None else None
     if spec.kind == "two-photon":
         dim = sector_dim(dim, spec.sector)
-    return _gdo(spec, coeffs, p, dim)
+    return _gdo(spec, amplitudes if route is None else _Coefficients(route, dim), p, dim)
 
 
 # --- check helpers ---
@@ -701,9 +793,9 @@ def _norm_check(s: FockState, equation: str, tol: Tolerances) -> CheckResult:
 
 
 def _distribution_check(
-    s: FockState, cf: CoeffFn, equation: str, tol: Tolerances
+    s: FockState, table: np.ndarray, equation: str, tol: Tolerances
 ) -> CheckResult:
-    moduli = np.abs(np.array([cf(n) for n in range(s.dim)], dtype=complex))
+    moduli = np.abs(np.asarray(table, dtype=complex))
     # scaled by the power of two of the largest modulus, which is exact,
     # so that no square leaves the float range
     expected = np.ldexp(moduli, -np.frexp(moduli.max())[1]) ** 2
@@ -734,10 +826,10 @@ def _state_map_check(
 
 
 def _structure_closed_form_check(
-    t: GdoTriple, expected: Callable[[int], float], equation: str, tol: Tolerances
+    t: GdoTriple, data: _SuiteInput, equation: str, tol: Tolerances
 ) -> CheckResult:
     values = t.structure_table
-    wanted = np.array([expected(n) for n in range(t.dim)])
+    wanted = data.F
     # F grows with n for the infinite families, so the comparison is
     # scaled; for F of order one this reduces to the absolute residual
     residual = float((np.abs(values - wanted) / np.maximum(1.0, np.abs(wanted))).max())
@@ -757,36 +849,6 @@ def _axiom_dim(dim: int, n_min: int = 0) -> int:
     return min(dim, max(16, n_min + 9))
 
 
-def _ratio_sq(cf: CoeffFn, num_idx: int, den_idx: int) -> float:
-    num = cf(num_idx)
-    if num == 0:
-        return 0.0
-    return abs(num / cf(den_idx)) ** 2
-
-
-def _finite_F(cf: CoeffFn, M: int) -> Callable[[int], float]:
-    """F(n) = (M-n+1)^2 |C(n-1)/C(n)|^2 on [1, M], zero elsewhere."""
-
-    def F(n: int) -> float:
-        if n < 1 or n > M:
-            return 0.0
-        return (M - n + 1) ** 2 * _ratio_sq(cf, n - 1, n)
-
-    return F
-
-
-def _raising_F(cf: CoeffFn, M: int, dim: int) -> Callable[[int], float]:
-    """F(n) = (n-M)^2 |C(n)/C(n-1)|^2 on (M, dim), zero elsewhere; M = 0
-    gives the general and sector forms."""
-
-    def F(n: int) -> float:
-        if n <= M or n >= dim:
-            return 0.0
-        return (n - M) ** 2 * _ratio_sq(cf, n, n - 1)
-
-    return F
-
-
 def _literal_checks(
     spec: FamilySpec, p: Params, dim: int, s: FockState, name: str, tol: Tolerances
 ) -> list[CheckResult]:
@@ -804,15 +866,14 @@ def _gdo_checks(
     dim: int,
     n_min: int,
     equations: tuple[str, str],
-    expected: Callable[[int], float],
     tol: Tolerances,
 ) -> list[CheckResult]:
     """The band axiom battery at a small truncation, then the operational
-    F against its closed form at full width."""
+    F against its closed form (data.F) at full width."""
     axiom_eq, fn_eq = equations
     # the full-width check comes first, so that a closed form past the
     # float range raises before the battery multiplies its values
-    closed_form = _structure_closed_form_check(data.triple(dim), expected, fn_eq, tol)
+    closed_form = _structure_closed_form_check(data.triple(dim), data, fn_eq, tol)
     checks = gdo_axiom_checks(
         data.triple(_axiom_dim(dim, n_min)), tol, equation=axiom_eq
     )
@@ -823,14 +884,15 @@ def _gdo_checks(
 
 
 # Each suite continues after the normalization check with the input's
-# data: the state s, the closed-form route cf and the triples.
+# data: the state s, the coefficients cf the builders read, their table
+# and closed-form F, and the triples.
 
 
 def _suite_finite(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
     M = p["M"]
     checks = [
-        _distribution_check(s, cf, spec.dist_eq, tol),
+        _distribution_check(s, data.table, spec.dist_eq, tol),
         eigen_check(
             "ladder-eigen-generic",
             "E9 E10 E13",
@@ -847,9 +909,8 @@ def _suite_finite(data: _SuiteInput, tol: Tolerances):
     if M > 0:
         reduced = spec.down(p) if spec.down is not None else dict(p, M=M - 1)
         down = _suite_input(spec, reduced, dim)
-        target, cf_down = down.state, down.closed_form
-        c0 = [cf(n) for n in range(dim)]
-        c1 = [cf_down(n) for n in range(dim)]
+        target = down.state
+        c0, c1 = data.table, down.table
         f_image = apply(step_down_f(c0, c1), s)
         g_image = apply(step_down_g(c0, c1, M), s)
         checks += [
@@ -857,15 +918,15 @@ def _suite_finite(data: _SuiteInput, tol: Tolerances):
             _state_map_check("step-down-g", "E6 E7", g_image, target, tol),
             images_check("step-down-equality", "E8", f_image, g_image, tol),
         ]
-    checks += _gdo_checks(data, dim, M, ("E1 E11", "E12"), _finite_F(cf, M), tol)
+    checks += _gdo_checks(data, dim, M, ("E1 E11", "E12"), tol)
     return checks
 
 
 def _suite_shifted(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
     M = p["M"]
     checks = [
-        _distribution_check(s, cf, spec.dist_eq, tol),
+        _distribution_check(s, data.table, spec.dist_eq, tol),
         eigen_check(
             "ladder-eigen-generic",
             "E37 E42 E45",
@@ -885,25 +946,24 @@ def _suite_shifted(data: _SuiteInput, tol: Tolerances):
     checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
 
     up = _suite_input(spec, dict(p, M=M + 1), dim)
-    target, cf_up = up.state, up.closed_form
-    c0 = [cf(n) for n in range(dim)]
-    c1 = [cf_up(n) for n in range(dim)]
+    target = up.state
+    c0, c1 = data.table, up.table
     f_image = apply(step_up_f(c0, c1), s)
     g_image = apply(step_up_g(c0, c1, M), s)
     checks += [
         _state_map_check("step-up-f", "E33 E35", f_image, target, tol),
         _state_map_check("step-up-g", "E34 E36", g_image, target, tol),
     ]
-    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol)
+    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), tol)
     return checks
 
 
 def _suite_added(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
+    spec, p, dim, s = data.spec, data.p, data.dim, data.state
     M = p["M"]
-    base_cf = spec.base(p)
+    base_cf = data.base
     checks = [
-        _distribution_check(s, cf, spec.dist_eq, tol),
+        _distribution_check(s, data.table, spec.dist_eq, tol),
         eigen_check(
             "ladder-eigen-raising",
             "E40",
@@ -921,33 +981,31 @@ def _suite_added(data: _SuiteInput, tol: Tolerances):
         ),
     ]
     checks += _literal_checks(spec, p, dim, s, "ladder-eigen-lowering", tol)
-    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), _raising_F(cf, M, dim), tol)
+    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), tol)
     return checks
 
 
 def _suite_general(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
     checks = []
-    if cf is not None:
-        checks.append(_distribution_check(s, cf, spec.dist_eq, tol))
-    coeffs = cf if cf is not None else s.amplitudes
+    if spec.closed_form is not None:
+        checks.append(_distribution_check(s, data.table, spec.dist_eq, tol))
 
-    raising_form, lowering_form = ladder_general(coeffs, dim)
+    raising_form, lowering_form = ladder_general(cf, dim)
     checks += [
         eigen_check("ladder-raising-form", "E52", raising_form, s, 0.0, tol),
         eigen_check("ladder-lowering-form", "E53", lowering_form, s, 0.0, tol),
     ]
     checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
-    expected = _raising_F(_coeff_getter(coeffs), 0, dim)
-    checks += _gdo_checks(data, dim, 0, ("E1 E54", "E54"), expected, tol)
+    checks += _gdo_checks(data, dim, 0, ("E1 E54", "E54"), tol)
     return checks
 
 
 def _suite_two_photon(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.closed_form
+    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
     j = spec.sector
     sec = sector_embed(s)
-    checks = [_distribution_check(sec, cf, spec.dist_eq, tol)]
+    checks = [_distribution_check(sec, data.table, spec.dist_eq, tol)]
 
     rep = su11(j, sec.dim)
     checks += su11_axiom_checks(rep, tol)
@@ -965,9 +1023,7 @@ def _suite_two_photon(data: _SuiteInput, tol: Tolerances):
         eigen_check("sector-lowering-form", down_eq, down, sec, 0.0, tol, edge_exclude=1),
     ]
     checks += _literal_checks(spec, p, dim, s, "pair-lowering-eigen", tol)
-    checks += _gdo_checks(
-        data, sec.dim, 0, (axiom_eq, "E87"), _raising_F(cf, 0, sec.dim), tol
-    )
+    checks += _gdo_checks(data, sec.dim, 0, (axiom_eq, "E87"), tol)
 
     if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
         checks += disentangling_checks(s, p["r"], p["theta"], rep, tol)
@@ -1043,12 +1099,11 @@ def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Param
     if spec is None or spec.printed_F is None:
         raise ParameterError(f"no printed structure function for '{family}'")
     p = _require(spec, params)
-    cf = closed_form_coeffs(family, p, _check_dim(dim))
+    route = closed_form_coeffs(family, p, _check_dim(dim))
     p = _int_counts(p)
-    derived_F = _finite_F(cf, p["M"])
+    derived_F = finite_F(_table(route, p["M"] + 1), p["M"]).tolist()
     rows = []
-    for n in range(p["M"] + 1):
-        derived = derived_F(n)
+    for n, derived in enumerate(derived_F):
         try:
             printed = complex(spec.printed_F(p, n))
         except ZeroDivisionError:

@@ -15,6 +15,9 @@ The GDO battery reference multiplies dense matrices, where the package
 sums products diagonal by diagonal.
 The builder references after them write each ladder formula of the paper
 entry by entry, where the package composes shared band shapes.
+The closed-form references after them evaluate C(n) one index at a
+time in Python scalars, and F one index at a time from them, where the
+package evaluates each route as one array per index range.
 The JSON reference at the end is the stdlib encoder, where the package
 writes its reports in one pass of its own.
 """
@@ -24,6 +27,8 @@ import json
 import math
 
 import numpy as np
+
+import fockladder.states as states
 
 
 def poisson_pmf(mean: float, n: int) -> float:
@@ -557,6 +562,242 @@ def pair_lowering_over_reference(j: int, dim: int) -> np.ndarray:
     for t in range(dim - 2):
         mat[t, t + 2] = 1.0 / (t + 1 + j) * math.sqrt((t + 1) * (t + 2))
     return mat
+
+
+# --- per-index closed-form references ---
+# The closed-form routes as fockladder first wrote them: one Python
+# formula per index, each with its route's range rules, and the
+# structure functions read from them one index at a time.
+
+
+def _support(lo, hi, fn):
+    def c(n: int) -> complex:
+        return fn(n) if lo <= n <= hi else 0.0
+
+    return c
+
+
+def _finite_alpha(alpha: complex) -> complex:
+    if not cmath.isfinite(alpha):
+        raise states.ParameterError("alpha must be finite")
+    return alpha
+
+
+def coherent_reference(alpha: complex):
+    alpha = _finite_alpha(complex(alpha))
+    if alpha == 0:
+        return _support(0, 0, lambda n: 1.0)
+    log_a = cmath.log(alpha)
+    return _support(0, math.inf, lambda n: cmath.exp(n * log_a - 0.5 * math.lgamma(n + 1)))
+
+
+def kerr_reference(alpha: complex, theta: float, dim: int):
+    theta = states._check_angle(theta, states._check_dim(dim) ** 2)
+    base = coherent_reference(alpha)
+    return lambda n: base(n) * cmath.exp(-1j * theta * n * (n - 1))
+
+
+def geometric_reference(eta: float):
+    eta = states._check_eta(eta)
+    return _support(0, math.inf, lambda n: (1.0 - eta) ** (n / 2.0))
+
+
+def squeezed_reference(r: float, theta: float, dim: int, j: int):
+    states._check_r(r)
+    _, n_sector = states._check_sector_dim(dim, j)
+    if not cmath.isfinite(theta):
+        raise states.ParameterError("theta must be finite")
+    theta = states._check_angle(theta, n_sector)
+    t = math.tanh(r)
+    if t == 0.0:
+        return _support(0, 0, lambda n: 1.0)
+
+    def c(n: int) -> complex:
+        log_mag = (
+            0.5 * math.lgamma(2 * n + 1 + j) + n * math.log(t / 2) - math.lgamma(n + 1)
+        )
+        return math.exp(log_mag) * cmath.exp(1j * theta * n)
+
+    return _support(0, math.inf, c)
+
+
+def coherent_sector_reference(alpha: complex, j: int):
+    base = coherent_reference(states._check_pair_alpha(alpha, j))
+    return lambda n: base(2 * n + j)
+
+
+def binomial_reference(eta: float, M: int):
+    eta, M = states._check_eta(eta), states._check_count(M, "M")
+
+    def c(n: int) -> complex:
+        return math.exp(
+            0.5 * (log_comb(M, n) + n * math.log(eta) + (M - n) * math.log(1 - eta))
+        )
+
+    return _support(0, M, c)
+
+
+def hypergeometric_reference(L: float, eta: float, M: int):
+    eta, M = states._check_eta(eta), states._check_count(M, "M")
+    L = states._check_L(L, eta, M)
+    Le, Lb = L * eta, L * (1 - eta)
+    logZ = log_comb(L, M)
+
+    def c(n: int) -> complex:
+        return math.exp(0.5 * (log_comb(Le, n) + log_comb(Lb, M - n) - logZ))
+
+    return _support(0, M, c)
+
+
+def polya_reference(eta: float, gamma: float, M: int):
+    eta = states._check_eta(eta)
+    gamma, M = states._check_gamma(gamma, M)
+
+    def log_rising(x: float, m: int) -> float:
+        if m == 0:
+            return 0.0
+        if x / gamma == 0:
+            raise states.ParameterError(
+                f"eta={eta!r} and gamma={gamma!r} round eta/gamma or (1-eta)/gamma to 0 in "
+                "the polya closed form; use a smaller gamma or an eta farther from 0 and 1"
+            )
+        return m * math.log(gamma) + math.lgamma(x / gamma + m) - math.lgamma(x / gamma)
+
+    logZ = log_rising(1.0, M)
+
+    def c(n: int) -> complex:
+        return math.exp(
+            0.5 * (log_comb(M, n) + log_rising(eta, n) + log_rising(1 - eta, M - n) - logZ)
+        )
+
+    return _support(0, M, c)
+
+
+def reciprocal_binomial_reference(theta: float, M: int):
+    M = states._check_count(M, "M")
+    theta = states._check_angle(theta, M)
+
+    def over_comb(x: complex, k: int, root: bool) -> complex:
+        comb = math.comb(M, k)
+        try:
+            return x / (math.sqrt(comb) if root else comb)
+        except OverflowError:
+            return x * math.exp(-(0.5 if root else 1.0) * log_comb(M, k))
+
+    Z = math.sqrt(sum(over_comb(1.0, k, False) for k in range(M + 1)))
+    return _support(0, M, lambda n: over_comb(cmath.exp(1j * n * theta), n, True) / Z)
+
+
+def phase_reference(theta_m: float, M: int):
+    pref = 1.0 / math.sqrt(M + 1)
+    return _support(0, M, lambda n: pref * cmath.exp(1j * n * theta_m))
+
+
+def generalized_geometric_reference(Y: complex, M: int):
+    Y, M = states._check_Y(Y), states._check_count(M, "M")
+    if Y == 0 and M > 0:
+        raise states.ParameterError(
+            "Y must be nonzero for M >= 1: the ladder operators divide by "
+            "C(n) = 0 at n >= 1"
+        )
+    root = cmath.sqrt(Y)
+    mod = abs(Y)
+    scale = max(1.0, abs(root))
+    unit = root / scale
+    if mod < 1.0:
+        pref = math.sqrt((1 - mod) / (1 - mod ** (M + 1)))
+    else:
+        pref = math.sqrt((1 - 1 / mod) / (1 - mod ** -(M + 1)))
+        if pref * scale**-M < np.finfo(float).tiny:
+            raise states.ParameterError(
+                f"C(0) of generalized_geometric underflows at Y={states.format_complex(Y)}, "
+                f"M={M}; use a smaller |Y| or M"
+            )
+    return _support(0, M, lambda n: pref * scale ** (n - M) * unit**n)
+
+
+def negative_binomial_reference(eta: float, M: int):
+    eta, M = states._check_eta(eta), states._check_count(M, "M", minimum=1)
+    log_pref = 0.5 * M * math.log(1 - eta)
+
+    def c(n: int) -> complex:
+        return math.exp(log_pref + 0.5 * (log_comb(M + n - 1, n) + n * math.log(eta)))
+
+    return _support(0, math.inf, c)
+
+
+def nnbs_reference(eta: float, M: int):
+    eta, M = states._check_eta(eta), states._check_count(M, "M")
+    log_pref = 0.5 * (M + 1) * math.log(eta)
+
+    def c(n: int) -> complex:
+        return math.exp(log_pref + 0.5 * (log_comb(n, M) + (n - M) * math.log(1 - eta)))
+
+    return _support(M, math.inf, c)
+
+
+def pacs_reference(alpha: complex, M: int, dim: int):
+    alpha, M = complex(alpha), states._check_count(M, "M")
+    dim = states._check_dim(dim, M)
+
+    def term(n: int) -> complex:
+        return cmath.exp(
+            (n - M) * cmath.log(alpha) + 0.5 * math.lgamma(n + 1) - math.lgamma(n - M + 1)
+        )
+
+    raw = _support(M, M, lambda n: 1.0) if alpha == 0 else _support(M, math.inf, term)
+    moduli = [abs(raw(n)) for n in range(dim)]
+    e = math.frexp(max(moduli))[1]
+    K = math.ldexp(1.0 / math.sqrt(sum(math.ldexp(m, -e) ** 2 for m in moduli)), -e)
+    return lambda n: K * raw(n)
+
+
+def _theta_m(p) -> float:
+    return states.phase_point(p["theta0"], p["m"], p["M"])
+
+
+# family -> (params, dim) -> the per-index route, as the family table reads
+# the package's routes
+CLOSED_FORM_REFERENCES = {
+    "binomial": lambda p, dim: binomial_reference(p["eta"], p["M"]),
+    "hypergeometric": lambda p, dim: hypergeometric_reference(p["L"], p["eta"], p["M"]),
+    "polya": lambda p, dim: polya_reference(p["eta"], p["gamma"], p["M"]),
+    "reciprocal_binomial": lambda p, dim: reciprocal_binomial_reference(p["theta"], p["M"]),
+    "pegg_barnett_phase": lambda p, dim: phase_reference(_theta_m(p), p["M"]),
+    "generalized_geometric": lambda p, dim: generalized_geometric_reference(p["Y"], p["M"]),
+    "coherent": lambda p, dim: coherent_reference(p["alpha"]),
+    "geometric": lambda p, dim: geometric_reference(p["eta"]),
+    "negative_binomial": lambda p, dim: negative_binomial_reference(p["eta"], p["M"]),
+    "new_negative_binomial": lambda p, dim: nnbs_reference(p["eta"], p["M"]),
+    "kerr": lambda p, dim: kerr_reference(p["alpha"], p["theta"], dim),
+    "svs": lambda p, dim: squeezed_reference(p["r"], p["theta"], dim, 0),
+    "sfes": lambda p, dim: squeezed_reference(p["r"], p["theta"], dim, 1),
+    "ecs": lambda p, dim: coherent_sector_reference(p["alpha"], 0),
+    "ocs": lambda p, dim: coherent_sector_reference(p["alpha"], 1),
+    "pacs": lambda p, dim: pacs_reference(p["alpha"], p["M"], dim),
+}
+
+
+def finite_F_reference(c, M: int, dim: int) -> np.ndarray:
+    """F(n) = (M-n+1)^2 |C(n-1)/C(n)|^2 on [1, M], one index at a time;
+    C(n) is read only where C(n-1) is nonzero."""
+    return np.array(
+        [0.0 if n < 1 or n > M else (M - n + 1) ** 2 * _ratio_sq(c, n - 1, n) for n in range(dim)]
+    )
+
+
+def raising_F_reference(c, M: int, dim: int) -> np.ndarray:
+    """F(n) = (n-M)^2 |C(n)/C(n-1)|^2 on (M, dim), one index at a time."""
+    return np.array(
+        [0.0 if n <= M else (n - M) ** 2 * _ratio_sq(c, n, n - 1) for n in range(dim)]
+    )
+
+
+def _ratio_sq(c, num_idx: int, den_idx: int) -> float:
+    num = c(num_idx)
+    if num == 0:
+        return 0.0
+    return abs(num / c(den_idx)) ** 2
 
 
 # --- report serialization ---

@@ -685,7 +685,7 @@ CACHED_ROWS = [row for row in fl.EXTENDED_GRID if row[0] != "intermediate"]
 def test_cached_suite_arrays_are_read_only(family, params, dim):
     fl.run_family_suite(family, params, dim)
     data = fl.verify._suite_input(fl.FAMILY_SPECS[family], dict(params), dim)
-    arrays = [data.state.amplitudes]
+    arrays = [data.state.amplitudes, data.table, data.F]
     for t in data._triples.values():  # full width and the axiom battery's
         arrays.append(t.structure_table)
         if "bands" in t.__dict__:  # read by the battery
