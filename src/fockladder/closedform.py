@@ -213,7 +213,7 @@ def _squeezed_sector_coeffs(r: float, theta: float, dim: int, j: int) -> Coeffs:
     _, n_sector = _check_sector_dim(dim, j)
     theta = _check_angle(_check_finite(theta, "theta"), n_sector)
     t = math.tanh(r)
-    if t == 0.0:
+    if t / 2 == 0.0:  # the state is |j>, as where r = 0
         return Coeffs(0, 0, _ones)
     log_half_t, w0 = math.log(t / 2), 1j * theta
 
@@ -283,6 +283,7 @@ def _cf_hypergeometric(L: float, eta: float, M: int) -> Coeffs:
 def _cf_polya(eta: float, gamma: float, M: int) -> Coeffs:
     eta = _check_eta(eta)
     gamma, M = _check_gamma(gamma, M)
+    gamma = float(gamma)  # so that x / gamma overflows with no numpy warning
 
     def log_rising(x: float, m: np.ndarray) -> np.ndarray:
         # m log(gamma) + lgamma(x/gamma + m) - lgamma(x/gamma), 0.0 at m = 0
@@ -294,6 +295,11 @@ def _cf_polya(eta: float, gamma: float, M: int) -> Coeffs:
             raise ParameterError(
                 f"eta={eta!r} and gamma={gamma!r} round eta/gamma or (1-eta)/gamma to 0 in "
                 "the polya closed form; use a smaller gamma or an eta farther from 0 and 1"
+            )
+        if math.isinf(x / gamma):  # lgamma(inf + m) - lgamma(inf) is inf - inf
+            raise ParameterError(
+                f"eta={eta!r} and gamma={gamma!r} overflow eta/gamma, (1-eta)/gamma or "
+                "1/gamma in the polya closed form; use a larger gamma"
             )
         m = m[live]
         out[live] = m * math.log(gamma) + _lgamma(x / gamma + m) - math.lgamma(x / gamma)

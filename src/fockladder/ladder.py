@@ -31,7 +31,6 @@ from .core import (
     DiagFn,
     FockState,
     OperatorExpr,
-    _ArrayDiag,
     _array_diag,
     _band_image,
     _div,
@@ -69,49 +68,28 @@ class ZeroCoefficientError(ValueError):
     """A coefficient that a ladder diagonal must divide by is zero."""
 
 
-class _CoeffTable(_ArrayDiag):
-    """A coefficient sequence as a diagonal: 0.0 outside its range, since
-    the builders also read C(dim).  Its array form gathers from the table,
-    and one index reads the table itself."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, coeffs: Sequence[complex]) -> None:
-        if isinstance(coeffs, np.ndarray):  # converts as complex() does
-            values = coeffs.astype(np.complex128)
-            self.table = values.tolist()
-        else:
-            self.table = [complex(v) for v in coeffs]
-            values = np.array(self.table, dtype=np.complex128)
-        super().__init__(_array_diag(lambda ns: values[ns], lo=0, hi=len(values)).values)
-
-    def __call__(self, n: int) -> complex:
-        return self.table[n] if 0 <= n < len(self.table) else 0.0
-
-
 def _coeff_getter(coeffs: Sequence[complex] | CoeffFn) -> CoeffFn:
     """The coefficient accessor.  A callable is read as given, one index
     at a time and only at n >= 0, where every builder's index rule and
-    _guarded_ratio keep it (the closed-form routes return Python floats or
-    complexes); a sequence becomes a _CoeffTable."""
-    return coeffs if callable(coeffs) else _CoeffTable(coeffs)
+    _guarded_ratio keep it; a sequence becomes a complex table read as a
+    diagonal, 0.0 outside its range, since the builders also read C(dim)."""
+    if callable(coeffs):
+        return coeffs
+    values = np.array(coeffs, dtype=np.complex128)  # converts as complex() does
+    return _array_diag(lambda ns: values[ns], lo=0, hi=len(values))
 
 
-def _guarded_ratio(
-    num: np.ndarray, c: CoeffFn, den_at: np.ndarray, den: np.ndarray | None = None
-) -> np.ndarray:
+def _guarded_ratio(num: np.ndarray, c: CoeffFn, den_at: np.ndarray) -> np.ndarray:
     """num / C(den_at) entry by entry with the numerator-first rule: 0.0
-    where num vanishes, and C read only at the other entries (den, when
-    given, holds C at den_at); a zero there raises ZeroCoefficientError
-    naming the first such index."""
+    where num vanishes, and C read only at the other entries; a zero there
+    raises ZeroCoefficientError naming the first such index."""
     if not num.all():
         live = num.nonzero()[0]
-        ratio = _guarded_ratio(num[live], c, den_at[live], None if den is None else den[live])
+        ratio = _guarded_ratio(num[live], c, den_at[live])
         out = np.zeros(len(num), dtype=ratio.dtype)
         out[live] = ratio
         return out
-    if den is None:
-        den = _read(c, den_at)
+    den = _read(c, den_at)
     if not den.all():
         raise ZeroCoefficientError(f"coefficient C({den_at[(den == 0).argmax()]}) = 0")
     return _div(num, den)
@@ -119,18 +97,9 @@ def _guarded_ratio(
 
 def _adjacent_ratio(c: CoeffFn, t: np.ndarray, s: int, factor=None) -> np.ndarray:
     """factor C(t) / C(t + s), s = 1 or -1, at the ascending indices t,
-    numerator first.  Over a contiguous t, C(t + s) is C(t) moved by one
-    place: C is read once, and past the end of t only where the
-    numerator there is nonzero."""
+    numerator first."""
     ct = _read(c, t)
-    num = ct if factor is None else _mul(factor, ct)
-    if len(t) > 1 and t[-1] - t[0] == len(t) - 1:
-        end = -1 if s > 0 else 0
-        edge = _read(c, t[end:][:1] + s) if num[end] != 0 else np.zeros(1, ct.dtype)
-        if edge.dtype == ct.dtype:  # else each read keeps its own type
-            den = np.concatenate((ct[1:], edge) if s > 0 else (edge, ct[:-1]))
-            return _guarded_ratio(num, c, t + s, den)
-    return _guarded_ratio(num, c, t + s)
+    return _guarded_ratio(ct if factor is None else _mul(factor, ct), c, t + s)
 
 
 def _coeffs_and_dim(

@@ -61,7 +61,6 @@ from .core import (
     sub,
 )
 from .ladder import (
-    CoeffFn,
     GdoTriple,
     _lowering_form,
     added_coherent_lowering,
@@ -602,62 +601,23 @@ def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:
     return shifted_gdo(coeffs, p["M"], dim)
 
 
-def _table(route: CoeffFn, n: int) -> np.ndarray:
-    """The route on [0, n): its array form, or one index at a time for a
-    callable that has none."""
-    ns = np.arange(n)
-    return route.values(ns) if isinstance(route, Coeffs) else _read(route, ns)
+def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
+    """The closed form as the builders read it, 0.0 off its support: a
+    gather from its table on [0, n), and C(n), the one index past the
+    table that a builder reads, evaluated at its first read and kept.  A
+    read past C(n) raises."""
+    n, past = len(table), []
 
+    def values(ns: np.ndarray) -> np.ndarray:
+        if ns[-1] < n:
+            return table[ns]
+        if ns[-1] > n:
+            raise IndexError(f"C({ns[-1]}) is past the table's end, C({n})")
+        if not past:
+            past.append(np.array([route(n)]))
+        return np.concatenate((table[ns[:-1]], past[0]))
 
-class _Coefficients(_ArrayDiag):
-    """A closed-form route as the builders and checks read it: on [0, n)
-    one read-only table, made by the route's array form at the first read,
-    and past n the route itself, one index at a time, each value kept
-    (the builders read C(n) at most).  An array read
-    gathers from the table, typed as the per-index values are: float64
-    only where every value read is a Python float (the route's 0.0 off its
-    support).  A callable without an array form is read as given."""
-
-    # values is the method below, not _ArrayDiag's slot: a bound method
-    # kept on the instance would be a reference cycle, and an evicted
-    # input's arrays would wait for the cycle collector
-    def __init__(self, route: CoeffFn, n: int) -> None:
-        self.route, self.n = route, n
-        self._past: dict[int, complex] = {}
-
-    @functools.cached_property
-    def table(self) -> np.ndarray:
-        table = _table(self.route, self.n)
-        table.flags.writeable = False
-        return table
-
-    @functools.cached_property
-    def _floats(self) -> np.ndarray | None:
-        # where a complex table holds a Python float; None when none does
-        if self.table.dtype.kind != "c":
-            return None
-        ns = np.arange(self.n)
-        off = (ns < self.route.lo) | (ns > self.route.hi)
-        return off if off.any() else None
-
-    def values(self, ns: np.ndarray) -> np.ndarray:
-        if not isinstance(self.route, Coeffs):
-            return _read(self.route, ns)
-        k = ns.searchsorted(self.n)
-        if k < len(ns):
-            tail = _read(self._past_end, ns[k:])
-            return np.concatenate((self.values(ns[:k]), tail)) if k else tail
-        if not len(ns):
-            return np.zeros(0)
-        values = self.table[ns]
-        if self._floats is not None and self._floats[ns].all():
-            return values.real
-        return values
-
-    def _past_end(self, n: int) -> complex:
-        if n not in self._past:
-            self._past[n] = self.route(n)
-        return self._past[n]
+    return _array_diag(values, lo=route.lo, hi=route.hi + 1)
 
 
 # --- the suite inputs' cache ---
@@ -700,22 +660,31 @@ class _SuiteInput:
         return sector_dim(self.dim, spec.sector) if spec.kind == "two-photon" else self.dim
 
     @functools.cached_property
-    def coeffs(self) -> _Coefficients | np.ndarray:
-        """C(n) as the builders read it: the closed form through its table,
-        or the state's amplitudes where the family has none."""
-        route = closed_form_coeffs(self.spec.name, self.p, self.dim)
-        return self.state.amplitudes if route is None else _Coefficients(route, self.basis)
-
-    @property
-    def table(self) -> np.ndarray:
-        """C on the basis, read-only."""
-        c = self.coeffs
-        return c.table if isinstance(c, _Coefficients) else c
+    def _route(self) -> Coeffs | None:
+        return closed_form_coeffs(self.spec.name, self.p, self.dim)
 
     @functools.cached_property
-    def base(self) -> _Coefficients:
+    def table(self) -> np.ndarray:
+        """C on the basis, read-only: the closed form's table, or the
+        state's amplitudes where the family has none."""
+        route = self._route
+        if route is None:
+            return self.state.amplitudes
+        table = route.values(np.arange(self.basis))
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def coeffs(self) -> _ArrayDiag | np.ndarray:
+        """C(n) as the builders read it."""
+        route = self._route
+        return self.table if route is None else _closed_form_diag(route, self.table)
+
+    @functools.cached_property
+    def base(self) -> _ArrayDiag:
         """The coefficients of the state before photon addition."""
-        return _Coefficients(self.spec.base(self.p), self.dim)
+        route = self.spec.base(self.p)
+        return _closed_form_diag(route, route.values(np.arange(self.dim)))
 
     @functools.cached_property
     def F(self) -> np.ndarray:
@@ -771,10 +740,11 @@ def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     p = _require(spec, params)
     dim = _check_dim(dim)  # before the closed form, which may scale by dim
     route = closed_form_coeffs(family, p, dim)
-    amplitudes = build_state(family, p, dim).amplitudes if route is None else None
+    if route is None:
+        return _gdo(spec, build_state(family, p, dim).amplitudes, p, dim)
     if spec.kind == "two-photon":
         dim = sector_dim(dim, spec.sector)
-    return _gdo(spec, amplitudes if route is None else _Coefficients(route, dim), p, dim)
+    return _gdo(spec, _closed_form_diag(route, route.values(np.arange(dim))), p, dim)
 
 
 # --- check helpers ---
@@ -1101,7 +1071,7 @@ def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Param
     p = _require(spec, params)
     route = closed_form_coeffs(family, p, _check_dim(dim))
     p = _int_counts(p)
-    derived_F = finite_F(_table(route, p["M"] + 1), p["M"]).tolist()
+    derived_F = finite_F(route.values(np.arange(p["M"] + 1)), p["M"]).tolist()
     rows = []
     for n, derived in enumerate(derived_F):
         try:

@@ -609,7 +609,7 @@ def squeezed_reference(r: float, theta: float, dim: int, j: int):
         raise states.ParameterError("theta must be finite")
     theta = states._check_angle(theta, n_sector)
     t = math.tanh(r)
-    if t == 0.0:
+    if t / 2 == 0.0:
         return _support(0, 0, lambda n: 1.0)
 
     def c(n: int) -> complex:
@@ -660,6 +660,11 @@ def polya_reference(eta: float, gamma: float, M: int):
             raise states.ParameterError(
                 f"eta={eta!r} and gamma={gamma!r} round eta/gamma or (1-eta)/gamma to 0 in "
                 "the polya closed form; use a smaller gamma or an eta farther from 0 and 1"
+            )
+        if math.isinf(x / gamma):
+            raise states.ParameterError(
+                f"eta={eta!r} and gamma={gamma!r} overflow eta/gamma, (1-eta)/gamma or "
+                "1/gamma in the polya closed form; use a larger gamma"
             )
         return m * math.log(gamma) + math.lgamma(x / gamma + m) - math.lgamma(x / gamma)
 

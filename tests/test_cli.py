@@ -334,19 +334,25 @@ def test_past_the_float_range_exits_two_without_output(capsys, argv, message):
     assert err.startswith(message)
 
 
-def test_ggs_past_the_float_range_refuses_without_numpy_warnings():
-    # |C(0)/C(1)|^2 leaves the float range; the refusal must come before
-    # the dense battery multiplies the infinite F values.  A subprocess
-    # keeps numpy's warnings on stderr instead of the suite's error filter.
+def _run_in_subprocess(*argv):
+    # a subprocess keeps numpy's warnings on stderr instead of the suite's
+    # error filter
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = ["verify", "--family", "ggs", "--Y", "1e-310", "--M", "1", "--dim", "4"]
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fockladder.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
+    )
+
+
+def test_ggs_past_the_float_range_refuses_without_numpy_warnings():
+    # |C(0)/C(1)|^2 leaves the float range; the refusal must come before
+    # the dense battery multiplies the infinite F values
+    result = _run_in_subprocess(
+        "verify", "--family", "ggs", "--Y", "1e-310", "--M", "1", "--dim", "4"
     )
     assert (result.returncode, result.stdout) == (2, "")
     # the refusal is all of stderr: no RuntimeWarning precedes it
@@ -354,6 +360,33 @@ def test_ggs_past_the_float_range_refuses_without_numpy_warnings():
         "error: a closed form of generalized_geometric leaves the float range at "
         "M=1, Y=1e-310; use parameters of moderate magnitude\n"
     )
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "structure-fn"])
+@pytest.mark.parametrize("gamma", ["5e-324", "1e-310"])
+def test_polya_closed_form_refuses_a_gamma_whose_inverse_overflows(subcommand, gamma):
+    # 1/gamma and eta/gamma leave the float range, where the closed form's
+    # rising factorials would be inf - inf; the state itself exists
+    flags = ["--family", "ps", "--eta", "0.5", "--gamma", gamma, "--M", "1", "--dim", "2"]
+    result = _run_in_subprocess(subcommand, *flags)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: eta=0.5 and gamma={gamma} overflow eta/gamma, (1-eta)/gamma or "
+        "1/gamma in the polya closed form; use a larger gamma\n"
+    )
+    assert "RuntimeWarning" not in result.stderr
+    assert _run_in_subprocess("state", *flags).returncode == 0
+
+
+@pytest.mark.parametrize("family", ["svs", "sfes"])
+@pytest.mark.parametrize("theta", ["0", "0.5", "2"])
+def test_squeezing_whose_half_tanh_rounds_to_zero_is_verified(capsys, family, theta):
+    # tanh(r)/2 rounds to 0, so the state is the sector's |j>, as at r = 0
+    code, out, err = run(
+        capsys, "verify", "--family", family, "--r", "5e-324", "--theta", theta, "--dim", "4"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
 
 
 def test_state_csv_header_echoes_config(capsys):

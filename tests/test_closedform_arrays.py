@@ -105,6 +105,10 @@ def _F(family, table, p):
 # a route that raises: past the float range, and lgamma's pole
 @example(case=("coherent", {"alpha": 1e3}, 1024))
 @example(case=("polya", {"eta": 5e-324, "gamma": 993471.7366795965, "M": 82}, 89))
+# 1/gamma past the float range, refused by name; tanh(r)/2 rounding to 0
+@example(case=("polya", {"eta": 0.5, "gamma": 5e-324, "M": 1}, 2))
+@example(case=("svs", {"r": 5e-324, "theta": 0.0}, 4))
+@example(case=("sfes", {"r": 5e-324, "theta": 2.0}, 4))
 def test_array_route_and_F_match_the_per_index_reference(case):
     family, params, dim = case
     spec = fl.FAMILY_SPECS[family]
@@ -126,16 +130,21 @@ def test_array_route_and_F_match_the_per_index_reference(case):
     assert _same(got[1], want[1])
 
     # index arrays inside, across and past the support, one at a time too,
-    # and as the suites' table on [0, n) gathers them
+    # and as the builders gather them from the table on [0, n), which
+    # reads past its end only C(n)
     M = params.get("M", 0)
-    gathered = verify._Coefficients(route, n)
+    gathered = verify._closed_form_diag(route, route.values(np.arange(n)))
     for picks in ([M - 1, M, M + 1], [M + 1, M + 2], [0, n - 1, n + 1], [n + 1], []):
         sub = np.array(sorted({k for k in picks if 0 <= k < n + 2}), dtype=int)
         want = _typed([reference(k) for k in sub.tolist()])
         assert _same(route.values(sub), want)
-        assert _same(gathered.values(sub), want)
+        held = sub[sub <= n]
+        assert _same(gathered.values(held), _typed([reference(k) for k in held.tolist()]))
         for k in sub.tolist():
             assert _same(_typed([route(k)]), _typed([reference(k)]))
+    if route.lo <= n + 1 <= route.hi:  # past C(n) a read raises, not guesses
+        with pytest.raises(IndexError, match=rf"^C\({n + 1}\) is past the table's end"):
+            gathered.values(np.array([n + 1]))
 
     # the structure function over the table, or the error it raises
     table = route.values(np.arange(n))
@@ -372,6 +381,12 @@ def test_a_route_that_raises_raises_before_the_battery(
     flags = [f"--{k}={v!r}" for k, v in params.items()]
     assert main(["verify", "--family", family, *flags, "--dim", str(dim)]) == 2
     assert capsys.readouterr() == ("", cli_error)
+
+
+def test_polya_refuses_an_overflowing_numpy_gamma_without_a_warning():
+    # the suite's warning filter would raise a numpy overflow warning
+    with pytest.raises(fl.ParameterError, match="^eta=0.5 and gamma=5e-324 overflow "):
+        fl.run_family_suite("polya", {"eta": 0.5, "gamma": np.float64(5e-324), "M": 1}, 2)
 
 
 @pytest.mark.parametrize("error", [OverflowError("(34, 'Numerical result out of range')"),

@@ -8,6 +8,7 @@ import pytest
 
 import fockladder as fl
 from fockladder import core, verify
+from fockladder.closedform import Coeffs
 from fockladder.ladder import _operational_structure_fn
 
 from _oracles import (
@@ -250,12 +251,34 @@ def test_coefficient_callables_are_only_read_at_nonnegative_indices(monkeypatch)
 
         return read
 
-    closed_form, coherent = verify.closed_form_coeffs, verify.coherent_coeffs
-    monkeypatch.setattr(
-        verify, "closed_form_coeffs",
-        lambda *args: None if (c := closed_form(*args)) is None else checked(c),
-    )
-    monkeypatch.setattr(verify, "coherent_coeffs", lambda alpha: checked(coherent(alpha)))
+    # the suites: each closed form as it is evaluated, an index array or
+    # the one index past its table, and its table as the builders read it
+    values, call, diag = Coeffs.values, Coeffs.__call__, verify._closed_form_diag
+
+    def read(ns):
+        assert (ns >= 0).all(), ns
+        reads.extend(ns.tolist())
+
+    def checked_values(self, ns):
+        read(ns)
+        return values(self, ns)
+
+    def checked_call(self, n):
+        read(np.array([n]))
+        return call(self, n)
+
+    def checked_diag(route, table):
+        d = diag(route, table)
+
+        def gather(ns):
+            read(ns)
+            return d.values(ns)
+
+        return core._ArrayDiag(gather)
+
+    monkeypatch.setattr(Coeffs, "values", checked_values)
+    monkeypatch.setattr(Coeffs, "__call__", checked_call)
+    monkeypatch.setattr(verify, "_closed_form_diag", checked_diag)
     one_per_kind = {}
     for family, params, dim in fl.EXTENDED_GRID:
         fl.run_family_suite(family, params, dim)

@@ -8,7 +8,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 import fockladder.verify as verify
+from fockladder.closedform import Coeffs
 from golden.regenerate import (
     DIM_SWEEP,
     GOLDEN,
@@ -92,7 +95,12 @@ def test_a_one_ulp_change_to_a_closed_form_coefficient_fails(monkeypatch):
 
     def nudged(eta, M):
         c = route(eta, M)
-        return lambda n: math.nextafter(c(n), math.inf) if n == 2 else c(n)
+
+        def values(ns):
+            v = c.values(ns)
+            return np.where(ns == 2, np.nextafter(v, math.inf), v)
+
+        return Coeffs(c.lo, c.hi, values)
 
     monkeypatch.setattr(verify, "_cf_binomial", nudged)
     verify._cached_input.cache_clear()  # the clean grid's inputs are cached
