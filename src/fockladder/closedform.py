@@ -351,6 +351,7 @@ def _cf_reciprocal_binomial(theta: float, M: int) -> Coeffs:
 
 
 def _cf_phase(theta_m: float, M: int) -> Coeffs:
+    M = _check_count(M, "M")
     pref = 1.0 / math.sqrt(M + 1)
 
     def c(ns: np.ndarray) -> np.ndarray:

@@ -236,9 +236,6 @@ class _OperationalF:
         return float(self.table[n]) if 0 <= n < self.lowering.domain_dim else 0.0
 
 
-_operational_structure_fn = _OperationalF
-
-
 def _triple(
     number: OperatorExpr,
     lowering: OperatorExpr,

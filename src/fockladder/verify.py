@@ -235,12 +235,15 @@ Params = dict[str, Any]
 class FamilySpec:
     """Everything the registry knows about one family, in one place.
 
-    ``kind`` picks the suite and the deformed-oscillator construction:
+    ``kind`` keys the family's entry in ``_KINDS``, which holds what the
+    kind adds to the one suite and its deformed-oscillator construction:
     "finite" (support [0, M]), "shifted" (support from M), "added"
     (photon-added), "general" (infinite support) or "two-photon" (one
-    parity sector, ``sector`` = j).  Every callable hands the parameters to
-    builders that run their own range rules, and reaches each through its
-    module-level name, so a wrapper rebound on such a name sees the call.
+    parity sector).  ``sector`` is that parity j for a two-photon family
+    and None for the rest; it alone decides the family's basis.  Every
+    callable hands the parameters to builders that run their own range
+    rules, and reaches each through its module-level name, so a wrapper
+    rebound on such a name sees the call.
     """
 
     name: str
@@ -259,7 +262,7 @@ class FamilySpec:
     literal_eq: str
     grid: tuple[Params, int]
     optional: tuple[str, ...] = ()
-    sector: int = 0
+    sector: int | None = None
     # (check name, equation, lhs/rhs builder), checked before the literal
     pair: tuple[str, str, Callable[[Params, int], tuple]] | None = None
     # coefficients of the state before photon addition
@@ -590,17 +593,6 @@ def closed_form_coeffs(family: str, params: Params, dim: int) -> Coeffs | None:
     return spec.closed_form(p, dim)
 
 
-def _gdo(spec: FamilySpec, coeffs, p: Params, dim: int) -> GdoTriple:
-    # dim counts the family's own basis: the sector basis for two-photon
-    if spec.kind == "finite":
-        return finite_gdo(coeffs, p["M"], dim)
-    if spec.kind == "general":
-        return general_gdo(coeffs, dim)
-    if spec.kind == "two-photon":
-        return two_photon_gdo(coeffs, spec.sector, dim)
-    return shifted_gdo(coeffs, p["M"], dim)
-
-
 def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
     """The closed form as the builders read it, 0.0 off its support: a
     gather from its table on [0, n), and C(n), the one index past the
@@ -629,39 +621,48 @@ SUITE_CACHE_SIZE = 32
 
 class _SuiteInput:
     """The operator data of one suite input (family, params, dim), each
-    part made on its first read and kept: the state, the coefficients C on
-    the family's basis (the closed form's table, else the state's
-    amplitudes) with the closed-form structure function formed from them,
-    and the deformed-oscillator triple at each truncation.  Their arrays
-    are read-only.  A part whose builder refuses is not kept, so the next
-    read runs the builder again.  No verdict is kept."""
+    part made on its first read and kept: the state, on the full space and
+    on the family's basis, the coefficients C on the basis (the closed
+    form's table, else the state's amplitudes) with the closed-form
+    structure function formed from them, and the deformed-oscillator
+    triple at each truncation.  Their arrays are read-only.  Where the
+    family has a closed form, no part but the two states builds the
+    state.  A part whose builder refuses is not kept, so the next read
+    runs the builder again.  No verdict is kept."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
+        self.kind = _KINDS[spec.kind]
         self._triples: dict[int, GdoTriple] = {}
 
     @functools.cached_property
     def state(self) -> FockState:
         return build_state(self.spec.name, self._params, self._dim)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
-        return self.state.dim
+        return _check_dim(self._dim)
 
     @functools.cached_property
     def p(self) -> Params:
-        # the state has taken the counts, so they read as ints
+        # the counts as ints, read after the route or the state checked them
         return _int_counts(self._params)
 
     @functools.cached_property
     def basis(self) -> int:
         """The size of the family's own basis: the sector's for two-photon."""
-        spec = self.spec
-        return sector_dim(self.dim, spec.sector) if spec.kind == "two-photon" else self.dim
+        j = self.spec.sector
+        return self.dim if j is None else sector_dim(self.dim, j)
+
+    @functools.cached_property
+    def state_on_basis(self) -> FockState:
+        """The state on the family's basis: its sector's for two-photon."""
+        return self.state if self.spec.sector is None else sector_embed(self.state)
 
     @functools.cached_property
     def _route(self) -> Coeffs | None:
-        return closed_form_coeffs(self.spec.name, self.p, self.dim)
+        # the raw params, so the route checks each count p takes as an int
+        return closed_form_coeffs(self.spec.name, self._params, self.dim)
 
     @functools.cached_property
     def table(self) -> np.ndarray:
@@ -688,20 +689,16 @@ class _SuiteInput:
 
     @functools.cached_property
     def F(self) -> np.ndarray:
-        """The closed-form structure function on the basis, formed from
-        the table: E12 for a finite family, the raising form from M
-        (E44) or 0 (E54, E87) for the others; read-only."""
-        if self.spec.kind == "finite":
-            F = finite_F(self.table, self.p["M"])
-        else:
-            F = raising_F(self.table, self.p["M"] if self.spec.kind in ("shifted", "added") else 0)
+        """The kind's closed-form structure function on the basis, formed
+        from the table; read-only."""
+        F = self.kind.F(self.table, self.p)
         F.flags.writeable = False
         return F
 
     def triple(self, dim: int) -> GdoTriple:
         """The triple at truncation dim of the family's own basis."""
         if dim not in self._triples:
-            self._triples[dim] = _gdo(self.spec, self.coeffs, self.p, dim)
+            self._triples[dim] = self.kind.triple(self.coeffs, self.p, self.spec.sector, dim)
         return self._triples[dim]
 
 
@@ -735,16 +732,12 @@ def _cached_input(family: str, exact_dim: tuple, dim: int, items: tuple) -> _Sui
 
 
 def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
-    """The family's deformed-oscillator triple at the given truncation."""
+    """The family's deformed-oscillator triple on its own basis at the
+    given truncation (the sector's for two-photon), from the closed form
+    where the family has one, so also where the state does not fit."""
     spec = _spec(family)
-    p = _require(spec, params)
-    dim = _check_dim(dim)  # before the closed form, which may scale by dim
-    route = closed_form_coeffs(family, p, dim)
-    if route is None:
-        return _gdo(spec, build_state(family, p, dim).amplitudes, p, dim)
-    if spec.kind == "two-photon":
-        dim = sector_dim(dim, spec.sector)
-    return _gdo(spec, _closed_form_diag(route, route.values(np.arange(dim))), p, dim)
+    data = _SuiteInput(spec, _require(spec, params), dim)
+    return data.triple(data.basis)
 
 
 # --- check helpers ---
@@ -813,199 +806,139 @@ def _structure_closed_form_check(
     )
 
 
-def _axiom_dim(dim: int, n_min: int = 0) -> int:
+def _axiom_dim(dim: int, n_min: int) -> int:
     # the axiom battery is specified in the small-truncation regime;
     # large windows only add rounding on large F values
     return min(dim, max(16, n_min + 9))
 
 
-def _literal_checks(
-    spec: FamilySpec, p: Params, dim: int, s: FockState, name: str, tol: Tolerances
-) -> list[CheckResult]:
-    checks = []
-    if spec.pair is not None:
-        pair_name, equation, pair = spec.pair
-        checks.append(relation_check(pair_name, equation, *pair(p, dim), s, tol))
-    op, eigenvalue = spec.literal(p, dim)
-    checks.append(eigen_check(name, spec.literal_eq, op, s, eigenvalue, tol))
-    return checks
+# --- what each kind adds to the suite ---
 
 
-def _gdo_checks(
-    data: _SuiteInput,
-    dim: int,
-    n_min: int,
-    equations: tuple[str, str],
-    tol: Tolerances,
-) -> list[CheckResult]:
-    """The band axiom battery at a small truncation, then the operational
-    F against its closed form (data.F) at full width."""
-    axiom_eq, fn_eq = equations
-    # the full-width check comes first, so that a closed form past the
-    # float range raises before the battery multiplies its values
-    closed_form = _structure_closed_form_check(data.triple(dim), data, fn_eq, tol)
-    checks = gdo_axiom_checks(
-        data.triple(_axiom_dim(dim, n_min)), tol, equation=axiom_eq
-    )
-    return checks + [closed_form]
+def _finite_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    M, dim = data.p["M"], data.dim
+    generic = add(number_op(dim), ladder_lowering_finite(data.coeffs, M, dim))
+    return [eigen_check("ladder-eigen-generic", "E9 E10 E13", generic, data.state, M, tol)]
 
 
-# --- family suites ---
-
-
-# Each suite continues after the normalization check with the input's
-# data: the state s, the coefficients cf the builders read, their table
-# and closed-form F, and the triples.
-
-
-def _suite_finite(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
-    M = p["M"]
-    checks = [
-        _distribution_check(s, data.table, spec.dist_eq, tol),
-        eigen_check(
-            "ladder-eigen-generic",
-            "E9 E10 E13",
-            add(number_op(dim), ladder_lowering_finite(cf, M, dim)),
-            s,
-            M,
-            tol,
-        ),
+def _shifted_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    M, dim, cf, s = data.p["M"], data.dim, data.coeffs, data.state
+    generic = sub(number_op(dim), ladder_raising_shifted(cf, M, dim))
+    lowered = shifted_lowered_pair(cf, M, dim)
+    return [
+        eigen_check("ladder-eigen-generic", "E37 E42 E45", generic, s, M, tol),
+        relation_check("shifted-lowered-relation", "E38", *lowered, s, tol),
     ]
-    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
-
-    # step maps to the (M-1)-member, which keeps x fixed; the M = 0 member
-    # (the vacuum) has no such member, so its suite has no step-down checks
-    if M > 0:
-        reduced = spec.down(p) if spec.down is not None else dict(p, M=M - 1)
-        down = _suite_input(spec, reduced, dim)
-        target = down.state
-        c0, c1 = data.table, down.table
-        f_image = apply(step_down_f(c0, c1), s)
-        g_image = apply(step_down_g(c0, c1, M), s)
-        checks += [
-            _state_map_check("step-down-f", "E3 E4 E5", f_image, target, tol),
-            _state_map_check("step-down-g", "E6 E7", g_image, target, tol),
-            images_check("step-down-equality", "E8", f_image, g_image, tol),
-        ]
-    checks += _gdo_checks(data, dim, M, ("E1 E11", "E12"), tol)
-    return checks
 
 
-def _suite_shifted(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
-    M = p["M"]
-    checks = [
-        _distribution_check(s, data.table, spec.dist_eq, tol),
-        eigen_check(
-            "ladder-eigen-generic",
-            "E37 E42 E45",
-            sub(number_op(dim), ladder_raising_shifted(cf, M, dim)),
-            s,
-            M,
-            tol,
-        ),
-        relation_check(
-            "shifted-lowered-relation",
-            "E38",
-            *shifted_lowered_pair(cf, M, dim),
-            s,
-            tol,
-        ),
+def _added_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    M, dim, base, s = data.p["M"], data.dim, data.base, data.state
+    raising, lowered = added_raising_ladder(base, M, dim), added_lowered_pair(base, M, dim)
+    return [
+        eigen_check("ladder-eigen-raising", "E40", raising, s, M, tol),
+        relation_check("added-lowered-relation", "E41", *lowered, s, tol),
     ]
-    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
 
-    up = _suite_input(spec, dict(p, M=M + 1), dim)
-    target = up.state
-    c0, c1 = data.table, up.table
-    f_image = apply(step_up_f(c0, c1), s)
-    g_image = apply(step_up_g(c0, c1, M), s)
-    checks += [
-        _state_map_check("step-up-f", "E33 E35", f_image, target, tol),
-        _state_map_check("step-up-g", "E34 E36", g_image, target, tol),
+
+def _general_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    raising_form, lowering_form = ladder_general(data.coeffs, data.dim)
+    return [
+        eigen_check("ladder-raising-form", "E52", raising_form, data.state, 0.0, tol),
+        eigen_check("ladder-lowering-form", "E53", lowering_form, data.state, 0.0, tol),
     ]
-    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), tol)
-    return checks
 
 
-def _suite_added(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s = data.spec, data.p, data.dim, data.state
-    M = p["M"]
-    base_cf = data.base
-    checks = [
-        _distribution_check(s, data.table, spec.dist_eq, tol),
-        eigen_check(
-            "ladder-eigen-raising",
-            "E40",
-            added_raising_ladder(base_cf, M, dim),
-            s,
-            M,
-            tol,
-        ),
-        relation_check(
-            "added-lowered-relation",
-            "E41",
-            *added_lowered_pair(base_cf, M, dim),
-            s,
-            tol,
-        ),
-    ]
-    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-lowering", tol)
-    checks += _gdo_checks(data, dim, M, ("E1 E43", "E44"), tol)
-    return checks
-
-
-def _suite_general(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
-    checks = []
-    if spec.closed_form is not None:
-        checks.append(_distribution_check(s, data.table, spec.dist_eq, tol))
-
-    raising_form, lowering_form = ladder_general(cf, dim)
-    checks += [
-        eigen_check("ladder-raising-form", "E52", raising_form, s, 0.0, tol),
-        eigen_check("ladder-lowering-form", "E53", lowering_form, s, 0.0, tol),
-    ]
-    checks += _literal_checks(spec, p, dim, s, "ladder-eigen-literal", tol)
-    checks += _gdo_checks(data, dim, 0, ("E1 E54", "E54"), tol)
-    return checks
-
-
-def _suite_two_photon(data: _SuiteInput, tol: Tolerances):
-    spec, p, dim, s, cf = data.spec, data.p, data.dim, data.state, data.coeffs
-    j = spec.sector
-    sec = sector_embed(s)
-    checks = [_distribution_check(sec, data.table, spec.dist_eq, tol)]
-
+def _sector_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    j, sec = data.spec.sector, data.state_on_basis
     rep = su11(j, sec.dim)
-    checks += su11_axiom_checks(rep, tol)
-    checks += embedding_checks(rep, tol)
-
-    up, down = two_photon_ladder(cf, j, sec.dim)
-    up_eq, down_eq, axiom_eq = (
-        ("E69 E72", "E74", "E1 E85"),
-        ("E69 E73", "E75", "E1 E86"),
-    )[j]
-    checks += [
+    checks = su11_axiom_checks(rep, tol) + embedding_checks(rep, tol)
+    up, down = two_photon_ladder(data.coeffs, j, sec.dim)
+    up_eq, down_eq = (("E69 E72", "E74"), ("E69 E73", "E75"))[j]
+    return checks + [
         eigen_check("sector-raising-form", up_eq, up, sec, 0.0, tol),
         # the lowering form references one amplitude beyond the truncation
         # at the top sector index, so that component is excluded
         eigen_check("sector-lowering-form", down_eq, down, sec, 0.0, tol, edge_exclude=1),
     ]
-    checks += _literal_checks(spec, p, dim, s, "pair-lowering-eigen", tol)
-    checks += _gdo_checks(data, sec.dim, 0, (axiom_eq, "E87"), tol)
-
-    if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
-        checks += disentangling_checks(s, p["r"], p["theta"], rep, tol)
-    return checks
 
 
-_SUITES = {
-    "finite": _suite_finite,
-    "shifted": _suite_shifted,
-    "added": _suite_added,
-    "general": _suite_general,
-    "two-photon": _suite_two_photon,
+def _step_down(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    # the (M-1)-member keeps x fixed; the M = 0 member (the vacuum) has
+    # none, so its suite has no step-down checks
+    spec, p, s, M = data.spec, data.p, data.state, data.p["M"]
+    if M == 0:
+        return []
+    down = _suite_input(spec, spec.down(p) if spec.down else dict(p, M=M - 1), data.dim)
+    target = down.state
+    f_image = apply(step_down_f(data.table, down.table), s)
+    g_image = apply(step_down_g(data.table, down.table, M), s)
+    return [
+        _state_map_check("step-down-f", "E3 E4 E5", f_image, target, tol),
+        _state_map_check("step-down-g", "E6 E7", g_image, target, tol),
+        images_check("step-down-equality", "E8", f_image, g_image, tol),
+    ]
+
+
+def _step_up(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+    s, M = data.state, data.p["M"]
+    up = _suite_input(data.spec, dict(data.p, M=M + 1), data.dim)
+    target = up.state
+    f_image = apply(step_up_f(data.table, up.table), s)
+    g_image = apply(step_up_g(data.table, up.table, M), s)
+    return [
+        _state_map_check("step-up-f", "E33 E35", f_image, target, tol),
+        _state_map_check("step-up-g", "E34 E36", g_image, target, tol),
+    ]
+
+
+_Checks = Callable[[_SuiteInput, Tolerances], list[CheckResult]]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What one kind of family adds to the suite, and its triple."""
+
+    triple: Callable[..., GdoTriple]  # (coeffs, p, sector, dim of the basis)
+    F: Callable[[np.ndarray, Params], np.ndarray]  # closed-form F of (table, p)
+    ladders: _Checks
+    literal: str  # the literal eigen check's name
+    battery: tuple[str, ...]  # the axiom battery's equation, one per sector
+    F_eq: str
+    from_M: bool  # whether the battery's width starts from M
+    steps: _Checks | None = None  # the maps to a neighboring member
+
+
+_KINDS: dict[str, _Kind] = {
+    "finite": _Kind(
+        triple=lambda c, p, j, dim: finite_gdo(c, p["M"], dim),
+        F=lambda table, p: finite_F(table, p["M"]),
+        ladders=_finite_ladders, literal="ladder-eigen-literal",
+        battery=("E1 E11",), F_eq="E12", from_M=True, steps=_step_down,
+    ),
+    "shifted": _Kind(
+        triple=lambda c, p, j, dim: shifted_gdo(c, p["M"], dim),
+        F=lambda table, p: raising_F(table, p["M"]),
+        ladders=_shifted_ladders, literal="ladder-eigen-literal",
+        battery=("E1 E43",), F_eq="E44", from_M=True, steps=_step_up,
+    ),
+    "added": _Kind(
+        triple=lambda c, p, j, dim: shifted_gdo(c, p["M"], dim),
+        F=lambda table, p: raising_F(table, p["M"]),
+        ladders=_added_ladders, literal="ladder-eigen-lowering",
+        battery=("E1 E43",), F_eq="E44", from_M=True,
+    ),
+    "general": _Kind(
+        triple=lambda c, p, j, dim: general_gdo(c, dim),
+        F=lambda table, p: raising_F(table, 0),
+        ladders=_general_ladders, literal="ladder-eigen-literal",
+        battery=("E1 E54",), F_eq="E54", from_M=False,
+    ),
+    "two-photon": _Kind(
+        triple=lambda c, p, j, dim: two_photon_gdo(c, j, dim),
+        F=lambda table, p: raising_F(table, 0),
+        ladders=_sector_ladders, literal="pair-lowering-eigen",
+        battery=("E1 E85", "E1 E86"), F_eq="E87", from_M=False,
+    ),
 }
 
 
@@ -1015,15 +948,40 @@ def run_family_suite(
     dim: int,
     tolerances: Tolerances | None = None,
 ) -> VerificationReport:
-    """All of the family's checks at one parameter point, consolidated."""
+    """All of the family's checks at one parameter point, in one order for
+    every kind: normalization; the distribution against the closed form,
+    where there is one, on the family's basis; the kind's ladder checks;
+    the family's pair relation; the literal eigen check; the kind's step
+    maps; the deformed-oscillator battery, then the operational F against
+    its closed form at full width; and the disentangled squeezing operator
+    for S(xi)|j>."""
     spec = _spec(family)
     tol = tolerances or Tolerances()
     data = _suite_input(spec, _require(spec, params), dim)
-    checks = [_norm_check(data.state, spec.norm_eq, tol)]
-    checks += _SUITES[spec.kind](data, tol)
+    s, p, kind = data.state, data.p, data.kind
+    checks = [_norm_check(s, spec.norm_eq, tol)]
+    if spec.closed_form is not None:
+        checks.append(_distribution_check(data.state_on_basis, data.table, spec.dist_eq, tol))
+    checks += kind.ladders(data, tol)
+    if spec.pair is not None:
+        pair_name, equation, pair = spec.pair
+        checks.append(relation_check(pair_name, equation, *pair(p, data.dim), s, tol))
+    op, eigenvalue = spec.literal(p, data.dim)
+    checks.append(eigen_check(kind.literal, spec.literal_eq, op, s, eigenvalue, tol))
+    if kind.steps is not None:
+        checks += kind.steps(data, tol)
+    # the full-width F check runs first, so that a closed form past the
+    # float range raises before the battery multiplies its values
+    closed_form = _structure_closed_form_check(data.triple(data.basis), data, kind.F_eq, tol)
+    battery = data.triple(_axiom_dim(data.basis, p["M"] if kind.from_M else 0))
+    checks += gdo_axiom_checks(battery, tol, equation=kind.battery[spec.sector or 0])
+    checks.append(closed_form)
+    if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
+        rep = su11(spec.sector, data.basis)
+        checks += disentangling_checks(s, p["r"], p["theta"], rep, tol)
     return VerificationReport(
         family=family,
-        params=_echo_params(family, data.p),
+        params=_echo_params(family, p),
         dim=data.dim,
         tolerances=tol,
         checks=tuple(checks),

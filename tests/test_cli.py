@@ -460,6 +460,19 @@ def test_structure_fn_csv_rows_are_the_triples_F(capsys):
     assert lines[2:] == [f"{n},{t.structure_fn(n)!r}" for n in range(16)]
 
 
+def test_structure_fn_runs_where_the_state_does_not_fit(capsys):
+    # F comes from the closed form, so the table needs no state; the state
+    # itself drops too much tail mass at this truncation and is refused
+    flags = ("--family", "cs", "--alpha", "3", "--dim", "16")
+    code, out, err = run(capsys, "structure-fn", *flags, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 18
+    code, out, err = run(capsys, "state", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: coherent(alpha=3.0) drops tail mass ")
+    assert err.endswith("; increase dim\n") and err.count("\n") == 1
+
+
 def test_structure_fn_compare_printed_rbs(capsys):
     code, out, _ = run(
         capsys,

@@ -9,7 +9,7 @@ import pytest
 import fockladder as fl
 from fockladder import core, verify
 from fockladder.closedform import Coeffs
-from fockladder.ladder import _operational_structure_fn
+from fockladder.ladder import _OperationalF
 
 from _oracles import (
     band_image_reference,
@@ -643,7 +643,7 @@ def test_band_arithmetic_matches_the_scalar_reference_bit_for_bit():
     assert np.array_equal(core.to_matrix(op), matrix_reference(op))
     # F reads one term that does not raise: each lowering is d(N) a^m
     for single in [core.operator([term], dim) for term in op.terms if term[0] <= 0]:
-        F = _operational_structure_fn(single)
+        F = _OperationalF(single)
         assert [F(n) for n in range(-1, dim + 1)] == [
             structure_fn_reference(single, n) for n in range(-1, dim + 1)
         ]
@@ -728,7 +728,7 @@ def test_structure_fn_table_stops_where_a_product_overflows():
     # d(n) * sqrt(n) overflows at n = 2 only: F reads inf there, without a
     # warning, and the indices around it keep their values
     op = core.operator([(-1, lambda n: 1.5e308 if n == 2 else 1.0)], 4)
-    F = _operational_structure_fn(op)
+    F = _OperationalF(op)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert (F(1), F(2), F(3)) == (1.0, math.inf, pytest.approx(3.0, rel=1e-15))
@@ -740,7 +740,7 @@ def test_structure_fn_table_matches_the_scalar_route_past_the_float_range():
     # squares that underflow stay exact
     values = [1e200, 1e200 + 1e200j, -1e155j, 1e300 + 1e300j, 5e-170, 1e-160 + 3e-155j]
     op = core.operator([(-1, lambda n: values[n - 1])], len(values) + 1)
-    F = _operational_structure_fn(op)
+    F = _OperationalF(op)
     got = [F(n) for n in range(len(values) + 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -779,7 +779,7 @@ def _routes(op):
     return [
         _raised(lambda: core.apply(op, core.make_state(np.ones(dim)))),
         _raised(lambda: core.to_bands(op)),
-        _raised(lambda: _operational_structure_fn(op).table),
+        _raised(lambda: _OperationalF(op).table),
     ]
 
 

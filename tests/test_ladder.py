@@ -433,14 +433,14 @@ def test_structure_fn_skips_annihilated_index():
             raise AssertionError("diagonal evaluated at an annihilated index")
         return 1.0
 
-    F = fl.ladder._operational_structure_fn(fl.core.operator([(-1, d)], 4))
+    F = fl.ladder._OperationalF(fl.core.operator([(-1, d)], 4))
     assert F(0) == 0.0
     assert F(1) == 1.0
     assert F(3) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_structure_fn_names_non_finite_index():
-    F = fl.ladder._operational_structure_fn(
+    F = fl.ladder._OperationalF(
         fl.core.operator([(-1, lambda n: math.nan if n == 2 else 1.0)], 4)
     )
     # the first read builds the whole table, so it names the index

@@ -7,7 +7,7 @@ import pytest
 
 import fockladder as fl
 from fockladder.reporting import csv_table
-from fockladder.closedform import _cf_generalized_geometric, _cf_nnbs
+from fockladder.closedform import _cf_generalized_geometric, _cf_nnbs, raising_F
 
 
 GRID_BY_FAMILY = {family: (params, dim) for family, params, dim in fl.EXTENDED_GRID}
@@ -315,6 +315,33 @@ def test_build_gdo_refuses_dim_zero(family):
     params, _ = GRID_BY_FAMILY[family]
     with pytest.raises(fl.ParameterError, match=r"^dim must be an integer >= 1$"):
         fl.build_gdo(family, params, 0)
+
+
+def test_build_gdo_reads_the_closed_form_where_the_state_does_not_fit():
+    # alpha = 3 drops more tail mass past dim 16 than a state may, but the
+    # closed form's triple needs no state
+    with pytest.raises(fl.TailMassError, match="tail mass"):
+        fl.build_state("coherent", {"alpha": 3.0}, 16)
+    t = fl.build_gdo("coherent", {"alpha": 3.0}, 16)
+    assert t.dim == 16
+    F = raising_F(fl.coherent_coeffs(3.0).values(np.arange(16)), 0)
+    np.testing.assert_allclose(t.structure_table, F, rtol=1e-13)
+    assert t.structure_table[1] == pytest.approx(9.0, rel=1e-14)
+
+
+def test_build_gdo_checks_a_count_before_taking_it_as_an_int():
+    with pytest.raises(fl.ParameterError, match=r"^M must be a nonnegative integer$"):
+        fl.build_gdo("binomial", {"eta": 0.5, "M": 4.5}, 12)
+
+
+def test_the_kind_table_serves_exactly_the_registry_kinds():
+    kinds = {spec.kind for spec in fl.FAMILY_SPECS.values()}
+    assert kinds == set(fl.verify._KINDS)
+    # the sector alone decides a family's basis: it is set on exactly the
+    # two-photon rows
+    sectored = {name for name, spec in fl.FAMILY_SPECS.items() if spec.sector is not None}
+    two_photon = {name for name, spec in fl.FAMILY_SPECS.items() if spec.kind == "two-photon"}
+    assert sectored == two_photon == {"svs", "sfes", "ecs", "ocs"}
 
 
 # --- derived vs printed ---
