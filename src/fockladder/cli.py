@@ -226,9 +226,9 @@ def _config(
         raise ParameterError(f"unknown family '{given_family}'")
     if dim is None:
         spec = FAMILY_SPECS.get(family)
-        if spec is None or spec.kind != "finite" or "M" not in params:
+        dim = None if spec is None else spec.default_dim(params)
+        if dim is None:
             raise ParameterError(f"--dim is required for family '{family}'")
-        dim = params["M"] + 8
     if family == "harmonic" and params:
         stray = sorted(params)[0]
         raise ParameterError(f"unknown parameter '{stray}' for family 'harmonic'")

@@ -7,11 +7,11 @@ checks, so every entry point refuses an input with the constructor's
 message; a non-finite alpha or theta, which a constructor refuses only
 by its non-finite amplitudes, is refused by name.
 
-Each route is a Coeffs: c.values(ns) is its array form, C at an
-ascending index array in one pass, and c(n) is C at one index.  Both
-give the bits of the route's per-index Python formula, which
-tests/_oracles.py keeps as the reference, because every element goes
-through exactly the operations that formula makes:
+Each route is a Coeffs, a diagonal in the array form of core._ArrayDiag,
+whose protocol and first-fault rule it keeps: c.values(ns) and c(n) give
+the bits of the route's per-index Python formula, which tests/_oracles.py
+keeps as the reference, because every element goes through exactly the
+operations that formula makes:
 
 - float +, -, * and / are numpy's, which round as Python's do;
 - lgamma, exp, cmath.exp, ** and abs are Python's own, called once per
@@ -21,8 +21,6 @@ through exactly the operations that formula makes:
   builders' arithmetic in core.py is not shared, since the oracle checks
   it.
 
-An array read raises what the per-index formula raises at the first
-index where it raises: a fault re-reads the indices one at a time.
 finite_F and raising_F form the structure functions from a table of C
 by the same rules.
 """
@@ -52,9 +50,8 @@ from .states import (
 
 
 class Coeffs:
-    """C(n) of one route: formula(ns) on the support lo <= n <= hi, typed
-    as the per-index values are (float64 for Python floats, complex128
-    for complexes), and 0.0 elsewhere."""
+    """C(n) of one route: formula(ns) on the support lo <= n <= hi and 0.0
+    elsewhere, read by values(ns) or c(n) (see the module docstring)."""
 
     __slots__ = ("lo", "hi", "_formula")
     __name__ = "c"  # an instance reads by name as the function c(n) it is
@@ -65,8 +62,6 @@ class Coeffs:
         self.lo, self.hi, self._formula = lo, hi, formula
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        """C at the ascending int array ns: float64 when every value is a
-        Python float, complex128 otherwise."""
         i, j = ns.searchsorted(self.lo), ns.searchsorted(self.hi, "right")
         if i >= j:
             return np.zeros(len(ns))
@@ -82,7 +77,7 @@ class Coeffs:
             with np.errstate(all="ignore"):  # as Python's float arithmetic
                 return self._formula(ns)
         except Exception:
-            if len(ns) > 1:  # the first index whose formula faults raises
+            if len(ns) > 1:  # the first-fault rule of core._ArrayDiag
                 for k in range(len(ns)):
                     self._inside(ns[k : k + 1])
             raise

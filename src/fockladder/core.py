@@ -15,17 +15,16 @@ read the terms: apply, whose pass also gives the structure-function
 table, and to_bands, the dense oracle in band form that to_matrix places
 into a matrix:
 
-- Array reads on the live indices.  Every diagonal the package builds
-  has an array form (_ArrayDiag), read once per term at exactly the
-  integer indices where the ladder factor (and, for apply, the incoming
-  amplitude) is nonzero.  A composite reads its inner diagonals only
-  there, and a coefficient ratio reads its denominator only where its
-  numerator is nonzero, so expressions like (M - N) or 1/sqrt(N + 1) are
-  exact at integer arguments and never see an index outside their
-  domain.  A callable from outside the package is read one index at a
-  time, inside a composite too; so is a term whose array read meets a
-  fault, so the first fault in ascending index order raises, with the
-  error its formula raises there.
+- Array reads on the live indices.  Every diagonal the package builds,
+  and every closedform.Coeffs, has an array form (the protocol of
+  _ArrayDiag), read once per term at exactly the integer indices where
+  the ladder factor (and, for apply, the incoming amplitude) is nonzero.
+  A composite reads its inner diagonals only there, and a coefficient
+  ratio reads its denominator only where its numerator is nonzero, so
+  expressions like (M - N) or 1/sqrt(N + 1) are exact at integer
+  arguments and never see an index outside their domain.  Any other
+  callable is read one index at a time, inside a composite too; a fault
+  raises by the first-fault rule of _ArrayDiag.
 - Exact ladder factors.  Each is the square root of the exact integer
   product, formed in float64 while it stays below 2**53 and in Python
   ints past that, so perfect squares come out exact and a product past
@@ -44,6 +43,7 @@ into a matrix:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -101,10 +101,15 @@ def _ladder_factors(ns: np.ndarray, k: int) -> np.ndarray:
 
 
 class _ArrayDiag:
-    """A diagonal in array form: values(ns) gives it at the ascending int
-    array ns, typed as the per-index values are (float64 or int for reals,
-    complex128 for complexes).  Called with one index it is the per-index
-    diagonal, a Python scalar, raising what its formula raises there."""
+    """A diagonal in array form.  The protocol, kept by closedform.Coeffs
+    too: values(ns) gives it at the ascending int array ns in one pass,
+    typed as the per-index values are (float64 or int for reals,
+    complex128 for complexes), and d(n) at one index, a Python scalar.
+
+    First-fault rule: an array read that meets a fault (an error, or a
+    non-finite value where _diag_values reads) is read again one index at
+    a time, so the first fault in ascending index order raises, with the
+    error its formula raises there."""
 
     __slots__ = ("values",)
 
@@ -138,11 +143,12 @@ def _array_diag(fn, lo: int | None = None, hi: int | None = None) -> _ArrayDiag:
 
 
 def _read(d: DiagFn, ns: np.ndarray) -> np.ndarray:
-    """d at the ascending indices ns, as its array form gives them; a
-    callable from outside the package is called once per index, and its
-    values kept as a float64 array when none is complex."""
-    if isinstance(d, _ArrayDiag):
-        return d.values(ns)
+    """d at the ascending indices ns: its values(ns) where it has the
+    array form of _ArrayDiag, else one call per index, the values kept as
+    a float64 array when none is complex."""
+    array_form = getattr(d, "values", None)
+    if array_form is not None:
+        return array_form(ns)
     values = [d(n) for n in ns.tolist()]
     arr = np.array(values)
     if arr.dtype.kind in "biuf":
@@ -154,36 +160,26 @@ def _read(d: DiagFn, ns: np.ndarray) -> np.ndarray:
 
 def _diag_values(d: DiagFn, ns, where: str) -> np.ndarray:
     """The diagonal's values at the ascending indices ns as a complex128
-    array.  An array form is read once; a callable from outside the
-    package, or an array form that meets a fault, is read one index at a
-    time and raises where that loop raises: at the first non-finite value,
-    else with the diagonal's own error."""
-    if isinstance(d, _ArrayDiag) and len(ns):
-        try:
-            with np.errstate(all="ignore"):  # as Python's float arithmetic
-                arr = np.asarray(d.values(np.asarray(ns)), dtype=np.complex128)
-            if np.isfinite(arr).all():
-                return arr
-        except Exception:  # re-read below, where the first fault raises
-            pass
-    values = []
-    exc: Exception | None = None
+    array, read once by _read.  A read that meets a fault is read again
+    by the first-fault rule of _ArrayDiag: the first non-finite value, or
+    the diagonal's own error, whichever comes first, raises."""
+    ns = np.asarray(ns)
     try:
-        for n in np.asarray(ns).tolist():
-            values.append(d(n))
-    except Exception as caught:  # the caller's diagonal: raised below, unless
-        exc = caught  # a value read before it is not finite
-    # converts each value as complex() does, bit for bit
-    arr = np.array(values, dtype=np.complex128)
-    bad = (~np.isfinite(arr)).nonzero()[0]
-    if bad.size:
-        i = int(bad[0])
-        raise OperatorEvaluationError(
-            f"diagonal evaluated to {complex(values[i])} at {where} {ns[i]}"
-        )
-    if exc is not None:
-        raise exc
-    return arr
+        with np.errstate(all="ignore"):  # as Python's float arithmetic
+            arr = np.asarray(_read(d, ns), dtype=np.complex128)
+        if np.isfinite(arr).all():
+            return arr
+    except Exception:  # re-read below, where the first fault raises
+        pass
+    values = []
+    for n in ns.tolist():
+        value = d(n)  # raises the diagonal's own error
+        if not cmath.isfinite(value):
+            raise OperatorEvaluationError(
+                f"diagonal evaluated to {complex(value)} at {where} {n}"
+            )
+        values.append(value)
+    return np.array(values, dtype=np.complex128)  # converts as complex() does
 
 
 def _is_complex(x) -> bool:

@@ -69,10 +69,10 @@ class ZeroCoefficientError(ValueError):
 
 
 def _coeff_getter(coeffs: Sequence[complex] | CoeffFn) -> CoeffFn:
-    """The coefficient accessor.  A callable is read as given, one index
-    at a time and only at n >= 0, where every builder's index rule and
-    _guarded_ratio keep it; a sequence becomes a complex table read as a
-    diagonal, 0.0 outside its range, since the builders also read C(dim)."""
+    """The coefficient accessor.  A callable is read as given (see
+    core._ArrayDiag) and only at n >= 0, where every builder's index rule
+    and _guarded_ratio keep it; a sequence becomes a complex table read as
+    a diagonal, 0.0 outside its range, since the builders also read C(dim)."""
     if callable(coeffs):
         return coeffs
     values = np.array(coeffs, dtype=np.complex128)  # converts as complex() does

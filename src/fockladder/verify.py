@@ -276,6 +276,10 @@ class FamilySpec:
     # S(xi)|j>: also check the squeezing operator's disentangled form
     disentangle: bool = False
 
+    def default_dim(self, params: Params) -> int | None:
+        """The truncation when none is given: M + 8 for a finite family."""
+        return params["M"] + 8 if self.kind == "finite" and "M" in params else None
+
 
 def _theta_m(p: Params) -> float:
     return phase_point(p["theta0"], p["m"], p["M"])
@@ -579,8 +583,7 @@ def build_state(family: str, params: Params, dim: int) -> FockState:
 
 def closed_form_coeffs(family: str, params: Params, dim: int) -> Coeffs | None:
     """Coefficient route independent of the constructors' recurrences: a
-    closedform.Coeffs, C(n) at one index and route.values(ns) over an
-    index array.
+    closedform.Coeffs.
 
     Two-photon families index the sector basis.  The intermediate family
     has no closed form (its coefficients are the recursion output), so it
@@ -597,7 +600,9 @@ def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
     """The closed form as the builders read it, 0.0 off its support: a
     gather from its table on [0, n), and C(n), the one index past the
     table that a builder reads, evaluated at its first read and kept.  A
-    read past C(n) raises."""
+    read past C(n) raises.  The route itself, also read by array, would
+    evaluate its formula at every read; and C(n) stays lazy so that a
+    builder's refusal met before it (an F past the float range) raises."""
     n, past = len(table), []
 
     def values(ns: np.ndarray) -> np.ndarray:

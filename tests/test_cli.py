@@ -67,6 +67,27 @@ def test_missing_dim_for_infinite_family_exits_two(capsys):
     assert "--dim is required" in err
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["--family", "nnbs", "--eta", "0.3", "--M", "2"], "new_negative_binomial"),
+        (["--family", "pacs", "--alpha", "1", "--M", "1"], "pacs"),
+    ],
+)
+def test_missing_dim_for_a_family_with_M_past_the_finite_kind_exits_two(capsys, argv, name):
+    # an M bounds the support only of a finite family: a shifted or an
+    # added one still needs --dim
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --dim is required for family '{name}'\n"
+
+
+def test_a_finite_family_without_dim_runs_at_M_plus_8(capsys):
+    code, out, err = run(capsys, "verify", "--family", "bs", "--eta", "0.5", "--M", "4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dim"] == 12
+
+
 def test_unknown_family_exits_two(capsys):
     code, _, err = run(capsys, "verify", "--family", "squeezed", "--dim", "8")
     assert code == 2

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import fockladder as fl
 import fockladder.closedform as closedform
+import fockladder.core as core
 import fockladder.verify as verify
 from fockladder.cli import main
 from _oracles import (
@@ -158,7 +159,8 @@ def test_array_route_and_F_match_the_per_index_reference(case):
         assert got[1:] == want[1:]
 
 
-def test_an_array_read_raises_the_first_fault_in_index_order():
+@pytest.mark.parametrize("form", ["Coeffs", "_array_diag"])
+def test_an_array_read_raises_the_first_fault_in_index_order(form):
     # a formula with two faults: array order would meet the later index's
     # first, since its first operation runs over every index before the second
     def late(n: int) -> float:
@@ -171,14 +173,20 @@ def test_an_array_read_raises_the_first_fault_in_index_order():
             raise ZeroDivisionError("at 2")
         return 1.0
 
-    route = closedform.Coeffs(
-        0, math.inf, lambda ns: closedform._each(late, ns) + closedform._each(early, ns)
-    )
-    with pytest.raises(ZeroDivisionError, match="^at 2$"):
-        route.values(np.arange(8))
-    with pytest.raises(OverflowError, match="^at 5$"):
-        route.values(np.arange(3, 8))
-    assert route.values(np.arange(2)).tolist() == [2.0, 2.0]
+    def formula(ns):
+        return closedform._each(late, ns) + closedform._each(early, ns)
+
+    d = closedform.Coeffs(0, math.inf, formula) if form == "Coeffs" else core._array_diag(formula)
+    # the builders' read of either class, and a Coeffs's own array read
+    reads = [lambda ns: core._diag_values(d, ns, "index")]
+    if form == "Coeffs":
+        reads.append(d.values)
+    for read in reads:
+        with pytest.raises(ZeroDivisionError, match="^at 2$"):
+            read(np.arange(8))
+        with pytest.raises(OverflowError, match="^at 5$"):
+            read(np.arange(3, 8))
+        assert read(np.arange(2)).tolist() == [2.0, 2.0]
 
 
 SPECIAL_ENTRIES = {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fockladder as fl
-from fockladder import core, verify
+from fockladder import closedform, core, verify
 from fockladder.closedform import Coeffs
 from fockladder.ladder import _OperationalF
 
@@ -848,3 +848,107 @@ def test_a_package_diagonal_a_sequence_and_a_user_callable_fault_in_order(fault_
     up = core.add(fl.ladder_general(seq, dim)[0], core.operator([(1, user)], dim))
     assert [k for k, _ in up.terms] == [0, 1]
     assert _routes(core.adjoint(core.operator([up.terms[1]], dim))) == [raised] * 3
+
+
+def test_an_exported_route_that_faults_twice_raises_the_lower_index_first():
+    # C = 2.0 but for two faults; the array form meets the later one first,
+    # since its term runs over every index before the other's
+    def late(n):
+        if n == 7:
+            raise OverflowError("at 7")
+        return 1.0
+
+    def early(n):
+        if n == 4:
+            raise ZeroDivisionError("at 4")
+        return 1.0
+
+    each = closedform._each
+    c = Coeffs(0, math.inf, lambda ns: each(late, ns) + each(early, ns))
+    assert _routes(fl.general_gdo(c, 10).lowering) == [("ZeroDivisionError", "at 4")] * 3
+
+
+# --- an exported closed form, read by array, gives its per-index bits ---
+
+
+def _exported_routes(basis):
+    """Each exported route with its sector j (None on the full space), at
+    a basis of the given size."""
+    return [
+        (fl.coherent_coeffs(1 + 0.5j), None),
+        (fl.kerr_coeffs(1.5, 0.3, basis), None),
+        (fl.geometric_coeffs(0.4), None),
+        (fl.svs_sector_coeffs(0.8, 0.5, 2 * basis), 0),
+        (fl.sfes_sector_coeffs(0.8, 0.5, 2 * basis + 1), 1),
+        (fl.ecs_sector_coeffs(1.1), 0),
+        (fl.ocs_sector_coeffs(1.1), 1),
+    ]
+
+
+# each public builder that takes coefficients, as (c, j, dim) -> its output
+COEFF_BUILDERS = {
+    "ladder_lowering_finite": lambda c, j, dim: fl.ladder_lowering_finite(c, 8, dim),
+    "ladder_raising_shifted": lambda c, j, dim: fl.ladder_raising_shifted(c, 3, dim),
+    "ladder_general": lambda c, j, dim: fl.ladder_general(c, dim),
+    "finite_gdo": lambda c, j, dim: fl.finite_gdo(c, 8, dim),
+    "shifted_gdo": lambda c, j, dim: fl.shifted_gdo(c, 3, dim),
+    "general_gdo": lambda c, j, dim: fl.general_gdo(c, dim),
+    "added_raising_ladder": lambda c, j, dim: fl.added_raising_ladder(c, 3, dim),
+    "added_lowered_pair": lambda c, j, dim: fl.added_lowered_pair(c, 3, dim),
+    "shifted_lowered_pair": lambda c, j, dim: fl.shifted_lowered_pair(c, 3, dim),
+    "two_photon_ladder": lambda c, j, dim: fl.two_photon_ladder(c, j, dim),
+    "two_photon_gdo": lambda c, j, dim: fl.two_photon_gdo(c, j, dim),
+}
+
+
+def _builder_inputs(builder, dim):
+    """The routes the builder takes at dim: the sector routes for a
+    two-photon builder, on the sector basis, the full-space ones else."""
+    sector = builder.startswith("two_photon")
+    return [(c, j) for c, j in _exported_routes(dim) if (j is not None) == sector]
+
+
+def _reads(built, dim):
+    """Every read of a builder's output as bytes: a triple's F table, then
+    each operator's to_bands and its image of a state on every level."""
+    if isinstance(built, fl.GdoTriple):
+        ops = (built.number_op, built.lowering, built.raising)
+        out = [built.structure_table.tobytes()]
+    else:
+        ops, out = (built if isinstance(built, tuple) else (built,)), []
+    state = core.make_state(np.exp(0.3j * np.arange(dim)))
+    for op in ops:
+        image = core.apply(op, state)
+        out.append({k: band.tobytes() for k, band in core.to_bands(op).items()})
+        out += [image.amplitudes.tobytes(), image.leak]
+    return out
+
+
+@pytest.mark.parametrize("dim", [16, 1024])
+@pytest.mark.parametrize("builder", sorted(COEFF_BUILDERS))
+def test_a_builder_reads_an_exported_route_as_its_per_index_wrapper(builder, dim):
+    build = COEFF_BUILDERS[builder]
+    for c, j in _builder_inputs(builder, dim):
+        wrapped = _reads(build(lambda n, c=c: c(n), j, dim), dim)
+        assert _reads(build(c, j, dim), dim) == wrapped, c
+
+
+@pytest.mark.parametrize("builder", sorted(COEFF_BUILDERS))
+def test_a_builder_reads_an_exported_route_only_through_values(monkeypatch, builder):
+    # one values call per array read: as many at dim 1024 as at dim 16,
+    # and no read one index at a time
+    calls = dict.fromkeys(("values", "__call__"), 0)
+    for name in calls:
+
+        def spy(self, arg, name=name, method=getattr(Coeffs, name)):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(Coeffs, name, spy)
+    counts = []
+    for dim in (16, 1024):
+        calls.update(values=0, __call__=0)
+        for c, j in _builder_inputs(builder, dim):
+            _reads(COEFF_BUILDERS[builder](c, j, dim), dim)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[0]["__call__"] == 0 < counts[0]["values"], counts
