@@ -58,7 +58,8 @@ class DimensionMismatchError(ValueError):
 
 
 class OperatorEvaluationError(ValueError):
-    """A diagonal evaluated to a non-finite value at an occupied index."""
+    """A diagonal evaluated to a non-finite value at an occupied index, or an
+    operator holds a diagonal that its reader does not take."""
 
 
 def _ladder_prod(n, k: int):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     FockState,
+    OperatorEvaluationError,
     OperatorExpr,
     _array_diag,
     _div,
@@ -494,52 +495,43 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
     )
 
 
-def _squeezing_generator(
-    xi: complex, k_plus: FrozenBands, k_minus: FrozenBands, n: int
-) -> np.ndarray:
-    """(h + h^H) / 2 for h = -1j (xi K+ - xi* K-), K+ and K- the n x n
-    matrices of the given bands, formed on the bands and placed once.
-
-    Each entry goes through the float operations of the dense expression
-    (diagonal k of h^H is the conjugate of diagonal -k of h, entry for
-    entry), so the matrix is the dense one bit for bit, sign bits
-    included."""
-
-    def hermitian(k: int, length: int) -> np.ndarray:
-        # diagonal k of (h + h^H) / 2, an absent band read as zeros
-        zeros = np.zeros(length, dtype=np.complex128)
-        h_k, h_minus_k = (
-            -1j * (xi * k_plus.get(i, zeros) - xi.conjugate() * k_minus.get(i, zeros))
-            for i in (k, -k)
-        )
-        return (h_k + h_minus_k.conj()) / 2
-
-    # offset n lies past every band: its one entry is what two zeros give
-    generator = np.full((n, n), hermitian(n, 1)[0])
-    offsets = set(k_plus) | set(k_minus)
-    for k in offsets | {-k for k in offsets}:
-        np.fill_diagonal(generator[max(0, -k) :, max(0, k) :], hermitian(k, n - abs(k)))
-    return generator
-
-
 def _squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray, np.ndarray]:
     """S(xi)|j> two ways on the sector of rep, from its full_bands, the
     j::2 block of a+^2/2, a^2/2 and N/2+1/4:
-    exp(xi K+ - xi* K-) e_0 by numpy.linalg.eigh of the generator's
-    Hermitian part (eigh reads one triangle, and K+ and K- fill opposite
-    ones: the Hermitian part makes both enter), and
+    exp(xi K+ - xi* K-) e_0 = exp(i H) e_0, H the Hermitian part of
+    -i(xi K+ - xi* K-), and
     exp(tau K+) (cosh r)^(-2 K0) exp(-tau* K-) e_0, tau = e^{i theta} tanh r,
     where K- e_0 = 0 leaves exp(tau K+) e_0, a finite sum since K+ is
-    strictly subdiagonal on the sector."""
+    strictly subdiagonal on the sector.
+
+    H is tridiagonal with a zero diagonal and subdiagonal g, so H = D T D*
+    for T real symmetric with subdiagonal |g| and D the running product of
+    g/|g|: exp(i H) e_0 = D exp(i T) e_0 by numpy.linalg.eigh of T.  A K+
+    band off offset -1 or a K- band off +1 is refused by name, not dropped."""
     n, j = rep.dim, rep.parity_j
     k_plus, k_minus = rep.full_bands[:2]
+    for name, bands, offset in (("K+", k_plus, -1), ("K-", k_minus, 1)):
+        stray = sorted(bands.keys() - {offset})
+        if stray:
+            raise OperatorEvaluationError(
+                f"sector {name} has a band at offset {stray[0]}; the squeezing "
+                f"exponential takes {name} only at offset {offset}"
+            )
+    zeros = np.zeros(n - 1)
     xi = r * cmath.exp(1j * theta)
-    lam, V = np.linalg.eigh(_squeezing_generator(xi, k_plus, k_minus, n))
+    g = -0.5j * xi * (k_plus.get(-1, zeros) + k_minus.get(1, zeros).conj())
+    # g/|g| part by part, 1 where g = 0: |g| can be subnormal
+    mod = np.abs(g)
+    cos = np.divide(g.real, mod, out=np.ones(n - 1), where=mod > 0)
+    sin = np.divide(g.imag, mod, out=np.zeros(n - 1), where=mod > 0)
+    phases = np.cumprod(np.append(1.0, cos + 1j * sin))
+    lam, V = np.linalg.eigh(np.diag(mod, -1))  # eigh reads the lower triangle
+    w = np.exp(1j * lam) * V[0]
     tau = cmath.exp(1j * theta) * math.tanh(r)
     e0 = np.zeros(n)
     e0[0] = 1.0
     return (
-        V @ (np.exp(1j * lam) * V[0].conj()),
+        phases * (V @ w.real + 1j * (V @ w.imag)),
         math.cosh(r) ** -(j + 0.5) * expm(e0, {d: tau * band for d, band in k_plus.items()}),
     )
 

@@ -97,6 +97,7 @@ from .ladder import (
 from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
+    TailMassError,
     _check_dim,
     coherent,
     format_complex,
@@ -887,7 +888,10 @@ def _step_down(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
 def _step_up(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
     s, M = data.state, data.p["M"]
     up = _suite_input(data.spec, dict(data.p, M=M + 1), data.dim)
-    target = up.state
+    try:
+        target = up.state
+    except TailMassError as err:  # the state fits, its (M+1)-member does not
+        raise TailMassError(f"the step-up checks need the M+1 member at this dim: {err}") from None
     f_image = apply(step_up_f(data.table, up.table), s)
     g_image = apply(step_up_g(data.table, up.table, M), s)
     return [

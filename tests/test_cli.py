@@ -269,6 +269,21 @@ def test_state_nnbs_refuses_lossy_truncation(capsys):
     assert "tail mass" in err and "increase dim" in err
 
 
+@pytest.mark.parametrize("M,dim", [(0, 40), (2, 54), (5, 63)])
+def test_verify_nnbs_refuses_a_dim_its_step_up_member_does_not_fit(capsys, M, dim):
+    # the state fits, so `state` accepts it; the step-up checks need the
+    # (M+1)-member at the same dim, and the refusal says so
+    flags = ("--family", "nnbs", "--eta", "0.5", "--M", str(M), "--dim", str(dim))
+    assert run(capsys, "state", *flags)[0] == 0
+    code, out, err = run(capsys, "verify", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "error: the step-up checks need the M+1 member at this dim: "
+        f"new_negative_binomial(eta=0.5, M={M + 1}) drops tail mass "
+    )
+    assert err.endswith("; increase dim\n") and err.count("\n") == 1
+
+
 def test_state_rbs_M_1100_past_float_comb(capsys):
     # C(1100, 550) ~ 1e329 does not fit a float; the state still exists
     code, out, err = run(

@@ -387,9 +387,10 @@ def test_verify_su11_reads_integral_float_dims():
         # one complex dim x dim matrix is 16 MiB at dim 1024, 4 MiB at 512
         ("ecs", {"alpha": 1.1}, 1024, 2),
         ("ocs", {"alpha": 1.1}, 1024, 2),
-        # eigh and the finite sum need the two sector blocks dense, 1 MiB each
-        ("svs", {"r": 0.8, "theta": 0.5}, 512, 8),
-        ("sfes", {"r": 0.8, "theta": 0.5}, 512, 8),
+        # eigh needs the real tridiagonal sector block and its eigenvectors
+        # dense, 0.5 MiB each
+        ("svs", {"r": 0.8, "theta": 0.5}, 512, 3),
+        ("sfes", {"r": 0.8, "theta": 0.5}, 512, 3),
     ],
     ids=["ecs", "ocs", "svs", "sfes"],
 )
@@ -705,18 +706,22 @@ def test_expm_on_the_band_is_the_dense_sum_bit_for_bit(sector, j):
         assert banded.tobytes() == dense.tobytes(), theta
 
 
-def _add_stray_k_plus_term(monkeypatch, j):
-    """A stray full-space term far below K+'s band, one entry at sector
-    (40, 3) of sector j."""
+def _add_stray_term(monkeypatch, j, k):
+    """A stray full-space term off K+'s or K-'s band: one entry at sector
+    (40, 3) of sector j in K+ (k = 74), or at sector (3, 40) in K-
+    (k = -74)."""
     full_k_ops = twophoton._full_k_ops
-    column = 2 * 3 + j
+    column = 2 * (3 if k > 0 else 40) + j
 
     def stray(n):
-        return 1e-3 / fl.ladder_factor(n, 74) if n == column else 0.0
+        return 1e-3 / fl.ladder_factor(n, k) if n == column else 0.0
 
     def mutant(dim):
         k_plus, k_minus, k_zero = full_k_ops(dim)
-        return fl.add(k_plus, fl.operator([(74, stray)], dim)), k_minus, k_zero
+        term = fl.operator([(k, stray)], dim)
+        if k > 0:
+            return fl.add(k_plus, term), k_minus, k_zero
+        return k_plus, fl.add(k_minus, term), k_zero
 
     monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
     twophoton._su11.cache_clear()  # a clean read made earlier in the test is cached
@@ -724,30 +729,42 @@ def _add_stray_k_plus_term(monkeypatch, j):
 
 @pytest.mark.parametrize("j", [0, 1])
 def test_disentangling_reads_the_whole_k_plus_block(monkeypatch, j):
-    # the sector read and the product route must carry the stray term, not
-    # only the band
-    _add_stray_k_plus_term(monkeypatch, j)
+    # the sector read carries the stray term, and the exponential route
+    # refuses it by name rather than dropping it
+    _add_stray_term(monkeypatch, j, 74)
     k_plus = core.band_matrix(fl.su11(j, 64).full_bands[0], 64)
     assert k_plus[40, 3] == pytest.approx(1e-3, rel=1e-15)
-    report = fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
-    assert len(report.checks) == 3
-    assert {c.name for c in report.checks if c.passed} == {
-        "disentangle-exponential-vs-closed"
-    }
+    with pytest.raises(fl.OperatorEvaluationError, match="K\\+ has a band at offset -37;"):
+        fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_disentangling_reads_the_whole_k_minus_block(monkeypatch, j):
+    # the product route never reads K-, so only the exponential route's
+    # guard can catch a stray K- term
+    _add_stray_term(monkeypatch, j, -74)
+    k_minus = core.band_matrix(fl.su11(j, 64).full_bands[1], 64)
+    assert k_minus[3, 40] == pytest.approx(1e-3, rel=1e-15)
+    with pytest.raises(fl.OperatorEvaluationError, match="K- has a band at offset 37;"):
+        fl.verify_disentangling(0.8, 0.5, 128, excitation=j)
+
+
+_SECTORS = [*range(1, 41), 64, 128, 255, 256]
 
 
 @pytest.mark.parametrize(
     "sector,stray",
-    [(32, False), (64, False), (256, False), (64, True), (256, True)],
-    ids=["32", "64", "256", "64-stray", "256-stray"],
+    [(n, False) for n in _SECTORS] + [(64, True), (256, True)],
+    ids=[str(n) for n in _SECTORS] + ["64-stray", "256-stray"],
 )
 @pytest.mark.parametrize("j", [0, 1])
 def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, stray):
-    # the generator built on the bands is (h + h^H) / 2 of the dense K+ and
-    # K- blocks bit for bit, sign bits included, with no apply and no
-    # closed form on the way
+    # the exponential route, a real tridiagonal eigh, gives exp(i H) e_0 of
+    # the dense Hermitian generator H = (h + h^H) / 2 of the dense K+ and K-
+    # blocks to 2e-14 in every entry, with no apply and no closed form on
+    # the way; a stray K+ term is refused by name
     if stray:
-        _add_stray_k_plus_term(monkeypatch, j)
+        _add_stray_term(monkeypatch, j, 74)
     rep = fl.su11(j, sector)
     k_plus, k_minus = (core.band_matrix(bands, sector) for bands in rep.full_bands[:2])
 
@@ -757,27 +774,29 @@ def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, s
     for module in (core, twophoton):
         monkeypatch.setattr(module, "apply", forbidden, raising=False)
     monkeypatch.setattr(twophoton, "_squeezed", forbidden)
-    generators = []
+    if stray:
+        with pytest.raises(fl.OperatorEvaluationError, match="offset -37;"):
+            twophoton._squeezing_routes(0.8, 0.5, rep)
+        return
+    matrices = []
     eigh = np.linalg.eigh
 
     def recording(a):
-        generators.append(a.copy())
+        matrices.append(a)
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    for r, theta in [(0.0, 4.0), (0.8, 0.5), (0.8, 2.0), (0.6, 3.5), (0.7, 5.0)]:
-        generators.clear()
-        twophoton._squeezing_routes(r, theta, rep)
-        xi = r * cmath.exp(1j * theta)
-        h = -1j * (xi * k_plus - xi.conjugate() * k_minus)
-        dense = (h + h.conj().T) / 2
-        (generator,) = generators
-        assert np.array_equal(generator, dense)
-        assert np.array_equal(
-            np.signbit(generator.view(float)), np.signbit(dense.view(float))
-        )
-    if stray:
-        assert generator[40, 3] != 0 and generator[3, 40] != 0
+    for r in (0.0, 5e-324, 1e-310, 0.3, 1.0, 3.0):
+        for theta in (0.5, 2.0, 3.5, 5.0):
+            matrices.clear()
+            via_exponential = twophoton._squeezing_routes(r, theta, rep)[0]
+            (matrix,) = matrices
+            assert matrix.dtype == np.float64 and matrix.shape == (sector, sector)
+            xi = r * cmath.exp(1j * theta)
+            h = -1j * (xi * k_plus - xi.conjugate() * k_minus)
+            lam, V = eigh((h + h.conj().T) / 2)
+            dense = V @ (np.exp(1j * lam) * V[0].conj())
+            assert np.abs(via_exponential - dense).max() <= 2e-14, (r, theta)
 
 
 @pytest.mark.parametrize("j", [0, 1])
