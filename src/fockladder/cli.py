@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Any
 
@@ -257,9 +257,17 @@ def _emit(text: str, out: str | None) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # opened outside the try: a temp path that cannot be opened was never ours
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or replace leaves no partial copy behind
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _emit_table(

@@ -2,20 +2,26 @@
 
 Serialization is deterministic: identical reports produce byte-identical
 output.  encode_json writes JSON in one recursive pass, with sorted keys
-and a 2-space indent; strings go through the json module's ASCII
-escaper, and numbers are their float.__repr__ or int.__repr__, which
-round-trip.  Non-finite floats (which occur when tabulating the printed
-structure functions) are carried as the strings "inf", "-inf", "nan",
-because JSON has no bare non-finite numbers.  The output is what
-json.dumps(sort_keys=True, indent=2) gives for the same value with those
-strings in place; the tests keep that stdlib route as their oracle.
+and a 2-space indent; each leaf's text comes from one rule, _leaf:
+strings go through the json module's ASCII escaper, and numbers are
+their float.__repr__ or int.__repr__, which round-trip.  Non-finite
+floats (which occur when tabulating the printed structure functions) are
+carried as the strings "inf", "-inf", "nan", because JSON has no bare
+non-finite numbers.  The output is what json.dumps(sort_keys=True,
+indent=2) gives for the same value with those strings in place; the
+tests keep that stdlib route as their oracle.  A report's check rows
+skip the recursion: each fills one fixed layout, _CHECK_ROW, with its
+fields' _leaf texts, and each CSV check row joins its fields' _csv_cell
+texts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Any, Callable
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -106,9 +112,17 @@ class VerificationReport:
         return f"FAIL {self.family} ({self.n_failed}/{len(self.checks)} checks failed)"
 
     def to_json(self) -> str:
-        return encode_json(self.as_dict())
+        return encode_json(self)
 
     def as_dict(self) -> dict[str, Any]:
+        return {
+            **self._head(),
+            # a check's fields are CHECK_COLUMNS
+            "checks": [dict(vars(c)) for c in self.checks],
+        }
+
+    def _head(self) -> dict[str, Any]:
+        """as_dict() but its checks."""
         return {
             "family": self.family,
             "params": dict(self.params),
@@ -117,18 +131,6 @@ class VerificationReport:
             "passed": self.passed,
             "n_checks": len(self.checks),
             "n_failed": self.n_failed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "equation": c.equation,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "leak": c.leak,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
             "derived_vs_printed": [dict(r) for r in self.derived_vs_printed],
         }
 
@@ -138,8 +140,9 @@ class VerificationReport:
             + [f"{k}={v}" for k, v in sorted(self.params.items())]
             + [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
         )
-        # a check's fields, in order, are CHECK_COLUMNS
-        lines = ["# " + header] + csv_table(CHECK_COLUMNS, map(vars, self.checks))
+        lines = ["# " + header, ",".join(CHECK_COLUMNS)] + [
+            ",".join(map(_csv_cell, _csv_fields(c))) for c in self.checks
+        ]
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
             lines += csv_table(PRINTED_COLUMNS, self.derived_vs_printed)
@@ -160,8 +163,10 @@ def csv_table(columns: tuple[str, ...], rows) -> list[str]:
 
 
 def _csv_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     if isinstance(value, float):  # np.float64 too, whose repr names its type
         return repr(float(value))
     # comma-separated output quotes nothing, so cells must not carry commas
@@ -172,8 +177,11 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def encode_json(payload: Any) -> str:
-    """payload as JSON text: str-keyed dicts, lists, tuples, str, int,
-    float, bool and None; anything else raises TypeError."""
+    """payload as JSON text: a VerificationReport (as its as_dict()), or
+    str-keyed dicts, lists, tuples, str, int, float, bool and None;
+    anything else raises TypeError."""
+    if isinstance(payload, VerificationReport):
+        return _report_json(payload)
     parts: list[str] = []
     _write(payload, "\n", parts.append)
     parts.append("\n")
@@ -182,20 +190,7 @@ def encode_json(payload: Any) -> str:
 
 def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
     # newline is the line break plus the indent of value's own line
-    if isinstance(value, str):
-        out(_quote(value))
-    elif value is None:
-        out("null")
-    elif value is True:
-        out("true")
-    elif value is False:
-        out("false")
-    elif isinstance(value, float):  # np.float64 too, as its float value
-        text = float.__repr__(value)
-        out(text if math.isfinite(value) else _quote(text))
-    elif isinstance(value, int):
-        out(int.__repr__(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         if not value:
             out("{}")
             return
@@ -218,7 +213,48 @@ def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
             lead = ","
         out(newline + "]")
     else:
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        out(_leaf(value))
+
+
+def _leaf(value: Any) -> str:
+    """The JSON text of a str, float, None, bool or int."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, float):  # np.float64 too, as its float value
+        text = repr(float(value))
+        return text if math.isfinite(value) else _quote(text)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+# A check's fields in CSV column order, and in the order _write sorts its
+# as_dict() keys; _CHECK_ROW is its JSON text as an item of a report's
+# "checks" list, each %s taking one field's _leaf text.
+_csv_fields = operator.attrgetter(*CHECK_COLUMNS)
+_JSON_KEYS = tuple(sorted(CHECK_COLUMNS))
+_json_fields = operator.attrgetter(*_JSON_KEYS)
+_CHECK_ROW = (
+    "\n    {" + ",".join(f"\n      {_quote(key)}: %s" for key in _JSON_KEYS) + "\n    }"
+)
+
+
+def _report_json(report: VerificationReport) -> str:
+    """encode_json(report.as_dict()), its check rows from _CHECK_ROW."""
+    fields = chain.from_iterable(map(_json_fields, report.checks))
+    rows = ",".join([_CHECK_ROW] * len(report.checks)) % tuple(map(_leaf, fields))
+    head: list[str] = []
+    _write(report._head(), "\n", head.append)
+    # "checks" sorts first of the report's keys: the rest follow its
+    # list, after a "," in place of the head's opening brace
+    head[0] = "," + head[0][1:]
+    return '{\n  "checks": ' + (f"[{rows}\n  ]" if rows else "[]") + "".join(head) + "\n"
 
 
 def _decode_float(value: Any) -> Any:

@@ -621,7 +621,7 @@ def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
 # --- the suite inputs' cache ---
 
 # Suite inputs whose operator data _suite_input keeps; one pass over
-# EXTENDED_GRID and the errata table reads 23 of them.
+# EXTENDED_GRID and the errata table reads 24 of them.
 SUITE_CACHE_SIZE = 32
 
 
@@ -1038,9 +1038,13 @@ def derived_vs_printed_rows(family: str, params: Params, dim: int) -> list[Param
     p = _require(spec, params)
     route = closed_form_coeffs(family, p, _check_dim(dim))
     p = _int_counts(p)
-    derived_F = finite_F(route.values(np.arange(p["M"] + 1)), p["M"]).tolist()
+    return _printed_rows(spec, p, finite_F(route.values(np.arange(p["M"] + 1)), p["M"]))
+
+
+def _printed_rows(spec: FamilySpec, p: Params, derived_F: np.ndarray) -> list[Params]:
+    """The rows of derived_F, F on [0, M], against spec's printed F."""
     rows = []
-    for n, derived in enumerate(derived_F):
+    for n, derived in enumerate(derived_F.tolist()):
         try:
             printed = complex(spec.printed_F(p, n))
         except ZeroDivisionError:
@@ -1108,13 +1112,16 @@ def errata_table() -> Params:
             # printed phase factor degenerates to -1; a generic offset
             # keeps the non-real printed values visible
             params = dict(params, theta0=0.3)
+        # derived_vs_printed_rows' F, read from the suite inputs' cache:
+        # the grid's dim exceeds M, so F on the basis covers [0, M]
+        data = _suite_input(spec, params, dim)
         families.append(
             {
                 "family": family,
                 "equation": "E12 E29",
                 "params": _echo_params(family, params),
                 "M": params["M"],
-                "rows": derived_vs_printed_rows(family, params, dim),
+                "rows": _printed_rows(spec, data.p, data.F[: data.p["M"] + 1]),
             }
         )
 

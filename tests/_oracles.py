@@ -810,7 +810,7 @@ def _ratio_sq(c, num_idx: int, den_idx: int) -> float:
 
 def _encode_value(value):
     if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # "inf", "-inf", "nan"
+        return repr(float(value))  # "inf", "-inf", "nan", for np.float64 too
     if isinstance(value, dict):
         return {k: _encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fockladder as fl
+import fockladder.cli as cli
 from fockladder.cli import main, parse_complex
 
 from _oracles import poisson_pmf
@@ -524,6 +525,17 @@ def test_structure_fn_compare_printed_rbs(capsys):
     assert any(abs(r["printed_im"]) > 1e-6 for r in rows)
 
 
+def test_structure_fn_compare_printed_at_a_dim_at_most_M(capsys):
+    # the table's F comes from the closed form on [0, M], whatever the dim
+    code, out, err = run(
+        capsys,
+        "structure-fn", "--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "3",
+        "--compare-printed",
+    )
+    assert (code, err) == (0, "")
+    assert [r["n"] for r in json.loads(out)["rows"]] == [0, 1, 2, 3, 4]
+
+
 def test_structure_fn_compare_printed_requires_finite_family(capsys):
     code, _, err = run(
         capsys,
@@ -575,6 +587,51 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"] is True
+
+
+def test_out_flag_that_cannot_be_replaced_leaves_no_temp_file(tmp_path, capsys):
+    # the report is written to <out>.tmp, whose replace onto a directory fails
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out, err = run(
+        capsys,
+        "verify", "--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Is a directory" in err
+    assert sorted(os.listdir(tmp_path)) == ["reports"]
+    assert os.listdir(target) == []
+
+
+class _FullDisk:
+    """An open file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_out_flag_whose_write_fails_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "table.json"
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDisk(open(*a, **k)), raising=False)
+    code, out, err = run(
+        capsys,
+        "structure-fn", "--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12",
+        "--out", str(target),
+    )
+    assert code == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert os.listdir(tmp_path) == []
 
 
 # --- batch ---

@@ -3,7 +3,8 @@
 encode_json writes JSON in one pass of its own; json_reference is the
 json.dumps route it replaced, kept as the oracle.  Both must give the
 same bytes for every value a report can hold, and for every payload the
-package writes.
+package writes.  A report's check rows take a fixed layout of their own,
+held to the same oracle and, in CSV, to the generic csv_table route.
 """
 
 import json
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 
 import fockladder as fl
 import fockladder.cli as cli
-from fockladder.reporting import encode_json
+from fockladder.reporting import (
+    CHECK_COLUMNS,
+    PRINTED_COLUMNS,
+    CheckResult,
+    Tolerances,
+    VerificationReport,
+    csv_table,
+    encode_json,
+    report_from_json,
+)
 
 from _oracles import json_reference
 
@@ -117,3 +127,80 @@ def test_writer_reads_a_numpy_float_as_its_float():
     payload = {"x": [np.float64(0.1), np.float64(-0.0), np.float64(1e300)]}
     assert encode_json(payload) == json_reference(payload)
     assert json.loads(encode_json({"x": np.float64(math.inf)})) == {"x": "inf"}
+
+
+# every leaf a check's field can hold, numpy's float among them
+check_leaves = leaves | st.floats().map(np.float64)
+check_results = st.builds(CheckResult, **dict.fromkeys(CHECK_COLUMNS, check_leaves))
+printed_floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+printed_rows = st.fixed_dictionaries(
+    {
+        "n": st.integers(0, 64),
+        "derived": printed_floats,
+        "printed_re": printed_floats,
+        "printed_im": printed_floats,
+        "match": st.booleans(),
+    }
+)
+reports = st.builds(
+    VerificationReport,
+    family=st.text() | st.sampled_from(SPECIAL_STRINGS),
+    params=st.dictionaries(keys, leaves, max_size=3),
+    dim=st.integers(0, 2048),
+    tolerances=st.builds(
+        Tolerances, *[st.floats(5e-324, 1.0) | st.sampled_from([1e-10, 1e300])] * 3
+    ),
+    checks=st.lists(check_results, max_size=5).map(tuple),
+    derived_vs_printed=st.lists(printed_rows, max_size=3).map(tuple),
+)
+_INF_ROW = {"n": 0, "derived": 0.0, "printed_re": math.inf, "printed_im": -math.inf,
+            "match": False}
+
+
+def _csv_reference(report: VerificationReport) -> str:
+    """to_csv through csv_table's generic route for every table."""
+    header = " ".join(
+        [f"family={report.family}", f"dim={report.dim}"]
+        + [f"{k}={v}" for k, v in sorted(report.params.items())]
+        + [f"tol_{k}={v!r}" for k, v in sorted(report.tolerances.as_dict().items())]
+    )
+    lines = ["# " + header] + csv_table(CHECK_COLUMNS, map(vars, report.checks))
+    if report.derived_vs_printed:
+        lines += ["# derived_vs_printed"]
+        lines += csv_table(PRINTED_COLUMNS, report.derived_vs_printed)
+    return "\n".join(lines) + "\n"
+
+
+@given(reports)
+@example(VerificationReport("empty"))
+@example(VerificationReport("inf", derived_vs_printed=(_INF_ROW,)))
+@example(
+    VerificationReport(
+        "special",
+        checks=tuple(
+            CheckResult(s, s, x, np.float64(x), 2**64, s == "", s)
+            for s, x in zip(SPECIAL_STRINGS, SPECIAL_FLOATS)
+        ),
+        derived_vs_printed=(_INF_ROW, dict(_INF_ROW, n=1, printed_re=math.nan)),
+    )
+)
+def test_report_rows_equal_the_generic_routes(report):
+    text = report.to_json()
+    assert text == json_reference(report.as_dict())
+    # the module-level writer gives the report's JSON too
+    assert encode_json(report) == text
+    assert report.to_csv() == _csv_reference(report)
+    assert report_from_json(text).to_json() == text
+
+
+def test_a_check_whose_residual_is_the_int_zero_writes_zero():
+    report = VerificationReport("f", checks=(CheckResult("n", "E1", 0, 1e-10),))
+    assert json.loads(report.to_json())["checks"][0]["residual"] == 0
+    assert '"residual": 0,' in report.to_json()
+    assert report.to_csv().splitlines()[2] == "n,E1,0,1e-10,0.0,true,"
+
+
+def test_a_check_field_json_cannot_carry_is_refused():
+    report = VerificationReport("f", checks=(CheckResult("n", "E1", 1j, 1e-10),))
+    with pytest.raises(TypeError, match="complex"):
+        report.to_json()

@@ -384,6 +384,17 @@ def test_errata_flags_nonreal_printed_values():
         assert not any(r["match"] for r in rows)
 
 
+def test_errata_rows_are_the_closed_form_route_rows():
+    # the table reads F from the suite inputs' cache, derived_vs_printed_rows
+    # from the closed form on [0, M]: the same rows, bit for bit
+    for entry in fl.errata_table()["families"]:
+        params, dim = fl.FAMILY_SPECS[entry["family"]].grid
+        if entry["family"] == "pegg_barnett_phase":
+            params = dict(params, theta0=0.3)
+        rows = fl.derived_vs_printed_rows(entry["family"], params, dim)
+        assert repr(entry["rows"]) == repr(rows), entry["family"]
+
+
 def test_errata_match_column_mechanics():
     # the printed and derived hypergeometric forms share numerator and
     # denominator and differ by a factor (M-n+1)^2/n, so they cross where
