@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     Bands,
     DiagFn,
+    DimensionMismatchError,
     FockState,
     OperatorExpr,
     _array_diag,
@@ -302,6 +303,13 @@ def structure_function(t: GdoTriple, n_range: Sequence[int]) -> np.ndarray:
 # --- step maps between neighboring family members ---
 
 
+def _step_dim(c_from: Sequence[complex], c_to: Sequence[complex]) -> int:
+    """A step map's truncation, the one length of both members' tables."""
+    if len(c_from) != len(c_to):
+        raise DimensionMismatchError(f"coefficient lengths {len(c_from)} and {len(c_to)} differ")
+    return len(c_from)
+
+
 def _step_f(
     coeffs_from: Sequence[complex], coeffs_to: Sequence[complex], k: int
 ) -> OperatorExpr:
@@ -315,7 +323,7 @@ def _step_f(
         return _div(_guarded_ratio(_read(c1, t), c0, t - k), np.sqrt(t + max(0, -k)))
 
     form = _lowering_form if k < 0 else _raising_form
-    return form(_array_diag(d, lo=k), len(coeffs_from))
+    return form(_array_diag(d, lo=k), _step_dim(coeffs_from, coeffs_to))
 
 
 def _step_g(
@@ -331,7 +339,7 @@ def _step_g(
         lo=M + 1 if k > 0 else None,
         hi=M if k < 0 else None,
     )
-    return diag_op(d, len(coeffs_from))
+    return diag_op(d, _step_dim(coeffs_from, coeffs_to))
 
 
 def step_down_f(

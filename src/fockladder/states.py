@@ -472,7 +472,7 @@ def intermediate_nlcs(
             seq[n + 1] = (alpha - sqrt_eta * n) * seq[n] / (
                 sqrt_etabar * fn * math.sqrt(n + 1)
             )
-            peak = np.abs(seq[: n + 2]).max()
+            peak = np.abs(seq[n + 1])  # every earlier entry is at most 1e120
             if peak > 1e120:  # rescale divergent recursions before they overflow
                 seq[: n + 2] /= peak
     total = float(np.vdot(seq, seq).real)

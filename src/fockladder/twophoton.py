@@ -71,43 +71,27 @@ SU11_CACHE_SIZE = 64
 
 
 def expm(v: np.ndarray, a_bands: Mapping[int, np.ndarray]) -> np.ndarray:
-    """exp(A) v for the n x n matrix A, n = len(v), that holds the diagonals
-    a_bands (offset column - row -> diagonal, as core.to_bands gives them):
-    the sum over k < n of A^k v / k!.  For strictly lower A, A^n = 0, so
-    the sum is exact; for any other A it is the degree n-1 Taylor
-    polynomial, which the oracle's comparisons then reject.
-
-    Each product is summed over every band, on the rows the term can reach
-    and only there, with no n x n array: with v = e_0 and K+'s one band a
-    step forms one entry, O(n) per call.  A product is formed from real
-    parts (as core.diagonal_matmul forms it), the bands in ascending offset
-    order, and / k is numpy's complex division, so with one band every entry
-    is the dense matvec sum's bit for bit."""
+    """exp(A) e_0 for v = e_0 and the n x n matrix A, n = len(v), with one
+    band a_bands[-1] just below the diagonal: the exact sum over k < n of
+    A^k e_0 / k!, entry k = A[k, k-1] entry(k-1) / k.  Each product is from
+    real parts, each part summed onto 0.0, / k is numpy's complex division
+    and each entry is added onto v's (a numpy matvec can round a product
+    differently).  Any other bands or v raise ValueError."""
     n = len(v)
     if n < 2:
         return v
-    bands = [
-        (d, max(0, -d), n - max(0, d), band.real.tolist(), band.imag.tolist())
-        for d, band in sorted(a_bands.items())
-    ]
-    low, high = min(a_bands, default=0), max(a_bands, default=0)
-    live = np.flatnonzero(v)
-    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
-    term = v[lo:hi].astype(np.complex128).tolist()  # rows lo..hi-1
-    total = v.astype(np.complex128).tolist()
-    for k in range(1, n):
-        at, to = max(0, lo - high), min(n, hi - low)  # the rows it reaches
-        re, im = [0.0] * (to - at), [0.0] * (to - at)
-        for d, first, last, band_re, band_im in bands:
-            # row i reads column i + d and entry i - first of the band
-            for i in range(max(lo - d, first), min(hi - d, last)):
-                a_re, a_im, x = band_re[i - first], band_im[i - first], term[i + d - lo]
-                re[i - at] += a_re * x.real - a_im * x.imag
-                im[i - at] += a_re * x.imag + a_im * x.real
-        term = [complex(np.complex128(complex(x, y)) / k) for x, y in zip(re, im)]
-        for i, x in enumerate(term, at):
-            total[i] += x
-        lo, hi = at, to
+    sizes = {d: len(band) for d, band in a_bands.items()}
+    if sizes != {-1: n - 1}:
+        raise ValueError(f"expm takes one band of {n - 1} entries at offset -1, not {sizes}")
+    if v[0] != 1 or v[1:].any():
+        raise ValueError(f"expm takes v = e_0, not {np.array2string(v, threshold=8)}")
+    band, total = a_bands[-1], v.astype(np.complex128).tolist()
+    x = total[0]
+    for k, a_re, a_im in zip(range(1, n), band.real.tolist(), band.imag.tolist()):
+        re = 0.0 + (a_re * x.real - a_im * x.imag)
+        im = 0.0 + (a_re * x.imag + a_im * x.real)
+        x = complex(np.complex128(complex(re, im)) / k)
+        total[k] += x
     return np.array(total, dtype=np.complex128)
 
 
@@ -528,11 +512,9 @@ def _squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray,
     lam, V = np.linalg.eigh(np.diag(mod, -1))  # eigh reads the lower triangle
     w = np.exp(1j * lam) * V[0]
     tau = cmath.exp(1j * theta) * math.tanh(r)
-    e0 = np.zeros(n)
-    e0[0] = 1.0
     return (
         phases * (V @ w.real + 1j * (V @ w.imag)),
-        math.cosh(r) ** -(j + 0.5) * expm(e0, {d: tau * band for d, band in k_plus.items()}),
+        math.cosh(r) ** -(j + 0.5) * expm(np.eye(1, n)[0], {d: tau * b for d, b in k_plus.items()}),
     )
 
 

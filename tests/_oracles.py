@@ -100,13 +100,35 @@ def polya_pmf(M: int, eta: float, gamma: float, n: int) -> float:
 
 def dense_expm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """exp(a) v for a strictly lower-triangular n x n matrix a: the sum over
-    k < n of a^k v / k!, by dense matvecs, every entry of a in each product;
-    the product route's reference (twophoton.expm sums it on the bands)."""
+    k < n of a^k v / k!, by numpy matvecs, every entry of a in each product.
+    A matvec may round a complex product differently from CPython scalars,
+    so twophoton.expm agrees with it to rounding (scalar_expm is its bits)."""
     term = total = v
     for k in range(1, a.shape[0]):
         term = a @ term / k
         total = total + term
     return total
+
+
+def scalar_expm(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """exp(a) v for a strictly lower-triangular n x n matrix a: the sum over
+    k < n of a^k v / k! in CPython scalars.  Each matvec sums, row by row
+    onto 0.0, the products with a's nonzero entries, each product's parts
+    formed from real parts; each term is divided by k with numpy's complex
+    division and added onto the sum, which starts at v."""
+    n = len(v)
+    if n < 2:
+        return v
+    entries = [(i, j, complex(a[i, j])) for i, j in zip(*np.nonzero(a))]
+    term = total = v.astype(np.complex128).tolist()
+    for k in range(1, n):
+        re, im = [0.0] * n, [0.0] * n
+        for i, j, x in entries:
+            re[i] += x.real * term[j].real - x.imag * term[j].imag
+            im[i] += x.real * term[j].imag + x.imag * term[j].real
+        term = [complex(np.complex128(complex(p, q)) / k) for p, q in zip(re, im)]
+        total = [s + t for s, t in zip(total, term)]
+    return np.array(total, dtype=np.complex128)
 
 
 def squeezing_reference(r: float, theta: float, dim: int, j: int):

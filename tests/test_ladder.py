@@ -553,6 +553,21 @@ def test_step_maps_match_reference():
     ) == {str}
 
 
+def test_step_maps_refuse_tables_of_different_lengths():
+    # a shorter table once read 0.0 past its end
+    steps = (
+        fl.step_down_f,
+        fl.step_up_f,
+        lambda c_from, c_to: fl.step_down_g(c_from, c_to, 3),
+        lambda c_from, c_to: fl.step_up_g(c_from, c_to, 3),
+    )
+    for c_from, c_to in ((COEFFS, NEIGHBOR[:-1]), (NEIGHBOR[:-2], COEFFS)):
+        message = f"coefficient lengths {len(c_from)} and {len(c_to)} differ"
+        for step in steps:
+            with pytest.raises(fl.DimensionMismatchError, match=message):
+                step(c_from, c_to)
+
+
 def test_gs_lowering_matches_reference():
     for dim in (1, 2, 17, 64):
         _assert_same([lambda: fl.gs_lowering(dim)], [lambda: gs_lowering_reference(dim)])

@@ -28,6 +28,7 @@ from fockladder import (
     squeezed_first_excited,
     squeezed_vacuum,
 )
+from fockladder.states import _finish, format_complex
 
 from _oracles import (
     binomial_pmf,
@@ -260,6 +261,46 @@ def test_intermediate_divergent_case_flagged():
     s = intermediate_nlcs(0.5, 1.2, 64, tail_check=False)
     assert s.leak > 0.5
     assert np.linalg.norm(s.amplitudes) == pytest.approx(1.0, abs=1e-14)
+
+
+def _prefix_scan_nlcs(eta, alpha, dim, f):
+    """intermediate_nlcs(..., tail_check=False) by the rule that scans the
+    whole prefix for its peak at every step: the state and the number of
+    rescales."""
+    seq = np.zeros(dim + 32, dtype=complex)
+    seq[0] = 1.0
+    rescales = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(dim + 31):
+            fn = 1.0 if f is None else complex(f(n))
+            seq[n + 1] = (alpha - math.sqrt(eta) * n) * seq[n] / (
+                math.sqrt(1.0 - eta) * fn * math.sqrt(n + 1)
+            )
+            peak = np.abs(seq[: n + 2]).max()
+            if peak > 1e120:
+                seq[: n + 2] /= peak
+                rescales += 1
+    frac = float(np.vdot(seq[dim:], seq[dim:]).real) / float(np.vdot(seq, seq).real)
+    label = f"intermediate_nlcs(eta={eta!r}, alpha={format_complex(alpha)})"
+    return _finish(seq[:dim], label, leak=frac), rescales
+
+
+@pytest.mark.parametrize("f", [None, lambda n: 1 + 0.1j * n, lambda n: 0.3 - 0.2j],
+                         ids=["flat", "complex-ramp", "complex-constant"])
+def test_intermediate_rescale_is_the_prefix_scan(f):
+    # divergent recursions rescale; checking only the new entry keeps every bit
+    rescaled = 0
+    for eta in (0.5, 0.9, 0.99):
+        for alpha in (1.2, 3 + 2j, -0.7j, 1e5j):
+            for dim in (16, 64, 200):
+                got = intermediate_nlcs(eta, alpha, dim, f, tail_check=False)
+                want, rescales = _prefix_scan_nlcs(eta, alpha, dim, f)
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+                assert (got.norm_constant, got.leak, got.label) == (
+                    want.norm_constant, want.leak, want.label
+                )
+                rescaled += rescales > 0
+    assert rescaled >= 12
 
 
 def test_intermediate_zero_f_named():
