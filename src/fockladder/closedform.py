@@ -7,11 +7,12 @@ checks, so every entry point refuses an input with the constructor's
 message; a non-finite alpha or theta, which a constructor refuses only
 by its non-finite amplitudes, is refused by name.
 
-Each route is a Coeffs, a diagonal in the array form of core._ArrayDiag,
-whose protocol and first-fault rule it keeps: c.values(ns) and c(n) give
-the bits of the route's per-index Python formula, which tests/_oracles.py
-keeps as the reference, because every element goes through exactly the
-operations that formula makes:
+Each route is a Coeffs, a diagonal in the array form of core._ArrayDiag.
+c.values(ns) and c(n) each run the route's formula once and raise what
+it raises; a builder's read re-reads a fault by the first-fault rule of
+core._diag_values.  They give the bits of the route's per-index Python
+formula, which tests/_oracles.py keeps as the reference, because every
+element goes through exactly the operations that formula makes:
 
 - float +, -, * and / are numpy's, which round as Python's do;
 - lgamma, exp, cmath.exp, ** and abs are Python's own, called once per
@@ -51,7 +52,8 @@ from .states import (
 
 class Coeffs:
     """C(n) of one route: formula(ns) on the support lo <= n <= hi and 0.0
-    elsewhere, read by values(ns) or c(n) (see the module docstring)."""
+    elsewhere, read by values(ns) or c(n), each one run of the formula
+    (see the module docstring)."""
 
     __slots__ = ("lo", "hi", "_formula")
     __name__ = "c"  # an instance reads by name as the function c(n) it is
@@ -65,27 +67,19 @@ class Coeffs:
         i, j = ns.searchsorted(self.lo), ns.searchsorted(self.hi, "right")
         if i >= j:
             return np.zeros(len(ns))
-        inside = self._inside(ns[i:j])
+        with np.errstate(all="ignore"):  # as Python's float arithmetic
+            inside = self._formula(ns[i:j])
         if j - i == len(ns):
             return inside
         out = np.zeros(len(ns), dtype=inside.dtype)
         out[i:j] = inside
         return out
 
-    def _inside(self, ns: np.ndarray) -> np.ndarray:
-        try:
-            with np.errstate(all="ignore"):  # as Python's float arithmetic
-                return self._formula(ns)
-        except Exception:
-            if len(ns) > 1:  # the first-fault rule of core._ArrayDiag
-                for k in range(len(ns)):
-                    self._inside(ns[k : k + 1])
-            raise
-
     def __call__(self, n: int) -> complex:
         if not self.lo <= n <= self.hi:
             return 0.0
-        return self._inside(np.array([n])).item()
+        with np.errstate(all="ignore"):
+            return self._formula(np.array([n])).item()
 
 
 def _each(fn: Callable, x: np.ndarray, dtype=float) -> np.ndarray:

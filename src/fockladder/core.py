@@ -24,7 +24,7 @@ into a matrix:
   expressions like (M - N) or 1/sqrt(N + 1) are exact at integer
   arguments and never see an index outside their domain.  Any other
   callable is read one index at a time, inside a composite too; a fault
-  raises by the first-fault rule of _ArrayDiag.
+  raises by the first-fault rule of _diag_values.
 - Exact ladder factors.  Each is the square root of the exact integer
   product, formed in float64 while it stays below 2**53 and in Python
   ints past that, so perfect squares come out exact and a product past
@@ -106,11 +106,8 @@ class _ArrayDiag:
     too: values(ns) gives it at the ascending int array ns in one pass,
     typed as the per-index values are (float64 or int for reals,
     complex128 for complexes), and d(n) at one index, a Python scalar.
-
-    First-fault rule: an array read that meets a fault (an error, or a
-    non-finite value where _diag_values reads) is read again one index at
-    a time, so the first fault in ascending index order raises, with the
-    error its formula raises there."""
+    A read that faults raises what its formula raises; _diag_values alone
+    re-reads a fault."""
 
     __slots__ = ("values",)
 
@@ -161,9 +158,12 @@ def _read(d: DiagFn, ns: np.ndarray) -> np.ndarray:
 
 def _diag_values(d: DiagFn, ns, where: str) -> np.ndarray:
     """The diagonal's values at the ascending indices ns as a complex128
-    array, read once by _read.  A read that meets a fault is read again
-    by the first-fault rule of _ArrayDiag: the first non-finite value, or
-    the diagonal's own error, whichever comes first, raises."""
+    array, read once by _read.
+
+    First-fault rule, kept here alone: a read that meets a fault (an
+    error, or a non-finite value) is read again one index at a time, so
+    the first fault in ascending index order raises: the diagonal's own
+    error there, or OperatorEvaluationError naming a non-finite value."""
     ns = np.asarray(ns)
     try:
         with np.errstate(all="ignore"):  # as Python's float arithmetic

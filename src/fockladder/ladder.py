@@ -557,7 +557,7 @@ def _residual_check(
     diff: np.ndarray,
     leak: float,
     tolerances: Tolerances,
-    edge_exclude: int,
+    edge_exclude: int = 0,
 ) -> CheckResult:
     """||diff|| at the residual tolerance, naming the index where the
     difference peaks; the top edge_exclude components of diff, a fresh
@@ -601,11 +601,8 @@ def relation_check(
     rhs: OperatorExpr,
     s: FockState,
     tolerances: Tolerances,
-    edge_exclude: int = 0,
 ) -> CheckResult:
-    return images_check(
-        name, equation, apply(lhs, s), apply(rhs, s), tolerances, edge_exclude
-    )
+    return images_check(name, equation, apply(lhs, s), apply(rhs, s), tolerances)
 
 
 def images_check(
@@ -614,13 +611,10 @@ def images_check(
     left: FockState,
     right: FockState,
     tolerances: Tolerances,
-    edge_exclude: int = 0,
 ) -> CheckResult:
     """relation_check on the images left = lhs|s> and right = rhs|s>."""
     diff = left.amplitudes - right.amplitudes
-    return _residual_check(
-        name, equation, diff, left.leak + right.leak, tolerances, edge_exclude
-    )
+    return _residual_check(name, equation, diff, left.leak + right.leak, tolerances)
 
 
 def _single_check_report(s: FockState, t: Tolerances, check: CheckResult):
@@ -658,13 +652,10 @@ def verify_relation(
     *,
     name: str = "operator-relation",
     equation: str = "",
-    edge_exclude: int = 0,
 ) -> VerificationReport:
     """Report on ||lhs|s> - rhs|s>|| at the residual tolerance."""
     t = tolerances or Tolerances()
-    return _single_check_report(
-        s, t, relation_check(name, equation, lhs, rhs, s, t, edge_exclude)
-    )
+    return _single_check_report(s, t, relation_check(name, equation, lhs, rhs, s, t))
 
 
 def gdo_axiom_checks(

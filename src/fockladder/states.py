@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import accumulate
 from typing import Callable
 
@@ -165,6 +166,21 @@ def _check_pair_alpha(alpha: complex, j: int) -> complex:
     if math.isinf(abs(alpha) * abs(alpha)):  # x * x: inf, not OverflowError
         raise ParameterError("|alpha|^2 must lie inside the float range")
     return alpha
+
+
+def _check_prefactor(pref: float, alpha: complex, scale: float = 1.0) -> float:
+    """pref = scale * e^(-|alpha|^2/2), a coherent-type prefactor, refused
+    below the normal float range, where _tail_guard would count its
+    rounding as dropped mass at a dim that holds the state."""
+    tiny = sys.float_info.min
+    if pref < tiny:
+        # the largest |alpha| accepted, shown rounded down so that it is
+        top = math.sqrt(-2.0 * math.log(tiny / scale))
+        raise ParameterError(
+            f"alpha={format_complex(alpha)} puts the normalizing prefactor below "
+            f"the normal float range; |alpha| must be at most {math.floor(top * 1e4) / 1e4}"
+        )
+    return pref
 
 
 def _tail_guard(raw: np.ndarray, what: str) -> float:
@@ -339,7 +355,8 @@ def coherent(alpha: complex, dim: int) -> FockState:
     alpha = complex(alpha)
     dim = _check_dim(dim)
     label = f"coherent(alpha={format_complex(alpha)})"
-    pref = math.exp(-abs(alpha) * abs(alpha) / 2.0)  # x * x: inf, not OverflowError
+    # x * x: inf, not OverflowError
+    pref = _check_prefactor(math.exp(-abs(alpha) * abs(alpha) / 2.0), alpha)
     raw = np.zeros(dim, dtype=complex)
     raw[0] = pref
     for n in range(dim - 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -55,6 +56,7 @@ from .states import (
     _check_angle,
     _check_dim,
     _check_pair_alpha,
+    _check_prefactor,
     _check_r,
     _check_sector_dim,
     _finish,
@@ -262,13 +264,25 @@ def even_odd_coherent(alpha: complex, parity: str, dim: int) -> FockState:
     dim, n_sector = _check_sector_dim(dim, j)
     alpha = _check_pair_alpha(alpha, j)
     mod2 = abs(alpha) * abs(alpha)
-    try:
-        norm = math.cosh(mod2) if j == 0 else math.sinh(mod2)
-        prefactor = 1.0 / math.sqrt(norm) if norm > 0 else 1.0
-    except OverflowError:  # there cosh and sinh round to e^x / 2
-        prefactor = math.sqrt(2.0) * math.exp(-0.5 * mod2)
     raw = np.zeros(n_sector, dtype=complex)
-    raw[0] = prefactor * (1.0 if j == 0 else alpha)
+    if j == 1 and mod2 < sys.float_info.min:  # the limit sinh(x) / x -> 1
+        prefactor = 1.0 / abs(alpha)
+        if math.isinf(prefactor):
+            raise ParameterError(
+                f"alpha={format_complex(alpha)} puts the odd superposition's "
+                "prefactor 1/|alpha| past the float range; |alpha| must be at "
+                "least 5.5627e-309"
+            )
+        raw[0] = alpha / abs(alpha)
+    else:
+        try:
+            norm = math.cosh(mod2) if j == 0 else math.sinh(mod2)
+            prefactor = 1.0 / math.sqrt(norm)
+        except OverflowError:  # there cosh and sinh round to e^x / 2
+            prefactor = _check_prefactor(
+                math.sqrt(2.0) * math.exp(-0.5 * mod2), alpha, math.sqrt(2.0)
+            )
+        raw[0] = prefactor * (1.0 if j == 0 else alpha)
     for n in range(n_sector - 1):
         k = 2 * n + j  # full-space level currently held
         raw[n + 1] = raw[n] * alpha**2 / math.sqrt((k + 1) * (k + 2))

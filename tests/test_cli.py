@@ -250,6 +250,34 @@ def test_state_coherent_matches_poisson(capsys):
         assert row["prob"] == pytest.approx(poisson_pmf(1.0, row["n"]), abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "state --family cs --alpha 39 --dim 2400",
+        "state --family cs --alpha 38.1 --dim 2600",
+        "verify --family ks --alpha 39 --theta 0.1 --dim 2400",
+        "state --family pacs --alpha 39 --M 1 --dim 2400",
+        "state --family ecs --alpha 39 --dim 4800",
+        "verify --family ocs --alpha 39 --dim 4800",
+        "state --family ocs --alpha 5e-324 --dim 8",
+    ],
+)
+def test_an_alpha_past_its_prefactor_range_exits_two_naming_alpha(capsys, argv):
+    # a refusal by name, not a tail-mass error asking for a larger dim
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: alpha=") and err.count("\n") == 1
+    assert "increase dim" not in err
+
+
+@pytest.mark.parametrize("alpha", ["1e-170", "1e-170i", "2e-162", "1.2e-160"])
+def test_odd_coherent_at_a_subnormal_alpha_squared_verifies(capsys, alpha):
+    code, out, err = run(capsys, "verify", "--family", "ocs", "--alpha", alpha, "--dim", "8")
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 21 and all(c["passed"] for c in checks)
+
+
 def test_state_nnbs_shifted_support(capsys):
     code, out, _ = run(
         capsys, "state", "--family", "nnbs", "--eta", "0.3", "--M", "3", "--dim", "256"
@@ -344,9 +372,9 @@ def test_state_past_the_float_range_exits_zero(capsys, flags):
         ),
         (
             # the state exists, but the closed form's unnormalized peak,
-            # near e^(|alpha|^2/2), leaves the float range
-            ["verify", "--family", "pacs", "--alpha", "38", "--M", "1", "--dim", "1800"],
-            "error: a closed form of pacs leaves the float range at M=1, alpha=38.0;",
+            # near e^(|alpha|^2/2) |alpha|^M, leaves the float range
+            ["verify", "--family", "pacs", "--alpha", "37", "--M", "10", "--dim", "1800"],
+            "error: a closed form of pacs leaves the float range at M=10, alpha=37.0;",
         ),
         (
             ["verify", "--family", "ggs", "--Y", "1e300", "--M", "3", "--dim", "8"],
@@ -870,12 +898,12 @@ def _batch_error(tmp_path, capsys, entry: str) -> str:
 
 def test_batch_entry_past_a_closed_form_float_range_is_an_input_error(tmp_path, capsys):
     # the state exists, but the closed form's unnormalized peak, near
-    # e^(|alpha|^2/2), leaves the float range
+    # e^(|alpha|^2/2) |alpha|^M, leaves the float range
     error = _batch_error(
-        tmp_path, capsys, '{"family":"pacs","params":{"alpha":38,"M":1},"dim":1800}'
+        tmp_path, capsys, '{"family":"pacs","params":{"alpha":37,"M":10},"dim":1800}'
     )
     assert error.startswith(
-        "a closed form of pacs leaves the float range at alpha=38.0, M=1;"
+        "a closed form of pacs leaves the float range at alpha=37.0, M=10;"
     )
 
 

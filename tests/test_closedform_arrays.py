@@ -9,6 +9,7 @@ zeros, and where a formula raises, the same error at the same index.  The
 suites read each route as one table per suite input, evaluated once.
 """
 
+import collections
 import math
 import random
 
@@ -159,10 +160,9 @@ def test_array_route_and_F_match_the_per_index_reference(case):
         assert got[1:] == want[1:]
 
 
-@pytest.mark.parametrize("form", ["Coeffs", "_array_diag"])
-def test_an_array_read_raises_the_first_fault_in_index_order(form):
-    # a formula with two faults: array order would meet the later index's
-    # first, since its first operation runs over every index before the second
+def _two_faults(ns):
+    # a formula with two faults: array order meets the later index's first,
+    # since its first operation runs over every index before the second
     def late(n: int) -> float:
         if n == 5:
             raise OverflowError("at 5")
@@ -173,20 +173,52 @@ def test_an_array_read_raises_the_first_fault_in_index_order(form):
             raise ZeroDivisionError("at 2")
         return 1.0
 
-    def formula(ns):
-        return closedform._each(late, ns) + closedform._each(early, ns)
+    return closedform._each(late, ns) + closedform._each(early, ns)
 
-    d = closedform.Coeffs(0, math.inf, formula) if form == "Coeffs" else core._array_diag(formula)
-    # the builders' read of either class, and a Coeffs's own array read
-    reads = [lambda ns: core._diag_values(d, ns, "index")]
+
+@pytest.mark.parametrize("form", ["Coeffs", "_array_diag"])
+def test_an_array_read_raises_the_first_fault_in_index_order(form):
+    # the builders' read of either class
     if form == "Coeffs":
-        reads.append(d.values)
-    for read in reads:
-        with pytest.raises(ZeroDivisionError, match="^at 2$"):
-            read(np.arange(8))
-        with pytest.raises(OverflowError, match="^at 5$"):
-            read(np.arange(3, 8))
-        assert read(np.arange(2)).tolist() == [2.0, 2.0]
+        d = closedform.Coeffs(0, math.inf, _two_faults)
+    else:
+        d = core._array_diag(_two_faults)
+    with pytest.raises(ZeroDivisionError, match="^at 2$"):
+        core._diag_values(d, np.arange(8), "index")
+    with pytest.raises(OverflowError, match="^at 5$"):
+        core._diag_values(d, np.arange(3, 8), "index")
+    assert core._diag_values(d, np.arange(2), "index").tolist() == [2.0, 2.0]
+
+
+def test_a_coeffs_read_runs_its_formula_once_and_raises_its_error():
+    # values and c(n) are one run of the formula each, so a direct read
+    # raises the formula's own first error, not the first in index order
+    runs = []
+    d = closedform.Coeffs(0, math.inf, lambda ns: runs.append(ns) or _two_faults(ns))
+    with pytest.raises(OverflowError, match="^at 5$"):
+        d.values(np.arange(8))
+    with pytest.raises(ZeroDivisionError, match="^at 2$"):
+        d(2)
+    assert d.values(np.arange(2)).tolist() == [2.0, 2.0] and d(7) == 2.0
+    assert [ns.tolist() for ns in runs] == [list(range(8)), [2], [0, 1], [7]]
+
+
+def test_a_faulting_coeffs_in_a_builder_runs_at_most_three_times_an_index():
+    # the numerator's and the denominator's array reads, then at most one
+    # per-index re-read by _diag_values: the Coeffs re-reads nothing itself
+    runs = collections.Counter()
+
+    def formula(ns):
+        runs.update(ns.tolist())
+        for n in (4, 7):
+            if n in ns:
+                raise ZeroDivisionError(f"at {n}")
+        return 1.0 + ns
+
+    c = closedform.Coeffs(0, math.inf, formula)
+    with pytest.raises(ZeroDivisionError, match="^at 4$"):
+        core.to_bands(fl.general_gdo(c, 10).lowering)
+    assert max(runs.values()) == 3 and runs[1] == runs[2] == 3, runs
 
 
 SPECIAL_ENTRIES = {
@@ -364,8 +396,8 @@ POLYA_POLE = (
     [
         # the closed form leaves the float range
         (
-            "pacs", {"alpha": 38.0, "M": 1}, 1800, OverflowError, "math range error",
-            "error: a closed form of pacs leaves the float range at M=1, alpha=38.0; "
+            "pacs", {"alpha": 37.0, "M": 10}, 1800, OverflowError, "math range error",
+            "error: a closed form of pacs leaves the float range at M=10, alpha=37.0; "
             "use parameters of moderate magnitude\n",
         ),
         # lgamma's pole, refused by name

@@ -73,6 +73,27 @@ def test_coherent_tail_rejected():
         coherent(3.0, 12)
 
 
+@pytest.mark.parametrize("alpha,dim", [(39.0, 2400), (38.1, 2600), (38.0, 2600),
+                                       (37.6404, 2600), (39j, 2400)])
+def test_coherent_prefactor_below_the_normal_range_refuses_alpha(alpha, dim):
+    # e^(-|alpha|^2/2) is subnormal there: the tail guard would count its
+    # rounding as dropped mass at a dim that holds the state
+    builds = (
+        lambda: coherent(alpha, dim),
+        lambda: kerr(alpha, 0.1, dim),
+        lambda: photon_add(coherent(alpha, dim), 1),
+    )
+    for build in builds:
+        with pytest.raises(ParameterError) as raised:
+            build()
+        assert not isinstance(raised.value, TailMassError)
+        assert str(raised.value) == (
+            f"alpha={format_complex(alpha)} puts the normalizing prefactor below "
+            "the normal float range; |alpha| must be at most 37.6403"
+        )
+    assert coherent(37.6403, 2600).leak <= 1e-12
+
+
 def test_binomial_matches_oracle():
     for eta, M in [(0.5, 4), (0.37, 9), (0.9, 2)]:
         s = binomial(eta, M, M + 8)

@@ -937,6 +937,44 @@ def test_even_odd_coherent_past_the_float_range_of_cosh(parity):
         assert abs(s.amplitudes[k]) ** 2 == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_even_odd_coherent_prefactor_below_the_normal_range_refuses_alpha(parity):
+    # sqrt(2) e^(-|alpha|^2/2) is subnormal past |alpha| = 37.6495
+    with pytest.raises(fl.ParameterError) as raised:
+        fl.even_odd_coherent(39.0, parity, 4800)
+    assert not isinstance(raised.value, fl.TailMassError)
+    assert str(raised.value) == (
+        "alpha=39.0 puts the normalizing prefactor below the normal float range; "
+        "|alpha| must be at most 37.6495"
+    )
+    assert fl.even_odd_coherent(37.6495, parity, 4800).leak <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha", [1e-170, 2e-162, 7e-162, 1.2e-160, 1e-155, 1e-300, 1e-170j, -3e-200 + 4e-200j]
+)
+def test_odd_coherent_at_a_subnormal_alpha_squared_takes_the_limit(alpha):
+    # sinh(|alpha|^2) / |alpha|^2 -> 1: the state is alpha/|alpha| |1> to
+    # double precision
+    s = fl.even_odd_coherent(alpha, "odd", 8)
+    assert s.amplitudes[1] == alpha / abs(alpha)
+    assert np.abs(np.delete(s.amplitudes, 1)).max() < 1e-300
+    assert s.norm_constant == pytest.approx(1.0 / abs(alpha), rel=1e-15)
+    assert s.leak == 0.0
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 5.5626e-309, 4e-309j])
+def test_odd_coherent_refuses_an_alpha_whose_inverse_overflows(alpha):
+    with pytest.raises(fl.ParameterError) as raised:
+        fl.even_odd_coherent(alpha, "odd", 8)
+    assert not isinstance(raised.value, fl.TailMassError)
+    assert str(raised.value) == (
+        f"alpha={fl.format_complex(alpha)} puts the odd superposition's prefactor "
+        "1/|alpha| past the float range; |alpha| must be at least 5.5627e-309"
+    )
+    assert fl.even_odd_coherent(5.5627e-309, "odd", 8).leak == 0.0
+
+
 # --- the sector and pair builders against their per-index references ---
 
 # a zero at n = 3, read as a numerator by some ratios and divided by in others
