@@ -187,7 +187,10 @@ class GdoTriple:
     representation, where F must vanish.  structure_fn reads F one index
     at a time and structure_table holds F on [0, dim) as one float array;
     both read the one pass of f_pass, which a triple with its structure_fn
-    replaced keeps.  bands holds the operators' to_bands, read once."""
+    replaced keeps.  bands holds the operators' to_bands, read once, and
+    axiom_rows the GDO battery's residuals on them, computed once; a
+    triple made by dataclasses.replace computes its own.  The rows are
+    operator data: gdo_axiom_checks judges them at each call's tolerance."""
 
     number_op: OperatorExpr
     lowering: OperatorExpr
@@ -210,6 +213,43 @@ class GdoTriple:
         read-only."""
         ops = (self.number_op, self.lowering, self.raising)
         return tuple(_read_only(to_bands(op)) for op in ops)
+
+    @cached_property
+    def axiom_rows(self) -> tuple[tuple[str, float, str], ...]:
+        """The GDO battery's (name, residual, detail) rows, via two
+        independent routes: the structure function comes from term-wise
+        application, while every operator product is summed from the
+        operators' bands, as in the su(1,1) battery (core.to_bands,
+        diagonal_matmul, band_max_abs)."""
+        dim = self.dim
+        N, L, R = self.bands
+        RL, LR = diagonal_matmul(R, L), diagonal_matmul(L, R)
+        rl_diag, lr_diag = (P.get(0, np.zeros(dim)).real for P in (RL, LR))
+        F = np.append(self.structure_table, 0.0)  # F(dim) = 0 past the truncation
+
+        def off_diagonal(P: Bands) -> float:
+            # P less its own main diagonal, where an inf or NaN stays NaN
+            return band_max_abs(lambda p, d: p - d, P, {0: P[0]} if 0 in P else {})
+
+        return (
+            ("gdo-commutator-lowering", commutator_max_abs(N, L, 1.0),
+             "[number, lowering] + lowering, dense route"),
+            ("gdo-commutator-raising", commutator_max_abs(N, R, -1.0),
+             "[number, raising] - raising, dense route"),
+            ("gdo-product-diagonal-rl", off_diagonal(RL),
+             "raising@lowering off-diagonal mass"),
+            ("gdo-product-diagonal-lr", off_diagonal(LR),
+             "lowering@raising off-diagonal mass"),
+            ("gdo-structure-fn", float(np.abs(rl_diag - F[:dim]).max()),
+             "diag(raising@lowering) vs applied ||lowering|n>||^2, all n"),
+            ("gdo-shift-consistency",
+             float(np.abs(lr_diag[: dim - 1] - F[1:dim]).max()) if dim > 1 else 0.0,
+             "diag(lowering@raising)[n] vs F(n+1); top index excluded "
+             "(raising leaks at the truncation edge)"),
+            ("gdo-fock-condition", abs(F[self.n_min]), f"F(n_min) with n_min={self.n_min}"),
+            ("gdo-nonnegativity", max(0.0, float(-F.min())),
+             "structure function is a squared norm"),
+        )
 
 
 class _OperationalF:
@@ -661,45 +701,13 @@ def verify_relation(
 def gdo_axiom_checks(
     t: GdoTriple, tolerances: Tolerances, equation: str = "E1"
 ) -> list[CheckResult]:
-    """The full axiom battery for a triple, via two independent routes:
-    the structure function comes from term-wise application, while every
-    operator product is summed from the operators' bands, as in the
-    su(1,1) battery (core.to_bands, diagonal_matmul, band_max_abs).
-    """
-    dim = t.dim
-    N, L, R = t.bands
-    RL, LR = diagonal_matmul(R, L), diagonal_matmul(L, R)
-    rl_diag, lr_diag = (P.get(0, np.zeros(dim)).real for P in (RL, LR))
-    F = np.append(t.structure_table, 0.0)  # F(dim) = 0 past the truncation
-
-    def off_diagonal(P: Bands) -> float:
-        # P less its own main diagonal, where an inf or NaN stays NaN
-        return band_max_abs(lambda p, d: p - d, P, {0: P[0]} if 0 in P else {})
-
-    checks = [
-        ("gdo-commutator-lowering", commutator_max_abs(N, L, 1.0),
-         "[number, lowering] + lowering, dense route"),
-        ("gdo-commutator-raising", commutator_max_abs(N, R, -1.0),
-         "[number, raising] - raising, dense route"),
-        ("gdo-product-diagonal-rl", off_diagonal(RL),
-         "raising@lowering off-diagonal mass"),
-        ("gdo-product-diagonal-lr", off_diagonal(LR),
-         "lowering@raising off-diagonal mass"),
-        ("gdo-structure-fn", float(np.abs(rl_diag - F[:dim]).max()),
-         "diag(raising@lowering) vs applied ||lowering|n>||^2, all n"),
-        ("gdo-shift-consistency",
-         float(np.abs(lr_diag[: dim - 1] - F[1:dim]).max()) if dim > 1 else 0.0,
-         "diag(lowering@raising)[n] vs F(n+1); top index excluded "
-         "(raising leaks at the truncation edge)"),
-        ("gdo-fock-condition", abs(F[t.n_min]), f"F(n_min) with n_min={t.n_min}"),
-        ("gdo-nonnegativity", max(0.0, float(-F.min())),
-         "structure function is a squared norm"),
-    ]
+    """The full axiom battery for a triple: its axiom_rows, judged at the
+    oracle tolerance."""
     return [
         CheckResult.from_residual(
             name, equation, residual, tolerances.oracle, leak=0.0, detail=detail
         )
-        for name, residual, detail in checks
+        for name, residual, detail in t.axiom_rows
     ]
 
 

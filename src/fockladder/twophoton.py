@@ -100,7 +100,11 @@ def expm(v: np.ndarray, a_bands: Mapping[int, np.ndarray]) -> np.ndarray:
 @dataclass(frozen=True)
 class Su11Rep:
     """K+, K-, K0 on one parity sector, with the Bargmann index and the
-    shifted number operator counting pairs above the sector bottom."""
+    shifted number operator counting pairs above the sector bottom.  Its
+    band reads and its batteries' (name, residual, detail) rows are made
+    on first read and kept; a representation made by dataclasses.replace
+    makes its own.  The rows are operator data: su11_axiom_checks and
+    embedding_checks judge them at each call's tolerance."""
 
     parity_j: int
     bargmann_k: float
@@ -135,6 +139,69 @@ class Su11Rep:
             for op in _full_k_ops(2 * self.dim + j)
         )
 
+    @cached_property
+    def axiom_rows(self) -> tuple[tuple[str, float, str], ...]:
+        """The su(1,1) relations among K+, K-, K0, entry for entry.
+
+        Every row is computed on the diagonals that hold a nonzero entry,
+        read from the operator terms (core.to_bands): a stray term anywhere
+        still enters, each product entry is the one product the dense
+        matmul forms (core.diagonal_matmul), and each residual entry goes
+        through the same float operations as on the dense matrices
+        (core.band_max_abs)."""
+        dim, j = self.dim, self.parity_j
+        p, m, z, number = self.bands
+        KpKm, KmKp = diagonal_matmul(p, m), diagonal_matmul(m, p)
+        eye = {0: np.ones(dim)}
+        top = dim - 1  # K+ leaks from the top basis vector
+        # K+ and K- carry the same band values on opposite sides of the diagonal
+        band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + j + 0.5))
+        off = np.zeros(dim - 1)  # an absent diagonal holds zeros
+        action_residual = max(
+            float(np.max(np.abs(p.get(-1, off) - band), initial=0.0)),
+            float(np.max(np.abs(m.get(1, off) - band), initial=0.0)),
+            float(np.max(np.abs(z.get(0, np.zeros(dim)) - (np.arange(dim) + j / 2 + 0.25)))),
+        )
+        k = self.bargmann_k  # the sector-number shift too
+        return (
+            ("su11-action", action_residual, "matrix elements vs the stated sector actions"),
+            ("su11-commutator-plus", commutator_max_abs(z, p, -1.0), "[K0, K+] - K+"),
+            ("su11-commutator-minus", commutator_max_abs(z, m, 1.0), "[K0, K-] + K-"),
+            (
+                "su11-commutator-pm",
+                band_max_abs(
+                    lambda pm, mp, k0: pm - mp + 2 * k0, KpKm, KmKp, z, exclude_column=top
+                ),
+                "[K+, K-] + 2 K0, top column excluded",
+            ),
+            (
+                "su11-casimir",
+                band_max_abs(
+                    lambda zz, pm, mp, e: zz - (pm + mp) / 2 - k * (k - 1) * e,
+                    diagonal_matmul(z, z), KpKm, KmKp, eye, exclude_column=top,
+                ),
+                f"K0^2 - (K+K- + K-K+)/2 vs k(k-1) = {k * (k - 1)!r}, "
+                "top column excluded",
+            ),
+            (
+                "su11-sector-number",
+                band_max_abs(lambda k0, e, num: k0 - k * e - num, z, eye, number),
+                f"K0 - {k!r} counts sector quanta",
+            ),
+        )
+
+    @cached_property
+    def embedding_rows(self) -> tuple[tuple[str, float, str], ...]:
+        """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
+        full_bands reads them, against the sector actions entry for entry,
+        compared on their bands."""
+        residual = max(
+            band_max_abs(lambda f, s: f - s, full, sector)
+            for full, sector in zip(self.full_bands, self.bands[:3])
+        )
+        detail = f"sector {self.parity_j} restriction of a+2/2, a2/2, N/2+1/4"
+        return (("sector-embedding", residual, detail),)
+
 
 def _check_parity(parity_j: int, name: str = "parity_j") -> int:
     # an equal float or bool reads as its int; a complex, even 1+0j, is refused
@@ -150,8 +217,9 @@ def su11(parity_j: int, dim_sector: int) -> Su11Rep:
     Cached per truncation: the arguments are checked first and the
     representation kept on the checked ints (an integral float or a bool
     finds the int's entry), up to SU11_CACHE_SIZE of them.  Its bands are
-    read once and read-only.  Only operator data is kept, never a verdict:
-    every battery runs again on each call."""
+    read once and read-only, and its batteries' residual rows computed
+    once.  Only operator data is kept, never a verdict: each call of a
+    battery judges the kept rows at that call's tolerances."""
     return _su11(_check_parity(parity_j), _check_dim(dim_sector))
 
 
@@ -373,96 +441,25 @@ def sfes_lowering(dim: int) -> OperatorExpr:
 
 
 def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
-    """The su(1,1) relations among K+, K-, K0, entry for entry.
-
-    Every check runs on the diagonals that hold a nonzero entry, read from
-    the operator terms (core.to_bands): a stray term anywhere still enters,
-    each product entry is the one product the dense matmul forms
-    (core.diagonal_matmul), and each residual entry goes through the same
-    float operations as on the dense matrices (core.band_max_abs).
-    """
-    dim = rep.dim
-    j = rep.parity_j
-    p, m, z, number = rep.bands
-    KpKm, KmKp = diagonal_matmul(p, m), diagonal_matmul(m, p)
-    eye = {0: np.ones(dim)}
-    top = dim - 1  # K+ leaks from the top basis vector
-    tol = tolerances.oracle
-
-    def c(name: str, equation: str, residual: float, detail: str) -> CheckResult:
-        return CheckResult.from_residual(name, equation, residual, tol, detail=detail)
-
-    # K+ and K- carry the same band values on opposite sides of the diagonal
-    band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + j + 0.5))
-    off = np.zeros(dim - 1)  # an absent diagonal holds zeros
-    action_residual = max(
-        float(np.max(np.abs(p.get(-1, off) - band), initial=0.0)),
-        float(np.max(np.abs(m.get(1, off) - band), initial=0.0)),
-        float(np.max(np.abs(z.get(0, np.zeros(dim)) - (np.arange(dim) + j / 2 + 0.25)))),
-    )
-    k = rep.bargmann_k  # the sector-number shift too
+    """The su(1,1) battery: rep.axiom_rows judged at the oracle tolerance."""
     return [
-        c(
-            "su11-action",
-            "E66",
-            action_residual,
-            "matrix elements vs the stated sector actions",
-        ),
-        c(
-            "su11-commutator-plus",
-            "E66",
-            commutator_max_abs(z, p, -1.0),
-            "[K0, K+] - K+",
-        ),
-        c(
-            "su11-commutator-minus",
-            "E66",
-            commutator_max_abs(z, m, 1.0),
-            "[K0, K-] + K-",
-        ),
-        c(
-            "su11-commutator-pm",
-            "E66",
-            band_max_abs(
-                lambda pm, mp, k0: pm - mp + 2 * k0, KpKm, KmKp, z, exclude_column=top
-            ),
-            "[K+, K-] + 2 K0, top column excluded",
-        ),
-        c(
-            "su11-casimir",
-            "E66",
-            band_max_abs(
-                lambda zz, pm, mp, e: zz - (pm + mp) / 2 - k * (k - 1) * e,
-                diagonal_matmul(z, z), KpKm, KmKp, eye, exclude_column=top,
-            ),
-            f"K0^2 - (K+K- + K-K+)/2 vs k(k-1) = {k * (k - 1)!r}, "
-            "top column excluded",
-        ),
-        c(
-            "su11-sector-number",
-            "E70 E71",
-            band_max_abs(lambda k0, e, num: k0 - k * e - num, z, eye, number),
-            f"K0 - {k!r} counts sector quanta",
-        ),
+        CheckResult.from_residual(
+            name,
+            "E70 E71" if name == "su11-sector-number" else "E66",
+            residual,
+            tolerances.oracle,
+            detail=detail,
+        )
+        for name, residual, detail in rep.axiom_rows
     ]
 
 
 def embedding_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
-    """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
-    rep.full_bands reads them, reproduce the sector actions entry for
-    entry, compared on their bands."""
-    residual = max(
-        band_max_abs(lambda f, s: f - s, full, sector)
-        for full, sector in zip(rep.full_bands, rep.bands[:3])
-    )
+    """The sector-embedding check: rep.embedding_rows judged at the oracle
+    tolerance."""
     return [
-        CheckResult.from_residual(
-            "sector-embedding",
-            "E65",
-            residual,
-            tolerances.oracle,
-            detail=f"sector {rep.parity_j} restriction of a+2/2, a2/2, N/2+1/4",
-        )
+        CheckResult.from_residual(name, "E65", residual, tolerances.oracle, detail=detail)
+        for name, residual, detail in rep.embedding_rows
     ]
 
 
@@ -493,7 +490,7 @@ def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
     )
 
 
-def _squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray, np.ndarray]:
+def squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray, np.ndarray]:
     """S(xi)|j> two ways on the sector of rep, from its full_bands, the
     j::2 block of a+^2/2, a^2/2 and N/2+1/4:
     exp(xi K+ - xi* K-) e_0 = exp(i H) e_0, H the Hermitian part of
@@ -557,17 +554,17 @@ def verify_disentangling(
         params={"r": float(r), "theta": float(theta), "excitation": excitation},
         dim=closed.dim,
         tolerances=tol,
-        checks=disentangling_checks(closed, r, theta, rep, tol),
+        checks=disentangling_checks(closed, squeezing_routes(r, theta, rep), tol),
     )
 
 
 def disentangling_checks(
-    closed: FockState, r: float, theta: float, rep: Su11Rep, tolerances: Tolerances
+    closed: FockState, routes: tuple[np.ndarray, np.ndarray], tolerances: Tolerances
 ) -> tuple[CheckResult, ...]:
     """verify_disentangling's checks, given its closed form S(xi)|j> and
-    the representation on its sector, whose full_bands the routes read."""
-    dim, j = closed.dim, rep.parity_j
-    via_exponential, via_product = _squeezing_routes(r, theta, rep)
+    the two operator routes on its sector, as squeezing_routes gives them."""
+    dim, j = closed.dim, ("even", "odd").index(closed.parity)
+    via_exponential, via_product = routes
 
     def normalized(v: np.ndarray) -> tuple[FockState, float]:
         # v on the full space at unit norm, and its norm deficit as leak

@@ -125,6 +125,7 @@ from .twophoton import (
     sfes_lowering,
     squeezed_first_excited,
     squeezed_vacuum,
+    squeezing_routes,
     su11,
     su11_axiom_checks,
     svs_lowering,
@@ -630,11 +631,13 @@ class _SuiteInput:
     part made on its first read and kept: the state, on the full space and
     on the family's basis, the coefficients C on the basis (the closed
     form's table, else the state's amplitudes) with the closed-form
-    structure function formed from them, and the deformed-oscillator
-    triple at each truncation.  Their arrays are read-only.  Where the
-    family has a closed form, no part but the two states builds the
-    state.  A part whose builder refuses is not kept, so the next read
-    runs the builder again.  No verdict is kept."""
+    structure function formed from them, the deformed-oscillator triple
+    at each truncation (which keeps its battery's residual rows), and for
+    a squeezed family the two operator routes to S(xi)|j>.  Their arrays
+    are read-only.  Where the family has a closed form, no part but the
+    two states builds the state.  A part whose builder refuses is not
+    kept, so the next read runs the builder again.  No verdict is kept:
+    each suite judges the kept residuals at its own tolerances."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
@@ -700,6 +703,16 @@ class _SuiteInput:
         F = self.kind.F(self.table, self.p)
         F.flags.writeable = False
         return F
+
+    @functools.cached_property
+    def squeezing_routes(self) -> tuple[np.ndarray, np.ndarray]:
+        """S(xi)|j> by the exponential and the product routes on the
+        sector (twophoton.squeezing_routes), read-only."""
+        rep = su11(self.spec.sector, self.basis)
+        routes = squeezing_routes(self.p["r"], self.p["theta"], rep)
+        for v in routes:
+            v.flags.writeable = False
+        return routes
 
     def triple(self, dim: int) -> GdoTriple:
         """The triple at truncation dim of the family's own basis."""
@@ -986,8 +999,7 @@ def run_family_suite(
     checks += gdo_axiom_checks(battery, tol, equation=kind.battery[spec.sector or 0])
     checks.append(closed_form)
     if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
-        rep = su11(spec.sector, data.basis)
-        checks += disentangling_checks(s, p["r"], p["theta"], rep, tol)
+        checks += disentangling_checks(s, data.squeezing_routes, tol)
     return VerificationReport(
         family=family,
         params=_echo_params(family, p),

@@ -757,6 +757,23 @@ def test_gdo_battery_fails_exactly_the_broken_checks(mutate, broken, family, par
     assert _residuals(mutant) == _dense_residuals(mutant)
 
 
+def test_kept_rows_belong_to_their_triple():
+    # a triple made from another by dataclasses.replace computes its own
+    # battery rows, also after the first one's rows are kept
+    t = fl.build_gdo("binomial", {"eta": 0.5, "M": 12}, 20)
+    assert fl.verify_gdo_axioms(t).passed and "axiom_rows" in t.__dict__
+    ((k, d),) = t.number_op.terms
+    n0 = t.dim // 2
+
+    def off(n):  # one N entry off by 1e-9 relative
+        return d(n) * (1 + 1e-9) if n == n0 else d(n)
+
+    nudged = dataclasses.replace(t, number_op=fl.operator([(k, off)], t.dim))
+    failed = {c.name for c in fl.verify_gdo_axioms(nudged).checks if not c.passed}
+    assert "gdo-commutator-lowering" in failed
+    assert fl.verify_gdo_axioms(t).passed
+
+
 def test_gdo_battery_carries_an_overflowing_product_diagonal():
     # raising@lowering overflows to inf on its main diagonal: the dense
     # P - diag(diag(P)) leaves inf - inf = NaN there, and so does the band route

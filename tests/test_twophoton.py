@@ -365,6 +365,31 @@ def test_embedding_catches_a_stray_full_space_term(monkeypatch, j, shift):
     assert {c.name for c in report.checks if not c.passed} == {"sector-embedding"}
 
 
+@pytest.mark.parametrize("j", [0, 1])
+def test_kept_rows_belong_to_their_representation(monkeypatch, j):
+    # a representation made from the cached one by dataclasses.replace,
+    # under a full-space K0 with one parity-j entry off by 1e-9 relative,
+    # reads its own full-space bands and computes its own rows
+    rep = fl.su11(j, 32)
+    assert fl.verify_su11(j, 32).passed and "embedding_rows" in rep.__dict__
+    full_k_ops = twophoton._full_k_ops
+    column = 2 * 5 + j
+
+    def off(n):
+        return 1e-9 * (n / 2.0 + 0.25) if n == column else 0.0
+
+    def mutant(dim):
+        k_plus, k_minus, k_zero = full_k_ops(dim)
+        return k_plus, k_minus, fl.add(k_zero, fl.operator([(0, off)], dim))
+
+    monkeypatch.setattr(twophoton, "_full_k_ops", mutant)
+    rebuilt = dataclasses.replace(rep)
+    checks = twophoton.su11_axiom_checks(rebuilt, fl.Tolerances())
+    checks += twophoton.embedding_checks(rebuilt, fl.Tolerances())
+    assert {c.name for c in checks if not c.passed} == {"sector-embedding"}
+    assert all(c.passed for c in twophoton.embedding_checks(rep, fl.Tolerances()))
+
+
 def test_verify_su11_takes_no_second_truncation():
     # the full truncation is the representation's own; tolerances are
     # keyword-only, so an old positional dim_full is refused, not misread
@@ -595,7 +620,7 @@ def test_disentangling_strong_squeezing():
 @pytest.mark.parametrize("dim", [64, 128])
 @pytest.mark.parametrize("j", [0, 1])
 def test_sector_routes_match_the_full_space_expm(dim, j):
-    routes = twophoton._squeezing_routes(0.8, 0.5, fl.su11(j, fl.sector_dim(dim, j)))
+    routes = twophoton.squeezing_routes(0.8, 0.5, fl.su11(j, fl.sector_dim(dim, j)))
     for sector, full in zip(routes, squeezing_reference(0.8, 0.5, dim, j)):
         assert np.abs(sector - full[j::2]).max() <= 1e-13
         assert np.abs(full[1 - j :: 2]).max() <= 1e-13
@@ -686,7 +711,7 @@ def test_expm_of_the_k_plus_sector_block(sector_dim, j):
 
 def _tau_k_plus(j, sector, r, theta):
     """tau K+ on sector j, tau = e^{i theta} tanh r: its bands, as
-    _squeezing_routes hands them to expm, and its dense block."""
+    squeezing_routes hands them to expm, and its dense block."""
     tau = cmath.exp(1j * theta) * math.tanh(r)
     bands = {d: tau * band for d, band in fl.su11(j, sector).full_bands[0].items()}
     return bands, core.band_matrix(bands, sector)
@@ -794,7 +819,7 @@ def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, s
     monkeypatch.setattr(twophoton, "_squeezed", forbidden)
     if stray:
         with pytest.raises(fl.OperatorEvaluationError, match="offset -37;"):
-            twophoton._squeezing_routes(0.8, 0.5, rep)
+            twophoton.squeezing_routes(0.8, 0.5, rep)
         return
     matrices = []
     eigh = np.linalg.eigh
@@ -807,7 +832,7 @@ def test_eigh_route_gets_the_dense_hermitian_generator(monkeypatch, sector, j, s
     for r in (0.0, 5e-324, 1e-310, 0.3, 1.0, 3.0):
         for theta in (0.5, 2.0, 3.5, 5.0):
             matrices.clear()
-            via_exponential = twophoton._squeezing_routes(r, theta, rep)[0]
+            via_exponential = twophoton.squeezing_routes(r, theta, rep)[0]
             (matrix,) = matrices
             assert matrix.dtype == np.float64 and matrix.shape == (sector, sector)
             xi = r * cmath.exp(1j * theta)

@@ -728,6 +728,7 @@ def test_cached_suite_arrays_are_read_only(family, params, dim):
         arrays.append(t.structure_table)
         if "bands" in t.__dict__:  # read by the battery
             arrays += [d for bands in t.bands for d in bands.values()]
+    arrays += data.__dict__.get("squeezing_routes", ())  # the squeezed families'
     assert fl.verify._cached_input.cache_info().hits == 1
     assert len(arrays) > 3
     for a in arrays:
@@ -780,3 +781,36 @@ def test_a_finite_suite_applies_each_step_map_once(monkeypatch):
     assert fl.run_family_suite("binomial", params, dim).passed
     assert len(step_maps) == 2
     assert [sum(op is step_map for op in applied) for step_map in step_maps] == [1, 1]
+
+
+def test_a_warm_suite_keeps_residuals_not_verdicts(monkeypatch):
+    # the second call judges the kept residuals at its own tolerance
+    params, dim = GRID_BY_FAMILY["svs"]
+    cold = fl.run_family_suite("svs", params, dim)
+    strict = fl.run_family_suite("svs", params, dim, fl.Tolerances(oracle=1e-20))
+    assert [c.name for c in strict.checks] == [c.name for c in cold.checks]
+    for was, now in zip(cold.checks, strict.checks):
+        assert now.residual.hex() == was.residual.hex(), now.name
+        assert now.leak.hex() == was.leak.hex(), now.name
+        if was.tolerance == fl.Tolerances().oracle:
+            assert now.tolerance == 1e-20, now.name
+        assert now.passed == (now.residual <= now.tolerance and now.leak <= 1e-10), now.name
+    flipped = {c.name for c, d in zip(cold.checks, strict.checks) if c.passed != d.passed}
+    assert "su11-commutator-pm" in flipped and "gdo-commutator-lowering" in flipped
+    assert {"su11-sector-number", "gdo-structure-fn"}.isdisjoint(flipped)
+
+    # a warm rerun at the default tolerances computes no band product, no
+    # eigh and no expm, and writes the cold call's bytes
+    calls = []
+    spied = [(np.linalg, "eigh"), (fl.twophoton, "expm")]
+    spied += [(module, "diagonal_matmul") for module in (fl.ladder, fl.twophoton)]
+    for module, name in spied:
+
+        def spy(*args, route=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    warm = fl.run_family_suite("svs", params, dim)
+    assert calls == []
+    assert (warm.to_json(), warm.to_csv()) == (cold.to_json(), cold.to_csv())
