@@ -596,13 +596,15 @@ def _band_dim(*bands: Bands) -> int | None:
 def diagonal_matmul(x: Bands, y: Bands) -> Bands:
     """a @ b for a and b in the form of to_bands, summed diagonal
     by diagonal: offsets p and q place a[i, i+p] * b[i+p, i+p+q] on
-    offset p + q, in ascending (p, q) order onto complex zeros, in O(dim)
-    per offset pair.  Each product is formed from real parts (see the
-    module docstring), so every entry is the Python-scalar sum of the
-    products the dense matmul can make nonzero; a zero on a nonzero
-    diagonal still multiplies (inf * 0 is NaN, as in BLAS), a zero off
-    them never does.  A diagonal that no pair reaches is left out."""
+    offset p + q, in ascending (p, q) order onto complex zeros (float
+    zeros where every band is real), in O(dim) per offset pair.  Each
+    product is formed from real parts (see the module docstring), so every
+    entry is the Python-scalar sum of the products the dense matmul can
+    make nonzero; a zero on a nonzero diagonal still multiplies (inf * 0
+    is NaN, as in BLAS), a zero off them never does.  A diagonal that no
+    pair reaches is left out."""
     n = _band_dim(x, y)
+    real = not any(d.dtype.kind == "c" for d in (*x.values(), *y.values()))
     out: Bands = {}
     for p, da in x.items():
         for q, db in y.items():
@@ -611,39 +613,96 @@ def diagonal_matmul(x: Bands, y: Bands) -> Bands:
             if lo >= hi:
                 continue
             if s not in out:
-                out[s] = np.zeros(n - abs(s), dtype=np.complex128)
+                out[s] = np.zeros(n - abs(s), dtype=float if real else np.complex128)
             # entry t of diagonal k lies in row t + max(0, -k)
             at_a, at_b, at_out = lo - max(0, -p), lo + p - max(0, -q), lo - max(0, -s)
             span = hi - lo
             a, b = da[at_a : at_a + span], db[at_b : at_b + span]
             into = out[s][at_out : at_out + span]
+            if real:
+                into += a * b
+                continue
             into.real += a.real * b.real - a.imag * b.imag
             into.imag += a.real * b.imag + a.imag * b.real
     return dict(sorted(out.items()))
 
 
+def gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u), u = 2**-53 the unit roundoff of
+    float64 (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.5): a value formed from exact terms, each carried through
+    at most m roundings, lies within gamma_m times the sum of their moduli
+    of their exact sum."""
+    u = 2.0**-53
+    return m * u / (1 - m * u)
+
+
+def _moduli(bands: Bands) -> Bands:
+    return {k: np.abs(d) for k, d in bands.items()}
+
+
+def band_product(a: Bands, x: Bands) -> tuple[Bands, Bands]:
+    """A @ X and |A||X|, each by diagonal_matmul, the second on the bands'
+    absolute values: a product operand of band_max_abs."""
+    return diagonal_matmul(a, x), diagonal_matmul(_moduli(a), _moduli(x))
+
+
 def band_max_abs(
-    combine: Callable[..., np.ndarray], *bands: Bands, exclude_column: int | None = None
-) -> float:
-    """np.abs(combine(A, B, ...)).max() for square matrices given as bands
-    in the form of to_bands, without forming them: combine runs
+    combine: Callable[..., np.ndarray],
+    *operands: Bands | tuple[Bands, Bands],
+    magnitude: Callable[..., np.ndarray] | None = None,
+    exclude_column: int | None = None,
+) -> tuple[float, float | None, tuple[int, int]]:
+    """The peak of np.abs(combine(A, B, ...)) for square matrices given as
+    bands in the form of to_bands, without forming them: combine runs
     entrywise on each offset in the union of the bands, a missing diagonal
-    reads as zeros, and the entries of exclude_column read as 0.  An entry
-    on no band is zero in every operand, and so in every combination
-    these checks form; NaN propagates as in the dense max."""
+    reads as zeros, and the entries of exclude_column read as 0.  An
+    operand is Bands, or the product A @ X as band_product gives it.  An
+    entry on no band is zero in every operand, and so in every combination
+    these checks form.
+
+    Returns (residual, bound, (row, column)) at one entry.  Without
+    magnitude it is the entry where the residual peaks, NaN first as in
+    the dense max, and bound is None.  Given magnitude, a combine of the
+    operands' moduli (|Y| for Bands Y, and |A||X| for a product) that
+    gives each entry's bound, it is the entry where residual / bound
+    peaks: a NaN or inf residual first (NaN before inf), and where every
+    residual is 0 the largest bound.  A nonzero residual over a zero bound
+    is an infinite ratio.  Ties go to the first entry in (offset, row)
+    order."""
+    bands = [op[0] if isinstance(op, tuple) else op for op in operands]
+    if magnitude is not None:
+        moduli = [op[1] if isinstance(op, tuple) else _moduli(op) for op in operands]
     n = _band_dim(*bands)
-    peaks = [0.0]
-    for k in sorted(set().union(*bands)):
-        operands = (band[k] if k in band else np.zeros(n - abs(k)) for band in bands)
-        magnitude = np.abs(combine(*operands))
+    offsets = sorted(set().union(*bands))
+    residuals, bounds = [], []
+    for k in offsets:
+        zeros = np.zeros(n - abs(k))
+        residuals.append(np.abs(combine(*[band.get(k, zeros) for band in bands])))
+        if magnitude is not None:  # + zeros: a fresh array, whatever magnitude returns
+            bounds.append(magnitude(*[m.get(k, zeros) for m in moduli]) + zeros)
         t = -1 if exclude_column is None else exclude_column - max(k, 0)
-        if 0 <= t < len(magnitude):
-            magnitude[t] = 0.0
-        peaks.append(magnitude.max())
-    return float(np.array(peaks).max())
-
-
-def commutator_max_abs(a: Bands, x: Bands, sign: float) -> float:
-    """band_max_abs of [A, X] + sign X, each product by diagonal_matmul."""
-    ax, xa = diagonal_matmul(a, x), diagonal_matmul(x, a)
-    return band_max_abs(lambda p, q, y: p - q + sign * y, ax, xa, x)
+        if 0 <= t < len(zeros):
+            residuals[-1][t] = 0.0
+            if magnitude is not None:
+                bounds[-1][t] = 0.0
+    if not offsets:
+        return 0.0, None if magnitude is None else 0.0, (0, 0)
+    residual = np.concatenate(residuals)
+    bound = np.concatenate(bounds) if bounds else None
+    at = int(residual.argmax())  # the first NaN, else the first inf or peak
+    if bound is not None and residual[at] < math.inf:
+        ratio = residual  # all 0 where the peak residual is 0
+        if residual[at] > 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = residual / bound
+            ratio[residual == 0] = 0.0
+            at = int(ratio.argmax())  # a NaN bound first
+        if ratio[at] == 0:  # every residual is 0: the largest bound
+            at = int(bound.argmax())
+    peak = float(residual[at]), None if bound is None else float(bound[at])
+    for k, r in zip(offsets, residuals):  # entry at lies on offset k
+        if at < len(r):
+            row = at + max(0, -k)
+            return (*peak, (row, row + k))
+        at -= len(r)

@@ -31,6 +31,12 @@ DEFAULT_ORACLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The tolerances a report judges its checks at: residual for ladder
+    relations on states, leak for truncation loss, and oracle for the
+    checks that compare one formula with another entry by entry.  A
+    battery row that multiplies operators is judged at its own rounding
+    bound instead, which no tolerance sets."""
+
     residual: float = DEFAULT_RESIDUAL_TOL
     leak: float = DEFAULT_LEAK_TOL
     oracle: float = DEFAULT_ORACLE_TOL

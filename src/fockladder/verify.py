@@ -632,7 +632,7 @@ class _SuiteInput:
     on the family's basis, the coefficients C on the basis (the closed
     form's table, else the state's amplitudes) with the closed-form
     structure function formed from them, the deformed-oscillator triple
-    at each truncation (which keeps its battery's residual rows), and for
+    on the whole basis (which keeps its battery's rows), and for
     a squeezed family the two operator routes to S(xi)|j>.  Their arrays
     are read-only.  Where the family has a closed form, no part but the
     two states builds the state.  A part whose builder refuses is not
@@ -642,7 +642,6 @@ class _SuiteInput:
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
         self.kind = _KINDS[spec.kind]
-        self._triples: dict[int, GdoTriple] = {}
 
     @functools.cached_property
     def state(self) -> FockState:
@@ -714,11 +713,10 @@ class _SuiteInput:
             v.flags.writeable = False
         return routes
 
-    def triple(self, dim: int) -> GdoTriple:
-        """The triple at truncation dim of the family's own basis."""
-        if dim not in self._triples:
-            self._triples[dim] = self.kind.triple(self.coeffs, self.p, self.spec.sector, dim)
-        return self._triples[dim]
+    @functools.cached_property
+    def triple(self) -> GdoTriple:
+        """The deformed-oscillator triple on the family's whole basis."""
+        return self.kind.triple(self.coeffs, self.p, self.spec.sector, self.basis)
 
 
 def _exact(value) -> tuple | None:
@@ -756,7 +754,7 @@ def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
     where the family has one, so also where the state does not fit."""
     spec = _spec(family)
     data = _SuiteInput(spec, _require(spec, params), dim)
-    return data.triple(data.basis)
+    return data.triple
 
 
 # --- check helpers ---
@@ -823,12 +821,6 @@ def _structure_closed_form_check(
         detail="operational F against the closed coefficient-ratio form, "
         "scaled by max(1, F)",
     )
-
-
-def _axiom_dim(dim: int, n_min: int) -> int:
-    # the axiom battery is specified in the small-truncation regime;
-    # large windows only add rounding on large F values
-    return min(dim, max(16, n_min + 9))
 
 
 # --- what each kind adds to the suite ---
@@ -926,7 +918,6 @@ class _Kind:
     literal: str  # the literal eigen check's name
     battery: tuple[str, ...]  # the axiom battery's equation, one per sector
     F_eq: str
-    from_M: bool  # whether the battery's width starts from M
     steps: _Checks | None = None  # the maps to a neighboring member
 
 
@@ -935,31 +926,31 @@ _KINDS: dict[str, _Kind] = {
         triple=lambda c, p, j, dim: finite_gdo(c, p["M"], dim),
         F=lambda table, p: finite_F(table, p["M"]),
         ladders=_finite_ladders, literal="ladder-eigen-literal",
-        battery=("E1 E11",), F_eq="E12", from_M=True, steps=_step_down,
+        battery=("E1 E11",), F_eq="E12", steps=_step_down,
     ),
     "shifted": _Kind(
         triple=lambda c, p, j, dim: shifted_gdo(c, p["M"], dim),
         F=lambda table, p: raising_F(table, p["M"]),
         ladders=_shifted_ladders, literal="ladder-eigen-literal",
-        battery=("E1 E43",), F_eq="E44", from_M=True, steps=_step_up,
+        battery=("E1 E43",), F_eq="E44", steps=_step_up,
     ),
     "added": _Kind(
         triple=lambda c, p, j, dim: shifted_gdo(c, p["M"], dim),
         F=lambda table, p: raising_F(table, p["M"]),
         ladders=_added_ladders, literal="ladder-eigen-lowering",
-        battery=("E1 E43",), F_eq="E44", from_M=True,
+        battery=("E1 E43",), F_eq="E44",
     ),
     "general": _Kind(
         triple=lambda c, p, j, dim: general_gdo(c, dim),
         F=lambda table, p: raising_F(table, 0),
         ladders=_general_ladders, literal="ladder-eigen-literal",
-        battery=("E1 E54",), F_eq="E54", from_M=False,
+        battery=("E1 E54",), F_eq="E54",
     ),
     "two-photon": _Kind(
         triple=lambda c, p, j, dim: two_photon_gdo(c, j, dim),
         F=lambda table, p: raising_F(table, 0),
         ladders=_sector_ladders, literal="pair-lowering-eigen",
-        battery=("E1 E85", "E1 E86"), F_eq="E87", from_M=False,
+        battery=("E1 E85", "E1 E86"), F_eq="E87",
     ),
 }
 
@@ -992,11 +983,10 @@ def run_family_suite(
     checks.append(eigen_check(kind.literal, spec.literal_eq, op, s, eigenvalue, tol))
     if kind.steps is not None:
         checks += kind.steps(data, tol)
-    # the full-width F check runs first, so that a closed form past the
-    # float range raises before the battery multiplies its values
-    closed_form = _structure_closed_form_check(data.triple(data.basis), data, kind.F_eq, tol)
-    battery = data.triple(_axiom_dim(data.basis, p["M"] if kind.from_M else 0))
-    checks += gdo_axiom_checks(battery, tol, equation=kind.battery[spec.sector or 0])
+    # the F check runs first, so that a closed form past the float range
+    # raises before the battery multiplies its values
+    closed_form = _structure_closed_form_check(data.triple, data, kind.F_eq, tol)
+    checks += gdo_axiom_checks(data.triple, tol, equation=kind.battery[spec.sector or 0])
     checks.append(closed_form)
     if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
         checks += disentangling_checks(s, data.squeezing_routes, tol)

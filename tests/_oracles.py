@@ -11,8 +11,9 @@ an operator's terms one index at a time in Python scalars, where the
 package does the arithmetic around each diagonal read as array work, and
 the reference band reader takes diagonals from a dense matrix's entries,
 where the package reads them from the terms.
-The GDO battery reference multiplies dense matrices, where the package
-sums products diagonal by diagonal.
+The battery references multiply dense matrices, and the moduli of
+their entries for each rounding bound, where the package sums products
+diagonal by diagonal.
 The builder references after them write each ladder formula of the paper
 entry by entry, where the package composes shared band shapes.
 The closed-form references after them evaluate C(n) one index at a
@@ -147,34 +148,83 @@ def squeezing_reference(r: float, theta: float, dim: int, j: int):
     return expm(generator)[:, j], product[:, j]
 
 
+def _gamma(m: int) -> float:
+    # Higham's gamma_m at the float64 unit roundoff 2**-53
+    u = 2.0**-53
+    return m * u / (1 - m * u)
+
+
+def _terms(a: np.ndarray, b: np.ndarray) -> int:
+    # at most this many products meet in an entry of a @ b
+    return min(len(nonzero_diagonals(a)), len(nonzero_diagonals(b)))
+
+
+def ratio_peak(residual: np.ndarray, bound: np.ndarray) -> tuple:
+    """(residual, bound, (row, column)) at the entry where residual / bound
+    peaks, over every entry of the dense matrices in (column - row, row)
+    order: the first NaN residual, else the first infinite one, else the
+    first NaN ratio, else the first largest ratio, or where every ratio is
+    0 the first largest bound.  A zero residual reads ratio 0, any other
+    over a zero bound inf."""
+    rows, cols = np.indices(residual.shape).reshape(2, -1)
+    order = np.lexsort((rows, cols - rows))
+    rows, cols = rows[order], cols[order]
+    res, bnd = residual[rows, cols], bound[rows, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(res == 0, 0.0, res / bnd)
+    faults = (np.flatnonzero(x) for x in (np.isnan(res), np.isinf(res), np.isnan(ratio)))
+    faults = [at[0] for at in faults if len(at)]
+    if faults:
+        t = faults[0]
+    elif ratio.max() > 0:
+        t = np.flatnonzero(ratio == ratio.max())[0]
+    else:
+        t = np.flatnonzero(bnd == bnd.max())[0]
+    return float(res[t]), float(bnd[t]), (int(rows[t]), int(cols[t]))
+
+
 def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
-    """Every su11-* residual of the sector battery, by plain dense matmul
-    of the given matrices, top column excluded as the battery does."""
+    """Every su11-* row of the sector battery as (residual, bound), by plain
+    dense matmul of the given matrices and of their moduli, top column
+    excluded as the battery does: a product row at its ratio_peak, with
+    the bound of the battery's derivation; su11-action and
+    su11-sector-number at their max residual, with bound None."""
     dim = k_plus.shape[0]
     k = 0.25 + parity_j / 2.0
     band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + parity_j + 0.5))
+    P, M, Z, eye = np.abs(k_plus), np.abs(k_minus), np.abs(k_zero), np.eye(dim)
+    n_pm = _terms(k_plus, k_minus)
     pm = k_plus @ k_minus - k_minus @ k_plus + 2 * k_zero
+    pm_bound = _gamma(n_pm + 8) * (P @ M + M @ P + 2 * Z)
     casimir = (
         k_zero @ k_zero
         - (k_plus @ k_minus + k_minus @ k_plus) / 2
-        - k * (k - 1) * np.eye(dim)
+        - k * (k - 1) * eye
     )
-    pm[:, -1] = casimir[:, -1] = 0.0
+    casimir_bound = _gamma(max(n_pm + 9, len(nonzero_diagonals(k_zero)) + 2)) * (
+        Z @ Z + (P @ M + M @ P) / 2 + abs(k * (k - 1)) * eye
+    )
+    for x in (pm, pm_bound, casimir, casimir_bound):
+        x[:, -1] = 0.0
+
+    def commutator(x, sign):
+        X = np.abs(x)
+        residual = np.abs(k_zero @ x - x @ k_zero + sign * x)
+        return ratio_peak(residual, _gamma(_terms(k_zero, x) + 2) * (Z @ X + X @ Z + X))
+
     return {
-        "su11-action": max(
+        "su11-action": (max(
             float(np.max(np.abs(np.diag(k_plus, -1) - band), initial=0.0)),
             float(np.max(np.abs(np.diag(k_minus, 1) - band), initial=0.0)),
             float(np.max(np.abs(np.diag(k_zero) - (np.arange(dim) + k)))),
+        ), None),
+        "su11-commutator-plus": commutator(k_plus, -1.0)[:2],
+        "su11-commutator-minus": commutator(k_minus, 1.0)[:2],
+        "su11-commutator-pm": ratio_peak(np.abs(pm), pm_bound)[:2],
+        "su11-casimir": ratio_peak(np.abs(casimir), casimir_bound)[:2],
+        "su11-sector-number": (
+            float(np.abs(k_zero - k * eye - number).max()), None
         ),
-        "su11-commutator-plus": float(
-            np.abs(k_zero @ k_plus - k_plus @ k_zero - k_plus).max()
-        ),
-        "su11-commutator-minus": float(
-            np.abs(k_zero @ k_minus - k_minus @ k_zero + k_minus).max()
-        ),
-        "su11-commutator-pm": float(np.abs(pm).max()),
-        "su11-casimir": float(np.abs(casimir).max()),
-        "su11-sector-number": float(np.abs(k_zero - k * np.eye(dim) - number).max()),
     }
 
 
@@ -189,29 +239,46 @@ def _real_part_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gdo_residuals(N, L, R, F, n_min: int = 0) -> dict:
-    """Every gdo-* residual of the axiom battery from the dense matrices N,
-    L, R and the structure-function values F(0..dim), each matrix product
-    formed from real parts; exact for operands whose products have one
-    nonzero term per entry, such as one-band operators."""
+    """Every gdo-* row of the axiom battery as (residual, bound) from the
+    dense matrices N, L, R and the structure-function values F(0..dim):
+    each matrix product formed from real parts and each bound from the
+    plain matmul of the moduli, a product row at its ratio_peak with the
+    bound of the battery's derivation, and the two rows on F alone at
+    their residual with bound None.  Exact for operands whose products
+    have one nonzero term per entry, such as one-band operators."""
     dim = len(N)
     NL, LN, NR, RN, RL, LR = (
         _real_part_matmul(a, b) for a, b in ((N, L), (L, N), (N, R), (R, N), (R, L), (L, R))
     )
+    eye = np.eye(dim)
 
-    def off_diagonal(P):
-        return float(np.abs(P - np.diag(np.diag(P))).max())
+    def commutator(P, Q, x, sign):
+        A, X = np.abs(N), np.abs(x)
+        bound = _gamma(_terms(N, x) + 2) * (A @ X + X @ A + X)
+        return ratio_peak(np.abs(P - Q + sign * x), bound)[:2]
+
+    def off_diagonal(P, a, b):
+        # P less its main diagonal, where an inf or NaN stays NaN
+        g = math.sqrt(2) * _gamma(_terms(a, b) + 1)
+        return ratio_peak(np.abs((1 - eye) * P), g * ((1 - eye) * (np.abs(a) @ np.abs(b))))[:2]
+
+    def diagonal(P, a, b, f, top=False):
+        # the real part of P's main diagonal against f
+        residual = np.abs(eye * P.real - np.diag(f))
+        bound = _gamma(_terms(a, b) + 2) * (eye * (np.abs(a) @ np.abs(b)) + np.diag(np.abs(f)))
+        if top:
+            residual[:, -1] = bound[:, -1] = 0.0
+        return ratio_peak(residual, bound)[:2]
 
     return {
-        "gdo-commutator-lowering": float(np.abs(NL - LN + L).max()),
-        "gdo-commutator-raising": float(np.abs(NR - RN - R).max()),
-        "gdo-product-diagonal-rl": off_diagonal(RL),
-        "gdo-product-diagonal-lr": off_diagonal(LR),
-        "gdo-structure-fn": float(np.abs(np.diag(RL).real - F[:dim]).max()),
-        "gdo-shift-consistency": float(
-            np.abs(np.diag(LR).real[: dim - 1] - F[1:dim]).max()
-        ) if dim > 1 else 0.0,
-        "gdo-fock-condition": abs(F[n_min]),
-        "gdo-nonnegativity": max(0.0, float(-F.min())),
+        "gdo-commutator-lowering": commutator(NL, LN, L, 1.0),
+        "gdo-commutator-raising": commutator(NR, RN, R, -1.0),
+        "gdo-product-diagonal-rl": off_diagonal(RL, R, L),
+        "gdo-product-diagonal-lr": off_diagonal(LR, L, R),
+        "gdo-structure-fn": diagonal(RL, R, L, F[:dim]),
+        "gdo-shift-consistency": diagonal(LR, L, R, F[1:], top=True),
+        "gdo-fock-condition": (abs(F[n_min]), None),
+        "gdo-nonnegativity": (max(0.0, float(-F.min())), None),
     }
 
 

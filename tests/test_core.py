@@ -16,6 +16,7 @@ from _oracles import (
     band_product_reference,
     matrix_reference,
     nonzero_diagonals,
+    ratio_peak,
     state_support_reference,
     structure_fn_reference,
 )
@@ -596,13 +597,14 @@ def test_band_max_abs_equals_the_dense_max(exclude, poison):
         if exclude is not None:
             dense[:, exclude] = 0.0
         want = np.abs(dense).max()
-        got = core.band_max_abs(
+        got, bound, at = core.band_max_abs(
             lambda x, y: x - 2 * y,
             nonzero_diagonals(a),
             nonzero_diagonals(b),
             exclude_column=exclude,
         )
     assert got == want or (math.isnan(got) and math.isnan(want))
+    assert bound is None and np.array_equal(abs(dense[at]), got, equal_nan=True)
     # the poisoned entries sit in column 4, so excluding it hides them
     if poison != "none":
         assert math.isfinite(got) == (exclude == 4)
@@ -618,12 +620,46 @@ def test_band_max_abs_reads_every_entry(n):
             a = np.zeros((n, n), dtype=complex)
             a[r, c] = -5.0
             bands = nonzero_diagonals(a)
-            assert core.band_max_abs(lambda x, y: x - 2 * y, bands, zero) == 5.0
+            got = core.band_max_abs(lambda x, y: x - 2 * y, bands, zero)
+            assert got == (5.0, None, (r, c))
             for col in range(n):
-                got = core.band_max_abs(
+                got, _, _ = core.band_max_abs(
                     lambda x, y: x - 2 * y, bands, zero, exclude_column=col
                 )
                 assert got == (0.0 if col == c else 5.0)
+
+
+@pytest.mark.parametrize("exclude", [None, 0, 4, 8])
+@pytest.mark.parametrize("poison", ["none", "nan", "inf", "nan-and-inf"])
+@pytest.mark.parametrize("bounded", ["all", "products"])
+def test_band_max_abs_peaks_where_residual_over_bound_peaks(exclude, poison, bounded):
+    # integer operands, so every product, sum and modulus is exact in any
+    # order and the dense reference meets the same floats; with the
+    # products alone bounded, an entry of y off them is over a zero bound
+    rng = np.random.default_rng(5)
+    a, x, y = (_draw(rng, 9, 0.3).real.astype(complex) for _ in range(3))
+    if "nan" in poison:
+        y[3, 4] = np.nan
+    if "inf" in poison:
+        y[6, 4] = -np.inf
+    A, X, Y = (nonzero_diagonals(m) for m in (a, x, y))
+    magnitude = {
+        "all": lambda p, q, z: 0.5 * (p + q + z),
+        "products": lambda p, q, z: 0.5 * (p + q),
+    }[bounded]
+    with np.errstate(invalid="ignore"):
+        got = core.band_max_abs(
+            lambda p, q, z: p - q + z, core.band_product(A, X), core.band_product(X, A), Y,
+            magnitude=magnitude, exclude_column=exclude,
+        )
+        residual = np.abs(a @ x - x @ a + y)
+        bound = magnitude(np.abs(a) @ np.abs(x), np.abs(x) @ np.abs(a), np.abs(y))
+    if exclude is not None:
+        residual[:, exclude] = bound[:, exclude] = 0.0
+    want = ratio_peak(residual, bound)
+    assert np.array_equal(got[:2], want[:2], equal_nan=True) and got[2] == want[2]
+    # a poisoned entry is the peak, unless its column is excluded
+    assert math.isfinite(got[0]) == (poison == "none" or exclude == 4)
 
 
 # --- band arithmetic against the per-index scalar reference ---

@@ -658,13 +658,18 @@ def test_intermediate_ladder_matches_reference(dim):
 
 
 def _residuals(t):
-    return {c.name: c.residual for c in fl.ladder.gdo_axiom_checks(t, fl.Tolerances())}
+    # each check's residual and tolerance: the bound at its peak entry, or
+    # the oracle tolerance
+    checks = fl.ladder.gdo_axiom_checks(t, fl.Tolerances())
+    return {c.name: (c.residual, c.tolerance) for c in checks}
 
 
 def _dense_residuals(t):
     F = np.array([t.structure_fn(n) for n in range(t.dim + 1)])
     matrices = (matrix_reference(op) for op in (t.number_op, t.lowering, t.raising))
-    return gdo_residuals(*matrices, F, t.n_min)
+    oracle = fl.Tolerances().oracle
+    rows = gdo_residuals(*matrices, F, t.n_min).items()
+    return {name: (r, oracle if b is None else b) for name, (r, b) in rows}
 
 
 def _suite_triples(monkeypatch, family, params, dim):
@@ -707,6 +712,48 @@ def test_gdo_battery_equals_the_dense_reference_at_large_M(monkeypatch, family, 
     (t,) = _suite_triples(monkeypatch, family, params, M + 8)
     assert t.dim == M + 8
     assert _residuals(t) == _dense_residuals(t)
+
+
+def test_a_coherent_report_runs_its_battery_on_the_whole_truncation(monkeypatch):
+    (t,) = _suite_triples(monkeypatch, "coherent", {"alpha": 1.2}, 1024)
+    assert t.dim == 1024
+    rows = fl.ladder.gdo_axiom_checks(t, fl.Tolerances())
+    assert all(c.passed for c in rows)
+
+
+def _nudged_number(t, n0, rel):
+    ((k, d),) = t.number_op.terms
+    number = fl.operator([(k, lambda n: d(n) * (1 + rel) if n == n0 else d(n))], t.dim)
+    return dataclasses.replace(t, number_op=number)
+
+
+def _strayed_lowering(t, n0, rel):
+    # one more lowering entry at offset (column - row) +3 in column n0, rel
+    # times the lowering entry there
+    value = rel * abs(t.bands[1][1][n0 - 1])
+    def stray(n):
+        return value / fl.ladder_factor(n, -3) if n == n0 else 0.0
+
+    return dataclasses.replace(t, lowering=fl.add(t.lowering, fl.operator([(-3, stray)], t.dim)))
+
+
+@pytest.mark.parametrize(
+    "mutate,broken",
+    [
+        (_nudged_number, {"gdo-commutator-lowering", "gdo-commutator-raising"}),
+        (_strayed_lowering,
+         {"gdo-commutator-lowering", "gdo-product-diagonal-rl", "gdo-product-diagonal-lr"}),
+    ],
+    ids=["N-entry", "stray-offset"],
+)
+def test_gdo_battery_fails_a_1e9_relative_error_at_M_200(mutate, broken):
+    t = fl.build_gdo("binomial", {"eta": 0.5, "M": 200}, 208)
+    assert fl.verify_gdo_axioms(t).passed
+    mutant = mutate(t, 100, 1e-9)
+    checks = fl.verify_gdo_axioms(mutant).checks
+    assert {c.name for c in checks if not c.passed} == broken
+    assert all(c.residual > 1e3 * c.tolerance for c in checks if c.name in broken)
+    assert _residuals(mutant) == _dense_residuals(mutant)
 
 
 def _stray_lowering(t):
@@ -783,8 +830,8 @@ def test_gdo_battery_carries_an_overflowing_product_diagonal():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = _residuals(t)
-    assert math.isnan(residuals["gdo-product-diagonal-rl"])
-    assert math.isnan(residuals["gdo-product-diagonal-lr"])
+    assert math.isnan(residuals["gdo-product-diagonal-rl"][0])
+    assert math.isnan(residuals["gdo-product-diagonal-lr"][0])
 
 
 LARGE_FINITE = [

@@ -90,25 +90,30 @@ def test_su11_residuals_equal_the_dense_matmul(parity_j, dim):
     wanted = su11_residuals(
         *_dense_k(rep), fl.to_matrix(rep.sector_number_op), parity_j
     )
-    got = {
-        c.name: c.residual
-        for c in twophoton.su11_axiom_checks(rep, fl.Tolerances())
-    }
-    assert got == wanted
+    assert _su11_rows(rep) == _judged(wanted)
+
+
+def _su11_rows(rep):
+    # each check's residual and tolerance: the bound at its peak entry, or
+    # the oracle tolerance
+    checks = twophoton.su11_axiom_checks(rep, fl.Tolerances())
+    return {c.name: (c.residual, c.tolerance) for c in checks}
+
+
+def _judged(wanted):
+    oracle = fl.Tolerances().oracle
+    return {name: (r, oracle if b is None else b) for name, (r, b) in wanted.items()}
 
 
 def _su11_got_and_wanted(rep, matrices=None):
     # the battery reads rep.bands; matrices, when given, are what they hold
     matrices = _dense_k(rep) if matrices is None else matrices
-    with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 give NaN
+    with np.errstate(invalid="ignore", divide="ignore"):  # inf - inf and inf * 0 give NaN
         wanted = su11_residuals(
             *matrices, fl.to_matrix(rep.sector_number_op), rep.parity_j
         )
-        got = {
-            c.name: c.residual
-            for c in twophoton.su11_axiom_checks(rep, fl.Tolerances())
-        }
-    return got, wanted
+        got = _su11_rows(rep)
+    return got, _judged(wanted)
 
 
 def _same_residual(x, y):
@@ -149,12 +154,16 @@ def test_su11_residuals_carry_nan_and_inf_as_the_dense_matmul(parity_j, target, 
     assert got.keys() == wanted.keys()
     nan_only = all(math.isnan(v) for v in poison.values())
     for name in got:
+        (residual, bound), (want, want_bound) = got[name], wanted[name]
+        if math.isfinite(residual):  # the peak is an entry no poison reaches
+            assert (residual, bound) == (want, want_bound), name
+            continue
         # BLAS also multiplies an inf by the zeros off every nonzero
         # diagonal, which makes NaN; the band sums never form those products
-        assert _same_residual(got[name], wanted[name]) or (
-            not nan_only and math.isinf(got[name]) and math.isnan(wanted[name])
-        ), (name, got[name], wanted[name])
-    assert not all(math.isfinite(r) for r in got.values())
+        assert _same_residual(residual, want) or (
+            not nan_only and math.isinf(residual) and math.isnan(want)
+        ), (name, residual, want)
+    assert not all(math.isfinite(r) for r, _ in got.values())
 
 
 def _su11_failures(rep):
@@ -193,6 +202,66 @@ def test_su11_battery_catches_a_mutated_k_plus(parity_j):
         "su11-commutator-pm",
         "su11-casimir",
     }
+
+
+def _nudged(op, n0, rel):
+    # op with its one band entry at column n0 off by rel, relative
+    ((shift, d),) = op.terms
+    return fl.operator([(shift, lambda n: d(n) * (1 + rel) if n == n0 else d(n))], op.domain_dim)
+
+
+def _strayed(op, n0, rel):
+    # op with one more entry at offset (column - row) +3 in column n0, rel
+    # times its band entry there
+    ((shift, d),) = op.terms
+    value = rel * abs(d(n0) * fl.ladder_factor(n0, shift))
+
+    def stray(n):
+        return value / fl.ladder_factor(n, -3) if n == n0 else 0.0
+
+    return fl.operator([(shift, d), (-3, stray)], op.domain_dim)
+
+
+SU11_ROWS = {
+    "su11-action", "su11-commutator-plus", "su11-commutator-minus",
+    "su11-commutator-pm", "su11-casimir", "su11-sector-number",
+}
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+@pytest.mark.parametrize(
+    "mutate,broken",
+    [
+        (lambda rep, n0: {"K_plus": _nudged(rep.K_plus, n0, 1e-9)},
+         {"su11-action", "su11-commutator-pm", "su11-casimir"}),
+        (lambda rep, n0: {"K_zero": _nudged(rep.K_zero, n0, 1e-9)}, SU11_ROWS),
+        (lambda rep, n0: {"K_plus": _strayed(rep.K_plus, n0, 1e-9)},
+         {"su11-commutator-plus", "su11-commutator-pm", "su11-casimir"}),
+    ],
+    ids=["K+-entry", "K0-entry", "stray-offset"],
+)
+def test_su11_battery_fails_a_1e9_relative_error_at_sector_512(parity_j, mutate, broken):
+    # each mutant leaves its rows many orders of magnitude past their bounds
+    rep = fl.su11(parity_j, 512)
+    mutant = dataclasses.replace(rep, **mutate(rep, 256))
+    checks = twophoton.su11_axiom_checks(mutant, fl.Tolerances())
+    assert {c.name for c in checks if not c.passed} == broken
+    assert all(c.residual > 1e3 * c.tolerance for c in checks if c.name in broken)
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+@pytest.mark.parametrize("dim", [2, 3, 64, 512, 4355, 4356, 4455, 4456, 8192])
+def test_su11_battery_passes_at_its_rounding_bound(parity_j, dim):
+    # [K+, K-] + 2 K0 reads 1.106 (j = 0) and 1.057 (j = 1) of an
+    # arithmetic-only bound from sector sizes 4356 and 4456 on: K+- enter
+    # it rounded.  (su11-action, judged at the fixed oracle tolerance, is
+    # not scanned: its residual grows with the sector and exceeds 1e-12 at
+    # 8192)
+    rep = twophoton._su11.__wrapped__(parity_j, dim)  # kept out of the cache
+    checks = twophoton.su11_axiom_checks(rep, fl.Tolerances())
+    bounded = [c for c in checks if c.name not in ("su11-action", "su11-sector-number")]
+    assert len(bounded) == 4
+    assert [c.name for c in bounded if not c.passed] == []
 
 
 @pytest.mark.parametrize(
@@ -615,6 +684,21 @@ def test_disentangling_strong_squeezing():
     # at dim = 64 the closed form itself refuses the truncation
     with pytest.raises(fl.TailMassError):
         fl.verify_disentangling(1.0, 0.2, 64)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+def test_an_over_normalized_closed_form_fails_the_disentangling_checks(eps):
+    # the n = 0 amplitude scaled by 1 + eps: the norm passes 1, and
+    # 1 - fidelity against either route reads about -1.5 eps
+    closed = fl.squeezed_vacuum(0.8, 0.5, 128)
+    amplitudes = closed.amplitudes.copy()
+    amplitudes[0] *= 1 + eps
+    over = fl.make_state(amplitudes)
+    routes = twophoton.squeezing_routes(0.8, 0.5, fl.su11(0, fl.sector_dim(128, 0)))
+    checks = twophoton.disentangling_checks(over, routes, fl.Tolerances())
+    failed = {c.name: c.residual for c in checks if not c.passed}
+    assert set(failed) == {"disentangle-exponential-vs-closed", "disentangle-product-vs-closed"}
+    assert all(eps < r < 2 * eps for r in failed.values())
 
 
 @pytest.mark.parametrize("dim", [64, 128])
