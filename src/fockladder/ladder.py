@@ -190,7 +190,8 @@ class GdoTriple:
     replaced keeps.  bands holds the operators' to_bands, read once, and
     axiom_rows the GDO battery's residuals and bounds on them, computed
     once; a triple made by dataclasses.replace computes its own.  The rows
-    are operator data: gdo_axiom_checks judges them at each call."""
+    are operator data: gdo_axiom_checks, like a family suite, judges them
+    at each call."""
 
     number_op: OperatorExpr
     lowering: OperatorExpr
@@ -216,14 +217,13 @@ class GdoTriple:
 
     @cached_property
     def axiom_rows(self) -> tuple[_Row, ...]:
-        """The GDO battery's (name, residual, bound, detail) rows, via two
-        independent routes: the structure function comes from term-wise
-        application, while every operator product is summed from the
-        operators' bands, as in the su(1,1) battery (core.to_bands,
-        diagonal_matmul, band_max_abs).  Each product row carries its
-        rounding bound at its peak entry (_bound_row); the two rows on F
-        alone carry None and are judged at the oracle tolerance.  N is
-        real; L and R are complex."""
+        """The GDO battery's rows (_Row), tagged E1, via two independent
+        routes: the structure function comes from term-wise application,
+        while every operator product is summed from the operators' bands,
+        as in the su(1,1) battery (core.to_bands, diagonal_matmul,
+        band_max_abs).  Each product row is judged at its rounding bound at
+        its peak entry (_bound_row); the two rows on F alone are judged at
+        the oracle tolerance.  N is real; L and R are complex."""
         N, L, R = self.bands
         RL, LR = band_product(R, L), band_product(L, R)
         k = min(len(R), len(L))  # the most terms an entry of RL or LR sums
@@ -236,7 +236,7 @@ class GdoTriple:
             # rounds twice, then once for each further term, and the modulus
             # is within sqrt(2) of the parts' bound (Higham, section 3.6)
             g = math.sqrt(2) * gamma(k + 1)
-            return _bound_row(name, what, band_max_abs(
+            return _bound_row(name, "E1", what, band_max_abs(
                 lambda p, e: (1 - e) * p, P, eye, magnitude=lambda p, e: g * ((1 - e) * p),
             ))
 
@@ -245,15 +245,15 @@ class GdoTriple:
             # product's real part rounds as above, F(n) = |L|n>|^2 twice, and
             # their difference once more
             g = gamma(k + 2)
-            return _bound_row(name, what, band_max_abs(
+            return _bound_row(name, "E1", what, band_max_abs(
                 lambda p, e, f: e * p.real - f, P, eye, {0: f},
                 magnitude=lambda p, e, f: g * (e * p + f), **top,
             ))
 
         return (
-            _commutator_row("gdo-commutator-lowering", N, L, 1.0,
+            _commutator_row("gdo-commutator-lowering", "E1", N, L, 1.0,
                             "[number, lowering] + lowering, band route"),
-            _commutator_row("gdo-commutator-raising", N, R, -1.0,
+            _commutator_row("gdo-commutator-raising", "E1", N, R, -1.0,
                             "[number, raising] - raising, band route"),
             off_diagonal("gdo-product-diagonal-rl", RL, "raising@lowering off-diagonal mass"),
             off_diagonal("gdo-product-diagonal-lr", LR, "lowering@raising off-diagonal mass"),
@@ -263,41 +263,53 @@ class GdoTriple:
                      "diag(lowering@raising)[n] vs F(n+1); top index excluded "
                      "(raising leaks at the truncation edge)",
                      exclude_column=self.dim - 1),
-            ("gdo-fock-condition", abs(F[self.n_min]), None, f"F(n_min) with n_min={self.n_min}"),
-            ("gdo-nonnegativity", max(0.0, float(-F.min())), None,
+            ("gdo-fock-condition", "E1", abs(F[self.n_min]), 0.0, "oracle",
+             f"F(n_min) with n_min={self.n_min}"),
+            ("gdo-nonnegativity", "E1", max(0.0, float(-F.min())), 0.0, "oracle",
              "structure function is a squared norm"),
         )
 
 
-# A battery row: (name, residual, bound, detail); a bound of None is judged
-# at the oracle tolerance
-_Row = tuple[str, float, float | None, str]
+# A check row, kept free of any tolerance: (name, equation, residual, leak,
+# judge, detail).  judge is what _judge holds the residual to: "residual"
+# or "oracle", read from the call's Tolerances, or a fixed number, such as
+# a product row's rounding bound; the leak is held to the call's leak
+# tolerance.
+_Row = tuple[str, str, float, float, str | float, str]
 
 
-def _bound_row(name: str, what: str, peak: tuple) -> _Row:
-    """A product row from band_max_abs's peak: the residual and its bound
-    there, and the entry named in the detail."""
+def _bound_row(name: str, equation: str, what: str, peak: tuple) -> _Row:
+    """A product row from band_max_abs's peak: the residual, judged at its
+    bound there, and the entry named in the detail."""
     residual, bound, (row, column) = peak
-    return name, residual, bound, f"{what}; residual/bound peaks at ({row}, {column})"
+    detail = f"{what}; residual/bound peaks at ({row}, {column})"
+    return name, equation, residual, 0.0, bound, detail
 
 
-def _commutator_row(name: str, a: Bands, x: Bands, sign: float, what: str) -> _Row:
+def _commutator_row(
+    name: str, equation: str, a: Bands, x: Bands, sign: float, what: str
+) -> _Row:
     """[A, X] + sign X for a real A held exactly (N, K0): each part of a
     product entry of k terms rounds k times, and the combine twice more,
     so the bound is gamma_{k+2} (|A||X| + |X||A| + |X|).  The row is linear
     in X's band values, so their own rounding does not enter."""
     g = gamma(min(len(a), len(x)) + 2)
-    return _bound_row(name, what, band_max_abs(
+    return _bound_row(name, equation, what, band_max_abs(
         lambda p, q, y: p - q + sign * y, band_product(a, x), band_product(x, a), x,
         magnitude=lambda p, q, y: g * (p + q + y),
     ))
 
 
-def _judge(row: _Row, equation: str, tolerances: Tolerances) -> CheckResult:
-    """A kept row judged at its own bound, or at the oracle tolerance."""
-    name, residual, bound, detail = row
-    tolerance = tolerances.oracle if bound is None else bound
-    return CheckResult.from_residual(name, equation, residual, tolerance, detail=detail)
+def _judge(row: _Row, tolerances: Tolerances) -> CheckResult:
+    """A kept row judged at the call's tolerances: its residual at the
+    tolerance its judge names, or at its fixed number, and its leak at the
+    leak tolerance."""
+    name, equation, residual, leak, judge, detail = row
+    tolerance = getattr(tolerances, judge) if isinstance(judge, str) else judge
+    return CheckResult.from_residual(
+        name, equation, residual, tolerance, leak=leak, leak_tolerance=tolerances.leak,
+        detail=detail,
+    )
 
 
 class _OperationalF:
@@ -639,16 +651,11 @@ def kerr_lowering(theta: float, dim: int, variant: str = "derived") -> OperatorE
 # --- verification primitives ---
 
 
-def _residual_check(
-    name: str,
-    equation: str,
-    diff: np.ndarray,
-    leak: float,
-    tolerances: Tolerances,
-    edge_exclude: int = 0,
-) -> CheckResult:
-    """||diff|| at the residual tolerance, naming the index where the
-    difference peaks; the top edge_exclude components of diff, a fresh
+def _residual_row(
+    name: str, equation: str, diff: np.ndarray, leak: float, edge_exclude: int = 0
+) -> _Row:
+    """||diff||, judged at the residual tolerance, naming the index where
+    the difference peaks; the top edge_exclude components of diff, a fresh
     array, are zeroed in place first."""
     if edge_exclude > 0:
         diff[len(diff) - edge_exclude :] = 0.0
@@ -657,15 +664,35 @@ def _residual_check(
     detail = f"max component {magnitude.max():.3e} at n={int(magnitude.argmax())}"
     if edge_exclude > 0:
         detail += f"; top {edge_exclude} component(s) excluded at the truncation edge"
-    return CheckResult.from_residual(
-        name,
-        equation,
-        residual,
-        tolerances.residual,
-        leak=leak,
-        leak_tolerance=tolerances.leak,
-        detail=detail,
-    )
+    return name, equation, residual, leak, "residual", detail
+
+
+def _eigen_row(
+    name: str,
+    equation: str,
+    op: OperatorExpr,
+    s: FockState,
+    eigenvalue: complex,
+    edge_exclude: int = 0,
+) -> _Row:
+    """The row of ||op|s> - eigenvalue|s>||."""
+    image = apply(op, s)
+    diff = image.amplitudes - complex(eigenvalue) * s.amplitudes
+    return _residual_row(name, equation, diff, image.leak, edge_exclude)
+
+
+def _images_row(name: str, equation: str, left: FockState, right: FockState) -> _Row:
+    """The row of ||left - right|| for the images left = lhs|s> and
+    right = rhs|s>, their leaks summed."""
+    diff = left.amplitudes - right.amplitudes
+    return _residual_row(name, equation, diff, left.leak + right.leak)
+
+
+def _relation_row(
+    name: str, equation: str, lhs: OperatorExpr, rhs: OperatorExpr, s: FockState
+) -> _Row:
+    """The row of ||lhs|s> - rhs|s>||."""
+    return _images_row(name, equation, apply(lhs, s), apply(rhs, s))
 
 
 def eigen_check(
@@ -677,9 +704,7 @@ def eigen_check(
     tolerances: Tolerances,
     edge_exclude: int = 0,
 ) -> CheckResult:
-    image = apply(op, s)
-    diff = image.amplitudes - complex(eigenvalue) * s.amplitudes
-    return _residual_check(name, equation, diff, image.leak, tolerances, edge_exclude)
+    return _judge(_eigen_row(name, equation, op, s, eigenvalue, edge_exclude), tolerances)
 
 
 def relation_check(
@@ -690,19 +715,7 @@ def relation_check(
     s: FockState,
     tolerances: Tolerances,
 ) -> CheckResult:
-    return images_check(name, equation, apply(lhs, s), apply(rhs, s), tolerances)
-
-
-def images_check(
-    name: str,
-    equation: str,
-    left: FockState,
-    right: FockState,
-    tolerances: Tolerances,
-) -> CheckResult:
-    """relation_check on the images left = lhs|s> and right = rhs|s>."""
-    diff = left.amplitudes - right.amplitudes
-    return _residual_check(name, equation, diff, left.leak + right.leak, tolerances)
+    return _judge(_relation_row(name, equation, lhs, rhs, s), tolerances)
 
 
 def _single_check_report(s: FockState, t: Tolerances, check: CheckResult):
@@ -746,12 +759,17 @@ def verify_relation(
     return _single_check_report(s, t, relation_check(name, equation, lhs, rhs, s, t))
 
 
+def gdo_axiom_rows(t: GdoTriple, equation: str = "E1") -> tuple[_Row, ...]:
+    """The triple's axiom_rows under the given equation tag."""
+    return tuple((name, equation, *rest) for name, _, *rest in t.axiom_rows)
+
+
 def gdo_axiom_checks(
     t: GdoTriple, tolerances: Tolerances, equation: str = "E1"
 ) -> list[CheckResult]:
     """The full axiom battery for a triple: its axiom_rows, each judged at
     its own bound or at the oracle tolerance."""
-    return [_judge(row, equation, tolerances) for row in t.axiom_rows]
+    return [_judge(row, tolerances) for row in gdo_axiom_rows(t, equation)]
 
 
 def verify_gdo_axioms(

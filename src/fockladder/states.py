@@ -460,6 +460,10 @@ def photon_add(base: FockState, M: int) -> FockState:
     return _finish(image.amplitudes, label, leak=frac)
 
 
+# The intermediate recursion's window past dim: f is read on [0, dim + 31)
+NLCS_WINDOW = 32
+
+
 def intermediate_nlcs(
     eta: float, alpha: complex, dim: int, f: Callable[[int], complex] | None = None,
     *, tail_check: bool = True,
@@ -475,14 +479,13 @@ def intermediate_nlcs(
     """
     eta = _check_eta(eta)
     dim = _check_dim(dim)
-    window = 32
-    seq = np.zeros(dim + window, dtype=complex)
+    seq = np.zeros(dim + NLCS_WINDOW, dtype=complex)
     seq[0] = 1.0
     sqrt_eta = math.sqrt(eta)
     sqrt_etabar = math.sqrt(1.0 - eta)
     # an alpha past the float range overflows one step; _finish refuses it
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(dim + window - 1):
+        for n in range(dim + NLCS_WINDOW - 1):
             fn = 1.0 if f is None else complex(f(n))
             if fn == 0:
                 raise ParameterError(f"f must be nonzero on [0, dim-2]; f({n}) = 0")

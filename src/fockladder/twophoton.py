@@ -146,7 +146,7 @@ class Su11Rep:
     @cached_property
     def axiom_rows(self) -> tuple[_Row, ...]:
         """The su(1,1) relations among K+, K-, K0, entry for entry, as
-        (name, residual, bound, detail) rows.
+        rows (ladder._Row).
 
         Every row is computed on the diagonals that hold a nonzero entry,
         read from the operator terms (core.to_bands): a stray term anywhere
@@ -155,8 +155,8 @@ class Su11Rep:
         through the same float operations as on the dense matrices
         (core.band_max_abs).  The product rows carry their rounding bound
         at their peak entry; su11-action and su11-sector-number, which
-        compare formulas entry by entry, carry None and are judged at the
-        oracle tolerance."""
+        compare formulas entry by entry, are judged at the oracle
+        tolerance."""
         dim, j = self.dim, self.parity_j
         p, m, z, number = self.bands
         eye = {0: np.ones(dim)}
@@ -179,16 +179,23 @@ class Su11Rep:
         g_pm, g_casimir = gamma(n_pm + 8), gamma(max(n_pm + 9, len(z) + 2))
         KpKm, KmKp = band_product(p, m), band_product(m, p)
         return (
-            ("su11-action", action_residual, None, "matrix elements vs the stated sector actions"),
-            _commutator_row("su11-commutator-plus", z, p, -1.0, "[K0, K+] - K+"),
-            _commutator_row("su11-commutator-minus", z, m, 1.0, "[K0, K-] + K-"),
-            _bound_row("su11-commutator-pm", "[K+, K-] + 2 K0, top column excluded", band_max_abs(
-                lambda pm, mp, k0: pm - mp + 2 * k0, KpKm, KmKp, z,
-                magnitude=lambda pm, mp, k0: g_pm * (pm + mp + 2 * k0),
-                exclude_column=top,
-            )),
+            ("su11-action", "E66", action_residual, 0.0, "oracle",
+             "matrix elements vs the stated sector actions"),
+            _commutator_row("su11-commutator-plus", "E66", z, p, -1.0, "[K0, K+] - K+"),
+            _commutator_row("su11-commutator-minus", "E66", z, m, 1.0, "[K0, K-] + K-"),
+            _bound_row(
+                "su11-commutator-pm",
+                "E66",
+                "[K+, K-] + 2 K0, top column excluded",
+                band_max_abs(
+                    lambda pm, mp, k0: pm - mp + 2 * k0, KpKm, KmKp, z,
+                    magnitude=lambda pm, mp, k0: g_pm * (pm + mp + 2 * k0),
+                    exclude_column=top,
+                ),
+            ),
             _bound_row(
                 "su11-casimir",
+                "E66",
                 f"K0^2 - (K+K- + K-K+)/2 vs k(k-1) = {k * (k - 1)!r}, top column excluded",
                 band_max_abs(
                     lambda zz, pm, mp, e: zz - (pm + mp) / 2 - k * (k - 1) * e,
@@ -201,14 +208,16 @@ class Su11Rep:
             ),
             (
                 "su11-sector-number",
+                "E70 E71",
                 band_max_abs(lambda k0, e, num: k0 - k * e - num, z, eye, number)[0],
-                None,
+                0.0,
+                "oracle",
                 f"K0 - {k!r} counts sector quanta",
             ),
         )
 
     @cached_property
-    def embedding_rows(self) -> tuple[tuple[str, float, str], ...]:
+    def embedding_rows(self) -> tuple[_Row, ...]:
         """Full-space a+2/2, a2/2, N/2+1/4 restricted to the sector, as
         full_bands reads them, against the sector actions entry for entry,
         compared on their bands."""
@@ -217,7 +226,7 @@ class Su11Rep:
             for full, sector in zip(self.full_bands, self.bands[:3])
         )
         detail = f"sector {self.parity_j} restriction of a+2/2, a2/2, N/2+1/4"
-        return (("sector-embedding", residual, detail),)
+        return (("sector-embedding", "E65", residual, 0.0, "oracle", detail),)
 
 
 def _check_parity(parity_j: int, name: str = "parity_j") -> int:
@@ -460,19 +469,13 @@ def sfes_lowering(dim: int) -> OperatorExpr:
 def su11_axiom_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
     """The su(1,1) battery: rep.axiom_rows, each judged at its own bound or
     at the oracle tolerance."""
-    return [
-        _judge(row, "E70 E71" if row[0] == "su11-sector-number" else "E66", tolerances)
-        for row in rep.axiom_rows
-    ]
+    return [_judge(row, tolerances) for row in rep.axiom_rows]
 
 
 def embedding_checks(rep: Su11Rep, tolerances: Tolerances) -> list[CheckResult]:
     """The sector-embedding check: rep.embedding_rows judged at the oracle
     tolerance."""
-    return [
-        CheckResult.from_residual(name, "E65", residual, tolerances.oracle, detail=detail)
-        for name, residual, detail in rep.embedding_rows
-    ]
+    return [_judge(row, tolerances) for row in rep.embedding_rows]
 
 
 def verify_su11(
@@ -570,11 +573,12 @@ def verify_disentangling(
     )
 
 
-def disentangling_checks(
-    closed: FockState, routes: tuple[np.ndarray, np.ndarray], tolerances: Tolerances
-) -> tuple[CheckResult, ...]:
-    """verify_disentangling's checks, given its closed form S(xi)|j> and
-    the two operator routes on its sector, as squeezing_routes gives them."""
+def disentangling_rows(
+    closed: FockState, routes: tuple[np.ndarray, np.ndarray]
+) -> tuple[_Row, ...]:
+    """verify_disentangling's rows, each judged at INFIDELITY_TOL, given its
+    closed form S(xi)|j> and the two operator routes on its sector, as
+    squeezing_routes gives them."""
     dim, j = closed.dim, ("even", "odd").index(closed.parity)
     via_exponential, via_product = routes
 
@@ -588,28 +592,30 @@ def disentangling_checks(
     s_product, leak_product = normalized(via_product)
     equation = "E64 E67 E68" if j == 0 else "E67 E79 E80"
 
-    def infidelity_check(name: str, x, y, leak: float) -> CheckResult:
-        return CheckResult.from_residual(
-            name,
-            equation,
-            abs(1.0 - fidelity(x, y)),  # an over-normalized route reads above 1
-            INFIDELITY_TOL,
-            leak=leak,
-            leak_tolerance=tolerances.leak,
-            detail="pairwise infidelity of independent constructions",
-        )
+    def infidelity_row(name: str, x, y, leak: float) -> _Row:
+        # an over-normalized route reads above 1
+        residual = abs(1.0 - fidelity(x, y))
+        detail = "pairwise infidelity of independent constructions"
+        return name, equation, residual, leak, INFIDELITY_TOL, detail
 
     return (
-        infidelity_check(
+        infidelity_row(
             "disentangle-product-vs-exponential",
             s_product,
             s_exponential,
             leak_exponential + leak_product,
         ),
-        infidelity_check(
+        infidelity_row(
             "disentangle-exponential-vs-closed", s_exponential, closed, leak_exponential
         ),
-        infidelity_check(
+        infidelity_row(
             "disentangle-product-vs-closed", s_product, closed, leak_product
         ),
     )
+
+
+def disentangling_checks(
+    closed: FockState, routes: tuple[np.ndarray, np.ndarray], tolerances: Tolerances
+) -> tuple[CheckResult, ...]:
+    """disentangling_rows judged at the call's leak tolerance."""
+    return tuple(_judge(row, tolerances) for row in disentangling_rows(closed, routes))

@@ -62,7 +62,12 @@ from .core import (
 )
 from .ladder import (
     GdoTriple,
+    _Row,
+    _eigen_row,
+    _images_row,
+    _judge,
     _lowering_form,
+    _relation_row,
     added_coherent_lowering,
     added_coherent_pair,
     added_lowered_pair,
@@ -70,13 +75,12 @@ from .ladder import (
     bs_ladder,
     eigen_check,
     finite_gdo,
-    gdo_axiom_checks,
+    gdo_axiom_rows,
     general_gdo,
     ggs_ladder,
     gs_lowering,
     gs_pair,
     hgs_ladder,
-    images_check,
     kerr_lowering,
     ladder_general,
     ladder_lowering_finite,
@@ -86,7 +90,6 @@ from .ladder import (
     pbps_ladder,
     ps_ladder,
     rbs_ladder,
-    relation_check,
     shifted_gdo,
     shifted_lowered_pair,
     step_down_f,
@@ -94,8 +97,9 @@ from .ladder import (
     step_up_f,
     step_up_g,
 )
-from .reporting import CheckResult, Tolerances, VerificationReport
+from .reporting import Tolerances, VerificationReport
 from .states import (
+    NLCS_WINDOW,
     ParameterError,
     TailMassError,
     _check_dim,
@@ -116,9 +120,8 @@ from .states import (
     reciprocal_binomial,
 )
 from .twophoton import (
-    disentangling_checks,
+    disentangling_rows,
     even_odd_coherent,
-    embedding_checks,
     pair_lowering,
     sector_dim,
     sector_embed,
@@ -127,7 +130,6 @@ from .twophoton import (
     squeezed_vacuum,
     squeezing_routes,
     su11,
-    su11_axiom_checks,
     svs_lowering,
     two_photon_gdo,
     two_photon_ladder,
@@ -297,7 +299,8 @@ def _intermediate_ladder(p: Params, dim: int) -> OperatorExpr:
     def d(t: np.ndarray) -> np.ndarray:
         if f is None:
             return root * np.ones(len(t))
-        # f comes from outside the package: read one index at a time
+        # f is the caller's, read one index at a time, or the suite's
+        # table of it (_Tabulated), read as an array
         return _mul(root, np.asarray(_read(f, t), dtype=np.complex128))
 
     return add(scale(number_op(dim), math.sqrt(p["eta"])), _lowering_form(_array_diag(d), dim))
@@ -622,7 +625,7 @@ def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
 # --- the suite inputs' cache ---
 
 # Suite inputs whose operator data _suite_input keeps; one pass over
-# EXTENDED_GRID and the errata table reads 24 of them.
+# EXTENDED_GRID and the errata table reads 25 of them.
 SUITE_CACHE_SIZE = 32
 
 
@@ -632,12 +635,13 @@ class _SuiteInput:
     on the family's basis, the coefficients C on the basis (the closed
     form's table, else the state's amplitudes) with the closed-form
     structure function formed from them, the deformed-oscillator triple
-    on the whole basis (which keeps its battery's rows), and for
-    a squeezed family the two operator routes to S(xi)|j>.  Their arrays
-    are read-only.  Where the family has a closed form, no part but the
-    two states builds the state.  A part whose builder refuses is not
-    kept, so the next read runs the builder again.  No verdict is kept:
-    each suite judges the kept residuals at its own tolerances."""
+    on the whole basis (which keeps its battery's rows), for a squeezed
+    family the two operator routes to S(xi)|j>, and rows, every check of
+    the suite free of any tolerance.  Their arrays are read-only.  Where
+    the family has a closed form, no part but the two states builds the
+    state.  A part whose builder refuses is not kept, so the next read
+    runs the builder again.  No verdict is kept: each suite judges the
+    kept rows at its own tolerances."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
@@ -718,11 +722,85 @@ class _SuiteInput:
         """The deformed-oscillator triple on the family's whole basis."""
         return self.kind.triple(self.coeffs, self.p, self.spec.sector, self.basis)
 
+    @functools.cached_property
+    def rows(self) -> tuple[_Row, ...]:
+        """Every check of the suite as a row, in one order for every kind:
+        normalization; the distribution against the closed form, where
+        there is one, on the family's basis; the kind's ladder checks; the
+        family's pair relation; the literal eigen check; the kind's step
+        maps; the deformed-oscillator battery, then the operational F
+        against its closed form at full width; and the disentangled
+        squeezing operator for S(xi)|j>."""
+        spec, kind, s = self.spec, self.kind, self.state
+        p, dim = self.p, self.dim
+        rows = [_norm_row(s, spec.norm_eq)]
+        if spec.closed_form is not None:
+            rows.append(_distribution_row(self.state_on_basis, self.table, spec.dist_eq))
+        rows += kind.ladders(self)
+        if spec.pair is not None:
+            pair_name, equation, pair = spec.pair
+            rows.append(_relation_row(pair_name, equation, *pair(p, dim), s))
+        op, eigenvalue = spec.literal(p, dim)
+        rows.append(_eigen_row(kind.literal, spec.literal_eq, op, s, eigenvalue))
+        if kind.steps is not None:
+            rows += kind.steps(self)
+        # the F row is computed first, so that a closed form past the float
+        # range raises before the battery multiplies its values
+        closed_form = _structure_closed_form_row(self.triple, self, kind.F_eq)
+        rows += gdo_axiom_rows(self.triple, kind.battery[spec.sector or 0])
+        rows.append(closed_form)
+        if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
+            rows += disentangling_rows(s, self.squeezing_routes)
+        return tuple(rows)
+
+
+class _Tabulated(_ArrayDiag):
+    """intermediate's f as the suite reads it: a read-only table of its
+    values, of which a read past the end raises.  Two tables of the same
+    bits compare equal, so the suite inputs' cache keys f by its values."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, table: np.ndarray) -> None:
+        n = len(table)
+
+        def values(ns: np.ndarray) -> np.ndarray:
+            if len(ns) and ns[-1] >= n:
+                raise IndexError(f"f({ns[-1]}) is past the table's end, f({n - 1})")
+            return table[ns]
+
+        super().__init__(values)
+        self.bits = table.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Tabulated and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
+
+
+def _tabulated(f: Callable[[int], complex], dim) -> _Tabulated | None:
+    """f read once, in index order, on [0, dim + NLCS_WINDOW - 1): the
+    constructor's recursion window, which holds every index the suite
+    reads.  None where a read raises or meets a zero (or dim is refused),
+    so that the constructor meets the refusal itself."""
+    values = []
+    try:
+        for n in range(_check_dim(dim) + NLCS_WINDOW - 1):
+            values.append(complex(f(n)))
+            if values[-1] == 0:
+                return None
+    except Exception:
+        return None
+    table = np.array(values)
+    table.flags.writeable = False
+    return _Tabulated(table)
+
 
 def _exact(value) -> tuple | None:
     """value's type and bits, which tell apart equal values that print or
     compute differently (0.0 and -0.0, 4 and 4.0); None for any other
-    type, such as intermediate's callable f."""
+    type."""
     kind = type(value)
     if kind in (float, np.float64):
         return kind, float.hex(value)
@@ -730,16 +808,27 @@ def _exact(value) -> tuple | None:
         return kind, float.hex(value.real), float.hex(value.imag)
     if kind in (int, bool):
         return kind, value
+    if kind is _Tabulated:
+        return kind, value.bits
     return None
 
 
 def _suite_input(spec: FamilySpec, params: Params, dim: int) -> _SuiteInput:
-    """The input's cached data, or fresh data when a value has no exact key."""
-    exact = [_exact(v) for v in (dim, *params.values())]
-    if None in exact:
+    """The input's cached data, keyed on its parameters in name order, a
+    callable f by its values; fresh data when a value has no exact key."""
+    exact_dim = _exact(dim)
+    if exact_dim is None:
         return _SuiteInput(spec, params, dim)
-    items = tuple(zip(params, exact[1:], params.values()))
-    return _cached_input(spec.name, exact[0], dim, items)
+    items = []
+    for name in sorted(params):
+        value = params[name]
+        if name in spec.optional and callable(value):
+            value = _tabulated(value, dim)
+        exact = _exact(value)
+        if exact is None:
+            return _SuiteInput(spec, params, dim)
+        items.append((name, exact, value))
+    return _cached_input(spec.name, exact_dim, dim, tuple(items))
 
 
 @functools.lru_cache(maxsize=SUITE_CACHE_SIZE)
@@ -760,120 +849,95 @@ def build_gdo(family: str, params: Params, dim: int) -> GdoTriple:
 # --- check helpers ---
 
 
-def _norm_check(s: FockState, equation: str, tol: Tolerances) -> CheckResult:
-    return CheckResult.from_residual(
-        "state-normalization",
-        equation,
-        abs(1.0 - float(np.linalg.norm(s.amplitudes))),
-        tol.oracle,
-        leak=s.leak,
-        leak_tolerance=tol.leak,
-        detail=f"norm_constant={s.norm_constant!r}",
+def _norm_row(s: FockState, equation: str) -> _Row:
+    residual = abs(1.0 - float(np.linalg.norm(s.amplitudes)))
+    return "state-normalization", equation, residual, s.leak, "oracle", (
+        f"norm_constant={s.norm_constant!r}"
     )
 
 
-def _distribution_check(
-    s: FockState, table: np.ndarray, equation: str, tol: Tolerances
-) -> CheckResult:
+def _distribution_row(s: FockState, table: np.ndarray, equation: str) -> _Row:
     moduli = np.abs(np.asarray(table, dtype=complex))
     # scaled by the power of two of the largest modulus, which is exact,
     # so that no square leaves the float range
     expected = np.ldexp(moduli, -np.frexp(moduli.max())[1]) ** 2
     expected /= expected.sum()
     residual = float(np.abs(expected - np.abs(s.amplitudes) ** 2).max())
-    return CheckResult.from_residual(
-        "distribution-crosscheck",
-        equation,
-        residual,
-        tol.oracle,
-        detail="|amplitude|^2 against the closed-form route, window-normalized",
+    return "distribution-crosscheck", equation, residual, 0.0, "oracle", (
+        "|amplitude|^2 against the closed-form route, window-normalized"
     )
 
 
-def _state_map_check(
-    name: str, equation: str, image: FockState, target: FockState, tol: Tolerances
-) -> CheckResult:
+def _state_map_row(name: str, equation: str, image: FockState, target: FockState) -> _Row:
     residual = float(np.linalg.norm(image.amplitudes - target.amplitudes))
-    return CheckResult.from_residual(
-        name,
-        equation,
-        residual,
-        tol.residual,
-        leak=image.leak,
-        leak_tolerance=tol.leak,
-        detail=f"image compared to the constructed target {target.label}",
+    return name, equation, residual, image.leak, "residual", (
+        f"image compared to the constructed target {target.label}"
     )
 
 
-def _structure_closed_form_check(
-    t: GdoTriple, data: _SuiteInput, equation: str, tol: Tolerances
-) -> CheckResult:
+def _structure_closed_form_row(t: GdoTriple, data: _SuiteInput, equation: str) -> _Row:
     values = t.structure_table
     wanted = data.F
     # F grows with n for the infinite families, so the comparison is
     # scaled; for F of order one this reduces to the absolute residual
     residual = float((np.abs(values - wanted) / np.maximum(1.0, np.abs(wanted))).max())
-    return CheckResult.from_residual(
-        "structure-fn-closed-form",
-        equation,
-        residual,
-        tol.oracle,
-        detail="operational F against the closed coefficient-ratio form, "
-        "scaled by max(1, F)",
+    return "structure-fn-closed-form", equation, residual, 0.0, "oracle", (
+        "operational F against the closed coefficient-ratio form, scaled by max(1, F)"
     )
 
 
 # --- what each kind adds to the suite ---
 
 
-def _finite_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _finite_ladders(data: _SuiteInput) -> list[_Row]:
     M, dim = data.p["M"], data.dim
     generic = add(number_op(dim), ladder_lowering_finite(data.coeffs, M, dim))
-    return [eigen_check("ladder-eigen-generic", "E9 E10 E13", generic, data.state, M, tol)]
+    return [_eigen_row("ladder-eigen-generic", "E9 E10 E13", generic, data.state, M)]
 
 
-def _shifted_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _shifted_ladders(data: _SuiteInput) -> list[_Row]:
     M, dim, cf, s = data.p["M"], data.dim, data.coeffs, data.state
     generic = sub(number_op(dim), ladder_raising_shifted(cf, M, dim))
     lowered = shifted_lowered_pair(cf, M, dim)
     return [
-        eigen_check("ladder-eigen-generic", "E37 E42 E45", generic, s, M, tol),
-        relation_check("shifted-lowered-relation", "E38", *lowered, s, tol),
+        _eigen_row("ladder-eigen-generic", "E37 E42 E45", generic, s, M),
+        _relation_row("shifted-lowered-relation", "E38", *lowered, s),
     ]
 
 
-def _added_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _added_ladders(data: _SuiteInput) -> list[_Row]:
     M, dim, base, s = data.p["M"], data.dim, data.base, data.state
     raising, lowered = added_raising_ladder(base, M, dim), added_lowered_pair(base, M, dim)
     return [
-        eigen_check("ladder-eigen-raising", "E40", raising, s, M, tol),
-        relation_check("added-lowered-relation", "E41", *lowered, s, tol),
+        _eigen_row("ladder-eigen-raising", "E40", raising, s, M),
+        _relation_row("added-lowered-relation", "E41", *lowered, s),
     ]
 
 
-def _general_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _general_ladders(data: _SuiteInput) -> list[_Row]:
     raising_form, lowering_form = ladder_general(data.coeffs, data.dim)
     return [
-        eigen_check("ladder-raising-form", "E52", raising_form, data.state, 0.0, tol),
-        eigen_check("ladder-lowering-form", "E53", lowering_form, data.state, 0.0, tol),
+        _eigen_row("ladder-raising-form", "E52", raising_form, data.state, 0.0),
+        _eigen_row("ladder-lowering-form", "E53", lowering_form, data.state, 0.0),
     ]
 
 
-def _sector_ladders(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _sector_ladders(data: _SuiteInput) -> list[_Row]:
     j, sec = data.spec.sector, data.state_on_basis
     rep = su11(j, sec.dim)
-    checks = su11_axiom_checks(rep, tol) + embedding_checks(rep, tol)
+    battery = rep.axiom_rows + rep.embedding_rows
     up, down = two_photon_ladder(data.coeffs, j, sec.dim)
     up_eq, down_eq = (("E69 E72", "E74"), ("E69 E73", "E75"))[j]
-    return checks + [
-        eigen_check("sector-raising-form", up_eq, up, sec, 0.0, tol),
+    return [
+        *battery,
+        _eigen_row("sector-raising-form", up_eq, up, sec, 0.0),
         # the lowering form references one amplitude beyond the truncation
         # at the top sector index, so that component is excluded
-        eigen_check("sector-lowering-form", down_eq, down, sec, 0.0, tol, edge_exclude=1),
+        _eigen_row("sector-lowering-form", down_eq, down, sec, 0.0, edge_exclude=1),
     ]
 
 
-def _step_down(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _step_down(data: _SuiteInput) -> list[_Row]:
     # the (M-1)-member keeps x fixed; the M = 0 member (the vacuum) has
     # none, so its suite has no step-down checks
     spec, p, s, M = data.spec, data.p, data.state, data.p["M"]
@@ -884,13 +948,13 @@ def _step_down(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
     f_image = apply(step_down_f(data.table, down.table), s)
     g_image = apply(step_down_g(data.table, down.table, M), s)
     return [
-        _state_map_check("step-down-f", "E3 E4 E5", f_image, target, tol),
-        _state_map_check("step-down-g", "E6 E7", g_image, target, tol),
-        images_check("step-down-equality", "E8", f_image, g_image, tol),
+        _state_map_row("step-down-f", "E3 E4 E5", f_image, target),
+        _state_map_row("step-down-g", "E6 E7", g_image, target),
+        _images_row("step-down-equality", "E8", f_image, g_image),
     ]
 
 
-def _step_up(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
+def _step_up(data: _SuiteInput) -> list[_Row]:
     s, M = data.state, data.p["M"]
     up = _suite_input(data.spec, dict(data.p, M=M + 1), data.dim)
     try:
@@ -900,12 +964,12 @@ def _step_up(data: _SuiteInput, tol: Tolerances) -> list[CheckResult]:
     f_image = apply(step_up_f(data.table, up.table), s)
     g_image = apply(step_up_g(data.table, up.table, M), s)
     return [
-        _state_map_check("step-up-f", "E33 E35", f_image, target, tol),
-        _state_map_check("step-up-g", "E34 E36", g_image, target, tol),
+        _state_map_row("step-up-f", "E33 E35", f_image, target),
+        _state_map_row("step-up-g", "E34 E36", g_image, target),
     ]
 
 
-_Checks = Callable[[_SuiteInput, Tolerances], list[CheckResult]]
+_Rows = Callable[[_SuiteInput], list[_Row]]
 
 
 @dataclass(frozen=True)
@@ -914,11 +978,11 @@ class _Kind:
 
     triple: Callable[..., GdoTriple]  # (coeffs, p, sector, dim of the basis)
     F: Callable[[np.ndarray, Params], np.ndarray]  # closed-form F of (table, p)
-    ladders: _Checks
+    ladders: _Rows
     literal: str  # the literal eigen check's name
     battery: tuple[str, ...]  # the axiom battery's equation, one per sector
     F_eq: str
-    steps: _Checks | None = None  # the maps to a neighboring member
+    steps: _Rows | None = None  # the maps to a neighboring member
 
 
 _KINDS: dict[str, _Kind] = {
@@ -961,41 +1025,21 @@ def run_family_suite(
     dim: int,
     tolerances: Tolerances | None = None,
 ) -> VerificationReport:
-    """All of the family's checks at one parameter point, in one order for
-    every kind: normalization; the distribution against the closed form,
-    where there is one, on the family's basis; the kind's ladder checks;
-    the family's pair relation; the literal eigen check; the kind's step
-    maps; the deformed-oscillator battery, then the operational F against
-    its closed form at full width; and the disentangled squeezing operator
-    for S(xi)|j>."""
+    """All of the family's checks at one parameter point, in the order
+    _SuiteInput.rows gives: the input's rows, cached or fresh, each judged
+    at the call's tolerances.  The report echoes the call's own
+    parameters, so a callable f names its own label."""
     spec = _spec(family)
     tol = tolerances or Tolerances()
-    data = _suite_input(spec, _require(spec, params), dim)
-    s, p, kind = data.state, data.p, data.kind
-    checks = [_norm_check(s, spec.norm_eq, tol)]
-    if spec.closed_form is not None:
-        checks.append(_distribution_check(data.state_on_basis, data.table, spec.dist_eq, tol))
-    checks += kind.ladders(data, tol)
-    if spec.pair is not None:
-        pair_name, equation, pair = spec.pair
-        checks.append(relation_check(pair_name, equation, *pair(p, data.dim), s, tol))
-    op, eigenvalue = spec.literal(p, data.dim)
-    checks.append(eigen_check(kind.literal, spec.literal_eq, op, s, eigenvalue, tol))
-    if kind.steps is not None:
-        checks += kind.steps(data, tol)
-    # the F check runs first, so that a closed form past the float range
-    # raises before the battery multiplies its values
-    closed_form = _structure_closed_form_check(data.triple, data, kind.F_eq, tol)
-    checks += gdo_axiom_checks(data.triple, tol, equation=kind.battery[spec.sector or 0])
-    checks.append(closed_form)
-    if spec.disentangle:  # s is S(xi)|j>, the oracle's closed form
-        checks += disentangling_checks(s, data.squeezing_routes, tol)
+    p = _require(spec, params)
+    data = _suite_input(spec, p, dim)
+    checks = tuple(_judge(row, tol) for row in data.rows)
     return VerificationReport(
         family=family,
-        params=_echo_params(family, p),
+        params=_echo_params(family, _int_counts(p)),
         dim=data.dim,
         tolerances=tol,
-        checks=tuple(checks),
+        checks=checks,
     )
 
 

@@ -412,7 +412,7 @@ def test_a_route_that_raises_raises_before_the_battery(
     monkeypatch, capsys, family, params, dim, error, message, cli_error
 ):
     batteries = []
-    monkeypatch.setattr(verify, "gdo_axiom_checks", lambda *a, **k: batteries.append(a))
+    monkeypatch.setattr(verify, "gdo_axiom_rows", lambda *a, **k: batteries.append(a))
     for _ in range(2):  # and again on the next call: a refusal is not kept
         with pytest.raises(error) as raised:
             fl.run_family_suite(family, params, dim)
@@ -436,7 +436,7 @@ def test_the_full_width_F_check_raises_before_the_battery(monkeypatch, family, e
     # the closed-form F is formed before the axiom battery runs, so an F
     # past the float range raises with nothing multiplied by it
     batteries = []
-    monkeypatch.setattr(verify, "gdo_axiom_checks", lambda *a, **k: batteries.append(a))
+    monkeypatch.setattr(verify, "gdo_axiom_rows", lambda *a, **k: batteries.append(a))
 
     def raising(table, M):
         raise error

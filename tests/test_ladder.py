@@ -675,13 +675,13 @@ def _dense_residuals(t):
 def _suite_triples(monkeypatch, family, params, dim):
     """The triples the family's suite hands to the axiom battery."""
     triples = []
-    battery = verify.gdo_axiom_checks
+    battery = verify.gdo_axiom_rows
 
     def spy(t, *args, **kwargs):
         triples.append(t)
         return battery(t, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "gdo_axiom_checks", spy)
+    monkeypatch.setattr(verify, "gdo_axiom_rows", spy)
     fl.run_family_suite(family, params, dim)
     monkeypatch.undo()
     return triples

@@ -671,12 +671,121 @@ def test_a_signed_zero_theta_is_named_in_the_step_down_detail():
         assert f"(theta={theta!r}, M=3)" in detail
 
 
-def test_a_callable_f_bypasses_the_suite_cache():
+ORDERED_ROWS = [row for row in fl.EXTENDED_GRID if len(row[1]) > 1]
+
+
+@pytest.mark.parametrize("family,params,dim", ORDERED_ROWS, ids=[r[0] for r in ORDERED_ROWS])
+def test_the_suite_key_reads_the_parameters_in_name_order(family, params, dim):
+    cold = _suite_bytes(family, params, dim)
+    misses = fl.verify._cached_input.cache_info().misses
+    reordered = dict(reversed(list(params.items())))
+    assert list(reordered) != list(params)
+    assert _suite_bytes(family, reordered, dim) == cold
+    assert fl.verify._cached_input.cache_info().misses == misses
+
+
+def test_a_warm_intermediate_rerun_hits_the_cache_and_writes_the_cold_bytes():
     params, dim = GRID_BY_FAMILY["intermediate"]
     assert callable(params["f"])
     cold = _suite_bytes("intermediate", params, dim)
+    info = fl.verify._cached_input.cache_info()
     assert _suite_bytes("intermediate", params, dim) == cold
+    assert fl.verify._cached_input.cache_info().hits == info.hits + 1
+    assert fl.verify._cached_input.cache_info().misses == info.misses
+
+
+def test_callables_of_equal_values_share_an_entry_and_echo_their_own_labels():
+    params, dim = GRID_BY_FAMILY["intermediate"]
+
+    def first(n):
+        return cmath.exp(-0.2j * n)
+
+    def second(n):
+        return complex(math.cos(0.2 * n), -math.sin(0.2 * n))
+
+    first.label = "first"
+    assert all(first(n) == second(n) for n in range(dim + 31))
+    reports = [fl.run_family_suite("intermediate", dict(params, f=f), dim) for f in (first, second)]
+    info = fl.verify._cached_input.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert [r.params["f"] for r in reports] == ["first", "second"]
+    assert reports[0].checks == reports[1].checks
+    spec = fl.FAMILY_SPECS["intermediate"]
+    data = [fl.verify._suite_input(spec, dict(params, f=f), dim) for f in (first, second)]
+    assert data[0] is data[1]
+
+
+def test_a_closure_whose_values_change_gets_a_fresh_report():
+    # one callable, so a key on its identity would hand back the first report
+    params, dim = GRID_BY_FAMILY["intermediate"]
+    scale = [1.0]
+
+    def f(n):
+        return scale[0] * cmath.exp(-0.2j * n)
+
+    before = fl.run_family_suite("intermediate", dict(params, f=f), dim)
+    scale[0] = 2.0
+    after = fl.run_family_suite("intermediate", dict(params, f=f), dim)
+    assert after.checks != before.checks
+    fl.verify._cached_input.cache_clear()
+    doubled = dict(params, f=lambda n: 2.0 * cmath.exp(-0.2j * n))
+    assert after.checks == fl.run_family_suite("intermediate", doubled, dim).checks
+
+
+def _zero_then_raising(n):
+    if n == 5:
+        raise RuntimeError("f is undefined at 5")
+    return 0.0 if n == 3 else 1.0
+
+
+def _raising(n):
+    if n == 5:
+        raise RuntimeError("f is undefined at 5")
+    return 1.0
+
+
+@pytest.mark.parametrize(
+    "f,error,message",
+    [
+        (_raising, RuntimeError, "f is undefined at 5"),
+        (_zero_then_raising, fl.ParameterError, "f must be nonzero on [0, dim-2]; f(3) = 0"),
+    ],
+    ids=["raises", "zero-then-raises"],
+)
+def test_an_f_whose_read_fails_is_refused_by_the_constructor(f, error, message):
+    params, dim = GRID_BY_FAMILY["intermediate"]
+    for _ in range(2):
+        with pytest.raises(error) as refused:
+            fl.run_family_suite("intermediate", dict(params, f=f), dim)
+        assert str(refused.value) == message
     assert fl.verify._cached_input.cache_info().currsize == 0
+
+
+def test_a_suite_reads_f_once_a_call_on_the_recursion_window():
+    # the state and the literal ladder read the table, not f
+    params, dim = GRID_BY_FAMILY["intermediate"]
+    reads = []
+
+    def f(n):
+        reads.append(n)
+        return params["f"](n)
+
+    for _ in range(2):  # cold, then warm
+        reads.clear()
+        fl.run_family_suite("intermediate", dict(params, f=f), dim)
+        assert reads == list(range(dim + 31))
+
+
+def test_a_read_past_the_tabulated_f_raises():
+    params, dim = GRID_BY_FAMILY["intermediate"]
+    data = fl.verify._suite_input(fl.FAMILY_SPECS["intermediate"], dict(params), dim)
+    table = data.p["f"]
+    assert table(dim + 30) == params["f"](dim + 30)
+    past = rf"^f\({dim + 31}\) is past the table's end, f\({dim + 30}\)$"
+    with pytest.raises(IndexError, match=past):
+        table(dim + 31)
+    with pytest.raises(IndexError):
+        table.values(np.arange(dim + 32))
 
 
 @pytest.mark.parametrize(
@@ -782,31 +891,37 @@ def test_a_finite_suite_applies_each_step_map_once(monkeypatch):
     assert [sum(op is step_map for op in applied) for step_map in step_maps] == [1, 1]
 
 
-def test_a_warm_suite_keeps_residuals_not_verdicts(monkeypatch):
-    # the second call judges the kept residuals at its own tolerance
-    params, dim = GRID_BY_FAMILY["svs"]
-    cold = fl.run_family_suite("svs", params, dim)
-    strict = fl.run_family_suite("svs", params, dim, fl.Tolerances(oracle=1e-20))
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_a_warm_suite_keeps_residuals_not_verdicts(monkeypatch, family, params, dim):
+    # the second call judges the kept rows at its own tolerances
+    cold = fl.run_family_suite(family, params, dim)
+    strict = fl.run_family_suite(family, params, dim, fl.Tolerances(1e-20, 1e-20, 1e-20))
+    default = fl.Tolerances()
     assert [c.name for c in strict.checks] == [c.name for c in cold.checks]
     for was, now in zip(cold.checks, strict.checks):
         assert now.residual.hex() == was.residual.hex(), now.name
         assert now.leak.hex() == was.leak.hex(), now.name
-        if was.tolerance == fl.Tolerances().oracle:
+        if was.tolerance in (default.residual, default.oracle):
             assert now.tolerance == 1e-20, now.name
-        else:  # a battery row's own bound is kept with its residual
-            assert (now.tolerance, now.passed) == (was.tolerance, was.passed), now.name
-        assert now.passed == (now.residual <= now.tolerance and now.leak <= 1e-10), now.name
+        else:  # a battery row's own bound, or the infidelity tolerance
+            assert now.tolerance == was.tolerance, now.name
+            assert now.name.startswith("disentangle-") == (was.tolerance == 1e-8), now.name
+        assert now.passed == (now.residual <= now.tolerance and now.leak <= 1e-20), now.name
+    bound = {c.name for c in cold.checks if c.tolerance not in (1e-8, 1e-10, 1e-12)}
+    assert "gdo-commutator-lowering" in bound
     flipped = {c.name for c, d in zip(cold.checks, strict.checks) if c.passed != d.passed}
-    assert {"su11-action", "sector-embedding"} <= flipped
-    assert {"su11-commutator-pm", "gdo-commutator-lowering", "su11-sector-number",
-            "gdo-structure-fn"}.isdisjoint(flipped)
+    assert flipped and bound.isdisjoint(flipped)
 
-    # a warm rerun at the default tolerances computes no band product, no
-    # eigh and no expm, and writes the cold call's bytes
+    # a warm rerun at the default tolerances applies no operator and
+    # computes no band product, no eigh and no expm, and writes the cold
+    # call's bytes
     calls = []
     spied = [(np.linalg, "eigh"), (fl.twophoton, "expm")]
     spied += [(fl.core, "diagonal_matmul")]
     spied += [(module, "band_max_abs") for module in (fl.ladder, fl.twophoton)]
+    spied += [(module, "_band_image") for module in (fl.core, fl.ladder)]
     for module, name in spied:
 
         def spy(*args, route=getattr(module, name), name=name, **kwargs):
@@ -814,6 +929,6 @@ def test_a_warm_suite_keeps_residuals_not_verdicts(monkeypatch):
             return route(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
-    warm = fl.run_family_suite("svs", params, dim)
+    warm = fl.run_family_suite(family, params, dim)
     assert calls == []
     assert (warm.to_json(), warm.to_csv()) == (cold.to_json(), cold.to_csv())
