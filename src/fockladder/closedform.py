@@ -4,8 +4,8 @@ From the package this reads only the range rules, error and formatter
 of states.py, and only verify.py reads it (tests/test_closedform.py
 holds both rules).  Each route opens with its constructor's range
 checks, so every entry point refuses an input with the constructor's
-message; a non-finite alpha or theta, which a constructor refuses only
-by its non-finite amplitudes, is refused by name.
+message; a non-finite alpha, which a constructor refuses only by its
+non-finite amplitudes, is refused by name.
 
 Each route is a Coeffs, a diagonal in the array form of core._ArrayDiag.
 c.values(ns) and c(n) each run the route's formula once and raise what
@@ -168,9 +168,9 @@ def coherent_coeffs(alpha: complex) -> Coeffs:
     return Coeffs(0, math.inf, c)
 
 
-def kerr_coeffs(alpha: complex, theta: float, dim: int) -> Coeffs:
-    """The coherent c(n) times e^(-i theta n (n-1)), theta bounded at dim as in kerr."""
-    theta = _check_angle(theta, _check_dim(dim) ** 2)
+def kerr_coeffs(alpha: complex, theta: float) -> Coeffs:
+    """The coherent c(n) times e^(-i theta n (n-1))."""
+    theta = _check_angle(theta)
     base = coherent_coeffs(alpha)
     w0 = -1j * theta
 
@@ -195,12 +195,10 @@ def geometric_coeffs(eta: float) -> Coeffs:
 
 
 def _squeezed_sector_coeffs(r: float, theta: float, dim: int, j: int) -> Coeffs:
-    """Sector j of a squeezed state in a truncation of dim levels; theta is
-    bounded at the sector size, the largest n the builders read c at, as in
-    the constructor."""
+    """Sector j of a squeezed state in a truncation of dim levels."""
     _check_r(r)
-    _, n_sector = _check_sector_dim(dim, j)
-    theta = _check_angle(_check_finite(theta, "theta"), n_sector)
+    _check_sector_dim(dim, j)
+    theta = _check_angle(theta)
     t = math.tanh(r)
     if t / 2 == 0.0:  # the state is |j>, as where r = 0
         return Coeffs(0, 0, _ones)
@@ -307,7 +305,7 @@ def _cf_polya(eta: float, gamma: float, M: int) -> Coeffs:
 
 def _cf_reciprocal_binomial(theta: float, M: int) -> Coeffs:
     M = _check_count(M, "M")
-    theta = _check_angle(theta, M)
+    theta = _check_angle(theta)
     # x / C(M, k) and x / sqrt(C(M, k)); past the float range of C(M, k)
     # (M >= 1030) x times exp(-log C(M, k)) or its root, through lgamma
     inverses, roots, scales = [], [], []

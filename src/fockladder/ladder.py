@@ -52,7 +52,7 @@ from .core import (
     to_bands,
 )
 from .reporting import CheckResult, Tolerances, VerificationReport
-from .states import ParameterError, _check_dim
+from .states import ParameterError, _check_angle, _check_dim
 
 CoeffFn = Callable[[int], complex]
 # Bands as a cache holds them, read-only: every caller shares them
@@ -537,6 +537,7 @@ def ps_ladder(
 
 def rbs_ladder(theta: float, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/(N+1)) e^{-i theta} sqrt(M-N) a, eigenvalue M."""
+    theta = _check_angle(theta)
     phase = complex(math.cos(theta), -math.sin(theta))
     return _finite_literal(
         lambda t: _mul(_mul((M - t) / (t + 1), phase), np.sqrt(M - t)), M, dim
@@ -545,6 +546,7 @@ def rbs_ladder(theta: float, M: int, dim: int) -> OperatorExpr:
 
 def pbps_ladder(theta_m: float, M: int, dim: int) -> OperatorExpr:
     """N + ((M-N)/sqrt(N+1)) e^{-i theta_m} a, eigenvalue M."""
+    theta_m = _check_angle(theta_m, "theta_m")
     phase = complex(math.cos(theta_m), -math.sin(theta_m))
     return _finite_literal(lambda t: _mul((M - t) / np.sqrt(t + 1), phase), M, dim)
 
@@ -640,6 +642,7 @@ def kerr_lowering(theta: float, dim: int, variant: str = "derived") -> OperatorE
     if variant not in ("derived", "printed"):
         raise ValueError("variant must be 'derived' or 'printed'")
     sign = 1.0 if variant == "derived" else -1.0
+    theta = _check_angle(theta)
 
     def d(t: np.ndarray) -> np.ndarray:
         phases = [cmath.exp(2j * theta * n * sign) for n in t.tolist()]

@@ -96,14 +96,15 @@ def _finish(
     )
 
 
-def _check_angle(theta: float, top: int, name: str = "theta") -> float:
-    # the phases e^(i k theta) for k <= top need k theta inside the float range
+def _check_angle(theta: float, name: str = "theta") -> float:
+    """theta refused unless finite, kept where |theta| <= pi, and elsewhere
+    read as atan2(sin theta, cos theta), whose argument libm reduces exactly."""
     theta = float(theta)
-    if not math.isfinite(theta * top):
-        raise ParameterError(
-            f"{name} must be finite, with {name} * {top} inside the float range"
-        )
-    return theta
+    if not math.isfinite(theta):
+        raise ParameterError(f"{name} must be finite")
+    if abs(theta) <= math.pi:
+        return theta
+    return math.atan2(math.sin(theta), math.cos(theta))
 
 
 def _check_gamma(gamma: float, M: int) -> tuple[float, int]:
@@ -283,7 +284,7 @@ def reciprocal_binomial(theta: float, M: int, dim: int) -> FockState:
     normalization is always computed numerically and recorded."""
     M = _check_count(M, "M")
     dim = _check_dim(dim, M)
-    theta = _check_angle(theta, M)
+    theta = _check_angle(theta)
     raw = np.zeros(dim, dtype=complex)
     for n in range(M + 1):
         phase = cmath.exp(1j * n * theta)
@@ -307,11 +308,8 @@ def phase_point(theta0: float, m: int, M: int) -> float:
     """Point m of the (M+1)-point phase grid, theta_m = theta0 + 2 pi m / (M + 1):
     E25 with s pinned to M.  At M = 0 the one point's state is the vacuum."""
     m, M = _check_grid_index(m, M)
-    # theta_m is theta0 shifted by less than 2 pi, which rounds away where
-    # theta0 * M nears the float range; so the check names theta0, the
-    # parameter a caller sets
-    _check_angle(theta0, M, "theta0")
-    return theta0 + 2.0 * math.pi * m / (M + 1)
+    theta_m = _check_angle(theta0, "theta0") + 2.0 * math.pi * m / (M + 1)
+    return _check_angle(theta_m, "theta_m")
 
 
 def pegg_barnett_phase(theta0: float, m: int, M: int, dim: int) -> FockState:
@@ -369,7 +367,7 @@ def kerr(alpha: complex, theta: float, dim: int) -> FockState:
     e^(-i theta n (n-1)); the photon statistics stay Poissonian."""
     alpha = complex(alpha)
     dim = _check_dim(dim)
-    theta = _check_angle(theta, dim * dim)
+    theta = _check_angle(theta)
     base = coherent(alpha, dim)
     phases = np.exp(-1j * theta * np.arange(dim) * (np.arange(dim) - 1.0))
     return make_state(

@@ -153,10 +153,9 @@ class Su11Rep:
         still enters, each product entry is the one product the dense
         matmul forms (core.diagonal_matmul), and each residual entry goes
         through the same float operations as on the dense matrices
-        (core.band_max_abs).  The product rows carry their rounding bound
-        at their peak entry; su11-action and su11-sector-number, which
-        compare formulas entry by entry, are judged at the oracle
-        tolerance."""
+        (core.band_max_abs).  The product rows and su11-action carry their
+        rounding bound at their peak entry; su11-sector-number, which
+        compares exact integers, is judged at the oracle tolerance."""
         dim, j = self.dim, self.parity_j
         p, m, z, number = self.bands
         eye = {0: np.ones(dim)}
@@ -164,23 +163,25 @@ class Su11Rep:
         # K+ and K- carry the same band values on opposite sides of the diagonal
         band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + j + 0.5))
         off = np.zeros(dim - 1)  # an absent diagonal holds zeros
-        action_residual = max(
-            float(np.max(np.abs(p.get(-1, off) - band), initial=0.0)),
-            float(np.max(np.abs(m.get(1, off) - band), initial=0.0)),
-            float(np.max(np.abs(z.get(0, np.zeros(dim)) - (np.arange(dim) + j / 2 + 0.25)))),
-        )
         k = self.bargmann_k  # the sector-number shift too
         # All three are real and K0 exact.  An entry of K+ or K- is
         # sqrt(n + j +- 1/2) times the ladder factor sqrt(n), three
-        # roundings from its exact value, so a product of two carries six
-        # before its own n_pm (one per term); the combine adds two to
-        # [K+, K-] + 2 K0 and three to the Casimir's K+- products.
+        # roundings from its exact value: su11-action's difference with the
+        # stated action's one rounded root has five.  A product of two
+        # carries six before its own n_pm (one per term); the combine adds
+        # two to [K+, K-] + 2 K0 and three to the Casimir's K+- products.
+        action = band_max_abs(
+            lambda op, f: op - f,
+            {-1: p.get(-1, off), 0: z.get(0, np.zeros(dim)), 1: m.get(1, off)},
+            {-1: band, 0: np.arange(dim) + j / 2 + 0.25, 1: band},
+            magnitude=lambda op, f: gamma(5) * (op + f),
+        )
         n_pm = min(len(p), len(m))
         g_pm, g_casimir = gamma(n_pm + 8), gamma(max(n_pm + 9, len(z) + 2))
         KpKm, KmKp = band_product(p, m), band_product(m, p)
         return (
-            ("su11-action", "E66", action_residual, 0.0, "oracle",
-             "matrix elements vs the stated sector actions"),
+            _bound_row("su11-action", "E66", "matrix elements vs the stated sector actions",
+                       action),
             _commutator_row("su11-commutator-plus", "E66", z, p, -1.0, "[K0, K+] - K+"),
             _commutator_row("su11-commutator-minus", "E66", z, m, 1.0, "[K0, K-] + K-"),
             _bound_row(
@@ -314,6 +315,7 @@ def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
     """S(xi)|j> by the amplitude-ratio recurrence on sector j."""
     cosh_r = _check_r(r)
     dim, n_sector = _check_sector_dim(dim, j)
+    theta = _check_angle(theta)
     tau = cmath.exp(1j * theta) * math.tanh(r) / 2.0
     # (cosh r)^(-1/2-j), one float expression per sector: the two
     # spellings round differently from a shared cosh(r) ** -(0.5 + j)
@@ -325,16 +327,12 @@ def _squeezed(r: float, theta: float, dim: int, j: int) -> FockState:
             raw[n] * math.sqrt((2 * n + 2 + j) * (2 * n + 1 + j)) * tau / (n + 1)
         )
     name = ("squeezed_vacuum", "squeezed_first_excited")[j]
-    state = _scatter(
+    return _scatter(
         raw, j, dim,
         f"{name}(r={r!r})",
         seed,
-        f"{name}(r={float(r)!r}, theta={float(theta)!r})",
+        f"{name}(r={float(r)!r}, theta={theta!r})",
     )
-    # the closed form's phases e^{i theta n}, n <= n_sector, as its route
-    # bounds them; a NaN or infinite theta was refused above, by its amplitudes
-    _check_angle(theta, n_sector)
-    return state
 
 
 def squeezed_vacuum(r: float, theta: float, dim: int) -> FockState:
@@ -528,6 +526,7 @@ def squeezing_routes(r: float, theta: float, rep: Su11Rep) -> tuple[np.ndarray, 
                 f"exponential takes {name} only at offset {offset}"
             )
     zeros = np.zeros(n - 1)
+    theta = _check_angle(theta)
     xi = r * cmath.exp(1j * theta)
     g = -0.5j * xi * (k_plus.get(-1, zeros) + k_minus.get(1, zeros).conj())
     # g/|g| part by part, 1 where g = 0: |g| can be subnormal

@@ -102,6 +102,7 @@ from .states import (
     NLCS_WINDOW,
     ParameterError,
     TailMassError,
+    _check_angle,
     _check_dim,
     coherent,
     format_complex,
@@ -290,7 +291,7 @@ def _theta_m(p: Params) -> float:
 
 
 def _squeeze_eigenvalue(p: Params) -> complex:
-    return cmath.exp(1j * p["theta"]) * math.tanh(p["r"])
+    return cmath.exp(1j * _check_angle(p["theta"])) * math.tanh(p["r"])
 
 
 def _intermediate_ladder(p: Params, dim: int) -> OperatorExpr:
@@ -370,7 +371,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             literal=lambda p, dim: (rbs_ladder(p["theta"], p["M"], dim), p["M"]),
             literal_eq="E23",
             printed_F=lambda p, n: (
-                cmath.exp(-2j * p["theta"]) * (p["M"] - n + 1) ** 5 / n**2
+                cmath.exp(-2j * _check_angle(p["theta"])) * (p["M"] - n + 1) ** 5 / n**2
             ),
             grid=({"theta": 0.7, "M": 4}, 12),
         ),
@@ -444,7 +445,7 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
         FamilySpec(
             "kerr", "ks", ("alpha", "theta"), "general",
             build=lambda p, dim: kerr(p["alpha"], p["theta"], dim),
-            closed_form=lambda p, dim: kerr_coeffs(p["alpha"], p["theta"], dim),
+            closed_form=lambda p, dim: kerr_coeffs(p["alpha"], p["theta"]),
             norm_eq="E61", dist_eq="E61",
             literal=lambda p, dim: (kerr_lowering(p["theta"], dim), p["alpha"]),
             literal_eq="E49 E62",

@@ -187,8 +187,9 @@ def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
     """Every su11-* row of the sector battery as (residual, bound), by plain
     dense matmul of the given matrices and of their moduli, top column
     excluded as the battery does: a product row at its ratio_peak, with
-    the bound of the battery's derivation; su11-action and
-    su11-sector-number at their max residual, with bound None."""
+    the bound of the battery's derivation, and su11-action, on the three
+    diagonals the sector actions name, too; su11-sector-number at its max
+    residual, with bound None."""
     dim = k_plus.shape[0]
     k = 0.25 + parity_j / 2.0
     band = np.sqrt((np.arange(dim - 1) + 1) * (np.arange(dim - 1) + parity_j + 0.5))
@@ -212,12 +213,12 @@ def su11_residuals(k_plus, k_minus, k_zero, number, parity_j: int) -> dict:
         residual = np.abs(k_zero @ x - x @ k_zero + sign * x)
         return ratio_peak(residual, _gamma(_terms(k_zero, x) + 2) * (Z @ X + X @ Z + X))
 
+    op = np.diag(np.diag(k_plus, -1), -1) + np.diag(np.diag(k_zero)) + np.diag(np.diag(k_minus, 1), 1)
+    action = np.diag(band, -1) + np.diag(np.arange(dim) + k) + np.diag(band, 1)
     return {
-        "su11-action": (max(
-            float(np.max(np.abs(np.diag(k_plus, -1) - band), initial=0.0)),
-            float(np.max(np.abs(np.diag(k_minus, 1) - band), initial=0.0)),
-            float(np.max(np.abs(np.diag(k_zero) - (np.arange(dim) + k)))),
-        ), None),
+        "su11-action": ratio_peak(
+            np.abs(op - action), _gamma(5) * (np.abs(op) + np.abs(action))
+        )[:2],
         "su11-commutator-plus": commutator(k_plus, -1.0)[:2],
         "su11-commutator-minus": commutator(k_minus, 1.0)[:2],
         "su11-commutator-pm": ratio_peak(np.abs(pm), pm_bound)[:2],
@@ -680,8 +681,8 @@ def coherent_reference(alpha: complex):
     return _support(0, math.inf, lambda n: cmath.exp(n * log_a - 0.5 * math.lgamma(n + 1)))
 
 
-def kerr_reference(alpha: complex, theta: float, dim: int):
-    theta = states._check_angle(theta, states._check_dim(dim) ** 2)
+def kerr_reference(alpha: complex, theta: float):
+    theta = states._check_angle(theta)
     base = coherent_reference(alpha)
     return lambda n: base(n) * cmath.exp(-1j * theta * n * (n - 1))
 
@@ -693,10 +694,8 @@ def geometric_reference(eta: float):
 
 def squeezed_reference(r: float, theta: float, dim: int, j: int):
     states._check_r(r)
-    _, n_sector = states._check_sector_dim(dim, j)
-    if not cmath.isfinite(theta):
-        raise states.ParameterError("theta must be finite")
-    theta = states._check_angle(theta, n_sector)
+    states._check_sector_dim(dim, j)
+    theta = states._check_angle(theta)
     t = math.tanh(r)
     if t / 2 == 0.0:
         return _support(0, 0, lambda n: 1.0)
@@ -769,7 +768,7 @@ def polya_reference(eta: float, gamma: float, M: int):
 
 def reciprocal_binomial_reference(theta: float, M: int):
     M = states._check_count(M, "M")
-    theta = states._check_angle(theta, M)
+    theta = states._check_angle(theta)
 
     def over_comb(x: complex, k: int, root: bool) -> complex:
         comb = math.comb(M, k)
@@ -863,7 +862,7 @@ CLOSED_FORM_REFERENCES = {
     "geometric": lambda p, dim: geometric_reference(p["eta"]),
     "negative_binomial": lambda p, dim: negative_binomial_reference(p["eta"], p["M"]),
     "new_negative_binomial": lambda p, dim: nnbs_reference(p["eta"], p["M"]),
-    "kerr": lambda p, dim: kerr_reference(p["alpha"], p["theta"], dim),
+    "kerr": lambda p, dim: kerr_reference(p["alpha"], p["theta"]),
     "svs": lambda p, dim: squeezed_reference(p["r"], p["theta"], dim, 0),
     "sfes": lambda p, dim: squeezed_reference(p["r"], p["theta"], dim, 1),
     "ecs": lambda p, dim: coherent_sector_reference(p["alpha"], 0),

@@ -180,6 +180,8 @@ def test_finite_families_at_M_zero(capsys, alias, name):
         (["--family", "ps", "--eta", "0.5", "--gamma", "inf", "--M", "3"], "gamma"),
         (["--family", "hgs", "--L", "nan", "--eta", "0.5", "--M", "3"], "L"),
         (["--family", "ks", "--alpha", "1", "--theta", "nan", "--dim", "8"], "theta"),
+        (["--family", "svs", "--r", "0.5", "--theta=-inf", "--dim", "8"], "theta"),
+        (["--family", "sfes", "--r", "0.5", "--theta", "inf", "--dim", "8"], "theta"),
     ],
     ids=lambda v: v[1] if isinstance(v, list) else v,
 )
@@ -967,12 +969,6 @@ M_RULE = "M must be a nonnegative integer"
         ("nnbs --eta 0.3 --M=-1 --dim 8", M_RULE),
         ("rbs --theta 0.7 --M=-1 --dim 8", M_RULE),
         ("pacs --alpha 1 --M=-1 --dim 64", M_RULE),
-        ("rbs --theta 1e308 --M 3 --dim 8",
-         "theta must be finite, with theta * 3 inside the float range"),
-        ("pbps --theta0 1e308 --m 0 --M 3 --dim 8",
-         "theta0 must be finite, with theta0 * 3 inside the float range"),
-        ("ks --alpha 1 --theta 1e308 --dim 8",
-         "theta must be finite, with theta * 64 inside the float range"),
         ("ocs --alpha 0 --dim 8", "alpha must be nonzero for the odd superposition"),
         ("svs --r 1000 --theta 0 --dim 8",
          "r=1000.0 puts cosh r past the float range; use a smaller r"),
@@ -981,6 +977,42 @@ M_RULE = "M must be a nonnegative integer"
 def test_structure_fn_refuses_with_the_constructor_message(capsys, flags, message):
     code, out, err = run(capsys, "structure-fn", "--family", *flags.split())
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "rbs --theta 1e308 --M 3 --dim 8",
+        "pbps --theta0 1e308 --m 0 --M 3 --dim 8",
+        "ks --alpha 1 --theta 1e308 --dim 8",
+        # the printed F's e^{-2i theta} reads the reduced angle too
+        "rbs --theta 1e308 --M 3 --dim 8 --compare-printed",
+    ],
+)
+def test_structure_fn_accepts_a_huge_angle(capsys, flags):
+    reduced = repr(math.atan2(math.sin(1e308), math.cos(1e308)))
+    code, out, err = run(capsys, "structure-fn", "--family", *flags.split(), "--format", "csv")
+    assert (code, err) == (0, "")
+    at_reduced = flags.replace(" 1e308", f"={reduced}").split()
+    _, wanted, _ = run(capsys, "structure-fn", "--family", *at_reduced, "--format", "csv")
+    # the config line echoes the angle as given; the table is the reduced angle's
+    assert out.splitlines()[1:] == wanted.splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "svs --r 0.5 --theta 1e300 --dim 128",
+        "pbps --theta0=-2.49e5 --m 1 --M 1371 --dim 1380",
+        "rbs --theta=-729999.9 --M 202 --dim 210",
+        "svs --r 0.5 --theta 1e308 --dim 128",
+        "ks --alpha 1 --theta 1e306 --dim 64",
+    ],
+)
+def test_verify_passes_every_check_at_a_large_angle(capsys, flags):
+    code, out, err = run(capsys, "verify", "--family", *flags.split(), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert ",false," not in out
 
 
 @pytest.mark.parametrize("family", ["svs", "sfes"])

@@ -121,7 +121,7 @@ NAN, INF = math.nan, math.inf
     [
         ("alpha", lambda: fl.coherent_coeffs(NAN)),
         ("alpha", lambda: fl.coherent_coeffs(complex(1.0, INF))),
-        ("alpha", lambda: fl.kerr_coeffs(NAN, 0.3, 8)),
+        ("alpha", lambda: fl.kerr_coeffs(NAN, 0.3)),
         ("alpha", lambda: fl.ecs_sector_coeffs(NAN)),
         ("alpha", lambda: fl.ocs_sector_coeffs(NAN)),
         ("theta", lambda: fl.svs_sector_coeffs(0.5, NAN, 8)),
@@ -134,7 +134,8 @@ NAN, INF = math.nan, math.inf
     ],
 )
 def test_a_public_route_refuses_a_non_finite_parameter_by_name(name, route):
-    # the constructors refuse these values too, as a non-finite amplitude;
-    # unrefused, the coefficients are NaN and a builder fails on them later
+    # the constructors refuse these values too, alpha as a non-finite
+    # amplitude and theta by the angle rule; unrefused, the coefficients
+    # are NaN and a builder fails on them later
     with pytest.raises(fl.ParameterError, match=f"^{name} must be finite$"):
         route()(1)

@@ -912,7 +912,7 @@ def _exported_routes(basis):
     a basis of the given size."""
     return [
         (fl.coherent_coeffs(1 + 0.5j), None),
-        (fl.kerr_coeffs(1.5, 0.3, basis), None),
+        (fl.kerr_coeffs(1.5, 0.3), None),
         (fl.geometric_coeffs(0.4), None),
         (fl.svs_sector_coeffs(0.8, 0.5, 2 * basis), 0),
         (fl.sfes_sector_coeffs(0.8, 0.5, 2 * basis + 1), 1),

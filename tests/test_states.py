@@ -28,7 +28,7 @@ from fockladder import (
     squeezed_first_excited,
     squeezed_vacuum,
 )
-from fockladder.states import _finish, format_complex
+from fockladder.states import _check_angle, _finish, format_complex
 
 from _oracles import (
     binomial_pmf,
@@ -367,9 +367,8 @@ NAN = float("nan")
     [
         lambda: hypergeometric(NAN, 0.5, 3, 8),
         lambda: coherent(complex(NAN), 8),
-        lambda: squeezed_vacuum(0.5, NAN, 16),
     ],
-    ids=["hgs-L-nan", "cs-alpha-nan", "svs-theta-nan"],
+    ids=["hgs-L-nan", "cs-alpha-nan"],
 )
 def test_non_finite_amplitude_is_a_parameter_error(build):
     with pytest.raises(ParameterError, match="non-finite amplitude at n="):
@@ -379,25 +378,52 @@ def test_non_finite_amplitude_is_a_parameter_error(build):
 @pytest.mark.parametrize(
     "build,message",
     [
-        (lambda: kerr(1.0, NAN, 16), "theta must be finite"),
-        (lambda: kerr(1.0, 1e306, 16), "theta must be finite"),
-        (lambda: reciprocal_binomial(NAN, 3, 8), "theta must be finite"),
-        (lambda: reciprocal_binomial(1e308, 3, 8), "theta must be finite"),
+        (lambda: kerr(1.0, NAN, 16), "^theta must be finite$"),
+        (lambda: reciprocal_binomial(NAN, 3, 8), "^theta must be finite$"),
         (lambda: polya(0.4, 1e308, 3, 8), "gamma . M must lie inside"),
         (lambda: photon_add(coherent(1.0, 400), 300), "reduce M"),
         (lambda: squeezed_vacuum(800.0, 0.0, 64), "r=800.0 puts cosh r past"),
         (lambda: squeezed_first_excited(math.inf, 0.0, 64), "r=inf puts cosh r past"),
-        (
-            lambda: pegg_barnett_phase(1e308, 1, 3, 8),
-            "theta0 must be finite, with theta0 . 3 inside",
-        ),
+        (lambda: pegg_barnett_phase(-math.inf, 1, 3, 8), "^theta0 must be finite$"),
+        (lambda: squeezed_vacuum(0.5, NAN, 16), "^theta must be finite$"),
     ],
-    ids=["ks-theta-nan", "ks-theta-huge", "rbs-theta-nan", "rbs-theta-huge", "ps-gamma-huge",
-         "pacs-M-300", "svs-r-800", "sfes-r-inf", "pbps-theta0-huge"],
+    ids=["ks-theta-nan", "rbs-theta-nan", "ps-gamma-huge", "pacs-M-300", "svs-r-800",
+         "sfes-r-inf", "pbps-theta0-inf", "svs-theta-nan"],
 )
 def test_parameters_past_the_float_range_are_parameter_errors(build, message):
     with pytest.raises(ParameterError, match=message):
         build()
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, 0.7, -3.0, math.pi, -math.pi])
+def test_the_angle_rule_keeps_an_angle_inside_pi_bit_for_bit(theta):
+    assert repr(_check_angle(theta)) == repr(theta)
+
+
+@pytest.mark.parametrize("theta", [math.nextafter(math.pi, 4.0), 4.84, -7.35, 1e300, -1e308])
+def test_the_angle_rule_reduces_an_angle_past_pi_once(theta):
+    reduced = _check_angle(theta)
+    assert reduced == math.atan2(math.sin(theta), math.cos(theta))
+    assert -math.pi <= reduced <= math.pi
+    assert _check_angle(reduced) == reduced
+
+
+# a finite theta past the old theta * top bound is one angle, read as such
+@pytest.mark.parametrize(
+    "build,theta",
+    [
+        (lambda theta: kerr(1.0, theta, 16), 1e306),
+        (lambda theta: reciprocal_binomial(theta, 3, 8), 1e308),
+        (lambda theta: pegg_barnett_phase(theta, 1, 3, 8), 1e308),
+        (lambda theta: squeezed_vacuum(0.5, theta, 128), 1e308),
+    ],
+    ids=["ks-theta-huge", "rbs-theta-huge", "pbps-theta0-huge", "svs-theta-huge"],
+)
+def test_a_huge_finite_angle_builds_the_state_at_its_reduced_angle(build, theta):
+    state, reduced = build(theta), build(math.atan2(math.sin(theta), math.cos(theta)))
+    assert np.array_equal(state.amplitudes, reduced.amplitudes)
+    assert state.norm_constant == reduced.norm_constant
+    assert state.norm == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("eta,M,dim", [(0.999999, 60, 64), (0.5, 1100, 1200)])

@@ -254,14 +254,32 @@ def test_su11_battery_fails_a_1e9_relative_error_at_sector_512(parity_j, mutate,
 def test_su11_battery_passes_at_its_rounding_bound(parity_j, dim):
     # [K+, K-] + 2 K0 reads 1.106 (j = 0) and 1.057 (j = 1) of an
     # arithmetic-only bound from sector sizes 4356 and 4456 on: K+- enter
-    # it rounded.  (su11-action, judged at the fixed oracle tolerance, is
-    # not scanned: its residual grows with the sector and exceeds 1e-12 at
-    # 8192)
+    # it rounded
     rep = twophoton._su11.__wrapped__(parity_j, dim)  # kept out of the cache
     checks = twophoton.su11_axiom_checks(rep, fl.Tolerances())
-    bounded = [c for c in checks if c.name not in ("su11-action", "su11-sector-number")]
-    assert len(bounded) == 4
+    bounded = [c for c in checks if c.name != "su11-sector-number"]
+    assert len(bounded) == 5
     assert [c.name for c in bounded if not c.passed] == []
+
+
+@pytest.mark.parametrize("parity_j", [0, 1])
+def test_su11_action_is_judged_at_its_rounding_bound_at_sector_8192(parity_j):
+    # K+- are a product of two rounded square roots against one for the
+    # stated action, so the residual grows with the sector: at 8192 it is
+    # past the fixed oracle tolerance (j = 0), and still inside its bound
+    rep = twophoton._su11.__wrapped__(parity_j, 8192)
+
+    def action(rep):
+        checks = twophoton.su11_axiom_checks(rep, fl.Tolerances())
+        return next(c for c in checks if c.name == "su11-action")
+
+    assert action(rep).passed
+    if parity_j == 0:
+        assert action(rep).residual > fl.Tolerances().oracle
+    nudged = action(dataclasses.replace(rep, K_plus=_nudged(rep.K_plus, 4096, 1e-9)))
+    assert not nudged.passed
+    assert nudged.residual > 1e3 * nudged.tolerance
+    assert "peaks at (4097, 4096)" in nudged.detail
 
 
 @pytest.mark.parametrize(

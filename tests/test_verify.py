@@ -59,10 +59,15 @@ def test_non_finite_parameters_rejected_at_every_entry_point():
     cases = (
         ("binomial", {"eta": math.nan, "M": 4}, "eta"),
         ("polya", {"eta": 0.5, "gamma": math.inf, "M": 4}, "gamma"),
+        ("kerr", {"alpha": 1.0, "theta": math.nan}, "theta"),
+        ("reciprocal_binomial", {"theta": -math.inf, "M": 4}, "theta"),
+        ("pegg_barnett_phase", {"theta0": math.inf, "m": 2, "M": 7}, "theta0"),
+        ("svs", {"r": 0.8, "theta": math.nan}, "theta"),
+        ("sfes", {"r": 0.8, "theta": -math.inf}, "theta"),
     )
     for family, params, name in cases:
-        for call in (fl.build_state, fl.run_family_suite, fl.build_gdo):
-            message = f"parameter '{name}' must be finite"
+        for call in (fl.build_state, fl.closed_form_coeffs, fl.run_family_suite, fl.build_gdo):
+            message = f"^parameter '{name}' must be finite$"
             with pytest.raises(fl.ParameterError, match=message):
                 call(family, params, 12)
     with pytest.raises(fl.ParameterError, match="parameter 'Y' must be finite"):
@@ -70,6 +75,51 @@ def test_non_finite_parameters_rejected_at_every_entry_point():
     # the callable nonlinearity is not a number and is not checked
     params, dim = GRID_BY_FAMILY["intermediate"]
     assert fl.build_state("intermediate", params, dim).norm == pytest.approx(1.0)
+
+
+# the phase families with the angle each reads
+ANGLES = {
+    "kerr": "theta",
+    "reciprocal_binomial": "theta",
+    "pegg_barnett_phase": "theta0",
+    "svs": "theta",
+    "sfes": "theta",
+}
+
+
+@pytest.mark.parametrize("family", list(ANGLES))
+def test_a_huge_finite_angle_passes_the_suite_of_its_grid_row(family):
+    # the one angle rule reads theta + 1e300 as one angle, so the
+    # constructor, the closed form and the ladder form its phases alike
+    params, dim = GRID_BY_FAMILY[family]
+    name = ANGLES[family]
+    report = fl.run_family_suite(family, params, dim)
+    huge = fl.run_family_suite(family, dict(params, **{name: params[name] + 1e300}), dim)
+    assert report.passed and huge.passed, huge.summary_line()
+    assert [c.name for c in huge.checks] == [c.name for c in report.checks]
+
+
+@pytest.mark.parametrize(
+    "family,params,dim",
+    [
+        # sector-raising-form 8.4e-3 and sector-lowering-form 2.2e-2 with
+        # theta * n formed unreduced
+        ("svs", {"r": 0.5, "theta": 1e300}, 128),
+        # ladder-eigen-literal 6.1e-6 and 3.2e-10 unreduced
+        ("pegg_barnett_phase", {"theta0": -2.49e5, "m": 1, "M": 1371}, 1380),
+        ("reciprocal_binomial", {"theta": -729999.9, "M": 202}, 210),
+        # refused as past the float range at theta * 64 and theta * dim^2
+        ("svs", {"r": 0.5, "theta": 1e308}, 128),
+        ("kerr", {"alpha": 1.0, "theta": 1e306}, 64),
+        ("sfes", {"r": 0.5, "theta": -3e200}, 128),
+    ],
+    ids=["svs-1e300", "pbps-M1371", "rbs-M202", "svs-1e308", "kerr-1e306", "sfes-3e200"],
+)
+def test_a_large_angle_passes_every_check(family, params, dim):
+    report = fl.run_family_suite(family, params, dim)
+    assert report.passed, [(c.name, c.residual) for c in report.checks if not c.passed]
+    # the report echoes the angle as given
+    assert all(report.params[key] == value for key, value in params.items())
 
 
 def test_suite_propagates_constructor_validation():
@@ -85,16 +135,16 @@ RANGE_PROBES = (
     ("hypergeometric", {"L": 1.0, "eta": 0.5, "M": 3}, 8),
     ("polya", {"eta": 0.4, "gamma": -1.0, "M": 3}, 8),
     ("polya", {"eta": 0.4, "gamma": 1e308, "M": 3}, 8),
-    ("reciprocal_binomial", {"theta": 1e308, "M": 3}, 8),
+    ("reciprocal_binomial", {"theta": 0.7, "M": 2.5}, 8),
     ("reciprocal_binomial", {"theta": 0.7, "M": -1}, 8),
-    ("pegg_barnett_phase", {"theta0": 1e308, "m": 0, "M": 3}, 8),
+    ("pegg_barnett_phase", {"theta0": 0.1, "m": 1.5, "M": 3}, 8),
     ("pegg_barnett_phase", {"theta0": 0.1, "m": 9, "M": 3}, 8),
     ("generalized_geometric", {"Y": -1.0 + 0.0j, "M": 3}, 8),
     ("generalized_geometric", {"Y": 0.3 + 0.0j, "M": -1}, 8),
     ("geometric", {"eta": 1.0}, 8),
     ("negative_binomial", {"eta": 0.3, "M": 0}, 8),
     ("new_negative_binomial", {"eta": 0.3, "M": -1}, 8),
-    ("kerr", {"alpha": 1.0 + 0.0j, "theta": 1e308}, 8),
+    ("negative_binomial", {"eta": 0.3, "M": 1.5}, 8),
     ("svs", {"r": -1.0, "theta": 0.0}, 8),
     ("sfes", {"r": 1000.0, "theta": 0.0}, 8),
     ("ecs", {"alpha": 1e200 + 0.0j}, 8),
@@ -130,12 +180,13 @@ def test_every_entry_point_refuses_with_the_constructor_message(family, params, 
 
 # one out-of-range point per family with a closed form (two for the phase
 # grid's m), with the family's public closed-form route where it has one;
-# coherent's only rule is that alpha is finite
+# the only rule of coherent and kerr is that their parameters are finite,
+# which every entry point checks before any route
 RULE_PARITY = (
     ("binomial", {"eta": 1.5, "M": 4}, 12, None),
     ("hypergeometric", {"L": 3.0, "eta": 0.5, "M": 5}, 13, None),
     ("polya", {"eta": 0.4, "gamma": 0.0, "M": 5}, 13, None),
-    ("reciprocal_binomial", {"theta": 1e308, "M": 4}, 12, None),
+    ("reciprocal_binomial", {"theta": 0.7, "M": 4.5}, 12, None),
     ("pegg_barnett_phase", {"theta0": 0.0, "m": 9, "M": 7}, 15, None),
     ("pegg_barnett_phase", {"theta0": 0.0, "m": 1.5, "M": 7}, 15, None),
     ("generalized_geometric", {"Y": 1j, "M": 6}, 14, None),
@@ -143,10 +194,7 @@ RULE_PARITY = (
     ("geometric", {"eta": 1.5}, 128, lambda p, dim: fl.geometric_coeffs(p["eta"])),
     ("negative_binomial", {"eta": 0.3, "M": 0}, 256, None),
     ("new_negative_binomial", {"eta": 0.0, "M": 2}, 256, None),
-    (
-        "kerr", {"alpha": 1.0, "theta": 1e308}, 8,
-        lambda p, dim: fl.kerr_coeffs(p["alpha"], p["theta"], dim),
-    ),
+    ("kerr", {"alpha": 1.0, "theta": math.nan}, 8, None),
     (
         "svs", {"r": -1.0, "theta": 0.5}, 128,
         lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"], dim),
@@ -160,17 +208,12 @@ RULE_PARITY = (
     ("pacs", {"alpha": 1.0, "M": 1.5}, 64, None),
 )
 
-# the squeezed routes form e^{i theta n} up to the sector size, 64 levels
-# at dim 128, where theta * 64 overflows
+# a non-finite theta, the one angle a squeezed route refuses: every entry
+# point refuses it before any route (the public routes refuse it by name,
+# tests/test_closedform.py)
 ANGLE_PARITY = (
-    (
-        "svs", {"r": 0.5, "theta": 1e308}, 128,
-        lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"], dim),
-    ),
-    (
-        "sfes", {"r": 0.5, "theta": 1e308}, 128,
-        lambda p, dim: fl.sfes_sector_coeffs(p["r"], p["theta"], dim),
-    ),
+    ("svs", {"r": 0.5, "theta": math.nan}, 128, None),
+    ("sfes", {"r": 0.5, "theta": -math.inf}, 128, None),
 )
 
 
