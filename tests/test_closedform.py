@@ -122,6 +122,7 @@ NAN, INF = math.nan, math.inf
         ("alpha", lambda: fl.coherent_coeffs(NAN)),
         ("alpha", lambda: fl.coherent_coeffs(complex(1.0, INF))),
         ("alpha", lambda: fl.kerr_coeffs(NAN, 0.3)),
+        ("theta", lambda: fl.kerr_coeffs(1.0, -INF)),
         ("alpha", lambda: fl.ecs_sector_coeffs(NAN)),
         ("alpha", lambda: fl.ocs_sector_coeffs(NAN)),
         ("theta", lambda: fl.svs_sector_coeffs(0.5, NAN, 8)),
@@ -129,7 +130,7 @@ NAN, INF = math.nan, math.inf
         ("theta", lambda: fl.svs_sector_coeffs(0.5, -INF, 8)),
     ],
     ids=[
-        "coherent-nan", "coherent-inf", "kerr", "ecs", "ocs",
+        "coherent-nan", "coherent-inf", "kerr", "kerr-theta-inf", "ecs", "ocs",
         "svs-nan", "sfes-nan", "svs-inf",
     ],
 )
