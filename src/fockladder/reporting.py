@@ -12,7 +12,8 @@ indent=2) gives for the same value with those strings in place; the
 tests keep that stdlib route as their oracle.  A report's check rows
 skip the recursion: each fills one fixed layout, _CHECK_ROW, with its
 fields' _leaf texts, and each CSV check row joins its fields' _csv_cell
-texts.
+texts.  A CheckResult forms each of its two row texts once, at its first
+use, and keeps it, so a report of kept checks formats only its head.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import cached_property
 from typing import Any, Callable
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -86,6 +87,15 @@ class CheckResult:
             detail=detail,
         )
 
+    @cached_property
+    def _json_row(self) -> str:
+        """The check as an item of a report's "checks" list."""
+        return _CHECK_ROW % tuple(map(_leaf, _json_fields(self)))
+
+    @cached_property
+    def _csv_row(self) -> str:
+        return ",".join(map(_csv_cell, _csv_fields(self)))
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -123,8 +133,8 @@ class VerificationReport:
     def as_dict(self) -> dict[str, Any]:
         return {
             **self._head(),
-            # a check's fields are CHECK_COLUMNS
-            "checks": [dict(vars(c)) for c in self.checks],
+            # by name, not vars(c), which holds the kept row texts too
+            "checks": [dict(zip(CHECK_COLUMNS, _csv_fields(c))) for c in self.checks],
         }
 
     def _head(self) -> dict[str, Any]:
@@ -146,9 +156,7 @@ class VerificationReport:
             + [f"{k}={v}" for k, v in sorted(self.params.items())]
             + [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
         )
-        lines = ["# " + header, ",".join(CHECK_COLUMNS)] + [
-            ",".join(map(_csv_cell, _csv_fields(c))) for c in self.checks
-        ]
+        lines = ["# " + header, ",".join(CHECK_COLUMNS)] + [c._csv_row for c in self.checks]
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
             lines += csv_table(PRINTED_COLUMNS, self.derived_vs_printed)
@@ -253,8 +261,7 @@ _CHECK_ROW = (
 
 def _report_json(report: VerificationReport) -> str:
     """encode_json(report.as_dict()), its check rows from _CHECK_ROW."""
-    fields = chain.from_iterable(map(_json_fields, report.checks))
-    rows = ",".join([_CHECK_ROW] * len(report.checks)) % tuple(map(_leaf, fields))
+    rows = ",".join([c._json_row for c in report.checks])
     head: list[str] = []
     _write(report._head(), "\n", head.append)
     # "checks" sorts first of the report's keys: the rest follow its

@@ -97,7 +97,7 @@ from .ladder import (
     step_up_f,
     step_up_g,
 )
-from .reporting import Tolerances, VerificationReport
+from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     NLCS_WINDOW,
     ParameterError,
@@ -551,7 +551,7 @@ def _require(spec: FamilySpec, params: Params) -> Params:
         # ints are always finite; callables such as intermediate's f are
         # not checked
         if isinstance(value, (float, complex)) and not cmath.isfinite(value):
-            raise ParameterError(f"parameter '{key}' must be finite")
+            raise ParameterError(f"{key} must be finite")
     for key in spec.params:
         if p.get(key) is None:
             raise ParameterError(f"family '{spec.name}' requires parameter '{key}'")
@@ -641,12 +641,21 @@ class _SuiteInput:
     the suite free of any tolerance.  Their arrays are read-only.  Where
     the family has a closed form, no part but the two states builds the
     state.  A part whose builder refuses is not kept, so the next read
-    runs the builder again.  No verdict is kept: each suite judges the
-    kept rows at its own tolerances."""
+    runs the builder again.  One slot keeps the rows judged at the last
+    tolerances (checks)."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
         self.kind = _KINDS[spec.kind]
+        self._judged: tuple[Tolerances, tuple[CheckResult, ...]] | None = None
+
+    def checks(self, tol: Tolerances) -> tuple[CheckResult, ...]:
+        """The rows judged at tol: the kept checks where tol equals the
+        last tolerances, else fresh ones, which replace them."""
+        judged = self._judged
+        if judged is None or judged[0] != tol:
+            judged = self._judged = tol, tuple(_judge(row, tol) for row in self.rows)
+        return judged[1]
 
     @functools.cached_property
     def state(self) -> FockState:
@@ -1027,14 +1036,17 @@ def run_family_suite(
     tolerances: Tolerances | None = None,
 ) -> VerificationReport:
     """All of the family's checks at one parameter point, in the order
-    _SuiteInput.rows gives: the input's rows, cached or fresh, each judged
-    at the call's tolerances.  The report echoes the call's own
-    parameters, so a callable f names its own label."""
+    _SuiteInput.rows gives: the input's rows, cached or fresh, judged at
+    the call's tolerances, or kept from a call at equal ones.  The report
+    echoes the call's own parameters and tolerances, so a callable f
+    names its own label."""
     spec = _spec(family)
     tol = tolerances or Tolerances()
     p = _require(spec, params)
     data = _suite_input(spec, p, dim)
-    checks = tuple(_judge(row, tol) for row in data.rows)
+    # judged first, so that a count the constructor refuses is refused
+    # by it, before _int_counts reads it
+    checks = data.checks(tol)
     return VerificationReport(
         family=family,
         params=_echo_params(family, _int_counts(p)),

@@ -189,7 +189,7 @@ def test_finite_families_at_M_zero(capsys, alias, name):
 def test_non_finite_parameter_exits_two(capsys, subcommand, flags, name):
     code, out, err = run(capsys, subcommand, *flags)
     assert code == 2
-    assert err == f"error: parameter '{name}' must be finite\n"
+    assert err == f"error: {name} must be finite\n"
     assert out == ""
 
 
@@ -841,7 +841,7 @@ def test_batch_complex_params_round_trip(tmp_path, capsys):
             '"tolerances":{"oracle":"x"}}]',
             "tolerance 'oracle'",
         ),
-        ('[{"family":"cs","params":{"alpha":"nan"},"dim":8}]', "parameter 'alpha'"),
+        ('[{"family":"cs","params":{"alpha":"nan"},"dim":8}]', "alpha"),
         ('[{"family":"bs","params":{"eta":0.5,"M":false},"dim":12}]', "parameter 'M'"),
         ('[{"family":"cs","params":{"alpha":true},"dim":8}]', "parameter 'alpha'"),
         ('[{"family":"cs","params":{"alpha":1},"dim":true}]', "'dim'"),

@@ -204,3 +204,31 @@ def test_a_check_field_json_cannot_carry_is_refused():
     report = VerificationReport("f", checks=(CheckResult("n", "E1", 1j, 1e-10),))
     with pytest.raises(TypeError, match="complex"):
         report.to_json()
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_check_rows_hold_only_their_columns_after_both_writers(family, params, dim):
+    report = fl.run_family_suite(family, params, dim)
+    text = report.to_json()
+    report.to_csv()
+    assert all(tuple(row) == CHECK_COLUMNS for row in report.as_dict()["checks"])
+    assert json_reference(report.as_dict()) == text
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_equal_tolerances_give_equal_rows_and_each_head_echoes_its_own(family, params, dim):
+    as_int, as_float = (
+        fl.run_family_suite(family, params, dim, Tolerances(residual=r)) for r in (1, 1.0)
+    )
+    assert as_int.checks == as_float.checks
+    (int_head, *int_rows), (float_head, *float_rows) = (
+        r.to_csv().splitlines() for r in (as_int, as_float)
+    )
+    assert int_rows == float_rows
+    assert int_head.endswith(" tol_residual=1") and float_head.endswith(" tol_residual=1.0")
+    echoed = [json.loads(r.to_json())["tolerances"]["residual"] for r in (as_int, as_float)]
+    assert [(type(r), r) for r in echoed] == [(int, 1), (float, 1.0)]

@@ -67,10 +67,10 @@ def test_non_finite_parameters_rejected_at_every_entry_point():
     )
     for family, params, name in cases:
         for call in (fl.build_state, fl.closed_form_coeffs, fl.run_family_suite, fl.build_gdo):
-            message = f"^parameter '{name}' must be finite$"
+            message = f"^{name} must be finite$"
             with pytest.raises(fl.ParameterError, match=message):
                 call(family, params, 12)
-    with pytest.raises(fl.ParameterError, match="parameter 'Y' must be finite"):
+    with pytest.raises(fl.ParameterError, match="^Y must be finite$"):
         fl.build_gdo("generalized_geometric", {"Y": complex(0.3, math.nan), "M": 3}, 8)
     # the callable nonlinearity is not a number and is not checked
     params, dim = GRID_BY_FAMILY["intermediate"]
@@ -151,6 +151,12 @@ RANGE_PROBES = (
     ("ocs", {"alpha": 0.0j}, 8),
     # at dim 8 the coherent tail bound fires before the M rule
     ("pacs", {"alpha": 1.0 + 0.0j, "M": -1}, 64),
+    # a non-finite angle, refused by name in one wording everywhere
+    ("kerr", {"alpha": 1.0, "theta": math.nan}, 8),
+    ("reciprocal_binomial", {"theta": math.inf, "M": 3}, 8),
+    ("pegg_barnett_phase", {"theta0": -math.inf, "m": 1, "M": 3}, 8),
+    ("svs", {"r": 0.5, "theta": math.nan}, 8),
+    ("sfes", {"r": 0.5, "theta": math.inf}, 8),
 )
 
 
@@ -190,11 +196,14 @@ RULE_PARITY = (
     ("pegg_barnett_phase", {"theta0": 0.0, "m": 9, "M": 7}, 15, None),
     ("pegg_barnett_phase", {"theta0": 0.0, "m": 1.5, "M": 7}, 15, None),
     ("generalized_geometric", {"Y": 1j, "M": 6}, 14, None),
-    ("coherent", {"alpha": complex(math.inf)}, 64, None),
+    ("coherent", {"alpha": complex(math.inf)}, 64, lambda p, dim: fl.coherent_coeffs(p["alpha"])),
     ("geometric", {"eta": 1.5}, 128, lambda p, dim: fl.geometric_coeffs(p["eta"])),
     ("negative_binomial", {"eta": 0.3, "M": 0}, 256, None),
     ("new_negative_binomial", {"eta": 0.0, "M": 2}, 256, None),
-    ("kerr", {"alpha": 1.0, "theta": math.nan}, 8, None),
+    (
+        "kerr", {"alpha": 1.0, "theta": math.nan}, 8,
+        lambda p, dim: fl.kerr_coeffs(p["alpha"], p["theta"]),
+    ),
     (
         "svs", {"r": -1.0, "theta": 0.5}, 128,
         lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"], dim),
@@ -208,12 +217,23 @@ RULE_PARITY = (
     ("pacs", {"alpha": 1.0, "M": 1.5}, 64, None),
 )
 
-# a non-finite theta, the one angle a squeezed route refuses: every entry
-# point refuses it before any route (the public routes refuse it by name,
-# tests/test_closedform.py)
+# a non-finite angle, the one angle a phase route refuses: every entry
+# point and the family's public route refuse it in one wording
 ANGLE_PARITY = (
-    ("svs", {"r": 0.5, "theta": math.nan}, 128, None),
-    ("sfes", {"r": 0.5, "theta": -math.inf}, 128, None),
+    (
+        "kerr", {"alpha": 1.0, "theta": -math.inf}, 8,
+        lambda p, dim: fl.kerr_coeffs(p["alpha"], p["theta"]),
+    ),
+    ("reciprocal_binomial", {"theta": math.nan, "M": 4}, 12, None),
+    ("pegg_barnett_phase", {"theta0": math.inf, "m": 2, "M": 7}, 15, None),
+    (
+        "svs", {"r": 0.5, "theta": math.nan}, 128,
+        lambda p, dim: fl.svs_sector_coeffs(p["r"], p["theta"], dim),
+    ),
+    (
+        "sfes", {"r": 0.5, "theta": -math.inf}, 128,
+        lambda p, dim: fl.sfes_sector_coeffs(p["r"], p["theta"], dim),
+    ),
 )
 
 
@@ -228,7 +248,7 @@ def test_rule_parity_covers_every_family_with_a_closed_form():
     ids=[case[0] for case in RULE_PARITY] + [f"{case[0]}-theta" for case in ANGLE_PARITY],
 )
 def test_each_closed_form_route_runs_its_own_range_rule(family, params, dim, public):
-    calls = [fl.build_state, fl.closed_form_coeffs]
+    calls = [fl.build_state, fl.closed_form_coeffs, fl.build_gdo, fl.run_family_suite]
     if public is not None:
         calls.append(lambda family, p, dim: public(p, dim))
     messages = set()
@@ -975,3 +995,59 @@ def test_a_warm_suite_keeps_residuals_not_verdicts(monkeypatch, family, params, 
     warm = fl.run_family_suite(family, params, dim)
     assert calls == []
     assert (warm.to_json(), warm.to_csv()) == (cold.to_json(), cold.to_csv())
+
+
+def _leaf_count(value):
+    """The number of leaves _write formats in value."""
+    if isinstance(value, dict):
+        return sum(map(_leaf_count, value.values()))
+    if isinstance(value, (list, tuple)):
+        return sum(map(_leaf_count, value))
+    return 1
+
+
+def _spy(monkeypatch, calls, bindings):
+    # each (module, name) binding of one function records its calls in calls
+    for module, name in bindings:
+
+        def spy(*args, route=getattr(module, name)):
+            calls.append(args)
+            return route(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_a_warm_rerun_judges_no_row_and_formats_no_check(monkeypatch, family, params, dim):
+    cold = fl.run_family_suite(family, params, dim)
+    cold_bytes = cold.to_json(), cold.to_csv()
+    judged, leaves, cells = [], [], []
+    _spy(monkeypatch, judged, [(m, "_judge") for m in (fl.ladder, fl.twophoton, fl.verify)])
+    _spy(monkeypatch, leaves, [(fl.reporting, "_leaf")])
+    _spy(monkeypatch, cells, [(fl.reporting, "_csv_cell")])
+    warm = fl.run_family_suite(family, params, dim)
+    assert (warm.to_json(), warm.to_csv()) == cold_bytes
+    assert judged == [] and cells == []
+    # the head's leaves, and not one check field
+    assert len(leaves) == _leaf_count(warm._head())
+    assert warm.checks is cold.checks
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_other_tolerances_replace_the_kept_checks(family, params, dim):
+    cold = fl.run_family_suite(family, params, dim)
+    cold_bytes = cold.to_json(), cold.to_csv()
+    tol = fl.Tolerances(1e-20, 1e-20, 1e-20)
+    strict = fl.run_family_suite(family, params, dim, tol)
+    data = fl.verify._suite_input(fl.FAMILY_SPECS[family], dict(params), dim)
+    assert strict.checks == tuple(fl.ladder._judge(row, tol) for row in data.rows)
+    assert any(not c.passed for c in strict.checks) and cold.passed
+    back = fl.run_family_suite(family, params, dim)
+    assert (back.to_json(), back.to_csv()) == cold_bytes
+    # judged again, so the strict verdicts were replaced, not kept beside
+    assert back.checks == cold.checks and back.checks is not cold.checks
+    assert fl.run_family_suite(family, params, dim).checks is back.checks
