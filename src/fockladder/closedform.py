@@ -42,6 +42,7 @@ from .states import (
     _check_count,
     _check_dim,
     _check_eta,
+    _check_finite,
     _check_gamma,
     _check_pair_alpha,
     _check_r,
@@ -142,12 +143,6 @@ def _unit_phase(theta: float, ns: np.ndarray) -> np.ndarray:
 
 def _ones(ns: np.ndarray) -> np.ndarray:
     return np.ones(len(ns))
-
-
-def _check_finite(value: complex, name: str) -> complex:
-    if not cmath.isfinite(value):
-        raise ParameterError(f"{name} must be finite")
-    return value
 
 
 # --- unnormalized routes: the ladder diagonals use only coefficient ratios ---

@@ -107,6 +107,12 @@ def _check_angle(theta: float, name: str = "theta") -> float:
     return math.atan2(math.sin(theta), math.cos(theta))
 
 
+def _check_finite(value: complex, name: str) -> complex:
+    if not cmath.isfinite(value):
+        raise ParameterError(f"{name} must be finite")
+    return value
+
+
 def _check_gamma(gamma: float, M: int) -> tuple[float, int]:
     """Polya's gamma > 0 and count M, then gamma * M inside the float range."""
     if not gamma > 0:
@@ -161,7 +167,7 @@ def _check_sector_dim(dim: int, j: int) -> tuple[int, int]:
 
 
 def _check_pair_alpha(alpha: complex, j: int) -> complex:
-    alpha = complex(alpha)
+    alpha = _check_finite(complex(alpha), "alpha")
     if j == 1 and alpha == 0:
         raise ParameterError("alpha must be nonzero for the odd superposition")
     if math.isinf(abs(alpha) * abs(alpha)):  # x * x: inf, not OverflowError
@@ -350,7 +356,7 @@ def generalized_geometric(Y: complex, M: int, dim: int) -> FockState:
 
 def coherent(alpha: complex, dim: int) -> FockState:
     """Amplitudes e^(-|alpha|^2/2) alpha^n / sqrt(n!)."""
-    alpha = complex(alpha)
+    alpha = _check_finite(complex(alpha), "alpha")
     dim = _check_dim(dim)
     label = f"coherent(alpha={format_complex(alpha)})"
     # x * x: inf, not OverflowError
@@ -477,11 +483,12 @@ def intermediate_nlcs(
     """
     eta = _check_eta(eta)
     dim = _check_dim(dim)
+    _check_finite(alpha, "alpha")
     seq = np.zeros(dim + NLCS_WINDOW, dtype=complex)
     seq[0] = 1.0
     sqrt_eta = math.sqrt(eta)
     sqrt_etabar = math.sqrt(1.0 - eta)
-    # an alpha past the float range overflows one step; _finish refuses it
+    # a huge alpha overflows one step; _finish refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(dim + NLCS_WINDOW - 1):
             fn = 1.0 if f is None else complex(f(n))

@@ -73,7 +73,6 @@ from .ladder import (
     added_lowered_pair,
     added_raising_ladder,
     bs_ladder,
-    eigen_check,
     finite_gdo,
     gdo_axiom_rows,
     general_gdo,
@@ -276,6 +275,10 @@ class FamilySpec:
     down: Callable[[Params], Params] | None = None
     # the source's printed structure function at n (E29)
     printed_F: Callable[[Params, int], complex] | None = None
+    # the source's printed literal ladder, which fails the literal relation
+    printed_literal: Callable[[Params, int], OperatorExpr] | None = None
+    # the grid input's errata note: (equation, text, its values of the input)
+    erratum: tuple[str, str, Callable[[_SuiteInput], Params]] | None = None
     # derived values echoed into report headers
     echo: Callable[[Params], Params] | None = None
     # S(xi)|j>: also check the squeezing operator's disentangled form
@@ -315,6 +318,50 @@ def _grid_nonlinearity(n: int) -> complex:
 
 
 _grid_nonlinearity.label = "exp(-0.2i*n)"
+
+
+# --- the errata notes' values, each of its family's grid input ---
+
+
+def _literal_residual(data: _SuiteInput) -> float:
+    """The residual of the suite's own literal eigen row."""
+    return next(row[2] for row in data.rows if row[0] == data.kind.literal)
+
+
+def _printed_literal_values(data: _SuiteInput) -> Params:
+    """The printed literal ladder's residual on the state against the
+    derived one's (E21, E62)."""
+    spec, p, dim = data.spec, data.p, data.dim
+    printed, (_, eigenvalue) = spec.printed_literal(p, dim), spec.literal(p, dim)
+    return {
+        "residual_printed": _eigen_row("", "", printed, data.state, eigenvalue)[2],
+        "residual_derived": _literal_residual(data),
+    }
+
+
+def _printed_prefactor_values(data: _SuiteInput) -> Params:
+    """The printed normalization prefactor, its root and the recorded
+    constant (E22)."""
+    M = data.p["M"]
+    inv_sum = sum(1.0 / math.comb(M, k) for k in range(M + 1))
+    printed_prefactor = 1.0 / inv_sum
+    return {
+        "printed_prefactor": printed_prefactor,
+        "printed_prefactor_norm": printed_prefactor * math.sqrt(inv_sum),
+        "recorded_constant": float(data.state.norm_constant),
+    }
+
+
+def _labeled_state_values(data: _SuiteInput) -> Params:
+    """The literal lowering on the squeezed vacuum, the printed label's
+    state, against the suite's own row on this state (E81)."""
+    svs = _suite_input(FAMILY_SPECS["svs"], data._params, data._dim).state
+    op, eigenvalue = data.spec.literal(data.p, data.dim)
+    return {
+        "residual_labeled_state": _eigen_row("", "", op, svs, eigenvalue)[2],
+        "residual_intended_state": _literal_residual(data),
+    }
+
 
 # Ordered: the first fifteen entries are the canonical families the batch
 # contract counts, and their grid rows are the reproducible acceptance
@@ -361,6 +408,15 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
                 * ((1 - p["eta"]) + (p["M"] + n - 2) * p["gamma"])
                 / (p["eta"] + (n - 1) * p["gamma"])
             ),
+            printed_literal=lambda p, dim: ps_ladder(
+                p["eta"], p["gamma"], p["M"], dim, variant="printed"
+            ),
+            erratum=(
+                "E21",
+                "the printed ladder numerator offset (M+N-1)gamma fails the "
+                "eigenvalue relation; it holds with (M-N-1)gamma",
+                _printed_literal_values,
+            ),
             grid=({"eta": 0.4, "gamma": 0.7, "M": 5}, 13),
         ),
         FamilySpec(
@@ -372,6 +428,13 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             literal_eq="E23",
             printed_F=lambda p, n: (
                 cmath.exp(-2j * _check_angle(p["theta"])) * (p["M"] - n + 1) ** 5 / n**2
+            ),
+            erratum=(
+                "E22",
+                "the printed prefactor 1/sum C(M,n)^-1 is the square of the "
+                "normalizing constant; constructors renormalize numerically "
+                "and record the constant",
+                _printed_prefactor_values,
             ),
             grid=({"theta": 0.7, "M": 4}, 12),
         ),
@@ -449,6 +512,13 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             norm_eq="E61", dist_eq="E61",
             literal=lambda p, dim: (kerr_lowering(p["theta"], dim), p["alpha"]),
             literal_eq="E49 E62",
+            printed_literal=lambda p, dim: kerr_lowering(p["theta"], dim, variant="printed"),
+            erratum=(
+                "E62",
+                "the printed lowering identity carries exp(-2i N theta); the "
+                "relation holds with exp(+2i theta N)",
+                _printed_literal_values,
+            ),
             grid=({"alpha": 1.0 + 0.0j, "theta": 0.3}, 64),
         ),
         FamilySpec(
@@ -469,6 +539,12 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             literal=lambda p, dim: (sfes_lowering(dim), _squeeze_eigenvalue(p)),
             literal_eq="E81",
             disentangle=True,
+            erratum=(
+                "E81",
+                "the printed relation names the squeezed vacuum on its "
+                "left-hand side; it holds on the squeezed first excited state",
+                _labeled_state_values,
+            ),
             grid=({"r": 0.8, "theta": 0.5}, 128),
         ),
         FamilySpec(
@@ -625,8 +701,8 @@ def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
 
 # --- the suite inputs' cache ---
 
-# Suite inputs whose operator data _suite_input keeps; one pass over
-# EXTENDED_GRID and the errata table reads 25 of them.
+# Suite inputs whose operator data, rows and errata values _suite_input
+# keeps; one pass over EXTENDED_GRID and the errata table reads 25 of them.
 SUITE_CACHE_SIZE = 32
 
 
@@ -637,8 +713,10 @@ class _SuiteInput:
     form's table, else the state's amplitudes) with the closed-form
     structure function formed from them, the deformed-oscillator triple
     on the whole basis (which keeps its battery's rows), for a squeezed
-    family the two operator routes to S(xi)|j>, and rows, every check of
-    the suite free of any tolerance.  Their arrays are read-only.  Where
+    family the two operator routes to S(xi)|j>, rows, every check of the
+    suite free of any tolerance, and the errata table's values on this
+    input: a printed-F family's printed_F_rows and, on a grid input, the
+    family's erratum note.  Their arrays are read-only.  Where
     the family has a closed form, no part but the two states builds the
     state.  A part whose builder refuses is not kept, so the next read
     runs the builder again.  One slot keeps the rows judged at the last
@@ -731,6 +809,18 @@ class _SuiteInput:
     def triple(self) -> GdoTriple:
         """The deformed-oscillator triple on the family's whole basis."""
         return self.kind.triple(self.coeffs, self.p, self.spec.sector, self.basis)
+
+    @functools.cached_property
+    def printed_F_rows(self) -> tuple[Params, ...]:
+        """derived_vs_printed_rows' rows, F read from this input: the
+        grid's dim exceeds M, so F on the basis covers [0, M]."""
+        return tuple(_printed_rows(self.spec, self.p, self.F[: self.p["M"] + 1]))
+
+    @functools.cached_property
+    def erratum(self) -> Params:
+        """The family's errata note on this input (FamilySpec.erratum)."""
+        equation, text, values = self.spec.erratum
+        return {"equation": equation, "family": self.spec.name, "text": text, **values(self)}
 
     @functools.cached_property
     def rows(self) -> tuple[_Row, ...]:
@@ -1124,55 +1214,26 @@ def _printed_rows(spec: FamilySpec, p: Params, derived_F: np.ndarray) -> list[Pa
     return rows
 
 
-def _cached_state(family: str, params: Params, dim: int) -> FockState:
-    """build_state of a registry input, read from the suite inputs' cache."""
-    return _suite_input(FAMILY_SPECS[family], params, dim).state
-
-
-def _printed_ladder_note(
-    family: str,
-    equation: str,
-    printed: Callable[[Params, int], OperatorExpr],
-    text: str,
-    tol: Tolerances,
-) -> Params:
-    """The printed variant of a family's literal ladder against the
-    derived one, on the family's grid state."""
-    spec = FAMILY_SPECS[family]
-    params, dim = spec.grid
-    s = _cached_state(family, params, dim)
-    derived, eigenvalue = spec.literal(params, dim)
-    return {
-        "equation": equation,
-        "family": family,
-        "text": text,
-        "residual_printed": eigen_check(
-            f"{family}-printed", equation, printed(params, dim), s, eigenvalue, tol
-        ).residual,
-        "residual_derived": eigen_check(
-            f"{family}-derived", equation, derived, s, eigenvalue, tol
-        ).residual,
-    }
-
-
 def errata_table() -> Params:
     """Every place the printed identities disagree with the derived ones,
     tabulated at the registry's grid parameters.  Reported, not corrected:
     the constructors and ladder builders use the derived forms, and this
-    table is the record of what the printed source says instead."""
-    tol = Tolerances()
-    families = []
+    table is the record of what the printed source says instead.  Its rows
+    and notes are kept on the suite inputs (_SuiteInput.printed_F_rows and
+    erratum), so a warm call applies no operator; each call returns fresh
+    copies of them."""
+    families, notes = [], []
     for family, spec in FAMILY_SPECS.items():
+        params, dim = spec.grid
+        if spec.erratum is not None:
+            notes.append(dict(_suite_input(spec, params, dim).erratum))
         if spec.printed_F is None:
             continue
-        params, dim = spec.grid
         if family == "pegg_barnett_phase":
             # the registry's theta0 = 0 puts theta_m at pi/2, where the
             # printed phase factor degenerates to -1; a generic offset
             # keeps the non-real printed values visible
             params = dict(params, theta0=0.3)
-        # derived_vs_printed_rows' F, read from the suite inputs' cache:
-        # the grid's dim exceeds M, so F on the basis covers [0, M]
         data = _suite_input(spec, params, dim)
         families.append(
             {
@@ -1180,76 +1241,9 @@ def errata_table() -> Params:
                 "equation": "E12 E29",
                 "params": _echo_params(family, params),
                 "M": params["M"],
-                "rows": _printed_rows(spec, data.p, data.F[: data.p["M"] + 1]),
+                "rows": [dict(row) for row in data.printed_F_rows],
             }
         )
-
-    notes = [
-        _printed_ladder_note(
-            "polya",
-            "E21",
-            lambda p, dim: ps_ladder(
-                p["eta"], p["gamma"], p["M"], dim, variant="printed"
-            ),
-            "the printed ladder numerator offset (M+N-1)gamma fails the "
-            "eigenvalue relation; it holds with (M-N-1)gamma",
-            tol,
-        )
-    ]
-
-    # Reciprocal binomial normalization prefactor
-    rbs_params, rbs_dim = FAMILY_SPECS["reciprocal_binomial"].grid
-    rbs_state = _cached_state("reciprocal_binomial", rbs_params, rbs_dim)
-    Mr = rbs_params["M"]
-    inv_sum = sum(1.0 / math.comb(Mr, k) for k in range(Mr + 1))
-    printed_prefactor = 1.0 / inv_sum
-    printed_norm = printed_prefactor * math.sqrt(inv_sum)
-    notes.append(
-        {
-            "equation": "E22",
-            "family": "reciprocal_binomial",
-            "text": (
-                "the printed prefactor 1/sum C(M,n)^-1 is the square of the "
-                "normalizing constant; constructors renormalize numerically "
-                "and record the constant"
-            ),
-            "printed_prefactor": printed_prefactor,
-            "printed_prefactor_norm": printed_norm,
-            "recorded_constant": float(rbs_state.norm_constant),
-        }
-    )
-
-    notes.append(
-        _printed_ladder_note(
-            "kerr",
-            "E62",
-            lambda p, dim: kerr_lowering(p["theta"], dim, variant="printed"),
-            "the printed lowering identity carries exp(-2i N theta); the "
-            "relation holds with exp(+2i theta N)",
-            tol,
-        )
-    )
-
-    # First-excited pair relation printed with the squeezed-vacuum label
-    sv_params, sv_dim = FAMILY_SPECS["svs"].grid
-    lam = _squeeze_eigenvalue(sv_params)
-    op = sfes_lowering(sv_dim)
-    svs_state = _cached_state("svs", sv_params, sv_dim)
-    sfes_state = _cached_state("sfes", sv_params, sv_dim)
-    res_labeled = eigen_check("sfes-on-svs", "E81", op, svs_state, lam, tol).residual
-    res_intended = eigen_check("sfes-on-sfes", "E81", op, sfes_state, lam, tol).residual
-    notes.append(
-        {
-            "equation": "E81",
-            "family": "sfes",
-            "text": (
-                "the printed relation names the squeezed vacuum on its "
-                "left-hand side; it holds on the squeezed first excited state"
-            ),
-            "residual_labeled_state": res_labeled,
-            "residual_intended_state": res_intended,
-        }
-    )
 
     return {
         "schema": "errata-1",

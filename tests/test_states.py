@@ -11,6 +11,7 @@ from fockladder import (
     binomial,
     build_state,
     coherent,
+    even_odd_coherent,
     fidelity,
     generalized_geometric,
     geometric,
@@ -366,13 +367,33 @@ NAN = float("nan")
     "build",
     [
         lambda: hypergeometric(NAN, 0.5, 3, 8),
-        lambda: coherent(complex(NAN), 8),
     ],
-    ids=["hgs-L-nan", "cs-alpha-nan"],
+    ids=["hgs-L-nan"],
 )
 def test_non_finite_amplitude_is_a_parameter_error(build):
     with pytest.raises(ParameterError, match="non-finite amplitude at n="):
         build()
+
+
+# every coherent-type constructor, refused before it computes an amplitude
+ALPHA_BUILDS = {
+    "cs": lambda alpha: coherent(alpha, 8),
+    "ks": lambda alpha: kerr(alpha, 0.1, 8),
+    "pacs": lambda alpha: photon_add(coherent(alpha, 8), 1),
+    "ecs": lambda alpha: even_odd_coherent(alpha, "even", 8),
+    "ocs": lambda alpha: even_odd_coherent(alpha, "odd", 8),
+    "intermediate": lambda alpha: intermediate_nlcs(0.5, alpha, 8),
+}
+
+
+@pytest.mark.parametrize(
+    "family,alpha",
+    [(f, a) for f in ALPHA_BUILDS for a in (NAN, math.inf, complex(0.5, -math.inf))],
+    ids=[f"{f}-{a}" for f in ALPHA_BUILDS for a in ("nan", "inf", "imag-inf")],
+)
+def test_a_non_finite_alpha_is_refused_by_name(family, alpha):
+    with pytest.raises(ParameterError, match="^alpha must be finite$"):
+        ALPHA_BUILDS[family](alpha)
 
 
 @pytest.mark.parametrize(

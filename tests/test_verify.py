@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fockladder as fl
-from fockladder.reporting import csv_table
+from fockladder.reporting import csv_table, encode_json
 from fockladder.closedform import _cf_generalized_geometric, _cf_nnbs, raising_F
 
 
@@ -157,6 +157,13 @@ RANGE_PROBES = (
     ("pegg_barnett_phase", {"theta0": -math.inf, "m": 1, "M": 3}, 8),
     ("svs", {"r": 0.5, "theta": math.nan}, 8),
     ("sfes", {"r": 0.5, "theta": math.inf}, 8),
+    # a non-finite alpha, likewise
+    ("coherent", {"alpha": complex(math.inf)}, 8),
+    ("kerr", {"alpha": math.nan, "theta": 0.1}, 8),
+    ("pacs", {"alpha": complex(0.0, math.inf), "M": 1}, 64),
+    ("ecs", {"alpha": math.nan}, 8),
+    ("ocs", {"alpha": -math.inf}, 8),
+    ("intermediate", {"eta": 0.5, "alpha": math.inf}, 16),
 )
 
 
@@ -187,7 +194,8 @@ def test_every_entry_point_refuses_with_the_constructor_message(family, params, 
 # one out-of-range point per family with a closed form (two for the phase
 # grid's m), with the family's public closed-form route where it has one;
 # the only rule of coherent and kerr is that their parameters are finite,
-# which every entry point checks before any route
+# which every entry point checks before any route and the constructor
+# checks itself
 RULE_PARITY = (
     ("binomial", {"eta": 1.5, "M": 4}, 12, None),
     ("hypergeometric", {"L": 3.0, "eta": 0.5, "M": 5}, 13, None),
@@ -249,6 +257,8 @@ def test_rule_parity_covers_every_family_with_a_closed_form():
 )
 def test_each_closed_form_route_runs_its_own_range_rule(family, params, dim, public):
     calls = [fl.build_state, fl.closed_form_coeffs, fl.build_gdo, fl.run_family_suite]
+    # the constructor itself, which no entry point's own rules precede
+    calls.append(lambda family, p, dim: fl.FAMILY_SPECS[family].build(p, dim))
     if public is not None:
         calls.append(lambda family, p, dim: public(p, dim))
     messages = set()
@@ -498,6 +508,71 @@ def test_errata_notes_quantify_the_corrections():
 def test_errata_table_serializes():
     text = json.dumps(fl.errata_table(), sort_keys=True)
     assert "derived" in text
+
+
+def test_a_warm_errata_table_applies_no_operator(monkeypatch):
+    cold = encode_json(fl.errata_table())
+    images = []
+    _spy(monkeypatch, images, [(module, "_band_image") for module in (fl.core, fl.ladder)])
+    assert encode_json(fl.errata_table()) == cold
+    assert images == []
+
+
+def test_a_mutated_errata_table_leaves_the_next_call_unchanged():
+    cold = encode_json(fl.errata_table())
+    table = fl.errata_table()
+    for entry in table["families"]:
+        entry["params"].clear()
+        entry["rows"][0]["derived"] = -1.0
+        entry["rows"].append({})
+    for note in table["notes"]:
+        note["text"] = ""
+        note.pop("family")
+    table["notes"].clear()
+    assert encode_json(fl.errata_table()) == cold
+
+
+def test_the_errata_table_is_the_same_from_fresh_suite_inputs():
+    cold = encode_json(fl.errata_table())
+    fl.verify._cached_input.cache_clear()
+    assert encode_json(fl.errata_table()) == cold
+
+
+@pytest.mark.parametrize(
+    "equation,family,name,field",
+    [
+        ("E21", "polya", "ladder-eigen-literal", "residual_derived"),
+        ("E62", "kerr", "ladder-eigen-literal", "residual_derived"),
+        ("E81", "sfes", "pair-lowering-eigen", "residual_intended_state"),
+    ],
+)
+def test_an_errata_note_quotes_its_suite_row(equation, family, name, field):
+    (note,) = [n for n in fl.errata_table()["notes"] if n["equation"] == equation]
+    params, dim = GRID_BY_FAMILY[family]
+    (check,) = [c for c in fl.run_family_suite(family, params, dim).checks if c.name == name]
+    assert note["family"] == family
+    assert note[field].hex() == check.residual.hex()
+
+
+def test_the_printed_sides_of_the_errata_notes_are_their_eigen_residuals():
+    # recomputed from a fresh state and freshly built printed operators
+    notes = {n["equation"]: n for n in fl.errata_table()["notes"]}
+    tol = fl.Tolerances()
+    params, dim = GRID_BY_FAMILY["polya"]
+    printed = fl.ladder.ps_ladder(0.4, 0.7, 5, dim, variant="printed")
+    s = fl.build_state("polya", params, dim)
+    residual = fl.ladder.eigen_check("", "", printed, s, 5, tol).residual
+    assert notes["E21"]["residual_printed"].hex() == residual.hex()
+    params, dim = GRID_BY_FAMILY["kerr"]
+    printed = fl.ladder.kerr_lowering(0.3, dim, variant="printed")
+    s = fl.build_state("kerr", params, dim)
+    residual = fl.ladder.eigen_check("", "", printed, s, params["alpha"], tol).residual
+    assert notes["E62"]["residual_printed"].hex() == residual.hex()
+    params, dim = GRID_BY_FAMILY["svs"]
+    lam = cmath.exp(0.5j) * math.tanh(0.8)
+    svs = fl.build_state("svs", params, dim)
+    residual = fl.ladder.eigen_check("", "", fl.sfes_lowering(dim), svs, lam, tol).residual
+    assert notes["E81"]["residual_labeled_state"].hex() == residual.hex()
 
 
 # --- catalog coverage ---
