@@ -277,8 +277,6 @@ class FamilySpec:
     printed_F: Callable[[Params, int], complex] | None = None
     # the source's printed literal ladder, which fails the literal relation
     printed_literal: Callable[[Params, int], OperatorExpr] | None = None
-    # the grid input's errata note: (equation, text, its values of the input)
-    erratum: tuple[str, str, Callable[[_SuiteInput], Params]] | None = None
     # derived values echoed into report headers
     echo: Callable[[Params], Params] | None = None
     # S(xi)|j>: also check the squeezing operator's disentangled form
@@ -318,49 +316,6 @@ def _grid_nonlinearity(n: int) -> complex:
 
 
 _grid_nonlinearity.label = "exp(-0.2i*n)"
-
-
-# --- the errata notes' values, each of its family's grid input ---
-
-
-def _literal_residual(data: _SuiteInput) -> float:
-    """The residual of the suite's own literal eigen row."""
-    return next(row[2] for row in data.rows if row[0] == data.kind.literal)
-
-
-def _printed_literal_values(data: _SuiteInput) -> Params:
-    """The printed literal ladder's residual on the state against the
-    derived one's (E21, E62)."""
-    spec, p, dim = data.spec, data.p, data.dim
-    printed, (_, eigenvalue) = spec.printed_literal(p, dim), spec.literal(p, dim)
-    return {
-        "residual_printed": _eigen_row("", "", printed, data.state, eigenvalue)[2],
-        "residual_derived": _literal_residual(data),
-    }
-
-
-def _printed_prefactor_values(data: _SuiteInput) -> Params:
-    """The printed normalization prefactor, its root and the recorded
-    constant (E22)."""
-    M = data.p["M"]
-    inv_sum = sum(1.0 / math.comb(M, k) for k in range(M + 1))
-    printed_prefactor = 1.0 / inv_sum
-    return {
-        "printed_prefactor": printed_prefactor,
-        "printed_prefactor_norm": printed_prefactor * math.sqrt(inv_sum),
-        "recorded_constant": float(data.state.norm_constant),
-    }
-
-
-def _labeled_state_values(data: _SuiteInput) -> Params:
-    """The literal lowering on the squeezed vacuum, the printed label's
-    state, against the suite's own row on this state (E81)."""
-    svs = _suite_input(FAMILY_SPECS["svs"], data._params, data._dim).state
-    op, eigenvalue = data.spec.literal(data.p, data.dim)
-    return {
-        "residual_labeled_state": _eigen_row("", "", op, svs, eigenvalue)[2],
-        "residual_intended_state": _literal_residual(data),
-    }
 
 
 # Ordered: the first fifteen entries are the canonical families the batch
@@ -411,12 +366,6 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             printed_literal=lambda p, dim: ps_ladder(
                 p["eta"], p["gamma"], p["M"], dim, variant="printed"
             ),
-            erratum=(
-                "E21",
-                "the printed ladder numerator offset (M+N-1)gamma fails the "
-                "eigenvalue relation; it holds with (M-N-1)gamma",
-                _printed_literal_values,
-            ),
             grid=({"eta": 0.4, "gamma": 0.7, "M": 5}, 13),
         ),
         FamilySpec(
@@ -428,13 +377,6 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             literal_eq="E23",
             printed_F=lambda p, n: (
                 cmath.exp(-2j * _check_angle(p["theta"])) * (p["M"] - n + 1) ** 5 / n**2
-            ),
-            erratum=(
-                "E22",
-                "the printed prefactor 1/sum C(M,n)^-1 is the square of the "
-                "normalizing constant; constructors renormalize numerically "
-                "and record the constant",
-                _printed_prefactor_values,
             ),
             grid=({"theta": 0.7, "M": 4}, 12),
         ),
@@ -513,12 +455,6 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             literal=lambda p, dim: (kerr_lowering(p["theta"], dim), p["alpha"]),
             literal_eq="E49 E62",
             printed_literal=lambda p, dim: kerr_lowering(p["theta"], dim, variant="printed"),
-            erratum=(
-                "E62",
-                "the printed lowering identity carries exp(-2i N theta); the "
-                "relation holds with exp(+2i theta N)",
-                _printed_literal_values,
-            ),
             grid=({"alpha": 1.0 + 0.0j, "theta": 0.3}, 64),
         ),
         FamilySpec(
@@ -539,12 +475,6 @@ FAMILY_SPECS: dict[str, FamilySpec] = {
             literal=lambda p, dim: (sfes_lowering(dim), _squeeze_eigenvalue(p)),
             literal_eq="E81",
             disentangle=True,
-            erratum=(
-                "E81",
-                "the printed relation names the squeezed vacuum on its "
-                "left-hand side; it holds on the squeezed first excited state",
-                _labeled_state_values,
-            ),
             grid=({"r": 0.8, "theta": 0.5}, 128),
         ),
         FamilySpec(
@@ -714,13 +644,14 @@ class _SuiteInput:
     structure function formed from them, the deformed-oscillator triple
     on the whole basis (which keeps its battery's rows), for a squeezed
     family the two operator routes to S(xi)|j>, rows, every check of the
-    suite free of any tolerance, and the errata table's values on this
-    input: a printed-F family's printed_F_rows and, on a grid input, the
-    family's erratum note.  Their arrays are read-only.  Where
-    the family has a closed form, no part but the two states builds the
-    state.  A part whose builder refuses is not kept, so the next read
-    runs the builder again.  One slot keeps the rows judged at the last
-    tolerances (checks)."""
+    suite free of any tolerance, and the errata table's operator values
+    on this input: a printed-F family's printed_F_rows, and the residuals
+    of the printed ladder (printed_literal_residual) and of sfes's literal
+    relation on the squeezed vacuum (svs_literal_residual).  Their arrays
+    are read-only.  Where the family has a closed form, no part but the
+    two states builds the state.  A part whose builder refuses is not
+    kept, so the next read runs the builder again.  One slot keeps the
+    rows judged at the last tolerances (checks)."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
@@ -817,10 +748,25 @@ class _SuiteInput:
         return tuple(_printed_rows(self.spec, self.p, self.F[: self.p["M"] + 1]))
 
     @functools.cached_property
-    def erratum(self) -> Params:
-        """The family's errata note on this input (FamilySpec.erratum)."""
-        equation, text, values = self.spec.erratum
-        return {"equation": equation, "family": self.spec.name, "text": text, **values(self)}
+    def printed_literal_residual(self) -> float:
+        """FamilySpec.printed_literal's residual on the state, at the
+        literal relation's eigenvalue (E21, E62)."""
+        _, eigenvalue = self.spec.literal(self.p, self.dim)
+        printed = self.spec.printed_literal(self.p, self.dim)
+        return _eigen_row("", "", printed, self.state, eigenvalue)[2]
+
+    @functools.cached_property
+    def svs_literal_residual(self) -> float:
+        """The literal relation's residual on the squeezed vacuum of these
+        parameters, the state E81's printed label names."""
+        op, eigenvalue = self.spec.literal(self.p, self.dim)
+        svs = _suite_input(FAMILY_SPECS["svs"], self._params, self._dim).state
+        return _eigen_row("", "", op, svs, eigenvalue)[2]
+
+    @property
+    def literal_residual(self) -> float:
+        """The residual of the suite's own literal eigen row."""
+        return next(row[2] for row in self.rows if row[0] == self.kind.literal)
 
     @functools.cached_property
     def rows(self) -> tuple[_Row, ...]:
@@ -1214,21 +1160,23 @@ def _printed_rows(spec: FamilySpec, p: Params, derived_F: np.ndarray) -> list[Pa
     return rows
 
 
+def _note(equation: str, family: str, text: str, **values) -> Params:
+    return {"equation": equation, "family": family, "text": text, **values}
+
+
 def errata_table() -> Params:
     """Every place the printed identities disagree with the derived ones,
     tabulated at the registry's grid parameters.  Reported, not corrected:
     the constructors and ladder builders use the derived forms, and this
-    table is the record of what the printed source says instead.  Its rows
-    and notes are kept on the suite inputs (_SuiteInput.printed_F_rows and
-    erratum), so a warm call applies no operator; each call returns fresh
-    copies of them."""
-    families, notes = [], []
+    table is the record of what the printed source says instead.  Its
+    operator values are kept on the suite inputs (printed_F_rows, the
+    literal rows, printed_literal_residual and svs_literal_residual), so a
+    warm call applies no operator; each call returns fresh dicts."""
+    families = []
     for family, spec in FAMILY_SPECS.items():
-        params, dim = spec.grid
-        if spec.erratum is not None:
-            notes.append(dict(_suite_input(spec, params, dim).erratum))
         if spec.printed_F is None:
             continue
+        params, dim = spec.grid
         if family == "pegg_barnett_phase":
             # the registry's theta0 = 0 puts theta_m at pi/2, where the
             # printed phase factor degenerates to -1; a generic offset
@@ -1244,6 +1192,45 @@ def errata_table() -> Params:
                 "rows": [dict(row) for row in data.printed_F_rows],
             }
         )
+
+    polya, rbs, kerr, sfes = (
+        _suite_input(FAMILY_SPECS[family], *FAMILY_SPECS[family].grid)
+        for family in ("polya", "reciprocal_binomial", "kerr", "sfes")
+    )
+    M = rbs.p["M"]
+    inv_sum = sum(1.0 / math.comb(M, k) for k in range(M + 1))
+    notes = [
+        _note(
+            "E21", "polya",
+            "the printed ladder numerator offset (M+N-1)gamma fails the "
+            "eigenvalue relation; it holds with (M-N-1)gamma",
+            residual_printed=polya.printed_literal_residual,
+            residual_derived=polya.literal_residual,
+        ),
+        _note(
+            "E22", "reciprocal_binomial",
+            "the printed prefactor 1/sum C(M,n)^-1 is the square of the "
+            "normalizing constant; constructors renormalize numerically "
+            "and record the constant",
+            printed_prefactor=1.0 / inv_sum,
+            printed_prefactor_norm=1.0 / inv_sum * math.sqrt(inv_sum),
+            recorded_constant=float(rbs.state.norm_constant),
+        ),
+        _note(
+            "E62", "kerr",
+            "the printed lowering identity carries exp(-2i N theta); the "
+            "relation holds with exp(+2i theta N)",
+            residual_printed=kerr.printed_literal_residual,
+            residual_derived=kerr.literal_residual,
+        ),
+        _note(
+            "E81", "sfes",
+            "the printed relation names the squeezed vacuum on its "
+            "left-hand side; it holds on the squeezed first excited state",
+            residual_labeled_state=sfes.svs_literal_residual,
+            residual_intended_state=sfes.literal_residual,
+        ),
+    ]
 
     return {
         "schema": "errata-1",
