@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .ladder import harmonic_gdo, structure_function
-from .reporting import PRINTED_COLUMNS, Tolerances, csv_table, encode_json
+from .reporting import DEFAULT_TOLERANCES, PRINTED_COLUMNS, Tolerances, csv_table, encode_json
 from .states import ParameterError, _check_dim, format_complex
 from .verify import (
     FAMILY_SPECS,
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a family's check suite")
     _add_param_flags(p_verify)
-    for name in Tolerances().as_dict():
+    for name in DEFAULT_TOLERANCES.as_dict():
         p_verify.add_argument(f"--tol-{name}")
     p_verify.add_argument(
         "--compare-printed",
@@ -210,7 +210,7 @@ def _config(
         dim = _decode(dim, int, "'dim'")
     if not isinstance(raw_tolerances, dict):
         raise ParameterError("'tolerances' must be a mapping")
-    values = Tolerances().as_dict()
+    values = DEFAULT_TOLERANCES.as_dict()
     for name, value in raw_tolerances.items():
         if name not in values:
             raise ParameterError(

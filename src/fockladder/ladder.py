@@ -51,7 +51,7 @@ from .core import (
     sub,
     to_bands,
 )
-from .reporting import CheckResult, Tolerances, VerificationReport
+from .reporting import DEFAULT_TOLERANCES, CheckResult, Tolerances, VerificationReport
 from .states import ParameterError, _check_angle, _check_dim
 
 CoeffFn = Callable[[int], complex]
@@ -742,7 +742,7 @@ def verify_eigen_relation(
     edge_exclude: int = 0,
 ) -> VerificationReport:
     """Report on ||op|s> - eigenvalue|s>|| at the residual tolerance."""
-    t = tolerances or Tolerances()
+    t = tolerances or DEFAULT_TOLERANCES
     return _single_check_report(
         s, t, eigen_check(name, equation, op, s, eigenvalue, t, edge_exclude)
     )
@@ -758,7 +758,7 @@ def verify_relation(
     equation: str = "",
 ) -> VerificationReport:
     """Report on ||lhs|s> - rhs|s>|| at the residual tolerance."""
-    t = tolerances or Tolerances()
+    t = tolerances or DEFAULT_TOLERANCES
     return _single_check_report(s, t, relation_check(name, equation, lhs, rhs, s, t))
 
 
@@ -783,7 +783,7 @@ def verify_gdo_axioms(
     equation: str = "E1",
     params: dict | None = None,
 ) -> VerificationReport:
-    tol = tolerances or Tolerances()
+    tol = tolerances or DEFAULT_TOLERANCES
     return VerificationReport(
         family=family,
         params=params or {},

@@ -9,11 +9,15 @@ floats (which occur when tabulating the printed structure functions) are
 carried as the strings "inf", "-inf", "nan", because JSON has no bare
 non-finite numbers.  The output is what json.dumps(sort_keys=True,
 indent=2) gives for the same value with those strings in place; the
-tests keep that stdlib route as their oracle.  A report's check rows
-skip the recursion: each fills one fixed layout, _CHECK_ROW, with its
-fields' _leaf texts, and each CSV check row joins its fields' _csv_cell
-texts.  A CheckResult forms each of its two row texts once, at its first
-use, and keeps it, so a report of kept checks formats only its head.
+tests keep that stdlib route as their oracle.  The pass writes a child
+whose exact type is str, float, int, bool or None in place, by _leaf's
+rule for that type, and recurses only into containers.  A report skips
+the pass for all but its params and derived_vs_printed table: its head
+fills one fixed layout, _REPORT, with its scalar fields' _leaf texts,
+and each check row fills another, _CHECK_ROW; in CSV the head line fills
+one format and each check row joins its fields' _csv_cell texts.  A
+CheckResult forms each of its two row texts once, at its first use, and
+keeps it, so a report of kept checks formats only its head.
 """
 
 from __future__ import annotations
@@ -44,12 +48,18 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("residual", "leak", "oracle"):
-            # a chained comparison, so an int past the float range still compares
-            if not 0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            # a chained comparison, so an int past the float range still
+            # compares; a bool is an int that every report would echo as
+            # true or True
+            if isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValueError(f"{name} tolerance must be a finite positive number")
 
     def as_dict(self) -> dict[str, float]:
         return {"residual": self.residual, "leak": self.leak, "oracle": self.oracle}
+
+
+DEFAULT_TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class VerificationReport:
     family: str
     params: dict[str, Any] = field(default_factory=dict)
     dim: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = DEFAULT_TOLERANCES
     checks: tuple[CheckResult, ...] = ()
     # optional comparison rows {n, derived, printed_re, printed_im, match};
     # mismatches here are reported, never counted as failed checks
@@ -132,14 +142,6 @@ class VerificationReport:
 
     def as_dict(self) -> dict[str, Any]:
         return {
-            **self._head(),
-            # by name, not vars(c), which holds the kept row texts too
-            "checks": [dict(zip(CHECK_COLUMNS, _csv_fields(c))) for c in self.checks],
-        }
-
-    def _head(self) -> dict[str, Any]:
-        """as_dict() but its checks."""
-        return {
             "family": self.family,
             "params": dict(self.params),
             "dim": self.dim,
@@ -148,15 +150,18 @@ class VerificationReport:
             "n_checks": len(self.checks),
             "n_failed": self.n_failed,
             "derived_vs_printed": [dict(r) for r in self.derived_vs_printed],
+            # by name, not vars(c), which holds the kept row texts too
+            "checks": [dict(zip(CHECK_COLUMNS, _csv_fields(c))) for c in self.checks],
         }
 
     def to_csv(self) -> str:
-        header = " ".join(
-            [f"family={self.family}", f"dim={self.dim}"]
-            + [f"{k}={v}" for k, v in sorted(self.params.items())]
-            + [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
-        )
-        lines = ["# " + header, ",".join(CHECK_COLUMNS)] + [c._csv_row for c in self.checks]
+        params = "".join([f" {k}={v}" for k, v in sorted(self.params.items())])
+        tolerances = map(_csv_cell, _tolerance_fields(self.tolerances))
+        lines = [
+            _CSV_HEAD % (self.family, self.dim, params, *tolerances),
+            _CSV_COLUMN_LINE,
+            *[c._csv_row for c in self.checks],
+        ]
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
             lines += csv_table(PRINTED_COLUMNS, self.derived_vs_printed)
@@ -196,56 +201,90 @@ def encode_json(payload: Any) -> str:
     anything else raises TypeError."""
     if isinstance(payload, VerificationReport):
         return _report_json(payload)
+    return _json_text(payload, "\n") + "\n"
+
+
+def _json_text(value: Any, newline: str) -> str:
     parts: list[str] = []
-    _write(payload, "\n", parts.append)
-    parts.append("\n")
+    _write(value, newline, parts)
     return "".join(parts)
 
 
-def _write(value: Any, newline: str, out: Callable[[str], None]) -> None:
-    # newline is the line break plus the indent of value's own line
+def _write(value: Any, newline: str, parts: list[str]) -> None:
+    # newline is the line break plus the indent of value's own line; a
+    # child of an exact leaf type is written in place, by its _LEAF rule
     if isinstance(value, dict):
         if not value:
-            out("{}")
+            parts.append("{}")
             return
         inner, lead = newline + "  ", "{"
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            out(f"{lead}{inner}{_quote(key)}: ")
-            _write(value[key], inner, out)
+            child = value[key]
+            rule = _LEAF.get(type(child))
+            if rule is None:
+                parts.append(f"{lead}{inner}{_quote(key)}: ")
+                _write(child, inner, parts)
+            else:
+                parts.append(f"{lead}{inner}{_quote(key)}: {rule(child)}")
             lead = ","
-        out(newline + "}")
+        parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            out("[]")
+            parts.append("[]")
             return
         inner, lead = newline + "  ", "["
         for item in value:
-            out(lead + inner)
-            _write(item, inner, out)
+            rule = _LEAF.get(type(item))
+            if rule is None:
+                parts.append(lead + inner)
+                _write(item, inner, parts)
+            else:
+                parts.append(lead + inner + rule(item))
             lead = ","
-        out(newline + "]")
+        parts.append(newline + "]")
     else:
-        out(_leaf(value))
+        parts.append(_leaf(value))
+
+
+def _float_leaf(value: float) -> str:
+    text = repr(value)
+    return text if math.isfinite(value) else _quote(text)
+
+
+# _leaf's rule for each exact type it writes
+_LEAF: dict[type, Callable[[Any], str]] = {
+    str: _quote,
+    float: _float_leaf,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
 
 
 def _leaf(value: Any) -> str:
-    """The JSON text of a str, float, None, bool or int."""
+    """The JSON text of a str, float, None, bool or int; a subclass of
+    str, float or int is written as its base type's value, so np.float64
+    as its float."""
+    rule = _LEAF.get(type(value))
+    if rule is not None:
+        return rule(value)
     if isinstance(value, str):
         return _quote(value)
-    if isinstance(value, float):  # np.float64 too, as its float value
-        text = repr(float(value))
-        return text if math.isfinite(value) else _quote(text)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, float):
+        return _float_leaf(float(value))
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _object_layout(slots: dict[str, str], newline: str) -> str:
+    """The JSON text of an object whose value texts are slots', in sorted
+    key order; newline is the line break plus the object's own indent."""
+    inner = newline + "  "
+    items = ",".join(f"{inner}{_quote(key)}: {slots[key]}" for key in sorted(slots))
+    return "{" + items + newline + "}"
 
 
 # A check's fields in CSV column order, and in the order _write sorts its
@@ -254,20 +293,46 @@ def _leaf(value: Any) -> str:
 _csv_fields = operator.attrgetter(*CHECK_COLUMNS)
 _JSON_KEYS = tuple(sorted(CHECK_COLUMNS))
 _json_fields = operator.attrgetter(*_JSON_KEYS)
-_CHECK_ROW = (
-    "\n    {" + ",".join(f"\n      {_quote(key)}: %s" for key in _JSON_KEYS) + "\n    }"
-)
+_CHECK_ROW = "\n    " + _object_layout(dict.fromkeys(_JSON_KEYS, "%s"), "\n    ")
+
+# A report's as_dict() as JSON text, its keys in sorted order, each %s
+# taking one text: the check list, the params and derived_vs_printed as
+# _write writes them, and every other field's _leaf text, the tolerances'
+# last and in their own sorted order
+_TOLERANCE_KEYS = tuple(sorted(DEFAULT_TOLERANCES.as_dict()))
+_tolerance_fields = operator.attrgetter(*_TOLERANCE_KEYS)
+_REPORT = _object_layout(
+    {
+        **dict.fromkeys(
+            ("checks", "derived_vs_printed", "dim", "family", "n_checks", "n_failed",
+             "params", "passed"),
+            "%s",
+        ),
+        "tolerances": _object_layout(dict.fromkeys(_TOLERANCE_KEYS, "%s"), "\n  "),
+    },
+    "\n",
+) + "\n"
+# to_csv's head line, the params as " key=value" items, and its column line
+_CSV_HEAD = "# family=%s dim=%s%s " + " ".join(f"tol_{k}=%s" for k in _TOLERANCE_KEYS)
+_CSV_COLUMN_LINE = ",".join(CHECK_COLUMNS)
 
 
 def _report_json(report: VerificationReport) -> str:
-    """encode_json(report.as_dict()), its check rows from _CHECK_ROW."""
-    rows = ",".join([c._json_row for c in report.checks])
-    head: list[str] = []
-    _write(report._head(), "\n", head.append)
-    # "checks" sorts first of the report's keys: the rest follow its
-    # list, after a "," in place of the head's opening brace
-    head[0] = "," + head[0][1:]
-    return '{\n  "checks": ' + (f"[{rows}\n  ]" if rows else "[]") + "".join(head) + "\n"
+    """encode_json(report.as_dict()), from _REPORT and _CHECK_ROW."""
+    checks = report.checks
+    rows = ",".join([c._json_row for c in checks])
+    n_failed = sum(1 for c in checks if not c.passed)
+    return _REPORT % (
+        f"[{rows}\n  ]" if rows else "[]",
+        _json_text(report.derived_vs_printed, "\n  "),
+        _leaf(report.dim),
+        _leaf(report.family),
+        _leaf(len(checks)),
+        _leaf(n_failed),
+        _json_text(report.params, "\n  "),
+        _leaf(n_failed == 0),
+        *map(_leaf, _tolerance_fields(report.tolerances)),
+    )
 
 
 def _decode_float(value: Any) -> Any:

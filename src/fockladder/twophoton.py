@@ -54,7 +54,7 @@ from .ladder import (
     _ratio_raising_diag,
     _read_only,
 )
-from .reporting import CheckResult, Tolerances, VerificationReport
+from .reporting import DEFAULT_TOLERANCES, CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
     _check_angle,
@@ -481,7 +481,7 @@ def verify_su11(
 ) -> VerificationReport:
     """The su(1,1) battery and the embedding check on sector j at dim_sector
     levels, against the full space whose sector j has that many levels."""
-    tol = tolerances or Tolerances()
+    tol = tolerances or DEFAULT_TOLERANCES
     rep = su11(parity_j, dim_sector)
     j = rep.parity_j  # checked: a float or bool parity reads as its int
     checks = su11_axiom_checks(rep, tol) + embedding_checks(rep, tol)
@@ -561,7 +561,7 @@ def verify_disentangling(
     """
     excitation = _check_parity(excitation, "excitation")
     closed = _squeezed(r, theta, dim, excitation)
-    tol = tolerances or Tolerances()
+    tol = tolerances or DEFAULT_TOLERANCES
     rep = su11(excitation, sector_dim(closed.dim, excitation))
     return VerificationReport(
         family=closed.label,

@@ -96,7 +96,7 @@ from .ladder import (
     step_up_f,
     step_up_g,
 )
-from .reporting import CheckResult, Tolerances, VerificationReport
+from .reporting import DEFAULT_TOLERANCES, CheckResult, Tolerances, VerificationReport
 from .states import (
     NLCS_WINDOW,
     ParameterError,
@@ -1077,7 +1077,7 @@ def run_family_suite(
     echoes the call's own parameters and tolerances, so a callable f
     names its own label."""
     spec = _spec(family)
-    tol = tolerances or Tolerances()
+    tol = tolerances or DEFAULT_TOLERANCES
     p = _require(spec, params)
     data = _suite_input(spec, p, dim)
     # judged first, so that a count the constructor refuses is refused

@@ -211,7 +211,8 @@ def test_non_finite_or_non_positive_tolerance_exits_two(capsys, flag, value):
     assert err == f"error: {name} tolerance must be a finite positive number\n"
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-12])
+# a bool compares as an int, but every report would echo it as a bool
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-12, True, False])
 @pytest.mark.parametrize("name", ["residual", "leak", "oracle"])
 def test_tolerances_refuse_non_finite_and_non_positive(name, value):
     with pytest.raises(ValueError, match=f"^{name} tolerance must be a finite positive"):

@@ -142,14 +142,20 @@ printed_rows = st.fixed_dictionaries(
         "match": st.booleans(),
     }
 )
+# every kind of tolerance a report's head echoes: a float, an int, and
+# numpy's float
+tolerance_values = (
+    st.floats(5e-324, 1.0)
+    | st.sampled_from([1e-10, 1e300])
+    | st.integers(1, 2**64)
+    | st.floats(5e-324, 1e300).map(np.float64)
+)
 reports = st.builds(
     VerificationReport,
     family=st.text() | st.sampled_from(SPECIAL_STRINGS),
-    params=st.dictionaries(keys, leaves, max_size=3),
+    params=st.dictionaries(keys, leaves | st.floats().map(np.float64), max_size=3),
     dim=st.integers(0, 2048),
-    tolerances=st.builds(
-        Tolerances, *[st.floats(5e-324, 1.0) | st.sampled_from([1e-10, 1e300])] * 3
-    ),
+    tolerances=st.builds(Tolerances, *[tolerance_values] * 3),
     checks=st.lists(check_results, max_size=5).map(tuple),
     derived_vs_printed=st.lists(printed_rows, max_size=3).map(tuple),
 )
@@ -157,12 +163,18 @@ _INF_ROW = {"n": 0, "derived": 0.0, "printed_re": math.inf, "printed_im": -math.
             "match": False}
 
 
+def _csv_number(value) -> str:
+    # a float as its float repr, np.float64 too, as in every check cell
+    return repr(float(value) if isinstance(value, float) else value)
+
+
 def _csv_reference(report: VerificationReport) -> str:
     """to_csv through csv_table's generic route for every table."""
+    tolerances = sorted(report.tolerances.as_dict().items())
     header = " ".join(
         [f"family={report.family}", f"dim={report.dim}"]
         + [f"{k}={v}" for k, v in sorted(report.params.items())]
-        + [f"tol_{k}={v!r}" for k, v in sorted(report.tolerances.as_dict().items())]
+        + [f"tol_{k}={_csv_number(v)}" for k, v in tolerances]
     )
     lines = ["# " + header] + csv_table(CHECK_COLUMNS, map(vars, report.checks))
     if report.derived_vs_printed:
@@ -221,14 +233,19 @@ def test_check_rows_hold_only_their_columns_after_both_writers(family, params, d
     "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
 )
 def test_equal_tolerances_give_equal_rows_and_each_head_echoes_its_own(family, params, dim):
-    as_int, as_float = (
-        fl.run_family_suite(family, params, dim, Tolerances(residual=r)) for r in (1, 1.0)
+    as_int, as_float, as_numpy = (
+        fl.run_family_suite(family, params, dim, Tolerances(residual=r))
+        for r in (1, 1.0, np.float64(1.0))
     )
-    assert as_int.checks == as_float.checks
-    (int_head, *int_rows), (float_head, *float_rows) = (
-        r.to_csv().splitlines() for r in (as_int, as_float)
+    assert as_int.checks == as_float.checks == as_numpy.checks
+    (int_head, *int_rows), (float_head, *float_rows), (numpy_head, *numpy_rows) = (
+        r.to_csv().splitlines() for r in (as_int, as_float, as_numpy)
     )
-    assert int_rows == float_rows
+    assert int_rows == float_rows == numpy_rows
     assert int_head.endswith(" tol_residual=1") and float_head.endswith(" tol_residual=1.0")
-    echoed = [json.loads(r.to_json())["tolerances"]["residual"] for r in (as_int, as_float)]
-    assert [(type(r), r) for r in echoed] == [(int, 1), (float, 1.0)]
+    # numpy's float as its float, not its repr np.float64(1.0)
+    assert numpy_head == float_head
+    echoed = [
+        json.loads(r.to_json())["tolerances"]["residual"] for r in (as_int, as_float, as_numpy)
+    ]
+    assert [(type(r), r) for r in echoed] == [(int, 1), (float, 1.0), (float, 1.0)]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 
@@ -1072,15 +1073,6 @@ def test_a_warm_suite_keeps_residuals_not_verdicts(monkeypatch, family, params, 
     assert (warm.to_json(), warm.to_csv()) == (cold.to_json(), cold.to_csv())
 
 
-def _leaf_count(value):
-    """The number of leaves _write formats in value."""
-    if isinstance(value, dict):
-        return sum(map(_leaf_count, value.values()))
-    if isinstance(value, (list, tuple)):
-        return sum(map(_leaf_count, value))
-    return 1
-
-
 def _spy(monkeypatch, calls, bindings):
     # each (module, name) binding of one function records its calls in calls
     for module, name in bindings:
@@ -1092,22 +1084,37 @@ def _spy(monkeypatch, calls, bindings):
         monkeypatch.setattr(module, name, spy)
 
 
+def _spy_row_texts(monkeypatch, formed):
+    # each CheckResult row text records (its name, the check's name) in
+    # formed when it is formed, not when its kept text is read
+    for name in ("_json_row", "_csv_row"):
+
+        def spy(check, form=vars(fl.CheckResult)[name].func, name=name):
+            formed.append((name, check.name))
+            return form(check)
+
+        row = functools.cached_property(spy)
+        row.__set_name__(fl.CheckResult, name)
+        monkeypatch.setattr(fl.CheckResult, name, row)
+
+
 @pytest.mark.parametrize(
     "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
 )
 def test_a_warm_rerun_judges_no_row_and_formats_no_check(monkeypatch, family, params, dim):
     cold = fl.run_family_suite(family, params, dim)
     cold_bytes = cold.to_json(), cold.to_csv()
-    judged, leaves, cells = [], [], []
+    judged, formed = [], []
     _spy(monkeypatch, judged, [(m, "_judge") for m in (fl.ladder, fl.twophoton, fl.verify)])
-    _spy(monkeypatch, leaves, [(fl.reporting, "_leaf")])
-    _spy(monkeypatch, cells, [(fl.reporting, "_csv_cell")])
+    _spy_row_texts(monkeypatch, formed)
     warm = fl.run_family_suite(family, params, dim)
     assert (warm.to_json(), warm.to_csv()) == cold_bytes
-    assert judged == [] and cells == []
-    # the head's leaves, and not one check field
-    assert len(leaves) == _leaf_count(warm._head())
+    assert judged == [] and formed == []
     assert warm.checks is cold.checks
+    # the spies see a fresh check's two row texts formed, each once
+    fresh = fl.VerificationReport(family, checks=(fl.CheckResult("n", "E1", 0.0, 1.0),))
+    fresh.to_json(), fresh.to_csv(), fresh.to_json(), fresh.to_csv()
+    assert formed == [("_json_row", "n"), ("_csv_row", "n")]
 
 
 @pytest.mark.parametrize(
