@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from .ladder import harmonic_gdo, structure_function
-from .reporting import DEFAULT_TOLERANCES, PRINTED_COLUMNS, Tolerances, csv_table, encode_json
+from .reporting import (
+    DEFAULT_TOLERANCES,
+    PRINTED_COLUMNS,
+    Tolerances,
+    _csv_cell,
+    csv_table,
+    encode_json,
+)
 from .states import ParameterError, _check_dim, format_complex
 from .verify import (
     FAMILY_SPECS,
@@ -129,7 +136,9 @@ class CliConfig:
             f"dim={self.dim}",
         ]
         parts += [f"{k}={v}" for k, v in sorted(echoed.items())]
-        parts += [f"tol_{k}={v!r}" for k, v in sorted(self.tolerances.as_dict().items())]
+        # each tolerance by the float rule of VerificationReport.to_csv's head
+        tolerances = sorted(self.tolerances.as_dict().items())
+        parts += [f"tol_{k}={_csv_cell(v)}" for k, v in tolerances]
         return "# " + " ".join(parts)
 
 

@@ -721,14 +721,13 @@ def relation_check(
     return _judge(_relation_row(name, equation, lhs, rhs, s), tolerances)
 
 
-def _single_check_report(s: FockState, t: Tolerances, check: CheckResult):
-    return VerificationReport(
-        family=s.label or "state",
-        params={},
-        dim=s.dim,
-        tolerances=t,
-        checks=(check,),
-    )
+def _rows_report(
+    family: str, params: dict, dim: int, tolerances: Tolerances | None, rows
+) -> VerificationReport:
+    """A library entry point's report: rows judged at tolerances, the
+    defaults where None."""
+    tol = tolerances or DEFAULT_TOLERANCES
+    return VerificationReport(family, params, dim, tol, tuple(_judge(row, tol) for row in rows))
 
 
 def verify_eigen_relation(
@@ -742,10 +741,8 @@ def verify_eigen_relation(
     edge_exclude: int = 0,
 ) -> VerificationReport:
     """Report on ||op|s> - eigenvalue|s>|| at the residual tolerance."""
-    t = tolerances or DEFAULT_TOLERANCES
-    return _single_check_report(
-        s, t, eigen_check(name, equation, op, s, eigenvalue, t, edge_exclude)
-    )
+    row = _eigen_row(name, equation, op, s, eigenvalue, edge_exclude)
+    return _rows_report(s.label or "state", {}, s.dim, tolerances, (row,))
 
 
 def verify_relation(
@@ -758,8 +755,8 @@ def verify_relation(
     equation: str = "",
 ) -> VerificationReport:
     """Report on ||lhs|s> - rhs|s>|| at the residual tolerance."""
-    t = tolerances or DEFAULT_TOLERANCES
-    return _single_check_report(s, t, relation_check(name, equation, lhs, rhs, s, t))
+    row = _relation_row(name, equation, lhs, rhs, s)
+    return _rows_report(s.label or "state", {}, s.dim, tolerances, (row,))
 
 
 def gdo_axiom_rows(t: GdoTriple, equation: str = "E1") -> tuple[_Row, ...]:
@@ -783,11 +780,4 @@ def verify_gdo_axioms(
     equation: str = "E1",
     params: dict | None = None,
 ) -> VerificationReport:
-    tol = tolerances or DEFAULT_TOLERANCES
-    return VerificationReport(
-        family=family,
-        params=params or {},
-        dim=t.dim,
-        tolerances=tol,
-        checks=tuple(gdo_axiom_checks(t, tol, equation)),
-    )
+    return _rows_report(family, params or {}, t.dim, tolerances, gdo_axiom_rows(t, equation))

@@ -11,13 +11,15 @@ non-finite numbers.  The output is what json.dumps(sort_keys=True,
 indent=2) gives for the same value with those strings in place; the
 tests keep that stdlib route as their oracle.  The pass writes a child
 whose exact type is str, float, int, bool or None in place, by _leaf's
-rule for that type, and recurses only into containers.  A report skips
-the pass for all but its params and derived_vs_printed table: its head
-fills one fixed layout, _REPORT, with its scalar fields' _leaf texts,
-and each check row fills another, _CHECK_ROW; in CSV the head line fills
-one format and each check row joins its fields' _csv_cell texts.  A
-CheckResult forms each of its two row texts once, at its first use, and
-keeps it, so a report of kept checks formats only its head.
+rule for that type, and recurses only into containers; a read-only
+mapping is written as the dict it views.  A report skips the pass for
+all but its params and derived_vs_printed table: its head fills one
+fixed layout, _REPORT, with its scalar fields' _leaf texts, and each
+check row fills another, _CHECK_ROW; in CSV the head line fills one
+format and each check row joins its fields' _csv_cell texts.  A report
+writes each of its two texts once, at its first use, and keeps it; its
+params and derived_vs_printed rows are read-only, so a report can be
+handed to many callers and the kept texts stay its own.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Callable
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -49,10 +53,12 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("residual", "leak", "oracle"):
             value = getattr(self, name)
-            # a chained comparison, so an int past the float range still
-            # compares; a bool is an int that every report would echo as
-            # true or True
-            if isinstance(value, bool) or not 0 < value < math.inf:
+            # an int (not a bool, which every report would echo as true or
+            # True) or a float, np.float64 among them: the types both
+            # writers echo as a number; a chained comparison, so an int past
+            # the float range still compares
+            number = type(value) is int or isinstance(value, float)
+            if not (number and 0 < value < math.inf):
                 raise ValueError(f"{name} tolerance must be a finite positive number")
 
     def as_dict(self) -> dict[str, float]:
@@ -97,26 +103,27 @@ class CheckResult:
             detail=detail,
         )
 
-    @cached_property
-    def _json_row(self) -> str:
-        """The check as an item of a report's "checks" list."""
-        return _CHECK_ROW % tuple(map(_leaf, _json_fields(self)))
-
-    @cached_property
-    def _csv_row(self) -> str:
-        return ",".join(map(_csv_cell, _csv_fields(self)))
-
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One suite's checks under the head it echoes.  params and the
+    derived_vs_printed rows are kept as read-only copies of the mappings
+    given, and the JSON and CSV texts are written at their first use and
+    kept."""
+
     family: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     dim: int = 0
     tolerances: Tolerances = DEFAULT_TOLERANCES
     checks: tuple[CheckResult, ...] = ()
     # optional comparison rows {n, derived, printed_re, printed_im, match};
     # mismatches here are reported, never counted as failed checks
-    derived_vs_printed: tuple[dict[str, Any], ...] = ()
+    derived_vs_printed: tuple[Mapping[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        rows = tuple(MappingProxyType(dict(row)) for row in self.derived_vs_printed)
+        object.__setattr__(self, "derived_vs_printed", rows)
 
     @property
     def passed(self) -> bool:
@@ -150,17 +157,24 @@ class VerificationReport:
             "n_checks": len(self.checks),
             "n_failed": self.n_failed,
             "derived_vs_printed": [dict(r) for r in self.derived_vs_printed],
-            # by name, not vars(c), which holds the kept row texts too
             "checks": [dict(zip(CHECK_COLUMNS, _csv_fields(c))) for c in self.checks],
         }
 
     def to_csv(self) -> str:
+        return self._csv
+
+    @cached_property
+    def _json(self) -> str:
+        return _report_json(self)
+
+    @cached_property
+    def _csv(self) -> str:
         params = "".join([f" {k}={v}" for k, v in sorted(self.params.items())])
         tolerances = map(_csv_cell, _tolerance_fields(self.tolerances))
         lines = [
             _CSV_HEAD % (self.family, self.dim, params, *tolerances),
             _CSV_COLUMN_LINE,
-            *[c._csv_row for c in self.checks],
+            *[",".join(map(_csv_cell, _csv_fields(c))) for c in self.checks],
         ]
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
@@ -193,14 +207,18 @@ def _csv_cell(value: Any) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
+# the mapping types _write writes as JSON objects: a report's params and
+# derived_vs_printed rows are read-only views
+_MAPPINGS = (dict, MappingProxyType)
 
 
 def encode_json(payload: Any) -> str:
-    """payload as JSON text: a VerificationReport (as its as_dict()), or
-    str-keyed dicts, lists, tuples, str, int, float, bool and None;
-    anything else raises TypeError."""
+    """payload as JSON text: a VerificationReport (as its as_dict(), the
+    text it keeps), or str-keyed dicts or read-only mappings, lists,
+    tuples, str, int, float, bool and None; anything else raises
+    TypeError."""
     if isinstance(payload, VerificationReport):
-        return _report_json(payload)
+        return payload._json
     return _json_text(payload, "\n") + "\n"
 
 
@@ -213,7 +231,7 @@ def _json_text(value: Any, newline: str) -> str:
 def _write(value: Any, newline: str, parts: list[str]) -> None:
     # newline is the line break plus the indent of value's own line; a
     # child of an exact leaf type is written in place, by its _LEAF rule
-    if isinstance(value, dict):
+    if isinstance(value, _MAPPINGS):
         if not value:
             parts.append("{}")
             return
@@ -320,7 +338,7 @@ _CSV_COLUMN_LINE = ",".join(CHECK_COLUMNS)
 def _report_json(report: VerificationReport) -> str:
     """encode_json(report.as_dict()), from _REPORT and _CHECK_ROW."""
     checks = report.checks
-    rows = ",".join([c._json_row for c in checks])
+    rows = ",".join([_CHECK_ROW % tuple(map(_leaf, _json_fields(c))) for c in checks])
     n_failed = sum(1 for c in checks if not c.passed)
     return _REPORT % (
         f"[{rows}\n  ]" if rows else "[]",

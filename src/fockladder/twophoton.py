@@ -53,8 +53,9 @@ from .ladder import (
     _raised_triple,
     _ratio_raising_diag,
     _read_only,
+    _rows_report,
 )
-from .reporting import DEFAULT_TOLERANCES, CheckResult, Tolerances, VerificationReport
+from .reporting import CheckResult, Tolerances, VerificationReport
 from .states import (
     ParameterError,
     _check_angle,
@@ -481,17 +482,10 @@ def verify_su11(
 ) -> VerificationReport:
     """The su(1,1) battery and the embedding check on sector j at dim_sector
     levels, against the full space whose sector j has that many levels."""
-    tol = tolerances or DEFAULT_TOLERANCES
     rep = su11(parity_j, dim_sector)
     j = rep.parity_j  # checked: a float or bool parity reads as its int
-    checks = su11_axiom_checks(rep, tol) + embedding_checks(rep, tol)
-    return VerificationReport(
-        family=f"su11-sector{j}",
-        params={"parity_j": j},
-        dim=rep.dim,
-        tolerances=tol,
-        checks=tuple(checks),
-    )
+    rows = rep.axiom_rows + rep.embedding_rows
+    return _rows_report(f"su11-sector{j}", {"parity_j": j}, rep.dim, tolerances, rows)
 
 
 def _full_k_ops(dim: int) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
@@ -561,15 +555,10 @@ def verify_disentangling(
     """
     excitation = _check_parity(excitation, "excitation")
     closed = _squeezed(r, theta, dim, excitation)
-    tol = tolerances or DEFAULT_TOLERANCES
     rep = su11(excitation, sector_dim(closed.dim, excitation))
-    return VerificationReport(
-        family=closed.label,
-        params={"r": float(r), "theta": float(theta), "excitation": excitation},
-        dim=closed.dim,
-        tolerances=tol,
-        checks=disentangling_checks(closed, squeezing_routes(r, theta, rep), tol),
-    )
+    rows = disentangling_rows(closed, squeezing_routes(r, theta, rep))
+    params = {"r": float(r), "theta": float(theta), "excitation": excitation}
+    return _rows_report(closed.label, params, closed.dim, tolerances, rows)
 
 
 def disentangling_rows(

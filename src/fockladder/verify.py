@@ -96,7 +96,7 @@ from .ladder import (
     step_up_f,
     step_up_g,
 )
-from .reporting import DEFAULT_TOLERANCES, CheckResult, Tolerances, VerificationReport
+from .reporting import DEFAULT_TOLERANCES, Tolerances, VerificationReport, _tolerance_fields
 from .states import (
     NLCS_WINDOW,
     ParameterError,
@@ -651,20 +651,41 @@ class _SuiteInput:
     are read-only.  Where the family has a closed form, no part but the
     two states builds the state.  A part whose builder refuses is not
     kept, so the next read runs the builder again.  One slot keeps the
-    rows judged at the last tolerances (checks)."""
+    last report made from this input (report), with the JSON and CSV
+    texts it keeps once written."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
         self.kind = _KINDS[spec.kind]
-        self._judged: tuple[Tolerances, tuple[CheckResult, ...]] | None = None
+        self._kept: VerificationReport | None = None
 
-    def checks(self, tol: Tolerances) -> tuple[CheckResult, ...]:
-        """The rows judged at tol: the kept checks where tol equals the
-        last tolerances, else fresh ones, which replace them."""
-        judged = self._judged
-        if judged is None or judged[0] != tol:
-            judged = self._judged = tol, tuple(_judge(row, tol) for row in self.rows)
-        return judged[1]
+    def report(self, family: str, p: Params, tol: Tolerances) -> VerificationReport:
+        """The suite's report at tol, echoing p, which then takes the slot:
+        the kept report itself where the call repeats it exactly (equal
+        echo, and tolerances equal in value and in type, since an int and
+        a float of one value write different heads); its checks in a new
+        report where only the echo or the tolerances' types differ; else
+        the rows judged at tol."""
+        kept = self._kept
+        if kept is not None and kept.tolerances == tol:
+            checks = kept.checks
+        else:
+            checks = tuple(_judge(row, tol) for row in self.rows)
+        # read after the rows, so that a count the constructor refuses is
+        # refused by it, before _int_counts reads it
+        echo = _echo_params(family, _int_counts(p))
+        # one entry is one family at one dim, so the head differs only by
+        # the echo or by the tolerances' types
+        if (
+            kept is not None
+            and checks is kept.checks
+            and kept.params == echo
+            and list(map(type, _tolerance_fields(kept.tolerances)))
+            == list(map(type, _tolerance_fields(tol)))
+        ):
+            return kept
+        self._kept = VerificationReport(family, echo, self.dim, tol, checks)
+        return self._kept
 
     @functools.cached_property
     def state(self) -> FockState:
@@ -1073,23 +1094,15 @@ def run_family_suite(
 ) -> VerificationReport:
     """All of the family's checks at one parameter point, in the order
     _SuiteInput.rows gives: the input's rows, cached or fresh, judged at
-    the call's tolerances, or kept from a call at equal ones.  The report
-    echoes the call's own parameters and tolerances, so a callable f
-    names its own label."""
+    the call's tolerances (_SuiteInput.report).  A call that repeats the
+    last one on a cached input exactly gets the report that call got,
+    whose JSON and CSV texts are written once; a call at equal
+    tolerances gets its checks in a new report.  The report echoes the
+    call's own parameters and tolerances, so a callable f names its own
+    label."""
     spec = _spec(family)
-    tol = tolerances or DEFAULT_TOLERANCES
     p = _require(spec, params)
-    data = _suite_input(spec, p, dim)
-    # judged first, so that a count the constructor refuses is refused
-    # by it, before _int_counts reads it
-    checks = data.checks(tol)
-    return VerificationReport(
-        family=family,
-        params=_echo_params(family, _int_counts(p)),
-        dim=data.dim,
-        tolerances=tol,
-        checks=checks,
-    )
+    return _suite_input(spec, p, dim).report(family, p, tolerances or DEFAULT_TOLERANCES)
 
 
 def run_grid(

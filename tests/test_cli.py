@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fockladder as fl
@@ -211,8 +213,13 @@ def test_non_finite_or_non_positive_tolerance_exits_two(capsys, flag, value):
     assert err == f"error: {name} tolerance must be a finite positive number\n"
 
 
-# a bool compares as an int, but every report would echo it as a bool
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-12, True, False])
+# a bool compares as an int, but every report would echo it as a bool;
+# numpy's bool and int and a Fraction compare as numbers too, but the
+# writers cannot echo them as numbers
+@pytest.mark.parametrize(
+    "value",
+    [math.inf, math.nan, 0.0, -1e-12, True, False, np.True_, Fraction(1, 10**10), np.int64(1)],
+)
 @pytest.mark.parametrize("name", ["residual", "leak", "oracle"])
 def test_tolerances_refuse_non_finite_and_non_positive(name, value):
     with pytest.raises(ValueError, match=f"^{name} tolerance must be a finite positive"):
@@ -468,6 +475,23 @@ def test_state_csv_header_echoes_config(capsys):
     assert lines[0].startswith("# subcommand=state family=binomial dim=8")
     assert "eta=0.5" in lines[0]
     assert lines[2] == "n,re,im,prob"
+
+
+def _tolerance_texts(head):
+    return [part for part in head.split() if part.startswith("tol_")]
+
+
+def test_structure_fn_and_verify_csv_heads_write_one_tolerance_text(capsys):
+    flags = ["--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12", "--format", "csv"]
+    heads = [run(capsys, sub, *flags)[1].splitlines()[0] for sub in ("structure-fn", "verify")]
+    assert _tolerance_texts(heads[0]) == _tolerance_texts(heads[1])
+    assert _tolerance_texts(heads[0]) == ["tol_leak=1e-10", "tol_oracle=1e-12", "tol_residual=1e-10"]
+    # one float rule: numpy's float as its float, not its repr np.float64(...)
+    tol = fl.Tolerances(residual=np.float64(1e-9), leak=2)
+    cfg = cli.CliConfig("structure-fn", "binomial", {"eta": 0.5, "M": 4}, 12, "csv", tol)
+    report = fl.VerificationReport("binomial", dim=12, tolerances=tol)
+    assert _tolerance_texts(cfg.csv_header()) == _tolerance_texts(report.to_csv().split("\n")[0])
+    assert "tol_residual=1e-09" in cfg.csv_header()
 
 
 # --- structure function tables ---

@@ -1084,18 +1084,22 @@ def _spy(monkeypatch, calls, bindings):
         monkeypatch.setattr(module, name, spy)
 
 
-def _spy_row_texts(monkeypatch, formed):
-    # each CheckResult row text records (its name, the check's name) in
-    # formed when it is formed, not when its kept text is read
-    for name in ("_json_row", "_csv_row"):
+def _spy_report_texts(monkeypatch, formed):
+    # each VerificationReport text records (its name, the report's family)
+    # in formed when it is written, not when its kept text is read
+    for name in ("_json", "_csv"):
 
-        def spy(check, form=vars(fl.CheckResult)[name].func, name=name):
-            formed.append((name, check.name))
-            return form(check)
+        def spy(report, write=vars(fl.VerificationReport)[name].func, name=name):
+            formed.append((name, report.family))
+            return write(report)
 
-        row = functools.cached_property(spy)
-        row.__set_name__(fl.CheckResult, name)
-        monkeypatch.setattr(fl.CheckResult, name, row)
+        text = functools.cached_property(spy)
+        text.__set_name__(fl.VerificationReport, name)
+        monkeypatch.setattr(fl.VerificationReport, name, text)
+
+
+def _spy_judges(monkeypatch, judged):
+    _spy(monkeypatch, judged, [(m, "_judge") for m in (fl.ladder, fl.twophoton, fl.verify)])
 
 
 @pytest.mark.parametrize(
@@ -1105,16 +1109,66 @@ def test_a_warm_rerun_judges_no_row_and_formats_no_check(monkeypatch, family, pa
     cold = fl.run_family_suite(family, params, dim)
     cold_bytes = cold.to_json(), cold.to_csv()
     judged, formed = [], []
-    _spy(monkeypatch, judged, [(m, "_judge") for m in (fl.ladder, fl.twophoton, fl.verify)])
-    _spy_row_texts(monkeypatch, formed)
+    _spy_judges(monkeypatch, judged)
+    _spy_report_texts(monkeypatch, formed)
     warm = fl.run_family_suite(family, params, dim)
     assert (warm.to_json(), warm.to_csv()) == cold_bytes
     assert judged == [] and formed == []
     assert warm.checks is cold.checks
-    # the spies see a fresh check's two row texts formed, each once
+    # the spies see a fresh report's two texts written, each once
     fresh = fl.VerificationReport(family, checks=(fl.CheckResult("n", "E1", 0.0, 1.0),))
     fresh.to_json(), fresh.to_csv(), fresh.to_json(), fresh.to_csv()
-    assert formed == [("_json_row", "n"), ("_csv_row", "n")]
+    assert formed == [("_json", family), ("_csv", family)]
+
+
+@pytest.mark.parametrize(
+    "family,params,dim", fl.EXTENDED_GRID, ids=[row[0] for row in fl.EXTENDED_GRID]
+)
+def test_an_exact_warm_repeat_returns_the_kept_report(monkeypatch, family, params, dim):
+    fl.run_family_suite(family, params, dim)
+    first = fl.run_family_suite(family, params, dim)
+    first_bytes = first.to_json(), first.to_csv()
+    judged, formed = [], []
+    _spy_judges(monkeypatch, judged)
+    _spy_report_texts(monkeypatch, formed)
+    second = fl.run_family_suite(family, params, dim, fl.Tolerances())
+    assert second is first
+    assert (encode_json(second), second.to_csv()) == first_bytes
+    assert judged == [] and formed == []
+
+
+def test_an_int_and_a_float_tolerance_of_one_value_keep_their_own_heads(monkeypatch):
+    family, (params, dim) = "coherent", GRID_BY_FAMILY["coherent"]
+    as_int = fl.run_family_suite(family, params, dim, fl.Tolerances(residual=1))
+    judged = []
+    _spy_judges(monkeypatch, judged)
+    as_float = fl.run_family_suite(family, params, dim, fl.Tolerances(residual=1.0))
+    again = fl.run_family_suite(family, params, dim, fl.Tolerances(residual=1))
+    # equal tolerances reuse the checks, each in a report of its own head
+    assert judged == []
+    assert as_float is not as_int and again is not as_float
+    assert as_int.checks is as_float.checks is again.checks
+    heads = [r.to_csv().split("\n", 1)[0] for r in (as_int, as_float, again)]
+    assert [h.rsplit(" ", 1)[1] for h in heads] == [
+        "tol_residual=1", "tol_residual=1.0", "tol_residual=1"
+    ]
+    residuals = [json.loads(r.to_json())["tolerances"]["residual"] for r in (as_int, as_float)]
+    assert [(type(r), r) for r in residuals] == [(int, 1), (float, 1.0)]
+
+
+def test_a_report_is_read_only():
+    params, dim = GRID_BY_FAMILY["binomial"]
+    report = fl.run_family_suite("binomial", params, dim)
+    with pytest.raises(TypeError):
+        report.params["M"] = 5
+    table = report.with_table(fl.derived_vs_printed_rows("binomial", params, dim))
+    with pytest.raises(TypeError):
+        table.derived_vs_printed[0]["n"] = 1
+    # the writers read a read-only mapping as the dict it views
+    view = table.as_dict()
+    assert view["params"] == dict(report.params) and type(view["params"]) is dict
+    assert json.loads(table.to_json()) == json.loads(encode_json(view))
+    assert fl.run_family_suite("binomial", params, dim) is report
 
 
 @pytest.mark.parametrize(
