@@ -31,7 +31,7 @@ from .reporting import (
     DEFAULT_TOLERANCES,
     PRINTED_COLUMNS,
     Tolerances,
-    _csv_cell,
+    csv_head,
     csv_table,
     encode_json,
 )
@@ -129,17 +129,8 @@ class CliConfig:
         }
 
     def csv_header(self) -> str:
-        echoed = _echo_params(self.family, self.params)
-        parts = [
-            f"subcommand={self.subcommand}",
-            f"family={self.family}",
-            f"dim={self.dim}",
-        ]
-        parts += [f"{k}={v}" for k, v in sorted(echoed.items())]
-        # each tolerance by the float rule of VerificationReport.to_csv's head
-        tolerances = sorted(self.tolerances.as_dict().items())
-        parts += [f"tol_{k}={_csv_cell(v)}" for k, v in tolerances]
-        return "# " + " ".join(parts)
+        head = {"subcommand": self.subcommand, "family": self.family, "dim": self.dim}
+        return csv_head(head, _echo_params(self.family, self.params), self.tolerances)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -306,9 +306,10 @@ def _judge(row: _Row, tolerances: Tolerances) -> CheckResult:
     leak tolerance."""
     name, equation, residual, leak, judge, detail = row
     tolerance = getattr(tolerances, judge) if isinstance(judge, str) else judge
-    return CheckResult.from_residual(
-        name, equation, residual, tolerance, leak=leak, leak_tolerance=tolerances.leak,
-        detail=detail,
+    # bool() and float() keep numpy scalars out of the record
+    passed = bool(residual <= tolerance and leak <= tolerances.leak)
+    return CheckResult(
+        name, equation, float(residual), float(tolerance), float(leak), passed, detail
     )
 
 

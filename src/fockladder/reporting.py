@@ -12,14 +12,14 @@ indent=2) gives for the same value with those strings in place; the
 tests keep that stdlib route as their oracle.  The pass writes a child
 whose exact type is str, float, int, bool or None in place, by _leaf's
 rule for that type, and recurses only into containers; a read-only
-mapping is written as the dict it views.  A report skips the pass for
-all but its params and derived_vs_printed table: its head fills one
-fixed layout, _REPORT, with its scalar fields' _leaf texts, and each
-check row fills another, _CHECK_ROW; in CSV the head line fills one
-format and each check row joins its fields' _csv_cell texts.  A report
-writes each of its two texts once, at its first use, and keeps it; its
-params and derived_vs_printed rows are read-only, so a report can be
-handed to many callers and the kept texts stay its own.
+mapping is written as the dict it views.
+
+A report is its as_dict(): its JSON is that dict through the same pass,
+and its CSV is one head line by csv_head (the rule the CLI's tables
+share), the check rows by _csv_cell, and any derived_vs_printed table.
+A report writes each of its two texts once, at its first use, and keeps
+it; its params and derived_vs_printed rows are read-only, so a report
+can be handed to many callers and the kept texts stay its own.
 """
 
 from __future__ import annotations
@@ -81,35 +81,14 @@ class CheckResult:
     passed: bool = True
     detail: str = ""
 
-    @staticmethod
-    def from_residual(
-        name: str,
-        equation: str,
-        residual: float,
-        tolerance: float,
-        leak: float = 0.0,
-        leak_tolerance: float = DEFAULT_LEAK_TOL,
-        detail: str = "",
-    ) -> "CheckResult":
-        # bool() guards against numpy scalars sneaking into the record
-        passed = bool(residual <= tolerance and leak <= leak_tolerance)
-        return CheckResult(
-            name=name,
-            equation=equation,
-            residual=float(residual),
-            tolerance=float(tolerance),
-            leak=float(leak),
-            passed=passed,
-            detail=detail,
-        )
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     """One suite's checks under the head it echoes.  params and the
     derived_vs_printed rows are kept as read-only copies of the mappings
-    given, and the JSON and CSV texts are written at their first use and
-    kept."""
+    given.  Its JSON text is as_dict() through the generic writer, its
+    CSV text a csv_head line and one row per check; each is written at
+    its first use and kept."""
 
     family: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -157,7 +136,7 @@ class VerificationReport:
             "n_checks": len(self.checks),
             "n_failed": self.n_failed,
             "derived_vs_printed": [dict(r) for r in self.derived_vs_printed],
-            "checks": [dict(zip(CHECK_COLUMNS, _csv_fields(c))) for c in self.checks],
+            "checks": [dict(zip(CHECK_COLUMNS, _check_fields(c))) for c in self.checks],
         }
 
     def to_csv(self) -> str:
@@ -165,16 +144,15 @@ class VerificationReport:
 
     @cached_property
     def _json(self) -> str:
-        return _report_json(self)
+        return _json_text(self.as_dict(), "\n") + "\n"
 
     @cached_property
     def _csv(self) -> str:
-        params = "".join([f" {k}={v}" for k, v in sorted(self.params.items())])
-        tolerances = map(_csv_cell, _tolerance_fields(self.tolerances))
+        head = {"family": self.family, "dim": self.dim}
         lines = [
-            _CSV_HEAD % (self.family, self.dim, params, *tolerances),
-            _CSV_COLUMN_LINE,
-            *[",".join(map(_csv_cell, _csv_fields(c))) for c in self.checks],
+            csv_head(head, self.params, self.tolerances),
+            ",".join(CHECK_COLUMNS),
+            *[",".join(map(_csv_cell, _check_fields(c))) for c in self.checks],
         ]
         if self.derived_vs_printed:
             lines.append("# derived_vs_printed")
@@ -185,6 +163,8 @@ class VerificationReport:
 CHECK_COLUMNS = (
     "name", "equation", "residual", "tolerance", "leak", "passed", "detail"
 )
+# a check's fields in CHECK_COLUMNS order
+_check_fields = operator.attrgetter(*CHECK_COLUMNS)
 PRINTED_COLUMNS = ("n", "derived", "printed_re", "printed_im", "match")
 
 
@@ -193,6 +173,17 @@ def csv_table(columns: tuple[str, ...], rows) -> list[str]:
     return [",".join(columns)] + [
         ",".join(_csv_cell(row[c]) for c in columns) for row in rows
     ]
+
+
+def csv_head(
+    fields: Mapping[str, Any], params: Mapping[str, Any], tolerances: Tolerances
+) -> str:
+    """A CSV head line: "# ", then fields' key=value items in their own
+    order, the params' in sorted key order, and each tolerance's as
+    tol_key=value in sorted key order, its value by _csv_cell's rule."""
+    items = [*fields.items(), *sorted(params.items())]
+    items += [(f"tol_{k}", _csv_cell(v)) for k, v in sorted(tolerances.as_dict().items())]
+    return "# " + " ".join([f"{k}={v}" for k, v in items])
 
 
 def _csv_cell(value: Any) -> str:
@@ -295,62 +286,6 @@ def _leaf(value: Any) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _object_layout(slots: dict[str, str], newline: str) -> str:
-    """The JSON text of an object whose value texts are slots', in sorted
-    key order; newline is the line break plus the object's own indent."""
-    inner = newline + "  "
-    items = ",".join(f"{inner}{_quote(key)}: {slots[key]}" for key in sorted(slots))
-    return "{" + items + newline + "}"
-
-
-# A check's fields in CSV column order, and in the order _write sorts its
-# as_dict() keys; _CHECK_ROW is its JSON text as an item of a report's
-# "checks" list, each %s taking one field's _leaf text.
-_csv_fields = operator.attrgetter(*CHECK_COLUMNS)
-_JSON_KEYS = tuple(sorted(CHECK_COLUMNS))
-_json_fields = operator.attrgetter(*_JSON_KEYS)
-_CHECK_ROW = "\n    " + _object_layout(dict.fromkeys(_JSON_KEYS, "%s"), "\n    ")
-
-# A report's as_dict() as JSON text, its keys in sorted order, each %s
-# taking one text: the check list, the params and derived_vs_printed as
-# _write writes them, and every other field's _leaf text, the tolerances'
-# last and in their own sorted order
-_TOLERANCE_KEYS = tuple(sorted(DEFAULT_TOLERANCES.as_dict()))
-_tolerance_fields = operator.attrgetter(*_TOLERANCE_KEYS)
-_REPORT = _object_layout(
-    {
-        **dict.fromkeys(
-            ("checks", "derived_vs_printed", "dim", "family", "n_checks", "n_failed",
-             "params", "passed"),
-            "%s",
-        ),
-        "tolerances": _object_layout(dict.fromkeys(_TOLERANCE_KEYS, "%s"), "\n  "),
-    },
-    "\n",
-) + "\n"
-# to_csv's head line, the params as " key=value" items, and its column line
-_CSV_HEAD = "# family=%s dim=%s%s " + " ".join(f"tol_{k}=%s" for k in _TOLERANCE_KEYS)
-_CSV_COLUMN_LINE = ",".join(CHECK_COLUMNS)
-
-
-def _report_json(report: VerificationReport) -> str:
-    """encode_json(report.as_dict()), from _REPORT and _CHECK_ROW."""
-    checks = report.checks
-    rows = ",".join([_CHECK_ROW % tuple(map(_leaf, _json_fields(c))) for c in checks])
-    n_failed = sum(1 for c in checks if not c.passed)
-    return _REPORT % (
-        f"[{rows}\n  ]" if rows else "[]",
-        _json_text(report.derived_vs_printed, "\n  "),
-        _leaf(report.dim),
-        _leaf(report.family),
-        _leaf(len(checks)),
-        _leaf(n_failed),
-        _json_text(report.params, "\n  "),
-        _leaf(n_failed == 0),
-        *map(_leaf, _tolerance_fields(report.tolerances)),
-    )
 
 
 def _decode_float(value: Any) -> Any:

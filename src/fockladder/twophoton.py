@@ -601,9 +601,3 @@ def disentangling_rows(
         ),
     )
 
-
-def disentangling_checks(
-    closed: FockState, routes: tuple[np.ndarray, np.ndarray], tolerances: Tolerances
-) -> tuple[CheckResult, ...]:
-    """disentangling_rows judged at the call's leak tolerance."""
-    return tuple(_judge(row, tolerances) for row in disentangling_rows(closed, routes))

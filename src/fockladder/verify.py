@@ -96,7 +96,7 @@ from .ladder import (
     step_up_f,
     step_up_g,
 )
-from .reporting import DEFAULT_TOLERANCES, Tolerances, VerificationReport, _tolerance_fields
+from .reporting import DEFAULT_TOLERANCES, Tolerances, VerificationReport
 from .states import (
     NLCS_WINDOW,
     ParameterError,
@@ -663,27 +663,23 @@ class _SuiteInput:
         """The suite's report at tol, echoing p, which then takes the slot:
         the kept report itself where the call repeats it exactly (equal
         echo, and tolerances equal in value and in type, since an int and
-        a float of one value write different heads); its checks in a new
-        report where only the echo or the tolerances' types differ; else
-        the rows judged at tol."""
-        kept = self._kept
-        if kept is not None and kept.tolerances == tol:
-            checks = kept.checks
-        else:
-            checks = tuple(_judge(row, tol) for row in self.rows)
+        a float of one value write different heads); else the rows judged
+        at tol."""
+        rows = self.rows
         # read after the rows, so that a count the constructor refuses is
         # refused by it, before _int_counts reads it
         echo = _echo_params(family, _int_counts(p))
-        # one entry is one family at one dim, so the head differs only by
-        # the echo or by the tolerances' types
+        kept = self._kept
+        # one entry is one family at one dim, so the rest of the head agrees
         if (
             kept is not None
-            and checks is kept.checks
             and kept.params == echo
-            and list(map(type, _tolerance_fields(kept.tolerances)))
-            == list(map(type, _tolerance_fields(tol)))
+            and kept.tolerances == tol
+            and [*map(type, vars(kept.tolerances).values())]
+            == [*map(type, vars(tol).values())]
         ):
             return kept
+        checks = tuple(_judge(row, tol) for row in rows)
         self._kept = VerificationReport(family, echo, self.dim, tol, checks)
         return self._kept
 
@@ -1096,10 +1092,9 @@ def run_family_suite(
     _SuiteInput.rows gives: the input's rows, cached or fresh, judged at
     the call's tolerances (_SuiteInput.report).  A call that repeats the
     last one on a cached input exactly gets the report that call got,
-    whose JSON and CSV texts are written once; a call at equal
-    tolerances gets its checks in a new report.  The report echoes the
-    call's own parameters and tolerances, so a callable f names its own
-    label."""
+    whose JSON and CSV texts are written once; any other call gets a new
+    report.  The report echoes the call's own parameters and tolerances,
+    so a callable f names its own label."""
     spec = _spec(family)
     p = _require(spec, params)
     return _suite_input(spec, p, dim).report(family, p, tolerances or DEFAULT_TOLERANCES)

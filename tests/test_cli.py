@@ -482,10 +482,20 @@ def _tolerance_texts(head):
 
 
 def test_structure_fn_and_verify_csv_heads_write_one_tolerance_text(capsys):
-    flags = ["--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12", "--format", "csv"]
-    heads = [run(capsys, sub, *flags)[1].splitlines()[0] for sub in ("structure-fn", "verify")]
-    assert _tolerance_texts(heads[0]) == _tolerance_texts(heads[1])
-    assert _tolerance_texts(heads[0]) == ["tol_leak=1e-10", "tol_oracle=1e-12", "tol_residual=1e-10"]
+    for flags in (
+        ["--family", "bs", "--eta", "0.5", "--M", "4", "--dim", "12"],
+        ["--family", "ks", "--alpha", "1+0.5i", "--theta", "0.3", "--dim", "64"],
+    ):
+        heads = [
+            run(capsys, sub, *flags, "--format", "csv")[1].splitlines()[0]
+            for sub in ("structure-fn", "verify")
+        ]
+        # one head rule: the structure-fn head is the verify head after its subcommand
+        assert heads[0].replace("subcommand=structure-fn ", "", 1) == heads[1]
+        assert heads[0].startswith("# subcommand=structure-fn family=")
+        assert _tolerance_texts(heads[0]) == [
+            "tol_leak=1e-10", "tol_oracle=1e-12", "tol_residual=1e-10"
+        ]
     # one float rule: numpy's float as its float, not its repr np.float64(...)
     tol = fl.Tolerances(residual=np.float64(1e-9), leak=2)
     cfg = cli.CliConfig("structure-fn", "binomial", {"eta": 0.5, "M": 4}, 12, "csv", tol)

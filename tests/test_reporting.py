@@ -3,8 +3,9 @@
 encode_json writes JSON in one pass of its own; json_reference is the
 json.dumps route it replaced, kept as the oracle.  Both must give the
 same bytes for every value a report can hold, and for every payload the
-package writes.  A report's check rows take a fixed layout of their own,
-held to the same oracle and, in CSV, to the generic csv_table route.
+package writes.  A report is written as its as_dict() by the same pass,
+held to the same oracle, and its CSV check rows to the generic
+csv_table route.
 """
 
 import json

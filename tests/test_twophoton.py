@@ -713,7 +713,8 @@ def test_an_over_normalized_closed_form_fails_the_disentangling_checks(eps):
     amplitudes[0] *= 1 + eps
     over = fl.make_state(amplitudes)
     routes = twophoton.squeezing_routes(0.8, 0.5, fl.su11(0, fl.sector_dim(128, 0)))
-    checks = twophoton.disentangling_checks(over, routes, fl.Tolerances())
+    rows = twophoton.disentangling_rows(over, routes)
+    checks = [fl.ladder._judge(row, fl.Tolerances()) for row in rows]
     failed = {c.name: c.residual for c in checks if not c.passed}
     assert set(failed) == {"disentangle-exponential-vs-closed", "disentangle-product-vs-closed"}
     assert all(eps < r < 2 * eps for r in failed.values())

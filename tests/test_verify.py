@@ -1143,11 +1143,14 @@ def test_an_int_and_a_float_tolerance_of_one_value_keep_their_own_heads(monkeypa
     judged = []
     _spy_judges(monkeypatch, judged)
     as_float = fl.run_family_suite(family, params, dim, fl.Tolerances(residual=1.0))
+    # a call that does not repeat the last one exactly judges the rows
+    # again, into a report of its own head
+    rows = fl.verify._suite_input(fl.FAMILY_SPECS[family], dict(params), dim).rows
+    assert [args[0] for args in judged] == list(rows)
     again = fl.run_family_suite(family, params, dim, fl.Tolerances(residual=1))
-    # equal tolerances reuse the checks, each in a report of its own head
-    assert judged == []
+    assert len(judged) == 2 * len(rows)
     assert as_float is not as_int and again is not as_float
-    assert as_int.checks is as_float.checks is again.checks
+    assert as_int.checks == as_float.checks == again.checks
     heads = [r.to_csv().split("\n", 1)[0] for r in (as_int, as_float, again)]
     assert [h.rsplit(" ", 1)[1] for h in heads] == [
         "tol_residual=1", "tol_residual=1.0", "tol_residual=1"
