@@ -403,7 +403,7 @@ def _cf_nnbs(eta: float, M: int) -> Coeffs:
 
 
 def _cf_pacs(alpha: complex, M: int, dim: int) -> Coeffs:
-    alpha, M = complex(alpha), _check_count(M, "M")
+    alpha, M = _check_finite(complex(alpha), "alpha"), _check_count(M, "M")
     dim = _check_dim(dim, M)  # the window below holds no amplitude otherwise
 
     if alpha == 0:

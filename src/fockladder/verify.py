@@ -631,35 +631,31 @@ def _closed_form_diag(route: Coeffs, table: np.ndarray) -> _ArrayDiag:
 
 # --- the suite inputs' cache ---
 
-# Suite inputs whose operator data, rows and errata values _suite_input
-# keeps; one pass over EXTENDED_GRID and the errata table reads 25 of them.
+# Suite inputs whose operator data and rows _suite_input keeps; one pass
+# over EXTENDED_GRID and the errata table reads 24 of them.
 SUITE_CACHE_SIZE = 32
 
 
 class _SuiteInput:
-    """The operator data of one suite input (family, params, dim), each
-    part made on its first read and kept: the state, on the full space and
-    on the family's basis, the coefficients C on the basis (the closed
-    form's table, else the state's amplitudes) with the closed-form
-    structure function formed from them, the deformed-oscillator triple
-    on the whole basis (which keeps its battery's rows), for a squeezed
-    family the two operator routes to S(xi)|j>, rows, every check of the
-    suite free of any tolerance, and the errata table's operator values
-    on this input: a printed-F family's printed_F_rows, and the residuals
-    of the printed ladder (printed_literal_residual) and of sfes's literal
-    relation on the squeezed vacuum (svs_literal_residual).  Their arrays
-    are read-only.  Where the family has a closed form, no part but the
-    two states builds the state.  A part whose builder refuses is not
-    kept, so the next read runs the builder again.  One slot keeps the
-    last report made from this input (report), with the JSON and CSV
-    texts it keeps once written."""
+    """The operator data of one suite input (family, params, dim), each part
+    made on its first read and kept: the state, on the full space and on
+    the family's basis, the coefficients C on the basis (the closed form's
+    table, else the state's amplitudes) with the closed-form structure
+    function formed from them, the deformed-oscillator triple on the whole
+    basis (which keeps its battery's rows), for a squeezed family the two
+    operator routes to S(xi)|j>, and rows, every check of the suite free
+    of any tolerance.  Their arrays are read-only.  Where the family has a
+    closed form, no part but the two states builds the state.  A part
+    whose builder refuses is not kept, so the next read runs the builder
+    again.  One slot keeps the last report made from this input (report),
+    with the JSON and CSV texts it keeps once written."""
 
     def __init__(self, spec: FamilySpec, params: Params, dim: int) -> None:
         self.spec, self._params, self._dim = spec, params, dim
         self.kind = _KINDS[spec.kind]
         self._kept: VerificationReport | None = None
 
-    def report(self, family: str, p: Params, tol: Tolerances) -> VerificationReport:
+    def report(self, p: Params, tol: Tolerances) -> VerificationReport:
         """The suite's report at tol, echoing p, which then takes the slot:
         the kept report itself where the call repeats it exactly (equal
         echo, and tolerances equal in value and in type, since an int and
@@ -668,7 +664,7 @@ class _SuiteInput:
         rows = self.rows
         # read after the rows, so that a count the constructor refuses is
         # refused by it, before _int_counts reads it
-        echo = _echo_params(family, _int_counts(p))
+        echo = _echo_params(self.spec.name, _int_counts(p))
         kept = self._kept
         # one entry is one family at one dim, so the rest of the head agrees
         if (
@@ -680,7 +676,7 @@ class _SuiteInput:
         ):
             return kept
         checks = tuple(_judge(row, tol) for row in rows)
-        self._kept = VerificationReport(family, echo, self.dim, tol, checks)
+        self._kept = VerificationReport(self.spec.name, echo, self.dim, tol, checks)
         return self._kept
 
     @functools.cached_property
@@ -757,33 +753,6 @@ class _SuiteInput:
     def triple(self) -> GdoTriple:
         """The deformed-oscillator triple on the family's whole basis."""
         return self.kind.triple(self.coeffs, self.p, self.spec.sector, self.basis)
-
-    @functools.cached_property
-    def printed_F_rows(self) -> tuple[Params, ...]:
-        """derived_vs_printed_rows' rows, F read from this input: the
-        grid's dim exceeds M, so F on the basis covers [0, M]."""
-        return tuple(_printed_rows(self.spec, self.p, self.F[: self.p["M"] + 1]))
-
-    @functools.cached_property
-    def printed_literal_residual(self) -> float:
-        """FamilySpec.printed_literal's residual on the state, at the
-        literal relation's eigenvalue (E21, E62)."""
-        _, eigenvalue = self.spec.literal(self.p, self.dim)
-        printed = self.spec.printed_literal(self.p, self.dim)
-        return _eigen_row("", "", printed, self.state, eigenvalue)[2]
-
-    @functools.cached_property
-    def svs_literal_residual(self) -> float:
-        """The literal relation's residual on the squeezed vacuum of these
-        parameters, the state E81's printed label names."""
-        op, eigenvalue = self.spec.literal(self.p, self.dim)
-        svs = _suite_input(FAMILY_SPECS["svs"], self._params, self._dim).state
-        return _eigen_row("", "", op, svs, eigenvalue)[2]
-
-    @property
-    def literal_residual(self) -> float:
-        """The residual of the suite's own literal eigen row."""
-        return next(row[2] for row in self.rows if row[0] == self.kind.literal)
 
     @functools.cached_property
     def rows(self) -> tuple[_Row, ...]:
@@ -1097,7 +1066,7 @@ def run_family_suite(
     so a callable f names its own label."""
     spec = _spec(family)
     p = _require(spec, params)
-    return _suite_input(spec, p, dim).report(family, p, tolerances or DEFAULT_TOLERANCES)
+    return _suite_input(spec, p, dim).report(p, tolerances or DEFAULT_TOLERANCES)
 
 
 def run_grid(
@@ -1172,14 +1141,10 @@ def _note(equation: str, family: str, text: str, **values) -> Params:
     return {"equation": equation, "family": family, "text": text, **values}
 
 
-def errata_table() -> Params:
-    """Every place the printed identities disagree with the derived ones,
-    tabulated at the registry's grid parameters.  Reported, not corrected:
-    the constructors and ladder builders use the derived forms, and this
-    table is the record of what the printed source says instead.  Its
-    operator values are kept on the suite inputs (printed_F_rows, the
-    literal rows, printed_literal_residual and svs_literal_residual), so a
-    warm call applies no operator; each call returns fresh dicts."""
+@functools.cache
+def _errata() -> tuple[list[Params], list[Params]]:
+    """errata_table()'s families and notes, built once: every input is a
+    module constant, each family's grid entry and pbps's theta0 = 0.3."""
     families = []
     for family, spec in FAMILY_SPECS.items():
         if spec.printed_F is None:
@@ -1190,21 +1155,32 @@ def errata_table() -> Params:
             # printed phase factor degenerates to -1; a generic offset
             # keeps the non-real printed values visible
             params = dict(params, theta0=0.3)
-        data = _suite_input(spec, params, dim)
         families.append(
             {
                 "family": family,
                 "equation": "E12 E29",
                 "params": _echo_params(family, params),
                 "M": params["M"],
-                "rows": [dict(row) for row in data.printed_F_rows],
+                "rows": derived_vs_printed_rows(family, params, dim),
             }
         )
 
-    polya, rbs, kerr, sfes = (
+    polya, rbs, kerr, sfes, svs = (
         _suite_input(FAMILY_SPECS[family], *FAMILY_SPECS[family].grid)
-        for family in ("polya", "reciprocal_binomial", "kerr", "sfes")
+        for family in ("polya", "reciprocal_binomial", "kerr", "sfes", "svs")
     )
+
+    def derived(data: _SuiteInput) -> float:  # the suite's own literal row
+        return next(row[2] for row in data.rows if row[0] == data.kind.literal)
+
+    def printed(data: _SuiteInput, state: FockState | None = None) -> float:
+        # the printed ladder on data's state, or the literal relation on
+        # state, at the literal relation's eigenvalue
+        op, eigenvalue = data.spec.literal(data.p, data.dim)
+        if state is None:
+            op, state = data.spec.printed_literal(data.p, data.dim), data.state
+        return _eigen_row("", "", op, state, eigenvalue)[2]
+
     M = rbs.p["M"]
     inv_sum = sum(1.0 / math.comb(M, k) for k in range(M + 1))
     notes = [
@@ -1212,8 +1188,8 @@ def errata_table() -> Params:
             "E21", "polya",
             "the printed ladder numerator offset (M+N-1)gamma fails the "
             "eigenvalue relation; it holds with (M-N-1)gamma",
-            residual_printed=polya.printed_literal_residual,
-            residual_derived=polya.literal_residual,
+            residual_printed=printed(polya),
+            residual_derived=derived(polya),
         ),
         _note(
             "E22", "reciprocal_binomial",
@@ -1228,21 +1204,35 @@ def errata_table() -> Params:
             "E62", "kerr",
             "the printed lowering identity carries exp(-2i N theta); the "
             "relation holds with exp(+2i theta N)",
-            residual_printed=kerr.printed_literal_residual,
-            residual_derived=kerr.literal_residual,
+            residual_printed=printed(kerr),
+            residual_derived=derived(kerr),
         ),
         _note(
             "E81", "sfes",
             "the printed relation names the squeezed vacuum on its "
             "left-hand side; it holds on the squeezed first excited state",
-            residual_labeled_state=sfes.svs_literal_residual,
-            residual_intended_state=sfes.literal_residual,
+            residual_labeled_state=printed(sfes, svs.state),
+            residual_intended_state=derived(sfes),
         ),
     ]
+    return families, notes
 
+
+def errata_table() -> Params:
+    """Every place the printed identities disagree with the derived ones,
+    tabulated at the registry's grid parameters.  Reported, not corrected:
+    the constructors and ladder builders use the derived forms, and this
+    table is the record of what the printed source says instead.  Each
+    family's rows are derived_vs_printed_rows' at its grid entry.  The
+    table is built once per process (_errata), and each call returns fresh
+    dicts, which a caller may change without changing the next call's."""
+    families, notes = _errata()
     return {
         "schema": "errata-1",
         "derived_form": "F(n) = (M-n+1)^2 |C(n-1)/C(n)|^2 with F(0) = 0",
-        "families": families,
-        "notes": notes,
+        "families": [
+            {**entry, "params": dict(entry["params"]), "rows": [*map(dict, entry["rows"])]}
+            for entry in families
+        ],
+        "notes": [dict(note) for note in notes],
     }

@@ -17,11 +17,12 @@ settings.load_profile("fockladder")
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    """Each test starts with no cached sector representation and no cached
-    suite input, and so with no operator data made under another test's
-    patch."""
+    """Each test starts with no cached sector representation, no cached
+    suite input and no kept errata table, and so with no operator data
+    made under another test's patch."""
     twophoton._su11.cache_clear()
     verify._cached_input.cache_clear()
+    verify._errata.cache_clear()
 
 
 @pytest.fixture

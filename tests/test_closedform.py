@@ -128,15 +128,19 @@ NAN, INF = math.nan, math.inf
         ("theta", lambda: fl.svs_sector_coeffs(0.5, NAN, 8)),
         ("theta", lambda: fl.sfes_sector_coeffs(0.5, NAN, 8)),
         ("theta", lambda: fl.svs_sector_coeffs(0.5, -INF, 8)),
+        ("alpha", lambda: fl.closedform._cf_pacs(complex(INF, 0.0), 1, 16)),
+        ("alpha", lambda: fl.closedform._cf_pacs(NAN, 1, 16)),
+        ("alpha", lambda: fl.closedform._cf_pacs(complex(1.0, INF), 1, 16)),
     ],
     ids=[
         "coherent-nan", "coherent-inf", "kerr", "kerr-theta-inf", "ecs", "ocs",
-        "svs-nan", "sfes-nan", "svs-inf",
+        "svs-nan", "sfes-nan", "svs-inf", "pacs-inf", "pacs-nan", "pacs-imag-inf",
     ],
 )
 def test_a_public_route_refuses_a_non_finite_parameter_by_name(name, route):
     # the constructors refuse these values too, alpha as a non-finite
     # amplitude and theta by the angle rule; unrefused, the coefficients
-    # are NaN and a builder fails on them later
+    # are NaN and a builder fails on them later.  pacs's table route is
+    # called directly: a suite refuses its alpha before reaching it
     with pytest.raises(fl.ParameterError, match=f"^{name} must be finite$"):
         route()(1)

@@ -459,8 +459,8 @@ def test_errata_flags_nonreal_printed_values():
 
 
 def test_errata_rows_are_the_closed_form_route_rows():
-    # the table reads F from the suite inputs' cache, derived_vs_printed_rows
-    # from the closed form on [0, M]: the same rows, bit for bit
+    # the errata table and the CLI's --compare-printed table are one table:
+    # at a family's grid entry, the same rows, bit for bit
     for entry in fl.errata_table()["families"]:
         params, dim = fl.FAMILY_SPECS[entry["family"]].grid
         if entry["family"] == "pegg_barnett_phase":
@@ -536,7 +536,24 @@ def test_a_mutated_errata_table_leaves_the_next_call_unchanged():
 def test_the_errata_table_is_the_same_from_fresh_suite_inputs():
     cold = encode_json(fl.errata_table())
     fl.verify._cached_input.cache_clear()
+    fl.verify._errata.cache_clear()
     assert encode_json(fl.errata_table()) == cold
+
+
+def test_a_second_errata_table_reads_no_suite_input_and_no_printed_row(monkeypatch):
+    cold = encode_json(fl.errata_table())
+    calls = []
+    _spy(monkeypatch, calls, [(fl.verify, "_suite_input"), (fl.verify, "derived_vs_printed_rows")])
+    assert encode_json(fl.errata_table()) == cold
+    assert calls == []
+
+
+def test_the_grid_and_the_errata_table_fit_the_suite_cache():
+    # the errata's pbps entry at theta0 = 0.3 reads no suite input, and its
+    # notes read the grid's own entries
+    fl.run_grid(fl.EXTENDED_GRID)
+    fl.errata_table()
+    assert fl.verify._cached_input.cache_info().currsize == 24 <= fl.verify.SUITE_CACHE_SIZE
 
 
 @pytest.mark.parametrize(
